@@ -5,7 +5,13 @@
 namespace protego {
 
 namespace {
-constexpr size_t kMaxRecent = 256;
+
+void Log(LogLevel level, const std::string& message) {
+  if (level >= LogLevel::kWarn) {
+    std::fprintf(stderr, "[%s] %s\n", LogLevelName(level), message.c_str());
+  }
+}
+
 }  // namespace
 
 const char* LogLevelName(LogLevel level) {
@@ -19,32 +25,10 @@ const char* LogLevelName(LogLevel level) {
   return "?";
 }
 
-Logger& Logger::Get() {
-  static Logger logger;
-  return logger;
-}
-
-void Logger::Log(LogLevel level, std::string message) {
-  Record record{level, std::move(message)};
-  if (recent_.size() >= kMaxRecent) {
-    recent_.erase(recent_.begin());
-  }
-  recent_.push_back(record);
-  if (sink_) {
-    sink_(record);
-    return;
-  }
-  if (level >= LogLevel::kWarn) {
-    std::fprintf(stderr, "[%s] %s\n", LogLevelName(level), record.message.c_str());
-  }
-}
-
-void Logger::SetSink(std::function<void(const Record&)> sink) { sink_ = std::move(sink); }
-
-void LogDebug(std::string message) { Logger::Get().Log(LogLevel::kDebug, std::move(message)); }
-void LogInfo(std::string message) { Logger::Get().Log(LogLevel::kInfo, std::move(message)); }
-void LogAudit(std::string message) { Logger::Get().Log(LogLevel::kAudit, std::move(message)); }
-void LogWarn(std::string message) { Logger::Get().Log(LogLevel::kWarn, std::move(message)); }
-void LogError(std::string message) { Logger::Get().Log(LogLevel::kError, std::move(message)); }
+void LogDebug(std::string message) { Log(LogLevel::kDebug, message); }
+void LogInfo(std::string message) { Log(LogLevel::kInfo, message); }
+void LogAudit(std::string message) { Log(LogLevel::kAudit, message); }
+void LogWarn(std::string message) { Log(LogLevel::kWarn, message); }
+void LogError(std::string message) { Log(LogLevel::kError, message); }
 
 }  // namespace protego

@@ -1,13 +1,11 @@
 // Minimal leveled logger. The simulated kernel logs audit events (LSM denials,
-// setuid transitions, policy reloads) through this; tests capture the sink.
+// setuid transitions, policy reloads) through this. Records at kWarn and
+// above go to stderr; the rest are dropped. Safe to call from any thread.
 
 #ifndef SRC_BASE_LOG_H_
 #define SRC_BASE_LOG_H_
 
-#include <functional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace protego {
 
@@ -20,32 +18,6 @@ enum class LogLevel {
 };
 
 const char* LogLevelName(LogLevel level);
-
-// Process-wide logger. A sink can be installed to capture records (used by
-// audit tests); by default records at kWarn and above go to stderr.
-class Logger {
- public:
-  struct Record {
-    LogLevel level;
-    std::string message;
-  };
-
-  static Logger& Get();
-
-  void Log(LogLevel level, std::string message);
-
-  // Replaces the sink. Passing nullptr restores the default stderr sink.
-  void SetSink(std::function<void(const Record&)> sink);
-
-  // Keeps the most recent records in a ring for post-hoc inspection.
-  const std::vector<Record>& recent() const { return recent_; }
-  void ClearRecent() { recent_.clear(); }
-
- private:
-  Logger() = default;
-  std::function<void(const Record&)> sink_;
-  std::vector<Record> recent_;
-};
 
 void LogDebug(std::string message);
 void LogInfo(std::string message);

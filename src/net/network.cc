@@ -1,8 +1,24 @@
 #include "src/net/network.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace protego {
+
+namespace {
+
+bool IsRawSocket(const Socket& sock) {
+  return sock.type == kSockRaw || sock.family == kAfPacket;
+}
+
+int PortProto(const Socket& sock) { return sock.type == kSockStream ? kProtoTcp : kProtoUdp; }
+
+uint64_t PortKey(int netns, int proto, uint16_t port) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(netns)) << 32) |
+         (static_cast<uint64_t>(static_cast<uint16_t>(proto)) << 16) | port;
+}
+
+}  // namespace
 
 Network::Network() {
   netfilter_.set_port_owner_fn(
@@ -14,60 +30,118 @@ Network::Network() {
 
 Socket& Network::CreateSocket(int family, int type, int protocol, Uid owner,
                               const std::string& owner_binary, int netns) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
   auto sock = std::make_unique<Socket>();
-  sock->id = next_socket_id_++;
+  sock->id = next_socket_id_.fetch_add(1, std::memory_order_relaxed);
   sock->family = family;
   sock->type = type;
   sock->protocol = protocol;
   sock->owner = owner;
   sock->owner_binary = owner_binary;
   sock->netns = netns;
-  Socket* raw = sock.get();
-  sockets_.emplace(raw->id, std::move(sock));
-  return *raw;
+  Socket* created = sock.get();
+  {
+    SocketShard& shard = SocketShardFor(created->id);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    shard.sockets.emplace(created->id, std::move(sock));
+  }
+  if (IsRawSocket(*created)) {
+    std::unique_lock<std::shared_mutex> lk(raw_mu_);
+    raw_sockets_.push_back(created);
+  }
+  return *created;
 }
 
 Socket* Network::FindSocket(int id) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  auto it = sockets_.find(id);
-  return it == sockets_.end() ? nullptr : it->second.get();
+  SocketShard& shard = SocketShardFor(id);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto it = shard.sockets.find(id);
+  return it == shard.sockets.end() ? nullptr : it->second.get();
 }
 
 void Network::RefSocket(int id) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  Socket* sock = FindSocket(id);
-  if (sock != nullptr) {
-    ++sock->refcount;
+  SocketShard& shard = SocketShardFor(id);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto it = shard.sockets.find(id);
+  if (it != shard.sockets.end()) {
+    ++it->second->refcount;
   }
 }
 
 void Network::DestroySocket(int id) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  Socket* sock = FindSocket(id);
-  if (sock != nullptr && --sock->refcount <= 0) {
-    sockets_.erase(id);
+  std::unique_ptr<Socket> dead;
+  {
+    SocketShard& shard = SocketShardFor(id);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto it = shard.sockets.find(id);
+    if (it == shard.sockets.end() || --it->second->refcount > 0) {
+      return;
+    }
+    dead = std::move(it->second);
+    shard.sockets.erase(it);
+  }
+  // No fd references remain, so nothing rebinds it; unhash it from every
+  // table delivery can reach it through before freeing.
+  if (IsRawSocket(*dead)) {
+    std::unique_lock<std::shared_mutex> lk(raw_mu_);
+    raw_sockets_.erase(std::find(raw_sockets_.begin(), raw_sockets_.end(), dead.get()));
+    return;
+  }
+  uint16_t port = 0;
+  {
+    std::lock_guard<std::mutex> lk(dead->mu);
+    port = dead->bound_port;
+  }
+  if (port != 0) {
+    Unhash(*dead, port);
+  }
+}
+
+void Network::Unhash(const Socket& sock, uint16_t port) {
+  PortShard& shard = PortShardFor(port);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto it = shard.owners.find(PortKey(sock.netns, PortProto(sock), port));
+  if (it != shard.owners.end() && it->second == &sock) {
+    shard.owners.erase(it);
   }
 }
 
 Result<Unit> Network::Bind(Socket& sock, uint16_t port) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
   if (port == 0) {
     return Error(Errno::kEINVAL, "bind to port 0");
   }
-  int proto = sock.type == kSockStream ? kProtoTcp : kProtoUdp;
-  if (PortOwner(proto, port, sock.netns).has_value()) {
-    return Error(Errno::kEADDRINUSE);
+  const int proto = PortProto(sock);
+  if (IsRawSocket(sock)) {
+    // Raw sockets see traffic by protocol; a bound port is recorded but
+    // never owned.
+    if (PortOwner(proto, port, sock.netns).has_value()) {
+      return Error(Errno::kEADDRINUSE);
+    }
+    std::lock_guard<std::mutex> lk(sock.mu);
+    sock.bound_port = port;
+    return OkUnit();
   }
-  sock.bound_port = port;
+  uint16_t old_port = 0;
+  {
+    PortShard& shard = PortShardFor(port);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    if (!shard.owners.try_emplace(PortKey(sock.netns, proto, port), &sock).second) {
+      return Error(Errno::kEADDRINUSE);
+    }
+    std::lock_guard<std::mutex> sock_lk(sock.mu);
+    old_port = std::exchange(sock.bound_port, port);
+  }
+  // A rebind moves the socket: release the port it held before.
+  if (old_port != 0) {
+    Unhash(sock, old_port);
+  }
   return OkUnit();
 }
 
 Result<Unit> Network::Listen(Socket& sock) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
   if (sock.type != kSockStream) {
     return Error(Errno::kEOPNOTSUPP);
   }
+  std::lock_guard<std::mutex> lk(sock.mu);
   if (sock.bound_port == 0) {
     return Error(Errno::kEINVAL, "listen on unbound socket");
   }
@@ -76,23 +150,39 @@ Result<Unit> Network::Listen(Socket& sock) {
 }
 
 std::optional<Uid> Network::PortOwner(int proto, uint16_t port, int netns) const {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  for (const auto& [id, sock] : sockets_) {
-    int sock_proto = sock->type == kSockStream ? kProtoTcp : kProtoUdp;
-    if (sock->netns == netns && sock->bound_port == port && sock_proto == proto &&
-        (sock->type == kSockStream || sock->type == kSockDgram)) {
-      return sock->owner;
-    }
+  const PortShard& shard = PortShardFor(port);
+  std::lock_guard<std::mutex> lk(shard.mu);
+  auto it = shard.owners.find(PortKey(netns, proto, port));
+  if (it == shard.owners.end()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return it->second->owner;
 }
 
 Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
   if (sock.type != kSockStream) {
     return Error(Errno::kEOPNOTSUPP);
   }
-  if (!IsLocalAddress(dst)) {
+  // A sandbox namespace has only its own loopback, as in Send().
+  if (sock.netns != 0 && dst != kLocalhostIp) {
+    return Error(Errno::kENETUNREACH, "no routes in this network namespace");
+  }
+  if (sock.netns != 0 || IsLocalAddress(dst)) {
+    // Local destination: someone in this namespace must be listening.
+    bool listening = false;
+    {
+      PortShard& shard = PortShardFor(port);
+      std::lock_guard<std::mutex> lk(shard.mu);
+      auto it = shard.owners.find(PortKey(sock.netns, kProtoTcp, port));
+      if (it != shard.owners.end()) {
+        std::lock_guard<std::mutex> peer_lk(it->second->mu);
+        listening = it->second->listening;
+      }
+    }
+    if (!listening) {
+      return Error(Errno::kECONNREFUSED);
+    }
+  } else {
     if (!routes_.Lookup(dst).has_value()) {
       return Error(Errno::kENETUNREACH, IpToString(dst));
     }
@@ -104,19 +194,8 @@ Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
         host->tcp_listening.end()) {
       return Error(Errno::kECONNREFUSED);
     }
-  } else {
-    // Local destination: someone must be listening.
-    bool found = false;
-    for (const auto& [id, other] : sockets_) {
-      if (other->listening && other->bound_port == port) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Error(Errno::kECONNREFUSED);
-    }
   }
+  std::lock_guard<std::mutex> lk(sock.mu);
   sock.peer_ip = dst;
   sock.peer_port = port;
   sock.connected = true;
@@ -124,17 +203,22 @@ Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
 }
 
 bool Network::IsLocalAddress(Ipv4 ip) const {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<std::shared_mutex> lk(topo_mu_);
   return std::find(local_addrs_.begin(), local_addrs_.end(), ip) != local_addrs_.end();
 }
 
+void Network::AddLocalAddress(Ipv4 ip) {
+  std::unique_lock<std::shared_mutex> lk(topo_mu_);
+  local_addrs_.push_back(ip);
+}
+
 void Network::AddRemoteHost(RemoteHost host) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::unique_lock<std::shared_mutex> lk(topo_mu_);
   hosts_.push_back(std::move(host));
 }
 
 const RemoteHost* Network::FindHost(Ipv4 ip) const {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<std::shared_mutex> lk(topo_mu_);
   for (const RemoteHost& host : hosts_) {
     if (host.ip == ip) {
       return &host;
@@ -144,7 +228,7 @@ const RemoteHost* Network::FindHost(Ipv4 ip) const {
 }
 
 PppChannel& Network::NewPppUnit() {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::unique_lock<std::shared_mutex> lk(topo_mu_);
   PppChannel chan;
   chan.unit = static_cast<int>(ppp_units_.size());
   ppp_units_.push_back(chan);
@@ -152,7 +236,7 @@ PppChannel& Network::NewPppUnit() {
 }
 
 PppChannel* Network::FindPppUnit(int unit) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<std::shared_mutex> lk(topo_mu_);
   if (unit < 0 || static_cast<size_t>(unit) >= ppp_units_.size()) {
     return nullptr;
   }
@@ -224,19 +308,21 @@ void Network::DeliverLocal(const Packet& packet, int netns) {
   if (netns == 0 && netfilter_.Evaluate(NfChain::kInput, packet) == NfVerdict::kDrop) {
     return;
   }
-  for (auto& [id, sock] : sockets_) {
-    if (sock->netns != netns) {
-      continue;
+  if (packet.l4_proto == kProtoTcp || packet.l4_proto == kProtoUdp) {
+    PortShard& shard = PortShardFor(packet.dst_port);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto it = shard.owners.find(PortKey(netns, packet.l4_proto, packet.dst_port));
+    if (it != shard.owners.end()) {
+      std::lock_guard<std::mutex> sock_lk(it->second->mu);
+      it->second->rx_queue.push_back(packet);
+      packets_delivered_.fetch_add(1, std::memory_order_relaxed);
     }
-    bool match = false;
-    if (sock->type == kSockRaw || sock->family == kAfPacket) {
-      // Raw sockets see matching-protocol traffic (ICMP sniffing for ping).
-      match = sock->protocol == 0 || sock->protocol == packet.l4_proto;
-    } else {
-      int proto = sock->type == kSockStream ? kProtoTcp : kProtoUdp;
-      match = proto == packet.l4_proto && sock->bound_port == packet.dst_port;
-    }
-    if (match) {
+  }
+  // Raw sockets see matching-protocol traffic (ICMP sniffing for ping).
+  std::shared_lock<std::shared_mutex> lk(raw_mu_);
+  for (Socket* sock : raw_sockets_) {
+    if (sock->netns == netns && (sock->protocol == 0 || sock->protocol == packet.l4_proto)) {
+      std::lock_guard<std::mutex> sock_lk(sock->mu);
       sock->rx_queue.push_back(packet);
       packets_delivered_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -244,11 +330,13 @@ void Network::DeliverLocal(const Packet& packet, int netns) {
 }
 
 Result<Unit> Network::Send(Socket& sock, Packet packet) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
   packet.sender_uid = sock.owner;
-  packet.from_raw_socket = (sock.type == kSockRaw || sock.family == kAfPacket);
-  if (!packet.from_raw_socket && sock.bound_port != 0) {
-    packet.src_port = sock.bound_port;
+  packet.from_raw_socket = IsRawSocket(sock);
+  if (!packet.from_raw_socket) {
+    std::lock_guard<std::mutex> lk(sock.mu);
+    if (sock.bound_port != 0) {
+      packet.src_port = sock.bound_port;
+    }
   }
   packets_sent_.fetch_add(1, std::memory_order_relaxed);
 
@@ -285,6 +373,7 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
   if (reply.has_value()) {
     reply->sender_uid = 0;
     if (netfilter_.Evaluate(NfChain::kInput, *reply) == NfVerdict::kAccept) {
+      std::lock_guard<std::mutex> lk(sock.mu);
       sock.rx_queue.push_back(std::move(*reply));
       packets_delivered_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -293,7 +382,7 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
 }
 
 std::optional<Packet> Network::Receive(Socket& sock) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(sock.mu);
   if (sock.rx_queue.empty()) {
     return std::nullopt;
   }

@@ -8,13 +8,15 @@
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
@@ -24,7 +26,8 @@
 
 namespace protego {
 
-// A socket endpoint.
+// A socket endpoint. Identity fields are fixed at creation and read
+// without a lock; the rest is guarded as annotated.
 struct Socket {
   int id = 0;
   int family = 0;
@@ -32,15 +35,19 @@ struct Socket {
   int protocol = 0;
   Uid owner = 0;
   std::string owner_binary;  // exe_path of the creating task
-
-  int refcount = 1;          // fd-table references (fork shares endpoints)
   int netns = 0;             // network namespace (0 = init; others are sandboxes)
+
+  // fd-table references (fork shares endpoints); guarded by the socket
+  // table shard that holds this id.
+  int refcount = 1;
+
+  // Guards everything below.
+  std::mutex mu;
   uint16_t bound_port = 0;   // 0 = unbound
   bool listening = false;
   Ipv4 peer_ip = 0;          // connected peer (TCP)
   uint16_t peer_port = 0;
   bool connected = false;
-
   std::vector<Packet> rx_queue;
 };
 
@@ -67,13 +74,23 @@ struct PppChannel {
   Ipv4 remote_ip = 0;
 };
 
-// Concurrency: one coarse recursive lock (mu_) covers socket/topology/PPP
-// state. Recursive because Send() holds the lock while netfilter evaluates
-// the OUTPUT chain, and the spoofed-source match calls back into
-// PortOwner() on the same thread. Socket objects are heap-allocated and
-// refcounted (fd tables pin them), so a Socket* stays valid across the
-// lock being dropped; its fields are only touched under mu_. Packet rates
-// in the simulation are far below the point where this lock would matter.
+// Concurrency: Linux-style per-object locks instead of one network-wide
+// lock, so tasks working on different sockets and ports do not serialize.
+//   - Socket table: kShards id-hashed shards; a shard's mutex guards its
+//     map and the refcounts of its sockets.
+//   - Port table: (netns, proto, port) -> bound socket, kShards shards
+//     hashed by port. A shard's mutex stays held while a datagram is
+//     queued on the owner, and close unhashes under it before freeing, so
+//     delivery never touches a freed socket.
+//   - Raw list: raw/packet sockets, read-locked by delivery and
+//     write-locked by create/close.
+//   - Socket::mu: per-socket state (rx_queue, bound_port, listening, peer).
+//   - topo_mu_: remote hosts, local addresses and PPP units.
+// Lock order: port shard -> socket, raw list -> socket; socket-table
+// shards and topo_mu_ are leaves. Netfilter is never evaluated under any
+// of these locks, so its port-owner callback may take a port shard.
+// Socket objects are owned by the table; a caller's fd reference keeps
+// the Socket& it passes in alive.
 class Network {
  public:
   Network();
@@ -102,8 +119,8 @@ class Network {
   // Allocates a fresh network-namespace id (unshare(CLONE_NEWNET)).
   int NewNetNamespace() { return next_netns_.fetch_add(1, std::memory_order_relaxed); }
 
-  // Connects a stream socket; succeeds iff the destination is routable and
-  // something is listening there.
+  // Connects a stream socket; succeeds iff the destination is routable
+  // from the socket's namespace and something is listening there.
   Result<Unit> Connect(Socket& sock, Ipv4 dst, uint16_t port);
 
   // --- Packet I/O -----------------------------------------------------------
@@ -125,10 +142,7 @@ class Network {
   const RemoteHost* FindHost(Ipv4 ip) const;
 
   // Local interface addresses (packets to these are delivered locally).
-  void AddLocalAddress(Ipv4 ip) {
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    local_addrs_.push_back(ip);
-  }
+  void AddLocalAddress(Ipv4 ip);
   bool IsLocalAddress(Ipv4 ip) const;
 
   // --- PPP -------------------------------------------------------------------
@@ -151,20 +165,42 @@ class Network {
   uint64_t packets_dropped() const { return netfilter_.dropped(); }
 
  private:
-  // Callers hold mu_.
+  static constexpr size_t kShards = 16;
+
+  struct alignas(64) SocketShard {
+    std::mutex mu;
+    std::unordered_map<int, std::unique_ptr<Socket>> sockets;
+  };
+  struct alignas(64) PortShard {
+    mutable std::mutex mu;
+    std::unordered_map<uint64_t, Socket*> owners;  // keyed by PortKey()
+  };
+
+  SocketShard& SocketShardFor(int id) { return socket_shards_[static_cast<size_t>(id) % kShards]; }
+  PortShard& PortShardFor(uint16_t port) { return port_shards_[port % kShards]; }
+  const PortShard& PortShardFor(uint16_t port) const { return port_shards_[port % kShards]; }
+
+  // Removes the (netns, proto, port) entry if it still names `sock`.
+  void Unhash(const Socket& sock, uint16_t port);
   void DeliverLocal(const Packet& packet, int netns);
   std::optional<Packet> RemoteRespond(const RemoteHost& host, const Packet& packet);
 
-  mutable std::recursive_mutex mu_;
   Netfilter netfilter_;
   RoutingTable routes_;
-  std::map<int, std::unique_ptr<Socket>> sockets_;
+  std::array<SocketShard, kShards> socket_shards_;
+  std::array<PortShard, kShards> port_shards_;
+
+  std::shared_mutex raw_mu_;
+  std::vector<Socket*> raw_sockets_;
+
   // deques: FindHost/NewPppUnit hand out pointers that must survive later
   // insertions (a vector's push_back would reallocate them away).
+  mutable std::shared_mutex topo_mu_;
   std::deque<RemoteHost> hosts_;
   std::vector<Ipv4> local_addrs_;
   std::deque<PppChannel> ppp_units_;
-  int next_socket_id_ = 1;
+
+  std::atomic<int> next_socket_id_{1};
   std::atomic<int> next_netns_{1};
   std::atomic<uint64_t> packets_sent_{0};
   std::atomic<uint64_t> packets_delivered_{0};

@@ -92,6 +92,55 @@ TEST(Namespaces, SandboxNetworkIsInvisibleFromOutside) {
   EXPECT_FALSE(got.value().has_value());
 }
 
+// Regression: connect(2) ignored the socket's namespace, so a listener in
+// one namespace accepted connections made from the other.
+TEST(Namespaces, ConnectReachesListenersOnlyInTheCallersNamespace) {
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  Task& alice = sys.Login("alice");
+  ASSERT_TRUE(k.Unshare(alice, Kernel::kCloneNewUser | Kernel::kCloneNewNet).ok());
+  Task& bob = sys.Login("bob");
+  auto listen_on = [&k](Task& task, uint16_t port) {
+    auto fd = k.SocketCall(task, kAfInet, kSockStream, 0);
+    return fd.ok() && k.BindCall(task, fd.value(), port).ok() &&
+           k.ListenCall(task, fd.value()).ok();
+  };
+  auto connect_to = [&k](Task& task, uint16_t port) {
+    auto fd = k.SocketCall(task, kAfInet, kSockStream, 0);
+    return fd.ok() ? k.ConnectCall(task, fd.value(), kLocalhostIp, port).code() : fd.code();
+  };
+  ASSERT_TRUE(listen_on(alice, 8080));  // inside the sandbox
+  ASSERT_TRUE(listen_on(bob, 8081));    // in the init namespace
+
+  EXPECT_EQ(connect_to(bob, 8080), Errno::kECONNREFUSED);
+  EXPECT_EQ(connect_to(alice, 8081), Errno::kECONNREFUSED);
+  // Each namespace still reaches its own listener.
+  EXPECT_EQ(connect_to(alice, 8080), Errno::kOk);
+  EXPECT_EQ(connect_to(bob, 8081), Errno::kOk);
+}
+
+// Regression: a sandbox socket connected to a remote host that send(2)
+// from the same socket reported unreachable.
+TEST(Namespaces, SandboxConnectHasNoRouteOut) {
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  Task& bob = sys.Login("bob");
+  auto outside = k.SocketCall(bob, kAfInet, kSockStream, 0);
+  ASSERT_TRUE(outside.ok());
+  EXPECT_TRUE(k.ConnectCall(bob, outside.value(), kSimWebServerIp, 80).ok());
+
+  Task& alice = sys.Login("alice");
+  ASSERT_TRUE(k.Unshare(alice, Kernel::kCloneNewUser | Kernel::kCloneNewNet).ok());
+  auto fd = k.SocketCall(alice, kAfInet, kSockStream, 0);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(k.ConnectCall(alice, fd.value(), kSimWebServerIp, 80).code(), Errno::kENETUNREACH);
+  Packet p;
+  p.l4_proto = kProtoTcp;
+  p.dst_ip = kSimWebServerIp;
+  p.dst_port = 80;
+  EXPECT_EQ(k.SendCall(alice, fd.value(), p).code(), Errno::kENETUNREACH);
+}
+
 TEST(Namespaces, SandboxCapsDoNotReachSharedResources) {
   // §6: "namespaces cannot safely allow access to shared system resources,
   // such as passwd updating the password database."

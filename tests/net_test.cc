@@ -203,6 +203,18 @@ TEST(NetworkTest, LocalDeliveryToBoundSocket) {
   EXPECT_FALSE(net.Receive(server).has_value());
 }
 
+// Regression: local delivery matched bound_port == dst_port, so a datagram
+// to port 0 landed on every never-bound datagram socket in the namespace.
+TEST(NetworkTest, DatagramToPortZeroReachesNoUnboundSocket) {
+  Network net;
+  Socket& alice = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/alice");
+  Socket& bob = net.CreateSocket(kAfInet, kSockDgram, 0, 1001, "/bob");
+  ASSERT_TRUE(net.Send(bob, UdpPacket(kLocalhostIp, 0)).ok());
+  EXPECT_FALSE(net.Receive(alice).has_value());
+  EXPECT_FALSE(net.Receive(bob).has_value());
+  EXPECT_EQ(net.packets_delivered(), 0u);
+}
+
 TEST(NetworkTest, RemoteHostBehaviour) {
   Network net;
   RemoteHost host;

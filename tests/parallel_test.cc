@@ -205,6 +205,131 @@ TEST(ParallelStress, FaultInjectionLeakFreeUnderThreads) {
   EXPECT_TRUE(k.vfs().AuditBlockAccounting().ok());
 }
 
+// --- Network: bind/send/close churn ------------------------------------------
+//
+// Four threads race binds on a small shared UDP port range and send to each
+// other's ports while the owners close them; each also cycles a raw UDP
+// socket that sees all of that traffic, and keeps one private request/reply
+// pair. A datagram may only land on the socket bound to its destination
+// port, each private exchange arrives exactly once, and no port stays owned
+// once every socket is closed.
+TEST(ParallelStress, NetworkBindSendCloseChurn) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 400;
+  constexpr int kSharedBase = 30000;
+  constexpr int kSharedPorts = 6;
+  constexpr int kSrvBase = 31000;
+  constexpr int kCliBase = 32000;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> errors{0};
+  std::atomic<int> misdelivered{0};
+  std::atomic<int> shared_binds{0};
+  std::atomic<int> raw_seen{0};
+  for (int t = 0; t < kThreads; ++t) {
+    // Root: raw sockets need CAP_NET_RAW.
+    Task* task = &k.CreateTask("net" + std::to_string(t), Cred::Root(), nullptr);
+    sched.StartTask(task->pid, [&, task, t] {
+      auto send = [&](int fd, int dst_port, const std::string& payload) {
+        Packet p;
+        p.l4_proto = kProtoUdp;
+        p.dst_ip = kLocalhostIp;
+        p.dst_port = static_cast<uint16_t>(dst_port);
+        p.payload = payload;
+        if (!k.SendCall(*task, fd, std::move(p)).ok()) {
+          ++errors;
+        }
+      };
+      auto drain = [&](int fd) {
+        std::vector<Packet> got;
+        for (;;) {
+          auto r = k.RecvCall(*task, fd);
+          if (!r.ok() || !r.value().has_value()) {
+            return got;
+          }
+          got.push_back(std::move(*r.value()));
+        }
+      };
+      auto srv = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+      auto cli = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+      if (!srv.ok() || !cli.ok() ||
+          !k.BindCall(*task, srv.value(), static_cast<uint16_t>(kSrvBase + t)).ok() ||
+          !k.BindCall(*task, cli.value(), static_cast<uint16_t>(kCliBase + t)).ok()) {
+        ++errors;
+        return;
+      }
+      int raw = -1;
+      for (int r = 0; r < kRounds; ++r) {
+        // A raw UDP socket lives for 8 rounds at a time.
+        if (r % 8 == 0) {
+          auto opened = k.SocketCall(*task, kAfInet, kSockRaw, kProtoUdp);
+          raw = opened.ok() ? opened.value() : -1;
+          if (raw < 0) {
+            ++errors;
+          }
+        }
+        // Shared range: a lost bind race is EADDRINUSE. The datagram goes to
+        // the port a neighbour binds this round, which it may be closing.
+        const int mine = kSharedBase + (t + r) % kSharedPorts;
+        auto fd = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+        if (!fd.ok()) {
+          ++errors;
+          continue;
+        }
+        auto bound = k.BindCall(*task, fd.value(), static_cast<uint16_t>(mine));
+        if (bound.ok()) {
+          ++shared_binds;
+        } else if (bound.code() != Errno::kEADDRINUSE) {
+          ++errors;
+        }
+        send(fd.value(), kSharedBase + (t + r + 1) % kSharedPorts, "churn");
+        for (const Packet& p : drain(fd.value())) {
+          if (!bound.ok() || p.dst_port != mine) {
+            ++misdelivered;
+          }
+        }
+        (void)k.Close(*task, fd.value());
+
+        const std::string tag = std::to_string(t) + "/" + std::to_string(r);
+        send(cli.value(), kSrvBase + t, "req " + tag);
+        std::vector<Packet> request = drain(srv.value());
+        send(srv.value(), kCliBase + t, "rep " + tag);
+        std::vector<Packet> reply = drain(cli.value());
+        if (request.size() != 1 || request[0].payload != "req " + tag || reply.size() != 1 ||
+            reply[0].payload != "rep " + tag) {
+          ++errors;
+        }
+
+        if (r % 8 == 7 && raw >= 0) {
+          raw_seen += static_cast<int>(drain(raw).size());
+          (void)k.Close(*task, raw);
+          raw = -1;
+        }
+      }
+      (void)k.Close(*task, srv.value());
+      (void)k.Close(*task, cli.value());
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(misdelivered.load(), 0);
+  EXPECT_GT(shared_binds.load(), 0);
+  // Every raw socket was open across its own thread's three sends per round.
+  EXPECT_GE(raw_seen.load(), 3 * kThreads * kRounds);
+  for (int port = kSharedBase; port < kSharedBase + kSharedPorts; ++port) {
+    EXPECT_FALSE(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(port)).has_value()) << port;
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_FALSE(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(kSrvBase + t)).has_value());
+    EXPECT_FALSE(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(kCliBase + t)).has_value());
+  }
+}
+
 // --- Race corpus re-run with real threads ------------------------------------
 
 TEST(ParallelRaceCorpus, ProtegoTocttouCleanUnderRealThreads) {

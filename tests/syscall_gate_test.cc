@@ -39,8 +39,9 @@ class SpyModule : public SecurityModule {
     return HookVerdict::kDefault;
   }
 
-  int socket_create_calls = 0;
-  int inode_permission_calls = 0;
+  // Atomic: the real-threads test below dispatches hooks from 4 threads.
+  std::atomic<int> socket_create_calls{0};
+  std::atomic<int> inode_permission_calls{0};
 };
 
 class SyscallGateTest : public ::testing::Test {
@@ -126,7 +127,7 @@ TEST_F(SyscallGateTest, SeccompDenialHappensBeforeLsmHooks) {
   EXPECT_EQ(sock.code(), Errno::kEPERM);
   // Neither the spy module nor the stack saw a socket_create hook: the gate
   // refused at entry, before DAC/LSM.
-  EXPECT_EQ(spy_->socket_create_calls, spy_before);
+  EXPECT_EQ(spy_->socket_create_calls.load(), spy_before);
   EXPECT_EQ(kernel_.lsm().HookInvocations(LsmHook::kSocketCreate), stack_before);
 
   // The denial is visible in the trace ring and the per-syscall counters.
@@ -262,7 +263,7 @@ TEST_F(SyscallGateTest, PredicateFilterEnforcesPathClassesAndFlags) {
   int spy_before = spy_->inode_permission_calls;
   EXPECT_EQ(kernel_.Open(alice, "/etc/motd", kORdWr).code(), Errno::kEPERM);
   EXPECT_EQ(kernel_.Open(alice, "/etc/secret", kORdOnly).code(), Errno::kEPERM);
-  EXPECT_EQ(spy_->inode_permission_calls, spy_before);
+  EXPECT_EQ(spy_->inode_permission_calls.load(), spy_before);
   // Predicate evaluation is visible in the per-syscall rule-eval counter.
   EXPECT_GT(kernel_.syscalls().stats(Sysno::kOpen).rule_evals, 0u);
 }
