@@ -1,31 +1,11 @@
-// Policy-engine cost per LSM hook decision, scan vs. compiled vs. cached,
-// across policy-table sizes, emitted as BENCH_policy_engine.json.
+// Policy-engine cost per LSM hook decision across policy-table sizes,
+// emitted as BENCH_policy_engine.json: one row per hook and table size.
 //
-// Each hook is probed with a fixed request against tables of 16 / 256 / 4096
-// entries under four engine configurations:
-//   scan                   legacy linear scan, decision cache off (pre-PR-2 cost)
-//   compiled               indexed tables (hash / partitioned globs), cache off
-//   compiled+cache-forced  indexed tables plus the per-task decision cache,
-//                          adaptive small-table bypass disabled (the pre-fix
-//                          behavior: the cache probe always runs, which at 16
-//                          entries costs MORE than the walk it replaces)
-//   compiled+cache         same, with the adaptive bypass left on (the shipped
-//                          default: below LsmStack::kCacheBypassThreshold total
-//                          rules the cacheable hooks skip the cache)
-// The forced/adaptive pair at the 16-entry size is the before/after evidence
-// for the small-table regression fix.
-//
-// Probes are chosen to isolate the table-walk cost: the bind probe matches
-// the LAST allocation of its port (allow, no audit call); the mount and
-// inode probes match nothing (deny / fall-through, no audit call). All
-// verdicts are identical across configurations — only the lookup strategy
-// differs.
-//
-// The hit-heavy probes repeat one request, so the cache rows price a 100%
-// hit rate. The inode_permission_miss probe cycles 128 distinct paths
-// through the 64-slot per-task cache (~0% hit rate): with the cache forced
-// on, every op pays probe + insert on top of the walk — the pure-tax case
-// the adaptive bypass eliminates for small tables.
+// Each hook is probed through the LSM stack with a fixed request against
+// tables of 16 / 256 / 4096 entries. Probes are chosen to isolate the
+// table-walk cost: the bind probe matches the LAST allocation of its port
+// (allow, no audit call); the mount and inode probes match nothing (deny /
+// fall-through, no audit call).
 
 #include <algorithm>
 #include <cstdio>
@@ -41,20 +21,6 @@
 
 namespace protego {
 namespace {
-
-struct EngineConfig {
-  const char* name;
-  bool compiled;
-  bool cache;
-  bool force_cache;  // disable the adaptive small-table bypass
-};
-
-constexpr EngineConfig kConfigs[] = {
-    {"scan", false, false, false},
-    {"compiled", true, false, false},
-    {"compiled+cache-forced", true, true, true},
-    {"compiled+cache", true, true, false},
-};
 
 constexpr int kSizes[] = {16, 256, 4096};
 
@@ -76,9 +42,7 @@ double NsPerOp(Fn&& fn, int iters, int reps) {
 struct Row {
   std::string hook;
   int size = 0;
-  std::string config;
   double ns_per_op = 0;
-  double speedup_vs_scan = 1.0;
 };
 
 Task MakeBenchTask(Uid uid, std::string exe) {
@@ -118,15 +82,14 @@ int main(int argc, char** argv) {
     protego_lsm->SetMountPolicy(ParseFstab(fstab).take()).take();
     protego_lsm->SetDelegation(ParseSudoers(sudoers).take()).take();
 
-    // Bind probe: the LAST allocation in the table (worst case for the
-    // scan, a bucket hit for the index).
+    // Bind probe: the LAST allocation in the table (a bucket hit).
     const int last = size - 1;
     Task bind_task = MakeBenchTask(last % 60000, StrFormat("/srv/app%d", last));
     BindRequest bind_req;
     bind_req.port = static_cast<uint16_t>(1 + (last % 1023));
     bind_req.binary_path = bind_task.exe_path;
 
-    // Mount / inode probes: match nothing (full scan, index miss).
+    // Mount / inode probes: match nothing (index miss).
     Task mount_task = MakeBenchTask(1000, "/bin/mount");
     MountRequest mount_req;
     mount_req.source = "/dev/nonexistent";
@@ -138,57 +101,23 @@ int main(int argc, char** argv) {
     Inode inode;
     inode.mode = kIfReg | 0644;
 
-    // Miss-heavy probe: 128 distinct paths (none matching any rule) cycled
-    // through the 64-slot cache, so cached configs never hit.
-    std::vector<std::string> miss_paths;
-    for (int i = 0; i < 128; ++i) {
-      miss_paths.push_back(StrFormat("/srv/data/f%d", i));
-    }
-    size_t miss_i = 0;
-
-    // Fewer iterations for larger tables: the scan rows are O(size) per op.
-    const int iters = std::max(1000, 200000 / size);
-    double scan_ns[4] = {0, 0, 0, 0};
-    for (const EngineConfig& cfg : kConfigs) {
-      protego_lsm->set_compiled_engine_enabled(cfg.compiled);
-      stack.set_decision_cache_enabled(cfg.cache);
-      stack.set_cache_bypass_enabled(!cfg.force_cache);
-
-      double ns[4];
-      ns[0] = NsPerOp([&] { (void)stack.SocketBind(bind_task, bind_req); }, iters, kReps);
-      ns[1] = NsPerOp([&] { (void)stack.SbMount(mount_task, mount_req); }, iters, kReps);
-      ns[2] = NsPerOp(
-          [&] { (void)stack.InodePermission(inode_task, "/etc/hosts", inode, kMayRead); },
-          iters, kReps);
-      ns[3] = NsPerOp(
-          [&] {
-            (void)stack.InodePermission(inode_task, miss_paths[miss_i++ & 127], inode,
-                                        kMayRead);
-          },
-          iters, kReps);
-
-      const char* hooks[4] = {"socket_bind", "sb_mount", "inode_permission",
-                              "inode_permission_miss"};
-      for (int h = 0; h < 4; ++h) {
-        if (!cfg.compiled && !cfg.cache) {
-          scan_ns[h] = ns[h];
-        }
-        Row row;
-        row.hook = hooks[h];
-        row.size = size;
-        row.config = cfg.name;
-        row.ns_per_op = ns[h];
-        row.speedup_vs_scan = ns[h] > 0 ? scan_ns[h] / ns[h] : 0;
-        rows.push_back(row);
-        std::printf("%-17s n=%-5d %-15s %9.2f ns/op  %6.2fx\n", hooks[h], size,
-                    cfg.name, ns[h], row.speedup_vs_scan);
-      }
+    const int iters = 200000;
+    const struct {
+      const char* hook;
+      double ns;
+    } probes[] = {
+        {"socket_bind",
+         NsPerOp([&] { (void)stack.SocketBind(bind_task, bind_req); }, iters, kReps)},
+        {"sb_mount", NsPerOp([&] { (void)stack.SbMount(mount_task, mount_req); }, iters, kReps)},
+        {"inode_permission",
+         NsPerOp([&] { (void)stack.InodePermission(inode_task, "/etc/hosts", inode, kMayRead); },
+                 iters, kReps)},
+    };
+    for (const auto& probe : probes) {
+      rows.push_back(Row{probe.hook, size, probe.ns});
+      std::printf("%-17s n=%-5d %9.2f ns/op\n", probe.hook, size, probe.ns);
     }
   }
-  // Restore boot defaults.
-  protego_lsm->set_compiled_engine_enabled(true);
-  stack.set_decision_cache_enabled(true);
-  stack.set_cache_bypass_enabled(true);
   sys.kernel().tracer().set_enabled(true);
 
   FILE* f = std::fopen(out_path, "w");
@@ -200,10 +129,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"reps\": %d,\n  \"rows\": [\n", kReps);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
-                 "    {\"hook\": \"%s\", \"table_entries\": %d, \"config\": \"%s\", "
-                 "\"ns_per_op\": %.2f, \"speedup_vs_scan\": %.2f}%s\n",
-                 rows[i].hook.c_str(), rows[i].size, rows[i].config.c_str(),
-                 rows[i].ns_per_op, rows[i].speedup_vs_scan,
+                 "    {\"hook\": \"%s\", \"table_entries\": %d, \"ns_per_op\": %.2f}%s\n",
+                 rows[i].hook.c_str(), rows[i].size, rows[i].ns_per_op,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -45,7 +45,7 @@ int main() {
   auto out = sys.RunCapture(alice, "/bin/mount", {"mount", "/dev/cdrom"});
   std::printf("\n$ mount /dev/cdrom        (fault armed)\n");
   std::printf("exit=%d\n%s%s", out.exit_code, out.out.c_str(), out.err.c_str());
-  std::printf("mounted: %s\n", k.vfs().FindMount("/media/cdrom") != nullptr ? "yes" : "no");
+  std::printf("mounted: %s\n", k.vfs().FindMount("/media/cdrom").has_value() ? "yes" : "no");
 
   // 3. The fault-annotated denial tree. The utility ran via execve, so its
   // whole derivation — config reads, then the mount(2) span with the
@@ -66,7 +66,7 @@ int main() {
   auto retry = sys.RunCapture(alice, "/bin/mount", {"mount", "/dev/cdrom"});
   std::printf("\n$ mount /dev/cdrom        (budget spent)\nexit=%d\n%s", retry.exit_code,
               retry.out.c_str());
-  std::printf("mounted: %s\n", k.vfs().FindMount("/media/cdrom") != nullptr ? "yes" : "no");
+  std::printf("mounted: %s\n", k.vfs().FindMount("/media/cdrom").has_value() ? "yes" : "no");
 
   bool ok = out.exit_code != 0 && k.faults().injected(FaultSite::kLsmHook) == 1 &&
             retry.exit_code == 0;

@@ -17,14 +17,13 @@ int main() {
   Kernel& kernel = sys.kernel();
 
   // Exercise every instrumented subsystem: syscalls, LSM hooks (allowed and
-  // denied), the decision cache, netfilter, and a cred transition.
+  // denied), netfilter, and a cred transition.
   Task& alice = sys.Login("alice");
   for (int i = 0; i < 100; ++i) {
     kernel.GetPid(alice);
   }
   (void)kernel.Open(alice, "/etc/shadow", kORdOnly);           // EACCES
   (void)kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {});  // EPERM
-  (void)kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {});  // cache hit
   (void)sys.RunCapture(alice, "/bin/ping", {"ping", "10.0.0.2", "1"});
 
   Task& root = sys.Login("root");

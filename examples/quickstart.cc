@@ -40,11 +40,7 @@ int main() {
   auto status = sys.kernel().ReadWholeFile(root, "/proc/protego/status");
   std::printf("\n/proc/protego/status:\n%s", status.value_or("<unreadable>").c_str());
 
-  // 5. Everything above went through the unified syscall entry path.
-  auto stats = sys.kernel().ReadWholeFile(root, "/proc/protego/syscall_stats");
-  std::printf("\n/proc/protego/syscall_stats:\n%s", stats.value_or("<unreadable>").c_str());
-
-  // 6. WHY was that mount refused? Every syscall opens a decision span;
+  // 5. WHY was that mount refused? Every syscall opens a decision span;
   // /proc/protego/trace renders the full derivation tree — the strace-shaped
   // record plus each LSM module's verdict beneath it. Filter to mount(2).
   (void)sys.kernel().WriteWholeFile(root, "/proc/protego/trace", "clear");
@@ -56,7 +52,8 @@ int main() {
               trace.value_or("<unreadable>").c_str());
   (void)sys.kernel().WriteWholeFile(root, "/proc/protego/trace", "?");
 
-  // 7. And the same counters as Prometheus metrics (excerpt).
+  // 6. And the same counters as Prometheus metrics (excerpt). Every syscall
+  // above went through the unified entry path, which counts and times it.
   auto metrics = sys.kernel().ReadWholeFile(root, "/proc/protego/metrics");
   std::string excerpt;
   size_t lines = 0;

@@ -22,7 +22,6 @@ const char* LayerName(Layer layer) {
     case Layer::kSeccomp: return "seccomp";
     case Layer::kDac: return "dac";
     case Layer::kLsm: return "lsm";
-    case Layer::kDecisionCache: return "decision_cache";
     case Layer::kVfs: return "vfs";
     case Layer::kNetfilter: return "netfilter";
     case Layer::kFaultRegistry: return "fault_registry";

@@ -1,16 +1,16 @@
 // Per-layer latency attribution: where does a syscall's time actually go?
 //
 // A LayerProfiler maintains, per thread, a small stack of open layer frames
-// (gate, seccomp filter, DAC, LSM module walk, decision-cache probe, VFS
-// resolution, netfilter, fault registry, plus the observability pipeline's
-// own bookkeeping). Each frame accumulates SELF time — its wall-clock
-// duration minus the durations of the frames nested inside it — so the
-// per-layer totals telescope: summed over every layer they equal the total
-// inclusive time of the top-level (gate) frames. That identity is the
-// self-check the observability bench enforces ("summed per-layer self-time
-// within 10% of end-to-end span time").
+// (gate, seccomp filter, DAC, LSM module walk, VFS resolution, netfilter,
+// fault registry, plus the observability pipeline's own bookkeeping). Each
+// frame accumulates SELF time — its wall-clock duration minus the durations
+// of the frames nested inside it — so the per-layer totals telescope: summed
+// over every layer they equal the total inclusive time of the top-level
+// (gate) frames. That identity is the self-check the observability bench
+// enforces ("summed per-layer self-time within 10% of end-to-end span
+// time").
 //
-// Each exit also folds the frame's layer PATH (gate;lsm;decision_cache)
+// Each exit also folds the frame's layer PATH (gate;lsm;vfs)
 // into a fixed-size per-shard table, which /proc/protego/profile renders as
 // a folded-stack profile — the flamegraph input format, one line per
 // distinct path with its hit count and self nanoseconds.
@@ -57,7 +57,6 @@ enum class Layer : uint8_t {
   kSeccomp,         // per-task seccomp filter consultation
   kDac,             // discretionary access control (mode bits + capability)
   kLsm,             // LSM stack module walk (hook dispatch)
-  kDecisionCache,   // stack-level decision-cache probe
   kVfs,             // VFS path resolution
   kNetfilter,       // netfilter chain evaluation
   kFaultRegistry,   // fault-injection site evaluation
@@ -75,7 +74,7 @@ class LayerProfiler {
   // gate, so the budget allows several full gate->leaf nestings.
   static constexpr size_t kMaxDepth = 16;
   // Folded-path table slots per shard. Distinct layer paths number in the
-  // dozens (the layer alphabet is 9 wide and stacks are shallow), so 128
+  // dozens (the layer alphabet is 8 wide and stacks are shallow), so 128
   // slots leave generous headroom; overflow is counted in dropped().
   static constexpr size_t kFoldedSlots = 128;
 
@@ -110,7 +109,7 @@ class LayerProfiler {
   uint64_t dropped() const;
 
   struct FoldedEntry {
-    std::string stack;  // "gate;lsm;decision_cache"
+    std::string stack;  // "gate;lsm;vfs"
     uint64_t count = 0;
     uint64_t self_ns = 0;
   };

@@ -263,14 +263,10 @@ std::string RenderEvent(const TraceEvent& ev, bool orphan) {
       line = StrFormat("%llu lsm:%s module=%s -> %s", (unsigned long long)ev.seq,
                        ev.sname, ev.sdetail, ev.svalue);
       break;
-    case TracepointId::kLsmDecision: {
-      const char* cache = (ev.flags & kTraceFlagCacheHit)    ? "hit"
-                          : (ev.flags & kTraceFlagCacheMiss) ? "miss"
-                                                             : "-";
-      line = StrFormat("%llu lsm:%s verdict=%s cache=%s", (unsigned long long)ev.seq,
-                       ev.sname, ev.svalue, cache);
+    case TracepointId::kLsmDecision:
+      line = StrFormat("%llu lsm:%s verdict=%s", (unsigned long long)ev.seq, ev.sname,
+                       ev.svalue);
       break;
-    }
     case TracepointId::kCapable:
       line = StrFormat("%llu capable %s -> %s", (unsigned long long)ev.seq, ev.sname,
                        ev.code != 0 ? "granted" : "denied");

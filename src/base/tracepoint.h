@@ -51,7 +51,7 @@ namespace protego {
 enum class TracepointId : uint8_t {
   kSyscall = 0,     // syscall completion (the span root; strace-shaped)
   kLsmHook,         // one module's verdict for one hook dispatch
-  kLsmDecision,     // the stack's combined verdict (+ cache hit/miss)
+  kLsmDecision,     // the stack's combined verdict
   kCapable,         // security_capable() consultation
   kVfsPermission,   // DAC+LSM inode_permission walk outcome
   kVfsMount,        // mount table change (attach/detach)
@@ -69,8 +69,6 @@ const char* TracepointName(TracepointId tp);
 
 // TraceEvent.flags bits.
 inline constexpr uint32_t kTraceFlagSeccompDenied = 1u << 0;  // killed at entry
-inline constexpr uint32_t kTraceFlagCacheHit = 1u << 1;       // decision-cache hit
-inline constexpr uint32_t kTraceFlagCacheMiss = 1u << 2;      // decision-cache miss
 inline constexpr uint32_t kTraceFlagDenied = 1u << 3;         // outcome was a refusal
 
 // One ring slot. Which fields are meaningful depends on `tp`; the renderer

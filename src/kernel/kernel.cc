@@ -850,7 +850,7 @@ Result<Unit> Kernel::Umount(Task& task, const std::string& target) {
 
 Result<Unit> Kernel::UmountImpl(Task& task, const std::string& target) {
   std::string full_target = JoinPath(task, target);
-  if (vfs_.FindMount(full_target) == nullptr) {
+  if (!vfs_.FindMount(full_target).has_value()) {
     return Error(Errno::kEINVAL, "not mounted: " + full_target);
   }
   HookVerdict verdict = lsm_.SbUmount(task, full_target);
@@ -960,7 +960,6 @@ Result<Unit> Kernel::SetuidImpl(Task& task, Uid uid) {
     } else {
       RecomputeCapsAfterSetuid(task.cred, old_euid);
     }
-    task.lsm_cache.Clear();
     if (TraceCredOn()) {
       EmitCredChange(task, "setuid",
                      StrFormat("uid %u->%u euid %u->%u", old_ruid, uid, old_euid, uid));
@@ -971,7 +970,6 @@ Result<Unit> Kernel::SetuidImpl(Task& task, Uid uid) {
   if (Capable(task, Capability::kSetuid)) {
     task.cred.ruid = task.cred.euid = task.cred.suid = task.cred.fsuid = uid;
     RecomputeCapsAfterSetuid(task.cred, old_euid);
-    task.lsm_cache.Clear();
     if (TraceCredOn()) {
       EmitCredChange(task, "setuid",
                      StrFormat("uid %u->%u euid %u->%u", old_ruid, uid, old_euid, uid));
@@ -981,7 +979,6 @@ Result<Unit> Kernel::SetuidImpl(Task& task, Uid uid) {
   if (uid == task.cred.ruid || uid == task.cred.suid) {
     task.cred.euid = task.cred.fsuid = uid;
     RecomputeCapsAfterSetuid(task.cred, old_euid);
-    task.lsm_cache.Clear();
     if (TraceCredOn()) {
       EmitCredChange(task, "setuid", StrFormat("euid %u->%u", old_euid, uid));
     }
@@ -1004,7 +1001,6 @@ Result<Unit> Kernel::SeteuidImpl(Task& task, Uid uid) {
     Uid old_euid = task.cred.euid;
     task.cred.euid = task.cred.fsuid = uid;
     RecomputeCapsAfterSetuid(task.cred, old_euid);
-    task.lsm_cache.Clear();
     if (TraceCredOn()) {
       EmitCredChange(task, "seteuid", StrFormat("euid %u->%u", old_euid, uid));
     }
@@ -1045,7 +1041,6 @@ Result<Unit> Kernel::SetgidImpl(Task& task, Gid gid) {
       return OkUnit();
     }
     task.cred.rgid = task.cred.egid = task.cred.sgid = task.cred.fsgid = gid;
-    task.lsm_cache.Clear();
     if (TraceCredOn()) {
       EmitCredChange(task, "setgid",
                      StrFormat("gid %u->%u egid %u->%u", old_rgid, gid, old_egid, gid));
@@ -1054,7 +1049,6 @@ Result<Unit> Kernel::SetgidImpl(Task& task, Gid gid) {
   }
   if (Capable(task, Capability::kSetgid)) {
     task.cred.rgid = task.cred.egid = task.cred.sgid = task.cred.fsgid = gid;
-    task.lsm_cache.Clear();
     if (TraceCredOn()) {
       EmitCredChange(task, "setgid",
                      StrFormat("gid %u->%u egid %u->%u", old_rgid, gid, old_egid, gid));
@@ -1063,7 +1057,6 @@ Result<Unit> Kernel::SetgidImpl(Task& task, Gid gid) {
   }
   if (gid == task.cred.rgid || gid == task.cred.sgid) {
     task.cred.egid = task.cred.fsgid = gid;
-    task.lsm_cache.Clear();
     if (TraceCredOn()) {
       EmitCredChange(task, "setgid", StrFormat("egid %u->%u", old_egid, gid));
     }
@@ -1153,7 +1146,6 @@ Result<Unit> Kernel::SetgroupsImpl(Task& task, std::vector<Gid> groups) {
     return Error(Errno::kEPERM, "setgroups");
   }
   task.cred.groups = std::move(groups);
-  task.lsm_cache.Clear();
   if (TraceCredOn()) {
     EmitCredChange(task, "setgroups", StrFormat("%zu groups", task.cred.groups.size()));
   }
@@ -1460,8 +1452,6 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
                    StrFormat("%s euid %u->%u egid %u->%u", full.c_str(), old_exec_euid,
                              new_cred.euid, old_exec_egid, new_cred.egid));
   }
-  // Cached verdict signatures embed the old creds and exe_path.
-  task.lsm_cache.Clear();
   size_t slash = full.find_last_of('/');
   task.comm = full.substr(slash + 1);
   // Dropped descriptors must release their network endpoints (ports) too.

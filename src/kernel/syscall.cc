@@ -655,11 +655,9 @@ void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
   if (err != Errno::kOk) {
     s.errors.fetch_add(1, std::memory_order_relaxed);
   }
-  s.total_ticks.fetch_add(dur_ticks, std::memory_order_relaxed);
   s.lat_ticks.Observe(dur_ticks);
   if ((ctx.dispatch & kDispatchTimed) != 0) {
     dur_ns = MonotonicNanos() - ctx.start_ns;
-    s.total_ns.fetch_add(dur_ns, std::memory_order_relaxed);
     s.lat_ns.Observe(dur_ns);
   }
   if ((ctx.dispatch & kDispatchTrace) != 0) {
@@ -858,8 +856,6 @@ void SyscallGate::ResetStats() {
     s.errors.store(0, std::memory_order_relaxed);
     s.seccomp_denied.store(0, std::memory_order_relaxed);
     s.rule_evals.store(0, std::memory_order_relaxed);
-    s.total_ns.store(0, std::memory_order_relaxed);
-    s.total_ticks.store(0, std::memory_order_relaxed);
     s.lat_ticks.Reset();
     s.lat_ns.Reset();
   }
@@ -869,31 +865,6 @@ void SyscallGate::ResetStats() {
       res.reset();
     }
   }
-}
-
-std::string SyscallGate::FormatStats() const {
-  // Stable columnar format, one row per syscall that has been called at
-  // least once (plus a totals row), modeled on /proc/net/snmp.
-  std::string out =
-      "# nr name calls errors seccomp_denied total_ns total_ticks\n";
-  uint64_t calls = 0, errors = 0, denied = 0;
-  for (Sysno nr : AllSysnos()) {
-    const PerSyscall& s = stats_[static_cast<size_t>(nr)];
-    if (s.calls == 0) continue;
-    calls += s.calls;
-    errors += s.errors;
-    denied += s.seccomp_denied;
-    out += StrFormat("%d %s %llu %llu %llu %llu %llu\n", static_cast<int>(nr),
-                     SysnoName(nr), (unsigned long long)s.calls,
-                     (unsigned long long)s.errors,
-                     (unsigned long long)s.seccomp_denied,
-                     (unsigned long long)s.total_ns,
-                     (unsigned long long)s.total_ticks);
-  }
-  out += StrFormat("total: calls=%llu errors=%llu seccomp_denied=%llu\n",
-                   (unsigned long long)calls, (unsigned long long)errors,
-                   (unsigned long long)denied);
-  return out;
 }
 
 std::string SyscallGate::FormatTrace() const {

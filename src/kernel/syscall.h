@@ -19,19 +19,18 @@
 //      only ever be narrowed, never widened or removed — intersecting two
 //      predicate filters conjoins their rule lists (cross product), so the
 //      result admits only calls both filters admitted.
-//   2. accounting — per-syscall hit/error counters, latency totals, and
-//      log2-bucket latency histograms (exported at /proc/protego/metrics).
+//   2. accounting — per-syscall hit/error counters and log2-bucket latency
+//      histograms (exported at /proc/protego/metrics).
 //   3. tracing — each call opens a decision span on the kernel-wide Tracer;
 //      LSM/VFS/netfilter events emitted during the body are stamped with the
 //      span id, and the syscall's own record (the span root) is emitted at
-//      exit. /proc/protego/trace renders the resulting derivation trees;
-//      stats live at /proc/protego/syscall_stats.
+//      exit. /proc/protego/trace renders the resulting derivation trees.
 //
 // Seccomp-killed calls (the filter refuses the syscall at entry) follow ONE
 // consistent semantic everywhere:
 //   - stats: counted in calls, errors, and seccomp_denied;
 //   - trace: recorded as a span root with the seccomp_denied flag and EPERM;
-//   - latency: EXCLUDED from totals and histograms — the body never ran, so
+//   - latency: EXCLUDED from the histograms — the body never ran, so
 //     a duration would be meaningless and would skew the distributions.
 // So for any syscall: lat_ticks.count() == calls - seccomp_denied.
 //
@@ -321,8 +320,6 @@ class SyscallGate {
     std::atomic<uint64_t> errors{0};          // calls that returned a nonzero errno
     std::atomic<uint64_t> seccomp_denied{0};  // refused by the task's filter (subset of errors)
     std::atomic<uint64_t> rule_evals{0};      // argument rules inspected by predicate filters
-    std::atomic<uint64_t> total_ns{0};        // wall-clock latency total (when timing is on)
-    std::atomic<uint64_t> total_ticks{0};     // virtual-clock latency total
     Histogram lat_ticks;                      // virtual-clock latency distribution
     Histogram lat_ns;                         // wall-clock distribution (when timing is on)
   };
@@ -524,8 +521,7 @@ class SyscallGate {
   // Events overwritten since the last clear (ring capacity exceeded).
   uint64_t trace_dropped() const { return tracer_ != nullptr ? tracer_->dropped() : 0; }
 
-  // /proc/protego/syscall_stats and /proc/protego/trace bodies.
-  std::string FormatStats() const;
+  // The /proc/protego/trace body.
   std::string FormatTrace() const;
   void ResetStats();
 

@@ -18,7 +18,6 @@
 #include "src/base/result.h"
 #include "src/kernel/cred.h"
 #include "src/kernel/syscall.h"
-#include "src/lsm/decision_cache.h"
 #include "src/vfs/vfs.h"
 
 namespace protego {
@@ -221,12 +220,6 @@ struct Task {
   // Last successful authentication time, per authenticated identity.
   std::map<Uid, uint64_t> auth_times;
   PendingSetuid pending_setuid;
-
-  // Stack-level LSM verdict cache; the kernel clears it on credential
-  // changes and exec (the cached request signatures embed the creds and
-  // exe_path). mutable: hooks taking const Task& still insert. NOT copied
-  // across fork — the child starts cold, which is always safe.
-  mutable LsmDecisionCache lsm_cache;
 
   // Seccomp-style allow list; null means unfiltered. Shared (copy-on-install)
   // so fork is cheap; inherited across fork, kept across exec, and only ever

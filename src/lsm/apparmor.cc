@@ -39,15 +39,12 @@ bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
 }
 
 HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
-                                            const Inode& inode, int may, bool* cacheable) {
+                                            const Inode& inode, int may, bool* /*unused*/) {
   (void)inode;
   const AaProfile* profile = FindProfile(task.exe_path);
   if (profile == nullptr) {
     return HookVerdict::kDefault;
   }
-  // Confined decisions append to the denial log (and complain mode exists
-  // to record every event), so they must re-execute each time.
-  *cacheable = false;
   int granted = 0;
   for (const AaFileRule& rule : profile->file_rules) {
     if (GlobMatch(rule.glob, path)) {

@@ -47,7 +47,7 @@ class AppArmorModule : public SecurityModule {
 
   bool CapablePermitted(const Task& task, Capability cap) override;
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
-                              int may, bool* cacheable) override;
+                              int may, bool* /*unused*/) override;
 
  private:
   std::map<std::string, AaProfile> profiles_;

@@ -90,33 +90,19 @@ class LsmStack;
 
 // Interface implemented by security modules (commoncap, AppArmor, Protego).
 //
-// The InodePermission/SbMount/SocketBind hooks take a `cacheable`
-// out-parameter: the stack caches their combined verdict per task (see
-// src/lsm/decision_cache.h) and a module whose decision depends on anything
-// beyond (policy tables, request, credentials) — authentication recency,
-// mount/route state, per-object ownership, audit side effects — must clear
-// the flag. Modules may only ever clear it, never set it back to true.
-// PolicyRuleCount() return value meaning "cost unknown" — a stack with any
-// such module never engages the small-table cache bypass.
-inline constexpr size_t kPolicyRuleCountUnknown = static_cast<size_t>(-1);
-
+// The InodePermission/SbMount/SocketBind hooks end in an unnamed `bool*`
+// that no module reads and the stack always passes as nullptr. It remains
+// only because perfbench/probes.cc calls the Protego module's hooks with it;
+// it goes with the next change to the benchmark.
 class SecurityModule {
  public:
   virtual ~SecurityModule() = default;
 
   virtual const char* name() const = 0;
 
-  // Called by LsmStack::Register; lets a module invalidate stack-level
-  // cached verdicts when its policy changes.
+  // Called by LsmStack::Register; lets a module bump the stack's policy
+  // generation when its policy changes.
   void AttachStack(LsmStack* stack) { stack_ = stack; }
-
-  // Total installed policy rules this module consults per hook dispatch.
-  // The stack sums this across modules to decide whether caching a verdict
-  // is worth more than just re-walking the (tiny) tables; see
-  // LsmStack::kCacheBypassThreshold. Stateless modules (capability checks,
-  // hardcoded rules) are free — the default 0. Modules whose dispatch cost
-  // does not scale with a rule table should return kPolicyRuleCountUnknown.
-  virtual size_t PolicyRuleCount() const { return 0; }
 
   // security_capable(): may this task use `cap`? All stacked modules must
   // agree; the capability module implements the commoncap rule.
@@ -130,19 +116,17 @@ class SecurityModule {
   // what DAC would allow, kAllow bypasses DAC (used for delegation rules
   // that grant specific binaries access to specific files, §4.4/§4.6).
   virtual HookVerdict InodePermission(Task& task, const std::string& path,
-                                      const Inode& inode, int may, bool* cacheable) {
+                                      const Inode& inode, int may, bool* /*unused*/) {
     (void)task;
     (void)path;
     (void)inode;
     (void)may;
-    (void)cacheable;
     return HookVerdict::kDefault;
   }
 
-  virtual HookVerdict SbMount(const Task& task, const MountRequest& req, bool* cacheable) {
+  virtual HookVerdict SbMount(const Task& task, const MountRequest& req, bool* /*unused*/) {
     (void)task;
     (void)req;
-    (void)cacheable;
     return HookVerdict::kDefault;
   }
 
@@ -158,10 +142,9 @@ class SecurityModule {
     return HookVerdict::kDefault;
   }
 
-  virtual HookVerdict SocketBind(const Task& task, const BindRequest& req, bool* cacheable) {
+  virtual HookVerdict SocketBind(const Task& task, const BindRequest& req, bool* /*unused*/) {
     (void)task;
     (void)req;
-    (void)cacheable;
     return HookVerdict::kDefault;
   }
 
@@ -192,8 +175,8 @@ class SecurityModule {
   }
 
  protected:
-  // Bumps the attached stack's policy-generation counter, invalidating all
-  // cached verdicts. Call from every policy mutation (defined in stack.cc).
+  // Bumps the attached stack's policy-generation counter. Call from every
+  // successful policy swap (defined in stack.cc).
   void BumpPolicyGeneration();
 
  private:

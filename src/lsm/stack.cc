@@ -6,30 +6,6 @@ namespace protego {
 
 namespace {
 
-// Incremental 64-bit FNV-1a for cache-key construction.
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t MixBytes(uint64_t h, const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t MixU64(uint64_t h, uint64_t v) { return MixBytes(h, &v, sizeof(v)); }
-
-uint64_t MixStr(uint64_t h, const std::string& s) {
-  // Length first, so ("ab","c") and ("a","bc") cannot collide by
-  // concatenation.
-  h = MixU64(h, s.size());
-  return MixBytes(h, s.data(), s.size());
-}
-
-uint64_t NonZero(uint64_t h) { return h == 0 ? 1 : h; }
-
 // Observes the virtual-clock duration of one hook dispatch on destruction.
 struct HookTimer {
   HookTimer(const Clock* clock, Histogram* lat)
@@ -76,20 +52,10 @@ void SecurityModule::BumpPolicyGeneration() {
   }
 }
 
-LsmStack::LsmStack() {
-  // Process-wide monotonic stack id: tasks outliving one stack and being
-  // consulted by another (the benchmarks do this) must never cross-hit.
-  // Atomic: fleet workers construct kernels (and their stacks) concurrently.
-  static std::atomic<uint64_t> next_stack_id{1};
-  stack_id_ = next_stack_id.fetch_add(1, std::memory_order_relaxed);
-}
-
 void LsmStack::Register(std::unique_ptr<SecurityModule> module) {
   module->AttachStack(this);
   modules_.push_back(std::move(module));
   module_verdicts_.emplace_back();
-  // A new module's tables change what the bypass heuristic should decide.
-  bypass_gen_.store(0, std::memory_order_relaxed);
 }
 
 SecurityModule* LsmStack::Find(const char* name) {
@@ -147,14 +113,12 @@ void LsmStack::TraceModule(LsmHook hook, const SecurityModule& module, HookVerdi
   }
 }
 
-void LsmStack::TraceDecision(LsmHook hook, HookVerdict combined, uint32_t cache_flags,
-                             int pid) const {
+void LsmStack::TraceDecision(LsmHook hook, HookVerdict combined, int pid) const {
   if (tracer_ == nullptr || !tracer_->ShouldEmit(TracepointId::kLsmDecision)) {
     return;
   }
   TraceEvent& ev = tracer_->Emit(TracepointId::kLsmDecision, pid);
   ev.a = static_cast<uint64_t>(hook);
-  ev.flags = cache_flags;
   ev.sname = LsmHookName(hook);
   ev.svalue = HookVerdictName(combined);
   if (combined == HookVerdict::kDeny) {
@@ -170,10 +134,9 @@ bool LsmStack::FaultDeny(LsmHook hook, int pid) const {
   if (e == Errno::kOk) {
     return false;
   }
-  // Fail closed: an undecidable hook refuses. The verdict is NOT cached —
-  // it reflects the injected fault, not policy.
+  // Fail closed: an undecidable hook refuses.
   fail_closed_.fetch_add(1, std::memory_order_relaxed);
-  TraceDecision(hook, HookVerdict::kDeny, 0, pid);
+  TraceDecision(hook, HookVerdict::kDeny, pid);
   return true;
 }
 
@@ -183,9 +146,8 @@ void LsmStack::CollectMetrics(MetricsBuilder& b) const {
       continue;
     }
     MetricLabels labels = {{"hook", LsmHookName(static_cast<LsmHook>(h))}};
-    b.Counter("protego_lsm_hook_invocations_total",
-              "LSM stack consultations per hook (cache hits included)", labels,
-              hook_counts_[h]);
+    b.Counter("protego_lsm_hook_invocations_total", "LSM stack consultations per hook",
+              labels, hook_counts_[h]);
     b.Histo("protego_lsm_hook_latency_ticks",
             "Per-hook dispatch latency in virtual clock ticks", labels, hook_lat_[h]);
   }
@@ -201,349 +163,80 @@ void LsmStack::CollectMetrics(MetricsBuilder& b) const {
                 module_verdicts_[i][v]);
     }
   }
-  b.Counter("protego_lsm_decision_cache_hits_total",
-            "Combined verdicts served from the per-task decision cache", {},
-            decision_cache_hits());
-  b.Counter("protego_lsm_decision_cache_misses_total",
-            "Decision-cache probes that fell through to module dispatch", {},
-            decision_cache_misses());
-  b.Counter("protego_lsm_decision_cache_bypasses_total",
-            "Cacheable dispatches that skipped the cache (small-table bypass)", {},
-            decision_cache_bypasses());
   b.Gauge("protego_policy_generation",
           "Policy generation counter (bumped on every policy swap)", {},
           static_cast<double>(policy_generation()));
 }
 
-// --- Decision cache ---------------------------------------------------------------
-
-bool LsmStack::CacheBypass() const {
-  if (!bypass_enabled_.load(std::memory_order_relaxed)) {
-    return false;
-  }
-  uint64_t gen = policy_generation_.load(std::memory_order_acquire);
-  if (bypass_gen_.load(std::memory_order_acquire) != gen) {
-    // Recompute for this generation. Unknown-cost modules veto the bypass;
-    // a swap racing this recomputation just triggers another one.
-    size_t total = 0;
-    bool bypass = true;
-    for (const auto& m : modules_) {
-      size_t n = m->PolicyRuleCount();
-      if (n == kPolicyRuleCountUnknown) {
-        bypass = false;
-        break;
-      }
-      total += n;
-    }
-    bypass = bypass && total < kCacheBypassThreshold;
-    bypass_.store(bypass, std::memory_order_relaxed);
-    bypass_gen_.store(gen, std::memory_order_release);
-  }
-  return bypass_.load(std::memory_order_relaxed);
-}
-
-bool LsmStack::CacheLookup(const Task& task, uint64_t key, uint64_t gen,
-                           HookVerdict* verdict) const {
-  uint8_t raw = 0;
-  if (!task.lsm_cache.Lookup(key, gen, &raw)) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  *verdict = static_cast<HookVerdict>(raw);
-  return true;
-}
-
-void LsmStack::CacheInsert(const Task& task, uint64_t key, uint64_t gen,
-                           HookVerdict verdict) const {
-  task.lsm_cache.Insert(key, gen, static_cast<uint8_t>(verdict));
-}
-
-uint64_t LsmStack::InodeKey(const Task& task, const std::string& path, int may) const {
-  uint64_t h = kFnvOffset;
-  h = MixU64(h, static_cast<uint64_t>(LsmHook::kInodePermission));
-  h = MixU64(h, stack_id_);
-  h = MixStr(h, path);
-  h = MixU64(h, static_cast<uint64_t>(may));
-  h = MixStr(h, task.exe_path);
-  h = MixU64(h, task.cred.fsuid);
-  h = MixU64(h, task.cred.euid);
-  return NonZero(h);
-}
-
-uint64_t LsmStack::MountKey(const Task& task, const MountRequest& req) const {
-  uint64_t h = kFnvOffset;
-  h = MixU64(h, static_cast<uint64_t>(LsmHook::kSbMount));
-  h = MixU64(h, stack_id_);
-  h = MixStr(h, req.source);
-  h = MixStr(h, req.mountpoint);
-  h = MixStr(h, req.fstype);
-  for (const std::string& opt : req.options) {
-    h = MixStr(h, opt);
-  }
-  h = MixU64(h, task.cred.ruid);
-  h = MixU64(h, task.cred.euid);
-  return NonZero(h);
-}
-
-uint64_t LsmStack::BindKey(const Task& task, const BindRequest& req) const {
-  uint64_t h = kFnvOffset;
-  h = MixU64(h, static_cast<uint64_t>(LsmHook::kSocketBind));
-  h = MixU64(h, stack_id_);
-  h = MixU64(h, req.port);
-  h = MixU64(h, static_cast<uint64_t>(req.netns));
-  h = MixStr(h, req.binary_path);
-  h = MixU64(h, task.cred.euid);
-  return NonZero(h);
-}
-
 // --- Hook dispatch ----------------------------------------------------------------
-//
-// Each dispatch follows the same shape: count + time the consultation, probe
-// the decision cache (cacheable hooks), then walk the modules — tallying and
-// tracing each module's verdict — and trace the combined decision.
+
+template <typename Call>
+HookVerdict LsmStack::Dispatch(LsmHook hook, int pid, Call&& call) const {
+  LayerScope lsm_scope(profiler_, Layer::kLsm);
+  const size_t h = static_cast<size_t>(hook);
+  hook_counts_[h]++;
+  HookTimer timer(clock_, &hook_lat_[h]);
+  if (FaultDeny(hook, pid)) {
+    return HookVerdict::kDeny;
+  }
+  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
+  HookVerdict acc = HookVerdict::kDefault;
+  for (size_t i = 0; i < modules_.size(); ++i) {
+    HookVerdict v = call(*modules_[i]);
+    module_verdicts_[i][static_cast<size_t>(v)]++;
+    if (trace_hooks) {
+      TraceModule(hook, *modules_[i], v, pid);
+    }
+    acc = Combine(acc, v);
+  }
+  TraceDecision(hook, acc, pid);
+  return acc;
+}
 
 HookVerdict LsmStack::InodePermission(Task& task, const std::string& path,
                                       const Inode& inode, int may) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kInodePermission);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kInodePermission)]);
-  if (FaultDeny(LsmHook::kInodePermission, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  uint64_t key = 0;
-  uint64_t gen = 0;
-  HookVerdict cached;
-  if (decision_cache_enabled_) {
-    LayerScope cache_scope(profiler_, Layer::kDecisionCache);
-    if (CacheBypass()) {
-      cache_bypasses_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Snapshot the generation ONCE; lookup and insert both use it so a
-      // policy swap landing mid-walk can never tag a pre-swap verdict with
-      // the post-swap generation.
-      gen = policy_generation();
-      key = InodeKey(task, path, may);
-      if (CacheLookup(task, key, gen, &cached)) {
-        TraceDecision(LsmHook::kInodePermission, cached, kTraceFlagCacheHit, task.pid);
-        return cached;
-      }
-    }
-  }
-  bool cacheable = true;
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->InodePermission(task, path, inode, may, &cacheable);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kInodePermission, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  if (key != 0 && cacheable) {
-    CacheInsert(task, key, gen, acc);
-  }
-  TraceDecision(LsmHook::kInodePermission, acc,
-                key != 0 ? kTraceFlagCacheMiss : 0, task.pid);
-  return acc;
+  return Dispatch(LsmHook::kInodePermission, task.pid, [&](SecurityModule& m) {
+    return m.InodePermission(task, path, inode, may, nullptr);
+  });
 }
 
 HookVerdict LsmStack::SbMount(const Task& task, const MountRequest& req) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kSbMount);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kSbMount)]);
-  if (FaultDeny(LsmHook::kSbMount, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  uint64_t key = 0;
-  uint64_t gen = 0;
-  HookVerdict cached;
-  if (decision_cache_enabled_) {
-    LayerScope cache_scope(profiler_, Layer::kDecisionCache);
-    if (CacheBypass()) {
-      cache_bypasses_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Snapshot the generation ONCE; lookup and insert both use it so a
-      // policy swap landing mid-walk can never tag a pre-swap verdict with
-      // the post-swap generation.
-      gen = policy_generation();
-      key = MountKey(task, req);
-      if (CacheLookup(task, key, gen, &cached)) {
-        TraceDecision(LsmHook::kSbMount, cached, kTraceFlagCacheHit, task.pid);
-        return cached;
-      }
-    }
-  }
-  bool cacheable = true;
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->SbMount(task, req, &cacheable);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kSbMount, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  if (key != 0 && cacheable) {
-    CacheInsert(task, key, gen, acc);
-  }
-  TraceDecision(LsmHook::kSbMount, acc, key != 0 ? kTraceFlagCacheMiss : 0,
-                task.pid);
-  return acc;
+  return Dispatch(LsmHook::kSbMount, task.pid,
+                  [&](SecurityModule& m) { return m.SbMount(task, req, nullptr); });
 }
 
 HookVerdict LsmStack::SbUmount(const Task& task, const std::string& mountpoint) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kSbUmount);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kSbUmount)]);
-  if (FaultDeny(LsmHook::kSbUmount, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->SbUmount(task, mountpoint);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kSbUmount, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  TraceDecision(LsmHook::kSbUmount, acc, 0, task.pid);
-  return acc;
+  return Dispatch(LsmHook::kSbUmount, task.pid,
+                  [&](SecurityModule& m) { return m.SbUmount(task, mountpoint); });
 }
 
 HookVerdict LsmStack::SocketCreate(const Task& task, const SocketRequest& req) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kSocketCreate);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kSocketCreate)]);
-  if (FaultDeny(LsmHook::kSocketCreate, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->SocketCreate(task, req);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kSocketCreate, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  TraceDecision(LsmHook::kSocketCreate, acc, 0, task.pid);
-  return acc;
+  return Dispatch(LsmHook::kSocketCreate, task.pid,
+                  [&](SecurityModule& m) { return m.SocketCreate(task, req); });
 }
 
 HookVerdict LsmStack::SocketBind(const Task& task, const BindRequest& req) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kSocketBind);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kSocketBind)]);
-  if (FaultDeny(LsmHook::kSocketBind, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  uint64_t key = 0;
-  uint64_t gen = 0;
-  HookVerdict cached;
-  if (decision_cache_enabled_) {
-    LayerScope cache_scope(profiler_, Layer::kDecisionCache);
-    if (CacheBypass()) {
-      cache_bypasses_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Snapshot the generation ONCE; lookup and insert both use it so a
-      // policy swap landing mid-walk can never tag a pre-swap verdict with
-      // the post-swap generation.
-      gen = policy_generation();
-      key = BindKey(task, req);
-      if (CacheLookup(task, key, gen, &cached)) {
-        TraceDecision(LsmHook::kSocketBind, cached, kTraceFlagCacheHit, task.pid);
-        return cached;
-      }
-    }
-  }
-  bool cacheable = true;
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->SocketBind(task, req, &cacheable);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kSocketBind, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  if (key != 0 && cacheable) {
-    CacheInsert(task, key, gen, acc);
-  }
-  TraceDecision(LsmHook::kSocketBind, acc,
-                key != 0 ? kTraceFlagCacheMiss : 0, task.pid);
-  return acc;
+  return Dispatch(LsmHook::kSocketBind, task.pid,
+                  [&](SecurityModule& m) { return m.SocketBind(task, req, nullptr); });
 }
 
 HookVerdict LsmStack::TaskFixSetuid(Task& task, const SetuidRequest& req,
                                     SetuidDisposition* disposition) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kTaskFixSetuid);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kTaskFixSetuid)]);
-  if (FaultDeny(LsmHook::kTaskFixSetuid, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->TaskFixSetuid(task, req, disposition);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kTaskFixSetuid, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  TraceDecision(LsmHook::kTaskFixSetuid, acc, 0, task.pid);
-  return acc;
+  return Dispatch(LsmHook::kTaskFixSetuid, task.pid, [&](SecurityModule& m) {
+    return m.TaskFixSetuid(task, req, disposition);
+  });
 }
 
 HookVerdict LsmStack::BprmCheck(Task& task, const std::string& path, const Inode& inode,
                                 const std::vector<std::string>& argv, ExecControl* control) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kBprmCheck);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kBprmCheck)]);
-  if (FaultDeny(LsmHook::kBprmCheck, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->BprmCheck(task, path, inode, argv, control);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kBprmCheck, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  TraceDecision(LsmHook::kBprmCheck, acc, 0, task.pid);
-  return acc;
+  return Dispatch(LsmHook::kBprmCheck, task.pid, [&](SecurityModule& m) {
+    return m.BprmCheck(task, path, inode, argv, control);
+  });
 }
 
 HookVerdict LsmStack::FileIoctl(const Task& task, const IoctlRequest& req) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
-  Count(LsmHook::kFileIoctl);
-  HookTimer timer(clock_, &hook_lat_[static_cast<size_t>(LsmHook::kFileIoctl)]);
-  if (FaultDeny(LsmHook::kFileIoctl, task.pid)) {
-    return HookVerdict::kDeny;
-  }
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
-  HookVerdict acc = HookVerdict::kDefault;
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    HookVerdict v = modules_[i]->FileIoctl(task, req);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
-    if (trace_hooks) {
-      TraceModule(LsmHook::kFileIoctl, *modules_[i], v, task.pid);
-    }
-    acc = Combine(acc, v);
-  }
-  TraceDecision(LsmHook::kFileIoctl, acc, 0, task.pid);
-  return acc;
+  return Dispatch(LsmHook::kFileIoctl, task.pid,
+                  [&](SecurityModule& m) { return m.FileIoctl(task, req); });
 }
 
 }  // namespace protego

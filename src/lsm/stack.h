@@ -3,22 +3,17 @@
 // syscall layer consults; swapping the stack is how the benchmarks compare
 // "Linux + AppArmor" against "Linux + AppArmor + Protego".
 //
-// PR 2 adds a stack-level decision cache: for the cacheable hooks
-// (inode_permission, sb_mount, socket_bind) the combined verdict is stored
-// in the calling task's LsmDecisionCache keyed by (hook, request signature)
-// and tagged with the stack's policy-generation counter. Any module policy
-// swap bumps the generation (SecurityModule::BumpPolicyGeneration), which
-// invalidates every cached verdict atomically — the cache can never serve a
-// verdict computed under a superseded policy. Hooks whose decisions carry
-// side effects or depend on mutable kernel state (authentication, pending
-// setuid, mount/route tables) are never cached; see DESIGN.md §7.
+// Every hook decides one way: each call walks the modules in order and
+// combines their verdicts. The eight public hooks differ only in which
+// module method they call; Dispatch() does the rest (count, time, fail
+// closed on an injected fault, walk, trace).
 //
-// PR 3 adds observability (DESIGN.md §8): with a Tracer attached, every
-// dispatch emits one kLsmHook event per consulted module (module name +
-// verdict) and one kLsmDecision event for the combined verdict (flagged
-// cache hit/miss for the cacheable hooks) — all stamped with the calling
-// syscall's decision span. Per-hook invocation counts, latency histograms,
-// and per-module verdict tallies are reported via CollectMetrics().
+// Observability (DESIGN.md §8): with a Tracer attached, every dispatch
+// emits one kLsmHook event per consulted module (module name + verdict) and
+// one kLsmDecision event for the combined verdict, all stamped with the
+// calling syscall's decision span. Per-hook invocation counts, latency
+// histograms, and per-module verdict tallies are reported via
+// CollectMetrics().
 
 #ifndef SRC_LSM_STACK_H_
 #define SRC_LSM_STACK_H_
@@ -57,8 +52,6 @@ const char* LsmHookName(LsmHook hook);
 
 class LsmStack {
  public:
-  LsmStack();
-
   // Appends a module; earlier modules are consulted first.
   void Register(std::unique_ptr<SecurityModule> module);
 
@@ -83,9 +76,8 @@ class LsmStack {
 
   size_t size() const { return modules_.size(); }
 
-  // Times the stack was consulted for `hook` since boot (cache hits
-  // included — a hit is still a consultation). Lets the syscall gate tests
-  // prove seccomp denials short-circuit BEFORE any LSM work.
+  // Times the stack was consulted for `hook` since boot. Lets the syscall
+  // gate tests prove seccomp denials short-circuit BEFORE any LSM work.
   uint64_t HookInvocations(LsmHook hook) const {
     return hook_counts_[static_cast<size_t>(hook)].load(std::memory_order_relaxed);
   }
@@ -101,13 +93,12 @@ class LsmStack {
   }
 
   // Attaches the per-layer latency profiler: each dispatch runs under an
-  // `lsm` frame, with the decision-cache probe nested as its own
-  // `decision_cache` frame.
+  // `lsm` frame.
   void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
 
   // Attaches the fault-injection registry. A fault injected at the kLsmHook
   // site makes the dispatch fail CLOSED — the combined verdict is kDeny, no
-  // module is consulted, nothing is cached, and the denial is counted in
+  // module is consulted, and the denial is counted in
   // fail_closed_denials(). Availability is sacrificed for safety: a hook
   // that cannot decide must refuse (the paper's core safety claim).
   void set_faults(FaultRegistry* faults) { faults_ = faults; }
@@ -129,17 +120,12 @@ class LsmStack {
   }
 
   // Reports hook invocation counters, latency histograms, per-module
-  // verdict tallies, and decision-cache counters (protego_lsm_* families).
+  // verdict tallies (protego_lsm_* families), and the policy generation.
   void CollectMetrics(MetricsBuilder& b) const;
 
-  // --- Decision cache ---------------------------------------------------------
-
-  // Monotonic counter tagged onto every cached verdict; starts at 1 so no
-  // empty cache slot (generation 0) can ever match. Release/acquire ordering
-  // pairs with the RCU-style engine publication in ProtegoLsm: the engine
-  // pointer is stored (release) BEFORE the generation is bumped (release),
-  // so any reader that observes generation G (acquire) also observes at
-  // least the engine published for G.
+  // Monotonic counter bumped on every successful policy swap; starts at 1.
+  // Exported in /proc/protego/status and as a metrics gauge, and checked by
+  // the swap-rollback tests (a failed swap must leave it unchanged).
   uint64_t policy_generation() const {
     return policy_generation_.load(std::memory_order_acquire);
   }
@@ -147,52 +133,16 @@ class LsmStack {
     policy_generation_.fetch_add(1, std::memory_order_release);
   }
 
-  void set_decision_cache_enabled(bool enabled) { decision_cache_enabled_ = enabled; }
-  bool decision_cache_enabled() const { return decision_cache_enabled_; }
-
-  uint64_t decision_cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t decision_cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t decision_cache_bypasses() const {
-    return cache_bypasses_.load(std::memory_order_relaxed);
-  }
-
-  // --- Adaptive small-table bypass --------------------------------------------
-  //
-  // Below this many total policy rules (summed over every module's
-  // PolicyRuleCount), the cacheable hooks skip the cache entirely. The
-  // cache's value at small sizes hinges on hit rate: a hit is cheaper than
-  // even a small indexed walk, but a miss pays key hashing + probe + insert
-  // ON TOP of the walk — pure tax. Small tables see exactly the traffic
-  // where misses dominate (boot defaults, one-shot administrative requests,
-  // working sets that churn the 64-slot per-task cache), which is how the
-  // original BENCH_policy_engine.json baseline regressed to 0.51x on
-  // inode_permission at 16-entry tables. The bench's inode_permission_miss
-  // rows price this case directly; the compiled+cache-forced rows price the
-  // hit-heavy extreme the bypass gives up. The decision is recomputed
-  // lazily whenever the policy generation changes.
-  static constexpr size_t kCacheBypassThreshold = 64;
-
-  // True when the cacheable hooks are currently bypassing the decision
-  // cache because the installed policy tables are small.
-  bool decision_cache_bypass_active() const { return CacheBypass(); }
-
-  // Forces the adaptive bypass off (cache always engages). For tests and
-  // benches that exercise cache mechanics against deliberately tiny
-  // policy tables; production code leaves it adaptive.
-  void set_cache_bypass_enabled(bool enabled) {
-    bypass_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-
  private:
   static HookVerdict Combine(HookVerdict acc, HookVerdict v);
 
-  void Count(LsmHook hook) const { hook_counts_[static_cast<size_t>(hook)]++; }
+  // The one dispatch path: counts and times the consultation, fails closed
+  // on an injected fault, then calls `call(module)` on each module in
+  // order, tallying and tracing each verdict, and traces the combination.
+  template <typename Call>
+  HookVerdict Dispatch(LsmHook hook, int pid, Call&& call) const;
 
-  // The fail-closed gate every dispatch runs after Count(): true when a
+  // The fail-closed gate every dispatch runs after counting: true when a
   // fault fired for `hook`, in which case the caller must return kDeny
   // immediately (the denial has been counted and traced).
   bool FaultDeny(LsmHook hook, int pid) const;
@@ -200,33 +150,8 @@ class LsmStack {
   // Emits the per-module kLsmHook event (no-op when the point is off).
   void TraceModule(LsmHook hook, const SecurityModule& module, HookVerdict v,
                    int pid) const;
-  // Emits the combined kLsmDecision event; `cache_flags` is 0,
-  // kTraceFlagCacheHit, or kTraceFlagCacheMiss.
-  void TraceDecision(LsmHook hook, HookVerdict combined, uint32_t cache_flags,
-                     int pid) const;
-
-  // Probes `task`'s cache; returns true on hit. On miss the caller
-  // dispatches and calls CacheInsert if every module left the request
-  // cacheable. Key 0 disables caching for that request.
-  // `gen` is the policy generation snapshotted ONCE at dispatch entry and
-  // threaded through both calls: a policy swap that lands mid-walk must tag
-  // the inserted verdict with the generation the walk actually ran under,
-  // never the post-swap generation (a stale verdict under a fresh tag would
-  // be an unexpirable wrong answer).
-  bool CacheLookup(const Task& task, uint64_t key, uint64_t gen,
-                   HookVerdict* verdict) const;
-  void CacheInsert(const Task& task, uint64_t key, uint64_t gen,
-                   HookVerdict verdict) const;
-
-  // Request-signature keys (FNV-1a over hook id, stack id, request fields,
-  // and the deciding credentials). Never return 0.
-  uint64_t InodeKey(const Task& task, const std::string& path, int may) const;
-  uint64_t MountKey(const Task& task, const MountRequest& req) const;
-  uint64_t BindKey(const Task& task, const BindRequest& req) const;
-
-  // Recomputes (lazily, once per generation) whether the small-table bypass
-  // is in effect. Safe to race: the recomputation is idempotent.
-  bool CacheBypass() const;
+  // Emits the combined kLsmDecision event.
+  void TraceDecision(LsmHook hook, HookVerdict combined, int pid) const;
 
   std::vector<std::unique_ptr<SecurityModule>> modules_;
   // mutable: accounting from the const hook methods. All counters are
@@ -243,19 +168,7 @@ class LsmStack {
   FaultRegistry* faults_ = nullptr;
   mutable std::atomic<uint64_t> fail_closed_{0};  // fault-injected dispatches denied
 
-  // Salted into every cache key so a task consulted by two different stacks
-  // (benchmark comparisons, tests) can never cross-hit.
-  uint64_t stack_id_ = 0;
   std::atomic<uint64_t> policy_generation_{1};
-  bool decision_cache_enabled_ = true;
-  mutable std::atomic<uint64_t> cache_hits_{0};
-  mutable std::atomic<uint64_t> cache_misses_{0};
-  mutable std::atomic<uint64_t> cache_bypasses_{0};
-  // Small-table bypass memo: the generation it was computed for (0 = never)
-  // and the verdict.
-  mutable std::atomic<uint64_t> bypass_gen_{0};
-  mutable std::atomic<bool> bypass_{false};
-  std::atomic<bool> bypass_enabled_{true};
 };
 
 }  // namespace protego

@@ -56,7 +56,7 @@ struct CompiledFstabRule {
   CompiledGlob fstype;
   bool any_user_may_unmount = false;
   // Rule grants per-user mountpoints ("/home/*/mnt"): the hook must verify
-  // directory ownership, which also makes the decision uncacheable.
+  // directory ownership.
   bool glob_mountpoint = false;
 };
 

@@ -347,14 +347,9 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
     out += StrFormat("file_delegations %llu\n", (unsigned long long)s.file_delegations);
     out += StrFormat("reauth_reads %llu\n", (unsigned long long)s.reauth_reads);
     out += StrFormat("audit_dropped %llu\n", (unsigned long long)kernel->audit_dropped());
-    // Policy-engine state: the generation every policy swap bumps, and the
-    // stack-level decision-cache counters it invalidates.
+    // The generation every successful policy swap bumps.
     out += StrFormat("policy_generation %llu\n",
                      (unsigned long long)kernel->lsm().policy_generation());
-    out += StrFormat("decision_cache_hits %llu\n",
-                     (unsigned long long)kernel->lsm().decision_cache_hits());
-    out += StrFormat("decision_cache_misses %llu\n",
-                     (unsigned long long)kernel->lsm().decision_cache_misses());
     // Fail-closed accounting: dispatches denied / packets dropped because a
     // fault was injected at the decision point (ISSUE: degrade gracefully).
     out += StrFormat("lsm_fail_closed_denials %llu\n",
@@ -378,13 +373,6 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
     return out;
   };
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/audit", 0400, std::move(audit_ops)));
-
-  // Per-syscall counters from the unified entry path, world-readable like
-  // /proc/stat.
-  SyntheticOps stats_ops;
-  stats_ops.read = [kernel]() { return kernel->syscalls().FormatStats(); };
-  RETURN_IF_ERROR(
-      vfs.CreateSynthetic("/proc/protego/syscall_stats", 0444, std::move(stats_ops)));
 
   // Recent-event trace ring. Root-only (it exposes other tasks' activity);
   // writing "clear" drops the ring, "on"/"off" toggle tracing, and a query
@@ -464,8 +452,8 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/trace", 0600, std::move(trace_ops)));
 
   // Per-layer latency attribution: a folded-stack profile of where decision
-  // time is spent (gate / seccomp / lsm / decision_cache / dac / vfs /
-  // netfilter / fault_registry / observer). Off by default; "on" arms the
+  // time is spent (gate / seccomp / lsm / dac / vfs / netfilter /
+  // fault_registry / observer). Off by default; "on" arms the
   // profiler, "clear" zeroes accumulated frames.
   SyntheticOps profile_ops;
   profile_ops.read = [kernel]() { return kernel->profiler().FormatProfile(); };

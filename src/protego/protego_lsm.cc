@@ -56,18 +56,15 @@ Result<Unit> ProtegoLsm::CompileAndPublish(Policy next) {
   next.engine.files.Build(next.delegation);
   next.engine.sudoers.Build(next.delegation, next.user_db);
   // Publish-then-bump: the mutex release publishes the new snapshot before
-  // the (release) generation bump, so a hook that snapshots the generation
-  // (acquire) and sees G is guaranteed to load at least generation G's
-  // snapshot — a cached verdict tagged G can never have been computed
-  // against an older policy. The displaced snapshot is retired once the
-  // last in-flight reader drops its PolicyRef.
+  // the (release) generation bump, so a reader that sees generation G
+  // (acquire) is guaranteed to load at least generation G's snapshot. The
+  // displaced snapshot is retired once the last in-flight reader drops its
+  // PolicyRef.
   {
     std::lock_guard<std::mutex> lk(policy_mu_);
     policy_ = std::make_shared<const Policy>(std::move(next));
   }
-  // Any swap invalidates every cached verdict, keeping parse-validate-swap
-  // atomic from the hooks' point of view. Only reached on success: a failed
-  // swap must leave cached verdicts valid (they still match the engine).
+  // Only reached on success: a failed swap leaves the generation unchanged.
   BumpPolicyGeneration();
   return OkUnit();
 }
@@ -107,31 +104,21 @@ Result<Unit> ProtegoLsm::SetPppOptions(PppOptions options) {
   return CompileAndPublish(std::move(next));
 }
 
-size_t ProtegoLsm::PolicyRuleCount() const {
-  PolicyRef pol = policy();
-  return pol->mount_whitelist.size() + pol->bind_table.size() + pol->delegation.rules.size() +
-         pol->delegation.file_delegations.size() + pol->delegation.reauth_read_globs.size();
-}
-
 // --- Mount (§4.2) ---------------------------------------------------------------
 
-bool ProtegoLsm::MountEntryGrants(const FstabEntry& entry, bool glob_mountpoint,
-                                  const Task& task, const MountRequest& req,
-                                  bool* cacheable) const {
+bool ProtegoLsm::MountRuleGrants(const CompiledFstabRule& rule, const Task& task,
+                                 const MountRequest& req) const {
   // Every requested option must be granted by the entry or be a
   // privilege-reducing extra.
   for (const std::string& opt : req.options) {
-    if (!entry.HasOption(opt) && !IsSafeExtraOption(opt)) {
+    if (!rule.entry.HasOption(opt) && !IsSafeExtraOption(opt)) {
       return false;
     }
   }
   // Glob entries ("fuse /home/*/mnt fuse user") grant per-user
   // mountpoints: the actual directory must belong to the requester, or
-  // anyone could graft a filesystem into someone else's home. Consulting
-  // live VFS ownership makes the verdict uncacheable (a chown must be able
-  // to change the answer).
-  if (glob_mountpoint) {
-    *cacheable = false;
+  // anyone could graft a filesystem into someone else's home.
+  if (rule.glob_mountpoint) {
     auto target = kernel_->vfs().Resolve(req.mountpoint);
     if (!target.ok() || target.value()->inode().uid != task.cred.ruid) {
       return false;
@@ -140,35 +127,18 @@ bool ProtegoLsm::MountEntryGrants(const FstabEntry& entry, bool glob_mountpoint,
   return true;
 }
 
-HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool* cacheable) {
+HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool* /*unused*/) {
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
     return HookVerdict::kDefault;  // administrator path is unchanged
   }
   PolicyRef pol_ref = policy();  // ONE snapshot for the whole dispatch
   const Policy& pol = *pol_ref;
   bool granted = false;
-  if (compiled_engine_enabled()) {
-    pol.engine.mount.ForEachMatch(req.source, req.mountpoint, req.fstype,
-                                  [&](const CompiledFstabRule& rule) {
-                                    granted = MountEntryGrants(rule.entry, rule.glob_mountpoint,
-                                                               task, req, cacheable);
-                                    return granted;
-                                  });
-  } else {
-    for (const FstabEntry& entry : pol.mount_whitelist) {
-      // Policy entries may use globs (e.g. "fuse /home/*/mnt fuse user");
-      // literal fstab entries match exactly.
-      if (!entry.UserMountable() || !GlobMatch(entry.device, req.source) ||
-          !GlobMatch(entry.mountpoint, req.mountpoint) || !GlobMatch(entry.fstype, req.fstype)) {
-        continue;
-      }
-      bool glob_mountpoint = entry.mountpoint.find('*') != std::string::npos;
-      if (MountEntryGrants(entry, glob_mountpoint, task, req, cacheable)) {
-        granted = true;
-        break;
-      }
-    }
-  }
+  pol.engine.mount.ForEachMatch(req.source, req.mountpoint, req.fstype,
+                                [&](const CompiledFstabRule& rule) {
+                                  granted = MountRuleGrants(rule, task, req);
+                                  return granted;
+                                });
   if (granted) {
     ++stats_.mount_allowed;
     kernel_->Audit(StrFormat("protego: user mount %s on %s allowed (uid=%u)", req.source.c_str(),
@@ -183,31 +153,19 @@ HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
     return HookVerdict::kDefault;
   }
-  const MountEntry* mount = kernel_->vfs().FindMount(mountpoint);
-  if (mount == nullptr) {
+  std::optional<Uid> mounter = kernel_->vfs().FindMount(mountpoint);
+  if (!mounter.has_value()) {
     return HookVerdict::kDefault;
   }
   PolicyRef pol_ref = policy();
   const Policy& pol = *pol_ref;
   // May THIS user unmount? "users" entries let anyone; "user" entries only
-  // the task that mounted (live mount-table state — never cached).
+  // the task that mounted.
   bool granted = false;
-  if (compiled_engine_enabled()) {
-    pol.engine.mount.ForEachMountpointMatch(mountpoint, [&](const CompiledFstabRule& rule) {
-      granted = rule.any_user_may_unmount || mount->mounter == task.cred.ruid;
-      return granted;
-    });
-  } else {
-    for (const FstabEntry& entry : pol.mount_whitelist) {
-      if (!entry.UserMountable() || !GlobMatch(entry.mountpoint, mountpoint)) {
-        continue;
-      }
-      if (entry.AnyUserMayUnmount() || mount->mounter == task.cred.ruid) {
-        granted = true;
-        break;
-      }
-    }
-  }
+  pol.engine.mount.ForEachMountpointMatch(mountpoint, [&](const CompiledFstabRule& rule) {
+    granted = rule.any_user_may_unmount || *mounter == task.cred.ruid;
+    return granted;
+  });
   if (granted) {
     ++stats_.umount_allowed;
     return HookVerdict::kAllow;
@@ -231,8 +189,7 @@ HookVerdict ProtegoLsm::SocketCreate(const Task& task, const SocketRequest& req)
 
 // --- Bind (§4.1.3) -----------------------------------------------------------------
 
-HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, bool* cacheable) {
-  (void)cacheable;  // pure function of (policy, request, creds): cacheable
+HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, bool* /*unused*/) {
   if (req.netns != 0) {
     // A port inside a sandbox namespace is not the system's well-known
     // port; allocations do not apply there.
@@ -246,31 +203,14 @@ HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, boo
   // The port may carry several (binary, uid) allocations; EVERY entry for
   // the port must be considered before denying — denying at the first
   // non-matching entry would make later allocations of the port dead policy.
-  bool allocated = false;
-  if (compiled_engine_enabled()) {
-    const std::vector<BindConfEntry>* allocations = pol.engine.bind.Find(req.port);
-    if (allocations != nullptr) {
-      allocated = true;
-      for (const BindConfEntry& entry : *allocations) {
-        if (entry.binary == req.binary_path && entry.uid == task.cred.euid) {
-          ++stats_.bind_allowed;
-          return HookVerdict::kAllow;
-        }
-      }
-    }
-  } else {
-    for (const BindConfEntry& entry : pol.bind_table) {
-      if (entry.port != req.port) {
-        continue;
-      }
-      allocated = true;
+  const std::vector<BindConfEntry>* allocations = pol.engine.bind.Find(req.port);
+  if (allocations != nullptr) {
+    for (const BindConfEntry& entry : *allocations) {
       if (entry.binary == req.binary_path && entry.uid == task.cred.euid) {
         ++stats_.bind_allowed;
         return HookVerdict::kAllow;
       }
     }
-  }
-  if (allocated) {
     // The port is allocated and this task is none of its instances: ONLY
     // the configured (binary, uid) pairs may bind it — root privilege does
     // not override an allocation, which is what stops a compromised web
@@ -285,59 +225,21 @@ HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, boo
 
 // --- setuid/setgid delegation (§4.3) -------------------------------------------------
 
-bool ProtegoLsm::RuleSubjectMatches(const Policy& pol, const SudoRule& rule,
-                                    const std::string& user_name) const {
-  if (rule.user == "ALL" || rule.user == user_name) {
-    return true;
-  }
-  if (!rule.user.empty() && rule.user[0] == '%') {
-    const GroupEntry* group = pol.user_db.FindGroup(rule.user.substr(1));
-    if (group != nullptr) {
-      return std::find(group->members.begin(), group->members.end(), user_name) !=
-             group->members.end();
-    }
-  }
-  return false;
-}
-
-std::vector<const SudoRule*> ProtegoLsm::MatchingRules(const Policy& pol, Uid invoking_uid,
-                                                       const std::string& target) const {
-  std::vector<const SudoRule*> matches;
+std::vector<size_t> ProtegoLsm::MatchingRules(const Policy& pol, Uid invoking_uid,
+                                              const std::string& target) const {
   const PasswdEntry* invoker = pol.user_db.FindUid(invoking_uid);
   if (invoker == nullptr) {
-    return matches;
+    return {};
   }
-  if (compiled_engine_enabled()) {
-    // The index pre-resolved subject matching (exact names, %group
-    // membership, ALL) at build time; only runas filtering remains.
-    for (size_t i : pol.engine.sudoers.RulesForUser(invoker->name)) {
-      const SudoRule& rule = pol.delegation.rules[i];
-      if (rule.RunasMatches(target)) {
-        matches.push_back(&rule);
-      }
-    }
-    return matches;
-  }
-  for (const SudoRule& rule : pol.delegation.rules) {
-    if (RuleSubjectMatches(pol, rule, invoker->name) && rule.RunasMatches(target)) {
-      matches.push_back(&rule);
-    }
-  }
+  // The index pre-resolved subject matching (exact names, %group
+  // membership, ALL) at build time; only runas filtering remains.
+  std::vector<size_t> matches = pol.engine.sudoers.RulesForUser(invoker->name);
+  matches.erase(std::remove_if(matches.begin(), matches.end(),
+                               [&](size_t i) {
+                                 return !pol.delegation.rules[i].RunasMatches(target);
+                               }),
+                matches.end());
   return matches;
-}
-
-bool ProtegoLsm::RuleCommandMatches(const Policy& pol, const SudoRule* rule,
-                                    const std::string& command_line) const {
-  // The pointer-to-index translation requires that `rule` point into THIS
-  // snapshot's rules vector — MatchingRules and RuleCommandMatches must be
-  // handed the same PolicyRef the caller loaded at dispatch entry.
-  if (compiled_engine_enabled() && !pol.delegation.rules.empty() &&
-      rule >= pol.delegation.rules.data() &&
-      rule < pol.delegation.rules.data() + pol.delegation.rules.size()) {
-    return pol.engine.sudoers.CommandMatches(
-        static_cast<size_t>(rule - pol.delegation.rules.data()), command_line);
-  }
-  return rule->CommandMatches(command_line);
 }
 
 bool ProtegoLsm::EnsureAuthenticated(const Policy& pol, Task& task, Uid account) const {
@@ -398,14 +300,15 @@ HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
   if (target == nullptr) {
     return HookVerdict::kDefault;
   }
-  std::vector<const SudoRule*> rules = MatchingRules(pol, task.cred.ruid, target->name);
+  std::vector<size_t> rules = MatchingRules(pol, task.cred.ruid, target->name);
   if (rules.empty()) {
     return HookVerdict::kDefault;  // no delegation: legacy EPERM
   }
 
   std::vector<const SudoRule*> all_command_rules;
   bool restricted_rule_exists = false;
-  for (const SudoRule* rule : rules) {
+  for (size_t i : rules) {
+    const SudoRule* rule = &pol.delegation.rules[i];
     bool is_all = false;
     for (const std::string& c : rule->commands) {
       if (c == "ALL") {
@@ -502,11 +405,10 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
   for (size_t i = 1; i < argv.size(); ++i) {
     command_line += " " + argv[i];
   }
-  std::vector<const SudoRule*> rules = MatchingRules(pol, task.cred.ruid, target->name);
   std::vector<const SudoRule*> granting;
-  for (const SudoRule* rule : rules) {
-    if (RuleCommandMatches(pol, rule, command_line)) {
-      granting.push_back(rule);
+  for (size_t i : MatchingRules(pol, task.cred.ruid, target->name)) {
+    if (pol.engine.sudoers.CommandMatches(i, command_line)) {
+      granting.push_back(&pol.delegation.rules[i]);
     }
   }
   if (granting.empty()) {
@@ -578,46 +480,23 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
 // --- File delegations and reauthentication-gated reads (§4.4/§4.6) -------------------
 
 HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, const Inode& inode,
-                                        int may, bool* cacheable) {
+                                        int may, bool* /*unused*/) {
   (void)inode;
   PolicyRef pol_ref = policy();
   const Policy& pol = *pol_ref;
   // Per-binary file delegations first (also how the trusted authentication
   // utility and monitoring daemon read shadow files without recursion).
-  bool reauth_gated = false;
-  if (compiled_engine_enabled()) {
-    const std::vector<CompiledDelegation>* delegations =
-        pol.engine.files.FindDelegations(task.exe_path);
-    if (delegations != nullptr) {
-      for (const CompiledDelegation& d : *delegations) {
-        if (d.path.Matches(path) && (may & ~d.allow_may) == 0) {
-          ++stats_.file_delegations;
-          return HookVerdict::kAllow;
-        }
-      }
-    }
-    reauth_gated = (may & kMayRead) != 0 && pol.engine.files.ReauthGated(path);
-  } else {
-    for (const FileDelegation& d : pol.delegation.file_delegations) {
-      if (d.binary == task.exe_path && GlobMatch(d.path_glob, path) &&
-          (may & ~d.allow_may) == 0) {
+  const std::vector<CompiledDelegation>* delegations =
+      pol.engine.files.FindDelegations(task.exe_path);
+  if (delegations != nullptr) {
+    for (const CompiledDelegation& d : *delegations) {
+      if (d.path.Matches(path) && (may & ~d.allow_may) == 0) {
         ++stats_.file_delegations;
         return HookVerdict::kAllow;
       }
     }
-    if ((may & kMayRead) != 0) {
-      for (const std::string& glob : pol.delegation.reauth_read_globs) {
-        if (GlobMatch(glob, path)) {
-          reauth_gated = true;
-          break;
-        }
-      }
-    }
   }
-  if (reauth_gated) {
-    // The verdict hinges on authentication recency (and a possible password
-    // exchange), which a cached answer would silently extend forever.
-    *cacheable = false;
+  if ((may & kMayRead) != 0 && pol.engine.files.ReauthGated(path)) {
     ++stats_.reauth_reads;
     // Paper §4.6: the reauthentication challenge is for the LOGGED-IN user
     // — the invoker proves they are still at the keyboard. Prompting for

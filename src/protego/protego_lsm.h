@@ -115,27 +115,15 @@ class ProtegoLsm : public SecurityModule {
   // raw table spliced in, its compiled indices are rebuilt, and only if
   // compilation succeeds is the snapshot published and the policy generation
   // bumped. On failure (including an injected kPolicyCompile fault) nothing
-  // is published — the live snapshot, the generation, and every cached
-  // verdict stay exactly as they were. Writers serialize on a mutex so two
-  // concurrent swaps cannot lose each other's tables; readers never block.
+  // is published — the live snapshot and the generation stay exactly as
+  // they were. Writers serialize on a mutex so two concurrent swaps cannot
+  // lose each other's tables; readers never block.
 
   [[nodiscard]] Result<Unit> SetMountPolicy(std::vector<FstabEntry> whitelist);
   [[nodiscard]] Result<Unit> SetBindTable(std::vector<BindConfEntry> table);
   [[nodiscard]] Result<Unit> SetDelegation(SudoersPolicy policy);
   [[nodiscard]] Result<Unit> SetUserDb(UserDb db);
   [[nodiscard]] Result<Unit> SetPppOptions(PppOptions options);
-
-  // When enabled (the default), hooks consult the compiled indices built at
-  // swap time; when disabled they linear-scan the raw tables. The scan path
-  // is kept as the semantic reference — parity tests compare the two, and
-  // policy_engine_bench uses it as the baseline. Both paths produce
-  // identical verdicts.
-  void set_compiled_engine_enabled(bool enabled) {
-    compiled_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool compiled_engine_enabled() const {
-    return compiled_enabled_.load(std::memory_order_relaxed);
-  }
 
   // The current snapshot. The mutex makes the publication in
   // CompileAndPublish visible (it is released there before the generation
@@ -155,23 +143,18 @@ class ProtegoLsm : public SecurityModule {
   PppOptions ppp_options() const { return policy()->ppp_options; }
   const ProtegoStats& stats() const { return stats_; }
 
-  // Total raw-table rows across every policy table: drives the LSM stack's
-  // adaptive decision-cache bypass (tiny tables are cheaper to evaluate
-  // than to cache).
-  size_t PolicyRuleCount() const override;
-
   // --- LSM hooks -------------------------------------------------------------
 
-  HookVerdict SbMount(const Task& task, const MountRequest& req, bool* cacheable) override;
+  HookVerdict SbMount(const Task& task, const MountRequest& req, bool* /*unused*/) override;
   HookVerdict SbUmount(const Task& task, const std::string& mountpoint) override;
   HookVerdict SocketCreate(const Task& task, const SocketRequest& req) override;
-  HookVerdict SocketBind(const Task& task, const BindRequest& req, bool* cacheable) override;
+  HookVerdict SocketBind(const Task& task, const BindRequest& req, bool* /*unused*/) override;
   HookVerdict TaskFixSetuid(Task& task, const SetuidRequest& req,
                             SetuidDisposition* disposition) override;
   HookVerdict BprmCheck(Task& task, const std::string& path, const Inode& inode,
                         const std::vector<std::string>& argv, ExecControl* control) override;
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
-                              int may, bool* cacheable) override;
+                              int may, bool* /*unused*/) override;
   HookVerdict FileIoctl(const Task& task, const IoctlRequest& req) override;
 
  private:
@@ -187,27 +170,18 @@ class ProtegoLsm : public SecurityModule {
   // which case nothing is published. Caller must hold swap_mu_.
   [[nodiscard]] Result<Unit> CompileAndPublish(Policy next);
 
-  // Names matching `user` in a sudoers rule subject: exact name, %group
-  // membership, or ALL. `pol` is the snapshot the caller is evaluating.
-  bool RuleSubjectMatches(const Policy& pol, const SudoRule& rule,
-                          const std::string& user_name) const;
+  // Indices into pol.delegation.rules of the delegation rules applying to
+  // (invoking user, target user), ascending. `pol` is the snapshot the
+  // caller loaded at dispatch entry; hand the same one to
+  // pol.engine.sudoers.CommandMatches.
+  std::vector<size_t> MatchingRules(const Policy& pol, Uid invoking_uid,
+                                    const std::string& target) const;
 
-  // All delegation rules applying to (invoking user, target user). The
-  // returned pointers point into `pol` — the caller's snapshot keeps them
-  // alive, and RuleCommandMatches must be handed the SAME snapshot (it
-  // turns the pointers back into indices into pol.delegation.rules).
-  std::vector<const SudoRule*> MatchingRules(const Policy& pol, Uid invoking_uid,
-                                             const std::string& target) const;
-
-  // Command match for a rule returned by MatchingRules (compiled or scan).
-  bool RuleCommandMatches(const Policy& pol, const SudoRule* rule,
-                          const std::string& command_line) const;
-
-  // Shared per-entry mount evaluation once device/mountpoint/fstype have
-  // matched: option vetting plus the per-user ownership check for
-  // glob-mountpoint entries (which clears *cacheable).
-  bool MountEntryGrants(const FstabEntry& entry, bool glob_mountpoint, const Task& task,
-                        const MountRequest& req, bool* cacheable) const;
+  // Per-rule mount evaluation once device/mountpoint/fstype have matched:
+  // option vetting plus the per-user ownership check for glob-mountpoint
+  // rules.
+  bool MountRuleGrants(const CompiledFstabRule& rule, const Task& task,
+                       const MountRequest& req) const;
 
   // Enforces the recency requirement: recent auth of the invoking user, or
   // a fresh password exchange via the kernel-launched authentication
@@ -219,7 +193,6 @@ class ProtegoLsm : public SecurityModule {
   mutable std::mutex policy_mu_;
   PolicyRef policy_;
   std::mutex swap_mu_;  // serializes writers (clone → compile → publish)
-  std::atomic<bool> compiled_enabled_{true};
   mutable ProtegoStats stats_;
 };
 

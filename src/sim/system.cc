@@ -469,16 +469,7 @@ void SimSystem::BootstrapProcFiles() {
   Vfs& vfs = kernel_.vfs();
   Vfs* vfs_ptr = &vfs;
   SyntheticOps mounts_ops;
-  mounts_ops.read = [vfs_ptr]() {
-    std::string out;
-    for (const auto& m : vfs_ptr->mounts()) {
-      out += StrFormat("%s %s %s %s %u\n", m->source.c_str(), m->mountpoint.c_str(),
-                       m->fstype.c_str(),
-                       m->options.empty() ? "defaults" : Join(m->options, ",").c_str(),
-                       m->mounter);
-    }
-    return out;
-  };
+  mounts_ops.read = [vfs_ptr]() { return vfs_ptr->FormatMounts(); };
   Must(vfs.CreateSynthetic("/proc/mounts", 0444, std::move(mounts_ops)), "/proc/mounts");
 
   Network* net = &kernel_.net();

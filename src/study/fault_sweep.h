@@ -17,8 +17,8 @@
 //                        on a fresh system reproduces the identical outcome.
 //
 // Two deeper checks ride along: a transactional policy-swap rollback proof
-// (generation, verdicts, and decision cache all unperturbed by a fault
-// mid-swap) and a DetScheduler replay proof (a seeded two-task schedule with
+// (generation and verdicts unperturbed by a fault mid-swap) and a
+// DetScheduler replay proof (a seeded two-task schedule with
 // probabilistic injection is bit-identical across runs).
 
 #ifndef SRC_STUDY_FAULT_SWEEP_H_

@@ -65,16 +65,21 @@ std::string PasswdFieldOf(SimSystem& sys, const std::string& user, int field) {
   return "<absent>";
 }
 
+// "yes" when a filesystem is mounted at `mountpoint`.
+const char* Mounted(SimSystem& sys, const char* mountpoint) {
+  return sys.kernel().vfs().FindMount(mountpoint).has_value() ? "yes" : "no";
+}
+
 // --- Scenarios -----------------------------------------------------------------
 
 std::string MountLifecycle(SimSystem& sys) {
   std::string t;
   Task& alice = sys.Login("alice");
   Step(sys, alice, &t, "mount-cdrom", "/bin/mount", {"mount", "/dev/cdrom"});
-  Probe(&t, "mounted", sys.kernel().vfs().FindMount("/media/cdrom") ? "yes" : "no");
+  Probe(&t, "mounted", Mounted(sys, "/media/cdrom"));
   Step(sys, alice, &t, "read-media", "/bin/cat", {"cat", "/media/cdrom/README"});
   Step(sys, alice, &t, "umount-cdrom", "/bin/umount", {"umount", "/media/cdrom"});
-  Probe(&t, "mounted-after", sys.kernel().vfs().FindMount("/media/cdrom") ? "yes" : "no");
+  Probe(&t, "mounted-after", Mounted(sys, "/media/cdrom"));
   Step(sys, alice, &t, "mount-denied", "/bin/mount", {"mount", "/dev/sda2", "/mnt/backup"});
   Step(sys, alice, &t, "mount-usage", "/bin/mount", {"mount"});
   Step(sys, alice, &t, "mount-unknown", "/bin/mount", {"mount", "/dev/nosuch"});
@@ -97,11 +102,11 @@ std::string UmountUsersOption(SimSystem& sys) {
   Task& bob = sys.Login("bob");
   Step(sys, alice, &t, "alice-mounts-usb", "/bin/mount", {"mount", "/dev/sdb1"});
   Step(sys, bob, &t, "bob-unmounts-usb", "/bin/umount", {"umount", "/media/usb"});
-  Probe(&t, "usb-mounted", sys.kernel().vfs().FindMount("/media/usb") ? "yes" : "no");
+  Probe(&t, "usb-mounted", Mounted(sys, "/media/usb"));
   // "user" (cdrom): a different user may NOT unmount.
   Step(sys, alice, &t, "alice-mounts-cdrom", "/bin/mount", {"mount", "/dev/cdrom"});
   Step(sys, bob, &t, "bob-cannot-unmount", "/bin/umount", {"umount", "/media/cdrom"});
-  Probe(&t, "cdrom-still-mounted", sys.kernel().vfs().FindMount("/media/cdrom") ? "yes" : "no");
+  Probe(&t, "cdrom-still-mounted", Mounted(sys, "/media/cdrom"));
   Step(sys, alice, &t, "alice-unmounts", "/bin/umount", {"umount", "/media/cdrom"});
   return t;
 }

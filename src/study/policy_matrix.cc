@@ -95,7 +95,7 @@ PolicyScenarioResult MountScenario(SimSystem& sys) {
   PolicyScenarioResult r;
   Task& alice = sys.Login("alice");
   auto ok = sys.RunCapture(alice, "/bin/mount", {"mount", "/dev/cdrom"});
-  bool mounted = sys.kernel().vfs().FindMount("/media/cdrom") != nullptr;
+  bool mounted = sys.kernel().vfs().FindMount("/media/cdrom").has_value();
   (void)sys.RunCapture(alice, "/bin/umount", {"umount", "/media/cdrom"});
   r.permitted_case_ok = ok.exit_code == 0 && mounted;
   // Forbidden: mounting over a trusted directory.

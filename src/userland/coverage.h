@@ -2,12 +2,14 @@
 // (the gcov analog behind Table 7). Each utility declares its named blocks
 // at registration time; executing code marks blocks hit. The Table 7
 // harness reports hit/declared per binary after running the
-// functional-equivalence suite.
+// functional-equivalence suite. Process-wide and locked: parallel-mode
+// tasks run utilities on several threads at once.
 
 #ifndef SRC_USERLAND_COVERAGE_H_
 #define SRC_USERLAND_COVERAGE_H_
 
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,6 +40,7 @@ class Coverage {
     std::vector<std::string> declared;
     std::set<std::string> hit;
   };
+  mutable std::mutex mu_;
   std::map<std::string, PerBinary> data_;
 };
 

@@ -610,9 +610,25 @@ Result<Unit> Vfs::RemoveMount(std::string_view mountpoint) {
   return OkUnit();
 }
 
-const MountEntry* Vfs::FindMount(std::string_view mountpoint) const {
+std::optional<Uid> Vfs::FindMount(std::string_view mountpoint) const {
   std::shared_lock<std::shared_mutex> lk(tree_mu_);
-  return FindMountLocked(mountpoint);
+  const MountEntry* entry = FindMountLocked(mountpoint);
+  if (entry == nullptr) {
+    return std::nullopt;
+  }
+  return entry->mounter;
+}
+
+std::string Vfs::FormatMounts() const {
+  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::string out;
+  for (const auto& m : mounts_) {
+    out += StrFormat("%s %s %s %s %u\n", m->source.c_str(), m->mountpoint.c_str(),
+                     m->fstype.c_str(),
+                     m->options.empty() ? "defaults" : Join(m->options, ",").c_str(),
+                     m->mounter);
+  }
+  return out;
 }
 
 const MountEntry* Vfs::FindMountLocked(std::string_view mountpoint) const {

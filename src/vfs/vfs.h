@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -247,10 +248,14 @@ class Vfs {
   // Removes the mount at `mountpoint`. EINVAL if nothing is mounted there.
   Result<Unit> RemoveMount(std::string_view mountpoint);
 
-  // Mount covering `mountpoint`, or nullptr.
-  const MountEntry* FindMount(std::string_view mountpoint) const;
+  // The uid that mounted the filesystem at `mountpoint`, or nullopt when
+  // nothing is mounted there. Returned by value: the entry itself may be
+  // freed by a concurrent RemoveMount as soon as the lock is released.
+  std::optional<Uid> FindMount(std::string_view mountpoint) const;
 
-  const std::vector<std::unique_ptr<MountEntry>>& mounts() const { return mounts_; }
+  // The /proc/mounts body, one "source mountpoint fstype options mounter"
+  // line per mount, formatted under the tree lock.
+  std::string FormatMounts() const;
 
   // --- Watches (inotify analog) ----------------------------------------------
 

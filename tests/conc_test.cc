@@ -341,14 +341,13 @@ TEST_F(FlockTest, AbbaDeadlockFailsOneTaskWithEdeadlkAndCompletes) {
   EXPECT_TRUE(a_second == Errno::kOk || b_second == Errno::kOk);
 }
 
-// --- Cross-task policy-swap visibility (per-task LSM decision cache) ---------
+// --- Cross-task policy-swap visibility --------------------------------------
 
 TEST(ConcPolicy, SwapByOneTaskInvalidatesPeerCacheAtNextYield) {
   // Task A (running as /usr/bin/reader) reads a root-only file via a
-  // File_Delegate rule; the verdict lands in A's per-task decision cache.
-  // Mid-interleaving, task B (root) swaps the policy to one without the
-  // rule. A's very next open must observe the new policy generation — the
-  // cached allow must not outlive the swap.
+  // File_Delegate rule, twice. Mid-interleaving, task B (root) swaps the
+  // policy to one without the rule. A's very next open must observe the new
+  // policy — the earlier allow must not outlive the swap.
   SimSystem sys(SimMode::kProtego);
   Kernel& k = sys.kernel();
   Task& root = sys.Login("root");
@@ -373,7 +372,7 @@ TEST(ConcPolicy, SwapByOneTaskInvalidatesPeerCacheAtNextYield) {
   k.set_scheduler(&sched);
   sched.StartTask(a.pid, [&] {
     read1 = k.ReadWholeFile(a, "/etc/locked").code();  // delegation allows
-    read2 = k.ReadWholeFile(a, "/etc/locked").code();  // served by the cache
+    read2 = k.ReadWholeFile(a, "/etc/locked").code();  // still allowed
     read3 = k.ReadWholeFile(a, "/etc/locked").code();  // after B's swap: denied
   });
   sched.StartTask(b.pid, [&] {
@@ -396,8 +395,7 @@ TEST(ConcPolicy, SwapByOneTaskInvalidatesPeerCacheAtNextYield) {
   EXPECT_EQ(read1, Errno::kOk);
   EXPECT_EQ(read2, Errno::kOk);
   EXPECT_EQ(read3, Errno::kEACCES);
-  // The swap really happened mid-interleaving and bumped the generation the
-  // cache entries were tagged with.
+  // The swap really happened mid-interleaving and bumped the generation.
   EXPECT_GT(generation_mid, generation_before);
 }
 

@@ -139,22 +139,29 @@ TEST_P(MountSequenceProperty, TableOnlyEverHoldsWhitelistedMounts) {
       (void)k.Mount(actor, devices[Next(&seed) % 4], points[Next(&seed) % 5],
                     types[Next(&seed) % 3], {"ro"});
     }
-    // INVARIANT: every live mount is one of the two whitelisted pairs.
-    for (const auto& m : k.vfs().mounts()) {
-      bool allowed = (m->source == "/dev/cdrom" && m->mountpoint == "/media/cdrom") ||
-                     (m->source == "/dev/sdb1" && m->mountpoint == "/media/usb");
-      EXPECT_TRUE(allowed) << "illegal mount: " << m->source << " on " << m->mountpoint;
-    }
-    // INVARIANT: /proc/mounts mirrors the table exactly.
+    // INVARIANT: every live mount is one of the two whitelisted pairs, and
+    // /proc/mounts mirrors the table exactly: each line names a live mount
+    // with its mounter, and every live mount has a line.
     Task& root = sys.Login("root");
     auto proc = k.ReadWholeFile(root, "/proc/mounts");
     size_t lines = 0;
     for (const std::string& line : Split(proc.value(), '\n')) {
-      if (!Trim(line).empty()) {
-        ++lines;
+      std::vector<std::string> f = SplitWhitespace(line);
+      if (f.empty()) {
+        continue;
       }
+      ++lines;
+      ASSERT_EQ(f.size(), 5u) << line;
+      bool allowed = (f[0] == "/dev/cdrom" && f[1] == "/media/cdrom") ||
+                     (f[0] == "/dev/sdb1" && f[1] == "/media/usb");
+      EXPECT_TRUE(allowed) << "illegal mount: " << line;
+      EXPECT_EQ(k.vfs().FindMount(f[1]), std::optional<Uid>(std::stoul(f[4]))) << line;
     }
-    EXPECT_EQ(lines, k.vfs().mounts().size());
+    size_t mounted = 0;
+    for (const char* point : points) {
+      mounted += k.vfs().FindMount(point).has_value() ? 1 : 0;
+    }
+    EXPECT_EQ(lines, mounted);
     k.ReapTask(root.pid);
   }
 }

@@ -343,7 +343,7 @@ TEST(UtilityFaults, MountFailsCleanlyOnConfigReadError) {
     auto out = sys.RunCapture(alice, "/bin/mount", {"mount", "/dev/cdrom"});
     EXPECT_NE(out.exit_code, 0) << SimModeName(mode);
     EXPECT_FALSE(out.err.empty()) << SimModeName(mode) << " no diagnostic";
-    EXPECT_EQ(k.vfs().FindMount("/media/cdrom"), nullptr)
+    EXPECT_FALSE(k.vfs().FindMount("/media/cdrom").has_value())
         << SimModeName(mode) << " partial mount state";
     EXPECT_EQ(k.faults().injected(FaultSite::kSyscallEntry), 1u);
   }

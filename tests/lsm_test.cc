@@ -94,19 +94,18 @@ TEST(AppArmorTest, FileRulesConfineOnlyProfiledBinaries) {
 
   Inode inode;
   inode.mode = kIfReg | 0666;
-  bool cacheable = true;
   Task confined = MakeTask(1000, "/usr/sbin/confined");
   Task free_task = MakeTask(1000, "/usr/bin/other");
 
-  EXPECT_EQ(aa.InodePermission(confined, "/var/lib/app/data", inode, kMayWrite, &cacheable),
+  EXPECT_EQ(aa.InodePermission(confined, "/var/lib/app/data", inode, kMayWrite, nullptr),
             HookVerdict::kDefault);
-  EXPECT_EQ(aa.InodePermission(confined, "/etc/app.conf", inode, kMayRead, &cacheable),
+  EXPECT_EQ(aa.InodePermission(confined, "/etc/app.conf", inode, kMayRead, nullptr),
             HookVerdict::kDefault);
-  EXPECT_EQ(aa.InodePermission(confined, "/etc/app.conf", inode, kMayWrite, &cacheable),
+  EXPECT_EQ(aa.InodePermission(confined, "/etc/app.conf", inode, kMayWrite, nullptr),
             HookVerdict::kDeny);
-  EXPECT_EQ(aa.InodePermission(confined, "/etc/shadow", inode, kMayRead, &cacheable), HookVerdict::kDeny);
+  EXPECT_EQ(aa.InodePermission(confined, "/etc/shadow", inode, kMayRead, nullptr), HookVerdict::kDeny);
   // Unconfined binaries are untouched.
-  EXPECT_EQ(aa.InodePermission(free_task, "/etc/shadow", inode, kMayRead, &cacheable),
+  EXPECT_EQ(aa.InodePermission(free_task, "/etc/shadow", inode, kMayRead, nullptr),
             HookVerdict::kDefault);
   EXPECT_GE(aa.denials().size(), 2u);
 }
@@ -120,9 +119,8 @@ TEST(AppArmorTest, ComplainModeLogsButAllows) {
   aa.LoadProfile(profile);
   Inode inode;
   inode.mode = kIfReg | 0666;
-  bool cacheable = true;
   Task task = MakeTask(1000, "/bin/learning");
-  EXPECT_EQ(aa.InodePermission(task, "/etc/anything", inode, kMayRead, &cacheable),
+  EXPECT_EQ(aa.InodePermission(task, "/etc/anything", inode, kMayRead, nullptr),
             HookVerdict::kDefault);
   EXPECT_EQ(aa.denials().size(), 1u);  // recorded anyway
 }

@@ -175,10 +175,6 @@ TEST(MetricsRegistryTest, LegacyCountersReadIdenticalValuesFromRegistry) {
   EXPECT_EQ(SampleValue(text, "protego_syscall_latency_ticks_count{syscall=\"getpid\"}"),
             static_cast<double>(getpid.lat_ticks.count()));
 
-  EXPECT_EQ(SampleValue(text, "protego_lsm_decision_cache_hits_total"),
-            static_cast<double>(kernel.lsm().decision_cache_hits()));
-  EXPECT_EQ(SampleValue(text, "protego_lsm_decision_cache_misses_total"),
-            static_cast<double>(kernel.lsm().decision_cache_misses()));
   EXPECT_EQ(SampleValue(text, "protego_policy_generation"),
             static_cast<double>(kernel.lsm().policy_generation()));
 

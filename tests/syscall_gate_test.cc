@@ -28,13 +28,11 @@ class SpyModule : public SecurityModule {
   }
 
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
-                              int may, bool* cacheable) override {
+                              int may, bool* /*unused*/) override {
     (void)task;
     (void)path;
     (void)inode;
     (void)may;
-    // Keep the spy's counters exact: a cached verdict would skip this body.
-    *cacheable = false;
     inode_permission_calls++;
     return HookVerdict::kDefault;
   }
@@ -413,11 +411,12 @@ TEST(SyscallGateProcTest, StatsAndTraceExposedUnderProc) {
   Task& alice = sim.Login("alice");
   (void)sim.kernel().GetPid(alice);
 
-  // syscall_stats is world-readable and nonzero once anything ran.
-  auto stats = sim.kernel().ReadWholeFile(alice, "/proc/protego/syscall_stats");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats.value().find("getpid"), std::string::npos);
-  EXPECT_NE(stats.value().find("total: calls="), std::string::npos);
+  // The per-syscall counters are world-readable in the metrics file and
+  // nonzero once anything ran.
+  auto metrics = sim.kernel().ReadWholeFile(alice, "/proc/protego/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics.value().find("protego_syscall_calls_total{syscall=\"getpid\"} 1\n"),
+            std::string::npos);
 
   // The trace ring is root-only.
   EXPECT_EQ(sim.kernel().ReadWholeFile(alice, "/proc/protego/trace").code(), Errno::kEACCES);

@@ -195,7 +195,7 @@ TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   EXPECT_EQ(s.seccomp_denied, 1u);
   // ...but EXCLUDED from the latency distribution (the body never ran).
   EXPECT_EQ(s.lat_ticks.count(), s.calls - s.seccomp_denied);
-  EXPECT_EQ(s.total_ticks, 0u);
+  EXPECT_EQ(s.lat_ticks.sum(), 0u);
 
   // Trace: a span root with the seccomp flag and EPERM — stats and trace
   // agree on the count.
@@ -288,9 +288,6 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
 TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   SimSystem sys(SimMode::kProtego);
   Kernel& kernel = sys.kernel();
-  // The test asserts cache=miss/cache=hit dispositions; force the cache on
-  // despite the small policy tables (the adaptive bypass would skip it).
-  kernel.lsm().set_cache_bypass_enabled(false);
   Task& alice = sys.Login("alice");
 
   kernel.syscalls().ClearTrace();
@@ -304,7 +301,7 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   ASSERT_NE(root_pos, std::string::npos) << text;
 
   // Under it, in order: each LSM module's verdict for sb_mount, then the
-  // stack's combined decision with its cache disposition.
+  // stack's combined decision.
   size_t hook_pos = text.find("  ", root_pos);
   ASSERT_NE(hook_pos, std::string::npos);
   size_t module_pos = text.find("lsm:sb_mount module=", root_pos);
@@ -312,14 +309,6 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   ASSERT_NE(module_pos, std::string::npos) << text;
   ASSERT_NE(decision_pos, std::string::npos) << text;
   EXPECT_LT(module_pos, decision_pos);
-  EXPECT_NE(text.find("cache=miss", root_pos), std::string::npos);
-
-  // Same mount again from the same task: the decision cache answers, and
-  // the trace says so.
-  auto again = kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {});
-  ASSERT_EQ(again.code(), Errno::kEPERM);
-  text = kernel.syscalls().FormatTrace();
-  EXPECT_NE(text.find("cache=hit"), std::string::npos) << text;
 }
 
 // Proc-level plumbing for the trace control file.

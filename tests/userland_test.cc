@@ -18,7 +18,7 @@ TEST(Eject, UnmountsMountedMediaInBothModes) {
     ASSERT_EQ(sys.RunCapture(alice, "/bin/mount", {"mount", "/dev/cdrom"}).exit_code, 0);
     auto out = sys.RunCapture(alice, "/usr/bin/eject", {"eject", "/dev/cdrom"});
     EXPECT_EQ(out.exit_code, 0) << SimModeName(mode) << out.err;
-    EXPECT_EQ(sys.kernel().vfs().FindMount("/media/cdrom"), nullptr);
+    EXPECT_FALSE(sys.kernel().vfs().FindMount("/media/cdrom").has_value());
   }
 }
 

@@ -68,10 +68,8 @@ TEST(VfsMounts, MountCoversAndUmountUncovers) {
                   .ok());
   EXPECT_EQ(vfs.ReadFile("/mnt/cd/f").value(), "on-media");
   EXPECT_EQ(vfs.ReadFile("/mnt/cd/shadowed").code(), Errno::kENOENT);
-  const MountEntry* entry = vfs.FindMount("/mnt/cd");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->mounter, 1000u);
-  EXPECT_EQ(entry->fstype, "iso9660");
+  EXPECT_EQ(vfs.FindMount("/mnt/cd"), std::optional<Uid>(1000u));
+  EXPECT_EQ(vfs.FormatMounts(), "/dev/cdrom /mnt/cd iso9660 ro 1000\n");
   // PathOf works across the mount boundary.
   auto node = vfs.Resolve("/mnt/cd/f");
   EXPECT_EQ(vfs.PathOf(node.value()), "/mnt/cd/f");
