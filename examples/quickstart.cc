@@ -3,11 +3,35 @@
 //
 //   $ ./build/examples/quickstart
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <string>
 
 #include "src/sim/system.h"
 
 using namespace protego;
+
+namespace {
+
+// The lines of a /proc/protego/metrics dump that start with one of `prefixes`.
+std::string MetricLines(const std::string& text, std::initializer_list<const char*> prefixes) {
+  std::string out;
+  for (size_t pos = 0; pos < text.size();) {
+    size_t nl = std::min(text.find('\n', pos), text.size());
+    std::string line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    for (const char* prefix : prefixes) {
+      if (line.rfind(prefix, 0) == 0) {
+        out += line + "\n";
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 int main() {
   std::printf("Booting a Protego system (kernel + LSM + trusted services + userland)...\n");
@@ -35,10 +59,15 @@ int main() {
   std::printf("\n$ mount /dev/cdrom /etc   (direct syscall)\n  -> %s\n",
               bad.ok() ? "allowed?!" : bad.error().ToString().c_str());
 
-  // 4. The kernel's view of its own decisions.
+  // 4. The kernel's view of its own decisions: Protego's policy counters,
+  // the policy generation and the fail-closed tallies.
   Task& root = sys.Login("root");
-  auto status = sys.kernel().ReadWholeFile(root, "/proc/protego/status");
-  std::printf("\n/proc/protego/status:\n%s", status.value_or("<unreadable>").c_str());
+  auto metrics = sys.kernel().ReadWholeFile(root, "/proc/protego/metrics");
+  std::printf("\n/proc/protego/metrics (decisions):\n%s",
+              MetricLines(metrics.value_or(""),
+                          {"protego_policy_decisions_total", "protego_policy_generation",
+                           "protego_lsm_fail_closed_total", "protego_netfilter_fail_closed_total"})
+                  .c_str());
 
   // 5. WHY was that mount refused? Every syscall opens a decision span;
   // /proc/protego/trace renders the full derivation tree — the strace-shaped
@@ -52,21 +81,12 @@ int main() {
               trace.value_or("<unreadable>").c_str());
   (void)sys.kernel().WriteWholeFile(root, "/proc/protego/trace", "?");
 
-  // 6. And the same counters as Prometheus metrics (excerpt). Every syscall
-  // above went through the unified entry path, which counts and times it.
-  auto metrics = sys.kernel().ReadWholeFile(root, "/proc/protego/metrics");
-  std::string excerpt;
-  size_t lines = 0;
-  for (size_t pos = 0; pos < metrics.value_or("").size() && lines < 12;) {
-    size_t nl = metrics.value().find('\n', pos);
-    std::string line = metrics.value().substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.rfind("protego_policy_decisions_total", 0) == 0 ||
-        line.rfind("protego_syscall_latency_ticks_bucket{syscall=\"mount\"", 0) == 0) {
-      excerpt += line + "\n";
-      ++lines;
-    }
-  }
-  std::printf("\n/proc/protego/metrics (excerpt):\n%s", excerpt.c_str());
+  // 6. Every syscall above went through the unified entry path, which
+  // counts and times it: mount(2)'s latency histogram.
+  metrics = sys.kernel().ReadWholeFile(root, "/proc/protego/metrics");
+  std::printf("\n/proc/protego/metrics (mount latency):\n%s",
+              MetricLines(metrics.value_or(""),
+                          {"protego_syscall_latency_ticks_bucket{syscall=\"mount\""})
+                  .c_str());
   return 0;
 }

@@ -31,37 +31,8 @@ const char* LayerName(Layer layer) {
   return "?";
 }
 
-LayerProfiler::LayerProfiler() {
-  static std::atomic<uint64_t> next_profiler_id{1};
-  id_ = next_profiler_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-LayerProfiler::Shard& LayerProfiler::MyShard() {
-  struct TlCache {
-    uint64_t profiler_id = 0;
-    Shard* shard = nullptr;
-  };
-  thread_local TlCache cache;
-  if (cache.profiler_id == id_) {
-    return *cache.shard;
-  }
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  std::thread::id me = std::this_thread::get_id();
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    if (s->owner == me) {
-      cache = {id_, s.get()};
-      return *s;
-    }
-  }
-  shards_.push_back(std::make_unique<Shard>());
-  Shard& shard = *shards_.back();
-  shard.owner = me;
-  cache = {id_, &shard};
-  return shard;
-}
-
 void LayerProfiler::Enter(Layer layer) {
-  Shard& shard = MyShard();
+  Shard& shard = shards_.Mine();
   if (shard.depth >= kMaxDepth) {
     // Too deep to attribute: count the drop but keep the stack balanced by
     // tracking the phantom depth (Exit decrements it back).
@@ -79,7 +50,7 @@ void LayerProfiler::Enter(Layer layer) {
 }
 
 void LayerProfiler::Exit() {
-  Shard& shard = MyShard();
+  Shard& shard = shards_.Mine();
   if (shard.depth == 0) {
     return;  // unbalanced Exit (enable raced a scope); tolerate
   }
@@ -90,10 +61,7 @@ void LayerProfiler::Exit() {
   Frame& f = shard.stack[shard.depth];
   uint64_t dur = MonotonicNanos() - f.start_ns;
   uint64_t self = dur > f.child_ns ? dur - f.child_ns : 0;
-  PerLayer& layer = shard.layers[static_cast<size_t>(f.layer)];
-  layer.count.fetch_add(1, std::memory_order_relaxed);
-  layer.self_ns.fetch_add(self, std::memory_order_relaxed);
-  layer.self_ns_hist.Observe(self);
+  shard.self_ns[static_cast<size_t>(f.layer)].Observe(self);
   Fold(shard, f.path, self);
   if (shard.depth == 0) {
     shard.root_ns.fetch_add(dur, std::memory_order_relaxed);
@@ -143,59 +111,51 @@ std::string LayerProfiler::PathString(uint64_t path) {
 
 LayerProfiler::LayerTotals LayerProfiler::Totals(Layer layer) const {
   LayerTotals out;
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const PerLayer& pl = shard->layers[static_cast<size_t>(layer)];
-    out.count += pl.count.load(std::memory_order_relaxed);
-    out.self_ns += pl.self_ns.load(std::memory_order_relaxed);
-    out.self_ns_hist.Merge(pl.self_ns_hist);
-  }
+  shards_.ForEach([&](const Shard& shard) {
+    out.self_ns_hist.Merge(shard.self_ns[static_cast<size_t>(layer)]);
+  });
+  out.count = out.self_ns_hist.count();
+  out.self_ns = out.self_ns_hist.sum();
   return out;
 }
 
 uint64_t LayerProfiler::root_ns() const {
   uint64_t total = 0;
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->root_ns.load(std::memory_order_relaxed);
-  }
+  shards_.ForEach([&](const Shard& shard) {
+    total += shard.root_ns.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 uint64_t LayerProfiler::root_count() const {
   uint64_t total = 0;
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->root_count.load(std::memory_order_relaxed);
-  }
+  shards_.ForEach([&](const Shard& shard) {
+    total += shard.root_count.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 uint64_t LayerProfiler::dropped() const {
   uint64_t total = 0;
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->dropped.load(std::memory_order_relaxed);
-  }
+  shards_.ForEach([&](const Shard& shard) {
+    total += shard.dropped.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 std::vector<LayerProfiler::FoldedEntry> LayerProfiler::Folded() const {
   std::map<uint64_t, FoldedEntry> merged;
-  {
-    std::lock_guard<std::mutex> lk(shards_mu_);
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      for (const FoldedCell& cell : shard->folded) {
-        uint64_t path = cell.path.load(std::memory_order_relaxed);
-        if (path == 0) {
-          continue;
-        }
-        FoldedEntry& e = merged[path];
-        e.count += cell.count.load(std::memory_order_relaxed);
-        e.self_ns += cell.self_ns.load(std::memory_order_relaxed);
+  shards_.ForEach([&](const Shard& shard) {
+    for (const FoldedCell& cell : shard.folded) {
+      uint64_t path = cell.path.load(std::memory_order_relaxed);
+      if (path == 0) {
+        continue;
       }
+      FoldedEntry& e = merged[path];
+      e.count += cell.count.load(std::memory_order_relaxed);
+      e.self_ns += cell.self_ns.load(std::memory_order_relaxed);
     }
-  }
+  });
   std::vector<FoldedEntry> out;
   out.reserve(merged.size());
   for (auto& [path, entry] : merged) {
@@ -233,22 +193,19 @@ std::string LayerProfiler::FormatProfile() const {
 }
 
 void LayerProfiler::Reset() {
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (PerLayer& pl : shard->layers) {
-      pl.count.store(0, std::memory_order_relaxed);
-      pl.self_ns.store(0, std::memory_order_relaxed);
-      pl.self_ns_hist.Reset();
+  shards_.ForEach([](Shard& shard) {
+    for (Histogram& h : shard.self_ns) {
+      h.Reset();
     }
-    for (FoldedCell& cell : shard->folded) {
+    for (FoldedCell& cell : shard.folded) {
       cell.path.store(0, std::memory_order_relaxed);
       cell.count.store(0, std::memory_order_relaxed);
       cell.self_ns.store(0, std::memory_order_relaxed);
     }
-    shard->root_ns.store(0, std::memory_order_relaxed);
-    shard->root_count.store(0, std::memory_order_relaxed);
-    shard->dropped.store(0, std::memory_order_relaxed);
-  }
+    shard.root_ns.store(0, std::memory_order_relaxed);
+    shard.root_count.store(0, std::memory_order_relaxed);
+    shard.dropped.store(0, std::memory_order_relaxed);
+  });
 }
 
 void LayerProfiler::CollectMetrics(MetricsBuilder& b) const {

@@ -15,10 +15,8 @@
 // a folded-stack profile — the flamegraph input format, one line per
 // distinct path with its hit count and self nanoseconds.
 //
-// Shard discipline mirrors the Tracer: one shard per emitting thread with a
-// single writer, created under a mutex on first use and found through a
-// thread-local one-entry cache keyed on the profiler's process-unique id.
-// All accumulators are relaxed atomics, so a metrics scrape racing live
+// Accumulators live on ThreadShards: one single-writer shard per emitting
+// thread. All of them are relaxed atomics, so a metrics scrape racing live
 // frames reads torn-free values; exact totals (like the trace ring) expect
 // emitters to be quiescent. The folded table is open-addressed with a fixed
 // slot count — no rehash, no allocation, no reader/writer UB — and paths
@@ -40,13 +38,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/metrics.h"
+#include "src/base/thread_shards.h"
 
 namespace protego {
 
@@ -78,7 +74,7 @@ class LayerProfiler {
   // slots leave generous headroom; overflow is counted in dropped().
   static constexpr size_t kFoldedSlots = 128;
 
-  LayerProfiler();
+  LayerProfiler() = default;
   LayerProfiler(const LayerProfiler&) = delete;
   LayerProfiler& operator=(const LayerProfiler&) = delete;
 
@@ -135,12 +131,6 @@ class LayerProfiler {
     uint64_t path = 0;      // packed layer path, 4 bits per level
   };
 
-  struct PerLayer {
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> self_ns{0};
-    Histogram self_ns_hist;
-  };
-
   // One open-addressed folded-path cell. The owner thread is the only
   // writer; `path` is atomic so a concurrent reader never sees a torn key.
   struct FoldedCell {
@@ -150,24 +140,20 @@ class LayerProfiler {
   };
 
   struct Shard {
-    std::thread::id owner;
     Frame stack[kMaxDepth];
     size_t depth = 0;  // owner-thread only; may exceed kMaxDepth (overflow)
-    PerLayer layers[kLayerCount];
+    Histogram self_ns[kLayerCount];  // per-layer self time; count() = frames
     FoldedCell folded[kFoldedSlots];
     std::atomic<uint64_t> root_ns{0};
     std::atomic<uint64_t> root_count{0};
     std::atomic<uint64_t> dropped{0};
   };
 
-  Shard& MyShard();
   static void Fold(Shard& shard, uint64_t path, uint64_t self_ns);
   static std::string PathString(uint64_t path);
 
   std::atomic<bool> enabled_{false};
-  uint64_t id_;  // process-unique, for the thread-local shard cache
-  mutable std::mutex shards_mu_;  // guards shards_ growth
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ThreadShards<Shard> shards_;
 };
 
 // RAII layer frame. Engagement is decided ONCE at construction (profiler

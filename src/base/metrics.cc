@@ -192,95 +192,6 @@ std::string MetricsRegistry::PrometheusText() const {
   return out;
 }
 
-std::string MetricsRegistry::Json() const {
-  SnapshotBuilder snapshot;
-  for (const Collector& collect : SnapshotCollectors()) {
-    collect(snapshot);
-  }
-
-  auto json_escape = [](const std::string& v) {
-    std::string out;
-    for (char c : v) {
-      switch (c) {
-        case '\\': out += "\\\\"; break;
-        case '"': out += "\\\""; break;
-        case '\n': out += "\\n"; break;
-        default: out += c;
-      }
-    }
-    return out;
-  };
-  auto labels_json = [&](const MetricLabels& labels) {
-    std::string out = "{";
-    for (size_t i = 0; i < labels.size(); ++i) {
-      if (i > 0) {
-        out += ",";
-      }
-      out += StrFormat("\"%s\":\"%s\"", json_escape(labels[i].first).c_str(),
-                       json_escape(labels[i].second).c_str());
-    }
-    return out + "}";
-  };
-
-  std::string out = "{\"families\":[";
-  bool first_family = true;
-  for (const auto& [name, family] : snapshot.families()) {
-    if (!first_family) {
-      out += ",";
-    }
-    first_family = false;
-    out += StrFormat("{\"name\":\"%s\",\"type\":\"%s\",\"samples\":[", name.c_str(),
-                     FamilyTypeName(family.type));
-    for (size_t i = 0; i < family.samples.size(); ++i) {
-      const Sample& s = family.samples[i];
-      if (i > 0) {
-        out += ",";
-      }
-      if (family.type != FamilyType::kHistogram) {
-        out += StrFormat("{\"labels\":%s,\"value\":%s}", labels_json(s.labels).c_str(),
-                         FormatValue(s.value).c_str());
-        continue;
-      }
-      const Histogram& h = s.histogram;
-      out += StrFormat("{\"labels\":%s,\"count\":%llu,\"sum\":%llu,\"buckets\":[",
-                       labels_json(s.labels).c_str(), (unsigned long long)h.count(),
-                       (unsigned long long)h.sum());
-      bool first_bucket = true;
-      for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-        if (h.bucket(b) == 0) {
-          continue;
-        }
-        if (!first_bucket) {
-          out += ",";
-        }
-        first_bucket = false;
-        std::string le = b == Histogram::kBuckets - 1
-                             ? "\"+Inf\""
-                             : StrFormat("%llu", (unsigned long long)Histogram::BucketBound(b));
-        out += StrFormat("{\"le\":%s,\"n\":%llu}", le.c_str(),
-                         (unsigned long long)h.bucket(b));
-      }
-      out += "]";
-      if (!s.exemplars.empty()) {
-        out += ",\"exemplars\":[";
-        for (size_t e = 0; e < s.exemplars.size(); ++e) {
-          if (e > 0) {
-            out += ",";
-          }
-          out += StrFormat("{\"labels\":%s,\"value\":%llu}",
-                           labels_json(s.exemplars[e].labels).c_str(),
-                           (unsigned long long)s.exemplars[e].value);
-        }
-        out += "]";
-      }
-      out += "}";
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
 std::string MetricsRegistry::JsonExcerpt(size_t max_samples_per_family) const {
   SnapshotBuilder snapshot;
   for (const Collector& collect : SnapshotCollectors()) {

@@ -1,13 +1,13 @@
 // The metrics registry: counters, gauges, and log2-bucket latency histograms,
-// exported in Prometheus text exposition format (/proc/protego/metrics) and
-// as JSON (for the bench harness).
+// exported in Prometheus text exposition format (/proc/protego/metrics), plus
+// a bounded JSON excerpt for bench artifacts.
 //
-// Design: instrumented components keep their own flat-array hot-path storage
-// (the syscall gate's per-syscall counters, the LSM stack's per-hook tallies)
-// and register a *collector* callback here. Export walks the collectors and
-// assembles one consistent snapshot — so /proc/protego/metrics, the legacy
-// /proc files, and the C++ accessors all read the same underlying counters,
-// with zero extra cost on the syscall path.
+// Design: instrumented components keep their own hot-path storage (the
+// syscall gate's per-thread records, the LSM stack's per-hook tallies) and
+// register a *collector* callback here. Export walks the collectors and
+// assembles one consistent snapshot — so /proc/protego/metrics and the C++
+// accessors read the same underlying counters, with zero extra cost on the
+// syscall path.
 //
 // Histogram is the embeddable hot-path type: fixed power-of-two buckets
 // (0, 1, 2, 4, ..., 2^30, +Inf), one clz and three relaxed atomic
@@ -167,9 +167,6 @@ class MetricsRegistry {
   // label values, cumulative histogram buckets ending in le="+Inf" plus
   // _sum and _count. Families are emitted sorted by name.
   std::string PrometheusText() const;
-
-  // The same snapshot as JSON, for the bench harness.
-  std::string Json() const;
 
   // A stable, sorted, size-bounded JSON excerpt for embedding in bench
   // artifacts: families sorted by name, samples sorted by serialized

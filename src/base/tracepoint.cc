@@ -31,8 +31,6 @@ const char* TracepointName(TracepointId tp) {
 
 Tracer::Tracer(const Clock* clock, size_t capacity)
     : clock_(clock), capacity_(capacity) {
-  static std::atomic<uint64_t> next_tracer_id{1};
-  id_ = next_tracer_id.fetch_add(1, std::memory_order_relaxed);
   point_mask_.store((1u << kTracepointCount) - 1,
                     std::memory_order_relaxed);  // all points on at boot
   for (std::atomic<uint32_t>& rate : sample_rate_) {
@@ -67,7 +65,7 @@ bool Tracer::SampleKeep(TracepointId tp) {
   if (rate <= 1) {
     return true;
   }
-  Shard& shard = MyShard();
+  Shard& shard = shards_.Mine();
   uint64_t gen = sample_gen_.load(std::memory_order_relaxed);
   if (shard.sample_key != gen) {
     // Lazy (re)seed: every thread starts the identical stream from the
@@ -124,32 +122,9 @@ uint64_t Tracer::current_span(int pid) const {
   return it->second.back().id;
 }
 
-Tracer::Shard& Tracer::MyShard() {
-  struct TlCache {
-    uint64_t tracer_id = 0;
-    Shard* shard = nullptr;
-  };
-  thread_local TlCache cache;
-  if (cache.tracer_id == id_) {
-    return *cache.shard;
-  }
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  std::thread::id me = std::this_thread::get_id();
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    if (s->owner == me) {
-      cache = {id_, s.get()};
-      return *s;
-    }
-  }
-  shards_.push_back(std::make_unique<Shard>());
-  Shard& shard = *shards_.back();
-  shard.owner = me;
-  shard.ring.resize(capacity_);
-  cache = {id_, &shard};
-  return shard;
-}
-
-TraceEvent& Tracer::Emit(TracepointId tp, int pid) {
+TraceSlot Tracer::Emit(TracepointId tp, int pid) {
+  Shard& shard = shards_.Mine();
+  std::unique_lock<std::mutex> lock(shard.mu);
   uint64_t span = 0;
   uint64_t parent = 0;
   {
@@ -160,10 +135,10 @@ TraceEvent& Tracer::Emit(TracepointId tp, int pid) {
       parent = it->second.back().parent;
     }
   }
-  Shard& shard = MyShard();
-  uint64_t emitted = shard.emitted.load(std::memory_order_relaxed);
-  TraceEvent& ev = shard.ring[emitted % capacity_];
-  shard.emitted.store(emitted + 1, std::memory_order_relaxed);
+  if (shard.ring.empty()) {
+    shard.ring.resize(capacity_);
+  }
+  TraceEvent& ev = shard.ring[shard.emitted++ % capacity_];
   ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   ev.tick = clock_->Now();
   ev.span = span;
@@ -179,13 +154,13 @@ TraceEvent& Tracer::Emit(TracepointId tp, int pid) {
   ev.svalue = "";
   ev.comm.clear();
   ev.detail.clear();
-  return ev;
+  return TraceSlot(std::move(lock), &ev);
 }
 
-TraceEvent& Tracer::EmitSpanRoot(TracepointId tp, int pid, uint64_t span) {
-  TraceEvent& ev = Emit(tp, pid);
-  ev.span = span;
-  ev.parent = 0;
+TraceSlot Tracer::EmitSpanRoot(TracepointId tp, int pid, uint64_t span) {
+  TraceSlot ev = Emit(tp, pid);
+  ev->span = span;
+  ev->parent = 0;
   // The span is normally still open (roots are emitted at syscall exit,
   // just before EndSpan), so its parent is on `pid`'s open stack.
   std::lock_guard<std::mutex> lk(spans_mu_);
@@ -194,7 +169,7 @@ TraceEvent& Tracer::EmitSpanRoot(TracepointId tp, int pid, uint64_t span) {
     const std::vector<OpenSpan>& stack = sit->second;
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
       if (it->id == span) {
-        ev.parent = it->parent;
+        ev->parent = it->parent;
         break;
       }
     }
@@ -204,16 +179,13 @@ TraceEvent& Tracer::EmitSpanRoot(TracepointId tp, int pid, uint64_t span) {
 
 std::vector<TraceEvent> Tracer::Snapshot() const {
   std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lk(shards_mu_);
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      uint64_t emitted = shard->emitted.load(std::memory_order_relaxed);
-      uint64_t count = std::min<uint64_t>(emitted, capacity_);
-      for (uint64_t s = emitted - count; s < emitted; ++s) {
-        out.push_back(shard->ring[s % capacity_]);
-      }
+  shards_.ForEach([&](Shard& shard) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    uint64_t count = std::min<uint64_t>(shard.emitted, capacity_);
+    for (uint64_t s = shard.emitted - count; s < shard.emitted; ++s) {
+      out.push_back(shard.ring[s % capacity_]);
     }
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) { return a.seq < b.seq; });
   // Crop the merged view to the newest `capacity_` events so the single-
@@ -229,13 +201,13 @@ std::vector<TraceEvent> Tracer::Snapshot() const {
 }
 
 void Tracer::Clear() {
-  std::lock_guard<std::mutex> lk(shards_mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (TraceEvent& ev : shard->ring) {
+  shards_.ForEach([](Shard& shard) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    for (TraceEvent& ev : shard.ring) {
       ev = TraceEvent{};
     }
-    shard->emitted.store(0, std::memory_order_relaxed);
-  }
+    shard.emitted = 0;
+  });
   seq_.store(0, std::memory_order_relaxed);
   // next_span_ is NOT reset: spans may still be open (the very write(2)
   // performing the clear), and stale ids must never be reissued.

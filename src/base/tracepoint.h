@@ -15,12 +15,11 @@
 // call: the strace line plus the hook verdicts underneath it.
 //
 // Parallel mode: the ring is sharded per emitting thread (ftrace's per-CPU
-// buffers). Each shard has exactly one writer — the thread that owns it — so
-// the emission path takes no lock; a global atomic sequence counter gives
-// events a total order and Snapshot() merge-sorts the shards by it. Read
-// operations (Snapshot/Format/Clear) expect emitters to be quiescent, which
-// every caller guarantees by joining task threads first; the per-shard
-// emitted counters are atomic so concurrent metric reads stay clean.
+// buffers, on ThreadShards). Each shard has exactly one writer — the thread
+// that owns it — and a mutex that writer holds only while it fills one
+// event, so Snapshot/Format/Clear are safe during traffic; a global atomic
+// sequence counter gives events a total order and Snapshot() merge-sorts the
+// shards by it. Lock order: shard mutex, then the span map's mutex.
 //
 // Hot-path discipline: Enabled(tp) is a master-bit AND a per-point-bit test
 // (two relaxed loads, one branch) — the only cost when tracing is off. Event
@@ -35,14 +34,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/thread_shards.h"
 
 namespace protego {
 
@@ -92,6 +90,20 @@ struct TraceEvent {
   // Free-form payloads; assignment reuses the slot's capacity.
   std::string comm;
   std::string detail;  // syscall args, path, rule comment
+};
+
+// A claimed ring slot, returned by Tracer::Emit. It holds the slot's shard
+// lock until destroyed, so readers never copy a half-filled event: fill it
+// (ev->field = ...) and let it go. Never emit again while holding one.
+class TraceSlot {
+ public:
+  TraceSlot(std::unique_lock<std::mutex> lock, TraceEvent* ev)
+      : lock_(std::move(lock)), ev_(ev) {}
+  TraceEvent* operator->() const { return ev_; }
+
+ private:
+  std::unique_lock<std::mutex> lock_;
+  TraceEvent* ev_;
 };
 
 // Read-side filter for Format(), set via /proc/protego/trace writes
@@ -248,19 +260,16 @@ class Tracer {
 
   // Claims the calling thread's next shard slot, stamps seq/tick/pid and
   // `pid`'s current span, and resets the payload fields. Callers fill in the
-  // rest; the slot has a single writer (this thread), so filling it after
-  // return is race-free. Callers MUST gate on Enabled(tp) themselves.
-  TraceEvent& Emit(TracepointId tp, int pid);
+  // rest through the returned handle. Callers MUST gate on Enabled(tp)
+  // themselves.
+  TraceSlot Emit(TracepointId tp, int pid);
 
   // Emission variant for span roots (syscall exit): the event is stamped
   // with `span` itself (not the innermost open span) and with that span's
   // parent, so nested syscalls chain correctly.
-  TraceEvent& EmitSpanRoot(TracepointId tp, int pid, uint64_t span);
+  TraceSlot EmitSpanRoot(TracepointId tp, int pid, uint64_t span);
 
   // --- Read side -------------------------------------------------------------
-  //
-  // Snapshot/Format/Clear merge the shards; emitters must be quiescent
-  // (parallel-mode callers join their task threads first).
 
   // Retained events, merged across shards, oldest first.
   std::vector<TraceEvent> Snapshot() const;
@@ -289,31 +298,22 @@ class Tracer {
     uint64_t parent = 0;
   };
 
-  // One per-thread ring. `emitted` counts events this shard's owner wrote;
-  // it is atomic only so quiescent readers and concurrent metric exports
-  // load it cleanly — the owner is the sole writer. `sample_state` is the
+  // One per-thread ring, sized on first emission. `emitted` counts events
+  // this shard's owner (the sole writer) wrote. `sample_state` is the
   // thread's private splitmix64 stream, lazily (re)seeded when its
   // `sample_key` no longer matches the tracer's sampling generation.
   struct Shard {
-    std::thread::id owner;
+    std::mutex mu;  // guards ring and emitted
     std::vector<TraceEvent> ring;
-    std::atomic<uint64_t> emitted{0};
+    uint64_t emitted = 0;
     uint64_t sample_state = 0;
     uint64_t sample_key = 0;  // sampling generation the state was seeded for
   };
-
-  // The calling thread's shard, created on first emission. A thread-local
-  // single-entry cache keyed by the tracer's unique id (NOT its address —
-  // fleet runs create and destroy thousands of tracers, and a recycled
-  // address must not hit a stale cache entry) makes the common case two
-  // loads and a compare.
-  Shard& MyShard();
 
   void BumpConfigGen() { config_gen_.fetch_add(1, std::memory_order_relaxed); }
 
   const Clock* clock_;
   size_t capacity_;
-  uint64_t id_;  // process-unique tracer id for the thread-local shard cache
   std::atomic<bool> enabled_{true};
   std::atomic<uint32_t> point_mask_{0};
   std::atomic<uint64_t> config_gen_{1};  // any enable/sampling config change
@@ -323,8 +323,7 @@ class Tracer {
   std::atomic<uint32_t> sample_rate_[kTracepointCount] = {};
   std::atomic<uint64_t> sampled_out_[kTracepointCount] = {};
   std::atomic<uint64_t> seq_{0};  // next global sequence number
-  mutable std::mutex shards_mu_;  // guards shards_ growth
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ThreadShards<Shard> shards_;
   mutable std::mutex spans_mu_;  // guards open_spans_ and next_span_
   uint64_t next_span_ = 1;       // span ids survive Clear() (spans may be open)
   std::unordered_map<int, std::vector<OpenSpan>> open_spans_;  // keyed by pid

@@ -170,10 +170,10 @@ DetScheduler::Unit* DetScheduler::ChooseNext(Unit* self, bool self_runnable) {
 void DetScheduler::Activate(Unit* next, int from_pid) {
   ++steps_;
   if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kContextSwitch)) {
-    TraceEvent& ev = tracer_->Emit(TracepointId::kContextSwitch, next->pid);
-    ev.comm = SchedModeName(mode_);
-    ev.a = steps_;
-    ev.code = from_pid;
+    TraceSlot ev = tracer_->Emit(TracepointId::kContextSwitch, next->pid);
+    ev->comm = SchedModeName(mode_);
+    ev->a = steps_;
+    ev->code = from_pid;
   }
   current_pid_ = next->pid;
   next->active = true;

@@ -200,12 +200,12 @@ Errno FaultRegistry::Evaluate(FaultSite site, int hook) {
     delivered = st.injected.fetch_add(1, std::memory_order_relaxed) + 1;
   }
   if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kFaultInject)) {
-    TraceEvent& ev = tracer_->Emit(TracepointId::kFaultInject, tls_context_.pid);
-    ev.sname = FaultSiteName(site);
-    ev.sdetail = ErrnoName(c.error);
-    ev.code = static_cast<int>(c.error);
-    ev.flags = kTraceFlagDenied;
-    ev.a = delivered;
+    TraceSlot ev = tracer_->Emit(TracepointId::kFaultInject, tls_context_.pid);
+    ev->sname = FaultSiteName(site);
+    ev->sdetail = ErrnoName(c.error);
+    ev->code = static_cast<int>(c.error);
+    ev->flags = kTraceFlagDenied;
+    ev->a = delivered;
   }
   return c.error;
 }

@@ -87,6 +87,9 @@ void Kernel::CollectKernelMetrics(MetricsBuilder& b) const {
             net_.netfilter().evaluated());
   b.Counter("protego_netfilter_dropped_total", "Packets dropped by netfilter rules.", {},
             net_.netfilter().dropped());
+  b.Counter("protego_netfilter_fail_closed_total",
+            "Packets dropped because a fault was injected into netfilter.", {},
+            net_.netfilter().fail_closed_drops());
   b.Counter("protego_vfs_resolves_total", "VFS path resolutions since boot.", {},
             vfs_.resolves());
   b.Counter("protego_trace_events_total", "Trace events emitted since boot.", {},
@@ -204,12 +207,12 @@ bool Kernel::Capable(const Task& task, Capability cap) const {
   LayerScope lsm_scope(&profiler_, Layer::kLsm);
   bool ok = lsm_.Capable(task, cap);
   if (tracer_.ShouldEmit(TracepointId::kCapable)) {
-    TraceEvent& ev = tracer_.Emit(TracepointId::kCapable, task.pid);
-    ev.sname = CapabilityName(cap);
-    ev.a = static_cast<uint64_t>(cap);
-    ev.code = ok ? 1 : 0;
+    TraceSlot ev = tracer_.Emit(TracepointId::kCapable, task.pid);
+    ev->sname = CapabilityName(cap);
+    ev->a = static_cast<uint64_t>(cap);
+    ev->code = ok ? 1 : 0;
     if (!ok) {
-      ev.flags |= kTraceFlagDenied;
+      ev->flags |= kTraceFlagDenied;
     }
   }
   return ok;
@@ -257,21 +260,21 @@ Result<Unit> Kernel::CheckPermission(Task& task, const std::string& path, const 
                                      int may) {
   Result<Unit> r = CheckPermissionImpl(task, path, inode, may);
   if (tracer_.ShouldEmit(TracepointId::kVfsPermission)) {
-    TraceEvent& ev = tracer_.Emit(TracepointId::kVfsPermission, task.pid);
-    ev.detail = path;
-    ev.a = static_cast<uint64_t>(may);
-    ev.code = r.ok() ? 0 : static_cast<int>(r.code());
+    TraceSlot ev = tracer_.Emit(TracepointId::kVfsPermission, task.pid);
+    ev->detail = path;
+    ev->a = static_cast<uint64_t>(may);
+    ev->code = r.ok() ? 0 : static_cast<int>(r.code());
     if (!r.ok()) {
-      ev.flags |= kTraceFlagDenied;
+      ev->flags |= kTraceFlagDenied;
     }
   }
   return r;
 }
 
 void Kernel::EmitCredChange(const Task& task, const char* what, std::string detail) {
-  TraceEvent& ev = tracer_.Emit(TracepointId::kCredChange, task.pid);
-  ev.sname = what;
-  ev.detail = std::move(detail);
+  TraceSlot ev = tracer_.Emit(TracepointId::kCredChange, task.pid);
+  ev->sname = what;
+  ev->detail = std::move(detail);
 }
 
 Result<Unit> Kernel::CheckPermissionImpl(Task& task, const std::string& path, const Inode& inode,
@@ -696,12 +699,12 @@ void Kernel::EmitFileLockEvent(const Task& task, const char* op, const std::stri
   if (!tracer_.ShouldEmit(TracepointId::kFileLock)) {
     return;
   }
-  TraceEvent& ev = tracer_.Emit(TracepointId::kFileLock, task.pid);
-  ev.comm = task.comm;
-  ev.sname = op;
-  ev.detail = path;
-  ev.a = ino;
-  ev.svalue = outcome;
+  TraceSlot ev = tracer_.Emit(TracepointId::kFileLock, task.pid);
+  ev->comm = task.comm;
+  ev->sname = op;
+  ev->detail = path;
+  ev->a = ino;
+  ev->svalue = outcome;
 }
 
 void Kernel::ReleaseFileLocks(int pid) {

@@ -596,8 +596,6 @@ Result<SeccompFilter::Spec> SeccompFilter::ParseSpec(std::string_view text) {
 }
 
 SyscallGate::SyscallGate(const Clock* clock) : clock_(clock) {
-  static std::atomic<uint64_t> next_gate_id{1};
-  id_ = next_gate_id.fetch_add(1, std::memory_order_relaxed);
   // Default all-set: with no explicit syscall filter, the global toggles
   // alone decide, which is exactly the pre-dispatch behavior.
   traced_syscalls_.set();
@@ -614,7 +612,7 @@ void SyscallGate::RebuildDispatch(uint64_t tracer_gen) {
   // traced set): the reservoir annotates the latency HISTOGRAMS, which
   // cover every syscall, and must keep catching tails for calls whose
   // trace is filtered or sampled away.
-  bool exemplars = exemplars_enabled_ && tracer_ != nullptr && tracer_->enabled();
+  bool exemplars = tracer_ != nullptr && tracer_->enabled();
   for (size_t i = 0; i < kSysnoSlots; ++i) {
     uint8_t word = 0;
     if (tracing && traced_syscalls_[i]) {
@@ -637,10 +635,49 @@ void SyscallGate::RebuildDispatch(uint64_t tracer_gen) {
   built_tracer_gen_.store(tracer_gen, std::memory_order_relaxed);
 }
 
+SyscallGate::SyscallRecord& SyscallGate::MyRecord(Sysno nr) {
+  std::atomic<SyscallRecord*>& slot = shards_.Mine().records[static_cast<size_t>(nr)];
+  SyscallRecord* rec = slot.load(std::memory_order_relaxed);  // this thread stores it
+  if (rec == nullptr) {
+    rec = new SyscallRecord();
+    slot.store(rec, std::memory_order_release);
+  }
+  return *rec;
+}
+
+template <typename Fn>
+void SyscallGate::ForEachRecord(Sysno nr, Fn&& fn) const {
+  shards_.ForEach([&](GateShard& shard) {
+    SyscallRecord* rec = shard.records[static_cast<size_t>(nr)].load(std::memory_order_acquire);
+    if (rec != nullptr) {
+      fn(*rec);
+    }
+  });
+}
+
+SyscallGate::PerSyscall SyscallGate::stats(Sysno nr) const {
+  uint64_t errors = 0;
+  uint64_t denied = 0;
+  uint64_t rule_evals = 0;
+  Histogram lat_ticks;
+  Histogram lat_ns;
+  ForEachRecord(nr, [&](const SyscallRecord& rec) {
+    errors += rec.errors.load(std::memory_order_relaxed);
+    denied += rec.seccomp_denied.load(std::memory_order_relaxed);
+    rule_evals += rec.rule_evals.load(std::memory_order_relaxed);
+    lat_ticks.Merge(rec.lat_ticks);
+    lat_ns.Merge(rec.lat_ns);
+  });
+  // A prvalue aggregate: PerSyscall's atomics make it non-copyable.
+  return PerSyscall{lat_ticks.count() + denied, errors, denied, rule_evals, lat_ticks, lat_ns};
+}
+
 uint64_t SyscallGate::TotalCalls() const {
   uint64_t total = 0;
   for (Sysno nr : AllSysnos()) {
-    total += stats_[static_cast<size_t>(nr)].calls;
+    ForEachRecord(nr, [&](const SyscallRecord& rec) {
+      total += rec.lat_ticks.count() + rec.seccomp_denied.load(std::memory_order_relaxed);
+    });
   }
   return total;
 }
@@ -648,24 +685,23 @@ uint64_t SyscallGate::TotalCalls() const {
 void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
   uint64_t dur_ns = 0;
   uint64_t dur_ticks = clock_->Now() - ctx.start_tick;
-  // Lock-free stats path: relaxed atomic increments, no shared lock. In
-  // parallel mode every task thread retires syscalls through here.
-  PerSyscall& s = stats_[static_cast<size_t>(ctx.nr)];
-  s.calls.fetch_add(1, std::memory_order_relaxed);
+  // No shared lock and no shared cache line: in parallel mode every task
+  // thread retires syscalls into its own record.
+  SyscallRecord& rec = MyRecord(ctx.nr);
   if (err != Errno::kOk) {
-    s.errors.fetch_add(1, std::memory_order_relaxed);
+    rec.errors.fetch_add(1, std::memory_order_relaxed);
   }
-  s.lat_ticks.Observe(dur_ticks);
+  rec.lat_ticks.Observe(dur_ticks);
   if ((ctx.dispatch & kDispatchTimed) != 0) {
     dur_ns = MonotonicNanos() - ctx.start_ns;
-    s.lat_ns.Observe(dur_ns);
+    rec.lat_ns.Observe(dur_ns);
   }
   if ((ctx.dispatch & kDispatchTrace) != 0) {
     // Self-accounting: the trace emission and reservoir update are the
     // observability pipeline's own cost, metered under the observer layer.
     LayerScope observer_scope(profiler_, Layer::kObserver);
     if ((ctx.dispatch & kDispatchExemplar) != 0) {
-      RecordExemplar(ctx.nr, dur_ticks, dur_ns, ctx.span, ctx.pid);
+      RecordExemplar(rec, dur_ticks, dur_ns, ctx.span, ctx.pid);
     }
     RecordTrace(ctx, err, dur_ns, /*seccomp_denied=*/false);
   } else if ((ctx.dispatch & kDispatchExemplar) != 0) {
@@ -673,7 +709,7 @@ void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
     // No span to close and no root event to emit, so skip RecordTrace
     // entirely — the reservoir compare is the only observer work.
     LayerScope observer_scope(profiler_, Layer::kObserver);
-    RecordExemplar(ctx.nr, dur_ticks, dur_ns, ctx.span, ctx.pid);
+    RecordExemplar(rec, dur_ticks, dur_ns, ctx.span, ctx.pid);
   }
   Tracer::SwapThreadMute(ctx.prev_muted);
 }
@@ -682,10 +718,9 @@ void SyscallGate::RecordDenial(SyscallContext& ctx) {
   // Seccomp-killed semantic (see the header): the call is counted, but its
   // latency is not — the body never ran. Same reasoning excludes it from
   // the tail-exemplar reservoir.
-  PerSyscall& s = stats_[static_cast<size_t>(ctx.nr)];
-  s.calls.fetch_add(1, std::memory_order_relaxed);
-  s.errors.fetch_add(1, std::memory_order_relaxed);
-  s.seccomp_denied.fetch_add(1, std::memory_order_relaxed);
+  SyscallRecord& rec = MyRecord(ctx.nr);
+  rec.errors.fetch_add(1, std::memory_order_relaxed);
+  rec.seccomp_denied.fetch_add(1, std::memory_order_relaxed);
   {
     LayerScope observer_scope(profiler_, Layer::kObserver);
     RecordTrace(ctx, Errno::kEPERM, /*dur_ns=*/0, /*seccomp_denied=*/true);
@@ -703,71 +738,44 @@ void SyscallGate::RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns,
     return;
   }
   if ((ctx.dispatch & kDispatchTrace) != 0) {
-    TraceEvent& ev = tracer_->EmitSpanRoot(TracepointId::kSyscall, ctx.pid, ctx.span);
-    ev.a = static_cast<uint64_t>(ctx.nr);
-    ev.code = static_cast<int>(err);
-    ev.dur = dur_ns;
-    ev.tick = ctx.start_tick;
-    ev.sname = SysnoName(ctx.nr);
+    TraceSlot ev = tracer_->EmitSpanRoot(TracepointId::kSyscall, ctx.pid, ctx.span);
+    ev->a = static_cast<uint64_t>(ctx.nr);
+    ev->code = static_cast<int>(err);
+    ev->dur = dur_ns;
+    ev->tick = ctx.start_tick;
+    ev->sname = SysnoName(ctx.nr);
     if (seccomp_denied) {
-      ev.flags |= kTraceFlagSeccompDenied | kTraceFlagDenied;
+      ev->flags |= kTraceFlagSeccompDenied | kTraceFlagDenied;
     } else if (err != Errno::kOk) {
-      ev.flags |= kTraceFlagDenied;
+      ev->flags |= kTraceFlagDenied;
     }
     if (ctx.comm != nullptr) {
-      ev.comm.assign(*ctx.comm);  // reuses the slot's capacity
+      ev->comm.assign(*ctx.comm);  // reuses the slot's capacity
     } else {
-      ev.comm.assign("?");
+      ev->comm.assign("?");
     }
-    ev.detail = std::move(ctx.args);
+    ev->detail = std::move(ctx.args);
   }
   if (ctx.span != 0) {
     tracer_->EndSpan(ctx.pid, ctx.span);
   }
 }
 
-SyscallGate::ExemplarShard& SyscallGate::MyExemplarShard() {
-  struct TlCache {
-    uint64_t gate_id = 0;
-    ExemplarShard* shard = nullptr;
-  };
-  thread_local TlCache cache;
-  if (cache.gate_id == id_) {
-    return *cache.shard;
-  }
-  std::lock_guard<std::mutex> lk(exemplar_mu_);
-  std::thread::id me = std::this_thread::get_id();
-  for (const std::unique_ptr<ExemplarShard>& s : exemplar_shards_) {
-    if (s->owner == me) {
-      cache = {id_, s.get()};
-      return *s;
-    }
-  }
-  exemplar_shards_.push_back(std::make_unique<ExemplarShard>());
-  ExemplarShard& shard = *exemplar_shards_.back();
-  shard.owner = me;
-  cache = {id_, &shard};
-  return shard;
-}
-
-void SyscallGate::RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns,
+void SyscallGate::RecordExemplar(SyscallRecord& rec, uint64_t dur_ticks, uint64_t dur_ns,
                                  uint64_t span, int pid) {
-  ExemplarShard& shard = MyExemplarShard();
-  std::unique_ptr<SysnoExemplars>& slot = shard.per_sysno[static_cast<size_t>(nr)];
-  if (slot == nullptr) {
-    slot = std::make_unique<SysnoExemplars>();
+  SysnoExemplars& res = rec.exemplars;
+  // Warm-reservoir fast path, read without the lock because only this
+  // thread writes `used` and the min cache: STRICTLY slower than the cached
+  // minimum replaces it; ties keep the incumbent (earliest call wins), which
+  // is what makes the kept set deterministic under a deterministic clock.
+  if (res.used == kExemplarSlots &&
+      (dur_ticks < res.min_ticks || (dur_ticks == res.min_ticks && dur_ns <= res.min_ns))) {
+    return;
   }
-  SysnoExemplars& res = *slot;
+  std::lock_guard<std::mutex> lk(rec.exemplar_mu);
   if (res.used < kExemplarSlots) {
     res.slots[res.used++] = {dur_ticks, dur_ns, span, pid};
   } else {
-    // Warm-reservoir fast path: STRICTLY slower than the cached minimum
-    // replaces it; ties keep the incumbent (earliest call wins), which is
-    // what makes the kept set deterministic under a deterministic clock.
-    if (dur_ticks < res.min_ticks ||
-        (dur_ticks == res.min_ticks && dur_ns <= res.min_ns)) {
-      return;
-    }
     size_t min_idx = 0;
     for (size_t i = 1; i < kExemplarSlots; ++i) {
       const ExemplarRecord& a = res.slots[i];
@@ -796,18 +804,10 @@ void SyscallGate::RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns,
 
 std::vector<SyscallGate::ExemplarRecord> SyscallGate::ExemplarsFor(Sysno nr) const {
   std::vector<ExemplarRecord> all;
-  {
-    std::lock_guard<std::mutex> lk(exemplar_mu_);
-    for (const std::unique_ptr<ExemplarShard>& shard : exemplar_shards_) {
-      const std::unique_ptr<SysnoExemplars>& res = shard->per_sysno[static_cast<size_t>(nr)];
-      if (res == nullptr) {
-        continue;
-      }
-      for (size_t i = 0; i < res->used; ++i) {
-        all.push_back(res->slots[i]);
-      }
-    }
-  }
+  ForEachRecord(nr, [&](SyscallRecord& rec) {
+    std::lock_guard<std::mutex> lk(rec.exemplar_mu);
+    all.insert(all.end(), rec.exemplars.slots, rec.exemplars.slots + rec.exemplars.used);
+  });
   // Slowest first; span breaks ties so the merged top-K is stable.
   std::sort(all.begin(), all.end(), [](const ExemplarRecord& a, const ExemplarRecord& b) {
     if (a.dur_ticks != b.dur_ticks) return a.dur_ticks > b.dur_ticks;
@@ -851,19 +851,16 @@ void SyscallGate::ClearTrace() {
 }
 
 void SyscallGate::ResetStats() {
-  for (PerSyscall& s : stats_) {
-    s.calls.store(0, std::memory_order_relaxed);
-    s.errors.store(0, std::memory_order_relaxed);
-    s.seccomp_denied.store(0, std::memory_order_relaxed);
-    s.rule_evals.store(0, std::memory_order_relaxed);
-    s.lat_ticks.Reset();
-    s.lat_ns.Reset();
-  }
-  std::lock_guard<std::mutex> lk(exemplar_mu_);
-  for (const std::unique_ptr<ExemplarShard>& shard : exemplar_shards_) {
-    for (std::unique_ptr<SysnoExemplars>& res : shard->per_sysno) {
-      res.reset();
-    }
+  for (Sysno nr : AllSysnos()) {
+    ForEachRecord(nr, [](SyscallRecord& rec) {
+      rec.errors.store(0, std::memory_order_relaxed);
+      rec.seccomp_denied.store(0, std::memory_order_relaxed);
+      rec.rule_evals.store(0, std::memory_order_relaxed);
+      rec.lat_ticks.Reset();
+      rec.lat_ns.Reset();
+      std::lock_guard<std::mutex> lk(rec.exemplar_mu);
+      rec.exemplars = SysnoExemplars{};
+    });
   }
 }
 
@@ -873,7 +870,7 @@ std::string SyscallGate::FormatTrace() const {
 
 void SyscallGate::CollectMetrics(MetricsBuilder& b) const {
   for (Sysno nr : AllSysnos()) {
-    const PerSyscall& s = stats_[static_cast<size_t>(nr)];
+    const PerSyscall s = stats(nr);
     if (s.calls == 0) {
       continue;
     }

@@ -19,8 +19,8 @@
 //      only ever be narrowed, never widened or removed — intersecting two
 //      predicate filters conjoins their rule lists (cross product), so the
 //      result admits only calls both filters admitted.
-//   2. accounting — per-syscall hit/error counters and log2-bucket latency
-//      histograms (exported at /proc/protego/metrics).
+//   2. accounting — per-thread, per-syscall error counters and log2-bucket
+//      latency histograms, merged on read (exported at /proc/protego/metrics).
 //   3. tracing — each call opens a decision span on the kernel-wide Tracer;
 //      LSM/VFS/netfilter events emitted during the body are stamped with the
 //      span id, and the syscall's own record (the span root) is emitted at
@@ -32,10 +32,10 @@
 //   - trace: recorded as a span root with the seccomp_denied flag and EPERM;
 //   - latency: EXCLUDED from the histograms — the body never ran, so
 //     a duration would be meaningless and would skew the distributions.
-// So for any syscall: lat_ticks.count() == calls - seccomp_denied.
+// So for any syscall stats() derives calls = lat_ticks.count() + seccomp_denied.
 //
-// The gate is deliberately cheap: counters are flat arrays indexed by
-// syscall number, trace slots are preallocated and reused, and argument
+// The gate is deliberately cheap: each thread writes only its own
+// per-syscall records, trace slots are preallocated and reused, and argument
 // strings are only materialized when the syscall tracepoint is enabled.
 //
 // Per-syscall dispatch: instead of re-deriving "is tracing on? is this
@@ -69,12 +69,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -82,6 +80,7 @@
 #include "src/base/clock.h"
 #include "src/base/metrics.h"
 #include "src/base/result.h"
+#include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/kernel/sched_iface.h"
@@ -311,10 +310,10 @@ class SyscallGate {
   // Tail-exemplar reservoir depth: the K slowest calls kept per syscall.
   static constexpr size_t kExemplarSlots = 4;
 
-  // All fields are relaxed atomics: in parallel mode N task threads retire
-  // syscalls concurrently, and the stats path must stay lock-free. Readers
-  // (stats export, /proc) see per-field-consistent totals, which is the same
-  // contract /proc/stat offers on SMP Linux.
+  // One syscall's totals merged across threads, returned by value from
+  // stats(). Readers see per-field-consistent totals, the contract
+  // /proc/stat offers on SMP Linux. The fields are atomics only so callers
+  // written against live counters (`.calls.load(...)`) keep compiling.
   struct PerSyscall {
     std::atomic<uint64_t> calls{0};
     std::atomic<uint64_t> errors{0};          // calls that returned a nonzero errno
@@ -457,15 +456,6 @@ class SyscallGate {
     BumpLocalGen();
   }
 
-  // Tail-exemplar reservoir toggle (on by default; costs one compare per
-  // call once a syscall's reservoir is warm). Requires a tracer (exemplars
-  // ride the tracer's master switch so a fully-off tracer pays nothing).
-  bool exemplars_enabled() const { return exemplars_enabled_; }
-  void set_exemplars_enabled(bool on) {
-    exemplars_enabled_ = on;
-    BumpLocalGen();
-  }
-
   // One kept tail exemplar: the slowest calls per syscall, with enough
   // identity (span, pid) to cross-reference the trace.
   struct ExemplarRecord {
@@ -474,8 +464,8 @@ class SyscallGate {
     uint64_t span = 0;
     int pid = 0;
   };
-  // Top-K exemplars for one syscall, slowest first (merged across thread
-  // shards; exact when emitters are quiescent, like TraceSnapshot).
+  // Top-K exemplars for one syscall, slowest first, merged across threads.
+  // The reservoir rides the tracer's master switch.
   std::vector<ExemplarRecord> ExemplarsFor(Sysno nr) const;
 
   // Resolves the dispatch word for one syscall number, rebuilding the table
@@ -511,7 +501,7 @@ class SyscallGate {
     return has_recorder_.load(std::memory_order_relaxed);
   }
 
-  const PerSyscall& stats(Sysno nr) const { return stats_[static_cast<size_t>(nr)]; }
+  PerSyscall stats(Sysno nr) const;
   uint64_t TotalCalls() const;
 
   // Trace records (syscall span roots only), oldest first.
@@ -523,6 +513,7 @@ class SyscallGate {
 
   // The /proc/protego/trace body.
   std::string FormatTrace() const;
+  // Zeroes every record in place (emitters must be quiescent).
   void ResetStats();
 
   // Reports per-syscall counters and latency histograms to the metrics
@@ -576,8 +567,7 @@ class SyscallGate {
       uint32_t evals = 0;
       denied = !task.seccomp->AllowsArgs(nr, sargs, &evals);
       if (evals != 0) {
-        stats_[static_cast<size_t>(nr)].rule_evals.fetch_add(evals,
-                                                             std::memory_order_relaxed);
+        MyRecord(nr).rule_evals.fetch_add(evals, std::memory_order_relaxed);
       }
     }
     if (denied) {
@@ -710,12 +700,28 @@ class SyscallGate {
     uint64_t min_ticks = 0;
     uint64_t min_ns = 0;
   };
-  // Per-thread exemplar shard (single writer, same discipline as the
-  // Tracer's ring shards): per-sysno reservoirs allocated lazily, so a
-  // thread that never calls mount never pays for a mount reservoir.
-  struct ExemplarShard {
-    std::thread::id owner;
-    std::unique_ptr<SysnoExemplars> per_sysno[kSysnoSlots];
+  // One thread's record of one syscall. Only that thread writes it; readers
+  // merge the relaxed counters, and take exemplar_mu to copy the reservoir,
+  // whose slots and fill count change only under it.
+  struct alignas(64) SyscallRecord {
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> seccomp_denied{0};
+    std::atomic<uint64_t> rule_evals{0};
+    Histogram lat_ticks;
+    Histogram lat_ns;
+    std::mutex exemplar_mu;
+    SysnoExemplars exemplars;
+  };
+  // One thread's records by syscall number, each allocated on its first call
+  // and published with a release store (a thread that never calls mount
+  // never pays for a mount record); they live as long as the gate.
+  struct GateShard {
+    std::atomic<SyscallRecord*> records[kSysnoSlots] = {};
+    ~GateShard() {
+      for (std::atomic<SyscallRecord*>& rec : records) {
+        delete rec.load(std::memory_order_relaxed);
+      }
+    }
   };
 
   // The caller-side identity of one syscall, captured at entry (see Run).
@@ -780,9 +786,11 @@ class SyscallGate {
   // and closes the span.
   void RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns, bool seccomp_denied);
   // Offers one completed call to the calling thread's tail reservoir.
-  void RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns, uint64_t span,
-                      int pid);
-  ExemplarShard& MyExemplarShard();
+  static void RecordExemplar(SyscallRecord& rec, uint64_t dur_ticks, uint64_t dur_ns,
+                             uint64_t span, int pid);
+  SyscallRecord& MyRecord(Sysno nr);
+  template <typename Fn>
+  void ForEachRecord(Sysno nr, Fn&& fn) const;
 
   void BumpLocalGen() { local_gen_.fetch_add(1, std::memory_order_relaxed); }
   void RebuildDispatch(uint64_t tracer_gen);
@@ -794,8 +802,7 @@ class SyscallGate {
   LayerProfiler* profiler_ = nullptr;
   bool enabled_ = true;
   bool wallclock_timing_ = false;
-  bool exemplars_enabled_ = true;
-  PerSyscall stats_[kSysnoSlots] = {};
+  ThreadShards<GateShard> shards_;
   std::function<void(std::string)> audit_sink_;
   SyscallRecorder recorder_;
   std::atomic<bool> has_recorder_{false};
@@ -803,8 +810,8 @@ class SyscallGate {
   // --- Dispatch table ---------------------------------------------------------
   // dispatch_[nr] is the resolved word; the two built_* generations record
   // the configuration it was built from. local_gen_ covers gate-local knobs
-  // (bitsets, timing, exemplars); the tracer's config_gen covers the master
-  // switch, the point mask, and sample rates.
+  // (bitsets, timing); the tracer's config_gen covers the master switch, the
+  // point mask, and sample rates.
   std::atomic<uint8_t> dispatch_[kSysnoSlots] = {};
   std::atomic<uint64_t> local_gen_{1};
   std::atomic<uint64_t> built_local_gen_{0};
@@ -812,11 +819,6 @@ class SyscallGate {
   mutable std::mutex dispatch_mu_;  // guards the bitsets and rebuilds
   std::bitset<kSysnoSlots> traced_syscalls_;
   std::bitset<kSysnoSlots> timed_syscalls_;
-
-  // --- Exemplar reservoir -----------------------------------------------------
-  uint64_t id_;  // process-unique, for the thread-local shard cache
-  mutable std::mutex exemplar_mu_;  // guards exemplar_shards_ growth + reads
-  std::vector<std::unique_ptr<ExemplarShard>> exemplar_shards_;
 };
 
 }  // namespace protego

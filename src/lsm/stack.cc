@@ -103,13 +103,13 @@ void LsmStack::TraceModule(LsmHook hook, const SecurityModule& module, HookVerdi
   if (!tracer_->SampleKeep(TracepointId::kLsmHook)) {
     return;
   }
-  TraceEvent& ev = tracer_->Emit(TracepointId::kLsmHook, pid);
-  ev.a = static_cast<uint64_t>(hook);
-  ev.sname = LsmHookName(hook);
-  ev.sdetail = module.name();
-  ev.svalue = HookVerdictName(v);
+  TraceSlot ev = tracer_->Emit(TracepointId::kLsmHook, pid);
+  ev->a = static_cast<uint64_t>(hook);
+  ev->sname = LsmHookName(hook);
+  ev->sdetail = module.name();
+  ev->svalue = HookVerdictName(v);
   if (v == HookVerdict::kDeny) {
-    ev.flags |= kTraceFlagDenied;
+    ev->flags |= kTraceFlagDenied;
   }
 }
 
@@ -117,12 +117,12 @@ void LsmStack::TraceDecision(LsmHook hook, HookVerdict combined, int pid) const 
   if (tracer_ == nullptr || !tracer_->ShouldEmit(TracepointId::kLsmDecision)) {
     return;
   }
-  TraceEvent& ev = tracer_->Emit(TracepointId::kLsmDecision, pid);
-  ev.a = static_cast<uint64_t>(hook);
-  ev.sname = LsmHookName(hook);
-  ev.svalue = HookVerdictName(combined);
+  TraceSlot ev = tracer_->Emit(TracepointId::kLsmDecision, pid);
+  ev->a = static_cast<uint64_t>(hook);
+  ev->sname = LsmHookName(hook);
+  ev->svalue = HookVerdictName(combined);
   if (combined == HookVerdict::kDeny) {
-    ev.flags |= kTraceFlagDenied;
+    ev->flags |= kTraceFlagDenied;
   }
 }
 
@@ -179,7 +179,10 @@ HookVerdict LsmStack::Dispatch(LsmHook hook, int pid, Call&& call) const {
   if (FaultDeny(hook, pid)) {
     return HookVerdict::kDeny;
   }
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
+  // An untraced syscall mutes its thread (Tracer::ShouldEmit): its module
+  // verdicts would be orphans costing a span-map lock and a ring slot each.
+  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook) &&
+                           !Tracer::ThreadMuted();
   HookVerdict acc = HookVerdict::kDefault;
   for (size_t i = 0; i < modules_.size(); ++i) {
     HookVerdict v = call(*modules_[i]);

@@ -124,8 +124,8 @@ class LsmStack {
   void CollectMetrics(MetricsBuilder& b) const;
 
   // Monotonic counter bumped on every successful policy swap; starts at 1.
-  // Exported in /proc/protego/status and as a metrics gauge, and checked by
-  // the swap-rollback tests (a failed swap must leave it unchanged).
+  // Exported as the protego_policy_generation gauge, and checked by the
+  // swap-rollback tests (a failed swap must leave it unchanged).
   uint64_t policy_generation() const {
     return policy_generation_.load(std::memory_order_acquire);
   }

@@ -110,11 +110,11 @@ NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     fail_closed_drops_.fetch_add(1, std::memory_order_relaxed);
     if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kNetfilter)) {
-      TraceEvent& ev = tracer_->Emit(TracepointId::kNetfilter, 0);
-      ev.sname = ChainName(chain);
-      ev.sdetail = "DROP";
-      ev.flags |= kTraceFlagDenied;
-      ev.detail = "(fail-closed: fault injected)";
+      TraceSlot ev = tracer_->Emit(TracepointId::kNetfilter, 0);
+      ev->sname = ChainName(chain);
+      ev->sdetail = "DROP";
+      ev->flags |= kTraceFlagDenied;
+      ev->detail = "(fail-closed: fault injected)";
     }
     return NfVerdict::kDrop;
   }
@@ -128,22 +128,22 @@ NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
         dropped_.fetch_add(1, std::memory_order_relaxed);
       }
       if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kNetfilter)) {
-        TraceEvent& ev = tracer_->Emit(TracepointId::kNetfilter, 0);
-        ev.sname = ChainName(chain);
-        ev.sdetail = rule.verdict == NfVerdict::kDrop ? "DROP" : "ACCEPT";
+        TraceSlot ev = tracer_->Emit(TracepointId::kNetfilter, 0);
+        ev->sname = ChainName(chain);
+        ev->sdetail = rule.verdict == NfVerdict::kDrop ? "DROP" : "ACCEPT";
         if (rule.verdict == NfVerdict::kDrop) {
-          ev.flags |= kTraceFlagDenied;
+          ev->flags |= kTraceFlagDenied;
         }
-        ev.detail = rule.comment;
+        ev->detail = rule.comment;
       }
       return rule.verdict;
     }
   }
   if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kNetfilter)) {
-    TraceEvent& ev = tracer_->Emit(TracepointId::kNetfilter, 0);
-    ev.sname = ChainName(chain);
-    ev.sdetail = "ACCEPT";
-    ev.detail = "(default policy)";
+    TraceSlot ev = tracer_->Emit(TracepointId::kNetfilter, 0);
+    ev->sname = ChainName(chain);
+    ev->sdetail = "ACCEPT";
+    ev->detail = "(default policy)";
   }
   return NfVerdict::kAccept;  // default policy
 }

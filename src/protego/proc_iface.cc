@@ -326,42 +326,6 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   };
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/userdb", 0600, std::move(userdb_ops)));
 
-  SyntheticOps status_ops;
-  status_ops.read = [kernel, lsm]() {
-    const ProtegoStats& s = lsm->stats();
-    std::string out;
-    out += StrFormat("mount_allowed %llu\n", (unsigned long long)s.mount_allowed);
-    out += StrFormat("mount_denied %llu\n", (unsigned long long)s.mount_denied);
-    out += StrFormat("umount_allowed %llu\n", (unsigned long long)s.umount_allowed);
-    out += StrFormat("umount_denied %llu\n", (unsigned long long)s.umount_denied);
-    out += StrFormat("bind_allowed %llu\n", (unsigned long long)s.bind_allowed);
-    out += StrFormat("bind_denied %llu\n", (unsigned long long)s.bind_denied);
-    out += StrFormat("setuid_allowed %llu\n", (unsigned long long)s.setuid_allowed);
-    out += StrFormat("setuid_deferred %llu\n", (unsigned long long)s.setuid_deferred);
-    out += StrFormat("setuid_denied %llu\n", (unsigned long long)s.setuid_denied);
-    out += StrFormat("exec_transitions %llu\n", (unsigned long long)s.exec_transitions);
-    out += StrFormat("exec_denied %llu\n", (unsigned long long)s.exec_denied);
-    out += StrFormat("raw_sockets_allowed %llu\n", (unsigned long long)s.raw_sockets_allowed);
-    out += StrFormat("route_allowed %llu\n", (unsigned long long)s.route_allowed);
-    out += StrFormat("route_denied %llu\n", (unsigned long long)s.route_denied);
-    out += StrFormat("file_delegations %llu\n", (unsigned long long)s.file_delegations);
-    out += StrFormat("reauth_reads %llu\n", (unsigned long long)s.reauth_reads);
-    out += StrFormat("audit_dropped %llu\n", (unsigned long long)kernel->audit_dropped());
-    // The generation every successful policy swap bumps.
-    out += StrFormat("policy_generation %llu\n",
-                     (unsigned long long)kernel->lsm().policy_generation());
-    // Fail-closed accounting: dispatches denied / packets dropped because a
-    // fault was injected at the decision point (ISSUE: degrade gracefully).
-    out += StrFormat("lsm_fail_closed_denials %llu\n",
-                     (unsigned long long)kernel->lsm().fail_closed_denials());
-    out += StrFormat("netfilter_fail_closed_drops %llu\n",
-                     (unsigned long long)kernel->net().netfilter().fail_closed_drops());
-    out += StrFormat("fault_injections %llu\n",
-                     (unsigned long long)kernel->faults().total_injected());
-    return out;
-  };
-  RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/status", 0444, std::move(status_ops)));
-
   // Audit trail: the kernel's security-decision ring buffer, root-only.
   SyntheticOps audit_ops;
   audit_ops.read = [kernel]() {
@@ -544,15 +508,13 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/seccomp", 0600, std::move(seccomp_ops)));
 
   // Metrics registry in Prometheus text exposition format, world-readable
-  // like /proc/stat. The JSON form is reached programmatically
-  // (kernel->metrics().Json()) by the bench harness.
+  // like /proc/stat: the one export of every counter the kernel keeps.
   SyntheticOps metrics_ops;
   metrics_ops.read = [kernel]() { return kernel->metrics().PrometheusText(); };
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/metrics", 0444, std::move(metrics_ops)));
 
-  // Protego's own policy-outcome counters, re-exported through the registry
-  // so the legacy /proc/protego/status numbers and the metrics file can never
-  // disagree (they read the same ProtegoStats fields).
+  // Protego's own policy-outcome counters, read from the same ProtegoStats
+  // fields the C++ accessors return.
   kernel->metrics().AddCollector([lsm](MetricsBuilder& b) {
     const ProtegoStats& s = lsm->stats();
     const char* help = "Protego policy decisions by operation and outcome.";

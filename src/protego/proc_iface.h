@@ -10,7 +10,6 @@
 //   /proc/protego/sudoers — sudoers grammar (incl. Protego extensions)
 //   /proc/protego/ppp     — ppp options grammar
 //   /proc/protego/userdb  — sectioned passwd/shadow/group snapshot
-//   /proc/protego/status  — read-only decision counters
 //   /proc/protego/metrics — Prometheus text exposition of the registry
 //   /proc/protego/trace   — decision-span trees; writable control file
 //   /proc/protego/fault_inject — deterministic fault-site configuration

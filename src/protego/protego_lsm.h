@@ -63,7 +63,7 @@ class Kernel;
 // authentications, offset so gids cannot collide with uids.
 inline constexpr Uid kGroupAuthBase = 0x40000000;
 
-// Per-hook decision counters, exported via /proc/protego/status. Relaxed
+// Per-hook decision counters, exported via /proc/protego/metrics. Relaxed
 // atomics: parallel-mode hooks bump these concurrently; readers tolerate
 // the usual scrape-time skew.
 struct ProtegoStats {

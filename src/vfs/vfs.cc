@@ -576,9 +576,9 @@ Result<Unit> Vfs::AddMount(std::string_view mountpoint, std::string source, std:
     mounts_.push_back(std::move(entry));
   }
   if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kVfsMount)) {
-    TraceEvent& ev = tracer_->Emit(TracepointId::kVfsMount, 0);
-    ev.sname = "mount";
-    ev.detail = trace_detail;
+    TraceSlot ev = tracer_->Emit(TracepointId::kVfsMount, 0);
+    ev->sname = "mount";
+    ev->detail = trace_detail;
   }
   return OkUnit();
 }
@@ -603,9 +603,9 @@ Result<Unit> Vfs::RemoveMount(std::string_view mountpoint) {
     return Error(Errno::kEINVAL, "not mounted: " + normalized);
   }
   if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kVfsMount)) {
-    TraceEvent& ev = tracer_->Emit(TracepointId::kVfsMount, 0);
-    ev.sname = "umount";
-    ev.detail = normalized;
+    TraceSlot ev = tracer_->Emit(TracepointId::kVfsMount, 0);
+    ev->sname = "umount";
+    ev->detail = normalized;
   }
   return OkUnit();
 }

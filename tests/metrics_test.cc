@@ -1,7 +1,7 @@
 // Metrics registry tests: histogram bucket math, Prometheus text exposition
-// validity, JSON export, and the PR's identity requirement — the legacy
-// /proc/protego/status counters and the registry must report the same
-// numbers, because they read the same underlying storage.
+// validity, and the identity requirement — the C++ counter accessors and the
+// registry must report the same numbers, because they read the same
+// underlying storage.
 
 #include "src/base/metrics.h"
 
@@ -113,23 +113,6 @@ TEST(MetricsRegistryTest, PrometheusTextIsValidAndComplete) {
   EXPECT_EQ(SampleValue(text, "test_latency_ticks_count{op=\"x\"}"), 3);
 }
 
-TEST(MetricsRegistryTest, JsonExportCarriesFamiliesAndBuckets) {
-  MetricsRegistry reg;
-  Histogram h;
-  h.Observe(5);
-  h.Observe(uint64_t{1} << 40);  // lands in the +Inf bucket
-  reg.AddCollector([&h](MetricsBuilder& b) {
-    b.Counter("c_total", "c", {{"k", "v"}}, 3);
-    b.Histo("h_ticks", "h", {}, h);
-  });
-  std::string json = reg.Json();
-  EXPECT_NE(json.find("\"families\""), std::string::npos);
-  EXPECT_NE(json.find("\"c_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"h_ticks\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\""), std::string::npos);
-  EXPECT_NE(json.find("\"+Inf\""), std::string::npos);
-}
-
 TEST(MetricsRegistryTest, LintRejectsMalformedExpositions) {
   EXPECT_TRUE(prom::LintPrometheusText("no newline at end").has_value());
   EXPECT_TRUE(prom::LintPrometheusText("bad-name{} 1\n").has_value());
@@ -148,8 +131,8 @@ TEST(MetricsRegistryTest, LintRejectsMalformedExpositions) {
                   .has_value());
 }
 
-// The PR's identity requirement: the registry is a *view* over the same
-// counters the legacy /proc files read, so the two can never disagree.
+// The identity requirement: the registry is a *view* over the same counters
+// the C++ accessors read, so the two can never disagree.
 TEST(MetricsRegistryTest, LegacyCountersReadIdenticalValuesFromRegistry) {
   SimSystem sys(SimMode::kProtego);
   Kernel& kernel = sys.kernel();

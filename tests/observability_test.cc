@@ -222,7 +222,8 @@ TEST_F(ObservabilityTest, ResetStatsClearsReservoirAndDisableStopsCapture) {
   kernel_.syscalls().ResetStats();
   EXPECT_TRUE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).empty());
 
-  kernel_.syscalls().set_exemplars_enabled(false);
+  // Exemplars ride the tracer's master switch.
+  kernel_.tracer().set_enabled(false);
   tick_->set_step(4);
   ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
   EXPECT_TRUE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).empty());
@@ -490,7 +491,7 @@ TEST_F(ObservabilityTest, JsonExcerptIsBoundedAndCountsOmissions) {
   std::string excerpt = kernel_.metrics().JsonExcerpt(1);
   EXPECT_NE(excerpt.find("\"omitted\""), std::string::npos);
   // Bounded: strictly smaller than the full export for a busy registry.
-  EXPECT_LT(excerpt.size(), kernel_.metrics().Json().size());
+  EXPECT_LT(excerpt.size(), kernel_.metrics().PrometheusText().size());
   // Stable: two reads of an idle kernel render identically.
   EXPECT_EQ(excerpt, kernel_.metrics().JsonExcerpt(1));
 }

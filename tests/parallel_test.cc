@@ -424,6 +424,101 @@ TEST(ParallelStress, UsersMountChurnWithProcMountsReader) {
   EXPECT_EQ(mounts.load() - umounts.load(), final_table.empty() ? 0 : 1) << final_table;
 }
 
+// --- Readers during traffic --------------------------------------------------
+
+// The value of protego_syscall_calls_total{syscall="<name>"} in `text`.
+uint64_t CallsTotal(const std::string& text, const std::string& name) {
+  const std::string key = "protego_syscall_calls_total{syscall=\"" + name + "\"} ";
+  size_t pos = text.find(key);
+  return pos == std::string::npos ? 0 : std::stoull(text.substr(pos + key.size()));
+}
+
+// The writer tasks loop over stat/getpid/open/read/close while `reader`
+// reads `path` until they finish. Returns the number of reads; counts failed
+// calls of either side in *errors.
+int RunReaderDuringSyscalls(Kernel& k, const std::vector<Task*>& writers, Task& reader,
+                            const std::string& path, int iters, std::atomic<int>* errors) {
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> finished{0};
+  std::atomic<int> reads{0};
+  for (Task* task : writers) {
+    sched.StartTask(task->pid, [&, task] {
+      while (reads.load() == 0) {
+        std::this_thread::yield();  // first calls land under a read
+      }
+      for (int i = 0; i < iters; ++i) {
+        (void)k.Stat(*task, "/etc/passwd");
+        (void)k.GetPid(*task);
+        auto fd = k.Open(*task, "/etc/passwd", kORdOnly);
+        if (!fd.ok() || !k.Read(*task, fd.value()).ok() || !k.Close(*task, fd.value()).ok()) {
+          ++*errors;
+        }
+      }
+      ++finished;
+    });
+  }
+  sched.StartTask(reader.pid, [&] {
+    do {
+      if (!k.ReadWholeFile(reader, path).ok()) {
+        ++*errors;
+      }
+      ++reads;
+    } while (finished.load() < static_cast<int>(writers.size()));
+  });
+  sched.Join();
+  k.set_scheduler(nullptr);
+  return reads.load();
+}
+
+// Regression: a metrics scrape copied each thread's tail-exemplar reservoir
+// while its owner was creating and filling it (TSan: a race on the
+// per-syscall reservoirs). Only mount is traced, the always-on control-plane
+// set: with every syscall traced, the tracer's span lock happened to order
+// the accesses. A reservoir is written mostly on a thread's first calls, so
+// each round boots a fresh kernel to put more first calls under a scrape.
+TEST(ParallelStress, MetricsScrapeDuringSyscalls) {
+  constexpr int kRounds = 6;
+  constexpr int kIters = 100;
+  for (int round = 0; round < kRounds; ++round) {
+    SimSystem sys(SimMode::kProtego);
+    Kernel& k = sys.kernel();
+    k.syscalls().SetAllSyscallsTraced(false);
+    k.syscalls().SetSyscallTraced(Sysno::kMount, true);
+    std::vector<Task*> writers = {&sys.Login("alice"), &sys.Login("alice"),
+                                  &sys.Login("alice")};
+    Task& reader = sys.Login("bob");
+    const std::string before = k.metrics().PrometheusText();
+
+    std::atomic<int> errors{0};
+    const int reads =
+        RunReaderDuringSyscalls(k, writers, reader, "/proc/protego/metrics", kIters, &errors);
+    EXPECT_EQ(errors.load(), 0);
+
+    const std::string after = k.metrics().PrometheusText();
+    const uint64_t issued = writers.size() * kIters;
+    auto delta = [&](const char* name) { return CallsTotal(after, name) - CallsTotal(before, name); };
+    EXPECT_EQ(delta("stat"), issued);
+    EXPECT_EQ(delta("getpid"), issued);
+    EXPECT_EQ(delta("open"), issued + reads);
+    EXPECT_EQ(delta("read"), issued + reads);
+    EXPECT_EQ(delta("close"), issued + reads);
+  }
+}
+
+// Regression: reading /proc/protego/trace copied ring slots while their
+// owners were filling them (TSan: a race in the TraceEvent copy).
+TEST(ParallelStress, TraceReaderDuringSyscalls) {
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  std::vector<Task*> writers = {&sys.Login("alice"), &sys.Login("alice"), &sys.Login("alice")};
+  Task& reader = sys.Login("root");
+  std::atomic<int> errors{0};
+  EXPECT_GT(RunReaderDuringSyscalls(k, writers, reader, "/proc/protego/trace", 100, &errors), 0);
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_NE(k.syscalls().FormatTrace().find("getpid() = 0"), std::string::npos);
+}
+
 // --- RCU policy reads: swap mid-traffic --------------------------------------
 
 // A policy swap landing while reader threads are mid-lookup must never

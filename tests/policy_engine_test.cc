@@ -484,18 +484,18 @@ TEST_F(PolicyEngineTest, PolicySwapTakesEffectOnTheNextCall) {
   }
 
   // Swap the table so port 80 belongs to someone else. The very next call
-  // must see the new policy, and the status file reports the bumped
+  // must see the new policy, and the metrics file reports the bumped
   // generation.
   uint64_t generation = lsm.policy_generation();
   ASSERT_TRUE(k.WriteWholeFile(root, "/proc/protego/ports",
                                "80 /usr/sbin/httpd 33\n")
                   .ok());
   EXPECT_GT(lsm.policy_generation(), generation);
-  std::string status = k.ReadWholeFile(root, "/proc/protego/status").value();
-  EXPECT_NE(status.find(StrFormat("policy_generation %llu\n",
-                                  (unsigned long long)lsm.policy_generation())),
+  std::string metrics = k.ReadWholeFile(root, "/proc/protego/metrics").value();
+  EXPECT_NE(metrics.find(StrFormat("protego_policy_generation %llu\n",
+                                   (unsigned long long)lsm.policy_generation())),
             std::string::npos)
-      << status;
+      << metrics;
   auto fd = k.SocketCall(web, kAfInet, kSockStream, 0);
   EXPECT_EQ(k.BindCall(web, fd.value(), 80).code(), Errno::kEACCES);
 

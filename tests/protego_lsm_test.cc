@@ -136,13 +136,15 @@ TEST_F(ProtegoLsmTest, UmountDecisionsCountedSeparatelyFromMounts) {
   EXPECT_EQ(s.mount_allowed, mount_allowed + 1);
   EXPECT_EQ(s.mount_denied, mount_denied);
 
-  // The split shows up in /proc/protego/status.
-  std::string status = k.ReadWholeFile(alice, "/proc/protego/status").value();
-  EXPECT_NE(status.find(StrFormat("umount_allowed %llu\n",
-                                  (unsigned long long)s.umount_allowed)),
+  // The split shows up in /proc/protego/metrics.
+  std::string metrics = k.ReadWholeFile(alice, "/proc/protego/metrics").value();
+  EXPECT_NE(metrics.find(StrFormat(
+                "protego_policy_decisions_total{op=\"umount\",outcome=\"allowed\"} %llu\n",
+                (unsigned long long)s.umount_allowed)),
             std::string::npos);
-  EXPECT_NE(status.find(StrFormat("umount_denied %llu\n",
-                                  (unsigned long long)s.umount_denied)),
+  EXPECT_NE(metrics.find(StrFormat(
+                "protego_policy_decisions_total{op=\"umount\",outcome=\"denied\"} %llu\n",
+                (unsigned long long)s.umount_denied)),
             std::string::npos);
 }
 
@@ -378,8 +380,8 @@ TEST_F(ProtegoLsmTest, ProcFilesAreRootOnly) {
   EXPECT_EQ(k.ReadWholeFile(alice, "/proc/protego/sudoers").code(), Errno::kEACCES);
   EXPECT_EQ(k.WriteWholeFile(alice, "/proc/protego/mounts", "x /y ext4 user\n").code(),
             Errno::kEACCES);
-  // The status file is world-readable.
-  EXPECT_TRUE(k.ReadWholeFile(alice, "/proc/protego/status").ok());
+  // The metrics file is world-readable.
+  EXPECT_TRUE(k.ReadWholeFile(alice, "/proc/protego/metrics").ok());
 }
 
 TEST_F(ProtegoLsmTest, StatsCountDecisions) {

@@ -55,14 +55,16 @@ TEST(TracerTest, SpanTreeSurvivesRingWrap) {
   // Six children through a 4-slot ring: only the last three survive
   // alongside the root.
   for (int i = 0; i < 6; ++i) {
-    TraceEvent& ev = tracer.Emit(TracepointId::kLsmHook, 7);
-    ev.sname = "sb_mount";
-    ev.sdetail = "protego";
-    ev.svalue = "deny";
+    TraceSlot ev = tracer.Emit(TracepointId::kLsmHook, 7);
+    ev->sname = "sb_mount";
+    ev->sdetail = "protego";
+    ev->svalue = "deny";
   }
-  TraceEvent& root = tracer.EmitSpanRoot(TracepointId::kSyscall, 7, span);
-  root.sname = "mount";
-  root.code = static_cast<int>(Errno::kEPERM);
+  {
+    TraceSlot root = tracer.EmitSpanRoot(TracepointId::kSyscall, 7, span);
+    root->sname = "mount";
+    root->code = static_cast<int>(Errno::kEPERM);
+  }
   tracer.EndSpan(7, span);
 
   auto snap = tracer.Snapshot();
@@ -88,8 +90,7 @@ TEST(TracerTest, EventsOfStillOpenSpanRenderAsOrphans) {
   Clock clock;
   Tracer tracer(&clock, 8);
   uint64_t span = tracer.BeginSpan(3);
-  TraceEvent& ev = tracer.Emit(TracepointId::kCapable, 3);
-  ev.sname = "CAP_SYS_ADMIN";
+  tracer.Emit(TracepointId::kCapable, 3)->sname = "CAP_SYS_ADMIN";
   // Span never rooted (as when /proc/protego/trace is read from inside the
   // reading syscall's own span): the child renders standalone, marked.
   std::string text = tracer.Format();
@@ -309,6 +310,32 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   ASSERT_NE(module_pos, std::string::npos) << text;
   ASSERT_NE(decision_pos, std::string::npos) << text;
   EXPECT_LT(module_pos, decision_pos);
+}
+
+// Regression: with only mount traced (the control-plane set), each untraced
+// open still emitted one orphan lsm_hook event per module — the per-module
+// guard ignored the thread mute that every other span-scoped point honours.
+TEST(TracepointSimTest, UntracedSyscallEmitsNoLsmHookEvents) {
+  SimSystem sys(SimMode::kProtego);
+  Kernel& kernel = sys.kernel();
+  Task& alice = sys.Login("alice");
+  kernel.syscalls().SetAllSyscallsTraced(false);
+  kernel.syscalls().SetSyscallTraced(Sysno::kMount, true);
+
+  kernel.syscalls().ClearTrace();
+  for (int i = 0; i < 4; ++i) {
+    auto fd = kernel.Open(alice, "/etc/passwd", kORdOnly);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(kernel.Close(alice, fd.value()).ok());
+  }
+  for (const TraceEvent& ev : kernel.tracer().Snapshot()) {
+    EXPECT_NE(ev.tp, TracepointId::kLsmHook) << kernel.syscalls().FormatTrace();
+  }
+
+  ASSERT_EQ(kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {}).code(), Errno::kEPERM);
+  std::string text = kernel.syscalls().FormatTrace();
+  EXPECT_NE(text.find("lsm:sb_mount module=protego -> "), std::string::npos) << text;
+  EXPECT_EQ(text.find("[orphan"), std::string::npos) << text;
 }
 
 // Proc-level plumbing for the trace control file.
