@@ -10,9 +10,11 @@
 //   default       the "always-on" production shape: tracer on, but the
 //                 traced set narrowed to the control-plane syscalls the
 //                 paper's operator actually audits (mount/umount/execve/
-//                 clone/setuid-class), 1-in-16 head sampling, exemplars on.
-//                 Data-plane syscalls (stat, getpid) resolve a dispatch word
-//                 with the trace bit clear. BUDGET: stat-class overhead <5%.
+//                 clone/setuid-class), 1-in-16 head sampling. The timed
+//                 set stays empty, so no syscall pays for wall-clock timing
+//                 or tail exemplars. Data-plane syscalls (stat, getpid)
+//                 resolve a dispatch word with the trace bit clear.
+//                 BUDGET: stat-class overhead <5%.
 //   sampled-all   every syscall traced at a 1-in-16 head-sampling rate —
 //                 full-coverage statistical tracing.
 //   all-on        every syscall traced, every event kept (the pre-dispatch
@@ -22,11 +24,12 @@
 // paper's stat-class row), and a policy-denied mount(2) (hook-heaviest
 // path, and always in the traced set under `default`).
 //
-// A macro section runs the web-serve mix with the layer profiler armed and
-// enforces the attribution identity: summed per-layer self time within 10%
-// of the end-to-end root time. The metrics blob embedded in the JSON is the
-// size-bounded sorted excerpt (MetricsRegistry::JsonExcerpt), not the full
-// export, so bench diffs stay reviewable.
+// A macro section runs the web-serve mix with the layer profiler armed (a
+// profiled run also times every syscall) and enforces the attribution
+// identity: summed per-layer self time within 10% of the end-to-end root
+// time. The metrics blob embedded in the JSON is the size-bounded sorted
+// excerpt (MetricsRegistry::JsonExcerpt), not the full export, so bench
+// diffs stay reviewable.
 
 #include <algorithm>
 #include <cstdio>

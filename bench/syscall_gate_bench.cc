@@ -4,13 +4,15 @@
 //
 // Configurations measured:
 //   no-gate              gate disabled: the raw body, the pre-refactor cost
-//   stats                gate on, wall-clock timing off, tracing off
+//   stats                gate on, timed set empty, tracing off (call and
+//                        error counters only)
 //   stats+trace-filtered gate on, tracer master ON but the syscall point
 //                        filtered out — the per-point check is hoisted before
 //                        span bookkeeping and args formatting, so this must
 //                        price like `stats`, not like `stats+trace`
 //   stats+trace          gate on, tracing on (the default boot config)
-//   stats+timing+trace   gate on, everything on (profiling config)
+//   stats+timing+trace   gate on, every syscall timed (ns histogram + tail
+//                        exemplars), tracing on (profiling config)
 //
 // For scale, the same sweep runs over stat(2) — a real (path-resolving)
 // syscall — showing what the gate costs on a non-null workload.
@@ -29,7 +31,7 @@ namespace {
 struct GateConfig {
   const char* name;
   bool enabled;
-  bool timing;
+  bool timing;  // every syscall in the timed set
   bool trace;
   bool point_filtered;  // tracer master on, kSyscall point bit off
 };
@@ -44,7 +46,7 @@ constexpr GateConfig kConfigs[] = {
 
 void Apply(SyscallGate& gate, Tracer& tracer, const GateConfig& cfg) {
   gate.set_enabled(cfg.enabled);
-  gate.set_wallclock_timing(cfg.timing);
+  gate.SetAllSyscallsTimed(cfg.timing);
   gate.set_trace_enabled(cfg.trace);
   tracer.set_point_enabled(TracepointId::kSyscall, !cfg.point_filtered);
 }

@@ -12,9 +12,10 @@
 
 namespace protego {
 
-// Real monotonic wall-clock nanoseconds (std::chrono::steady_clock). Used
-// only for latency accounting in the syscall gate — never for simulation
-// semantics, which stay on the virtual Clock below.
+// Real monotonic wall-clock nanoseconds (std::chrono::steady_clock). The one
+// latency clock: it serves both the syscall gate (timed syscalls' histograms
+// and tail exemplars) and the layer profiler — never simulation semantics,
+// which stay on the virtual Clock below.
 uint64_t MonotonicNanos();
 
 // Monotonic virtual clock with second granularity (matches the granularity

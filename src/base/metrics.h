@@ -11,9 +11,9 @@
 //
 // Histogram is the embeddable hot-path type: fixed power-of-two buckets
 // (0, 1, 2, 4, ..., 2^30, +Inf), one clz and three relaxed atomic
-// increments per Observe — lock-free, so parallel-mode tasks observe
-// latencies concurrently without contending on anything wider than the
-// cache line.
+// increments per Observe. Every histogram in the kernel has a single writer
+// thread (the gate's per-thread syscall records, the layer profiler's
+// per-thread shards); the atomics only let a scrape read it mid-traffic.
 
 #ifndef SRC_BASE_METRICS_H_
 #define SRC_BASE_METRICS_H_
@@ -136,14 +136,10 @@ class MetricsBuilder {
                      MetricLabels labels, double value) = 0;
   virtual void Histo(const std::string& name, const std::string& help,
                      MetricLabels labels, const Histogram& h) = 0;
-  // Histogram with exemplars. Default implementation drops the exemplars so
-  // existing MetricsBuilder implementations keep compiling unchanged.
+  // Histogram with exemplars.
   virtual void HistoEx(const std::string& name, const std::string& help,
                        MetricLabels labels, const Histogram& h,
-                       std::vector<MetricExemplar> exemplars) {
-    (void)exemplars;
-    Histo(name, help, std::move(labels), h);
-  }
+                       std::vector<MetricExemplar> exemplars) = 0;
 };
 
 class MetricsRegistry {

@@ -46,12 +46,12 @@ bool ProcessContext::HasFlag(std::string_view name) const {
   return false;
 }
 
-Kernel::Kernel() : vfs_(&clock_), gate_(&clock_) {
+Kernel::Kernel() : vfs_(&clock_) {
   gate_.set_audit_sink([this](std::string message) { Audit(std::move(message)); });
   // Every subsystem emits into the one kernel-wide tracer so a syscall's
   // decision span threads through LSM, VFS, and netfilter events.
   gate_.set_tracer(&tracer_);
-  lsm_.AttachObservability(&tracer_, &clock_);
+  lsm_.set_tracer(&tracer_);
   vfs_.set_tracer(&tracer_);
   net_.netfilter().set_tracer(&tracer_);
   // The fault registry is threaded through every subsystem that hosts a

@@ -595,24 +595,12 @@ Result<SeccompFilter::Spec> SeccompFilter::ParseSpec(std::string_view text) {
   return spec;
 }
 
-SyscallGate::SyscallGate(const Clock* clock) : clock_(clock) {
-  // Default all-set: with no explicit syscall filter, the global toggles
-  // alone decide, which is exactly the pre-dispatch behavior.
-  traced_syscalls_.set();
-  timed_syscalls_.set();
-}
-
 void SyscallGate::RebuildDispatch(uint64_t tracer_gen) {
   std::lock_guard<std::mutex> lk(dispatch_mu_);
   uint64_t local_gen = local_gen_.load(std::memory_order_relaxed);
   bool tracing = tracer_ != nullptr && tracer_->enabled() &&
                  tracer_->point_enabled(TracepointId::kSyscall);
   bool sampled = tracing && tracer_->sample_rate(TracepointId::kSyscall) > 1;
-  // Exemplars ride the tracer master switch (not the kSyscall point or the
-  // traced set): the reservoir annotates the latency HISTOGRAMS, which
-  // cover every syscall, and must keep catching tails for calls whose
-  // trace is filtered or sampled away.
-  bool exemplars = tracer_ != nullptr && tracer_->enabled();
   for (size_t i = 0; i < kSysnoSlots; ++i) {
     uint8_t word = 0;
     if (tracing && traced_syscalls_[i]) {
@@ -621,10 +609,7 @@ void SyscallGate::RebuildDispatch(uint64_t tracer_gen) {
         word |= kDispatchSampled;
       }
     }
-    if (exemplars) {
-      word |= kDispatchExemplar;
-    }
-    if (wallclock_timing_ && timed_syscalls_[i]) {
+    if (timed_syscalls_[i]) {
       word |= kDispatchTimed;
     }
     dispatch_[i].store(word, std::memory_order_relaxed);
@@ -656,60 +641,55 @@ void SyscallGate::ForEachRecord(Sysno nr, Fn&& fn) const {
 }
 
 SyscallGate::PerSyscall SyscallGate::stats(Sysno nr) const {
+  uint64_t calls = 0;
   uint64_t errors = 0;
   uint64_t denied = 0;
   uint64_t rule_evals = 0;
-  Histogram lat_ticks;
   Histogram lat_ns;
   ForEachRecord(nr, [&](const SyscallRecord& rec) {
+    calls += rec.calls.load(std::memory_order_relaxed);
     errors += rec.errors.load(std::memory_order_relaxed);
     denied += rec.seccomp_denied.load(std::memory_order_relaxed);
     rule_evals += rec.rule_evals.load(std::memory_order_relaxed);
-    lat_ticks.Merge(rec.lat_ticks);
     lat_ns.Merge(rec.lat_ns);
   });
   // A prvalue aggregate: PerSyscall's atomics make it non-copyable.
-  return PerSyscall{lat_ticks.count() + denied, errors, denied, rule_evals, lat_ticks, lat_ns};
+  return PerSyscall{calls, errors, denied, rule_evals, lat_ns};
 }
 
 uint64_t SyscallGate::TotalCalls() const {
   uint64_t total = 0;
   for (Sysno nr : AllSysnos()) {
     ForEachRecord(nr, [&](const SyscallRecord& rec) {
-      total += rec.lat_ticks.count() + rec.seccomp_denied.load(std::memory_order_relaxed);
+      total += rec.calls.load(std::memory_order_relaxed);
     });
   }
   return total;
 }
 
 void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
-  uint64_t dur_ns = 0;
-  uint64_t dur_ticks = clock_->Now() - ctx.start_tick;
   // No shared lock and no shared cache line: in parallel mode every task
   // thread retires syscalls into its own record.
   SyscallRecord& rec = MyRecord(ctx.nr);
+  rec.CountCall();
   if (err != Errno::kOk) {
     rec.errors.fetch_add(1, std::memory_order_relaxed);
   }
-  rec.lat_ticks.Observe(dur_ticks);
+  uint64_t dur_ns = 0;
   if ((ctx.dispatch & kDispatchTimed) != 0) {
     dur_ns = MonotonicNanos() - ctx.start_ns;
     rec.lat_ns.Observe(dur_ns);
   }
-  if ((ctx.dispatch & kDispatchTrace) != 0) {
-    // Self-accounting: the trace emission and reservoir update are the
+  if ((ctx.dispatch & (kDispatchTimed | kDispatchTrace)) != 0) {
+    // Self-accounting: the reservoir update and the trace emission are the
     // observability pipeline's own cost, metered under the observer layer.
     LayerScope observer_scope(profiler_, Layer::kObserver);
-    if ((ctx.dispatch & kDispatchExemplar) != 0) {
-      RecordExemplar(rec, dur_ticks, dur_ns, ctx.span, ctx.pid);
+    if ((ctx.dispatch & kDispatchTimed) != 0) {
+      RecordExemplar(rec, dur_ns, ctx.span, ctx.pid);
     }
-    RecordTrace(ctx, err, dur_ns, /*seccomp_denied=*/false);
-  } else if ((ctx.dispatch & kDispatchExemplar) != 0) {
-    // Untraced call, exemplars still armed: the budgeted always-on path.
-    // No span to close and no root event to emit, so skip RecordTrace
-    // entirely — the reservoir compare is the only observer work.
-    LayerScope observer_scope(profiler_, Layer::kObserver);
-    RecordExemplar(rec, dur_ticks, dur_ns, ctx.span, ctx.pid);
+    if ((ctx.dispatch & kDispatchTrace) != 0) {
+      RecordTrace(ctx, err, dur_ns, /*seccomp_denied=*/false);
+    }
   }
   Tracer::SwapThreadMute(ctx.prev_muted);
 }
@@ -719,6 +699,7 @@ void SyscallGate::RecordDenial(SyscallContext& ctx) {
   // latency is not — the body never ran. Same reasoning excludes it from
   // the tail-exemplar reservoir.
   SyscallRecord& rec = MyRecord(ctx.nr);
+  rec.CountCall();
   rec.errors.fetch_add(1, std::memory_order_relaxed);
   rec.seccomp_denied.fetch_add(1, std::memory_order_relaxed);
   {
@@ -742,7 +723,6 @@ void SyscallGate::RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns,
     ev->a = static_cast<uint64_t>(ctx.nr);
     ev->code = static_cast<int>(err);
     ev->dur = dur_ns;
-    ev->tick = ctx.start_tick;
     ev->sname = SysnoName(ctx.nr);
     if (seccomp_denied) {
       ev->flags |= kTraceFlagSeccompDenied | kTraceFlagDenied;
@@ -761,44 +741,33 @@ void SyscallGate::RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns,
   }
 }
 
-void SyscallGate::RecordExemplar(SyscallRecord& rec, uint64_t dur_ticks, uint64_t dur_ns,
-                                 uint64_t span, int pid) {
+void SyscallGate::RecordExemplar(SyscallRecord& rec, uint64_t dur_ns, uint64_t span,
+                                 int pid) {
   SysnoExemplars& res = rec.exemplars;
   // Warm-reservoir fast path, read without the lock because only this
-  // thread writes `used` and the min cache: STRICTLY slower than the cached
-  // minimum replaces it; ties keep the incumbent (earliest call wins), which
-  // is what makes the kept set deterministic under a deterministic clock.
-  if (res.used == kExemplarSlots &&
-      (dur_ticks < res.min_ticks || (dur_ticks == res.min_ticks && dur_ns <= res.min_ns))) {
+  // thread writes `used` and the min cache: only a call slower than the
+  // cached minimum replaces a kept one.
+  if (res.used == kExemplarSlots && dur_ns <= res.min_ns) {
     return;
   }
   std::lock_guard<std::mutex> lk(rec.exemplar_mu);
   if (res.used < kExemplarSlots) {
-    res.slots[res.used++] = {dur_ticks, dur_ns, span, pid};
+    res.slots[res.used++] = {dur_ns, span, pid};
   } else {
     size_t min_idx = 0;
     for (size_t i = 1; i < kExemplarSlots; ++i) {
-      const ExemplarRecord& a = res.slots[i];
-      const ExemplarRecord& b = res.slots[min_idx];
-      if (a.dur_ticks < b.dur_ticks ||
-          (a.dur_ticks == b.dur_ticks && a.dur_ns < b.dur_ns)) {
+      if (res.slots[i].dur_ns < res.slots[min_idx].dur_ns) {
         min_idx = i;
       }
     }
-    res.slots[min_idx] = {dur_ticks, dur_ns, span, pid};
+    res.slots[min_idx] = {dur_ns, span, pid};
   }
   if (res.used < kExemplarSlots) {
     return;  // min cache only matters once the reservoir is full
   }
-  res.min_ticks = res.slots[0].dur_ticks;
   res.min_ns = res.slots[0].dur_ns;
   for (size_t i = 1; i < kExemplarSlots; ++i) {
-    const ExemplarRecord& a = res.slots[i];
-    if (a.dur_ticks < res.min_ticks ||
-        (a.dur_ticks == res.min_ticks && a.dur_ns < res.min_ns)) {
-      res.min_ticks = a.dur_ticks;
-      res.min_ns = a.dur_ns;
-    }
+    res.min_ns = std::min(res.min_ns, res.slots[i].dur_ns);
   }
 }
 
@@ -810,7 +779,6 @@ std::vector<SyscallGate::ExemplarRecord> SyscallGate::ExemplarsFor(Sysno nr) con
   });
   // Slowest first; span breaks ties so the merged top-K is stable.
   std::sort(all.begin(), all.end(), [](const ExemplarRecord& a, const ExemplarRecord& b) {
-    if (a.dur_ticks != b.dur_ticks) return a.dur_ticks > b.dur_ticks;
     if (a.dur_ns != b.dur_ns) return a.dur_ns > b.dur_ns;
     return a.span < b.span;
   });
@@ -818,30 +786,6 @@ std::vector<SyscallGate::ExemplarRecord> SyscallGate::ExemplarsFor(Sysno nr) con
     all.resize(kExemplarSlots);
   }
   return all;
-}
-
-std::vector<SyscallGate::TraceRecord> SyscallGate::TraceSnapshot() const {
-  std::vector<TraceRecord> out;
-  if (tracer_ == nullptr) {
-    return out;
-  }
-  for (const TraceEvent& ev : tracer_->Snapshot()) {
-    if (ev.tp != TracepointId::kSyscall) {
-      continue;
-    }
-    TraceRecord rec;
-    rec.seq = ev.seq;
-    rec.tick = ev.tick;
-    rec.pid = ev.pid;
-    rec.nr = static_cast<Sysno>(ev.a);
-    rec.err = static_cast<Errno>(ev.code);
-    rec.dur_ns = ev.dur;
-    rec.seccomp_denied = (ev.flags & kTraceFlagSeccompDenied) != 0;
-    rec.comm = ev.comm;
-    rec.args = ev.detail;
-    out.push_back(std::move(rec));
-  }
-  return out;
 }
 
 void SyscallGate::ClearTrace() {
@@ -853,10 +797,10 @@ void SyscallGate::ClearTrace() {
 void SyscallGate::ResetStats() {
   for (Sysno nr : AllSysnos()) {
     ForEachRecord(nr, [](SyscallRecord& rec) {
+      rec.calls.store(0, std::memory_order_relaxed);
       rec.errors.store(0, std::memory_order_relaxed);
       rec.seccomp_denied.store(0, std::memory_order_relaxed);
       rec.rule_evals.store(0, std::memory_order_relaxed);
-      rec.lat_ticks.Reset();
       rec.lat_ns.Reset();
       std::lock_guard<std::mutex> lk(rec.exemplar_mu);
       rec.exemplars = SysnoExemplars{};
@@ -887,24 +831,22 @@ void SyscallGate::CollectMetrics(MetricsBuilder& b) const {
                 "Argument-predicate rules evaluated by seccomp at entry", labels,
                 s.rule_evals);
     }
-    // The tick histogram carries the tail exemplars: each kept slowest-call
-    // record renders on the bucket line its duration falls into, with span
-    // and pid labels for cross-referencing the trace.
+    if (s.lat_ns.count() == 0) {
+      continue;  // never timed
+    }
+    // The tail exemplars annotate the ns histogram: each kept slowest call
+    // renders on the bucket line its duration falls into, with span and pid
+    // labels for cross-referencing the trace.
     std::vector<MetricExemplar> exemplars;
     for (const ExemplarRecord& ex : ExemplarsFor(nr)) {
       exemplars.push_back(MetricExemplar{
           {{"span", StrFormat("%llu", (unsigned long long)ex.span)},
            {"pid", StrFormat("%d", ex.pid)}},
-          ex.dur_ticks});
+          ex.dur_ns});
     }
-    b.HistoEx("protego_syscall_latency_ticks",
-              "Per-syscall latency in virtual clock ticks", labels, s.lat_ticks,
-              std::move(exemplars));
-    if (s.lat_ns.count() > 0) {
-      b.Histo("protego_syscall_latency_ns",
-              "Per-syscall wall-clock latency in nanoseconds (profiling runs)", labels,
-              s.lat_ns);
-    }
+    b.HistoEx("protego_syscall_latency_ns",
+              "Per-syscall wall-clock latency in nanoseconds (timed syscalls)", labels,
+              s.lat_ns, std::move(exemplars));
   }
 }
 

@@ -19,8 +19,9 @@
 //      only ever be narrowed, never widened or removed — intersecting two
 //      predicate filters conjoins their rule lists (cross product), so the
 //      result admits only calls both filters admitted.
-//   2. accounting — per-thread, per-syscall error counters and log2-bucket
-//      latency histograms, merged on read (exported at /proc/protego/metrics).
+//   2. accounting — per-thread, per-syscall call and error counters, merged
+//      on read (exported at /proc/protego/metrics), plus a wall-clock
+//      latency histogram and tail exemplars for the syscalls in the timed set.
 //   3. tracing — each call opens a decision span on the kernel-wide Tracer;
 //      LSM/VFS/netfilter events emitted during the body are stamped with the
 //      span id, and the syscall's own record (the span root) is emitted at
@@ -30,16 +31,18 @@
 // consistent semantic everywhere:
 //   - stats: counted in calls, errors, and seccomp_denied;
 //   - trace: recorded as a span root with the seccomp_denied flag and EPERM;
-//   - latency: EXCLUDED from the histograms — the body never ran, so
-//     a duration would be meaningless and would skew the distributions.
-// So for any syscall stats() derives calls = lat_ticks.count() + seccomp_denied.
+//   - latency: EXCLUDED from the histogram and the tail exemplars — the
+//     body never ran, so a duration would be meaningless and would skew
+//     the distribution.
+// So for a syscall that stays in the timed set, lat_ns.count() equals
+// calls - seccomp_denied.
 //
 // The gate is deliberately cheap: each thread writes only its own
 // per-syscall records, trace slots are preallocated and reused, and argument
 // strings are only materialized when the syscall tracepoint is enabled.
 //
 // Per-syscall dispatch: instead of re-deriving "is tracing on? is this
-// syscall in the traced set? is timing on?" from scattered flags on every
+// syscall in the traced set? is it timed?" from scattered flags on every
 // call, the gate folds the whole observability configuration into one
 // uint8_t dispatch word per syscall number (dispatch_[nr]), rebuilt lazily
 // whenever the tracer's config generation or the gate's own local
@@ -53,13 +56,13 @@
 //                       per-thread seeded stream once at entry and, on a
 //                       "drop" draw, clear kDispatchTrace before any span
 //                       or argument work happens;
-//   kDispatchTimed    — take the two monotonic clock reads (wallclock
-//                       timing on AND this syscall in the timed bitset);
-//   kDispatchExemplar — feed the tail-exemplar reservoir. Deliberately
-//                       NOT affected by sampling: the reservoir's whole
-//                       point is that the K slowest calls per syscall stay
-//                       explainable even when head sampling dropped their
-//                       trace.
+//   kDispatchTimed    — this syscall is in the timed set: take the two
+//                       monotonic clock reads, observe the nanosecond
+//                       histogram, and feed the tail-exemplar reservoir.
+//                       Deliberately NOT affected by sampling: the
+//                       reservoir's whole point is that the K slowest calls
+//                       per syscall stay explainable even when head
+//                       sampling dropped their trace.
 
 #ifndef SRC_KERNEL_SYSCALL_H_
 #define SRC_KERNEL_SYSCALL_H_
@@ -289,7 +292,6 @@ struct SyscallContext {
   Sysno nr{};
   int pid = 0;
   const std::string* comm = nullptr;  // borrowed from the task
-  uint64_t start_tick = 0;            // virtual clock at entry
   uint64_t start_ns = 0;              // monotonic wall clock at entry (if timed)
   uint64_t span = 0;                  // decision span opened at entry (0 = untraced)
   uint8_t dispatch = 0;               // resolved dispatch word (kDispatch* bits)
@@ -303,9 +305,8 @@ class SyscallGate {
 
   // Dispatch-word bits (see the file comment). Resolved once per call.
   static constexpr uint8_t kDispatchTrace = 1 << 0;
-  static constexpr uint8_t kDispatchExemplar = 1 << 1;
-  static constexpr uint8_t kDispatchTimed = 1 << 2;
-  static constexpr uint8_t kDispatchSampled = 1 << 3;
+  static constexpr uint8_t kDispatchTimed = 1 << 1;
+  static constexpr uint8_t kDispatchSampled = 1 << 2;
 
   // Tail-exemplar reservoir depth: the K slowest calls kept per syscall.
   static constexpr size_t kExemplarSlots = 4;
@@ -319,8 +320,7 @@ class SyscallGate {
     std::atomic<uint64_t> errors{0};          // calls that returned a nonzero errno
     std::atomic<uint64_t> seccomp_denied{0};  // refused by the task's filter (subset of errors)
     std::atomic<uint64_t> rule_evals{0};      // argument rules inspected by predicate filters
-    Histogram lat_ticks;                      // virtual-clock latency distribution
-    Histogram lat_ns;                         // wall-clock distribution (when timing is on)
+    Histogram lat_ns;                         // wall-clock distribution (timed calls only)
   };
 
   // One syscall as the trace-driven synthesizer sees it: the caller's
@@ -342,23 +342,6 @@ class SyscallGate {
     std::vector<std::string> list;
   };
   using SyscallRecorder = std::function<void(const SyscallObservation&)>;
-
-  // One row of the legacy structured trace view: the span-root (syscall)
-  // events of the shared Tracer ring, reprojected into the pre-tracepoint
-  // record shape. Kept so existing tests/tools keep working.
-  struct TraceRecord {
-    uint64_t seq = 0;
-    uint64_t tick = 0;
-    int pid = 0;
-    Sysno nr{};
-    Errno err = Errno::kOk;
-    uint64_t dur_ns = 0;
-    bool seccomp_denied = false;
-    std::string comm;
-    std::string args;
-  };
-
-  explicit SyscallGate(const Clock* clock);
 
   // Attaches the kernel-wide tracer (the Kernel does this at boot). Without
   // one, the gate still filters and accounts but emits no trace events.
@@ -401,22 +384,18 @@ class SyscallGate {
     }
   }
 
-  // Wall-clock latency accounting (two monotonic clock reads per syscall).
-  // Off by default — latency totals normally come from the free virtual
-  // clock; profiling sessions opt in to nanosecond timing.
-  bool wallclock_timing() const { return wallclock_timing_; }
-  void set_wallclock_timing(bool on) {
-    wallclock_timing_ = on;
-    BumpLocalGen();
-  }
-
   // --- Per-syscall traced/timed sets -----------------------------------------
   //
-  // Both default to all-set, so the pre-existing global toggles behave
-  // unchanged; /proc/protego/trace "?syscalls=mount,execve" narrows the
-  // traced set to the control-plane calls the operator cares about, which
-  // is what makes "always-on" affordable: untraced syscalls resolve a
-  // dispatch word with the trace bit clear and never touch the span map.
+  // The traced set defaults to all-set, so the tracer's own switches decide;
+  // /proc/protego/trace "syscalls=mount,execve" narrows it to the
+  // control-plane calls the operator cares about, which is what makes
+  // "always-on" affordable: untraced syscalls resolve a dispatch word with
+  // the trace bit clear and never touch the span map.
+  //
+  // The timed set starts empty and is the one latency switch: a timed
+  // syscall pays two monotonic clock reads, lands in
+  // protego_syscall_latency_ns, and feeds the tail-exemplar reservoir.
+  // "timed=mount" arms mount(2).
 
   bool syscall_traced(Sysno nr) const {
     std::lock_guard<std::mutex> lk(dispatch_mu_);
@@ -459,13 +438,12 @@ class SyscallGate {
   // One kept tail exemplar: the slowest calls per syscall, with enough
   // identity (span, pid) to cross-reference the trace.
   struct ExemplarRecord {
-    uint64_t dur_ticks = 0;
     uint64_t dur_ns = 0;
     uint64_t span = 0;
     int pid = 0;
   };
   // Top-K exemplars for one syscall, slowest first, merged across threads.
-  // The reservoir rides the tracer's master switch.
+  // Only timed calls feed the reservoir.
   std::vector<ExemplarRecord> ExemplarsFor(Sysno nr) const;
 
   // Resolves the dispatch word for one syscall number, rebuilding the table
@@ -504,12 +482,7 @@ class SyscallGate {
   PerSyscall stats(Sysno nr) const;
   uint64_t TotalCalls() const;
 
-  // Trace records (syscall span roots only), oldest first.
-  std::vector<TraceRecord> TraceSnapshot() const;
   void ClearTrace();
-  uint64_t trace_seq() const { return tracer_ != nullptr ? tracer_->seq() : 0; }
-  // Events overwritten since the last clear (ring capacity exceeded).
-  uint64_t trace_dropped() const { return tracer_ != nullptr ? tracer_->dropped() : 0; }
 
   // The /proc/protego/trace body.
   std::string FormatTrace() const;
@@ -529,7 +502,7 @@ class SyscallGate {
   // decision: when the syscall point is sampled (rate > 1), one draw from
   // the calling thread's seeded stream decides — a "drop" clears the trace
   // bit BEFORE any span or argument work, so sampled-out calls pay only the
-  // draw. The exemplar bit survives sampling by design.
+  // draw. The timed bit survives sampling by design.
   uint8_t ResolveDispatch(Sysno nr) {
     uint8_t dispatch = Dispatch(nr);
     if ((dispatch & (kDispatchTrace | kDispatchSampled)) ==
@@ -552,7 +525,6 @@ class SyscallGate {
     ctx.nr = nr;
     ctx.pid = task.pid;
     ctx.comm = &task.comm;
-    ctx.start_tick = clock_->Now();
     if ((ctx.dispatch & kDispatchTrace) != 0) {
       ctx.span = tracer_->BeginSpan(ctx.pid);
     }
@@ -692,25 +664,29 @@ class SyscallGate {
 
  private:
   // One syscall's tail reservoir: the K slowest calls seen by one thread.
-  // min_* cache the smallest kept key so a warm reservoir rejects a typical
-  // call with one compare.
+  // min_ns caches the shortest kept duration so a warm reservoir rejects a
+  // typical call with one compare.
   struct SysnoExemplars {
     ExemplarRecord slots[kExemplarSlots];
     size_t used = 0;
-    uint64_t min_ticks = 0;
     uint64_t min_ns = 0;
   };
   // One thread's record of one syscall. Only that thread writes it; readers
   // merge the relaxed counters, and take exemplar_mu to copy the reservoir,
   // whose slots and fill count change only under it.
   struct alignas(64) SyscallRecord {
+    std::atomic<uint64_t> calls{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> seccomp_denied{0};
     std::atomic<uint64_t> rule_evals{0};
-    Histogram lat_ticks;
     Histogram lat_ns;
     std::mutex exemplar_mu;
     SysnoExemplars exemplars;
+
+    // The single writer needs no locked add: a relaxed load and store.
+    void CountCall() {
+      calls.store(calls.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    }
   };
   // One thread's records by syscall number, each allocated on its first call
   // and published with a release store (a thread that never calls mount
@@ -786,8 +762,7 @@ class SyscallGate {
   // and closes the span.
   void RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns, bool seccomp_denied);
   // Offers one completed call to the calling thread's tail reservoir.
-  static void RecordExemplar(SyscallRecord& rec, uint64_t dur_ticks, uint64_t dur_ns,
-                             uint64_t span, int pid);
+  static void RecordExemplar(SyscallRecord& rec, uint64_t dur_ns, uint64_t span, int pid);
   SyscallRecord& MyRecord(Sysno nr);
   template <typename Fn>
   void ForEachRecord(Sysno nr, Fn&& fn) const;
@@ -795,13 +770,11 @@ class SyscallGate {
   void BumpLocalGen() { local_gen_.fetch_add(1, std::memory_order_relaxed); }
   void RebuildDispatch(uint64_t tracer_gen);
 
-  const Clock* clock_;
   Tracer* tracer_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   TaskScheduler* scheduler_ = nullptr;
   LayerProfiler* profiler_ = nullptr;
   bool enabled_ = true;
-  bool wallclock_timing_ = false;
   ThreadShards<GateShard> shards_;
   std::function<void(std::string)> audit_sink_;
   SyscallRecorder recorder_;
@@ -809,16 +782,16 @@ class SyscallGate {
 
   // --- Dispatch table ---------------------------------------------------------
   // dispatch_[nr] is the resolved word; the two built_* generations record
-  // the configuration it was built from. local_gen_ covers gate-local knobs
-  // (bitsets, timing); the tracer's config_gen covers the master switch, the
-  // point mask, and sample rates.
+  // the configuration it was built from. local_gen_ covers the gate's
+  // traced and timed sets; the tracer's config_gen covers the master switch,
+  // the point mask, and sample rates.
   std::atomic<uint8_t> dispatch_[kSysnoSlots] = {};
   std::atomic<uint64_t> local_gen_{1};
   std::atomic<uint64_t> built_local_gen_{0};
   std::atomic<uint64_t> built_tracer_gen_{~uint64_t{0}};
   mutable std::mutex dispatch_mu_;  // guards the bitsets and rebuilds
-  std::bitset<kSysnoSlots> traced_syscalls_;
-  std::bitset<kSysnoSlots> timed_syscalls_;
+  std::bitset<kSysnoSlots> traced_syscalls_ = ~std::bitset<kSysnoSlots>();  // all
+  std::bitset<kSysnoSlots> timed_syscalls_;                                 // none
 };
 
 }  // namespace protego

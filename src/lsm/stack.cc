@@ -4,24 +4,6 @@
 
 namespace protego {
 
-namespace {
-
-// Observes the virtual-clock duration of one hook dispatch on destruction.
-struct HookTimer {
-  HookTimer(const Clock* clock, Histogram* lat)
-      : clock_(clock), lat_(lat), t0_(clock != nullptr ? clock->Now() : 0) {}
-  ~HookTimer() {
-    if (clock_ != nullptr) {
-      lat_->Observe(clock_->Now() - t0_);
-    }
-  }
-  const Clock* clock_;
-  Histogram* lat_;
-  uint64_t t0_;
-};
-
-}  // namespace
-
 const char* HookVerdictName(HookVerdict v) {
   switch (v) {
     case HookVerdict::kDefault: return "DEFAULT";
@@ -145,11 +127,8 @@ void LsmStack::CollectMetrics(MetricsBuilder& b) const {
     if (hook_counts_[h] == 0) {
       continue;
     }
-    MetricLabels labels = {{"hook", LsmHookName(static_cast<LsmHook>(h))}};
     b.Counter("protego_lsm_hook_invocations_total", "LSM stack consultations per hook",
-              labels, hook_counts_[h]);
-    b.Histo("protego_lsm_hook_latency_ticks",
-            "Per-hook dispatch latency in virtual clock ticks", labels, hook_lat_[h]);
+              {{"hook", LsmHookName(static_cast<LsmHook>(h))}}, hook_counts_[h]);
   }
   for (size_t i = 0; i < modules_.size(); ++i) {
     for (size_t v = 0; v < 3; ++v) {
@@ -173,9 +152,7 @@ void LsmStack::CollectMetrics(MetricsBuilder& b) const {
 template <typename Call>
 HookVerdict LsmStack::Dispatch(LsmHook hook, int pid, Call&& call) const {
   LayerScope lsm_scope(profiler_, Layer::kLsm);
-  const size_t h = static_cast<size_t>(hook);
-  hook_counts_[h]++;
-  HookTimer timer(clock_, &hook_lat_[h]);
+  hook_counts_[static_cast<size_t>(hook)]++;
   if (FaultDeny(hook, pid)) {
     return HookVerdict::kDeny;
   }

@@ -5,15 +5,14 @@
 //
 // Every hook decides one way: each call walks the modules in order and
 // combines their verdicts. The eight public hooks differ only in which
-// module method they call; Dispatch() does the rest (count, time, fail
-// closed on an injected fault, walk, trace).
+// module method they call; Dispatch() does the rest (count, fail closed on
+// an injected fault, walk, trace).
 //
 // Observability (DESIGN.md §8): with a Tracer attached, every dispatch
 // emits one kLsmHook event per consulted module (module name + verdict) and
 // one kLsmDecision event for the combined verdict, all stamped with the
-// calling syscall's decision span. Per-hook invocation counts, latency
-// histograms, and per-module verdict tallies are reported via
-// CollectMetrics().
+// calling syscall's decision span. Per-hook invocation counts and
+// per-module verdict tallies are reported via CollectMetrics().
 
 #ifndef SRC_LSM_STACK_H_
 #define SRC_LSM_STACK_H_
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "src/base/attribution.h"
-#include "src/base/clock.h"
 #include "src/base/metrics.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
@@ -85,12 +83,9 @@ class LsmStack {
 
   // --- Observability ----------------------------------------------------------
 
-  // Attaches the kernel-wide tracer (hook/decision events) and the virtual
-  // clock (per-hook latency histograms). The Kernel wires this at boot.
-  void AttachObservability(Tracer* tracer, const Clock* clock) {
-    tracer_ = tracer;
-    clock_ = clock;
-  }
+  // Attaches the kernel-wide tracer (hook/decision events). The Kernel wires
+  // this at boot.
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   // Attaches the per-layer latency profiler: each dispatch runs under an
   // `lsm` frame.
@@ -108,19 +103,14 @@ class LsmStack {
     return fail_closed_.load(std::memory_order_relaxed);
   }
 
-  // Per-hook latency distribution in virtual clock ticks.
-  const Histogram& HookLatency(LsmHook hook) const {
-    return hook_lat_[static_cast<size_t>(hook)];
-  }
-
   // Combined verdicts module `i` returned, indexed by HookVerdict value.
   uint64_t ModuleVerdicts(size_t module_index, HookVerdict v) const {
     return module_verdicts_[module_index][static_cast<size_t>(v)].load(
         std::memory_order_relaxed);
   }
 
-  // Reports hook invocation counters, latency histograms, per-module
-  // verdict tallies (protego_lsm_* families), and the policy generation.
+  // Reports hook invocation counters, per-module verdict tallies
+  // (protego_lsm_* families), and the policy generation.
   void CollectMetrics(MetricsBuilder& b) const;
 
   // Monotonic counter bumped on every successful policy swap; starts at 1.
@@ -136,9 +126,9 @@ class LsmStack {
  private:
   static HookVerdict Combine(HookVerdict acc, HookVerdict v);
 
-  // The one dispatch path: counts and times the consultation, fails closed
-  // on an injected fault, then calls `call(module)` on each module in
-  // order, tallying and tracing each verdict, and traces the combination.
+  // The one dispatch path: counts the consultation, fails closed on an
+  // injected fault, then calls `call(module)` on each module in order,
+  // tallying and tracing each verdict, and traces the combination.
   template <typename Call>
   HookVerdict Dispatch(LsmHook hook, int pid, Call&& call) const;
 
@@ -157,13 +147,11 @@ class LsmStack {
   // mutable: accounting from the const hook methods. All counters are
   // relaxed atomics — parallel-mode tasks dispatch hooks concurrently.
   mutable std::atomic<uint64_t> hook_counts_[static_cast<size_t>(LsmHook::kCount)] = {};
-  mutable Histogram hook_lat_[static_cast<size_t>(LsmHook::kCount)];
   // Per-module verdict tallies, indexed [module][verdict]. A deque because
   // arrays of atomics are pinned in place (no relocation on growth).
   mutable std::deque<std::array<std::atomic<uint64_t>, 3>> module_verdicts_;
 
   Tracer* tracer_ = nullptr;
-  const Clock* clock_ = nullptr;
   LayerProfiler* profiler_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   mutable std::atomic<uint64_t> fail_closed_{0};  // fault-injected dispatches denied

@@ -399,8 +399,8 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
         gate.SetSyscallTraced(nr, true);
       }
     } else if (StartsWith(cmd, "timed=")) {
-      // Per-syscall wall-clock timing set (only consulted when wallclock
-      // timing is enabled).
+      // Per-syscall wall-clock timing set: arms the named syscalls' ns
+      // histograms and tail exemplars (empty at boot).
       ASSIGN_OR_RETURN(SyscallSetSpec spec, ParseSyscallSet("timed", cmd.substr(6)));
       SyscallGate& gate = kernel->syscalls();
       gate.SetAllSyscallsTimed(spec.all);

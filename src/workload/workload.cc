@@ -368,6 +368,7 @@ MixReport RunWorkload(const WorkloadSpec& spec, SimMode sim_mode) {
   }
   if (spec.profile) {
     k.profiler().set_enabled(true);
+    k.syscalls().SetAllSyscallsTimed(true);
   }
 
   const int tasks = spec.tasks > 0 ? spec.tasks : 1;

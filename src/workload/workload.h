@@ -85,8 +85,8 @@ struct WorkloadSpec {
   // so sampling decisions replay run to run.
   bool trace = false;
   uint32_t sample_rate = 0;
-  // Arms the per-layer latency profiler over the measured region; the
-  // report's attrib_* fields are filled from it.
+  // Arms the per-layer latency profiler and times every syscall over the
+  // measured region; the report's attrib_* fields are filled from it.
   bool profile = false;
 };
 

@@ -155,8 +155,6 @@ TEST(MetricsRegistryTest, LegacyCountersReadIdenticalValuesFromRegistry) {
   const SyscallGate::PerSyscall& open = kernel.syscalls().stats(Sysno::kOpen);
   EXPECT_EQ(SampleValue(text, "protego_syscall_errors_total{syscall=\"open\"}"),
             static_cast<double>(open.errors));
-  EXPECT_EQ(SampleValue(text, "protego_syscall_latency_ticks_count{syscall=\"getpid\"}"),
-            static_cast<double>(getpid.lat_ticks.count()));
 
   EXPECT_EQ(SampleValue(text, "protego_policy_generation"),
             static_cast<double>(kernel.lsm().policy_generation()));
@@ -167,11 +165,11 @@ TEST(MetricsRegistryTest, LegacyCountersReadIdenticalValuesFromRegistry) {
   EXPECT_EQ(SampleValue(text, "protego_audit_dropped_total"),
             static_cast<double>(kernel.audit_dropped()));
 
-  // Per-hook latency histograms exist for hooks that actually ran.
-  EXPECT_NE(text.find("protego_lsm_hook_latency_ticks_bucket{hook=\"inode_permission\""),
-            std::string::npos);
-  EXPECT_NE(text.find("protego_lsm_hook_latency_ticks_bucket{hook=\"sb_mount\""),
-            std::string::npos);
+  // Per-hook invocation counters for hooks that actually ran.
+  EXPECT_EQ(SampleValue(text, "protego_lsm_hook_invocations_total{hook=\"inode_permission\"}"),
+            static_cast<double>(kernel.lsm().HookInvocations(LsmHook::kInodePermission)));
+  EXPECT_EQ(SampleValue(text, "protego_lsm_hook_invocations_total{hook=\"sb_mount\"}"),
+            static_cast<double>(kernel.lsm().HookInvocations(LsmHook::kSbMount)));
 
   // And the /proc view is byte-identical to the registry export.
   auto proc_text = kernel.vfs().ReadFile("/proc/protego/metrics");

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "src/base/attribution.h"
+#include "src/base/clock.h"
+#include "src/base/strings.h"
 #include "src/kernel/kernel.h"
 #include "src/lsm/capability_module.h"
 #include "src/sim/system.h"
@@ -19,13 +21,15 @@
 namespace protego {
 namespace {
 
-// Advances the virtual clock by a one-shot step on the next
-// inode_permission dispatch, giving the enclosing syscall an exact,
-// test-chosen duration in ticks (the reservoir's ranking key).
-class TickModule : public SecurityModule {
+constexpr uint64_t kMs = 1000000;  // nanoseconds
+
+// Busy-waits a one-shot number of milliseconds on the next inode_permission
+// dispatch, so the enclosing syscall takes AT LEAST that long on the wall
+// clock (the reservoir's ranking key). Tests assert lower bounds only, which
+// a slow runner cannot break.
+class SpinModule : public SecurityModule {
  public:
-  explicit TickModule(Clock* clock) : clock_(clock) {}
-  const char* name() const override { return "tick"; }
+  const char* name() const override { return "spin"; }
 
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
                               int may, bool* /*unused*/) override {
@@ -33,25 +37,26 @@ class TickModule : public SecurityModule {
     (void)path;
     (void)inode;
     (void)may;
-    clock_->Advance(step_);
-    step_ = 0;
+    const uint64_t until = MonotonicNanos() + spin_ms_ * kMs;
+    while (MonotonicNanos() < until) {
+    }
+    spin_ms_ = 0;
     return HookVerdict::kDefault;
   }
 
-  void set_step(uint64_t step) { step_ = step; }
+  void set_spin_ms(uint64_t ms) { spin_ms_ = ms; }
 
  private:
-  Clock* clock_;
-  uint64_t step_ = 0;
+  uint64_t spin_ms_ = 0;
 };
 
 class ObservabilityTest : public ::testing::Test {
  protected:
   ObservabilityTest() {
     kernel_.lsm().Register(std::make_unique<CapabilityModule>());
-    auto tick = std::make_unique<TickModule>(&kernel_.clock());
-    tick_ = tick.get();
-    kernel_.lsm().Register(std::move(tick));
+    auto spin = std::make_unique<SpinModule>();
+    spin_ = spin.get();
+    kernel_.lsm().Register(std::move(spin));
     (void)kernel_.vfs().EnsureDirs("/etc");
     (void)kernel_.vfs().CreateFile("/etc/passwd", 0644, kRootUid, kRootGid, "x");
   }
@@ -60,7 +65,7 @@ class ObservabilityTest : public ::testing::Test {
 
   Kernel kernel_;
   Terminal terminal_;
-  TickModule* tick_ = nullptr;
+  SpinModule* spin_ = nullptr;
 };
 
 // --- Per-syscall dispatch ----------------------------------------------------
@@ -69,7 +74,6 @@ TEST_F(ObservabilityTest, DispatchWordTracksConfiguration) {
   SyscallGate& gate = kernel_.syscalls();
   uint8_t d = gate.Dispatch(Sysno::kStat);
   EXPECT_NE(d & SyscallGate::kDispatchTrace, 0);
-  EXPECT_NE(d & SyscallGate::kDispatchExemplar, 0);
   EXPECT_EQ(d & SyscallGate::kDispatchTimed, 0);
   EXPECT_EQ(d & SyscallGate::kDispatchSampled, 0);
 
@@ -79,13 +83,13 @@ TEST_F(ObservabilityTest, DispatchWordTracksConfiguration) {
   EXPECT_NE(gate.Dispatch(Sysno::kOpen) & SyscallGate::kDispatchTrace, 0);
   gate.SetSyscallTraced(Sysno::kStat, true);
 
-  // Wall-clock timing honors the per-syscall timed set.
-  gate.set_wallclock_timing(true);
+  // The timed set alone decides the timed bit.
+  gate.SetAllSyscallsTimed(true);
   EXPECT_NE(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchTimed, 0);
   gate.SetSyscallTimed(Sysno::kStat, false);
   EXPECT_EQ(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchTimed, 0);
   EXPECT_NE(gate.Dispatch(Sysno::kOpen) & SyscallGate::kDispatchTimed, 0);
-  gate.set_wallclock_timing(false);
+  gate.SetAllSyscallsTimed(false);
 
   // A sampling rate on the syscall point sets the sampled bit.
   kernel_.tracer().set_sample_rate(TracepointId::kSyscall, 8);
@@ -93,11 +97,12 @@ TEST_F(ObservabilityTest, DispatchWordTracksConfiguration) {
   kernel_.tracer().set_sample_rate(TracepointId::kSyscall, 0);
   EXPECT_EQ(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchSampled, 0);
 
-  // A fully-off tracer clears both the trace and exemplar bits.
+  // A fully-off tracer clears the trace bit but leaves timing alone.
   kernel_.tracer().set_enabled(false);
+  gate.SetSyscallTimed(Sysno::kStat, true);
   d = gate.Dispatch(Sysno::kStat);
   EXPECT_EQ(d & SyscallGate::kDispatchTrace, 0);
-  EXPECT_EQ(d & SyscallGate::kDispatchExemplar, 0);
+  EXPECT_NE(d & SyscallGate::kDispatchTimed, 0);
   kernel_.tracer().set_enabled(true);
 }
 
@@ -176,71 +181,72 @@ TEST(SamplingDeterminismTest, DifferentSeedsDiverge) {
 
 // --- Tail-exemplar reservoir -------------------------------------------------
 
-TEST_F(ObservabilityTest, ReservoirKeepsTheKSlowestCalls) {
+TEST_F(ObservabilityTest, DefaultConfigKeepsNoExemplars) {
+  // The timed set starts empty: untimed calls have no duration to rank, so
+  // the reservoir stays empty and the export carries no exemplar lines.
   Task& alice = User(1000);
-  for (uint64_t step : {5u, 1u, 9u, 3u, 7u, 2u, 8u}) {
-    tick_->set_step(step);
+  for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
   }
+  EXPECT_EQ(kernel_.syscalls().stats(Sysno::kAccess).calls, 1000u);
+  EXPECT_TRUE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).empty());
+  EXPECT_EQ(kernel_.metrics().PrometheusText().find(" # {"), std::string::npos);
+}
+
+TEST_F(ObservabilityTest, ReservoirKeepsTheKSlowestCalls) {
+  kernel_.syscalls().SetSyscallTimed(Sysno::kAccess, true);
+  Task& alice = User(1000);
+  // The reservoir fills on the first four calls; the 2 ms call arrives last,
+  // when it holds the 5/9/7/8 ms calls, and must displace none of them.
+  for (uint64_t ms : {5u, 1u, 9u, 3u, 7u, 8u, 2u}) {
+    spin_->set_spin_ms(ms);
+    ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
+  }
+  // Every call lasts at least its spin, so the k-th slowest kept call took
+  // at least the k-th longest spin; ex[3] >= 5 ms shows the 2 ms call
+  // displaced nothing.
   auto ex = kernel_.syscalls().ExemplarsFor(Sysno::kAccess);
   ASSERT_EQ(ex.size(), SyscallGate::kExemplarSlots);
-  EXPECT_EQ(ex[0].dur_ticks, 9u);
-  EXPECT_EQ(ex[1].dur_ticks, 8u);
-  EXPECT_EQ(ex[2].dur_ticks, 7u);
-  EXPECT_EQ(ex[3].dur_ticks, 5u);
+  EXPECT_GE(ex[0].dur_ns, 9 * kMs);
+  EXPECT_GE(ex[1].dur_ns, 8 * kMs);
+  EXPECT_GE(ex[2].dur_ns, 7 * kMs);
+  EXPECT_GE(ex[3].dur_ns, 5 * kMs);
   for (const auto& e : ex) {
     EXPECT_NE(e.span, 0u);
     EXPECT_EQ(e.pid, alice.pid);
   }
 }
 
-TEST_F(ObservabilityTest, ReservoirTiesKeepTheIncumbent) {
-  Task& alice = User(1000);
-  for (int i = 0; i < 4; ++i) {
-    tick_->set_step(6);
-    ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
-  }
-  auto before = kernel_.syscalls().ExemplarsFor(Sysno::kAccess);
-  ASSERT_EQ(before.size(), 4u);
-
-  // An equal-duration fifth call must not displace any earlier exemplar.
-  tick_->set_step(6);
-  ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
-  auto after = kernel_.syscalls().ExemplarsFor(Sysno::kAccess);
-  ASSERT_EQ(after.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(before[i].span, after[i].span);
-  }
-}
-
 TEST_F(ObservabilityTest, ResetStatsClearsReservoirAndDisableStopsCapture) {
+  kernel_.syscalls().SetSyscallTimed(Sysno::kAccess, true);
   Task& alice = User(1000);
-  tick_->set_step(4);
+  spin_->set_spin_ms(4);
   ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
   EXPECT_FALSE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).empty());
 
   kernel_.syscalls().ResetStats();
   EXPECT_TRUE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).empty());
 
-  // Exemplars ride the tracer's master switch.
-  kernel_.tracer().set_enabled(false);
-  tick_->set_step(4);
+  // Capture stops once the syscall leaves the timed set.
+  kernel_.syscalls().SetSyscallTimed(Sysno::kAccess, false);
+  spin_->set_spin_ms(4);
   ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
   EXPECT_TRUE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).empty());
 }
 
 TEST_F(ObservabilityTest, ExemplarsEscapeHeadSampling) {
   // Rate so high every event is sampled out — the reservoir must still see
-  // every call (its whole point is catching what sampling drops).
+  // every timed call (its whole point is catching what sampling drops).
   kernel_.tracer().set_sample_rate(TracepointId::kSyscall, 1000000);
   kernel_.tracer().set_sample_seed(7);
+  kernel_.syscalls().SetSyscallTimed(Sysno::kAccess, true);
   Task& alice = User(1000);
   kernel_.syscalls().ClearTrace();
-  tick_->set_step(3);
+  spin_->set_spin_ms(3);
   ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
   EXPECT_EQ(kernel_.syscalls().FormatTrace().find("access("), std::string::npos);
   ASSERT_EQ(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).size(), 1u);
-  EXPECT_EQ(kernel_.syscalls().ExemplarsFor(Sysno::kAccess)[0].dur_ticks, 3u);
+  EXPECT_GE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess)[0].dur_ns, 3 * kMs);
 }
 
 // --- Per-layer latency attribution -------------------------------------------
@@ -386,12 +392,44 @@ TEST_F(ObservabilityProcTest, SampleSeedAndSetCommands) {
   EXPECT_EQ(WriteTrace("syscalls=stat,bogus").code(), Errno::kEINVAL);
   EXPECT_TRUE(gate.syscall_traced(Sysno::kGetPid));
 
+  EXPECT_FALSE(gate.syscall_timed(Sysno::kMount));  // empty at boot
   ASSERT_TRUE(WriteTrace("timed=mount").ok());
   EXPECT_TRUE(gate.syscall_timed(Sysno::kMount));
   EXPECT_FALSE(gate.syscall_timed(Sysno::kStat));
   ASSERT_TRUE(WriteTrace("timed=all").ok());
+  EXPECT_TRUE(gate.syscall_timed(Sysno::kStat));
 
   EXPECT_EQ(WriteTrace("gibberish").code(), Errno::kEINVAL);
+}
+
+TEST_F(ObservabilityProcTest, TimedCommandArmsNsHistogramAndExemplars) {
+  Kernel& k = sys_.kernel();
+  constexpr int kCalls = 50;
+  auto metrics = [&] { return k.ReadWholeFile(root_, "/proc/protego/metrics").value_or(""); };
+  const std::string count_line = "protego_syscall_latency_ns_count{syscall=\"stat\"} ";
+
+  ASSERT_TRUE(WriteTrace("timed=stat").ok());
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(k.Stat(root_, "/etc/passwd").ok());
+  }
+  std::string text = metrics();
+  EXPECT_NE(text.find(count_line + std::to_string(kCalls) + "\n"), std::string::npos);
+  // Exemplars ride the stat buckets.
+  bool exemplar_on_bucket = false;
+  for (const std::string& line : Split(text, '\n')) {
+    if (line.rfind("protego_syscall_latency_ns_bucket{syscall=\"stat\"", 0) == 0 &&
+        line.find(" # {span=") != std::string::npos) {
+      exemplar_on_bucket = true;
+    }
+  }
+  EXPECT_TRUE(exemplar_on_bucket);
+
+  // "timed=none" stops further observations.
+  ASSERT_TRUE(WriteTrace("timed=none").ok());
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(k.Stat(root_, "/etc/passwd").ok());
+  }
+  EXPECT_NE(metrics().find(count_line + std::to_string(kCalls) + "\n"), std::string::npos);
 }
 
 TEST_F(ObservabilityProcTest, ProfileFileTogglesAndRenders) {

@@ -427,8 +427,10 @@ TEST(ParallelStress, UsersMountChurnWithProcMountsReader) {
 // --- Readers during traffic --------------------------------------------------
 
 // The value of protego_syscall_calls_total{syscall="<name>"} in `text`.
-uint64_t CallsTotal(const std::string& text, const std::string& name) {
-  const std::string key = "protego_syscall_calls_total{syscall=\"" + name + "\"} ";
+// The value of `metric{syscall="<name>"}` in a metrics export, 0 if absent.
+uint64_t SyscallSample(const std::string& text, const std::string& metric,
+                       const std::string& name) {
+  const std::string key = metric + "{syscall=\"" + name + "\"} ";
   size_t pos = text.find(key);
   return pos == std::string::npos ? 0 : std::stoull(text.substr(pos + key.size()));
 }
@@ -473,10 +475,12 @@ int RunReaderDuringSyscalls(Kernel& k, const std::vector<Task*>& writers, Task& 
 
 // Regression: a metrics scrape copied each thread's tail-exemplar reservoir
 // while its owner was creating and filling it (TSan: a race on the
-// per-syscall reservoirs). Only mount is traced, the always-on control-plane
-// set: with every syscall traced, the tracer's span lock happened to order
-// the accesses. A reservoir is written mostly on a thread's first calls, so
-// each round boots a fresh kernel to put more first calls under a scrape.
+// per-syscall reservoirs). Every syscall is timed, so each call writes its
+// ns histogram and offers itself to the reservoir, and the scrape copies
+// both. Only mount is traced, the always-on control-plane set: with every
+// syscall traced, the tracer's span lock happened to order the accesses. A
+// reservoir is written mostly on a thread's first calls, so each round boots
+// a fresh kernel to put more first calls under a scrape.
 TEST(ParallelStress, MetricsScrapeDuringSyscalls) {
   constexpr int kRounds = 6;
   constexpr int kIters = 100;
@@ -485,6 +489,7 @@ TEST(ParallelStress, MetricsScrapeDuringSyscalls) {
     Kernel& k = sys.kernel();
     k.syscalls().SetAllSyscallsTraced(false);
     k.syscalls().SetSyscallTraced(Sysno::kMount, true);
+    k.syscalls().SetAllSyscallsTimed(true);
     std::vector<Task*> writers = {&sys.Login("alice"), &sys.Login("alice"),
                                   &sys.Login("alice")};
     Task& reader = sys.Login("bob");
@@ -497,12 +502,19 @@ TEST(ParallelStress, MetricsScrapeDuringSyscalls) {
 
     const std::string after = k.metrics().PrometheusText();
     const uint64_t issued = writers.size() * kIters;
-    auto delta = [&](const char* name) { return CallsTotal(after, name) - CallsTotal(before, name); };
-    EXPECT_EQ(delta("stat"), issued);
-    EXPECT_EQ(delta("getpid"), issued);
-    EXPECT_EQ(delta("open"), issued + reads);
-    EXPECT_EQ(delta("read"), issued + reads);
-    EXPECT_EQ(delta("close"), issued + reads);
+    auto delta = [&](const char* metric, const char* name) {
+      return SyscallSample(after, metric, name) - SyscallSample(before, metric, name);
+    };
+    const char* calls = "protego_syscall_calls_total";
+    EXPECT_EQ(delta(calls, "stat"), issued);
+    EXPECT_EQ(delta(calls, "getpid"), issued);
+    EXPECT_EQ(delta(calls, "open"), issued + reads);
+    EXPECT_EQ(delta(calls, "read"), issued + reads);
+    EXPECT_EQ(delta(calls, "close"), issued + reads);
+    // The writers' calls were timed, so the scrapes raced their histogram
+    // and reservoir writes.
+    EXPECT_EQ(delta("protego_syscall_latency_ns_count", "getpid"), issued);
+    EXPECT_NE(after.find(" # {"), std::string::npos);
   }
 }
 

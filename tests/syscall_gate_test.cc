@@ -42,6 +42,17 @@ class SpyModule : public SecurityModule {
   std::atomic<int> inode_permission_calls{0};
 };
 
+// The span-root (syscall) events in the kernel's trace ring, oldest first.
+std::vector<TraceEvent> SyscallRoots(Kernel& k) {
+  std::vector<TraceEvent> roots;
+  for (TraceEvent& ev : k.tracer().Snapshot()) {
+    if (ev.tp == TracepointId::kSyscall) {
+      roots.push_back(std::move(ev));
+    }
+  }
+  return roots;
+}
+
 class SyscallGateTest : public ::testing::Test {
  protected:
   SyscallGateTest() {
@@ -88,14 +99,14 @@ TEST_F(SyscallGateTest, TraceRecordsCarryErrno) {
   Task& alice = User(1000);
   kernel_.syscalls().ClearTrace();
   EXPECT_EQ(kernel_.Open(alice, "/etc/secret", kORdOnly).code(), Errno::kEACCES);
-  auto trace = kernel_.syscalls().TraceSnapshot();
+  auto trace = SyscallRoots(kernel_);
   ASSERT_FALSE(trace.empty());
-  const auto& rec = trace.back();
-  EXPECT_EQ(rec.nr, Sysno::kOpen);
-  EXPECT_EQ(rec.err, Errno::kEACCES);
-  EXPECT_EQ(rec.pid, alice.pid);
-  EXPECT_FALSE(rec.seccomp_denied);
-  EXPECT_NE(rec.args.find("/etc/secret"), std::string::npos);
+  const TraceEvent& ev = trace.back();
+  EXPECT_EQ(static_cast<Sysno>(ev.a), Sysno::kOpen);
+  EXPECT_EQ(static_cast<Errno>(ev.code), Errno::kEACCES);
+  EXPECT_EQ(ev.pid, alice.pid);
+  EXPECT_EQ(ev.flags & kTraceFlagSeccompDenied, 0u);
+  EXPECT_NE(ev.detail.find("/etc/secret"), std::string::npos);
 }
 
 TEST_F(SyscallGateTest, TraceRingIsBounded) {
@@ -104,11 +115,10 @@ TEST_F(SyscallGateTest, TraceRingIsBounded) {
   for (int i = 0; i < 300; ++i) {
     (void)kernel_.GetPid(alice);
   }
-  EXPECT_EQ(kernel_.syscalls().TraceSnapshot().size(), SyscallGate::kTraceCapacity);
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 300 - SyscallGate::kTraceCapacity);
+  EXPECT_EQ(SyscallRoots(kernel_).size(), SyscallGate::kTraceCapacity);
+  EXPECT_EQ(kernel_.tracer().dropped(), 300 - SyscallGate::kTraceCapacity);
   // Oldest retained record is the one after the drops.
-  EXPECT_EQ(kernel_.syscalls().TraceSnapshot().front().seq,
-            300 - SyscallGate::kTraceCapacity);
+  EXPECT_EQ(SyscallRoots(kernel_).front().seq, 300 - SyscallGate::kTraceCapacity);
 }
 
 TEST_F(SyscallGateTest, SeccompDenialHappensBeforeLsmHooks) {
@@ -129,11 +139,11 @@ TEST_F(SyscallGateTest, SeccompDenialHappensBeforeLsmHooks) {
   EXPECT_EQ(kernel_.lsm().HookInvocations(LsmHook::kSocketCreate), stack_before);
 
   // The denial is visible in the trace ring and the per-syscall counters.
-  auto trace = kernel_.syscalls().TraceSnapshot();
+  auto trace = SyscallRoots(kernel_);
   ASSERT_FALSE(trace.empty());
-  EXPECT_EQ(trace.back().nr, Sysno::kSocket);
-  EXPECT_TRUE(trace.back().seccomp_denied);
-  EXPECT_EQ(trace.back().err, Errno::kEPERM);
+  EXPECT_EQ(static_cast<Sysno>(trace.back().a), Sysno::kSocket);
+  EXPECT_NE(trace.back().flags & kTraceFlagSeccompDenied, 0u);
+  EXPECT_EQ(static_cast<Errno>(trace.back().code), Errno::kEPERM);
   EXPECT_GE(kernel_.syscalls().stats(Sysno::kSocket).seccomp_denied, 1u);
 
   // And in the audit log.
@@ -428,7 +438,7 @@ TEST(SyscallGateProcTest, StatsAndTraceExposedUnderProc) {
   // "clear" empties it; the next read shows only the syscalls of the read
   // path itself.
   ASSERT_TRUE(sim.kernel().WriteWholeFile(root, "/proc/protego/trace", "clear").ok());
-  EXPECT_TRUE(sim.syscalls().TraceSnapshot().size() < 10);
+  EXPECT_TRUE(SyscallRoots(sim.kernel()).size() < 10);
 }
 
 TEST(SyscallGateProcTest, SeccompFiltersExposedUnderProcWithPidFilter) {
@@ -484,8 +494,9 @@ TEST(SyscallGateSandboxTest, SandboxDropsSocketAfterSeccomp) {
   EXPECT_NE(run.out.find("socket after seccomp denied (EPERM)"), std::string::npos);
   // The denial shows up in the kernel's trace ring.
   bool traced = false;
-  for (const auto& rec : sim.syscalls().TraceSnapshot()) {
-    if (rec.nr == Sysno::kSocket && rec.seccomp_denied) {
+  for (const TraceEvent& ev : SyscallRoots(sim.kernel())) {
+    if (static_cast<Sysno>(ev.a) == Sysno::kSocket &&
+        (ev.flags & kTraceFlagSeccompDenied) != 0) {
       traced = true;
     }
   }

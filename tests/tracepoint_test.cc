@@ -141,6 +141,17 @@ TEST(TracerTest, NetfilterEmitsVerdictEvents) {
 // ---------------------------------------------------------------------------
 // Gate-level tests on a bare kernel.
 
+// The span-root (syscall) events in the kernel's trace ring, oldest first.
+std::vector<TraceEvent> SyscallRoots(Kernel& k) {
+  std::vector<TraceEvent> roots;
+  for (TraceEvent& ev : k.tracer().Snapshot()) {
+    if (ev.tp == TracepointId::kSyscall) {
+      roots.push_back(std::move(ev));
+    }
+  }
+  return roots;
+}
+
 class TracepointGateTest : public ::testing::Test {
  protected:
   TracepointGateTest() {
@@ -162,21 +173,21 @@ TEST_F(TracepointGateTest, GateRingWraparoundBoundaries) {
   for (size_t i = 0; i < kCap; ++i) {
     kernel_.GetPid(*alice_);
   }
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 0u);
-  EXPECT_EQ(kernel_.syscalls().TraceSnapshot().size(), kCap);
+  EXPECT_EQ(kernel_.tracer().dropped(), 0u);
+  EXPECT_EQ(SyscallRoots(kernel_).size(), kCap);
 
   kernel_.GetPid(*alice_);
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 1u);
-  auto snap = kernel_.syscalls().TraceSnapshot();
+  EXPECT_EQ(kernel_.tracer().dropped(), 1u);
+  auto snap = SyscallRoots(kernel_);
   ASSERT_EQ(snap.size(), kCap);
   EXPECT_EQ(snap.front().seq, 1u);
 
   kernel_.syscalls().ClearTrace();
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 0u);
-  EXPECT_TRUE(kernel_.syscalls().TraceSnapshot().empty());
+  EXPECT_EQ(kernel_.tracer().dropped(), 0u);
+  EXPECT_TRUE(SyscallRoots(kernel_).empty());
   // Spans keep working after a clear.
   kernel_.GetPid(*alice_);
-  snap = kernel_.syscalls().TraceSnapshot();
+  snap = SyscallRoots(kernel_);
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap.front().seq, 0u);
 }
@@ -184,6 +195,7 @@ TEST_F(TracepointGateTest, GateRingWraparoundBoundaries) {
 TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   ASSERT_TRUE(kernel_.SeccompSetFilter(*alice_, {Sysno::kGetPid, Sysno::kSeccomp}).ok());
   kernel_.syscalls().ClearTrace();
+  kernel_.syscalls().SetAllSyscallsTimed(true);
 
   kernel_.GetPid(*alice_);
   auto denied = kernel_.SocketCall(*alice_, kAfInet, kSockStream, 0);
@@ -195,16 +207,17 @@ TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   EXPECT_EQ(s.errors, 1u);
   EXPECT_EQ(s.seccomp_denied, 1u);
   // ...but EXCLUDED from the latency distribution (the body never ran).
-  EXPECT_EQ(s.lat_ticks.count(), s.calls - s.seccomp_denied);
-  EXPECT_EQ(s.lat_ticks.sum(), 0u);
+  EXPECT_EQ(s.lat_ns.count(), s.calls - s.seccomp_denied);
+  EXPECT_EQ(s.lat_ns.sum(), 0u);
+  EXPECT_TRUE(kernel_.syscalls().ExemplarsFor(Sysno::kSocket).empty());
 
   // Trace: a span root with the seccomp flag and EPERM — stats and trace
   // agree on the count.
-  auto snap = kernel_.syscalls().TraceSnapshot();
   size_t traced_denials = 0;
-  for (const auto& rec : snap) {
-    if (rec.nr == Sysno::kSocket && rec.seccomp_denied) {
-      EXPECT_EQ(rec.err, Errno::kEPERM);
+  for (const TraceEvent& ev : SyscallRoots(kernel_)) {
+    if (static_cast<Sysno>(ev.a) == Sysno::kSocket &&
+        (ev.flags & kTraceFlagSeccompDenied) != 0) {
+      EXPECT_EQ(static_cast<Errno>(ev.code), Errno::kEPERM);
       ++traced_denials;
     }
   }
@@ -212,7 +225,8 @@ TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
 
   // The invariant holds for permitted syscalls too.
   const SyscallGate::PerSyscall& g = kernel_.syscalls().stats(Sysno::kGetPid);
-  EXPECT_EQ(g.lat_ticks.count(), g.calls - g.seccomp_denied);
+  EXPECT_EQ(g.lat_ns.count(), g.calls - g.seccomp_denied);
+  EXPECT_GT(g.lat_ns.count(), 0u);
   EXPECT_NE(kernel_.syscalls().FormatTrace().find("(seccomp)"), std::string::npos);
 }
 
