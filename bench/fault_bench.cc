@@ -29,7 +29,7 @@
 namespace protego {
 namespace {
 
-// Best-of-reps timing, same scheme as syscall_gate_bench.
+// Best-of-reps timing: the fastest rep is the one least disturbed by the host.
 template <typename Fn>
 double NsPerOp(Fn&& fn, int iters, int reps) {
   double best = 1e18;

@@ -5,6 +5,9 @@
 // "+ Protego"), reporting mean ns/op and relative overhead. Iteration
 // counts auto-scale until a row accumulates a minimum wall-clock budget,
 // then the run is repeated to report a spread (the paper's +/- column).
+// A row's op runs once on each system before it is timed, and the process
+// exits 1 if any syscall in it fails: a row must time the call it names,
+// not an error return.
 
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
@@ -12,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -84,22 +88,36 @@ struct ComparisonRow {
   }
 };
 
+// Errors the gate has returned so far, over every syscall.
+inline uint64_t GateErrors(Kernel& k) {
+  uint64_t n = 0;
+  for (Sysno nr : AllSysnos()) {
+    n += k.syscalls().stats(nr).errors.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+inline Measurement MeasureOnFreshSystem(SimMode mode, const std::string& name,
+                                        const OpFactory& factory,
+                                        const std::string& session_user) {
+  SimSystem sys(mode);
+  Task& session = sys.Login(session_user);
+  auto op = factory(sys, session);
+  const uint64_t errors_before = GateErrors(sys.kernel());
+  op();
+  if (GateErrors(sys.kernel()) != errors_before) {
+    std::fprintf(stderr, "the %s row's op fails on %s\n", name.c_str(), SimModeName(mode));
+    std::exit(1);
+  }
+  return MeasureNs(op);
+}
+
 inline ComparisonRow CompareModes(const std::string& name, const OpFactory& factory,
                                   const std::string& session_user = "root") {
   ComparisonRow row;
   row.name = name;
-  {
-    SimSystem sys(SimMode::kLinux);
-    Task& session = sys.Login(session_user);
-    auto op = factory(sys, session);
-    row.linux_m = MeasureNs(op);
-  }
-  {
-    SimSystem sys(SimMode::kProtego);
-    Task& session = sys.Login(session_user);
-    auto op = factory(sys, session);
-    row.protego_m = MeasureNs(op);
-  }
+  row.linux_m = MeasureOnFreshSystem(SimMode::kLinux, name, factory, session_user);
+  row.protego_m = MeasureOnFreshSystem(SimMode::kProtego, name, factory, session_user);
   return row;
 }
 

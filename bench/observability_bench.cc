@@ -4,9 +4,8 @@
 //
 // Configurations (gate always on, stats always counted):
 //   tracing-off   tracer master switch off — the dispatch-word fast path
-//                 with every observability bit clear. The baseline; within
-//                 noise of BENCH_syscall_gate's stats config by construction
-//                 (same gate, no tracer work).
+//                 with every observability bit clear. The baseline: the
+//                 gate with no tracer work.
 //   default       the "always-on" production shape: tracer on, but the
 //                 traced set narrowed to the control-plane syscalls the
 //                 paper's operator actually audits (mount/umount/execve/

@@ -40,9 +40,9 @@ void RunMicro() {
                      Task* t = &task;
                      int fd = k->Open(task, "/etc/hosts", kORdOnly).value();
                      FdEntry* entry = task.fds.Get(fd);
-                     return std::function<void()>([k, t, entry]() {
+                     return std::function<void()>([k, t, fd, entry]() {
                        entry->file->offset = 0;
-                       (void)k->Read(*t, 3);
+                       (void)k->Read(*t, fd);
                      });
                    }});
 
@@ -52,9 +52,9 @@ void RunMicro() {
                      (void)k->WriteWholeFile(task, "/tmp/bench.dat", "seed");
                      int fd = k->Open(task, "/tmp/bench.dat", kOWrOnly).value();
                      FdEntry* entry = task.fds.Get(fd);
-                     return std::function<void()>([k, t, entry]() {
+                     return std::function<void()>([k, t, fd, entry]() {
                        entry->file->offset = 0;
-                       (void)k->Write(*t, 3, "data");
+                       (void)k->Write(*t, fd, "data");
                      });
                    }});
 

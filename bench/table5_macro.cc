@@ -1,8 +1,8 @@
 // Table 5 (macro rows): the Postal mail benchmark, the kernel-compile
 // workload, and the ApacheBench concurrency sweep — re-hosted on the macro
-// workload engine (src/workload), so the Table 5 reproduction and the
-// traffic-scale harness (bench/macro_bench) are the same op streams and
-// cannot drift apart.
+// workload engine (src/workload), so the Table 5 reproduction, the engine's
+// tests (tests/workload_test.cc) and perfbench's replay of the same mixes
+// are the same op streams and cannot drift apart.
 //
 // The engine keeps all maintenance (spool provisioning, sessions, fixture
 // writes) OUTSIDE the timed window — the old standalone rows measured

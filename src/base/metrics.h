@@ -147,8 +147,8 @@ class MetricsRegistry {
   using Collector = std::function<void(MetricsBuilder&)>;
 
   // Registers a collector invoked on every export, in registration order.
-  // Thread-safe: fleet workers boot kernel instances (which register their
-  // collectors) concurrently.
+  // Thread-safe: a module may register while a task thread is exporting
+  // /proc/protego/metrics, which snapshots the list under the same lock.
   void AddCollector(Collector collector) {
     std::lock_guard<std::mutex> lk(mu_);
     collectors_.push_back(std::move(collector));

@@ -5,9 +5,11 @@
 //
 // Mine() finds the calling thread's shard through a thread-local one-entry
 // cache (one per T) keyed by an id no other ThreadShards<T> ever gets, NOT
-// the object's address: fleet runs create and destroy thousands of kernels,
-// and a recycled address must not hit a stale entry. A miss takes the registry lock and creates the shard
-// on the thread's first use. Shards live as long as the object.
+// the object's address: a kernel booted where a destroyed one lived (a
+// thread that boots kernels one after another does this routinely) must
+// not hit the stale entry, which points into the freed registry. A miss
+// takes the registry lock and creates the shard on the thread's first use.
+// Shards live as long as the object.
 //
 // ForEach() visits every shard under the same registry lock. The owner
 // writes its shard without that lock, so whatever a reader loads from a

@@ -657,16 +657,6 @@ SyscallGate::PerSyscall SyscallGate::stats(Sysno nr) const {
   return PerSyscall{calls, errors, denied, rule_evals, lat_ns};
 }
 
-uint64_t SyscallGate::TotalCalls() const {
-  uint64_t total = 0;
-  for (Sysno nr : AllSysnos()) {
-    ForEachRecord(nr, [&](const SyscallRecord& rec) {
-      total += rec.calls.load(std::memory_order_relaxed);
-    });
-  }
-  return total;
-}
-
 void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
   // No shared lock and no shared cache line: in parallel mode every task
   // thread retires syscalls into its own record.

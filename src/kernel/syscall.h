@@ -369,12 +369,6 @@ class SyscallGate {
   void set_scheduler(TaskScheduler* scheduler) { scheduler_ = scheduler; }
   TaskScheduler* scheduler() { return scheduler_; }
 
-  // Master switch. When off, the gate neither filters nor accounts — this
-  // exists ONLY as the microbenchmark's no-gate baseline; a disabled gate
-  // does not enforce seccomp filters.
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   // Tracing toggle: forwards to the shared Tracer's master switch (the
   // /proc/protego/trace "on"/"off" commands land here).
   bool trace_enabled() const { return tracer_ != nullptr && tracer_->enabled(); }
@@ -480,7 +474,6 @@ class SyscallGate {
   }
 
   PerSyscall stats(Sysno nr) const;
-  uint64_t TotalCalls() const;
 
   void ClearTrace();
 
@@ -572,9 +565,6 @@ class SyscallGate {
       // chose.
       scheduler_->OnSyscallEntry(task.pid, nr);
     }
-    if (!enabled_) {
-      return body();
-    }
     // The gate frame is the attribution ROOT: everything the syscall does
     // (seccomp, DAC, LSM, VFS, netfilter, the body, and the observability
     // pipeline itself) nests inside it, so summed per-layer self time
@@ -636,9 +626,6 @@ class SyscallGate {
   int RunGetPid(const TaskT& task) {
     if (scheduler_ != nullptr) {
       scheduler_->OnSyscallEntry(task.pid, Sysno::kGetPid);
-    }
-    if (!enabled_) {
-      return task.pid;
     }
     LayerScope gate_scope(profiler_, Layer::kGate);
     SyscallContext ctx;
@@ -774,7 +761,6 @@ class SyscallGate {
   FaultRegistry* faults_ = nullptr;
   TaskScheduler* scheduler_ = nullptr;
   LayerProfiler* profiler_ = nullptr;
-  bool enabled_ = true;
   ThreadShards<GateShard> shards_;
   std::function<void(std::string)> audit_sink_;
   SyscallRecorder recorder_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -293,71 +292,11 @@ uint64_t SyscallProfile::total() const {
   return sum;
 }
 
-size_t SyscallProfile::distinct() const {
-  size_t n = 0;
-  for (uint64_t c : calls) {
-    if (c != 0) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-void SyscallProfile::Merge(const SyscallProfile& other) {
-  for (size_t i = 0; i < calls.size(); ++i) {
-    calls[i] += other.calls[i];
-  }
-}
-
-std::string SyscallProfile::Format() const {
-  std::vector<std::pair<uint64_t, Sysno>> rows;
-  for (Sysno nr : AllSysnos()) {
-    uint64_t c = calls[static_cast<size_t>(nr)];
-    if (c != 0) {
-      rows.emplace_back(c, nr);
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  std::string out;
-  for (const auto& [count, nr] : rows) {
-    if (!out.empty()) {
-      out += ' ';
-    }
-    out += SysnoName(nr);
-    out += ':';
-    out += std::to_string(count);
-  }
-  return out;
-}
-
-std::string SyscallProfile::FormatJson() const {
-  std::string out = "{";
-  bool first = true;
-  for (Sysno nr : AllSysnos()) {
-    uint64_t c = calls[static_cast<size_t>(nr)];
-    if (c == 0) {
-      continue;
-    }
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += '"';
-    out += SysnoName(nr);
-    out += "\": ";
-    out += std::to_string(c);
-  }
-  out += '}';
-  return out;
-}
-
 MixReport RunWorkload(const WorkloadSpec& spec, SimMode sim_mode) {
   SimSystem sys(sim_mode);
   Kernel& k = sys.kernel();
   // The engine measures the syscall machinery, not trace-string formatting;
-  // the tracer's enable-check cost is already priced by BENCH_syscall_gate.
+  // perfbench's --trace 1 run prices the tracer separately.
   // With spec.trace the tracer instead runs live under head sampling seeded
   // from the workload seed, so the sampled event stream replays exactly.
   if (spec.trace) {

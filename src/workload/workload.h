@@ -97,14 +97,7 @@ struct SyscallProfile {
   std::array<uint64_t, kSysnoSlots> calls{};
 
   uint64_t total() const;
-  size_t distinct() const;  // syscall numbers with a nonzero count
-  void Merge(const SyscallProfile& other);
   bool operator==(const SyscallProfile& other) const { return calls == other.calls; }
-
-  // "stat:8000 open:3000 ..." — nonzero entries, descending by count.
-  std::string Format() const;
-  // {"stat": 8000, "open": 3000, ...} — nonzero entries, ascending sysno.
-  std::string FormatJson() const;
 };
 
 struct MixReport {

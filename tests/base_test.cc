@@ -1,13 +1,17 @@
 // Unit tests for src/base: strings, lexer, hashing, the Result error model,
-// and the virtual clock.
+// the virtual clock, and the per-thread shard primitive.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <new>
 
 #include "src/base/clock.h"
 #include "src/base/hash.h"
 #include "src/base/lexer.h"
 #include "src/base/result.h"
 #include "src/base/strings.h"
+#include "src/base/thread_shards.h"
 
 namespace protego {
 namespace {
@@ -143,6 +147,27 @@ TEST(ClockTest, AdvancesMonotonically) {
   EXPECT_EQ(clock.Now(), 300u);
   clock.Advance(1);
   EXPECT_EQ(clock.Now(), 301u);
+}
+
+// A ThreadShards built where a destroyed one lived must not inherit the
+// calling thread's cached shard: that pointer is into the freed registry.
+TEST(ThreadShardsTest, RecycledAddressGetsAFreshShard) {
+  struct Counter {
+    uint64_t n = 0;
+  };
+  using Shards = ThreadShards<Counter>;
+  alignas(Shards) unsigned char storage[sizeof(Shards)];
+  Shards* first = new (storage) Shards;
+  first->Mine().n = 42;
+  first->~Shards();
+
+  Shards* second = new (storage) Shards;
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  EXPECT_EQ(second->Mine().n, 0u);
+  int visited = 0;
+  second->ForEach([&](const Counter&) { ++visited; });
+  EXPECT_EQ(visited, 1);
+  second->~Shards();
 }
 
 }  // namespace

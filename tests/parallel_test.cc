@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/conc/explore.h"
-#include "src/conc/fleet.h"
 #include "src/conc/thread_sched.h"
 #include "src/fault/fault.h"
 #include "src/kernel/exec_mode.h"
@@ -569,38 +568,35 @@ TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
   EXPECT_TRUE(k.Access(probe, "/etc/passwd", kMayRead).ok());
 }
 
-// --- Fleet smoke -------------------------------------------------------------
-
-TEST(FleetTest, MultiplexesInstancesOverWorkerPool) {
-  conc::FleetOptions opts;
-  opts.instances = 40;
-  opts.workers = 4;
-  opts.ops_per_instance = 24;
-  conc::FleetReport report = conc::RunFleet(opts);
-  EXPECT_EQ(report.instances_run, 40u);
-  // Every instance completes its full mix: 24 ops -> 3 whole rounds of 8.
-  EXPECT_EQ(report.total_ops, 40u * 24u);
-  EXPECT_GT(report.ops_per_sec, 0.0);
-}
-
-// Regression: RunInstance used to issue 8 syscalls per round while
-// advancing its loop by 6 and counting 6 — every instance overran its op
-// budget by a third and the fleet ops/sec was computed from the undercount.
-// total_issued is measured from each instance's gate counters, so it cannot
-// lie about what was actually dispatched.
-TEST(FleetTest, IssuedMatchesCountedAndRespectsBudget) {
-  conc::FleetOptions opts;
-  opts.instances = 8;
-  opts.workers = 2;
-  opts.ops_per_instance = 48;
-  conc::FleetReport report = conc::RunFleet(opts);
-  EXPECT_EQ(report.instances_run, 8u);
-  // Parity: on a healthy run every issued syscall succeeds, so the gate
-  // view and the hand count must agree exactly.
-  EXPECT_EQ(report.total_issued, report.total_ops);
-  // Budget: no instance may dispatch more syscalls than it was asked to.
-  EXPECT_LE(report.total_issued, 8u * 48u);
-  EXPECT_EQ(report.total_issued, 8u * 48u);  // 48 = 6 whole rounds, no remainder
+// --- Kernel churn across threads ---------------------------------------------
+//
+// Several threads each boot and destroy kernels back to back. A kernel
+// booted where a destroyed one lived must start with fresh per-thread
+// shards, so each kernel's gate counts exactly the calls made on it.
+TEST(ParallelStress, KernelChurnAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kKernels = 50;
+  constexpr uint64_t kCalls = 10;
+  std::atomic<int> miscounted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&miscounted] {
+      for (int i = 0; i < kKernels; ++i) {
+        std::unique_ptr<Kernel> kernel = BootBareKernel();
+        Task& root = kernel->CreateTask("churn", Cred::Root(), nullptr);
+        for (uint64_t c = 0; c < kCalls; ++c) {
+          (void)kernel->GetPid(root);
+        }
+        if (kernel->syscalls().stats(Sysno::kGetPid).calls.load() != kCalls) {
+          miscounted.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(miscounted.load(), 0);
 }
 
 }  // namespace

@@ -204,18 +204,6 @@ TEST_F(SyscallGateTest, FilteredGetPidReturnsMinusOne) {
   EXPECT_EQ(kernel_.GetPid(alice), -1);
 }
 
-TEST_F(SyscallGateTest, DisabledGateSkipsFilteringAndAccounting) {
-  Task& alice = User(1000);
-  ASSERT_TRUE(kernel_.SeccompSetFilter(alice, {Sysno::kRead}).ok());
-  kernel_.syscalls().set_enabled(false);
-  // The no-gate baseline neither enforces the filter nor counts the call.
-  uint64_t calls = kernel_.syscalls().stats(Sysno::kGetPid).calls;
-  EXPECT_EQ(kernel_.GetPid(alice), alice.pid);
-  EXPECT_EQ(kernel_.syscalls().stats(Sysno::kGetPid).calls, calls);
-  kernel_.syscalls().set_enabled(true);
-  EXPECT_EQ(kernel_.GetPid(alice), -1);
-}
-
 TEST_F(SyscallGateTest, AuditRingCountsDrops) {
   EXPECT_EQ(kernel_.audit_dropped(), 0u);
   for (int i = 0; i < 600; ++i) {

@@ -1,12 +1,15 @@
 // Macro workload engine acceptance: exact op bookkeeping, seed determinism
-// across repeated runs and both stacks, overhead-report math, the parallel
-// driver, and the reached-surface reduction the profiles feed.
+// across repeated runs and both stacks, overhead-report math, and the
+// parallel driver.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <ostream>
+#include <string>
+#include <vector>
 
-#include "src/study/surface.h"
 #include "src/workload/workload.h"
 
 namespace protego {
@@ -61,19 +64,29 @@ TEST(MacroWorkload, OpBookkeepingIsExactOnBothStacks) {
 // The determinism contract: a fixed (spec, seed) replays to identical
 // units, op counts, failure counts, and syscall profile — twice in a row.
 TEST(MacroWorkload, SameSeedReplaysIdenticalMixAndMetrics) {
-  for (Mix mix : {Mix::kCompile, Mix::kWebServe, Mix::kMail}) {
-    WorkloadSpec spec = SmallSpec(mix);
+  std::vector<WorkloadSpec> specs = {SmallSpec(Mix::kCompile), SmallSpec(Mix::kWebServe),
+                                     SmallSpec(Mix::kMail)};
+  WorkloadSpec probe;  // a second seed and budget on the exec-heavy mix
+  probe.mix = Mix::kCompile;
+  probe.tasks = 2;
+  probe.total_ops = 4000;
+  probe.seed = 7;
+  specs.push_back(probe);
+  for (const WorkloadSpec& spec : specs) {
+    const std::string what =
+        std::string(MixName(spec.mix)) + " seed " + std::to_string(spec.seed);
     MixReport a = RunWorkload(spec, SimMode::kProtego);
     MixReport b = RunWorkload(spec, SimMode::kProtego);
-    EXPECT_EQ(a.units, b.units) << MixName(mix);
-    EXPECT_EQ(a.ops_issued, b.ops_issued) << MixName(mix);
-    EXPECT_EQ(a.ops_failed, b.ops_failed) << MixName(mix);
-    EXPECT_TRUE(a.profile == b.profile) << MixName(mix);
+    EXPECT_EQ(a.units, b.units) << what;
+    EXPECT_EQ(a.ops_issued, b.ops_issued) << what;
+    EXPECT_EQ(a.ops_failed, b.ops_failed) << what;
+    EXPECT_TRUE(a.profile == b.profile) << what;
   }
 }
 
 // Both stacks replay the identical op stream, which is what makes the
-// overhead column a like-for-like comparison.
+// overhead column a like-for-like comparison. This is the small shape
+// (2 tasks, seed 11); StackPair below repeats the check at 8 tasks.
 TEST(MacroWorkload, StockAndProtegoIssueIdenticalOpStreams) {
   OverheadRow row = CompareStacks(SmallSpec(Mix::kWebServe));
   EXPECT_EQ(row.stock.units, row.protego.units);
@@ -81,6 +94,61 @@ TEST(MacroWorkload, StockAndProtegoIssueIdenticalOpStreams) {
   EXPECT_GT(row.stock.ops_per_sec, 0.0);
   EXPECT_GT(row.protego.ops_per_sec, 0.0);
 }
+
+// The same check for every mix in both exec modes, at 8 tasks and a
+// 24,000-op budget: enough units that each task runs many rounds and the
+// parallel mode's threads overlap.
+struct StackPairCase {
+  Mix mix;
+  ExecMode exec_mode;
+};
+
+void PrintTo(const StackPairCase& c, std::ostream* os) {
+  *os << MixName(c.mix) << "/" << ExecModeName(c.exec_mode);
+}
+
+class StackPair : public ::testing::TestWithParam<StackPairCase> {};
+
+TEST_P(StackPair, StockAndProtegoIssueIdenticalOpStreams) {
+  WorkloadSpec spec;
+  spec.mix = GetParam().mix;
+  spec.exec_mode = GetParam().exec_mode;
+  spec.tasks = 8;
+  spec.total_ops = 24000;
+  spec.seed = 1;
+  OverheadRow row = CompareStacks(spec);
+  for (const MixReport* r : {&row.stock, &row.protego}) {
+    const char* stack = SimModeName(r->sim_mode);
+    EXPECT_GT(r->units, 0u) << stack;
+    EXPECT_EQ(r->ops_issued, r->units * OpsPerUnit(spec.mix)) << stack;
+    // The gate saw at least every issued op (plus nested Spawn syscalls).
+    EXPECT_GE(r->profile.total(), r->ops_issued) << stack;
+    EXPECT_GT(r->ops_per_sec, 0.0) << stack;
+  }
+  EXPECT_EQ(row.stock.units, row.protego.units);
+  EXPECT_EQ(row.stock.ops_issued, row.protego.ops_issued);
+}
+
+std::vector<StackPairCase> AllStackPairCases() {
+  std::vector<StackPairCase> cases;
+  for (int i = 0; i < workload::kMixCount; ++i) {
+    for (ExecMode mode : {ExecMode::kDeterministic, ExecMode::kParallel}) {
+      cases.push_back({static_cast<Mix>(i), mode});
+    }
+  }
+  return cases;
+}
+
+// "web-serve" in deterministic mode -> "web_serve_deterministic".
+std::string StackPairName(const ::testing::TestParamInfo<StackPairCase>& info) {
+  std::string name =
+      std::string(MixName(info.param.mix)) + "_" + ExecModeName(info.param.exec_mode);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(MacroWorkload, StackPair, ::testing::ValuesIn(AllStackPairCases()),
+                         StackPairName);
 
 // The mail mix is the paper's story in miniature: on stock Linux the
 // delivery loop seteuid()s into each recipient; under Protego the session
@@ -134,37 +202,18 @@ TEST(OverheadMath, CompareStacksUsesOpsPerSec) {
       RelativeOverheadPct(row.stock.ops_per_sec, row.protego.ops_per_sec));
 }
 
-// --- Profiles and the reached-surface reduction ------------------------------
+// --- Profiles ----------------------------------------------------------------
 
 TEST(SyscallProfileTest, FormatsAndCounts) {
   SyscallProfile p;
   p.calls[static_cast<size_t>(Sysno::kOpen)] = 3;
   p.calls[static_cast<size_t>(Sysno::kStat)] = 8;
   EXPECT_EQ(p.total(), 11u);
-  EXPECT_EQ(p.distinct(), 2u);
-  EXPECT_EQ(p.Format(), "stat:8 open:3");
-  EXPECT_EQ(p.FormatJson(), "{\"open\": 3, \"stat\": 8}");
-  SyscallProfile q;
-  q.calls[static_cast<size_t>(Sysno::kOpen)] = 1;
-  p.Merge(q);
-  EXPECT_EQ(p.calls[static_cast<size_t>(Sysno::kOpen)], 4u);
-}
-
-TEST(SurfaceStudy, WorkloadProfilesReduceTheSyscallSurface) {
-  MixReport burst = RunWorkload(SmallSpec(Mix::kSetuidBurst), SimMode::kProtego);
-  MixReport compile = RunWorkload(SmallSpec(Mix::kCompile), SimMode::kProtego);
-  SurfaceProfile b = SurfaceFromProfile("setuid-burst", burst.profile);
-  SurfaceProfile c = SurfaceFromProfile("compile", compile.profile);
-  // The microburst touches a strictly smaller surface than the compile mix
-  // (which execs children), and both are well below the full gate table —
-  // the KASR-style reduction a deny-by-default filter would enforce.
-  EXPECT_GT(b.reached.size(), 0u);
-  EXPECT_LT(b.reached.size(), c.reached.size());
-  EXPECT_LT(c.surface_fraction, 1.0);
-  EXPECT_EQ(b.total_calls, burst.profile.total());
-  std::string table = FormatSurfaceTable({b, c});
-  EXPECT_NE(table.find("setuid-burst"), std::string::npos);
-  EXPECT_NE(table.find("getpid"), std::string::npos);
+  SyscallProfile q = p;
+  EXPECT_TRUE(p == q);
+  q.calls[static_cast<size_t>(Sysno::kOpen)] = 4;
+  EXPECT_FALSE(p == q);
+  EXPECT_EQ(q.total(), 12u);
 }
 
 }  // namespace
