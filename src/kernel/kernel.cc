@@ -170,37 +170,50 @@ void Kernel::ReapTask(int pid) {
 
 Result<Unit> Kernel::InstallBinary(const std::string& path, uint32_t mode, Uid uid, Gid gid,
                                    ProgramMain main) {
-  std::string normalized = Vfs::Normalize(path);
-  size_t slash = normalized.find_last_of('/');
-  if (slash > 0) {
-    RETURN_IF_ERROR(vfs_.EnsureDirs(normalized.substr(0, slash)));
-  }
-  ASSIGN_OR_RETURN(Vnode * node,
-                   vfs_.CreateFile(normalized, mode, uid, gid, "\177ELF " + normalized));
+  RETURN_IF_ERROR(vfs_.EnsureDirs(DirPathOf(path)));
+  ASSIGN_OR_RETURN(Vnode * node, vfs_.CreateFile(path, mode, uid, gid, "\177ELF " + path));
   vfs_.SetInodeMode(node, mode);
+  std::string canonical = vfs_.PathOf(node);
   std::unique_lock<std::shared_mutex> lk(registry_mu_);
-  binaries_[normalized] = BinaryEntry{std::move(main), CapSet{}};
+  binaries_[std::move(canonical)] = BinaryEntry{std::move(main), CapSet{}};
   return OkUnit();
 }
 
 void Kernel::SetFileCaps(const std::string& path, CapSet caps) {
+  std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
   std::unique_lock<std::shared_mutex> lk(registry_mu_);
-  auto it = binaries_.find(Vfs::Normalize(path));
+  auto it = binaries_.find(canonical);
   if (it != binaries_.end()) {
     it->second.file_caps = caps;
   }
 }
 
 bool Kernel::HasBinary(const std::string& path) const {
+  std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
   std::shared_lock<std::shared_mutex> lk(registry_mu_);
-  return binaries_.count(Vfs::Normalize(path)) != 0;
+  return binaries_.count(canonical) != 0;
 }
 
-std::string Kernel::JoinPath(const Task& task, const std::string& path) {
-  if (!path.empty() && path[0] == '/') {
-    return Vfs::Normalize(path);
+Result<Unit> Kernel::CheckDirWrite(Task& task, const WalkResult& w) {
+  return CheckPermission(task, std::string(DirPathOf(w.path)), w.dir->inode(), kMayWrite);
+}
+
+Result<WalkResult> Kernel::Lookup(Task& task, const std::string& path, PathArg arg,
+                                  bool primary) {
+  WalkResult w =
+      vfs_.Walk(task.cwd, path, /*follow=*/arg == PathArg::kObject || arg == PathArg::kCreate);
+  if (primary && !gate_.CheckPath(w.path)) {
+    return Error(Errno::kEPERM, "seccomp: " + w.path);
   }
-  return Vfs::Normalize(task.cwd + "/" + path);
+  const bool may_be_missing = arg == PathArg::kNewEntry || arg == PathArg::kCreate;
+  if (w.err != Errno::kOk && !(may_be_missing && w.err == Errno::kENOENT && w.last)) {
+    return Error(w.err, w.path);
+  }
+  // "/" and paths ending in "." or ".." name a directory, not an entry.
+  if (w.dir == nullptr && (arg == PathArg::kEntry || arg == PathArg::kNewEntry)) {
+    return Error(arg == PathArg::kEntry ? Errno::kEBUSY : Errno::kEEXIST, w.path);
+  }
+  return w;
 }
 
 bool Kernel::Capable(const Task& task, Capability cap) const {
@@ -312,7 +325,6 @@ Result<Unit> Kernel::CheckPermissionImpl(Task& task, const std::string& path, co
 
 Result<int> Kernel::Open(Task& task, const std::string& path, int flags, uint32_t mode) {
   SyscallArgs sargs;
-  sargs.path = &path;
   sargs.a[1] = static_cast<uint64_t>(static_cast<uint32_t>(flags));
   sargs.a[2] = mode;
   return gate_.Run<int>(
@@ -325,35 +337,34 @@ Result<int> Kernel::OpenImpl(Task& task, const std::string& path, int flags, uin
   // Linux allocates the fd slot before walking the path (get_unused_fd_flags
   // in do_sys_open), so resource exhaustion is reported before ENOENT.
   RETURN_IF_ERROR(CheckFdAvailable(task));
-  std::string full = JoinPath(task, path);
-  Vnode* node = nullptr;
-  while (node == nullptr) {
-    auto resolved = vfs_.Resolve(full);
-    if (!resolved.ok()) {
-      if (resolved.code() != Errno::kENOENT || !(flags & kOCreat)) {
-        return resolved.error();
+  const PathArg arg = (flags & kOCreat) == 0 ? PathArg::kObject
+                      : (flags & kOExcl) != 0 ? PathArg::kNewEntry
+                                              : PathArg::kCreate;
+  WalkResult w;
+  while (true) {
+    ASSIGN_OR_RETURN(w, Lookup(task, path, arg));
+    if (w.node != nullptr) {
+      if (arg == PathArg::kNewEntry) {
+        return Error(Errno::kEEXIST, w.path);
       }
-      // Create: need write permission on the parent directory.
-      ASSIGN_OR_RETURN(auto parent_leaf, vfs_.ResolveParent(full));
-      auto [parent, leaf] = parent_leaf;
-      RETURN_IF_ERROR(CheckPermission(task, vfs_.PathOf(parent), parent->inode(), kMayWrite));
-      auto created = vfs_.CreateFile(full, mode, task.cred.fsuid, task.cred.fsgid);
-      if (!created.ok()) {
-        if (created.code() == Errno::kEEXIST && !(flags & kOExcl)) {
-          // Lost an O_CREAT race to a concurrent creator; without O_EXCL
-          // that is not an error — go open the winner's file.
-          continue;
-        }
-        return created.error();
-      }
-      node = created.value();
-    } else {
-      node = resolved.value();
-      if ((flags & kOCreat) && (flags & kOExcl)) {
-        return Error(Errno::kEEXIST, full);
-      }
+      break;
+    }
+    // Create: need write permission on the directory the walk ended in.
+    RETURN_IF_ERROR(CheckDirWrite(task, w));
+    auto created =
+        vfs_.CreateAt(w, Inode(kIfReg | (mode & kPermMask), task.cred.fsuid, task.cred.fsgid));
+    if (created.ok()) {
+      w.node = created.value();
+      break;
+    }
+    // Losing an O_CREAT race to a concurrent creator is not an error without
+    // O_EXCL: walk again and open the winner's file.
+    if (created.code() != Errno::kEEXIST || arg != PathArg::kCreate) {
+      return created.error();
     }
   }
+  Vnode* node = w.node;
+  const std::string& full = w.path;
   if (node->inode().IsDir() && (flags & kOAccMode) != kORdOnly) {
     return Error(Errno::kEISDIR, full);
   }
@@ -447,18 +458,16 @@ Result<Unit> Kernel::WriteImpl(Task& task, int fd, std::string_view data) {
 
 Result<KernelStat> Kernel::Stat(Task& task, const std::string& path) {
   SyscallArgs sargs;
-  sargs.path = &path;
   return gate_.Run<KernelStat>(
       task, Sysno::kStat, sargs, [&]() -> std::string { return path; },
       [&] { return StatImpl(task, path); });
 }
 
 Result<KernelStat> Kernel::StatImpl(Task& task, const std::string& path) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(Vnode * node, vfs_.Resolve(full));
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kObject));
   // Coherent copy under the VFS locks: a concurrent write may be growing
   // `data` while we stat.
-  Inode inode = vfs_.SnapshotInode(node);
+  Inode inode = vfs_.SnapshotInode(w.node);
   KernelStat st;
   st.ino = inode.ino;
   st.mode = inode.mode;
@@ -473,7 +482,6 @@ Result<KernelStat> Kernel::StatImpl(Task& task, const std::string& path) {
 
 Result<Unit> Kernel::Chmod(Task& task, const std::string& path, uint32_t mode) {
   SyscallArgs sargs;
-  sargs.path = &path;
   sargs.a[1] = mode;
   return gate_.Run<Unit>(
       task, Sysno::kChmod, sargs,
@@ -482,18 +490,16 @@ Result<Unit> Kernel::Chmod(Task& task, const std::string& path, uint32_t mode) {
 }
 
 Result<Unit> Kernel::ChmodImpl(Task& task, const std::string& path, uint32_t mode) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(Vnode * node, vfs_.Resolve(full));
-  if (task.cred.fsuid != node->inode().uid && !Capable(task, Capability::kFowner)) {
-    return Error(Errno::kEPERM, full);
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kObject));
+  if (task.cred.fsuid != w.node->inode().uid && !Capable(task, Capability::kFowner)) {
+    return Error(Errno::kEPERM, w.path);
   }
-  vfs_.SetInodeMode(node, mode);
+  vfs_.SetInodeMode(w.node, mode);
   return OkUnit();
 }
 
 Result<Unit> Kernel::Chown(Task& task, const std::string& path, Uid uid, Gid gid) {
   SyscallArgs sargs;
-  sargs.path = &path;
   sargs.a[1] = uid;
   sargs.a[2] = gid;
   return gate_.Run<Unit>(
@@ -503,19 +509,17 @@ Result<Unit> Kernel::Chown(Task& task, const std::string& path, Uid uid, Gid gid
 }
 
 Result<Unit> Kernel::ChownImpl(Task& task, const std::string& path, Uid uid, Gid gid) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(Vnode * node, vfs_.Resolve(full));
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kObject));
   if (!Capable(task, Capability::kChown)) {
-    return Error(Errno::kEPERM, full);
+    return Error(Errno::kEPERM, w.path);
   }
   // Ownership change clears the setuid/setgid bits, as on Linux.
-  vfs_.SetInodeOwner(node, uid, gid, /*clear_sbits=*/true);
+  vfs_.SetInodeOwner(w.node, uid, gid, /*clear_sbits=*/true);
   return OkUnit();
 }
 
 Result<Unit> Kernel::Mkdir(Task& task, const std::string& path, uint32_t mode) {
   SyscallArgs sargs;
-  sargs.path = &path;
   sargs.a[1] = mode;
   return gate_.Run<Unit>(
       task, Sysno::kMkdir, sargs,
@@ -524,33 +528,28 @@ Result<Unit> Kernel::Mkdir(Task& task, const std::string& path, uint32_t mode) {
 }
 
 Result<Unit> Kernel::MkdirImpl(Task& task, const std::string& path, uint32_t mode) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(auto parent_leaf, vfs_.ResolveParent(full));
-  auto [parent, leaf] = parent_leaf;
-  RETURN_IF_ERROR(CheckPermission(task, vfs_.PathOf(parent), parent->inode(), kMayWrite));
-  RETURN_IF_ERROR(vfs_.CreateDir(full, mode, task.cred.fsuid, task.cred.fsgid));
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kNewEntry));
+  RETURN_IF_ERROR(CheckDirWrite(task, w));
+  RETURN_IF_ERROR(
+      vfs_.CreateAt(w, Inode(kIfDir | (mode & kPermMask), task.cred.fsuid, task.cred.fsgid)));
   return OkUnit();
 }
 
 Result<Unit> Kernel::Unlink(Task& task, const std::string& path) {
   SyscallArgs sargs;
-  sargs.path = &path;
   return gate_.Run<Unit>(
       task, Sysno::kUnlink, sargs, [&]() -> std::string { return path; },
       [&] { return UnlinkImpl(task, path); });
 }
 
 Result<Unit> Kernel::UnlinkImpl(Task& task, const std::string& path) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(auto parent_leaf, vfs_.ResolveParent(full));
-  auto [parent, leaf] = parent_leaf;
-  RETURN_IF_ERROR(CheckPermission(task, vfs_.PathOf(parent), parent->inode(), kMayWrite));
-  return vfs_.Unlink(full);
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kEntry));
+  RETURN_IF_ERROR(CheckDirWrite(task, w));
+  return vfs_.UnlinkAt(w);
 }
 
 Result<Unit> Kernel::Rename(Task& task, const std::string& from, const std::string& to) {
   SyscallArgs sargs;
-  sargs.path = &from;
   sargs.str1 = &to;
   return gate_.Run<Unit>(
       task, Sysno::kRename, sargs,
@@ -559,19 +558,15 @@ Result<Unit> Kernel::Rename(Task& task, const std::string& from, const std::stri
 }
 
 Result<Unit> Kernel::RenameImpl(Task& task, const std::string& from, const std::string& to) {
-  std::string from_full = JoinPath(task, from);
-  std::string to_full = JoinPath(task, to);
-  ASSIGN_OR_RETURN(auto from_pl, vfs_.ResolveParent(from_full));
-  RETURN_IF_ERROR(
-      CheckPermission(task, vfs_.PathOf(from_pl.first), from_pl.first->inode(), kMayWrite));
-  ASSIGN_OR_RETURN(auto to_pl, vfs_.ResolveParent(to_full));
-  RETURN_IF_ERROR(CheckPermission(task, vfs_.PathOf(to_pl.first), to_pl.first->inode(), kMayWrite));
-  return vfs_.Rename(from_full, to_full);
+  ASSIGN_OR_RETURN(WalkResult src, Lookup(task, from, PathArg::kEntry));
+  RETURN_IF_ERROR(CheckDirWrite(task, src));
+  ASSIGN_OR_RETURN(WalkResult dst, Lookup(task, to, PathArg::kNewEntry, /*primary=*/false));
+  RETURN_IF_ERROR(CheckDirWrite(task, dst));
+  return vfs_.RenameAt(src, dst);
 }
 
 Result<Unit> Kernel::Symlink(Task& task, const std::string& target, const std::string& linkpath) {
   SyscallArgs sargs;
-  sargs.path = &linkpath;
   sargs.str1 = &target;
   return gate_.Run<Unit>(
       task, Sysno::kSymlink, sargs,
@@ -581,11 +576,9 @@ Result<Unit> Kernel::Symlink(Task& task, const std::string& target, const std::s
 
 Result<Unit> Kernel::SymlinkImpl(Task& task, const std::string& target,
                                  const std::string& linkpath) {
-  std::string full = JoinPath(task, linkpath);
-  ASSIGN_OR_RETURN(auto parent_leaf, vfs_.ResolveParent(full));
-  auto [parent, leaf] = parent_leaf;
-  RETURN_IF_ERROR(CheckPermission(task, vfs_.PathOf(parent), parent->inode(), kMayWrite));
-  RETURN_IF_ERROR(vfs_.CreateSymlink(full, target, task.cred.fsuid, task.cred.fsgid));
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, linkpath, PathArg::kNewEntry));
+  RETURN_IF_ERROR(CheckDirWrite(task, w));
+  RETURN_IF_ERROR(vfs_.CreateAt(w, Inode(kIfLnk | 0777, task.cred.fsuid, task.cred.fsgid, target)));
   return OkUnit();
 }
 
@@ -741,25 +734,22 @@ void Kernel::ReleaseFileLocks(int pid) {
 
 Result<std::vector<std::string>> Kernel::ReadDir(Task& task, const std::string& path) {
   SyscallArgs sargs;
-  sargs.path = &path;
   return gate_.Run<std::vector<std::string>>(
       task, Sysno::kGetDents, sargs, [&]() -> std::string { return path; },
       [&] { return ReadDirImpl(task, path); });
 }
 
 Result<std::vector<std::string>> Kernel::ReadDirImpl(Task& task, const std::string& path) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(Vnode * node, vfs_.Resolve(full));
-  if (!node->inode().IsDir()) {
-    return Error(Errno::kENOTDIR, full);
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kObject));
+  if (!w.node->inode().IsDir()) {
+    return Error(Errno::kENOTDIR, w.path);
   }
-  RETURN_IF_ERROR(CheckPermission(task, full, node->inode(), kMayRead));
-  return vfs_.ListDir(node);
+  RETURN_IF_ERROR(CheckPermission(task, w.path, w.node->inode(), kMayRead));
+  return vfs_.ListDir(w.node);
 }
 
 Result<Unit> Kernel::Access(Task& task, const std::string& path, int may) {
   SyscallArgs sargs;
-  sargs.path = &path;
   sargs.a[1] = static_cast<uint64_t>(static_cast<uint32_t>(may));
   return gate_.Run<Unit>(
       task, Sysno::kAccess, sargs,
@@ -768,9 +758,8 @@ Result<Unit> Kernel::Access(Task& task, const std::string& path, int may) {
 }
 
 Result<Unit> Kernel::AccessImpl(Task& task, const std::string& path, int may) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(Vnode * node, vfs_.Resolve(full));
-  return CheckPermission(task, full, node->inode(), may);
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kObject));
+  return CheckPermission(task, w.path, w.node->inode(), may);
 }
 
 Result<std::string> Kernel::ReadWholeFile(Task& task, const std::string& path) {
@@ -803,7 +792,6 @@ Result<Unit> Kernel::Mount(Task& task, const std::string& source, const std::str
                            const std::string& fstype, std::vector<std::string> options) {
   SyscallArgs sargs;
   sargs.str1 = &source;
-  sargs.path = &target;
   sargs.str2 = &fstype;
   sargs.list = &options;
   return gate_.Run<Unit>(
@@ -812,20 +800,18 @@ Result<Unit> Kernel::Mount(Task& task, const std::string& source, const std::str
         return StrFormat("\"%s\", \"%s\", \"%s\"", source.c_str(), target.c_str(),
                          fstype.c_str());
       },
-      // Copied, not moved: sargs.list aliases `options`, and the gate reads
-      // it after the body when a trace recorder is attached.
-      [&] { return MountImpl(task, source, target, fstype, options); });
+      [&] { return MountImpl(task, source, target, fstype, std::move(options)); });
 }
 
 Result<Unit> Kernel::MountImpl(Task& task, const std::string& source, const std::string& target,
                                const std::string& fstype, std::vector<std::string> options) {
-  std::string full_target = JoinPath(task, target);
-  MountRequest req{source, full_target, fstype, options};
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, target, PathArg::kObject));
+  MountRequest req{source, w.path, fstype, options, w.node->inode().uid};
   HookVerdict verdict = lsm_.SbMount(task, req);
   if (verdict == HookVerdict::kDeny) {
-    Audit(StrFormat("mount denied by LSM: %s on %s (uid=%u)", source.c_str(),
-                       full_target.c_str(), task.cred.euid));
-    return Error(Errno::kEPERM, "mount " + full_target);
+    Audit(StrFormat("mount denied by LSM: %s on %s (uid=%u)", source.c_str(), w.path.c_str(),
+                    task.cred.euid));
+    return Error(Errno::kEPERM, "mount " + w.path);
   }
   if (verdict == HookVerdict::kDefault && !Capable(task, Capability::kSysAdmin)) {
     return Error(Errno::kEPERM, "mount requires CAP_SYS_ADMIN");
@@ -840,30 +826,30 @@ Result<Unit> Kernel::MountImpl(Task& task, const std::string& source, const std:
     factory = it->second;  // copy: the factory may nest syscalls
   }
   ASSIGN_OR_RETURN(MountPopulator populate, factory(source));
-  return vfs_.AddMount(full_target, source, fstype, std::move(options), task.cred.ruid, populate);
+  return vfs_.AddMountAt(w, source, fstype, std::move(options), task.cred.ruid, populate);
 }
 
 Result<Unit> Kernel::Umount(Task& task, const std::string& target) {
   SyscallArgs sargs;
-  sargs.path = &target;
   return gate_.Run<Unit>(
       task, Sysno::kUmount2, sargs, [&]() -> std::string { return target; },
       [&] { return UmountImpl(task, target); });
 }
 
 Result<Unit> Kernel::UmountImpl(Task& task, const std::string& target) {
-  std::string full_target = JoinPath(task, target);
-  if (!vfs_.FindMount(full_target).has_value()) {
-    return Error(Errno::kEINVAL, "not mounted: " + full_target);
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, target, PathArg::kObject));
+  std::optional<Uid> mounter = vfs_.MounterOf(w.node);
+  if (!mounter.has_value()) {
+    return Error(Errno::kEINVAL, "not mounted: " + w.path);
   }
-  HookVerdict verdict = lsm_.SbUmount(task, full_target);
+  HookVerdict verdict = lsm_.SbUmount(task, w.path, *mounter);
   if (verdict == HookVerdict::kDeny) {
-    return Error(Errno::kEPERM, "umount " + full_target);
+    return Error(Errno::kEPERM, "umount " + w.path);
   }
   if (verdict == HookVerdict::kDefault && !Capable(task, Capability::kSysAdmin)) {
     return Error(Errno::kEPERM, "umount requires CAP_SYS_ADMIN");
   }
-  return vfs_.RemoveMount(full_target);
+  return vfs_.RemoveMountAt(w.node);
 }
 
 // --- Namespaces --------------------------------------------------------------------
@@ -1195,8 +1181,11 @@ Result<Unit> Kernel::SeccompSetFilterImpl(Task& task, SeccompFilter filter) {
 }
 
 void Kernel::RegisterBinaryFilter(const std::string& path, SeccompFilter filter) {
+  // Keyed by the canonical path, which a missing binary also has: the
+  // directory's canonical path and the binary's name.
+  std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
   std::unique_lock<std::shared_mutex> lk(registry_mu_);
-  binary_filters_[Vfs::Normalize(path)] =
+  binary_filters_[std::move(canonical)] =
       std::make_shared<const SeccompFilter>(std::move(filter));
 }
 
@@ -1210,14 +1199,7 @@ void Kernel::ClearBinaryFilters() {
 Result<int> Kernel::Spawn(Task& parent, const std::string& path, std::vector<std::string> argv,
                           std::map<std::string, std::string> env) {
   SyscallArgs sargs;
-  sargs.path = &path;
-  // The body moves argv; observation needs its own copy, taken only when a
-  // recorder is actually attached (synthesis runs, not the hot path).
-  std::vector<std::string> argv_copy;
-  if (gate_.recorder_attached()) {
-    argv_copy = argv;
-    sargs.list = &argv_copy;
-  }
+  sargs.list = &argv;
   return gate_.Run<int>(
       parent, Sysno::kClone, sargs, [&]() -> std::string { return path; },
       [&] { return SpawnImpl(parent, path, std::move(argv), std::move(env)); });
@@ -1248,6 +1230,8 @@ Task& Kernel::ForkTask(Task& parent) {
 
 Result<int> Kernel::SpawnImpl(Task& parent, const std::string& path, std::vector<std::string> argv,
                               std::map<std::string, std::string> env) {
+  // clone walks the binary it will run; its nested execve walks it again.
+  RETURN_IF_ERROR(Lookup(parent, path, PathArg::kObject));
   Task& child = ForkTask(parent);
   auto status = Execve(child, path, std::move(argv), std::move(env));
   // waitpid(): surface the child's output on the parent, then reap.
@@ -1267,12 +1251,7 @@ Result<int> Kernel::SpawnAsync(Task& parent, const std::string& path,
                                std::vector<std::string> argv,
                                std::map<std::string, std::string> env) {
   SyscallArgs sargs;
-  sargs.path = &path;
-  std::vector<std::string> argv_copy;
-  if (gate_.recorder_attached()) {
-    argv_copy = argv;
-    sargs.list = &argv_copy;
-  }
+  sargs.list = &argv;
   return gate_.Run<int>(
       parent, Sysno::kClone, sargs, [&] { return path + " [async]"; },
       [&] { return SpawnAsyncImpl(parent, path, std::move(argv), std::move(env)); });
@@ -1285,6 +1264,7 @@ Result<int> Kernel::SpawnAsyncImpl(Task& parent, const std::string& path,
   if (sched == nullptr) {
     return Error(Errno::kENOSYS, "SpawnAsync requires an attached scheduler");
   }
+  RETURN_IF_ERROR(Lookup(parent, path, PathArg::kObject));
   Task& child = ForkTask(parent);
   int child_pid = child.pid;
   // The child's execve becomes a schedulable unit: it runs on the
@@ -1369,12 +1349,7 @@ Result<int> Kernel::WaitPidImpl(Task& parent, int pid) {
 Result<int> Kernel::Execve(Task& task, const std::string& path, std::vector<std::string> argv,
                            std::map<std::string, std::string> env) {
   SyscallArgs sargs;
-  sargs.path = &path;
-  std::vector<std::string> argv_copy;
-  if (gate_.recorder_attached()) {
-    argv_copy = argv;
-    sargs.list = &argv_copy;
-  }
+  sargs.list = &argv;
   return gate_.Run<int>(
       task, Sysno::kExecve, sargs, [&]() -> std::string { return path; },
       [&] { return ExecveImpl(task, path, std::move(argv), std::move(env)); });
@@ -1382,9 +1357,9 @@ Result<int> Kernel::Execve(Task& task, const std::string& path, std::vector<std:
 
 Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<std::string> argv,
                                std::map<std::string, std::string> env) {
-  std::string full = JoinPath(task, path);
-  ASSIGN_OR_RETURN(Vnode * node, vfs_.Resolve(full));
-  const Inode& inode = node->inode();
+  ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kObject));
+  const std::string& full = w.path;
+  const Inode& inode = w.node->inode();
   if (!inode.IsReg()) {
     return Error(Errno::kEACCES, full);
   }
@@ -1455,8 +1430,8 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
                    StrFormat("%s euid %u->%u egid %u->%u", full.c_str(), old_exec_euid,
                              new_cred.euid, old_exec_egid, new_cred.egid));
   }
-  size_t slash = full.find_last_of('/');
-  task.comm = full.substr(slash + 1);
+  // comm names the file as exec was given it (a symlink's own name).
+  task.comm = path.substr(path.find_last_of('/') + 1);
   // Dropped descriptors must release their network endpoints (ports) too.
   for (const auto& [fd, fd_entry] : task.fds.entries()) {
     if (fd_entry.kind == FdEntry::Kind::kSocket &&

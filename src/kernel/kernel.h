@@ -293,7 +293,7 @@ class Kernel {
   Result<Unit> SeccompSetFilter(Task& task, const std::vector<Sysno>& allowed);
 
   // Argument-aware variant: installs a predicate filter built from `spec`
-  // (per-syscall OR-of-AND rule lists + path-class prefix table). Same
+  // (per-syscall OR-of-AND rule lists + path-class table). Same
   // one-way latch: intersects with any existing filter.
   Result<Unit> SeccompSetFilterSpec(Task& task, const SeccompFilter::Spec& spec);
 
@@ -343,9 +343,6 @@ class Kernel {
   // Records lost to the bounded ring since boot.
   uint64_t audit_dropped() const { return audit_ring_.dropped(); }
 
-  // Resolves a possibly-relative path against the task's cwd.
-  static std::string JoinPath(const Task& task, const std::string& path);
-
   // DAC + LSM inode permission check used by every file syscall; public so
   // trusted services can probe policy.
   Result<Unit> CheckPermission(Task& task, const std::string& path, const Inode& inode, int may);
@@ -358,6 +355,25 @@ class Kernel {
 
   // Applies Linux's capability recomputation when uids change via setuid().
   static void RecomputeCapsAfterSetuid(Cred& cred, Uid old_euid);
+
+  // What a syscall body needs its path argument to name.
+  enum class PathArg {
+    kObject,    // an existing object, final symlink followed (stat, open, exec, mount)
+    kEntry,     // an existing entry, final symlink not followed (unlink, rename's source)
+    kNewEntry,  // an entry that may be missing, final symlink not followed (mkdir, symlink)
+    kCreate,    // an object that may be missing, final symlink followed (open O_CREAT)
+  };
+
+  // The one path lookup of every syscall body that takes a path: walks
+  // `path` from the task's cwd and hands the primary argument's canonical
+  // path to the gate's path-class rules (EPERM before DAC or any hook). Then
+  // fails with the walk's error, except that kNewEntry/kCreate accept a
+  // missing last component (node null; dir/name say where to create it).
+  Result<WalkResult> Lookup(Task& task, const std::string& path, PathArg arg,
+                            bool primary = true);
+
+  // Write permission on the directory holding a walk's last component.
+  Result<Unit> CheckDirWrite(Task& task, const WalkResult& w);
 
   // CheckPermission body; the public wrapper adds the kVfsPermission event.
   Result<Unit> CheckPermissionImpl(Task& task, const std::string& path, const Inode& inode,

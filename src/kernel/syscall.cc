@@ -145,19 +145,40 @@ std::vector<std::string> FilterTokens(std::string_view line) {
   return toks;
 }
 
-// Orders the prefix table longest-first so a linear scan finds the longest
-// match; ties break lexicographically for byte-stable rendering.
-void SortPathClasses(std::vector<std::pair<std::string, uint64_t>>& classes) {
-  std::sort(classes.begin(), classes.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first.size() != b.first.size()) {
-                return a.first.size() > b.first.size();
-              }
-              return a.first < b.first;
-            });
+}  // namespace
+
+bool SysnoTakesPath(Sysno nr) {
+  static constexpr Sysno kTakesPath[] = {
+      Sysno::kOpen,  Sysno::kStat,    Sysno::kAccess,  Sysno::kGetDents, Sysno::kUnlink,
+      Sysno::kMkdir, Sysno::kChmod,   Sysno::kChown,   Sysno::kRename,   Sysno::kSymlink,
+      Sysno::kClone, Sysno::kExecve,  Sysno::kMount,   Sysno::kUmount2,
+  };
+  return std::find(std::begin(kTakesPath), std::end(kTakesPath), nr) != std::end(kTakesPath);
 }
 
-}  // namespace
+bool IsCanonicalClassEntry(std::string_view entry) {
+  // "/tmp" and "/tmp/" probe alike: no empty, "." or ".." component.
+  std::string probe = std::string(entry) + (EndsWith(entry, "/") ? "" : "/");
+  return StartsWith(entry, "/") && (entry == "/" || (probe.find("//") == std::string::npos &&
+                                                     probe.find("/./") == std::string::npos &&
+                                                     probe.find("/../") == std::string::npos));
+}
+
+uint64_t PathClassOf(const std::vector<std::pair<std::string, uint64_t>>& classes,
+                     std::string_view path) {
+  uint64_t best = 0;
+  size_t best_len = 0;
+  for (const auto& [entry, id] : classes) {
+    bool match = entry.back() == '/'
+                     ? path.size() > entry.size() && path.compare(0, entry.size(), entry) == 0
+                     : path == entry;
+    if (match && entry.size() > best_len) {
+      best = id;
+      best_len = entry.size();
+    }
+  }
+  return best;
+}
 
 SeccompFilter SeccompFilter::AllowList(const std::vector<Sysno>& allowed) {
   SeccompFilter f;
@@ -170,17 +191,17 @@ SeccompFilter SeccompFilter::AllowList(const std::vector<Sysno>& allowed) {
 Result<SeccompFilter> SeccompFilter::FromSpec(const Spec& spec) {
   SeccompFilter f;
   f.allowed_ = spec.allowed;
-  std::map<std::string, uint64_t> by_prefix;
+  std::map<std::string, uint64_t> by_entry;
   std::map<uint64_t, std::string> by_id;
-  for (const auto& [prefix, id] : spec.path_classes) {
-    if (prefix.empty() || prefix[0] != '/') {
-      return Error(Errno::kEINVAL, "path class prefix must be absolute: " + prefix);
+  for (const auto& [entry, id] : spec.path_classes) {
+    if (!IsCanonicalClassEntry(entry)) {
+      return Error(Errno::kEINVAL, "path class entry is not a canonical path: " + entry);
     }
     if (id == 0) {
       return Error(Errno::kEINVAL, "path class id 0 is reserved for 'no match'");
     }
-    if (!by_prefix.emplace(prefix, id).second || !by_id.emplace(id, prefix).second) {
-      return Error(Errno::kEINVAL, "duplicate path class: " + prefix);
+    if (!by_entry.emplace(entry, id).second || !by_id.emplace(id, entry).second) {
+      return Error(Errno::kEINVAL, "duplicate path class: " + entry);
     }
   }
   for (const auto& [nr, rules] : spec.rules) {
@@ -201,6 +222,10 @@ Result<SeccompFilter> SeccompFilter::FromSpec(const Spec& spec) {
           return Error(Errno::kEINVAL, StrFormat("bad argument index %u", p.arg));
         }
         if (p.arg == kSeccompArgPath) {
+          if (!SysnoTakesPath(static_cast<Sysno>(nr))) {
+            return Error(Errno::kEINVAL,
+                         StrFormat("path predicate on syscall %u, which takes no path", nr));
+          }
           if (p.cmp != SeccompCmp::kEq) {
             return Error(Errno::kEINVAL,
                          "path-class predicates must use eq (intersection safety)");
@@ -217,55 +242,36 @@ Result<SeccompFilter> SeccompFilter::FromSpec(const Spec& spec) {
       }
     }
     f.rules_[nr] = rules;
-    f.has_rules_.set(nr);
   }
+  f.IndexRules();
   f.path_classes_ = spec.path_classes;
-  SortPathClasses(f.path_classes_);
   return f;
 }
 
-uint64_t SeccompFilter::PathClassOf(const SyscallArgs& args) const {
-  if (args.path == nullptr) {
-    return 0;
-  }
-  const std::string* path = args.path;
-  std::string abs;
-  if (path->empty() || (*path)[0] != '/') {
-    abs = (args.cwd != nullptr ? *args.cwd : std::string("/")) + "/" + *path;
-    path = &abs;
-  }
-  for (const auto& [prefix, id] : path_classes_) {
-    if (path->compare(0, prefix.size(), prefix) == 0) {
-      return id;
+void SeccompFilter::IndexRules() {
+  has_rules_.reset();
+  path_rules_.reset();
+  for (const auto& [nr, rules] : rules_) {
+    has_rules_.set(nr);
+    for (const SeccompRule& rule : rules) {
+      for (const SeccompPredicate& p : rule.preds) {
+        path_rules_[nr] = path_rules_[nr] || p.arg == kSeccompArgPath;
+      }
     }
   }
-  return 0;
 }
 
-bool SeccompFilter::EvalRules(uint16_t nr, const SyscallArgs& args,
+bool SeccompFilter::EvalRules(uint16_t nr, const SyscallArgs& args, uint64_t path_class,
                               uint32_t* rule_evals) const {
   auto it = rules_.find(nr);
   if (it == rules_.end()) {
     return true;  // has_rules_ bit without storage cannot happen; be safe
   }
-  // The path class is resolved at most once per call, lazily: rule lists
-  // without path predicates never touch the prefix table.
-  uint64_t path_class = 0;
-  bool path_resolved = false;
   for (const SeccompRule& rule : it->second) {
     ++*rule_evals;
     bool match = true;
     for (const SeccompPredicate& p : rule.preds) {
-      uint64_t arg;
-      if (p.arg == kSeccompArgPath) {
-        if (!path_resolved) {
-          path_class = PathClassOf(args);
-          path_resolved = true;
-        }
-        arg = path_class;
-      } else {
-        arg = args.a[p.arg];
-      }
+      uint64_t arg = p.arg == kSeccompArgPath ? path_class : args.a[p.arg];
       if (!PredHolds(p, arg)) {
         match = false;
         break;
@@ -346,10 +352,10 @@ void SeccompFilter::IntersectWith(const SeccompFilter& other) {
     return;
   }
 
-  // Merge the prefix tables by prefix string; remap both sides' class ids.
-  // Ids are reassigned in sorted-prefix order so identical merges render
+  // Merge the class tables by entry; remap both sides' class ids. Ids are
+  // reassigned in sorted-entry order so identical merges render
   // identically.
-  std::map<std::string, uint64_t> merged;  // prefix -> new id
+  std::map<std::string, uint64_t> merged;  // entry -> new id
   for (const auto& [prefix, id] : path_classes_) {
     (void)id;
     merged.emplace(prefix, 0);
@@ -380,7 +386,6 @@ void SeccompFilter::IntersectWith(const SeccompFilter& other) {
   };
 
   std::map<uint16_t, std::vector<SeccompRule>> result;
-  std::bitset<kSysnoSlots> result_has;
   for (size_t i = 0; i < kSysnoSlots; ++i) {
     if (!allowed_[i]) {
       continue;
@@ -425,15 +430,10 @@ void SeccompFilter::IntersectWith(const SeccompFilter& other) {
       }
     }
     result[nr] = std::move(rules);
-    result_has.set(i);
   }
   rules_ = std::move(result);
-  has_rules_ = result_has;
-  path_classes_.clear();
-  for (const auto& [prefix, id] : merged) {
-    path_classes_.emplace_back(prefix, id);
-  }
-  SortPathClasses(path_classes_);
+  IndexRules();
+  path_classes_.assign(merged.begin(), merged.end());
 }
 
 std::string SeccompFilter::Render() const {
@@ -500,7 +500,7 @@ Result<SeccompFilter::Spec> SeccompFilter::ParseSpec(std::string_view text) {
     }
     if (toks[0] == "class") {
       if (toks.size() != 3) {
-        return Error(Errno::kEINVAL, StrFormat("line %d: class <id> <prefix>", lineno));
+        return Error(Errno::kEINVAL, StrFormat("line %d: class <id> <entry>", lineno));
       }
       std::optional<uint64_t> id = ParseFilterUint(toks[1]);
       if (!id.has_value() || *id == 0) {
@@ -684,6 +684,21 @@ void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
   Tracer::SwapThreadMute(ctx.prev_muted);
 }
 
+bool SyscallGate::CheckPath(std::string_view path) {
+  PathFrame* frame = tls_frame_;
+  if (frame != nullptr && frame->path != nullptr) {
+    frame->path->assign(path);
+  }
+  if (frame == nullptr || frame->filter == nullptr) {
+    return true;
+  }
+  LayerScope seccomp_scope(profiler_, Layer::kSeccomp);
+  uint32_t evals = 0;
+  frame->denied = !frame->filter->AllowsPath(frame->nr, *frame->args, path, &evals);
+  MyRecord(frame->nr).rule_evals.fetch_add(evals, std::memory_order_relaxed);
+  return !frame->denied;
+}
+
 void SyscallGate::RecordDenial(SyscallContext& ctx) {
   // Seccomp-killed semantic (see the header): the call is counted, but its
   // latency is not — the body never ran. Same reasoning excludes it from
@@ -701,6 +716,7 @@ void SyscallGate::RecordDenial(SyscallContext& ctx) {
                           ctx.comm ? ctx.comm->c_str() : "?", SysnoName(ctx.nr),
                           static_cast<int>(ctx.nr)));
   }
+  Tracer::SwapThreadMute(ctx.prev_muted);
 }
 
 void SyscallGate::RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns,

@@ -11,14 +11,16 @@
 //      ahead of the security hooks). A filter is an allow bitset over
 //      syscall numbers, optionally refined by per-syscall ARGUMENT RULES:
 //      each rule is a conjunction of libseccomp-style predicates
-//      (EQ/NE/LT/GE/MASKED_EQ on args 0-2, plus a pre-resolved path-class
-//      comparison driven by a per-filter prefix table), and a syscall with
-//      rules is allowed iff ANY rule matches. The number-only bitset test
-//      stays the hot path; rule evaluation only runs for syscalls that
-//      actually carry rules. Installation is a one-way latch: filters can
-//      only ever be narrowed, never widened or removed — intersecting two
-//      predicate filters conjoins their rule lists (cross product), so the
-//      result admits only calls both filters admitted.
+//      (EQ/NE/LT/GE/MASKED_EQ on args 0-2, plus a path-class comparison
+//      driven by a per-filter class table), and a syscall with rules is
+//      allowed iff ANY rule matches. The number-only bitset test stays the
+//      hot path; rule evaluation only runs for syscalls that actually carry
+//      rules. A rule list with a path predicate waits for the body's path
+//      walk (CheckPath): a string at entry is not yet the object the kernel
+//      acts on (the TOCTTOU Canella et al. describe). Installation is a
+//      one-way latch: filters can only ever be narrowed, never widened or
+//      removed — intersecting two predicate filters conjoins their rule
+//      lists (cross product), so the result admits only calls both admitted.
 //   2. accounting — per-thread, per-syscall call and error counters, merged
 //      on read (exported at /proc/protego/metrics), plus a wall-clock
 //      latency histogram and tail exemplars for the syscalls in the timed set.
@@ -27,8 +29,8 @@
 //      span id, and the syscall's own record (the span root) is emitted at
 //      exit. /proc/protego/trace renders the resulting derivation trees.
 //
-// Seccomp-killed calls (the filter refuses the syscall at entry) follow ONE
-// consistent semantic everywhere:
+// Seccomp-killed calls (the filter refuses the syscall at entry or at its
+// path walk) follow ONE consistent semantic everywhere:
 //   - stats: counted in calls, errors, and seccomp_denied;
 //   - trace: recorded as a span root with the seccomp_denied flag and EPERM;
 //   - latency: EXCLUDED from the histogram and the tail exemplars — the
@@ -72,6 +74,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -157,13 +160,26 @@ enum class SeccompCmp : uint8_t {
 
 const char* SeccompCmpName(SeccompCmp cmp);
 
-// The virtual argument slot holding the pre-resolved path class: the
-// syscall's primary path argument mapped through the filter's prefix table
-// (longest match wins; 0 = no prefix matched). Path-class predicates must
-// use kEq — equality survives filter intersection (a merged prefix table
-// can only steal matches, never create them), the other comparators would
-// not.
+// The virtual argument slot holding the path class: the canonical path of
+// the syscall's primary path argument looked up in the filter's class table
+// (PathClassOf; 0 = no entry matched). Path-class predicates must use kEq —
+// equality survives filter intersection (a merged class table can only
+// steal matches, never create them), the other comparators would not — and
+// only constrain syscalls that take a path.
 inline constexpr uint8_t kSeccompArgPath = 3;
+
+// The syscalls whose body walks a primary path argument, the only ones a
+// path predicate may constrain (kClone walks the binary it will run).
+bool SysnoTakesPath(Sysno nr);
+
+// A class entry is a canonical absolute path: "/tmp/" matches every path
+// beneath that directory, "/etc/motd" only that exact path.
+bool IsCanonicalClassEntry(std::string_view entry);
+
+// The id of the longest (most specific) entry matching canonical `path`, 0
+// when none does: the one lookup the gate and the synthesizer share.
+uint64_t PathClassOf(const std::vector<std::pair<std::string, uint64_t>>& classes,
+                     std::string_view path);
 
 // One predicate over one argument slot.
 struct SeccompPredicate {
@@ -187,13 +203,11 @@ struct SeccompRule {
 
 // The raw argument view of one syscall, threaded from the Kernel wrappers
 // through the gate so predicate filters (and the synthesis recorder) see
-// the call the way strace would. All pointers borrow from the caller's
-// frame and are only dereferenced on slow paths (rule evaluation against a
-// path class, trace recording).
+// the call the way strace would; the path argument reaches the gate from the
+// body's walk (SyscallGate::CheckPath). The pointers borrow from the
+// caller's frame and are only read at entry, when a recorder is attached.
 struct SyscallArgs {
   uint64_t a[3] = {0, 0, 0};
-  const std::string* path = nullptr;  // primary path argument (possibly relative)
-  const std::string* cwd = nullptr;   // resolution base for a relative path
   const std::string* str1 = nullptr;  // secondary string (mount source, rename dest, ...)
   const std::string* str2 = nullptr;  // tertiary string (mount fstype)
   const std::vector<std::string>* list = nullptr;  // argv / mount options
@@ -212,8 +226,8 @@ class SeccompFilter {
   static constexpr size_t kMaxRulesPerSysno = 64;
 
   // The installable description of a filter. `rules` maps syscall number to
-  // its OR-of-AND rule list; `path_classes` maps path prefixes to the class
-  // ids path predicates compare against.
+  // its OR-of-AND rule list; `path_classes` maps class entries (see
+  // IsCanonicalClassEntry) to the ids path predicates compare against.
   struct Spec {
     std::bitset<kSysnoSlots> allowed;
     std::map<uint16_t, std::vector<SeccompRule>> rules;
@@ -225,12 +239,13 @@ class SeccompFilter {
   static SeccompFilter AllowList(const std::vector<Sysno>& allowed);
 
   // Validates and builds: rule sysnos must be allowed and in range, arg
-  // indices 0..2 or kSeccompArgPath, path-class predicates kEq-only with a
-  // class id present in `path_classes`, class ids nonzero and unique.
+  // indices 0..2 or kSeccompArgPath, path-class predicates kEq-only, on a
+  // syscall that takes a path, with a class id present in `path_classes`;
+  // class entries canonical, ids nonzero and unique.
   static Result<SeccompFilter> FromSpec(const Spec& spec);
 
   // Parses the re-installable text rendering (see Render). Grammar:
-  //   class <id> <prefix>
+  //   class <id> <entry>
   //   allow <syscall>
   //   allow <syscall> if <pred> [&& <pred>]...
   //   <pred> := arg0|arg1|arg2|path eq|ne|lt|ge <uint>
@@ -242,48 +257,55 @@ class SeccompFilter {
   // for at least some arguments?
   bool Allows(Sysno nr) const { return allowed_[static_cast<size_t>(nr)]; }
 
-  // Full check. For syscalls without rules this is the same single bitset
-  // test as Allows(nr); otherwise evaluates the rule list and adds the
-  // number of rules inspected to *rule_evals.
+  // The entry check: the bitset test, then the rule list — unless it has a
+  // path predicate, which the walk decides (AllowsPath). Adds the number of
+  // rules inspected to *rule_evals.
   bool AllowsArgs(Sysno nr, const SyscallArgs& args, uint32_t* rule_evals) const {
     size_t i = static_cast<size_t>(nr);
     if (!allowed_[i]) {
       return false;
     }
-    if (!has_rules_[i]) {
+    if (!has_rules_[i] || path_rules_[i]) {
       return true;
     }
-    return EvalRules(static_cast<uint16_t>(i), args, rule_evals);
+    return EvalRules(static_cast<uint16_t>(i), args, 0, rule_evals);
+  }
+
+  // Whether `nr`'s rules wait for the path walk.
+  bool HasPathRules(Sysno nr) const { return path_rules_[static_cast<size_t>(nr)]; }
+
+  // Evaluates `nr`'s rules with the class of the canonical path walked.
+  bool AllowsPath(Sysno nr, const SyscallArgs& args, std::string_view path,
+                  uint32_t* rule_evals) const {
+    return EvalRules(static_cast<uint16_t>(nr), args, PathClassOf(path_classes_, path),
+                     rule_evals);
   }
 
   // The one-way latch: narrows this filter to the conjunction of both.
   // Bitsets intersect; where both sides carry rules for a syscall the rule
   // lists cross-multiply (every kept rule implies a rule of EACH side), and
-  // prefix tables merge by prefix string with class ids remapped.
+  // class tables merge by entry with class ids remapped.
   void IntersectWith(const SeccompFilter& other);
 
   size_t allowed_count() const { return allowed_.count(); }
   bool has_any_rules() const { return has_rules_.any(); }
   size_t rule_count() const;
-  const std::vector<std::pair<std::string, uint64_t>>& path_classes() const {
-    return path_classes_;
-  }
 
   // Renders the filter as re-installable policy text (ParseSpec-compatible,
   // byte-stable for identical filters).
   std::string Render() const;
 
  private:
-  bool EvalRules(uint16_t nr, const SyscallArgs& args, uint32_t* rule_evals) const;
-  // Longest-prefix match of the call's (absolutized) path argument against
-  // the class table; 0 when there is no path or no prefix matches.
-  uint64_t PathClassOf(const SyscallArgs& args) const;
+  // `path_class` is 0 at entry, where no evaluated list has a path predicate.
+  bool EvalRules(uint16_t nr, const SyscallArgs& args, uint64_t path_class,
+                 uint32_t* rule_evals) const;
+  // Sets has_rules_ and path_rules_ from rules_.
+  void IndexRules();
 
   std::bitset<kSysnoSlots> allowed_;
   std::bitset<kSysnoSlots> has_rules_;
+  std::bitset<kSysnoSlots> path_rules_;  // rule lists with a path predicate
   std::map<uint16_t, std::vector<SeccompRule>> rules_;
-  // Sorted by descending prefix length (then lexicographic) so the first
-  // match is the longest.
   std::vector<std::pair<std::string, uint64_t>> path_classes_;
 };
 
@@ -324,9 +346,9 @@ class SyscallGate {
   };
 
   // One syscall as the trace-driven synthesizer sees it: the caller's
-  // identity, the raw argument words, and the string arguments copied out
-  // (path absolutized against the task's cwd). Built only when a recorder
-  // is attached.
+  // identity, the raw argument words, the canonical path its walk reached,
+  // and the string arguments copied out. Built only when a recorder is
+  // attached.
   struct SyscallObservation {
     int pid = 0;
     Sysno nr{};
@@ -336,7 +358,7 @@ class SyscallGate {
     uint64_t a0 = 0, a1 = 0, a2 = 0;
     std::string exe;   // task.exe_path at the time of the call
     std::string comm;
-    std::string path;  // absolutized primary path argument ("" = none)
+    std::string path;  // canonical primary path ("" = the call walked none)
     std::string str1;
     std::string str2;
     std::vector<std::string> list;
@@ -467,12 +489,6 @@ class SyscallGate {
     recorder_ = std::move(recorder);
     has_recorder_.store(static_cast<bool>(recorder_), std::memory_order_release);
   }
-  // Lets wrappers whose bodies consume their argument containers (execve
-  // moves argv) make a recording copy only when someone is listening.
-  bool recorder_attached() const {
-    return has_recorder_.load(std::memory_order_relaxed);
-  }
-
   PerSyscall stats(Sysno nr) const;
 
   void ClearTrace();
@@ -537,7 +553,6 @@ class SyscallGate {
     }
     if (denied) {
       RecordDenial(ctx);
-      Tracer::SwapThreadMute(ctx.prev_muted);
       return false;
     }
     if ((ctx.dispatch & kDispatchTimed) != 0) {
@@ -549,6 +564,12 @@ class SyscallGate {
   // Accounts the completed syscall, emits the span-root trace event, and
   // closes the span.
   void ExitSyscall(SyscallContext& ctx, Errno err);
+
+  // The kernel's path lookup hands over the canonical path of the running
+  // call's primary argument: kept for the recorder, and classified for the
+  // rules the filter left to the walk. False when they refuse the call: the
+  // body fails with EPERM before DAC or any hook, accounted as a denial.
+  bool CheckPath(std::string_view path);
 
   // Wraps one syscall body. `sargs` is the raw argument view consumed by
   // predicate filters and the synthesis recorder; `args_fn() -> std::string`
@@ -575,47 +596,59 @@ class SyscallGate {
     if ((ctx.dispatch & kDispatchTrace) != 0) {
       ctx.args = args_fn();
     }
-    sargs.cwd = &task.cwd;
-    // Identity is captured at ENTRY: an execve must be attributed to the
-    // image that issued it (whose filter admitted the call), not the image
-    // it becomes, and a setuid to the credentials it held when it asked.
-    EntrySnapshot snap;
-    const bool recording = has_recorder_.load(std::memory_order_relaxed);
-    if (recording) {
-      snap = SnapshotTask(task);
+    // The observation is captured at ENTRY: an execve must be attributed
+    // to the image that issued it (whose filter admitted the call), not the
+    // image it becomes, and a setuid to the credentials it held when it
+    // asked; bodies may consume their argument containers.
+    std::optional<SyscallObservation> ob;
+    if (has_recorder_.load(std::memory_order_relaxed)) {
+      ob = Observe(task, nr, sargs);
     }
     if (!EnterSyscall(ctx, task, nr, sargs)) {
-      if (recording) {
-        RecordObservation(snap, nr, sargs, Errno::kEPERM);
+      if (ob) {
+        Record(*ob, Errno::kEPERM);
       }
       return Error(Errno::kEPERM, std::string("seccomp: ") + SysnoName(nr));
     }
-    if (faults_ != nullptr && faults_->any_enabled()) {
-      // Stamp the fault context for the body's duration so pid/syscall
-      // filters on nested sites (vfs/lsm/fd alloc) match this call. The
-      // previous context is restored on exit — syscalls nest via
-      // Spawn/Execve, and the outer call's filters must survive.
-      FaultContext prev =
-          faults_->SwapContext(FaultContext{task.pid, static_cast<int>(nr)});
+    // Stamp the fault context for the body's duration so pid/syscall
+    // filters on nested sites (vfs/lsm/fd alloc) match this call. The
+    // previous context is restored on exit — syscalls nest via
+    // Spawn/Execve, and the outer call's filters must survive.
+    const bool faulting = faults_ != nullptr && faults_->any_enabled();
+    FaultContext prev_fault;
+    if (faulting) {
+      prev_fault = faults_->SwapContext(FaultContext{task.pid, static_cast<int>(nr)});
       Errno fault = faults_->Evaluate(FaultSite::kSyscallEntry);
       if (fault != Errno::kOk) {
         ExitSyscall(ctx, fault);
-        faults_->SwapContext(prev);
+        faults_->SwapContext(prev_fault);
         return Error(fault,
                      std::string("fault-injected at syscall entry: ") + SysnoName(nr));
       }
-      Result<T> r = body();
-      ExitSyscall(ctx, r.code());
-      faults_->SwapContext(prev);
-      if (recording) {
-        RecordObservation(snap, nr, sargs, r.code());
-      }
-      return r;
     }
+    // The frame hands the call to its path walk (CheckPath), saved and
+    // restored around the body the same way.
+    PathFrame frame;
+    frame.nr = nr;
+    frame.args = &sargs;
+    frame.path = ob ? &ob->path : nullptr;
+    if (task.seccomp != nullptr && task.seccomp->HasPathRules(nr)) {
+      frame.filter = task.seccomp;
+    }
+    PathFrame* prev_frame = tls_frame_;
+    tls_frame_ = frame.filter != nullptr || ob ? &frame : nullptr;
     Result<T> r = body();
-    ExitSyscall(ctx, r.code());
-    if (recording) {
-      RecordObservation(snap, nr, sargs, r.code());
+    tls_frame_ = prev_frame;
+    if (frame.denied) {
+      RecordDenial(ctx);
+    } else {
+      ExitSyscall(ctx, r.code());
+    }
+    if (faulting) {
+      faults_->SwapContext(prev_fault);
+    }
+    if (ob) {
+      Record(*ob, r.code());
     }
     return r;
   }
@@ -631,22 +664,16 @@ class SyscallGate {
     SyscallContext ctx;
     ctx.dispatch = ResolveDispatch(Sysno::kGetPid);
     SyscallArgs sargs;
-    EntrySnapshot snap;
-    const bool recording = has_recorder_.load(std::memory_order_relaxed);
-    if (recording) {
-      snap = SnapshotTask(task);
+    const bool allowed = EnterSyscall(ctx, task, Sysno::kGetPid, sargs);
+    if (allowed) {
+      ExitSyscall(ctx, Errno::kOk);
     }
-    if (!EnterSyscall(ctx, task, Sysno::kGetPid, sargs)) {
-      if (recording) {
-        RecordObservation(snap, Sysno::kGetPid, sargs, Errno::kEPERM);
-      }
-      return -1;
+    // getpid has no body, so the task is as it was at entry.
+    if (has_recorder_.load(std::memory_order_relaxed)) {
+      SyscallObservation ob = Observe(task, Sysno::kGetPid, sargs);
+      Record(ob, allowed ? Errno::kOk : Errno::kEPERM);
     }
-    ExitSyscall(ctx, Errno::kOk);
-    if (recording) {
-      RecordObservation(snap, Sysno::kGetPid, sargs, Errno::kOk);
-    }
-    return task.pid;
+    return allowed ? task.pid : -1;
   }
 
  private:
@@ -687,51 +714,33 @@ class SyscallGate {
     }
   };
 
-  // The caller-side identity of one syscall, captured at entry (see Run).
-  struct EntrySnapshot {
-    int pid = 0;
-    uint32_t ruid = 0;
-    uint32_t euid = 0;
-    std::string exe;
-    std::string comm;
-    std::string cwd;
+  // The call a thread is inside, as its path walk needs it (Run, CheckPath).
+  struct PathFrame {
+    Sysno nr{};
+    const SyscallArgs* args = nullptr;
+    // The task's filter, when its rules for `nr` wait for the walk.
+    std::shared_ptr<const SeccompFilter> filter;
+    std::string* path = nullptr;  // the recorder's slot for the canonical path
+    bool denied = false;          // the walk's check refused the call
   };
-  template <typename TaskT>
-  static EntrySnapshot SnapshotTask(const TaskT& task) {
-    EntrySnapshot snap;
-    snap.pid = task.pid;
-    snap.ruid = task.cred.ruid;
-    snap.euid = task.cred.euid;
-    snap.exe = task.exe_path;
-    snap.comm = task.comm;
-    snap.cwd = task.cwd;
-    return snap;
-  }
+  // Defined here, so every use site sees its constant initializer.
+  inline static thread_local PathFrame* tls_frame_ = nullptr;
 
-  // Mirrors one retired call to the synthesis recorder. String arguments
-  // are copied out here — the observation must outlive the caller's frame —
-  // and a relative path is absolutized against the entry-time cwd so
-  // enforcement and synthesis agree on path classes.
-  void RecordObservation(const EntrySnapshot& snap, Sysno nr, const SyscallArgs& sargs,
-                         Errno err) {
+  // One call as the recorder sees it, captured at entry (see Run), strings
+  // copied out: the observation outlives the caller's frame.
+  template <typename TaskT>
+  [[gnu::noinline]] static SyscallObservation Observe(const TaskT& task, Sysno nr,
+                                                      const SyscallArgs& sargs) {
     SyscallObservation ob;
-    ob.pid = snap.pid;
+    ob.pid = task.pid;
     ob.nr = nr;
-    ob.err = err;
-    ob.ruid = snap.ruid;
-    ob.euid = snap.euid;
+    ob.ruid = task.cred.ruid;
+    ob.euid = task.cred.euid;
     ob.a0 = sargs.a[0];
     ob.a1 = sargs.a[1];
     ob.a2 = sargs.a[2];
-    ob.exe = snap.exe;
-    ob.comm = snap.comm;
-    if (sargs.path != nullptr) {
-      if (!sargs.path->empty() && (*sargs.path)[0] == '/') {
-        ob.path = *sargs.path;
-      } else {
-        ob.path = snap.cwd + "/" + *sargs.path;
-      }
-    }
+    ob.exe = task.exe_path;
+    ob.comm = task.comm;
     if (sargs.str1 != nullptr) {
       ob.str1 = *sargs.str1;
     }
@@ -741,9 +750,15 @@ class SyscallGate {
     if (sargs.list != nullptr) {
       ob.list = *sargs.list;
     }
+    return ob;
+  }
+  // Hands a retired call to the recorder.
+  void Record(SyscallObservation& ob, Errno err) {
+    ob.err = err;
     recorder_(ob);
   }
 
+  // Accounts a seccomp-killed call and restores the thread's mute state.
   void RecordDenial(SyscallContext& ctx);
   // Emits the span-root event for the completed call (consumes ctx.args)
   // and closes the span.

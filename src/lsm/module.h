@@ -35,9 +35,10 @@ const char* HookVerdictName(HookVerdict v);
 // Parameters of a mount(2) request, as seen by the sb_mount hook.
 struct MountRequest {
   std::string source;
-  std::string mountpoint;
+  std::string mountpoint;  // canonical path of the directory the walk reached
   std::string fstype;
   std::vector<std::string> options;
+  Uid mountpoint_owner = kRootUid;  // owner of that directory
 };
 
 // Parameters of setuid(2)/setgid(2), as seen by task_fix_setuid.
@@ -130,9 +131,11 @@ class SecurityModule {
     return HookVerdict::kDefault;
   }
 
-  virtual HookVerdict SbUmount(const Task& task, const std::string& mountpoint) {
+  // `mountpoint` is canonical; `mounter` is the uid that mounted it.
+  virtual HookVerdict SbUmount(const Task& task, const std::string& mountpoint, Uid mounter) {
     (void)task;
     (void)mountpoint;
+    (void)mounter;
     return HookVerdict::kDefault;
   }
 

@@ -185,9 +185,10 @@ HookVerdict LsmStack::SbMount(const Task& task, const MountRequest& req) const {
                   [&](SecurityModule& m) { return m.SbMount(task, req, nullptr); });
 }
 
-HookVerdict LsmStack::SbUmount(const Task& task, const std::string& mountpoint) const {
+HookVerdict LsmStack::SbUmount(const Task& task, const std::string& mountpoint,
+                              Uid mounter) const {
   return Dispatch(LsmHook::kSbUmount, task.pid,
-                  [&](SecurityModule& m) { return m.SbUmount(task, mountpoint); });
+                  [&](SecurityModule& m) { return m.SbUmount(task, mountpoint, mounter); });
 }
 
 HookVerdict LsmStack::SocketCreate(const Task& task, const SocketRequest& req) const {

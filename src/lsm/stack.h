@@ -63,7 +63,7 @@ class LsmStack {
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
                               int may) const;
   HookVerdict SbMount(const Task& task, const MountRequest& req) const;
-  HookVerdict SbUmount(const Task& task, const std::string& mountpoint) const;
+  HookVerdict SbUmount(const Task& task, const std::string& mountpoint, Uid mounter) const;
   HookVerdict SocketCreate(const Task& task, const SocketRequest& req) const;
   HookVerdict SocketBind(const Task& task, const BindRequest& req) const;
   HookVerdict TaskFixSetuid(Task& task, const SetuidRequest& req,

@@ -118,13 +118,7 @@ bool ProtegoLsm::MountRuleGrants(const CompiledFstabRule& rule, const Task& task
   // Glob entries ("fuse /home/*/mnt fuse user") grant per-user
   // mountpoints: the actual directory must belong to the requester, or
   // anyone could graft a filesystem into someone else's home.
-  if (rule.glob_mountpoint) {
-    auto target = kernel_->vfs().Resolve(req.mountpoint);
-    if (!target.ok() || target.value()->inode().uid != task.cred.ruid) {
-      return false;
-    }
-  }
-  return true;
+  return !rule.glob_mountpoint || req.mountpoint_owner == task.cred.ruid;
 }
 
 HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool* /*unused*/) {
@@ -149,12 +143,9 @@ HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool*
   return HookVerdict::kDefault;  // falls through to the CAP_SYS_ADMIN refusal
 }
 
-HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint) {
+HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint,
+                                 Uid mounter) {
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
-    return HookVerdict::kDefault;
-  }
-  std::optional<Uid> mounter = kernel_->vfs().FindMount(mountpoint);
-  if (!mounter.has_value()) {
     return HookVerdict::kDefault;
   }
   PolicyRef pol_ref = policy();
@@ -163,7 +154,7 @@ HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint
   // the task that mounted.
   bool granted = false;
   pol.engine.mount.ForEachMountpointMatch(mountpoint, [&](const CompiledFstabRule& rule) {
-    granted = rule.any_user_may_unmount || *mounter == task.cred.ruid;
+    granted = rule.any_user_may_unmount || mounter == task.cred.ruid;
     return granted;
   });
   if (granted) {

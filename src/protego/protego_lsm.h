@@ -146,7 +146,7 @@ class ProtegoLsm : public SecurityModule {
   // --- LSM hooks -------------------------------------------------------------
 
   HookVerdict SbMount(const Task& task, const MountRequest& req, bool* /*unused*/) override;
-  HookVerdict SbUmount(const Task& task, const std::string& mountpoint) override;
+  HookVerdict SbUmount(const Task& task, const std::string& mountpoint, Uid mounter) override;
   HookVerdict SocketCreate(const Task& task, const SocketRequest& req) override;
   HookVerdict SocketBind(const Task& task, const BindRequest& req, bool* /*unused*/) override;
   HookVerdict TaskFixSetuid(Task& task, const SetuidRequest& req,

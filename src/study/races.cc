@@ -77,7 +77,7 @@ int SwapjobMain(ProcessContext& ctx) {
 
 class TocttouRun : public conc::ScenarioRun {
  public:
-  TocttouRun(SimMode mode, TocttouVariant variant)
+  TocttouRun(SimMode mode, TocttouVariant variant, bool filter_victim)
       : sys_(std::make_unique<SimSystem>(mode)) {
     Kernel& k = sys_->kernel();
     // The prize: root-only data the invoker cannot read directly.
@@ -97,6 +97,14 @@ class TocttouRun : public conc::ScenarioRun {
                            return FilereportMain(ctx, variant);
                          }));
     Must(k.InstallBinary("/usr/bin/swapjob", 0755, kRootUid, kRootGid, SwapjobMain));
+    if (filter_victim) {
+      Result<SeccompFilter> filter = SeccompFilter::FromSpec(
+          SeccompFilter::ParseSpec("class 1 /tmp/\nallow open if path eq 1\nallow stat\n"
+                                   "allow access\nallow read\nallow write\nallow close\n")
+              .value());
+      Must(filter);
+      k.RegisterBinaryFilter("/usr/bin/filereport", filter.take());
+    }
     session_ = &sys_->Login("alice");
   }
 
@@ -228,8 +236,11 @@ const char* TocttouVariantName(TocttouVariant variant) {
   return "?";
 }
 
-conc::ScenarioFactory MakeTocttouScenario(SimMode mode, TocttouVariant variant) {
-  return [mode, variant] { return std::make_unique<TocttouRun>(mode, variant); };
+conc::ScenarioFactory MakeTocttouScenario(SimMode mode, TocttouVariant variant,
+                                          bool filter_victim) {
+  return [mode, variant, filter_victim] {
+    return std::make_unique<TocttouRun>(mode, variant, filter_victim);
+  };
 }
 
 conc::ScenarioFactory MakePasswdLostUpdateScenario(bool with_flock) {

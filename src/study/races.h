@@ -47,7 +47,12 @@ inline constexpr const char* kTocttouReportPath = "/tmp/report";
 // plain 0755 under Protego) and the attacker (`/usr/bin/swapjob`), and
 // launches both as schedulable tasks from alice's session. The invariant
 // fails iff the victim's report contains the secret.
-conc::ScenarioFactory MakeTocttouScenario(SimMode mode, TocttouVariant variant);
+//
+// With `filter_victim`, filereport's registered filter confines its open(2)
+// to /tmp/: the swapped-in link walks to the secret outside it, so the open
+// is refused whatever privilege the victim runs with.
+conc::ScenarioFactory MakeTocttouScenario(SimMode mode, TocttouVariant variant,
+                                          bool filter_victim = false);
 
 // Lost-update scenario for the shared credential database: two concurrent
 // chfn runs (root editing alice's and bob's gecos fields) each do a

@@ -126,28 +126,6 @@ using Observation = SyscallGate::SyscallObservation;
 constexpr size_t kMaxSynthClasses = 48;
 constexpr size_t kMaxSynthRulesPerSysno = 32;
 
-bool TakesPath(Sysno nr) {
-  switch (nr) {
-    case Sysno::kOpen:
-    case Sysno::kStat:
-    case Sysno::kAccess:
-    case Sysno::kGetDents:
-    case Sysno::kUnlink:
-    case Sysno::kMkdir:
-    case Sysno::kChmod:
-    case Sysno::kChown:
-    case Sysno::kRename:
-    case Sysno::kSymlink:
-    case Sysno::kClone:
-    case Sysno::kExecve:
-    case Sysno::kMount:
-    case Sysno::kUmount2:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool TakesFd(Sysno nr) {
   switch (nr) {
     case Sysno::kRead:
@@ -183,14 +161,6 @@ SeccompPredicate ArgPred(uint8_t arg, SeccompCmp cmp, uint64_t value, uint64_t m
   return p;
 }
 
-std::string DirOf(const std::string& path) {
-  size_t slash = path.rfind('/');
-  if (slash == std::string::npos || slash == 0) {
-    return "/";
-  }
-  return path.substr(0, slash);
-}
-
 // Synthesizes one binary's filter from everything it was observed to call.
 // Observed calls are admitted whether they succeeded or not: a call the
 // utility legitimately issues and handles the error of (a denied mount, a
@@ -200,47 +170,32 @@ UtilityFilter SynthesizeFilter(const std::string& exe,
                                SynthStats& stats) {
   SeccompFilter::Spec spec;
 
-  // Path classes: group observed paths by directory; a directory touched
-  // through three or more distinct paths becomes one "dir/" prefix class
-  // (the utility clearly works on that directory), otherwise each path gets
-  // an exact class.
+  // Path classes over the canonical paths the walks reached: group them by
+  // directory; a directory touched through three or more distinct paths
+  // becomes one "dir/" class (the utility clearly works beneath that
+  // directory), otherwise each path gets an exact class.
   std::map<std::string, std::set<std::string>> by_dir;
   for (const Observation* ob : obs) {
-    if (TakesPath(ob->nr) && !ob->path.empty()) {
-      by_dir[DirOf(ob->path)].insert(ob->path);
+    if (SysnoTakesPath(ob->nr) && !ob->path.empty()) {
+      by_dir[std::string(DirPathOf(ob->path))].insert(ob->path);
     }
   }
-  std::set<std::string> prefixes;
+  std::set<std::string> entries;
   for (const auto& [dir, paths] : by_dir) {
     if (paths.size() >= 3 && dir != "/") {
-      prefixes.insert(dir + "/");
+      entries.insert(dir + "/");
     } else {
-      prefixes.insert(paths.begin(), paths.end());
+      entries.insert(paths.begin(), paths.end());
     }
   }
-  bool use_paths = !prefixes.empty() && prefixes.size() <= kMaxSynthClasses;
-  std::map<std::string, uint64_t> class_of;  // prefix -> id
+  bool use_paths = !entries.empty() && entries.size() <= kMaxSynthClasses;
   if (use_paths) {
     uint64_t next_id = 1;
-    for (const std::string& prefix : prefixes) {
-      spec.path_classes.emplace_back(prefix, next_id);
-      class_of[prefix] = next_id;
-      ++next_id;
+    for (const std::string& entry : entries) {
+      spec.path_classes.emplace_back(entry, next_id++);
     }
     stats.path_classes.fetch_add(spec.path_classes.size(), std::memory_order_relaxed);
   }
-  // Longest prefix wins, mirroring SeccompFilter::PathClassOf.
-  auto class_for_path = [&class_of](const std::string& path) -> uint64_t {
-    uint64_t best = 0;
-    size_t best_len = 0;
-    for (const auto& [prefix, id] : class_of) {
-      if (prefix.size() >= best_len && path.compare(0, prefix.size(), prefix) == 0) {
-        best = id;
-        best_len = prefix.size();
-      }
-    }
-    return best;
-  };
 
   // Per-syscall argument shapes.
   for (Sysno nr : AllSysnos()) {
@@ -257,7 +212,7 @@ UtilityFilter SynthesizeFilter(const std::string& exe,
 
     std::vector<SeccompRule> rules;
     bool encodable = true;
-    if (TakesPath(nr) && use_paths) {
+    if (SysnoTakesPath(nr) && use_paths) {
       if (nr == Sysno::kOpen) {
         // One rule per path class, with the flag bits confined to the
         // union observed for that class: (flags & ~union) == 0.
@@ -267,7 +222,7 @@ UtilityFilter SynthesizeFilter(const std::string& exe,
             encodable = false;
             break;
           }
-          flags_union[class_for_path(ob->path)] |= ob->a1;
+          flags_union[PathClassOf(spec.path_classes, ob->path)] |= ob->a1;
         }
         for (const auto& [cls, flag_bits] : flags_union) {
           SeccompRule r;
@@ -282,7 +237,7 @@ UtilityFilter SynthesizeFilter(const std::string& exe,
             encodable = false;
             break;
           }
-          classes.insert(class_for_path(ob->path));
+          classes.insert(PathClassOf(spec.path_classes, ob->path));
         }
         for (uint64_t cls : classes) {
           SeccompRule r;
@@ -408,7 +363,7 @@ bool DacReadAllows(const SynthContext::FileMeta& meta, Uid euid) {
 // widen to the whole directory (the service reads whichever fragment the
 // request names), anything else stays the exact path.
 std::string DelegationGlob(const std::string& path) {
-  std::string dir = DirOf(path);
+  std::string dir(DirPathOf(path));
   if (dir == "/etc/shadows" || dir == "/etc/groups" || dir == "/etc/passwds") {
     return dir + "/*";
   }

@@ -50,14 +50,16 @@ struct Inode {
   std::shared_ptr<SyntheticOps> synthetic;
 
   // True when this inode's `data` bytes are charged against the VFS block
-  // quota (regular non-synthetic files created through Vfs::CreateNode or
+  // quota (regular non-synthetic files created through Vfs::LinkLocked or
   // written through Vfs::WriteNode). Bootstrap populators that bypass
-  // CreateNode leave it false; the first quota-aware write charges in full.
+  // LinkLocked leave it false; the first quota-aware write charges in full.
   bool charged = false;
 
   // Atomic members delete the implicit copy operations; Stat/snapshot
   // paths still copy inodes by value, so restore them field-wise.
   Inode() = default;
+  Inode(uint32_t mode_bits, Uid owner, Gid group, std::string contents = "")
+      : mode(mode_bits), uid(owner), gid(group), data(std::move(contents)) {}
   Inode(const Inode& other) { *this = other; }
   Inode& operator=(const Inode& other) {
     if (this == &other) {

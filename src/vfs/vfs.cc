@@ -16,7 +16,7 @@ const char* FsEventName(FsEvent event) {
 }
 
 Vnode* Vnode::Lookup(std::string_view child) const {
-  auto it = children_.find(std::string(child));
+  auto it = children_.find(child);
   return it == children_.end() ? nullptr : it->second.get();
 }
 
@@ -43,6 +43,25 @@ std::vector<std::string> Vnode::ListNames() const {
   return names;
 }
 
+std::string_view DirPathOf(std::string_view canonical) {
+  size_t slash = canonical.rfind('/');
+  return slash == 0 || slash == std::string_view::npos ? "/" : canonical.substr(0, slash);
+}
+
+namespace {
+
+// Takes the next component off the front of `rest` (empty when none is
+// left).
+std::string_view NextComponent(std::string_view& rest) {
+  size_t start = std::min(rest.find_first_not_of('/'), rest.size());
+  size_t end = std::min(rest.find('/', start), rest.size());
+  std::string_view comp = rest.substr(start, end - start);
+  rest.remove_prefix(end);
+  return comp;
+}
+
+}  // namespace
+
 Vfs::Vfs(Clock* clock) : clock_(clock) {
   Inode root_inode;
   root_inode.ino = 1;
@@ -50,115 +69,103 @@ Vfs::Vfs(Clock* clock) : clock_(clock) {
   root_.reset(new Vnode("", std::move(root_inode)));
 }
 
-std::string Vfs::Normalize(std::string_view path) {
-  std::vector<std::string> stack;
-  for (const std::string& part : Split(path, '/')) {
-    if (part.empty() || part == ".") {
-      continue;
-    }
-    if (part == "..") {
-      if (!stack.empty()) {
-        stack.pop_back();
-      }
-      continue;
-    }
-    stack.push_back(part);
+Vnode* Vfs::Top(Vnode* node) {
+  while (node->covered_by_ != nullptr) {
+    node = node->covered_by_->root.get();
   }
-  if (stack.empty()) {
-    return "/";
-  }
-  return "/" + Join(stack, "/");
+  return node;
 }
 
-Result<Vnode*> Vfs::ResolveInternal(std::string_view path, bool want_parent,
-                                    std::string* leaf_out, bool follow_leaf) const {
+WalkResult Vfs::WalkLocked(std::string_view cwd, std::string_view path, bool follow) const {
   LayerScope vfs_scope(profiler_, Layer::kVfs);
-  if (path.empty() || path[0] != '/') {
-    return Error(Errno::kEINVAL, "path must be absolute: " + std::string(path));
-  }
-  std::string normalized = Normalize(path);
-  std::vector<std::string> parts = Split(normalized.substr(1), '/');
-  if (normalized == "/") {
-    parts.clear();
-  }
-  if (want_parent) {
-    if (parts.empty()) {
-      return Error(Errno::kEINVAL, "cannot take parent of /");
-    }
-    *leaf_out = parts.back();
-    parts.pop_back();
-  }
-
-  // Each symlink followed consumes one unit of budget; a cycle exhausts it
-  // and surfaces as ELOOP, as in Linux's nested_symlinks limit.
+  resolves_.fetch_add(1, std::memory_order_relaxed);
+  WalkResult w;
+  w.err = path.empty() ? Errno::kENOENT : Errno::kOk;
+  // The text still to walk, innermost last: a symlink's target sits above
+  // the rest of the path that named it. Absolute pieces restart at "/".
+  std::string_view views[kMaxSymlinkDepth + 2] = {path, cwd};
+  size_t nviews = !path.empty() && path[0] != '/' ? 2 : 1;
+  Vnode* node = Top(root_.get());
+  std::string canon;      // "" stands for "/"
+  std::string_view name;  // the last regular component looked up
   int links_left = kMaxSymlinkDepth;
-  while (true) {
-    Vnode* node = root_.get();
-    while (node->covered_by_ != nullptr) {
-      node = node->covered_by_->root.get();
+  while (w.err == Errno::kOk) {
+    std::string_view comp;
+    while (nviews > 0 && (comp = NextComponent(views[nviews - 1])).empty()) {
+      --nviews;
     }
-    bool restarted = false;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      const std::string& part = parts[i];
-      if (!node->inode().IsDir()) {
-        return Error(Errno::kENOTDIR, normalized);
+    if (comp.empty()) {
+      break;
+    }
+    // Is this the final component, and does a '/' follow it?
+    w.last = true;
+    w.dir_only = false;
+    for (size_t i = 0; i < nviews && w.last; ++i) {
+      w.last = views[i].find_first_not_of('/') == std::string_view::npos;
+      w.dir_only |= !views[i].empty();
+    }
+    const bool dot = comp == "." || comp == "..";
+    const bool is_dir = node->inode().IsDir();
+    name = dot ? std::string_view() : comp;
+    w.dir = dot || !is_dir ? nullptr : node;
+    Vnode* child = dot || !is_dir ? nullptr : node->Lookup(comp);
+    if (child != nullptr) {
+      child = Top(child);
+    }
+    if (!is_dir) {
+      w.err = Errno::kENOTDIR;
+    } else if (dot) {
+      // ".." climbs out of mount roots to the parent of the covered
+      // directory, and stays put at the top.
+      Vnode* up = node;
+      while (up->mount_root_of_ != nullptr) {
+        up = up->mount_root_of_->covered;
       }
-      Vnode* child = node->Lookup(part);
-      if (child == nullptr) {
-        return Error(Errno::kENOENT, normalized);
+      if (comp == ".." && up->parent_ != nullptr) {
+        node = Top(up->parent_);
+        canon.resize(canon.rfind('/'));
       }
-      while (child->covered_by_ != nullptr) {
-        child = child->covered_by_->root.get();
-      }
-      bool is_leaf = i + 1 == parts.size();
-      if (child->inode().IsSymlink() && (!is_leaf || follow_leaf)) {
-        if (--links_left < 0) {
-          return Error(Errno::kELOOP, normalized);
+    } else if (child == nullptr) {
+      w.err = Errno::kENOENT;
+    } else if (child->inode().IsSymlink() && (!w.last || follow || w.dir_only)) {
+      // Splice the target in: a relative one continues from `node`, the
+      // directory holding the link.
+      const std::string& target = child->inode().data;
+      if (--links_left < 0) {
+        w.err = Errno::kELOOP;
+      } else {
+        views[nviews++] = target;
+        if (target[0] == '/') {
+          node = Top(root_.get());
+          canon.clear();
         }
-        // Splice the target in front of the remaining components and walk
-        // again from the root (relative targets resolve against `node`).
-        const std::string& target = child->inode().data;
-        std::string rebuilt = !target.empty() && target[0] == '/'
-                                  ? target
-                                  : PathOfLocked(node) + "/" + target;
-        for (size_t j = i + 1; j < parts.size(); ++j) {
-          rebuilt += "/" + parts[j];
-        }
-        normalized = Normalize(rebuilt);
-        parts = Split(normalized.substr(1), '/');
-        if (normalized == "/") {
-          parts.clear();
-        }
-        restarted = true;
-        break;
       }
+    } else {
       node = child;
-    }
-    if (!restarted) {
-      return node;
+      canon += '/';
+      canon += comp;
     }
   }
+  // A failed walk names the component it could not get past.
+  w.name = std::string(name);
+  if (w.err != Errno::kOk && !name.empty()) {
+    canon += '/';
+    canon += name;
+  }
+  w.path = canon.empty() ? "/" : std::move(canon);
+  if (w.err == Errno::kOk && w.dir_only && !node->inode().IsDir()) {
+    w.err = Errno::kENOTDIR;  // a trailing slash on a non-directory
+  }
+  w.node = w.err == Errno::kOk ? node : nullptr;
+  return w;
 }
 
 Result<Vnode*> Vfs::Resolve(std::string_view path) const {
-  resolves_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
-  std::string unused;
-  return ResolveInternal(path, /*want_parent=*/false, &unused);
-}
-
-Result<Vnode*> Vfs::ResolveNoFollow(std::string_view path) const {
-  resolves_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
-  std::string unused;
-  return ResolveInternal(path, /*want_parent=*/false, &unused, /*follow_leaf=*/false);
-}
-
-Result<std::pair<Vnode*, std::string>> Vfs::ResolveParent(std::string_view path) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
-  std::string leaf;
-  ASSIGN_OR_RETURN(Vnode * parent, ResolveInternal(path, /*want_parent=*/true, &leaf));
-  return std::make_pair(parent, leaf);
+  if (path.empty() || path[0] != '/') {
+    return Error(Errno::kEINVAL, "path must be absolute: " + std::string(path));
+  }
+  WalkResult w = Walk("/", path, /*follow=*/true);
+  return w.err == Errno::kOk ? Result<Vnode*>(w.node) : Error(w.err, w.path);
 }
 
 std::string Vfs::PathOf(const Vnode* node) const {
@@ -167,40 +174,41 @@ std::string Vfs::PathOf(const Vnode* node) const {
 }
 
 std::string Vfs::PathOfLocked(const Vnode* node) const {
-  std::vector<std::string> parts;
-  const Vnode* cur = node;
-  while (cur != nullptr) {
-    if (cur->mount_root_of_ != nullptr) {
-      // Mount roots splice in at their mountpoint path.
-      std::string prefix = cur->mount_root_of_->mountpoint;
-      std::reverse(parts.begin(), parts.end());
-      if (parts.empty()) {
-        return prefix;
-      }
-      if (prefix == "/") {
-        prefix.clear();
-      }
-      return prefix + "/" + Join(parts, "/");
-    }
-    if (cur->parent_ == nullptr) {
-      break;  // real root
-    }
-    parts.push_back(cur->name_);
-    cur = cur->parent_;
+  // A mount root sits where the directory it covers does.
+  while (node->mount_root_of_ != nullptr) {
+    node = node->mount_root_of_->covered;
   }
-  std::reverse(parts.begin(), parts.end());
-  return "/" + Join(parts, "/");
+  if (node->parent_ == nullptr) {
+    return "/";
+  }
+  std::string path = PathOfLocked(node->parent_);
+  if (path.size() > 1) {
+    path += '/';
+  }
+  return path += node->name_;
 }
 
-Result<Vnode*> Vfs::CreateNodeLocked(std::string_view path, Inode inode,
-                                     PendingEvents* events) {
-  // The single vnode-allocation choke point: every Create* routes through
+Result<Vnode*> Vfs::LinkLocked(const WalkResult& at, Inode inode, PendingEvents* events) {
+  // The single vnode-allocation choke point: every create routes through
   // here, so one fault site models inode/dentry cache exhaustion.
   if (faults_ != nullptr && faults_->any_enabled()) {
     RETURN_IF_ERROR(faults_->Check(FaultSite::kVfsVnodeAlloc, "vfs vnode allocation"));
   }
-  std::string leaf;
-  ASSIGN_OR_RETURN(Vnode * parent, ResolveInternal(path, /*want_parent=*/true, &leaf));
+  if (at.err == Errno::kOk || at.dir == nullptr) {
+    return Error(Errno::kEEXIST, at.path);
+  }
+  if (at.err != Errno::kENOENT || !at.last) {
+    return Error(at.err, at.path);
+  }
+  if (at.dir_only && !inode.IsDir()) {
+    return Error(Errno::kEISDIR, at.path);
+  }
+  if (inode.IsSymlink() && inode.data.empty()) {
+    return Error(Errno::kEINVAL, "empty symlink target");
+  }
+  if (at.dir->unlinked_) {
+    return Error(Errno::kENOENT, at.path);
+  }
   // A regular file's initial contents are charged against the block quota;
   // the checks run before the vnode is linked in so a refused create leaves
   // no partial state, and the charge lands only after AddChild succeeds.
@@ -212,12 +220,12 @@ Result<Vnode*> Vfs::CreateNodeLocked(std::string_view path, Inode inode,
     }
     if (block_quota_ != 0 &&
         bytes_used_.load(std::memory_order_relaxed) + size > block_quota_) {
-      return Error(Errno::kENOSPC, std::string(path));
+      return Error(Errno::kENOSPC, at.path);
     }
   }
   inode.ino = NextIno();
   inode.mtime = NowMtime();
-  ASSIGN_OR_RETURN(Vnode * node, parent->AddChild(leaf, std::move(inode)));
+  ASSIGN_OR_RETURN(Vnode * node, at.dir->AddChild(at.name, std::move(inode)));
   if (charge) {
     bytes_used_.fetch_add(size, std::memory_order_relaxed);
     node->inode().charged = true;
@@ -226,193 +234,124 @@ Result<Vnode*> Vfs::CreateNodeLocked(std::string_view path, Inode inode,
   return node;
 }
 
-Result<Vnode*> Vfs::CreateFile(std::string_view path, uint32_t perms, Uid uid, Gid gid,
-                               std::string data) {
-  Inode inode;
-  inode.mode = kIfReg | (perms & kPermMask);
-  inode.uid = uid;
-  inode.gid = gid;
-  inode.data = std::move(data);
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
-}
-
-Result<Vnode*> Vfs::CreateDir(std::string_view path, uint32_t perms, Uid uid, Gid gid) {
-  Inode inode;
-  inode.mode = kIfDir | (perms & kPermMask);
-  inode.uid = uid;
-  inode.gid = gid;
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
-}
-
-Result<Vnode*> Vfs::CreateSymlink(std::string_view path, std::string_view target, Uid uid,
-                                  Gid gid) {
-  if (target.empty()) {
-    return Error(Errno::kEINVAL, "empty symlink target");
-  }
-  Inode inode;
-  inode.mode = kIfLnk | 0777;
-  inode.uid = uid;
-  inode.gid = gid;
-  inode.data = std::string(target);
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
+Result<Vnode*> Vfs::CreateAt(const WalkResult& at, Inode inode) {
+  return Mutate([&](PendingEvents* events) { return LinkLocked(at, std::move(inode), events); });
 }
 
 Result<Vnode*> Vfs::CreateDevice(std::string_view path, uint32_t perms, Uid uid, Gid gid,
                                  bool block, uint32_t major, uint32_t minor) {
-  Inode inode;
-  inode.mode = (block ? kIfBlk : kIfChr) | (perms & kPermMask);
-  inode.uid = uid;
-  inode.gid = gid;
+  Inode inode((block ? kIfBlk : kIfChr) | (perms & kPermMask), uid, gid);
   inode.rdev_major = major;
   inode.rdev_minor = minor;
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
+  return CreateAt(Walk("/", path, /*follow=*/false), std::move(inode));
 }
 
 Result<Vnode*> Vfs::CreateSynthetic(std::string_view path, uint32_t perms, SyntheticOps ops) {
-  std::string normalized = Normalize(path);
-  Inode inode;
-  inode.mode = kIfReg | (perms & kPermMask);
+  RETURN_IF_ERROR(EnsureDirs(DirPathOf(path)));
+  Inode inode(kIfReg | (perms & kPermMask), kRootUid, kRootGid);
   inode.synthetic = std::make_shared<SyntheticOps>(std::move(ops));
-  PendingEvents events;
-  Result<Vnode*> node = [&]() -> Result<Vnode*> {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    size_t slash = normalized.find_last_of('/');
-    if (slash > 0) {
-      RETURN_IF_ERROR(EnsureDirsLocked(normalized.substr(0, slash)));
-    }
-    return CreateNodeLocked(normalized, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
+  return CreateAt(Walk("/", path, /*follow=*/false), std::move(inode));
 }
 
 Result<Vnode*> Vfs::EnsureDirs(std::string_view path) {
   std::unique_lock<std::shared_mutex> lk(tree_mu_);
-  return EnsureDirsLocked(path);
+  while (true) {
+    WalkResult w = WalkLocked("/", path, /*follow=*/true);
+    if (w.err == Errno::kOk) {
+      return w.node->inode().IsDir() ? Result<Vnode*>(w.node) : Error(Errno::kENOTDIR, w.path);
+    }
+    if (w.err != Errno::kENOENT) {
+      return Error(w.err, w.path);
+    }
+    Inode inode(kIfDir | 0755, kRootUid, kRootGid);
+    inode.ino = NextIno();
+    inode.mtime = NowMtime();
+    RETURN_IF_ERROR(w.dir->AddChild(w.name, std::move(inode)));
+  }
 }
 
-Result<Vnode*> Vfs::EnsureDirsLocked(std::string_view path) {
-  std::string normalized = Normalize(path);
-  if (normalized == "/") {
-    return root_.get();
-  }
-  Vnode* node = root_.get();
-  while (node->covered_by_ != nullptr) {
-    node = node->covered_by_->root.get();
-  }
-  for (const std::string& part : Split(normalized.substr(1), '/')) {
-    Vnode* child = node->Lookup(part);
-    if (child == nullptr) {
-      Inode inode;
-      inode.ino = NextIno();
-      inode.mode = kIfDir | 0755;
-      inode.mtime = NowMtime();
-      ASSIGN_OR_RETURN(child, node->AddChild(part, std::move(inode)));
-    }
-    while (child->covered_by_ != nullptr) {
-      child = child->covered_by_->root.get();
-    }
-    if (!child->inode().IsDir()) {
-      return Error(Errno::kENOTDIR, normalized);
-    }
-    node = child;
-  }
-  return node;
+void Vfs::OrphanLocked(Vnode* parent, const std::string& name) {
+  auto it = parent->children_.find(name);
+  it->second->unlinked_ = true;
+  orphans_.push_back(std::move(it->second));
+  parent->children_.erase(it);
 }
 
-Result<Unit> Vfs::Unlink(std::string_view path) {
-  PendingEvents events;
-  Result<Unit> result = [&]() -> Result<Unit> {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    std::string leaf;
-    ASSIGN_OR_RETURN(Vnode * parent, ResolveInternal(path, /*want_parent=*/true, &leaf));
-    Vnode* child = parent->Lookup(leaf);
+Result<Unit> Vfs::UnlinkAt(const WalkResult& at) {
+  return Mutate([&](PendingEvents* events) -> Result<Unit> {
+    if (at.err != Errno::kOk) {
+      return Error(at.err, at.path);
+    }
+    Vnode* child = at.dir == nullptr || at.dir->unlinked_ ? nullptr : at.dir->Lookup(at.name);
     if (child == nullptr) {
-      return Error(Errno::kENOENT, std::string(path));
+      return Error(at.dir == nullptr ? Errno::kEBUSY : Errno::kENOENT, at.path);
     }
     if (child->covered_by_ != nullptr) {
-      return Error(Errno::kEBUSY, std::string(path));
+      return Error(Errno::kEBUSY, at.path);
     }
     if (child->inode().IsDir() && child->HasChildren()) {
-      return Error(Errno::kENOTEMPTY, std::string(path));
+      return Error(Errno::kENOTEMPTY, at.path);
     }
-    std::string full = PathOfLocked(child);
-    auto child_it = parent->children_.find(leaf);
-    orphans_.push_back(std::move(child_it->second));
-    parent->children_.erase(child_it);
-    events.emplace_back(FsEvent::kDeleted, std::move(full));
+    events->emplace_back(FsEvent::kDeleted, PathOfLocked(child));
+    OrphanLocked(at.dir, at.name);
     return OkUnit();
-  }();
-  DispatchEvents(events);
-  return result;
+  });
 }
 
-Result<Unit> Vfs::Rename(std::string_view from, std::string_view to) {
-  PendingEvents events;
-  Result<Unit> result = [&]() -> Result<Unit> {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    std::string from_leaf;
-    ASSIGN_OR_RETURN(Vnode * from_parent,
-                     ResolveInternal(from, /*want_parent=*/true, &from_leaf));
-    Vnode* source = from_parent->Lookup(from_leaf);
-    if (source == nullptr) {
-      return Error(Errno::kENOENT, std::string(from));
+Result<Unit> Vfs::RenameAt(const WalkResult& from, const WalkResult& to) {
+  return Mutate([&](PendingEvents* events) -> Result<Unit> {
+    if (from.err != Errno::kOk) {
+      return Error(from.err, from.path);
     }
-    if (source->covered_by_ != nullptr || source->mount_root_of_ != nullptr) {
-      return Error(Errno::kEBUSY, std::string(from));
+    if (to.err != Errno::kOk && (to.err != Errno::kENOENT || !to.last)) {
+      return Error(to.err, to.path);
     }
-    std::string to_leaf;
-    ASSIGN_OR_RETURN(Vnode * to_parent, ResolveInternal(to, /*want_parent=*/true, &to_leaf));
-    if (!to_parent->inode().IsDir()) {
-      return Error(Errno::kENOTDIR, std::string(to));
+    if (from.dir == nullptr || to.dir == nullptr) {
+      return Error(Errno::kEBUSY, from.dir == nullptr ? from.path : to.path);
     }
-    Vnode* existing = to_parent->Lookup(to_leaf);
-    if (existing != nullptr) {
-      if (existing->inode().IsDir() && existing->HasChildren()) {
-        return Error(Errno::kENOTEMPTY, std::string(to));
+    Vnode* source = from.dir->unlinked_ ? nullptr : from.dir->Lookup(from.name);
+    if (source == nullptr || to.dir->unlinked_) {
+      return Error(Errno::kENOENT, source == nullptr ? from.path : to.path);
+    }
+    if (source->covered_by_ != nullptr) {
+      return Error(Errno::kEBUSY, from.path);
+    }
+    Vnode* existing = to.dir->Lookup(to.name);
+    if (existing == source) {
+      return OkUnit();  // same entry: Linux's rename is a successful no-op
+    }
+    const bool is_dir = source->inode().IsDir();
+    // A directory may not become its own ancestor: look for it above the
+    // target directory, across mount roots.
+    for (const Vnode* v = to.dir; is_dir && v != nullptr;
+         v = v->mount_root_of_ != nullptr ? v->mount_root_of_->covered : v->parent_) {
+      if (v == source) {
+        return Error(Errno::kEINVAL, to.path);
       }
-      auto existing_it = to_parent->children_.find(to_leaf);
-      orphans_.push_back(std::move(existing_it->second));
-      to_parent->children_.erase(existing_it);
     }
-    std::string old_path = PathOfLocked(source);
-    auto it = from_parent->children_.find(from_leaf);
+    if ((to.dir_only && !is_dir) || (existing != nullptr && is_dir != existing->inode().IsDir())) {
+      return Error(is_dir || to.dir_only ? Errno::kENOTDIR : Errno::kEISDIR, to.path);
+    }
+    if (existing != nullptr) {
+      if (existing->covered_by_ != nullptr) {
+        return Error(Errno::kEBUSY, to.path);
+      }
+      if (existing->HasChildren()) {
+        return Error(Errno::kENOTEMPTY, to.path);
+      }
+      OrphanLocked(to.dir, to.name);
+    }
+    events->emplace_back(FsEvent::kDeleted, PathOfLocked(source));
+    auto it = from.dir->children_.find(from.name);
     std::unique_ptr<Vnode> moved = std::move(it->second);
-    from_parent->children_.erase(it);
-    moved->name_ = to_leaf;
-    moved->parent_ = to_parent;
+    from.dir->children_.erase(it);
+    moved->name_ = to.name;
+    moved->parent_ = to.dir;
     Vnode* raw = moved.get();
-    to_parent->children_.emplace(to_leaf, std::move(moved));
-    events.emplace_back(FsEvent::kDeleted, std::move(old_path));
-    events.emplace_back(FsEvent::kCreated, PathOfLocked(raw));
+    to.dir->children_.emplace(to.name, std::move(moved));
+    events->emplace_back(FsEvent::kCreated, PathOfLocked(raw));
     return OkUnit();
-  }();
-  DispatchEvents(events);
-  return result;
+  });
 }
 
 Result<std::string> Vfs::ReadNode(const Vnode* node) const {
@@ -455,7 +394,7 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
     std::unique_lock<std::shared_mutex> lk(DataStripe(inode.ino));
     // Block accounting: charge growth (fault site + quota check BEFORE the
     // data mutates — a refused write leaves the file byte-identical),
-    // release shrinkage. Files populated outside CreateNode are charged in
+    // release shrinkage. Files populated outside LinkLocked are charged in
     // full on their first write here. The quota check is check-then-add
     // across stripes, so concurrent growers may overshoot the quota by one
     // write each — the same slop a real filesystem's per-CPU free-block
@@ -530,115 +469,94 @@ Result<Unit> Vfs::WriteFile(std::string_view path, std::string_view data) {
   return WriteNode(node, data, /*append=*/false);
 }
 
-Result<Unit> Vfs::AddMount(std::string_view mountpoint, std::string source, std::string fstype,
-                           std::vector<std::string> options, Uid mounter,
-                           const MountPopulator& populate) {
-  std::string trace_detail;
-  {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    // Stacked mounts are rejected to keep the simulation's umount unambiguous
-    // (Resolve descends through covers, so also check the mount table).
-    if (FindMountLocked(mountpoint) != nullptr) {
-      return Error(Errno::kEBUSY, std::string(mountpoint));
-    }
-    std::string unused;
-    ASSIGN_OR_RETURN(Vnode * target,
-                     ResolveInternal(mountpoint, /*want_parent=*/false, &unused));
-    if (!target->inode().IsDir()) {
-      return Error(Errno::kENOTDIR, std::string(mountpoint));
-    }
-    if (target->covered_by_ != nullptr) {
-      return Error(Errno::kEBUSY, std::string(mountpoint));
-    }
-
-    auto entry = std::make_unique<MountEntry>();
-    entry->source = std::move(source);
-    entry->mountpoint = Normalize(mountpoint);
-    entry->fstype = std::move(fstype);
-    entry->options = std::move(options);
-    entry->mounter = mounter;
-    entry->covered = target;
-
-    Inode root_inode;
-    root_inode.ino = NextIno();
-    root_inode.mode = kIfDir | 0755;
-    entry->root.reset(new Vnode("", std::move(root_inode)));
-    entry->root->mount_root_of_ = entry.get();
-    if (populate) {
-      // Populators fill the detached new tree via Vnode::AddChild directly;
-      // they do not re-enter the Vfs API.
-      populate(entry->root.get());
-    }
-
-    target->covered_by_ = entry.get();
-    trace_detail = StrFormat("%s on %s type %s", entry->source.c_str(),
-                             entry->mountpoint.c_str(), entry->fstype.c_str());
-    mounts_.push_back(std::move(entry));
+Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::string fstype,
+                             std::vector<std::string> options, Uid mounter,
+                             const MountPopulator& populate) {
+  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  if (at.err != Errno::kOk) {
+    return Error(at.err, at.path);
   }
-  if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kVfsMount)) {
-    TraceSlot ev = tracer_->Emit(TracepointId::kVfsMount, 0);
-    ev->sname = "mount";
-    ev->detail = trace_detail;
+  Vnode* target = at.node;
+  if (!target->inode().IsDir()) {
+    return Error(Errno::kENOTDIR, at.path);
   }
+  // No stacking on a mount root (or on a directory mounted over since the
+  // walk): it keeps umount unambiguous.
+  if (target->mount_root_of_ != nullptr || target->covered_by_ != nullptr ||
+      target->unlinked_) {
+    return Error(Errno::kEBUSY, at.path);
+  }
+  auto entry = std::make_unique<MountEntry>();
+  entry->source = std::move(source);
+  entry->fstype = std::move(fstype);
+  entry->options = std::move(options);
+  entry->mounter = mounter;
+  entry->covered = target;
+  Inode root_inode(kIfDir | 0755, kRootUid, kRootGid);
+  root_inode.ino = NextIno();
+  entry->root.reset(new Vnode("", std::move(root_inode)));
+  entry->root->mount_root_of_ = entry.get();
+  if (populate) {
+    // Populators fill the detached new tree via Vnode::AddChild directly;
+    // they do not re-enter the Vfs API.
+    populate(entry->root.get());
+  }
+  target->covered_by_ = entry.get();
+  TraceMount("mount", StrFormat("%s on %s type %s", entry->source.c_str(), at.path.c_str(),
+                                entry->fstype.c_str()));
+  mounts_.push_back(std::move(entry));
   return OkUnit();
 }
 
-Result<Unit> Vfs::RemoveMount(std::string_view mountpoint) {
-  std::string normalized = Normalize(mountpoint);
-  bool removed = false;
-  {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    for (auto it = mounts_.begin(); it != mounts_.end(); ++it) {
-      if ((*it)->mountpoint == normalized) {
-        (*it)->covered->covered_by_ = nullptr;
-        // The mount's tree is destroyed with its entry; release its charges.
-        UnchargeTree((*it)->root.get());
-        mounts_.erase(it);
-        removed = true;
-        break;
-      }
-    }
-  }
-  if (!removed) {
-    return Error(Errno::kEINVAL, "not mounted: " + normalized);
-  }
-  if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kVfsMount)) {
-    TraceSlot ev = tracer_->Emit(TracepointId::kVfsMount, 0);
-    ev->sname = "umount";
-    ev->detail = normalized;
-  }
-  return OkUnit();
-}
-
-std::optional<Uid> Vfs::FindMount(std::string_view mountpoint) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
-  const MountEntry* entry = FindMountLocked(mountpoint);
+Result<Unit> Vfs::RemoveMountAt(Vnode* mount_root) {
+  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  MountEntry* entry = mount_root->mount_root_of_;
   if (entry == nullptr) {
-    return std::nullopt;
+    return Error(Errno::kEINVAL, "not mounted: " + PathOfLocked(mount_root));
   }
-  return entry->mounter;
+  std::string mountpoint = PathOfLocked(entry->covered);
+  // A mount beneath this one would lose the directory it covers.
+  for (const auto& other : mounts_) {
+    const Vnode* v = other->covered;
+    while (v->parent_ != nullptr) {
+      v = v->parent_;
+    }
+    if (v == mount_root) {
+      return Error(Errno::kEBUSY, mountpoint);
+    }
+  }
+  entry->covered->covered_by_ = nullptr;
+  // The tree leaves with its entry; release its charges, and keep its vnodes
+  // alive for open files and walks already holding them.
+  UnchargeTree(mount_root);
+  mount_root->mount_root_of_ = nullptr;
+  mount_root->unlinked_ = true;
+  auto it = std::find_if(mounts_.begin(), mounts_.end(),
+                         [entry](const auto& m) { return m.get() == entry; });
+  unmounted_.push_back(std::move((*it)->root));
+  mounts_.erase(it);
+  TraceMount("umount", std::move(mountpoint));
+  return OkUnit();
+}
+
+void Vfs::TraceMount(const char* what, std::string detail) const {
+  if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kVfsMount)) {
+    TraceSlot ev = tracer_->Emit(TracepointId::kVfsMount, 0);
+    ev->sname = what;
+    ev->detail = std::move(detail);
+  }
 }
 
 std::string Vfs::FormatMounts() const {
   std::shared_lock<std::shared_mutex> lk(tree_mu_);
   std::string out;
   for (const auto& m : mounts_) {
-    out += StrFormat("%s %s %s %s %u\n", m->source.c_str(), m->mountpoint.c_str(),
+    out += StrFormat("%s %s %s %s %u\n", m->source.c_str(), PathOfLocked(m->covered).c_str(),
                      m->fstype.c_str(),
                      m->options.empty() ? "defaults" : Join(m->options, ",").c_str(),
                      m->mounter);
   }
   return out;
-}
-
-const MountEntry* Vfs::FindMountLocked(std::string_view mountpoint) const {
-  std::string normalized = Normalize(mountpoint);
-  for (const auto& entry : mounts_) {
-    if (entry->mountpoint == normalized) {
-      return entry.get();
-    }
-  }
-  return nullptr;
 }
 
 size_t Vfs::orphan_count() const {
@@ -649,7 +567,7 @@ size_t Vfs::orphan_count() const {
 int Vfs::AddWatch(std::string path, WatchCallback cb) {
   int id = next_watch_id_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(watch_mu_);
-  watches_.push_back(Watch{id, Normalize(path), std::move(cb)});
+  watches_.push_back(Watch{id, std::move(path), std::move(cb)});
   return id;
 }
 
@@ -701,6 +619,9 @@ Result<Unit> Vfs::AuditBlockAccounting() const {
   }
   for (const auto& orphan : orphans_) {
     recomputed += ChargedBytesUnder(orphan.get());
+  }
+  for (const auto& tree : unmounted_) {
+    recomputed += ChargedBytesUnder(tree.get());
   }
   uint64_t counter = bytes_used_.load(std::memory_order_relaxed);
   if (recomputed != counter) {

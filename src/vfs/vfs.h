@@ -1,19 +1,24 @@
 // The simulated virtual filesystem: a directory tree of Vnodes, a mount
-// table, path resolution with mount crossing, and inotify-style watches.
+// table, the path walk with mount crossing, and inotify-style watches.
 //
 // The VFS performs no permission checks; the kernel layer (src/kernel)
 // applies DAC + LSM policy and then calls into these primitives, exactly as
 // the Linux VFS relies on callers having passed inode_permission().
 //
+// Paths become objects in exactly one place, Vfs::Walk, which returns the
+// object with its canonical path (every symlink, "." and ".." resolved).
+// The kernel, every policy layer and the mount table decide on that path
+// and act on the vnodes the walk returned.
+//
 // Locking (parallel mode):
 //   * tree_mu_ (reader-writer): the directory structure — children maps,
 //     parent links, mount covers, the mount table, and the orphan list.
-//     Resolution and PathOf take it shared; create/unlink/rename/mount and
+//     Walks and PathOf take it shared; create/unlink/rename/mount and
 //     chmod/chown-style metadata updates take it unique. Striped per-path
-//     dentry locks would admit more write parallelism, but structural
-//     writes are rare in every workload we model, so one tree lock with
-//     striped DATA locks (below) captures the win at a fraction of the
-//     deadlock surface.
+//     dentry locks would admit more write parallelism; spool-style
+//     workloads (mail's create/rename/unlink per message) do serialize on
+//     this writer lock, but one tree lock with striped DATA locks (below)
+//     keeps the deadlock surface small.
 //   * data_mu_[ino % kDataStripes]: file contents, mtime, and the block
 //     charge flag. Reads take the stripe shared, writes unique — so N
 //     threads stream N different files without touching the tree lock's
@@ -24,9 +29,9 @@
 //     watchers (the monitoring daemon) re-enter the VFS from their
 //     callbacks. Lock order is tree_mu_ before data stripe; neither is
 //     held across user callbacks (watches, synthetic file generators).
-//   * Returned Vnode* remain valid forever (orphan pinning); inode METADATA
-//     (mode/uid/gid) is guarded by tree_mu_ via the SetInode* helpers, and
-//     scalar counters are relaxed atomics.
+//   * Returned Vnode* remain valid forever (orphan pinning, unmounted
+//     trees included); inode METADATA (mode/uid/gid) is guarded by tree_mu_
+//     via the SetInode* helpers, and scalar counters are relaxed atomics.
 
 #ifndef SRC_VFS_VFS_H_
 #define SRC_VFS_VFS_H_
@@ -70,7 +75,7 @@ class Vnode {
   Vnode* parent() const { return parent_; }
 
   // Child by name within this directory; nullptr if absent. Does not cross
-  // mounts — Vfs::Resolve handles mount traversal. Caller must hold the
+  // mounts — Vfs::Walk handles mount traversal. Caller must hold the
   // tree lock (or be single-threaded bootstrap code).
   Vnode* Lookup(std::string_view child) const;
 
@@ -89,7 +94,9 @@ class Vnode {
   std::string name_;
   Inode inode_;
   Vnode* parent_ = nullptr;
-  std::map<std::string, std::unique_ptr<Vnode>> children_;
+  std::map<std::string, std::unique_ptr<Vnode>, std::less<>> children_;
+  // Left the tree (unlinked, renamed over, an unmounted root): no creates.
+  bool unlinked_ = false;
 
   // Non-null when a filesystem is mounted over this directory.
   MountEntry* covered_by_ = nullptr;
@@ -97,10 +104,9 @@ class Vnode {
   MountEntry* mount_root_of_ = nullptr;
 };
 
-// One row of the mount table.
+// One row of the mount table; its mountpoint is wherever `covered` is now.
 struct MountEntry {
   std::string source;      // backing device or pseudo-source ("proc", "tmpfs")
-  std::string mountpoint;  // normalized absolute path
   std::string fstype;
   std::vector<std::string> options;
   Uid mounter = kRootUid;  // uid that performed the mount (for user umount)
@@ -123,6 +129,22 @@ enum class FsEvent {
 const char* FsEventName(FsEvent event);
 
 using WatchCallback = std::function<void(FsEvent, const std::string& path)>;
+
+// What one Vfs::Walk found.
+struct WalkResult {
+  Errno err = Errno::kOk;
+  Vnode* node = nullptr;  // the object (err == kOk)
+  // Where the walk last looked a name up: the object's entry on success, the
+  // missing component on ENOENT; null when the path names "/" or ends in a dot.
+  Vnode* dir = nullptr;
+  std::string name;
+  bool last = false;      // `name` is the final component: dir/name is where a create lands
+  bool dir_only = false;  // the path ends in '/': the object must be a directory
+  std::string path;       // canonical path of the object, or of the component the walk stopped at
+};
+
+// The directory part of a canonical path ("/a/b" -> "/a", "/a" -> "/").
+std::string_view DirPathOf(std::string_view canonical);
 
 class Vfs {
  public:
@@ -150,14 +172,14 @@ class Vfs {
   // --- Block accounting ------------------------------------------------------
   //
   // Regular-file data bytes are charged against a filesystem-wide quota
-  // (a crude but sufficient stand-in for per-fs block counts): CreateNode
+  // (a crude but sufficient stand-in for per-fs block counts): LinkLocked
   // charges a new file's initial contents, WriteNode charges growth and
   // releases shrinkage, and growing past the quota fails with ENOSPC.
   // Orphaned vnodes (unlinked/renamed-over while possibly still open) KEEP
   // their charge — as on a real filesystem, an unlinked inode's blocks are
   // freed only when the last reference dies, which in this simulation is
   // Vfs destruction. Files created by bootstrap populators that bypass
-  // CreateNode are charged lazily on their first quota-aware write.
+  // LinkLocked are charged lazily on their first quota-aware write.
 
   // 0 = unlimited (the default; quota enforcement is opt-in).
   void set_block_quota(uint64_t bytes) { block_quota_ = bytes; }
@@ -165,45 +187,51 @@ class Vfs {
   uint64_t bytes_used() const { return bytes_used_.load(std::memory_order_relaxed); }
   size_t orphan_count() const;
 
-  // Recomputes charged bytes by walking the tree, every mount, and the
-  // orphan list, and cross-checks against the incremental bytes_used()
+  // Recomputes charged bytes by walking the tree, every mount, the orphan
+  // list and unmounted trees, and cross-checks against the incremental bytes_used()
   // counter. EIO with a diagnostic on divergence — the fault-sweep harness
   // runs this after every scenario. Expects data writers to be quiescent.
   Result<Unit> AuditBlockAccounting() const;
 
-  // --- Path resolution -----------------------------------------------------
+  // --- The path walk ---------------------------------------------------------
 
-  // Collapses ".", "..", duplicate slashes. `path` must be absolute.
-  static std::string Normalize(std::string_view path);
-
-  // Symlink chains longer than this fail with ELOOP (Linux uses 40; the
+  // Symlinks a walk may follow before ELOOP (Linux uses 40; the
   // simulation's filesystems are small enough that 8 suffices).
   static constexpr int kMaxSymlinkDepth = 8;
 
-  // Resolves an absolute path to its Vnode, crossing mountpoints and
-  // following symlinks (including the final component; use ResolveNoFollow
-  // for lstat-style leaf access).
+  // Walks `path` the way Linux path_resolution(7) does: from "/" when it is
+  // absolute, else from `cwd` (an absolute path, walked first); ".." to the
+  // parent, and from a mount root to the parent of the directory it covers;
+  // symlink targets spliced in place, a final one followed when `follow` is
+  // set or the path ends in '/'. Counts as one resolve.
+  WalkResult Walk(std::string_view cwd, std::string_view path, bool follow) const {
+    std::shared_lock<std::shared_mutex> lk(tree_mu_);
+    return WalkLocked(cwd, path, follow);
+  }
+
+  // The object at an absolute path (EINVAL for a relative one), final
+  // symlink followed.
   Result<Vnode*> Resolve(std::string_view path) const;
 
-  // Like Resolve, but does not follow a symlink in the FINAL component
-  // (intermediate symlinks are still followed).
-  Result<Vnode*> ResolveNoFollow(std::string_view path) const;
-
-  // Resolves all but the last component; returns (parent dir, leaf name).
-  Result<std::pair<Vnode*, std::string>> ResolveParent(std::string_view path) const;
-
-  // Absolute path of a node (inverse of Resolve; accounts for mounts).
+  // Canonical path of a node: the path a walk to it returns.
   std::string PathOf(const Vnode* node) const;
 
   // --- Node creation / removal / mutation ----------------------------------
 
   Result<Vnode*> CreateFile(std::string_view path, uint32_t perms, Uid uid, Gid gid,
-                            std::string data = "");
-  Result<Vnode*> CreateDir(std::string_view path, uint32_t perms, Uid uid, Gid gid);
+                            std::string data = "") {
+    return CreateAt(Walk("/", path, false),
+                    Inode(kIfReg | (perms & kPermMask), uid, gid, std::move(data)));
+  }
+  Result<Vnode*> CreateDir(std::string_view path, uint32_t perms, Uid uid, Gid gid) {
+    return CreateAt(Walk("/", path, false), Inode(kIfDir | (perms & kPermMask), uid, gid));
+  }
   // Creates a symbolic link at `path` pointing at `target` (not required to
   // exist — dangling links are legal, as on Linux). Mode is always 0777.
   Result<Vnode*> CreateSymlink(std::string_view path, std::string_view target, Uid uid,
-                               Gid gid);
+                               Gid gid) {
+    return CreateAt(Walk("/", path, false), Inode(kIfLnk | 0777, uid, gid, std::string(target)));
+  }
   Result<Vnode*> CreateDevice(std::string_view path, uint32_t perms, Uid uid, Gid gid,
                               bool block, uint32_t major, uint32_t minor);
 
@@ -214,8 +242,23 @@ class Vfs {
   // Creates any missing directories along `path` (mkdir -p), root 0755.
   Result<Vnode*> EnsureDirs(std::string_view path);
 
-  Result<Unit> Unlink(std::string_view path);
-  Result<Unit> Rename(std::string_view from, std::string_view to);
+  Result<Unit> Unlink(std::string_view path) { return UnlinkAt(Walk("/", path, false)); }
+  // Linux rename(2) errnos: EINVAL for a directory moved beneath itself,
+  // ENOTDIR/EISDIR when a directory and a non-directory would trade
+  // places, EBUSY over a mountpoint, ENOTEMPTY over a populated directory;
+  // renaming an entry onto itself succeeds and changes nothing.
+  Result<Unit> Rename(std::string_view from, std::string_view to) {
+    WalkResult from_walk = Walk("/", from, false);
+    return RenameAt(from_walk, Walk("/", to, false));
+  }
+
+  // The same on what a walk returned (the kernel walks once, checks the
+  // directory it got, and calls these). CreateAt takes a walk that only
+  // missed its last component; a directory unlinked since the walk gives
+  // ENOENT, a name that appeared since EEXIST.
+  Result<Vnode*> CreateAt(const WalkResult& at, Inode inode);
+  Result<Unit> UnlinkAt(const WalkResult& at);
+  Result<Unit> RenameAt(const WalkResult& from, const WalkResult& to);
 
   // Reads file content (regular data or synthetic generator).
   Result<std::string> ReadNode(const Vnode* node) const;
@@ -240,18 +283,38 @@ class Vfs {
 
   // --- Mounts ---------------------------------------------------------------
 
-  // Grafts a new filesystem over the directory at `mountpoint`.
+  // Grafts a new filesystem over the directory a walk reached (symlinks
+  // followed). EBUSY on a directory that already is a mount root.
+  Result<Unit> AddMountAt(const WalkResult& at, std::string source, std::string fstype,
+                          std::vector<std::string> options, Uid mounter,
+                          const MountPopulator& populate);
   Result<Unit> AddMount(std::string_view mountpoint, std::string source, std::string fstype,
                         std::vector<std::string> options, Uid mounter,
-                        const MountPopulator& populate);
+                        const MountPopulator& populate) {
+    return AddMountAt(Walk("/", mountpoint, true), std::move(source), std::move(fstype),
+                      std::move(options), mounter, populate);
+  }
 
-  // Removes the mount at `mountpoint`. EINVAL if nothing is mounted there.
-  Result<Unit> RemoveMount(std::string_view mountpoint);
+  // Removes the mount with this root: EINVAL if it is none, EBUSY while
+  // another mount sits beneath it. The tree stays allocated for open files.
+  Result<Unit> RemoveMountAt(Vnode* mount_root);
+  Result<Unit> RemoveMount(std::string_view mountpoint) {
+    WalkResult w = Walk("/", mountpoint, true);
+    return w.err == Errno::kOk ? RemoveMountAt(w.node) : Error(w.err, w.path);
+  }
 
-  // The uid that mounted the filesystem at `mountpoint`, or nullopt when
-  // nothing is mounted there. Returned by value: the entry itself may be
-  // freed by a concurrent RemoveMount as soon as the lock is released.
-  std::optional<Uid> FindMount(std::string_view mountpoint) const;
+  // The uid that mounted the filesystem whose root `node` is (FindMount:
+  // whose root `mountpoint` walks to), or nullopt when it is no mount root.
+  std::optional<Uid> MounterOf(const Vnode* node) const {
+    std::shared_lock<std::shared_mutex> lk(tree_mu_);
+    if (node == nullptr || node->mount_root_of_ == nullptr) {
+      return std::nullopt;
+    }
+    return node->mount_root_of_->mounter;
+  }
+  std::optional<Uid> FindMount(std::string_view mountpoint) const {
+    return MounterOf(Walk("/", mountpoint, true).node);
+  }
 
   // The /proc/mounts body, one "source mountpoint fstype options mounter"
   // line per mount, formatted under the tree lock.
@@ -259,8 +322,8 @@ class Vfs {
 
   // --- Watches (inotify analog) ----------------------------------------------
 
-  // Invokes `cb` for events on `path` or anything beneath it. Returns a
-  // watch id for RemoveWatch. Callbacks run with no VFS lock held.
+  // Invokes `cb` for events on canonical `path` or anything beneath it.
+  // Returns a watch id for RemoveWatch. Callbacks run with no VFS lock held.
   int AddWatch(std::string path, WatchCallback cb);
   void RemoveWatch(int watch_id);
 
@@ -273,15 +336,29 @@ class Vfs {
     return data_mu_[ino % kDataStripes];
   }
 
-  Vnode* root() const { return root_.get(); }
-  // Lock-free internals; callers hold tree_mu_ (shared for resolution,
-  // unique for mutation).
-  Result<Vnode*> ResolveInternal(std::string_view path, bool want_parent,
-                                 std::string* leaf_out, bool follow_leaf = true) const;
+  // Lock-free internals; callers hold tree_mu_ (shared for walks, unique
+  // for mutation).
+  WalkResult WalkLocked(std::string_view cwd, std::string_view path, bool follow) const;
+  // The topmost filesystem mounted over `node`, or `node` itself.
+  static Vnode* Top(Vnode* node);
   std::string PathOfLocked(const Vnode* node) const;
-  Result<Vnode*> CreateNodeLocked(std::string_view path, Inode inode, PendingEvents* events);
-  Result<Vnode*> EnsureDirsLocked(std::string_view path);
-  const MountEntry* FindMountLocked(std::string_view mountpoint) const;
+  // The single vnode-allocation choke point every create routes through.
+  Result<Vnode*> LinkLocked(const WalkResult& at, Inode inode, PendingEvents* events);
+  // Runs fn(&events) under the unique tree lock, then dispatches them.
+  template <typename Fn>
+  auto Mutate(Fn&& fn) {
+    PendingEvents events;
+    auto result = [&] {
+      std::unique_lock<std::shared_mutex> lk(tree_mu_);
+      return fn(&events);
+    }();
+    DispatchEvents(events);
+    return result;
+  }
+  // Moves a node out of the tree onto the orphan list.
+  void OrphanLocked(Vnode* parent, const std::string& name);
+  // Emits a kVfsMount trace event.
+  void TraceMount(const char* what, std::string detail) const;
   // Releases the block charge of every charged inode under `node` (used
   // when a whole mount tree is destroyed).
   void UnchargeTree(Vnode* node);
@@ -312,6 +389,8 @@ class Vfs {
   // destroyed: open file descriptions hold raw Vnode*, and on a real system
   // an open inode outlives its last directory entry.
   std::vector<std::unique_ptr<Vnode>> orphans_;
+  // Roots of unmounted filesystems, kept alive for the same reason.
+  std::vector<std::unique_ptr<Vnode>> unmounted_;
   std::vector<std::unique_ptr<MountEntry>> mounts_;
   std::vector<Watch> watches_;
   std::atomic<uint64_t> next_ino_{2};  // 1 is the root inode, per ext tradition

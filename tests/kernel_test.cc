@@ -5,6 +5,7 @@
 
 #include "src/base/strings.h"
 #include "src/kernel/kernel.h"
+#include "src/lsm/apparmor.h"
 #include "src/lsm/capability_module.h"
 
 namespace protego {
@@ -225,6 +226,54 @@ TEST_F(KernelTest, SpawnPropagatesExitCodeAndOutput) {
   ASSERT_TRUE(code.ok());
   EXPECT_EQ(code.value(), 7);
   EXPECT_EQ(alice.stderr_buf, "boom\n");
+}
+
+// --- Policy decides on the object the kernel acts on ---------------------------
+
+TEST_F(KernelTest, AppArmorDecidesOnTheSymlinkTarget) {
+  auto apparmor = std::make_unique<AppArmorModule>();
+  AaProfile profile;
+  profile.binary = "/usr/bin/reader";
+  profile.file_rules = {{"/tmp/*", kMayRead}};
+  apparmor->LoadProfile(profile);
+  kernel_.lsm().Register(std::move(apparmor));
+  (void)kernel_.vfs().CreateSymlink("/tmp/ln", "/etc/public", kRootUid, kRootGid);
+  (void)kernel_.vfs().CreateFile("/tmp/own", 0644, kRootUid, kRootGid, "mine");
+  Task& root = Root();
+  root.exe_path = "/usr/bin/reader";
+  EXPECT_TRUE(kernel_.ReadWholeFile(root, "/tmp/own").ok());
+  EXPECT_EQ(kernel_.ReadWholeFile(root, "/tmp/ln").code(), Errno::kEACCES);
+  EXPECT_EQ(kernel_.ReadWholeFile(root, "/tmp/../etc/public").code(), Errno::kEACCES);
+}
+
+TEST_F(KernelTest, ExecThroughASymlinkRunsItsTarget) {
+  std::string exe;
+  ASSERT_TRUE(kernel_
+                  .InstallBinary("/bin/ping", 0755, kRootUid, kRootGid,
+                                 [&exe](ProcessContext& ctx) {
+                                   exe = ctx.task.exe_path;
+                                   return 7;
+                                 })
+                  .ok());
+  (void)kernel_.vfs().CreateSymlink("/tmp/myping", "/bin/ping", kRootUid, kRootGid);
+  Task& alice = User(1000);
+  auto status = kernel_.Spawn(alice, "/tmp/myping", {"myping"}, {});
+  ASSERT_TRUE(status.ok()) << status.error().ToString();
+  EXPECT_EQ(status.value(), 7);
+  EXPECT_EQ(exe, "/bin/ping");
+}
+
+TEST_F(KernelTest, MountThroughASymlinkRecordsTheTarget) {
+  kernel_.RegisterFsType("tmpfs", [](const std::string&) -> Result<MountPopulator> {
+    return MountPopulator();
+  });
+  (void)kernel_.vfs().EnsureDirs("/mnt/real");
+  (void)kernel_.vfs().CreateSymlink("/mnt/alias", "/mnt/real", kRootUid, kRootGid);
+  Task& root = Root();
+  ASSERT_TRUE(kernel_.Mount(root, "none", "/mnt/alias", "tmpfs", {}).ok());
+  EXPECT_EQ(kernel_.vfs().FormatMounts(), "none /mnt/real tmpfs defaults 0\n");
+  EXPECT_TRUE(kernel_.Umount(root, "/mnt/real").ok());
+  EXPECT_EQ(kernel_.vfs().FormatMounts(), "");
 }
 
 }  // namespace

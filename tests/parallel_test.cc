@@ -341,6 +341,18 @@ TEST(ParallelRaceCorpus, ProtegoTocttouCleanUnderRealThreads) {
   }
 }
 
+TEST(ParallelRaceCorpus, FilteredStockVictimCleanUnderRealThreads) {
+  // The same filtered victim as TocttouRace.FilteredVictimAdmitsNoViolatingSchedule,
+  // with the swap landing wherever the OS scheduler puts it.
+  for (TocttouVariant variant :
+       {TocttouVariant::kStatThenOpen, TocttouVariant::kAccessThenOpen}) {
+    auto res = RunParallel(
+        MakeTocttouScenario(SimMode::kLinux, variant, /*filter_victim=*/true), 10);
+    EXPECT_FALSE(res.violation_found) << TocttouVariantName(variant) << ": " << res.detail;
+    EXPECT_EQ(res.runs, 10u);
+  }
+}
+
 TEST(ParallelRaceCorpus, StockLinuxTocttouRunsToCompletion) {
   // No violation assertion: with OS scheduling the swap may or may not land
   // in the window. The value is TSan coverage of the racy victim/attacker

@@ -102,6 +102,23 @@ TEST(TocttouRace, ProtegoAdmitsNoViolatingSchedule) {
   }
 }
 
+TEST(TocttouRace, FilteredVictimAdmitsNoViolatingSchedule) {
+  // filereport's filter confines open(2) to /tmp/. The walk decides it on
+  // the canonical path, so the swapped link's target (/etc/secret) is
+  // refused even against the stock setuid-root victim; a check of the
+  // string "/tmp/job" at syscall entry admitted it.
+  for (SimMode mode : {SimMode::kLinux, SimMode::kProtego}) {
+    for (TocttouVariant variant :
+         {TocttouVariant::kStatThenOpen, TocttouVariant::kAccessThenOpen}) {
+      ExploreResult res = conc::Explore(
+          MakeTocttouScenario(mode, variant, /*filter_victim=*/true), ExhaustiveOptions());
+      EXPECT_FALSE(res.violation_found) << TocttouVariantName(variant) << ": " << res.detail;
+      EXPECT_TRUE(res.exhausted) << TocttouVariantName(variant);
+      EXPECT_GT(res.schedules_run, 1u);
+    }
+  }
+}
+
 // --- Lost updates in the shared passwd database ------------------------------
 
 TEST(PasswdLostUpdate, WithoutFlockExplorerFindsLostUpdate) {

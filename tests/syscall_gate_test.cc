@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "src/base/strings.h"
@@ -37,9 +38,17 @@ class SpyModule : public SecurityModule {
     return HookVerdict::kDefault;
   }
 
+  bool CapablePermitted(const Task& task, Capability cap) override {
+    (void)task;
+    (void)cap;
+    capable_calls++;
+    return true;
+  }
+
   // Atomic: the real-threads test below dispatches hooks from 4 threads.
   std::atomic<int> socket_create_calls{0};
   std::atomic<int> inode_permission_calls{0};
+  std::atomic<int> capable_calls{0};
 };
 
 // The span-root (syscall) events in the kernel's trace ring, oldest first.
@@ -224,7 +233,7 @@ SeccompFilter::Spec PredicateSpec() {
                    Sysno::kGetPid, Sysno::kSeccomp, Sysno::kClone, Sysno::kExecve}) {
     spec.allowed.set(static_cast<size_t>(nr));
   }
-  spec.path_classes = {{"/tmp", 1}, {"/etc/motd", 2}};
+  spec.path_classes = {{"/tmp/", 1}, {"/etc/motd", 2}};
   spec.rules[static_cast<uint16_t>(Sysno::kOpen)] = {
       // /tmp/* with any flags; /etc/motd read-only.
       {{{kSeccompArgPath, SeccompCmp::kEq, 1, 0}}},
@@ -368,6 +377,161 @@ TEST_F(SyscallGateTest, RegisteredBinaryFilterReplacesOnExec) {
   // Parent still constrained by its own (unreplaced) filter.
   EXPECT_EQ(kernel_.Open(alice, "/etc/motd", kORdWr).code(), Errno::kEPERM);
   EXPECT_TRUE(kernel_.Open(alice, "/tmp/parent", kOWrOnly | kOCreat).ok());
+}
+
+TEST_F(SyscallGateTest, PathClassesDecideOnTheCanonicalPath) {
+  // A string check at entry let three paths through that end outside both
+  // classes: ".." out of /tmp, the sibling /tmpx, and a symlink in /tmp.
+  (void)kernel_.vfs().CreateFile("/etc/motd", 0644, kRootUid, kRootGid, "hi");
+  (void)kernel_.vfs().CreateFile("/etc/public", 0644, kRootUid, kRootGid, "pub");
+  (void)kernel_.vfs().EnsureDirs("/tmpx");
+  (void)kernel_.vfs().CreateFile("/tmpx/f", 0644, kRootUid, kRootGid, "x");
+  (void)kernel_.vfs().CreateSymlink("/tmp/ln", "/etc/public", kRootUid, kRootGid);
+  for (const char* tmp_entry : {"/tmp", "/tmp/"}) {
+    SeccompFilter::Spec spec = PredicateSpec();
+    spec.path_classes = {{tmp_entry, 1}, {"/etc/motd", 2}};
+    Task& alice = User(1000);
+    ASSERT_TRUE(kernel_.SeccompSetFilterSpec(alice, spec).ok());
+    const uint64_t denied = kernel_.syscalls().stats(Sysno::kOpen).seccomp_denied;
+    const int spy_before = spy_->inode_permission_calls;
+    for (const char* escape : {"/tmp/../etc/public", "/tmpx/f", "/tmp/ln"}) {
+      EXPECT_EQ(kernel_.Open(alice, escape, kORdOnly).code(), Errno::kEPERM)
+          << tmp_entry << " admitted " << escape;
+    }
+    EXPECT_EQ(kernel_.syscalls().stats(Sysno::kOpen).seccomp_denied, denied + 3);
+    EXPECT_EQ(spy_->inode_permission_calls.load(), spy_before);
+    EXPECT_TRUE(kernel_.Open(alice, "/etc/motd", kORdOnly).ok());
+  }
+  // The directory form admits what lies beneath /tmp, however it is named;
+  // a relative path is classified after the walk from the cwd.
+  SeccompFilter::Spec spec = PredicateSpec();
+  Task& bob = User(1001);
+  bob.cwd = "/tmp";
+  ASSERT_TRUE(kernel_.SeccompSetFilterSpec(bob, spec).ok());
+  EXPECT_TRUE(kernel_.Open(bob, "/etc/../tmp/a", kOWrOnly | kOCreat).ok());
+  EXPECT_TRUE(kernel_.Open(bob, "b", kOWrOnly | kOCreat).ok());
+  EXPECT_EQ(kernel_.Open(bob, "ln", kORdOnly).code(), Errno::kEPERM);
+  EXPECT_EQ(kernel_.Open(bob, "../etc/public", kORdOnly).code(), Errno::kEPERM);
+}
+
+TEST(SeccompPredicateTest, ClassesMatchWholeComponents) {
+  const std::vector<std::pair<std::string, uint64_t>> classes = {
+      {"/tmp/", 1}, {"/tmp/a", 2}, {"/tmp/a/", 3}, {"/etc/motd", 4}};
+  EXPECT_EQ(PathClassOf(classes, "/tmp/x"), 1u);
+  EXPECT_EQ(PathClassOf(classes, "/tmp/x/y"), 1u);
+  EXPECT_EQ(PathClassOf(classes, "/tmp"), 0u);    // the directory itself is not beneath it
+  EXPECT_EQ(PathClassOf(classes, "/tmpx/f"), 0u);  // a sibling shares only bytes
+  EXPECT_EQ(PathClassOf(classes, "/tmp/a"), 2u);   // exact beats the directory entry
+  EXPECT_EQ(PathClassOf(classes, "/tmp/ab"), 1u);
+  EXPECT_EQ(PathClassOf(classes, "/tmp/a/b"), 3u);  // the deeper directory wins
+  EXPECT_EQ(PathClassOf(classes, "/etc/motd"), 4u);
+  EXPECT_EQ(PathClassOf(classes, "/etc/motd.d/x"), 0u);
+  EXPECT_EQ(PathClassOf({{"/", 9}}, "/anything"), 9u);
+}
+
+TEST(SeccompPredicateTest, FromSpecRejectsNonCanonicalEntries) {
+  for (const char* entry : {"tmp", "", "/tmp//x", "/tmp/./x", "/tmp/..", "/tmp/x//", "/a/../b"}) {
+    SeccompFilter::Spec spec = PredicateSpec();
+    spec.path_classes = {{entry, 1}, {"/etc/motd", 2}};
+    EXPECT_EQ(SeccompFilter::FromSpec(spec).code(), Errno::kEINVAL) << entry;
+  }
+  for (const char* entry : {"/", "/tmp", "/tmp/", "/a/b.c/d"}) {
+    SeccompFilter::Spec spec = PredicateSpec();
+    spec.path_classes = {{entry, 1}, {"/etc/motd", 2}};
+    EXPECT_TRUE(SeccompFilter::FromSpec(spec).ok()) << entry;
+  }
+  // A path predicate on a syscall that takes no path could never be decided.
+  SeccompFilter::Spec spec = PredicateSpec();
+  spec.rules[static_cast<uint16_t>(Sysno::kWrite)] = {{{{kSeccompArgPath, SeccompCmp::kEq, 1, 0}}}};
+  EXPECT_EQ(SeccompFilter::FromSpec(spec).code(), Errno::kEINVAL);
+}
+
+TEST_F(SyscallGateTest, EveryPathSyscallIsRefusedAtItsWalk) {
+  // Root, so nothing but the filter stands in the way of any of these.
+  Task& root = kernel_.CreateTask("root", Cred::Root(), &terminal_);
+  int runs = 0;
+  ASSERT_TRUE(kernel_
+                  .InstallBinary("/bin/true", 0755, kRootUid, kRootGid,
+                                 [&runs](ProcessContext&) { return ++runs, 0; })
+                  .ok());
+  kernel_.RegisterFsType("tmpfs", [](const std::string&) -> Result<MountPopulator> {
+    return MountPopulator();
+  });
+  (void)kernel_.vfs().CreateFile("/etc/public", 0644, kRootUid, kRootGid, "pub");
+  (void)kernel_.vfs().CreateFile("/tmp/victim", 0644, kRootUid, kRootGid, "v");
+  (void)kernel_.vfs().EnsureDirs("/mnt/point");
+  (void)kernel_.vfs().EnsureDirs("/mnt/mounted");
+  ASSERT_TRUE(kernel_.vfs().AddMount("/mnt/mounted", "none", "tmpfs", {}, 0, nullptr).ok());
+
+  struct Case {
+    Sysno nr;
+    std::function<Errno()> call;
+  };
+  const std::vector<Case> cases = {
+      {Sysno::kOpen, [&] { return kernel_.Open(root, "/etc/public", kORdOnly).code(); }},
+      {Sysno::kStat, [&] { return kernel_.Stat(root, "/etc/public").code(); }},
+      {Sysno::kAccess, [&] { return kernel_.Access(root, "/etc/public", kMayRead).code(); }},
+      {Sysno::kGetDents, [&] { return kernel_.ReadDir(root, "/etc").code(); }},
+      {Sysno::kUnlink, [&] { return kernel_.Unlink(root, "/tmp/victim").code(); }},
+      {Sysno::kMkdir, [&] { return kernel_.Mkdir(root, "/tmp/newdir", 0755).code(); }},
+      {Sysno::kChmod, [&] { return kernel_.Chmod(root, "/etc/public", 0600).code(); }},
+      {Sysno::kChown, [&] { return kernel_.Chown(root, "/etc/public", 1000, 1000).code(); }},
+      {Sysno::kRename, [&] { return kernel_.Rename(root, "/tmp/victim", "/tmp/moved").code(); }},
+      {Sysno::kSymlink, [&] { return kernel_.Symlink(root, "/etc/public", "/tmp/ln").code(); }},
+      {Sysno::kExecve, [&] { return kernel_.Execve(root, "/bin/true", {"true"}, {}).code(); }},
+      {Sysno::kClone, [&] { return kernel_.Spawn(root, "/bin/true", {"true"}, {}).code(); }},
+      {Sysno::kMount,
+       [&] { return kernel_.Mount(root, "none", "/mnt/point", "tmpfs", {}).code(); }},
+      {Sysno::kUmount2, [&] { return kernel_.Umount(root, "/mnt/mounted").code(); }},
+  };
+  // Every path-taking syscall is covered, each under a filter whose only
+  // class excludes its target.
+  size_t path_syscalls = 0;
+  for (Sysno nr : AllSysnos()) {
+    path_syscalls += SysnoTakesPath(nr) ? 1 : 0;
+  }
+  ASSERT_EQ(cases.size(), path_syscalls);
+  for (const Case& c : cases) {
+    ASSERT_TRUE(SysnoTakesPath(c.nr)) << SysnoName(c.nr);
+    SeccompFilter::Spec spec;
+    for (Sysno nr : AllSysnos()) {
+      spec.allowed.set(static_cast<size_t>(nr));
+    }
+    spec.path_classes = {{"/nowhere/", 1}};
+    spec.rules[static_cast<uint16_t>(c.nr)] = {{{{kSeccompArgPath, SeccompCmp::kEq, 1, 0}}}};
+    auto filter = SeccompFilter::FromSpec(spec);
+    ASSERT_TRUE(filter.ok()) << SysnoName(c.nr);
+    root.seccomp = std::make_shared<const SeccompFilter>(filter.value());
+    kernel_.syscalls().SetSyscallTimed(c.nr, true);
+    const SyscallGate::PerSyscall before = kernel_.syscalls().stats(c.nr);
+    const uint64_t hooks_before = kernel_.lsm().TotalHookInvocations();
+    const int capable_before = spy_->capable_calls;
+    kernel_.syscalls().ClearTrace();
+
+    EXPECT_EQ(c.call(), Errno::kEPERM) << SysnoName(c.nr);
+
+    const SyscallGate::PerSyscall after = kernel_.syscalls().stats(c.nr);
+    EXPECT_EQ(after.calls, before.calls + 1) << SysnoName(c.nr);
+    EXPECT_EQ(after.errors, before.errors + 1) << SysnoName(c.nr);
+    EXPECT_EQ(after.seccomp_denied, before.seccomp_denied + 1) << SysnoName(c.nr);
+    EXPECT_GT(after.rule_evals, before.rule_evals) << SysnoName(c.nr);
+    EXPECT_EQ(after.lat_ns.count(), before.lat_ns.count()) << SysnoName(c.nr);
+    EXPECT_EQ(kernel_.lsm().TotalHookInvocations(), hooks_before) << SysnoName(c.nr);
+    EXPECT_EQ(spy_->capable_calls.load(), capable_before) << SysnoName(c.nr);
+    auto trace = SyscallRoots(kernel_);
+    ASSERT_FALSE(trace.empty()) << SysnoName(c.nr);
+    EXPECT_EQ(static_cast<Sysno>(trace.back().a), c.nr);
+    EXPECT_NE(trace.back().flags & kTraceFlagSeccompDenied, 0u) << SysnoName(c.nr);
+    root.seccomp = nullptr;
+  }
+  // Nothing the refused calls named was touched.
+  EXPECT_EQ(runs, 0);
+  EXPECT_TRUE(kernel_.vfs().Resolve("/tmp/victim").ok());
+  EXPECT_EQ(kernel_.vfs().Resolve("/tmp/newdir").code(), Errno::kENOENT);
+  EXPECT_EQ(kernel_.vfs().Resolve("/tmp/ln").code(), Errno::kENOENT);
+  EXPECT_EQ(kernel_.vfs().Resolve("/etc/public").value()->inode().Perms(), 0644u);
+  EXPECT_FALSE(kernel_.vfs().FindMount("/mnt/point").has_value());
+  EXPECT_TRUE(kernel_.vfs().FindMount("/mnt/mounted").has_value());
 }
 
 TEST_F(SyscallGateTest, PredicateEnforcementIsThreadSafeUnderRealThreads) {

@@ -8,12 +8,22 @@
 namespace protego {
 namespace {
 
-TEST(VfsPath, Normalize) {
-  EXPECT_EQ(Vfs::Normalize("/"), "/");
-  EXPECT_EQ(Vfs::Normalize("/a/b/../c"), "/a/c");
-  EXPECT_EQ(Vfs::Normalize("/a//b/./c/"), "/a/b/c");
-  EXPECT_EQ(Vfs::Normalize("/.."), "/");
-  EXPECT_EQ(Vfs::Normalize("/a/../../b"), "/b");
+TEST(VfsPath, WalkReturnsCanonicalPath) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/a/b/c").ok());
+  ASSERT_TRUE(vfs.EnsureDirs("/a/c").ok());
+  ASSERT_TRUE(vfs.EnsureDirs("/b").ok());
+  auto canonical = [&vfs](std::string_view cwd, std::string_view path) {
+    WalkResult w = vfs.Walk(cwd, path, /*follow=*/true);
+    EXPECT_EQ(w.err, Errno::kOk) << path;
+    return w.path;
+  };
+  EXPECT_EQ(canonical("/", "/"), "/");
+  EXPECT_EQ(canonical("/", "/a/b/../c"), "/a/c");
+  EXPECT_EQ(canonical("/", "/a//b/./c/"), "/a/b/c");
+  EXPECT_EQ(canonical("/", "/.."), "/");
+  EXPECT_EQ(canonical("/", "/a/../../b"), "/b");
+  EXPECT_EQ(canonical("/a", "b/../c"), "/a/c");
 }
 
 TEST(VfsTree, CreateResolveReadWrite) {
@@ -54,6 +64,78 @@ TEST(VfsTree, RenameMovesSubtrees) {
   EXPECT_EQ(vfs.ReadFile("/b/g").value(), "data");
 }
 
+TEST(VfsTree, DotDotAfterSymlinkLeavesTheTarget) {
+  // Linux resolves ".." physically: after following lnd it climbs out of
+  // the target directory, not back to /tmp.
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/etc/sub").ok());
+  ASSERT_TRUE(vfs.EnsureDirs("/tmp").ok());
+  ASSERT_TRUE(vfs.CreateFile("/etc/x", 0644, 0, 0, "etc").ok());
+  ASSERT_TRUE(vfs.CreateFile("/tmp/x", 0644, 0, 0, "tmp").ok());
+  ASSERT_TRUE(vfs.CreateSymlink("/tmp/lnd", "/etc/sub", 0, 0).ok());
+  auto node = vfs.Resolve("/tmp/lnd/../x");
+  ASSERT_TRUE(node.ok());
+  EXPECT_EQ(vfs.PathOf(node.value()), "/etc/x");
+  EXPECT_EQ(vfs.ReadNode(node.value()).value(), "etc");
+}
+
+TEST(VfsTree, TrailingSlashOnNonDirectoryIsEnotdir) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/d").ok());
+  ASSERT_TRUE(vfs.CreateFile("/f", 0644, 0, 0).ok());
+  ASSERT_TRUE(vfs.CreateSymlink("/ln", "/f", 0, 0).ok());
+  EXPECT_EQ(vfs.Resolve("/f/").code(), Errno::kENOTDIR);
+  EXPECT_EQ(vfs.Resolve("/f/.").code(), Errno::kENOTDIR);
+  EXPECT_EQ(vfs.Resolve("/ln/").code(), Errno::kENOTDIR);
+  EXPECT_TRUE(vfs.Resolve("/d/").ok());
+}
+
+TEST(VfsTree, RenameDirectoryBeneathItselfIsEinval) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/tmp/a/b").ok());
+  EXPECT_EQ(vfs.Rename("/tmp/a", "/tmp/a/b/c").code(), Errno::kEINVAL);
+  EXPECT_EQ(vfs.Rename("/tmp/a", "/tmp/a/c").code(), Errno::kEINVAL);
+  // The tree is untouched and its paths still terminate.
+  EXPECT_EQ(vfs.PathOf(vfs.Resolve("/tmp/a/b").value()), "/tmp/a/b");
+  EXPECT_EQ(vfs.Resolve("/tmp/a/b/c").code(), Errno::kENOENT);
+}
+
+TEST(VfsTree, RenameOntoItselfIsANoOp) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/tmp").ok());
+  ASSERT_TRUE(vfs.CreateFile("/tmp/f", 0644, 0, 0, "data").ok());
+  EXPECT_TRUE(vfs.Rename("/tmp/f", "/tmp/f").ok());
+  EXPECT_TRUE(vfs.Rename("/tmp/f", "/tmp/./f").ok());
+  EXPECT_EQ(vfs.ReadFile("/tmp/f").value(), "data");
+  EXPECT_EQ(vfs.orphan_count(), 0u);
+}
+
+TEST(VfsTree, RenameFileOverEmptyDirectoryIsEisdir) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/tmp/empty").ok());
+  ASSERT_TRUE(vfs.CreateFile("/tmp/f", 0644, 0, 0).ok());
+  EXPECT_EQ(vfs.Rename("/tmp/f", "/tmp/empty").code(), Errno::kEISDIR);
+  EXPECT_TRUE(vfs.Resolve("/tmp/empty").value()->inode().IsDir());
+}
+
+TEST(VfsTree, RenameDirectoryOverFileIsEnotdir) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/tmp/dir").ok());
+  ASSERT_TRUE(vfs.CreateFile("/tmp/f", 0644, 0, 0).ok());
+  EXPECT_EQ(vfs.Rename("/tmp/dir", "/tmp/f").code(), Errno::kENOTDIR);
+  EXPECT_TRUE(vfs.Resolve("/tmp/f").value()->inode().IsReg());
+}
+
+TEST(VfsTree, RenameOverMountpointIsEbusy) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/mnt/real").ok());
+  ASSERT_TRUE(vfs.EnsureDirs("/mnt/other").ok());
+  ASSERT_TRUE(vfs.AddMount("/mnt/real", "a", "tmpfs", {}, 0, nullptr).ok());
+  EXPECT_EQ(vfs.Rename("/mnt/other", "/mnt/real").code(), Errno::kEBUSY);
+  EXPECT_EQ(vfs.FindMount("/mnt/real"), std::optional<Uid>(0u));
+  EXPECT_EQ(vfs.FormatMounts(), "a /mnt/real tmpfs defaults 0\n");
+}
+
 TEST(VfsMounts, MountCoversAndUmountUncovers) {
   Vfs vfs;
   ASSERT_TRUE(vfs.EnsureDirs("/mnt/cd").ok());
@@ -91,6 +173,88 @@ TEST(VfsMounts, BusyMountpointCannotBeUnlinked) {
   ASSERT_TRUE(vfs.EnsureDirs("/m").ok());
   ASSERT_TRUE(vfs.AddMount("/m", "a", "tmpfs", {}, 0, nullptr).ok());
   EXPECT_EQ(vfs.Unlink("/m").code(), Errno::kEBUSY);
+}
+
+TEST(VfsMounts, UmountWithAMountBeneathIsEbusy) {
+  // Unmounting /mnt/real would free the directory /mnt/real/sub's mount
+  // covers; the later umount of the inner mount then touched freed memory.
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/mnt/real").ok());
+  ASSERT_TRUE(vfs.AddMount("/mnt/real", "outer", "tmpfs", {}, 0, [](Vnode* root) {
+                   Inode dir;
+                   dir.mode = kIfDir | 0755;
+                   (void)root->AddChild("sub", std::move(dir));
+                 }).ok());
+  ASSERT_TRUE(vfs.AddMount("/mnt/real/sub", "inner", "tmpfs", {}, 0, nullptr).ok());
+  EXPECT_EQ(vfs.RemoveMount("/mnt/real").code(), Errno::kEBUSY);
+  ASSERT_TRUE(vfs.RemoveMount("/mnt/real/sub").ok());
+  ASSERT_TRUE(vfs.RemoveMount("/mnt/real").ok());
+  EXPECT_EQ(vfs.FormatMounts(), "");
+}
+
+TEST(VfsMounts, DotDotAtAMountRootLeavesTheMount) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/mnt/cd").ok());
+  ASSERT_TRUE(vfs.CreateFile("/mnt/marker", 0644, 0, 0, "parent").ok());
+  ASSERT_TRUE(vfs.AddMount("/mnt/cd", "cd", "iso9660", {}, 0, [](Vnode* root) {
+                   Inode dir;
+                   dir.mode = kIfDir | 0755;
+                   (void)root->AddChild("d", std::move(dir));
+                 }).ok());
+  WalkResult w = vfs.Walk("/", "/mnt/cd/d/../../marker", /*follow=*/true);
+  ASSERT_EQ(w.err, Errno::kOk);
+  EXPECT_EQ(w.path, "/mnt/marker");
+  EXPECT_EQ(vfs.ReadNode(w.node).value(), "parent");
+  // From the mount's root itself, and relative to a cwd inside the mount.
+  EXPECT_EQ(vfs.Walk("/", "/mnt/cd/..", true).path, "/mnt");
+  EXPECT_EQ(vfs.Walk("/mnt/cd/d", "../..", true).path, "/mnt");
+}
+
+TEST(VfsMounts, MountFollowsSymlinksAndRenamesMoveIt) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/mnt/real").ok());
+  ASSERT_TRUE(vfs.CreateSymlink("/mnt/alias", "/mnt/real", 0, 0).ok());
+  ASSERT_TRUE(vfs.AddMount("/mnt/alias", "a", "tmpfs", {}, 7, nullptr).ok());
+  EXPECT_EQ(vfs.FormatMounts(), "a /mnt/real tmpfs defaults 7\n");
+  EXPECT_EQ(vfs.FindMount("/mnt/real"), std::optional<Uid>(7u));
+  // The mount table names wherever the covered directory is now.
+  ASSERT_TRUE(vfs.Rename("/mnt", "/media").ok());
+  EXPECT_EQ(vfs.FormatMounts(), "a /media/real tmpfs defaults 7\n");
+  ASSERT_TRUE(vfs.RemoveMount("/media/real").ok());
+}
+
+TEST(VfsWalk, CreateInADirectoryUnlinkedAfterTheWalkIsEnoent) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/tmp/d").ok());
+  WalkResult w = vfs.Walk("/", "/tmp/d/new", /*follow=*/false);
+  ASSERT_EQ(w.err, Errno::kENOENT);
+  ASSERT_TRUE(w.last);
+  EXPECT_EQ(w.path, "/tmp/d/new");
+  ASSERT_TRUE(vfs.Unlink("/tmp/d").ok());
+  EXPECT_EQ(vfs.CreateAt(w, Inode(kIfReg | 0644, 0, 0)).code(), Errno::kENOENT);
+  EXPECT_EQ(vfs.CreateAt(w, Inode(kIfDir | 0755, 0, 0)).code(), Errno::kENOENT);
+}
+
+TEST(VfsWalk, ReportsWhereItStopped) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/a").ok());
+  ASSERT_TRUE(vfs.CreateFile("/a/f", 0644, 0, 0).ok());
+  ASSERT_TRUE(vfs.CreateSymlink("/a/loop", "/a/loop", 0, 0).ok());
+  WalkResult missing = vfs.Walk("/", "/a/none/x", true);
+  EXPECT_EQ(missing.err, Errno::kENOENT);
+  EXPECT_FALSE(missing.last);
+  EXPECT_EQ(missing.path, "/a/none");
+  WalkResult notdir = vfs.Walk("/", "/a/f/x", true);
+  EXPECT_EQ(notdir.err, Errno::kENOTDIR);
+  EXPECT_EQ(notdir.path, "/a/f/x");
+  WalkResult loop = vfs.Walk("/", "/a/loop", true);
+  EXPECT_EQ(loop.err, Errno::kELOOP);
+  EXPECT_EQ(loop.path, "/a/loop");
+  // Not following the final link stops on the link itself.
+  WalkResult link = vfs.Walk("/", "/a/loop", false);
+  ASSERT_EQ(link.err, Errno::kOk);
+  EXPECT_TRUE(link.node->inode().IsSymlink());
+  EXPECT_EQ(vfs.Walk("/", "", true).err, Errno::kENOENT);
 }
 
 TEST(VfsSynthetic, ReadWriteCallbacks) {
