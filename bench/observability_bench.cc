@@ -1,23 +1,23 @@
-// Observability overhead through the per-syscall dispatch pipeline, emitted
+// Observability overhead through the gate's per-call entry decision, emitted
 // as BENCH_observability.json. This bench is SELF-GATING: it exits nonzero
 // when the always-on budget is blown, so CI runs it as a hard check.
 //
 // Configurations (gate always on, stats always counted):
-//   tracing-off   tracer master switch off — the dispatch-word fast path
-//                 with every observability bit clear. The baseline: the
-//                 gate with no tracer work.
+//   tracing-off   tracer master switch off — every call decides "not
+//                 traced, not timed" at entry. The baseline: the gate with
+//                 no tracer work.
 //   default       the "always-on" production shape: tracer on, but the
 //                 traced set narrowed to the control-plane syscalls the
 //                 paper's operator actually audits (mount/umount/execve/
 //                 clone/setuid-class), 1-in-16 head sampling. The timed
 //                 set stays empty, so no syscall pays for wall-clock timing
 //                 or tail exemplars. Data-plane syscalls (stat, getpid)
-//                 resolve a dispatch word with the trace bit clear.
+//                 are outside the traced set and decide "not traced".
 //                 BUDGET: stat-class overhead <5%.
 //   sampled-all   every syscall traced at a 1-in-16 head-sampling rate —
 //                 full-coverage statistical tracing.
-//   all-on        every syscall traced, every event kept (the pre-dispatch
-//                 "before" row; was ~10% on stat, ~240% on getpid).
+//   all-on        every syscall traced, every event kept (the "before" row
+//                 of the always-on work; was ~10% on stat, ~240% on getpid).
 //
 // Workloads: getpid(2) (null syscall), stat(2) (path resolution — the
 // paper's stat-class row), and a policy-denied mount(2) (hook-heaviest
@@ -67,9 +67,6 @@ constexpr TraceConfig kConfigs[] = {
 void Apply(Kernel& k, const TraceConfig& cfg) {
   Tracer& tracer = k.tracer();
   tracer.set_enabled(cfg.master);
-  for (size_t i = 0; i < kTracepointCount; ++i) {
-    tracer.set_point_enabled(static_cast<TracepointId>(i), true);
-  }
   tracer.set_sample_seed(42);
   tracer.set_all_sample_rates(cfg.sample_rate);
   SyscallGate& gate = k.syscalls();
@@ -145,10 +142,9 @@ int main(int argc, char** argv) {
     for (int r = 0; r < kReps; ++r) {
       for (size_t c = 0; c < kNumConfigs; ++c) {
         Apply(k, kConfigs[c]);
-        k.syscalls().ClearTrace();  // ring churn priced, retention equalized
-        // Per-pass warmup: settles the dispatch-word rebuild the config
-        // change just invalidated and re-touches caches after the previous
-        // config's pass.
+        k.tracer().Clear();  // ring churn priced, retention equalized
+        // Per-pass warmup: re-touches caches after the previous config's
+        // pass.
         for (int i = 0; i < w.iters / 8; ++i) {
           w.op();
         }

@@ -1,6 +1,7 @@
-// Minimal leveled logger. The simulated kernel logs audit events (LSM denials,
-// setuid transitions, policy reloads) through this. Records at kWarn and
-// above go to stderr; the rest are dropped. Safe to call from any thread.
+// Minimal leveled logger for operator-facing warnings and errors, written to
+// stderr. Security audit records do not come here: they go to the kernel's
+// audit ring (Kernel::Audit, /proc/protego/audit). Safe to call from any
+// thread.
 
 #ifndef SRC_BASE_LOG_H_
 #define SRC_BASE_LOG_H_
@@ -10,18 +11,12 @@
 namespace protego {
 
 enum class LogLevel {
-  kDebug,
-  kInfo,
-  kAudit,  // security-relevant: denials, privilege transitions
   kWarn,
   kError,
 };
 
 const char* LogLevelName(LogLevel level);
 
-void LogDebug(std::string message);
-void LogInfo(std::string message);
-void LogAudit(std::string message);
 void LogWarn(std::string message);
 void LogError(std::string message);
 

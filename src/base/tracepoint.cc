@@ -9,8 +9,6 @@
 
 namespace protego {
 
-thread_local bool Tracer::tls_muted_ = false;
-
 const char* TracepointName(TracepointId tp) {
   switch (tp) {
     case TracepointId::kSyscall: return "syscall";
@@ -31,8 +29,6 @@ const char* TracepointName(TracepointId tp) {
 
 Tracer::Tracer(const Clock* clock, size_t capacity)
     : clock_(clock), capacity_(capacity) {
-  point_mask_.store((1u << kTracepointCount) - 1,
-                    std::memory_order_relaxed);  // all points on at boot
   for (std::atomic<uint32_t>& rate : sample_rate_) {
     rate.store(1, std::memory_order_relaxed);  // sampling off at boot
   }
@@ -57,7 +53,6 @@ void Tracer::set_all_sample_rates(uint32_t rate) {
     r.store(rate == 0 ? 1 : rate, std::memory_order_relaxed);
   }
   sample_gen_.fetch_add(1, std::memory_order_relaxed);
-  BumpConfigGen();
 }
 
 bool Tracer::SampleKeep(TracepointId tp) {
@@ -88,61 +83,20 @@ uint64_t Tracer::total_sampled_out() const {
   return total;
 }
 
-uint64_t Tracer::BeginSpan(int pid) {
-  std::lock_guard<std::mutex> lk(spans_mu_);
-  std::vector<OpenSpan>& stack = open_spans_[pid];
-  OpenSpan s;
-  s.id = next_span_++;
-  s.parent = stack.empty() ? 0 : stack.back().id;
-  stack.push_back(s);
-  return s.id;
-}
-
-void Tracer::EndSpan(int pid, uint64_t span) {
-  std::lock_guard<std::mutex> lk(spans_mu_);
-  auto it = open_spans_.find(pid);
-  if (it == open_spans_.end()) {
-    return;
-  }
-  std::vector<OpenSpan>& stack = it->second;
-  if (!stack.empty() && stack.back().id == span) {
-    stack.pop_back();
-  }
-  if (stack.empty()) {
-    open_spans_.erase(it);  // reaped tasks leave no residue in the map
-  }
-}
-
-uint64_t Tracer::current_span(int pid) const {
-  std::lock_guard<std::mutex> lk(spans_mu_);
-  auto it = open_spans_.find(pid);
-  if (it == open_spans_.end() || it->second.empty()) {
-    return 0;
-  }
-  return it->second.back().id;
-}
-
 TraceSlot Tracer::Emit(TracepointId tp, int pid) {
   Shard& shard = shards_.Mine();
   std::unique_lock<std::mutex> lock(shard.mu);
-  uint64_t span = 0;
-  uint64_t parent = 0;
-  {
-    std::lock_guard<std::mutex> lk(spans_mu_);
-    auto it = open_spans_.find(pid);
-    if (it != open_spans_.end() && !it->second.empty()) {
-      span = it->second.back().id;
-      parent = it->second.back().parent;
-    }
-  }
   if (shard.ring.empty()) {
     shard.ring.resize(capacity_);
   }
+  const CallFrame* frame = CallFrame::Current();
   TraceEvent& ev = shard.ring[shard.emitted++ % capacity_];
   ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   ev.tick = clock_->Now();
-  ev.span = span;
-  ev.parent = parent;
+  // Inside an untraced call only the ambient points emit; they land in the
+  // enclosing traced call of the same task, if any.
+  ev.span = frame == nullptr ? 0 : CallFrame::TracedSpan(frame, frame->pid);
+  ev.parent = frame != nullptr && frame->traced ? frame->parent : 0;
   ev.tp = tp;
   ev.pid = pid;
   ev.code = 0;
@@ -155,26 +109,6 @@ TraceSlot Tracer::Emit(TracepointId tp, int pid) {
   ev.comm.clear();
   ev.detail.clear();
   return TraceSlot(std::move(lock), &ev);
-}
-
-TraceSlot Tracer::EmitSpanRoot(TracepointId tp, int pid, uint64_t span) {
-  TraceSlot ev = Emit(tp, pid);
-  ev->span = span;
-  ev->parent = 0;
-  // The span is normally still open (roots are emitted at syscall exit,
-  // just before EndSpan), so its parent is on `pid`'s open stack.
-  std::lock_guard<std::mutex> lk(spans_mu_);
-  auto sit = open_spans_.find(pid);
-  if (sit != open_spans_.end()) {
-    const std::vector<OpenSpan>& stack = sit->second;
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      if (it->id == span) {
-        ev->parent = it->parent;
-        break;
-      }
-    }
-  }
-  return ev;
 }
 
 std::vector<TraceEvent> Tracer::Snapshot() const {

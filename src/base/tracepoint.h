@@ -1,33 +1,34 @@
-// Kernel-wide tracepoints: a static registry of typed decision points with
-// per-point enable bits and a sharded structured event ring, modeled on
-// ftrace/perf_events.
+// Kernel-wide tracepoints: a static registry of typed decision points and
+// a sharded structured event ring, modeled on ftrace/perf_events.
 //
 // Every instrumented site (syscall gate, LSM hook dispatch, VFS permission
 // walks, netfilter verdicts, cred transitions) emits TraceEvents into the
 // same logical ring, so /proc/protego/trace can interleave them in causal
 // order.
 //
-// Causal decision spans: each syscall entry allocates a span id (a stack,
-// since syscalls nest via Spawn/Execve). Every event emitted while a span is
-// open is stamped with the innermost span id; the syscall's own event — the
-// span root — is emitted at exit. The Format() renderer groups child events
-// under their root, producing the full allow/deny derivation tree for one
-// call: the strace line plus the hook verdicts underneath it.
+// Causal decision spans: a span is a traced call frame (call_frame.h). The
+// gate opens one for each traced syscall, chained to the innermost traced
+// call of the same task on the thread. Every event is stamped with the span
+// of the innermost frame on the emitting thread; the syscall's own event —
+// the span root — is emitted at exit, while its frame is still innermost.
+// The Format() renderer groups child events under their root, producing the
+// full allow/deny derivation tree for one call: the strace line plus the
+// hook verdicts underneath it.
 //
 // Parallel mode: the ring is sharded per emitting thread (ftrace's per-CPU
 // buffers, on ThreadShards). Each shard has exactly one writer — the thread
 // that owns it — and a mutex that writer holds only while it fills one
 // event, so Snapshot/Format/Clear are safe during traffic; a global atomic
 // sequence counter gives events a total order and Snapshot() merge-sorts the
-// shards by it. Lock order: shard mutex, then the span map's mutex.
+// shards by it. Emission takes no other lock.
 //
-// Hot-path discipline: Enabled(tp) is a master-bit AND a per-point-bit test
-// (two relaxed loads, one branch) — the only cost when tracing is off. Event
-// slots are preallocated and reused; the name/detail/value fields that always
-// come from string literals (hook names, module names, verdict names) are
-// stored as const char* so the LSM fast path allocates nothing. Only
-// free-form payloads (syscall args, paths, rule comments) use the
-// std::string fields, which reuse slot capacity.
+// Hot-path discipline: Enabled(tp) is the master switch (one relaxed load,
+// one branch) — the only cost when tracing is off. Event slots are
+// preallocated and reused; the name/detail/value fields that always come
+// from string literals (hook names, module names, verdict names) are stored
+// as const char* so the LSM fast path allocates nothing. Only free-form
+// payloads (syscall args, paths, rule comments) use the std::string fields,
+// which reuse slot capacity.
 
 #ifndef SRC_BASE_TRACEPOINT_H_
 #define SRC_BASE_TRACEPOINT_H_
@@ -36,9 +37,9 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/base/call_frame.h"
 #include "src/base/clock.h"
 #include "src/base/thread_shards.h"
 
@@ -74,8 +75,8 @@ inline constexpr uint32_t kTraceFlagDenied = 1u << 3;         // outcome was a r
 struct TraceEvent {
   uint64_t seq = 0;     // monotonically increasing since last Clear()
   uint64_t tick = 0;    // virtual clock at emission
-  uint64_t span = 0;    // innermost open span (0 = outside any syscall)
-  uint64_t parent = 0;  // enclosing span (only meaningful for span roots)
+  uint64_t span = 0;    // the emitting call's span (0 = outside any traced call)
+  uint64_t parent = 0;  // that span's parent (only meaningful for span roots)
   TracepointId tp = TracepointId::kSyscall;
   int pid = 0;
   int code = 0;         // errno (syscall/vfs) or boolean outcome (capable)
@@ -133,38 +134,21 @@ class Tracer {
 
   // Master switch (the /proc/protego/trace "on"/"off" toggle).
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-    BumpConfigGen();
-  }
-
-  // Per-point enable bits.
-  bool point_enabled(TracepointId tp) const {
-    return (point_mask_.load(std::memory_order_relaxed) &
-            (1u << static_cast<unsigned>(tp))) != 0;
-  }
-  void set_point_enabled(TracepointId tp, bool on) {
-    if (on) {
-      point_mask_.fetch_or(1u << static_cast<unsigned>(tp), std::memory_order_relaxed);
-    } else {
-      point_mask_.fetch_and(~(1u << static_cast<unsigned>(tp)),
-                            std::memory_order_relaxed);
-    }
-    BumpConfigGen();
-  }
+  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   // The hot-path guard every instrumented site tests before formatting
-  // anything: master bit AND per-point bit.
+  // anything: the master switch, then the calling thread's frame — an
+  // untraced call mutes the span-scoped points emitted inside it (they would
+  // be orphan noise and still pay a sampling draw apiece). Context switches
+  // and fault injections are ambient and never muted.
   bool Enabled(TracepointId tp) const {
-    return enabled_.load(std::memory_order_relaxed) &&
-           (point_mask_.load(std::memory_order_relaxed) &
-            (1u << static_cast<unsigned>(tp))) != 0;
+    if (!enabled_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    const CallFrame* frame = CallFrame::Current();
+    return frame == nullptr || frame->traced || tp == TracepointId::kContextSwitch ||
+           tp == TracepointId::kFaultInject;
   }
-
-  // Bumped by every enable/sampling configuration change. Consumers that
-  // precompute dispatch state from the tracer config (the syscall gate's
-  // per-syscall dispatch table) cache this and rebuild lazily on mismatch.
-  uint64_t config_gen() const { return config_gen_.load(std::memory_order_relaxed); }
 
   // --- Seeded sampling -------------------------------------------------------
   //
@@ -184,7 +168,6 @@ class Tracer {
     sample_rate_[static_cast<size_t>(tp)].store(rate == 0 ? 1 : rate,
                                                 std::memory_order_relaxed);
     sample_gen_.fetch_add(1, std::memory_order_relaxed);
-    BumpConfigGen();
   }
   void set_all_sample_rates(uint32_t rate);
 
@@ -192,7 +175,6 @@ class Tracer {
   void set_sample_seed(uint64_t seed) {
     sample_seed_.store(seed, std::memory_order_relaxed);
     sample_gen_.fetch_add(1, std::memory_order_relaxed);
-    BumpConfigGen();
   }
 
   // Draws this thread's next sampling decision for `tp`. True = keep. A
@@ -203,34 +185,7 @@ class Tracer {
   bool SampleKeep(TracepointId tp);
 
   // The emission guard for sampled sites: Enabled(tp) && SampleKeep(tp).
-  bool ShouldEmit(TracepointId tp) {
-    if (!Enabled(tp)) {
-      return false;
-    }
-    if (tls_muted_ && tp != TracepointId::kContextSwitch &&
-        tp != TracepointId::kFaultInject) {
-      return false;
-    }
-    return SampleKeep(tp);
-  }
-
-  // --- Thread mute (per-syscall dispatch) ------------------------------------
-  //
-  // An untraced syscall (dispatch word with the trace bit clear) mutes the
-  // span-scoped decision points on its thread for its duration: nested
-  // hook/permission/netfilter events belong to the enclosing span, and with
-  // no span open they would render as orphan noise while still paying a
-  // sampling draw apiece — exactly the cost per-syscall dispatch exists to
-  // avoid. Ambient points that legitimately fire outside spans (context
-  // switches, fault injections) are exempt. The flag is a plain
-  // thread_local — only one gate window is open on a thread at a time —
-  // and nested syscalls (Spawn/Execve) save/restore the previous value.
-  static bool SwapThreadMute(bool muted) {
-    bool prev = tls_muted_;
-    tls_muted_ = muted;
-    return prev;
-  }
-  static bool ThreadMuted() { return tls_muted_; }
+  bool ShouldEmit(TracepointId tp) { return Enabled(tp) && SampleKeep(tp); }
 
   // Events suppressed by sampling since boot (per tracepoint).
   uint64_t sampled_out(TracepointId tp) const {
@@ -238,36 +193,22 @@ class Tracer {
   }
   uint64_t total_sampled_out() const;
 
-  // --- Decision spans --------------------------------------------------------
-  //
-  // Span stacks are per-pid: under the deterministic scheduler two tasks'
-  // syscalls interleave at yield points, and a single global stack would
-  // nest task B's span under whatever task A still has open. Keying the
-  // stack by pid keeps each derivation tree attached to the task that
-  // produced it regardless of the schedule. In parallel mode the pid keying
-  // doubles as thread keying (one task = one thread); the map itself is
-  // mutex-guarded.
+  // --- Decision spans and emission -------------------------------------------
 
-  // Opens a span nested inside `pid`'s current one; returns its id (never 0).
-  uint64_t BeginSpan(int pid);
-  // Closes `span`. Tolerates mismatched ids (pops only if it is innermost
-  // for `pid`).
-  void EndSpan(int pid, uint64_t span);
-  // Innermost open span id for `pid`, or 0.
-  uint64_t current_span(int pid) const;
+  // Marks `frame` traced and gives it a fresh span id (never 0), chained to
+  // the innermost traced call of the same task above it.
+  void OpenSpan(CallFrame& frame) {
+    frame.traced = true;
+    frame.span = next_span_.fetch_add(1, std::memory_order_relaxed);
+    frame.parent = CallFrame::TracedSpan(frame.up, frame.pid);
+  }
 
-  // --- Emission --------------------------------------------------------------
-
-  // Claims the calling thread's next shard slot, stamps seq/tick/pid and
-  // `pid`'s current span, and resets the payload fields. Callers fill in the
-  // rest through the returned handle. Callers MUST gate on Enabled(tp)
-  // themselves.
+  // Claims the calling thread's next shard slot, stamps seq/tick/pid and the
+  // span of the innermost frame on this thread (with its parent, so the
+  // gate's exit event is the span root), and resets the payload fields.
+  // Callers fill in the rest through the returned handle. Callers MUST gate
+  // on Enabled(tp) themselves.
   TraceSlot Emit(TracepointId tp, int pid);
-
-  // Emission variant for span roots (syscall exit): the event is stamped
-  // with `span` itself (not the innermost open span) and with that span's
-  // parent, so nested syscalls chain correctly.
-  TraceSlot EmitSpanRoot(TracepointId tp, int pid, uint64_t span);
 
   // --- Read side -------------------------------------------------------------
 
@@ -293,11 +234,6 @@ class Tracer {
   std::string Format() const;
 
  private:
-  struct OpenSpan {
-    uint64_t id = 0;
-    uint64_t parent = 0;
-  };
-
   // One per-thread ring, sized on first emission. `emitted` counts events
   // this shard's owner (the sole writer) wrote. `sample_state` is the
   // thread's private splitmix64 stream, lazily (re)seeded when its
@@ -310,23 +246,16 @@ class Tracer {
     uint64_t sample_key = 0;  // sampling generation the state was seeded for
   };
 
-  void BumpConfigGen() { config_gen_.fetch_add(1, std::memory_order_relaxed); }
-
   const Clock* clock_;
   size_t capacity_;
   std::atomic<bool> enabled_{true};
-  std::atomic<uint32_t> point_mask_{0};
-  std::atomic<uint64_t> config_gen_{1};  // any enable/sampling config change
-  std::atomic<uint64_t> sample_gen_{1};  // sampling rate/seed changes only
+  std::atomic<uint64_t> sample_gen_{1};  // sampling rate/seed changes
   std::atomic<uint64_t> sample_seed_{1};
-  static thread_local bool tls_muted_;
   std::atomic<uint32_t> sample_rate_[kTracepointCount] = {};
   std::atomic<uint64_t> sampled_out_[kTracepointCount] = {};
   std::atomic<uint64_t> seq_{0};  // next global sequence number
   ThreadShards<Shard> shards_;
-  mutable std::mutex spans_mu_;  // guards open_spans_ and next_span_
-  uint64_t next_span_ = 1;       // span ids survive Clear() (spans may be open)
-  std::unordered_map<int, std::vector<OpenSpan>> open_spans_;  // keyed by pid
+  std::atomic<uint64_t> next_span_{1};  // survives Clear() (spans may be open)
   TraceFilter read_filter_;
 };
 

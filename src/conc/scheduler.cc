@@ -85,6 +85,7 @@ void DetScheduler::ThreadMain(Unit* unit) {
       unit->finished = true;  // destroyed before ever being scheduled
       return;
     }
+    TraceResume(*unit);
   }
   tls_scheduler = this;
   tls_pid = unit->pid;
@@ -169,15 +170,20 @@ DetScheduler::Unit* DetScheduler::ChooseNext(Unit* self, bool self_runnable) {
 
 void DetScheduler::Activate(Unit* next, int from_pid) {
   ++steps_;
-  if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kContextSwitch)) {
-    TraceSlot ev = tracer_->Emit(TracepointId::kContextSwitch, next->pid);
-    ev->comm = SchedModeName(mode_);
-    ev->a = steps_;
-    ev->code = from_pid;
-  }
+  next->resumed_step = steps_;
+  next->resumed_from = from_pid;
   current_pid_ = next->pid;
   next->active = true;
   next->cv.notify_one();
+}
+
+void DetScheduler::TraceResume(const Unit& unit) {
+  if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kContextSwitch)) {
+    TraceSlot ev = tracer_->Emit(TracepointId::kContextSwitch, unit.pid);
+    ev->comm = SchedModeName(mode_);
+    ev->a = unit.resumed_step;
+    ev->code = unit.resumed_from;
+  }
 }
 
 void DetScheduler::OnSyscallEntry(int /*pid*/, Sysno /*nr*/) {
@@ -205,6 +211,7 @@ void DetScheduler::OnSyscallEntry(int /*pid*/, Sysno /*nr*/) {
   self->active = false;
   Activate(next, self->pid);
   self->cv.wait(lk, [&] { return self->active; });
+  TraceResume(*self);
 }
 
 bool DetScheduler::WaitOn(int /*pid*/, uint64_t resource) {
@@ -267,6 +274,7 @@ bool DetScheduler::WaitOn(int /*pid*/, uint64_t resource) {
   self->active = false;
   Activate(next, self->pid);
   self->cv.wait(lk, [&] { return self->active; });
+  TraceResume(*self);
   return true;
 }
 

@@ -125,6 +125,10 @@ class DetScheduler : public TaskScheduler {
     // Signal or fresh syscall arrives — this breaks the wake/re-block
     // livelock between two mutually-deadlocked units.
     bool spurious = false;
+    // The hand-off that last gave this unit the token (step, previous
+    // holder), traced by the unit's own thread once it resumes.
+    uint64_t resumed_step = 0;
+    int resumed_from = 0;
   };
 
   void ThreadMain(Unit* unit);
@@ -135,6 +139,10 @@ class DetScheduler : public TaskScheduler {
   // Hands the token to `next` (caller holds mu_; caller must then wait on
   // its own cv or return to the pool).
   void Activate(Unit* next, int from_pid);
+  // Emits the kContextSwitch event for the hand-off that resumed `unit`.
+  // Called on the unit's own thread (holding mu_) before it runs on, so the
+  // event lands in the call it resumes: its innermost call frame.
+  void TraceResume(const Unit& unit);
   // Called by a finishing unit (holding mu_): pass the token on, or wake
   // stuck waiters, or declare the run complete.
   void FinishHandoff(Unit* self);

@@ -1,5 +1,6 @@
 #include "src/fault/fault.h"
 
+#include "src/base/call_frame.h"
 #include "src/base/strings.h"
 
 namespace protego {
@@ -25,7 +26,6 @@ std::atomic<uint32_t> g_next_registry_id{1};
 
 }  // namespace
 
-thread_local FaultContext FaultRegistry::tls_context_;
 thread_local FaultRegistry::TlsArm FaultRegistry::tls_arm_;
 
 FaultRegistry::FaultRegistry()
@@ -52,7 +52,7 @@ void FaultRegistry::RecomputeArmMask() {
       continue;
     }
     if (c.pid >= 0 || c.sysno >= 0) {
-      ctx_mask |= 1u << i;  // armed, but gated on the live context
+      ctx_mask |= 1u << i;  // armed, but gated on the running call
     } else {
       mask |= 1u << i;
     }
@@ -143,21 +143,24 @@ Errno FaultRegistry::Evaluate(FaultSite site, int hook) {
   // Armed registry: one thread-local mask test decides whether this site can
   // inject. Sites that are not enabled return here without touching the
   // (shared, contended) site state; armed sites carrying a pid/sysno filter
-  // re-check the live context and likewise decline untallied on a miss.
+  // re-check the running call and likewise decline untallied on a miss.
   if (tls_arm_.key != ArmKey()) {
     RecomputeArmMask();
   }
   const uint32_t bit = 1u << static_cast<size_t>(site);
   SiteState& st = sites_[static_cast<size_t>(site)];
   const FaultConfig& c = st.config;
+  const CallFrame* frame = CallFrame::Current();
+  const int pid = frame != nullptr ? frame->pid : 0;
+  const int sysno = frame != nullptr ? frame->sysno : -1;
   if ((tls_arm_.mask & bit) == 0) {
     if ((tls_arm_.ctx_mask & bit) == 0) {
       return Errno::kOk;
     }
-    if (c.pid >= 0 && tls_context_.pid != c.pid) {
+    if (c.pid >= 0 && pid != c.pid) {
       return Errno::kOk;
     }
-    if (c.sysno >= 0 && tls_context_.sysno != c.sysno) {
+    if (c.sysno >= 0 && sysno != c.sysno) {
       return Errno::kOk;
     }
   }
@@ -200,7 +203,7 @@ Errno FaultRegistry::Evaluate(FaultSite site, int hook) {
     delivered = st.injected.fetch_add(1, std::memory_order_relaxed) + 1;
   }
   if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kFaultInject)) {
-    TraceSlot ev = tracer_->Emit(TracepointId::kFaultInject, tls_context_.pid);
+    TraceSlot ev = tracer_->Emit(TracepointId::kFaultInject, pid);
     ev->sname = FaultSiteName(site);
     ev->sdetail = ErrnoName(c.error);
     ev->code = static_cast<int>(c.error);

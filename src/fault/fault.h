@@ -24,13 +24,13 @@
 // on the syscall path is ≈ 0. When sites ARE armed, evaluations of sites
 // that are not enabled cost one thread-local mask test: each thread caches
 // two per-site bitmasks keyed on (registry id, arm generation) — armed
-// context-free sites, and armed sites carrying pid/sysno filters. The masks
-// depend only on the configuration (never on the syscall context), so they
-// stay valid across context swaps and are recomputed only after
-// Configure/Disable/Reset. A context-free hit proceeds straight to the
-// injection gates; a filtered hit re-checks pid/sysno against the current
-// context and declines without touching shared site state on a miss (see
-// bench/fault_bench).
+// unfiltered sites, and armed sites carrying pid/sysno filters. The masks
+// depend only on the configuration (never on the running call), so they
+// stay valid across calls and are recomputed only after
+// Configure/Disable/Reset. An unfiltered hit proceeds straight to the
+// injection gates; a filtered hit re-checks pid/sysno against the call
+// frame (src/base/call_frame.h) and declines without touching shared site
+// state on a miss (see bench/fault_bench).
 
 #ifndef SRC_FAULT_FAULT_H_
 #define SRC_FAULT_FAULT_H_
@@ -86,17 +86,6 @@ struct FaultConfig {
   uint64_t seed = 1;      // splitmix64 stream seed (recorded for replay)
 };
 
-// The execution context the syscall gate stamps before running a syscall
-// body; pid/sysno filters match against it. The slot is thread-local: under
-// DetScheduler one task runs at a time, and in parallel mode each task owns
-// an OS thread, so "the syscall currently executing on this thread" is
-// exactly the context its nested fault sites must match. Swap/restore
-// nesting (Spawn/Execve) is per-thread stack discipline either way.
-struct FaultContext {
-  int pid = 0;
-  int sysno = -1;
-};
-
 class FaultRegistry {
  public:
   FaultRegistry();
@@ -133,31 +122,21 @@ class FaultRegistry {
   // tests before doing any per-site work.
   bool any_enabled() const { return enabled_count_ != 0; }
 
-  // Evaluates `site` against the current context. Returns kOk (no fault) or
-  // the configured errno, in which case the injection has been counted and
-  // traced. `hook` is the LSM hook id for kLsmHook evaluations.
+  // Evaluates `site` against the call running on this thread (its
+  // CallFrame: pid and syscall; none = pid 0, no syscall). Returns kOk (no
+  // fault) or the configured errno, in which case the injection has been
+  // counted and traced. `hook` is the LSM hook id for kLsmHook evaluations.
   Errno Evaluate(FaultSite site, int hook = -1);
 
   // Result-shaped convenience: Error(errno, "fault-injected at <what>") on
   // injection, OkUnit() otherwise.
   Result<Unit> Check(FaultSite site, const char* what, int hook = -1);
 
-  // The gate stamps the context at syscall entry and restores the previous
-  // one at exit (syscalls nest via Spawn/Execve). The cached armed masks
-  // depend only on the configuration — filtered sites re-check pid/sysno
-  // per evaluation — so a swap never invalidates them.
-  FaultContext SwapContext(const FaultContext& ctx) {
-    FaultContext prev = tls_context_;
-    tls_context_ = ctx;
-    return prev;
-  }
-  const FaultContext& context() const { return tls_context_; }
-
   // --- Read side ------------------------------------------------------------
 
   // Evaluations that reached the site while it was enabled AND its
-  // pid/sysno filters matched the context (filter-excluded calls return at
-  // the armed-mask test without touching the site's counters).
+  // pid/sysno filters matched the running call (filter-excluded calls return
+  // at the armed-mask test without touching the site's counters).
   uint64_t evaluations(FaultSite site) const {
     return sites_[static_cast<size_t>(site)].evaluations;
   }
@@ -193,9 +172,9 @@ class FaultRegistry {
   // Per-thread cache of "which sites are armed for this (registry,
   // configuration)". `key` packs the owning registry's unique id with its
   // arm generation; a configuration change bumps the generation, and a key
-  // mismatch is the only recompute trigger. `mask` holds armed context-free
+  // mismatch is the only recompute trigger. `mask` holds armed unfiltered
   // sites (one bit test admits them); `ctx_mask` holds armed sites with a
-  // pid/sysno filter, which Evaluate() re-checks against the live context.
+  // pid/sysno filter, which Evaluate() re-checks against the running call.
   struct TlsArm {
     uint64_t key = 0;  // (registry id << 32) | arm generation; 0 = invalid
     uint32_t mask = 0;
@@ -215,10 +194,6 @@ class FaultRegistry {
 
   Tracer* tracer_ = nullptr;
   LayerProfiler* profiler_ = nullptr;
-  // Thread-local (not per-registry): the value is only live between a
-  // gate's stamp and restore on one thread, so registries of different
-  // kernel instances on the same thread cannot observe each other's.
-  static thread_local FaultContext tls_context_;
   static thread_local TlsArm tls_arm_;
   const uint32_t id_;  // process-unique, so a stale TlsArm from a destroyed
                        // registry at the same address can never validate

@@ -1,6 +1,5 @@
 #include "src/kernel/kernel.h"
 
-#include "src/base/log.h"
 #include "src/base/strings.h"
 
 namespace protego {
@@ -48,6 +47,7 @@ bool ProcessContext::HasFlag(std::string_view name) const {
 
 Kernel::Kernel() : vfs_(&clock_) {
   gate_.set_audit_sink([this](std::string message) { Audit(std::move(message)); });
+  lsm_.set_audit_sink([this](std::string message) { Audit(std::move(message)); });
   // Every subsystem emits into the one kernel-wide tracer so a syscall's
   // decision span threads through LSM, VFS, and netfilter events.
   gate_.set_tracer(&tracer_);
@@ -231,10 +231,7 @@ bool Kernel::Capable(const Task& task, Capability cap) const {
   return ok;
 }
 
-void Kernel::Audit(std::string message) {
-  audit_ring_.Push(message);
-  LogAudit(std::move(message));
-}
+void Kernel::Audit(std::string message) { audit_ring_.Push(std::move(message)); }
 
 bool Kernel::Authenticate(Task& task, Uid account) {
   return AuthenticateAny(task, {account}).has_value();

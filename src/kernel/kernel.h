@@ -335,8 +335,9 @@ class Kernel {
   // call back into the kernel.
   void ForEachTask(const std::function<void(const Task&)>& fn) const;
 
-  // Appends a security-audit record to the kernel's ring buffer (also
-  // forwarded to the process logger). Exposed at /proc/protego/audit.
+  // Appends a security-audit record to the kernel's ring buffer, the one
+  // audit log (seccomp and LSM denials, auth outcomes). Exposed at
+  // /proc/protego/audit.
   void Audit(std::string message);
   // Snapshot of the retained audit records, oldest first.
   std::vector<std::string> audit_log() const { return audit_ring_.Snapshot(); }

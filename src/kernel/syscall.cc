@@ -595,31 +595,6 @@ Result<SeccompFilter::Spec> SeccompFilter::ParseSpec(std::string_view text) {
   return spec;
 }
 
-void SyscallGate::RebuildDispatch(uint64_t tracer_gen) {
-  std::lock_guard<std::mutex> lk(dispatch_mu_);
-  uint64_t local_gen = local_gen_.load(std::memory_order_relaxed);
-  bool tracing = tracer_ != nullptr && tracer_->enabled() &&
-                 tracer_->point_enabled(TracepointId::kSyscall);
-  bool sampled = tracing && tracer_->sample_rate(TracepointId::kSyscall) > 1;
-  for (size_t i = 0; i < kSysnoSlots; ++i) {
-    uint8_t word = 0;
-    if (tracing && traced_syscalls_[i]) {
-      word |= kDispatchTrace;
-      if (sampled) {
-        word |= kDispatchSampled;
-      }
-    }
-    if (timed_syscalls_[i]) {
-      word |= kDispatchTimed;
-    }
-    dispatch_[i].store(word, std::memory_order_relaxed);
-  }
-  // Publish the generations the table was built from LAST: a racing reader
-  // that sees them early at worst rebuilds once more.
-  built_local_gen_.store(local_gen, std::memory_order_relaxed);
-  built_tracer_gen_.store(tracer_gen, std::memory_order_relaxed);
-}
-
 SyscallGate::SyscallRecord& SyscallGate::MyRecord(Sysno nr) {
   std::atomic<SyscallRecord*>& slot = shards_.Mine().records[static_cast<size_t>(nr)];
   SyscallRecord* rec = slot.load(std::memory_order_relaxed);  // this thread stores it
@@ -657,94 +632,93 @@ SyscallGate::PerSyscall SyscallGate::stats(Sysno nr) const {
   return PerSyscall{calls, errors, denied, rule_evals, lat_ns};
 }
 
-void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
+void SyscallGate::ExitSyscall(const CallFrame& frame, const std::string& comm,
+                              std::string args, Errno err, uint64_t start_ns) {
   // No shared lock and no shared cache line: in parallel mode every task
   // thread retires syscalls into its own record.
-  SyscallRecord& rec = MyRecord(ctx.nr);
+  const Sysno nr = static_cast<Sysno>(frame.sysno);
+  SyscallRecord& rec = MyRecord(nr);
   rec.CountCall();
   if (err != Errno::kOk) {
     rec.errors.fetch_add(1, std::memory_order_relaxed);
   }
   uint64_t dur_ns = 0;
-  if ((ctx.dispatch & kDispatchTimed) != 0) {
-    dur_ns = MonotonicNanos() - ctx.start_ns;
+  if (start_ns != 0) {
+    dur_ns = MonotonicNanos() - start_ns;
     rec.lat_ns.Observe(dur_ns);
   }
-  if ((ctx.dispatch & (kDispatchTimed | kDispatchTrace)) != 0) {
+  if (start_ns != 0 || frame.traced) {
     // Self-accounting: the reservoir update and the trace emission are the
     // observability pipeline's own cost, metered under the observer layer.
     LayerScope observer_scope(profiler_, Layer::kObserver);
-    if ((ctx.dispatch & kDispatchTimed) != 0) {
-      RecordExemplar(rec, dur_ns, ctx.span, ctx.pid);
+    if (start_ns != 0) {
+      RecordExemplar(rec, dur_ns, frame.span, frame.pid);
     }
-    if ((ctx.dispatch & kDispatchTrace) != 0) {
-      RecordTrace(ctx, err, dur_ns, /*seccomp_denied=*/false);
+    if (frame.traced) {
+      RecordTrace(frame, comm, std::move(args), err, dur_ns, /*seccomp_denied=*/false);
     }
   }
-  Tracer::SwapThreadMute(ctx.prev_muted);
 }
 
 bool SyscallGate::CheckPath(std::string_view path) {
-  PathFrame* frame = tls_frame_;
-  if (frame != nullptr && frame->path != nullptr) {
+  CallFrame* frame = CallFrame::Current();
+  if (frame == nullptr) {
+    return true;
+  }
+  if (frame->path != nullptr) {
     frame->path->assign(path);
   }
-  if (frame == nullptr || frame->filter == nullptr) {
+  if (frame->filter == nullptr) {
     return true;
   }
   LayerScope seccomp_scope(profiler_, Layer::kSeccomp);
+  const Sysno nr = static_cast<Sysno>(frame->sysno);
   uint32_t evals = 0;
-  frame->denied = !frame->filter->AllowsPath(frame->nr, *frame->args, path, &evals);
-  MyRecord(frame->nr).rule_evals.fetch_add(evals, std::memory_order_relaxed);
+  frame->denied = !frame->filter->AllowsPath(nr, *frame->args, path, &evals);
+  MyRecord(nr).rule_evals.fetch_add(evals, std::memory_order_relaxed);
   return !frame->denied;
 }
 
-void SyscallGate::RecordDenial(SyscallContext& ctx) {
+void SyscallGate::RecordDenial(const CallFrame& frame, const std::string& comm,
+                               std::string args) {
   // Seccomp-killed semantic (see the header): the call is counted, but its
   // latency is not — the body never ran. Same reasoning excludes it from
   // the tail-exemplar reservoir.
-  SyscallRecord& rec = MyRecord(ctx.nr);
+  const Sysno nr = static_cast<Sysno>(frame.sysno);
+  SyscallRecord& rec = MyRecord(nr);
   rec.CountCall();
   rec.errors.fetch_add(1, std::memory_order_relaxed);
   rec.seccomp_denied.fetch_add(1, std::memory_order_relaxed);
   {
     LayerScope observer_scope(profiler_, Layer::kObserver);
-    RecordTrace(ctx, Errno::kEPERM, /*dur_ns=*/0, /*seccomp_denied=*/true);
+    if (frame.traced) {
+      RecordTrace(frame, comm, std::move(args), Errno::kEPERM, /*dur_ns=*/0,
+                  /*seccomp_denied=*/true);
+    }
   }
   if (audit_sink_) {
-    audit_sink_(StrFormat("seccomp: pid=%d comm=%s denied %s(%d)", ctx.pid,
-                          ctx.comm ? ctx.comm->c_str() : "?", SysnoName(ctx.nr),
-                          static_cast<int>(ctx.nr)));
+    audit_sink_(StrFormat("seccomp: pid=%d comm=%s denied %s(%d)", frame.pid, comm.c_str(),
+                          SysnoName(nr), frame.sysno));
   }
-  Tracer::SwapThreadMute(ctx.prev_muted);
 }
 
-void SyscallGate::RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns,
+void SyscallGate::RecordTrace(const CallFrame& frame, const std::string& comm,
+                              std::string args, Errno err, uint64_t dur_ns,
                               bool seccomp_denied) {
-  if (tracer_ == nullptr) {
-    return;
+  // The call's frame is still the innermost, so Emit stamps its span and
+  // parent: this event is the span root.
+  TraceSlot ev = tracer_->Emit(TracepointId::kSyscall, frame.pid);
+  ev->a = static_cast<uint64_t>(frame.sysno);
+  ev->code = static_cast<int>(err);
+  ev->dur = dur_ns;
+  ev->sname = SysnoName(static_cast<Sysno>(frame.sysno));
+  if (seccomp_denied) {
+    ev->flags |= kTraceFlagSeccompDenied | kTraceFlagDenied;
+  } else if (err != Errno::kOk) {
+    ev->flags |= kTraceFlagDenied;
   }
-  if ((ctx.dispatch & kDispatchTrace) != 0) {
-    TraceSlot ev = tracer_->EmitSpanRoot(TracepointId::kSyscall, ctx.pid, ctx.span);
-    ev->a = static_cast<uint64_t>(ctx.nr);
-    ev->code = static_cast<int>(err);
-    ev->dur = dur_ns;
-    ev->sname = SysnoName(ctx.nr);
-    if (seccomp_denied) {
-      ev->flags |= kTraceFlagSeccompDenied | kTraceFlagDenied;
-    } else if (err != Errno::kOk) {
-      ev->flags |= kTraceFlagDenied;
-    }
-    if (ctx.comm != nullptr) {
-      ev->comm.assign(*ctx.comm);  // reuses the slot's capacity
-    } else {
-      ev->comm.assign("?");
-    }
-    ev->detail = std::move(ctx.args);
-  }
-  if (ctx.span != 0) {
-    tracer_->EndSpan(ctx.pid, ctx.span);
-  }
+  ev->comm.assign(comm);  // reuses the slot's capacity
+  ev->detail = std::move(args);
 }
 
 void SyscallGate::RecordExemplar(SyscallRecord& rec, uint64_t dur_ns, uint64_t span,
@@ -794,12 +768,6 @@ std::vector<SyscallGate::ExemplarRecord> SyscallGate::ExemplarsFor(Sysno nr) con
   return all;
 }
 
-void SyscallGate::ClearTrace() {
-  if (tracer_ != nullptr) {
-    tracer_->Clear();
-  }
-}
-
 void SyscallGate::ResetStats() {
   for (Sysno nr : AllSysnos()) {
     ForEachRecord(nr, [](SyscallRecord& rec) {
@@ -812,10 +780,6 @@ void SyscallGate::ResetStats() {
       rec.exemplars = SysnoExemplars{};
     });
   }
-}
-
-std::string SyscallGate::FormatTrace() const {
-  return tracer_ != nullptr ? tracer_->Format() : std::string();
 }
 
 void SyscallGate::CollectMetrics(MetricsBuilder& b) const {

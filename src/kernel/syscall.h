@@ -2,8 +2,8 @@
 //
 // Every public Kernel syscall routes through a single SyscallGate, mirroring
 // Linux's syscall entry: a dispatch-table identity (Sysno, the Linux x86-64
-// numbers), a per-call SyscallContext, and an EnterSyscall()/ExitSyscall()
-// pair around the body. The gate is where cross-cutting policy and
+// numbers) and one call frame (src/base/call_frame.h) pushed at entry and
+// popped at exit around the body. The gate is where cross-cutting policy and
 // observability live, in this order:
 //
 //   1. seccomp-style filtering — a per-task filter, consulted BEFORE any
@@ -24,10 +24,11 @@
 //   2. accounting — per-thread, per-syscall call and error counters, merged
 //      on read (exported at /proc/protego/metrics), plus a wall-clock
 //      latency histogram and tail exemplars for the syscalls in the timed set.
-//   3. tracing — each call opens a decision span on the kernel-wide Tracer;
-//      LSM/VFS/netfilter events emitted during the body are stamped with the
-//      span id, and the syscall's own record (the span root) is emitted at
-//      exit. /proc/protego/trace renders the resulting derivation trees.
+//   3. tracing — a traced call's frame opens a decision span on the
+//      kernel-wide Tracer; LSM/VFS/netfilter events emitted during the body
+//      are stamped with it, and the syscall's own record (the span root) is
+//      emitted at exit. /proc/protego/trace renders the resulting derivation
+//      trees.
 //
 // Seccomp-killed calls (the filter refuses the syscall at entry or at its
 // path walk) follow ONE consistent semantic everywhere:
@@ -41,30 +42,23 @@
 //
 // The gate is deliberately cheap: each thread writes only its own
 // per-syscall records, trace slots are preallocated and reused, and argument
-// strings are only materialized when the syscall tracepoint is enabled.
+// strings are only materialized when the call is traced.
 //
-// Per-syscall dispatch: instead of re-deriving "is tracing on? is this
-// syscall in the traced set? is it timed?" from scattered flags on every
-// call, the gate folds the whole observability configuration into one
-// uint8_t dispatch word per syscall number (dispatch_[nr]), rebuilt lazily
-// whenever the tracer's config generation or the gate's own local
-// generation moves. The hot path then pays TWO relaxed generation loads
-// plus ONE indexed byte load to learn everything it needs:
-//
-//   kDispatchTrace    — emit a span root for this call (set only when the
-//                       master switch, the kSyscall point, AND the
-//                       per-syscall traced bitset all agree);
-//   kDispatchSampled  — tracing is head-sampled (rate > 1): draw from the
-//                       per-thread seeded stream once at entry and, on a
-//                       "drop" draw, clear kDispatchTrace before any span
-//                       or argument work happens;
-//   kDispatchTimed    — this syscall is in the timed set: take the two
-//                       monotonic clock reads, observe the nanosecond
-//                       histogram, and feed the tail-exemplar reservoir.
-//                       Deliberately NOT affected by sampling: the
-//                       reservoir's whole point is that the K slowest calls
-//                       per syscall stay explainable even when head
-//                       sampling dropped their trace.
+// The entry decision: each call decides once, at entry, whether it is
+// traced and whether it is timed, from three inputs read with relaxed
+// loads: the tracer's master switch, the traced and timed sets (atomic
+// words over syscall numbers), and the syscall point's sample rate.
+//   traced — the switch is on, the syscall is in the traced set, and, when
+//            the point is head-sampled (rate > 1), one draw from the calling
+//            thread's seeded stream keeps it. A traced call opens its span
+//            and formats its arguments; an untraced one mutes the
+//            span-scoped points inside it (Tracer::Enabled).
+//   timed  — the syscall is in the timed set: take the two monotonic clock
+//            reads, observe the nanosecond histogram, and feed the
+//            tail-exemplar reservoir. Deliberately NOT affected by sampling:
+//            the reservoir's whole point is that the K slowest calls per
+//            syscall stay explainable even when head sampling dropped their
+//            trace.
 
 #ifndef SRC_KERNEL_SYSCALL_H_
 #define SRC_KERNEL_SYSCALL_H_
@@ -83,6 +77,7 @@
 #include <vector>
 
 #include "src/base/attribution.h"
+#include "src/base/call_frame.h"
 #include "src/base/clock.h"
 #include "src/base/metrics.h"
 #include "src/base/result.h"
@@ -205,7 +200,7 @@ struct SeccompRule {
 // through the gate so predicate filters (and the synthesis recorder) see
 // the call the way strace would; the path argument reaches the gate from the
 // body's walk (SyscallGate::CheckPath). The pointers borrow from the
-// caller's frame and are only read at entry, when a recorder is attached.
+// caller's stack and are only read at entry, when a recorder is attached.
 struct SyscallArgs {
   uint64_t a[3] = {0, 0, 0};
   const std::string* str1 = nullptr;  // secondary string (mount source, rename dest, ...)
@@ -309,26 +304,37 @@ class SeccompFilter {
   std::vector<std::pair<std::string, uint64_t>> path_classes_;
 };
 
-// Per-call state carried from EnterSyscall to ExitSyscall.
-struct SyscallContext {
-  Sysno nr{};
-  int pid = 0;
-  const std::string* comm = nullptr;  // borrowed from the task
-  uint64_t start_ns = 0;              // monotonic wall clock at entry (if timed)
-  uint64_t span = 0;                  // decision span opened at entry (0 = untraced)
-  uint8_t dispatch = 0;               // resolved dispatch word (kDispatch* bits)
-  bool prev_muted = false;            // thread-mute state saved at entry
-  std::string args;                   // formatted only when this call traces
+// A set of syscall numbers as atomic words: a writer flips a bit with one
+// atomic op, and the entry path tests one with one relaxed load.
+class SyscallSet {
+ public:
+  explicit SyscallSet(bool all) { SetAll(all); }
+
+  bool Has(Sysno nr) const {
+    size_t i = static_cast<size_t>(nr);
+    return (words_[i / 64].load(std::memory_order_relaxed) >> (i % 64) & 1) != 0;
+  }
+  void Set(Sysno nr, bool on) {
+    size_t i = static_cast<size_t>(nr);
+    if (on) {
+      words_[i / 64].fetch_or(uint64_t{1} << (i % 64), std::memory_order_relaxed);
+    } else {
+      words_[i / 64].fetch_and(~(uint64_t{1} << (i % 64)), std::memory_order_relaxed);
+    }
+  }
+  void SetAll(bool on) {
+    for (std::atomic<uint64_t>& word : words_) {
+      word.store(on ? ~uint64_t{0} : 0, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  std::atomic<uint64_t> words_[(kSysnoSlots + 63) / 64];
 };
 
 class SyscallGate {
  public:
   static constexpr size_t kTraceCapacity = 256;
-
-  // Dispatch-word bits (see the file comment). Resolved once per call.
-  static constexpr uint8_t kDispatchTrace = 1 << 0;
-  static constexpr uint8_t kDispatchTimed = 1 << 1;
-  static constexpr uint8_t kDispatchSampled = 1 << 2;
 
   // Tail-exemplar reservoir depth: the K slowest calls kept per syscall.
   static constexpr size_t kExemplarSlots = 4;
@@ -367,20 +373,16 @@ class SyscallGate {
 
   // Attaches the kernel-wide tracer (the Kernel does this at boot). Without
   // one, the gate still filters and accounts but emits no trace events.
-  void set_tracer(Tracer* tracer) {
-    tracer_ = tracer;
-    BumpLocalGen();
-  }
-  Tracer* tracer() { return tracer_; }
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   // Attaches the per-layer latency profiler. Detached (nullptr) or disabled,
   // every LayerScope on the entry path stays inert.
   void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
   LayerProfiler* profiler() { return profiler_; }
 
-  // Attaches the fault-injection registry: the gate stamps the per-call
-  // {pid, sysno} fault context and evaluates the syscall_entry site before
-  // running the body. Detached (nullptr) costs nothing.
+  // Attaches the fault-injection registry: the gate evaluates the
+  // syscall_entry site before running the body (pid/syscall filters match
+  // the call's frame). Detached (nullptr) costs nothing.
   void set_faults(FaultRegistry* faults) { faults_ = faults; }
   FaultRegistry* faults() { return faults_; }
 
@@ -391,65 +393,26 @@ class SyscallGate {
   void set_scheduler(TaskScheduler* scheduler) { scheduler_ = scheduler; }
   TaskScheduler* scheduler() { return scheduler_; }
 
-  // Tracing toggle: forwards to the shared Tracer's master switch (the
-  // /proc/protego/trace "on"/"off" commands land here).
-  bool trace_enabled() const { return tracer_ != nullptr && tracer_->enabled(); }
-  void set_trace_enabled(bool on) {
-    if (tracer_ != nullptr) {
-      tracer_->set_enabled(on);
-    }
-  }
-
   // --- Per-syscall traced/timed sets -----------------------------------------
   //
   // The traced set defaults to all-set, so the tracer's own switches decide;
   // /proc/protego/trace "syscalls=mount,execve" narrows it to the
   // control-plane calls the operator cares about, which is what makes
-  // "always-on" affordable: untraced syscalls resolve a dispatch word with
-  // the trace bit clear and never touch the span map.
+  // "always-on" affordable: an untraced call opens no span and formats no
+  // arguments.
   //
   // The timed set starts empty and is the one latency switch: a timed
   // syscall pays two monotonic clock reads, lands in
   // protego_syscall_latency_ns, and feeds the tail-exemplar reservoir.
   // "timed=mount" arms mount(2).
 
-  bool syscall_traced(Sysno nr) const {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-    return traced_syscalls_[static_cast<size_t>(nr)];
-  }
-  void SetSyscallTraced(Sysno nr, bool traced) {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-    traced_syscalls_[static_cast<size_t>(nr)] = traced;
-    BumpLocalGen();
-  }
-  void SetAllSyscallsTraced(bool traced) {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-    if (traced) {
-      traced_syscalls_.set();
-    } else {
-      traced_syscalls_.reset();
-    }
-    BumpLocalGen();
-  }
+  bool syscall_traced(Sysno nr) const { return traced_.Has(nr); }
+  void SetSyscallTraced(Sysno nr, bool traced) { traced_.Set(nr, traced); }
+  void SetAllSyscallsTraced(bool traced) { traced_.SetAll(traced); }
 
-  bool syscall_timed(Sysno nr) const {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-    return timed_syscalls_[static_cast<size_t>(nr)];
-  }
-  void SetSyscallTimed(Sysno nr, bool timed) {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-    timed_syscalls_[static_cast<size_t>(nr)] = timed;
-    BumpLocalGen();
-  }
-  void SetAllSyscallsTimed(bool timed) {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-    if (timed) {
-      timed_syscalls_.set();
-    } else {
-      timed_syscalls_.reset();
-    }
-    BumpLocalGen();
-  }
+  bool syscall_timed(Sysno nr) const { return timed_.Has(nr); }
+  void SetSyscallTimed(Sysno nr, bool timed) { timed_.Set(nr, timed); }
+  void SetAllSyscallsTimed(bool timed) { timed_.SetAll(timed); }
 
   // One kept tail exemplar: the slowest calls per syscall, with enough
   // identity (span, pid) to cross-reference the trace.
@@ -461,19 +424,6 @@ class SyscallGate {
   // Top-K exemplars for one syscall, slowest first, merged across threads.
   // Only timed calls feed the reservoir.
   std::vector<ExemplarRecord> ExemplarsFor(Sysno nr) const;
-
-  // Resolves the dispatch word for one syscall number, rebuilding the table
-  // first if either generation moved. Hot path: two relaxed loads and one
-  // indexed byte load.
-  uint8_t Dispatch(Sysno nr) {
-    uint64_t tracer_gen = tracer_ != nullptr ? tracer_->config_gen() : 0;
-    if (built_tracer_gen_.load(std::memory_order_relaxed) != tracer_gen ||
-        built_local_gen_.load(std::memory_order_relaxed) !=
-            local_gen_.load(std::memory_order_relaxed)) {
-      RebuildDispatch(tracer_gen);
-    }
-    return dispatch_[static_cast<size_t>(nr)].load(std::memory_order_relaxed);
-  }
 
   // Seccomp denials are forwarded here (the kernel wires this to Audit).
   void set_audit_sink(std::function<void(std::string)> sink) {
@@ -491,10 +441,6 @@ class SyscallGate {
   }
   PerSyscall stats(Sysno nr) const;
 
-  void ClearTrace();
-
-  // The /proc/protego/trace body.
-  std::string FormatTrace() const;
   // Zeroes every record in place (emitters must be quiescent).
   void ResetStats();
 
@@ -507,64 +453,6 @@ class SyscallGate {
   // Templated on the task type only to avoid a header cycle (task.h includes
   // this header for SeccompFilter); the single instantiation is Task.
 
-  // Resolves the dispatch word for this call, applying the head-sampling
-  // decision: when the syscall point is sampled (rate > 1), one draw from
-  // the calling thread's seeded stream decides — a "drop" clears the trace
-  // bit BEFORE any span or argument work, so sampled-out calls pay only the
-  // draw. The timed bit survives sampling by design.
-  uint8_t ResolveDispatch(Sysno nr) {
-    uint8_t dispatch = Dispatch(nr);
-    if ((dispatch & (kDispatchTrace | kDispatchSampled)) ==
-            (kDispatchTrace | kDispatchSampled) &&
-        !tracer_->SampleKeep(TracepointId::kSyscall)) {
-      dispatch &= static_cast<uint8_t>(~kDispatchTrace);
-    }
-    return dispatch;
-  }
-
-  // Stamps the context, opens the decision span, and consults the task's
-  // seccomp filter. Returns false (after recording the denial) if the filter
-  // refuses the syscall — the caller must fail with EPERM without touching
-  // DAC or the LSM stack. ctx.dispatch must already be resolved
-  // (ResolveDispatch) — span bookkeeping keys off the trace bit, so calls
-  // whose dispatch word says "no trace" never touch the span map.
-  template <typename TaskT>
-  bool EnterSyscall(SyscallContext& ctx, const TaskT& task, Sysno nr,
-                    const SyscallArgs& sargs) {
-    ctx.nr = nr;
-    ctx.pid = task.pid;
-    ctx.comm = &task.comm;
-    if ((ctx.dispatch & kDispatchTrace) != 0) {
-      ctx.span = tracer_->BeginSpan(ctx.pid);
-    }
-    // An untraced call mutes the span-scoped decision points for its
-    // duration (they would be orphan noise and still pay sampling draws);
-    // ExitSyscall / the denial path restore the saved state, so nested
-    // syscalls compose.
-    ctx.prev_muted = Tracer::SwapThreadMute((ctx.dispatch & kDispatchTrace) == 0);
-    bool denied = false;
-    if (task.seccomp != nullptr) {
-      LayerScope seccomp_scope(profiler_, Layer::kSeccomp);
-      uint32_t evals = 0;
-      denied = !task.seccomp->AllowsArgs(nr, sargs, &evals);
-      if (evals != 0) {
-        MyRecord(nr).rule_evals.fetch_add(evals, std::memory_order_relaxed);
-      }
-    }
-    if (denied) {
-      RecordDenial(ctx);
-      return false;
-    }
-    if ((ctx.dispatch & kDispatchTimed) != 0) {
-      ctx.start_ns = MonotonicNanos();
-    }
-    return true;
-  }
-
-  // Accounts the completed syscall, emits the span-root trace event, and
-  // closes the span.
-  void ExitSyscall(SyscallContext& ctx, Errno err);
-
   // The kernel's path lookup hands over the canonical path of the running
   // call's primary argument: kept for the recorder, and classified for the
   // rules the filter left to the walk. False when they refuse the call: the
@@ -573,9 +461,8 @@ class SyscallGate {
 
   // Wraps one syscall body. `sargs` is the raw argument view consumed by
   // predicate filters and the synthesis recorder; `args_fn() -> std::string`
-  // is only invoked when the syscall tracepoint is enabled; `body() ->
-  // Result<T>` is the pre-existing syscall implementation (DAC + LSM +
-  // work).
+  // is only invoked when the call is traced; `body() -> Result<T>` is the
+  // pre-existing syscall implementation (DAC + LSM + work).
   template <typename T, typename TaskT, typename ArgsFn, typename BodyFn>
   Result<T> Run(TaskT& task, Sysno nr, SyscallArgs sargs, ArgsFn&& args_fn,
                 BodyFn&& body) {
@@ -591,10 +478,12 @@ class SyscallGate {
     // pipeline itself) nests inside it, so summed per-layer self time
     // telescopes back to this frame's inclusive time.
     LayerScope gate_scope(profiler_, Layer::kGate);
-    SyscallContext ctx;
-    ctx.dispatch = ResolveDispatch(nr);
-    if ((ctx.dispatch & kDispatchTrace) != 0) {
-      ctx.args = args_fn();
+    CallFrame frame(task.pid, static_cast<int>(nr));
+    frame.args = &sargs;
+    const bool timed = Decide(frame, nr);
+    std::string args;
+    if (frame.traced) {
+      args = args_fn();
     }
     // The observation is captured at ENTRY: an execve must be attributed
     // to the image that issued it (whose filter admitted the call), not the
@@ -603,49 +492,29 @@ class SyscallGate {
     std::optional<SyscallObservation> ob;
     if (has_recorder_.load(std::memory_order_relaxed)) {
       ob = Observe(task, nr, sargs);
+      frame.path = &ob->path;
     }
-    if (!EnterSyscall(ctx, task, nr, sargs)) {
+    if (!Admit(frame, task, nr, sargs)) {
+      RecordDenial(frame, task.comm, std::move(args));
       if (ob) {
         Record(*ob, Errno::kEPERM);
       }
       return Error(Errno::kEPERM, std::string("seccomp: ") + SysnoName(nr));
     }
-    // Stamp the fault context for the body's duration so pid/syscall
-    // filters on nested sites (vfs/lsm/fd alloc) match this call. The
-    // previous context is restored on exit — syscalls nest via
-    // Spawn/Execve, and the outer call's filters must survive.
-    const bool faulting = faults_ != nullptr && faults_->any_enabled();
-    FaultContext prev_fault;
-    if (faulting) {
-      prev_fault = faults_->SwapContext(FaultContext{task.pid, static_cast<int>(nr)});
+    const uint64_t start_ns = timed ? MonotonicNanos() : 0;
+    if (faults_ != nullptr && faults_->any_enabled()) {
       Errno fault = faults_->Evaluate(FaultSite::kSyscallEntry);
       if (fault != Errno::kOk) {
-        ExitSyscall(ctx, fault);
-        faults_->SwapContext(prev_fault);
+        ExitSyscall(frame, task.comm, std::move(args), fault, start_ns);
         return Error(fault,
                      std::string("fault-injected at syscall entry: ") + SysnoName(nr));
       }
     }
-    // The frame hands the call to its path walk (CheckPath), saved and
-    // restored around the body the same way.
-    PathFrame frame;
-    frame.nr = nr;
-    frame.args = &sargs;
-    frame.path = ob ? &ob->path : nullptr;
-    if (task.seccomp != nullptr && task.seccomp->HasPathRules(nr)) {
-      frame.filter = task.seccomp;
-    }
-    PathFrame* prev_frame = tls_frame_;
-    tls_frame_ = frame.filter != nullptr || ob ? &frame : nullptr;
     Result<T> r = body();
-    tls_frame_ = prev_frame;
     if (frame.denied) {
-      RecordDenial(ctx);
+      RecordDenial(frame, task.comm, std::move(args));
     } else {
-      ExitSyscall(ctx, r.code());
-    }
-    if (faulting) {
-      faults_->SwapContext(prev_fault);
+      ExitSyscall(frame, task.comm, std::move(args), r.code(), start_ns);
     }
     if (ob) {
       Record(*ob, r.code());
@@ -661,12 +530,14 @@ class SyscallGate {
       scheduler_->OnSyscallEntry(task.pid, Sysno::kGetPid);
     }
     LayerScope gate_scope(profiler_, Layer::kGate);
-    SyscallContext ctx;
-    ctx.dispatch = ResolveDispatch(Sysno::kGetPid);
+    CallFrame frame(task.pid, static_cast<int>(Sysno::kGetPid));
+    const bool timed = Decide(frame, Sysno::kGetPid);
     SyscallArgs sargs;
-    const bool allowed = EnterSyscall(ctx, task, Sysno::kGetPid, sargs);
+    const bool allowed = Admit(frame, task, Sysno::kGetPid, sargs);
     if (allowed) {
-      ExitSyscall(ctx, Errno::kOk);
+      ExitSyscall(frame, task.comm, std::string(), Errno::kOk, timed ? MonotonicNanos() : 0);
+    } else {
+      RecordDenial(frame, task.comm, std::string());
     }
     // getpid has no body, so the task is as it was at entry.
     if (has_recorder_.load(std::memory_order_relaxed)) {
@@ -714,18 +585,6 @@ class SyscallGate {
     }
   };
 
-  // The call a thread is inside, as its path walk needs it (Run, CheckPath).
-  struct PathFrame {
-    Sysno nr{};
-    const SyscallArgs* args = nullptr;
-    // The task's filter, when its rules for `nr` wait for the walk.
-    std::shared_ptr<const SeccompFilter> filter;
-    std::string* path = nullptr;  // the recorder's slot for the canonical path
-    bool denied = false;          // the walk's check refused the call
-  };
-  // Defined here, so every use site sees its constant initializer.
-  inline static thread_local PathFrame* tls_frame_ = nullptr;
-
   // One call as the recorder sees it, captured at entry (see Run), strings
   // copied out: the observation outlives the caller's frame.
   template <typename TaskT>
@@ -758,19 +617,53 @@ class SyscallGate {
     recorder_(ob);
   }
 
-  // Accounts a seccomp-killed call and restores the thread's mute state.
-  void RecordDenial(SyscallContext& ctx);
-  // Emits the span-root event for the completed call (consumes ctx.args)
-  // and closes the span.
-  void RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns, bool seccomp_denied);
+  // The entry decision (see the file comment): marks `frame` traced, and
+  // opens its span, when the switch, the traced set and the sampling draw
+  // agree; returns whether the call is timed.
+  bool Decide(CallFrame& frame, Sysno nr) {
+    if (tracer_ != nullptr && tracer_->enabled() && traced_.Has(nr) &&
+        tracer_->SampleKeep(TracepointId::kSyscall)) {
+      tracer_->OpenSpan(frame);
+    }
+    return timed_.Has(nr);
+  }
+
+  // Consults the task's seccomp filter at entry. A rule list that waits for
+  // the path walk is left on the frame for CheckPath.
+  template <typename TaskT>
+  bool Admit(CallFrame& frame, const TaskT& task, Sysno nr, const SyscallArgs& sargs) {
+    if (task.seccomp == nullptr) {
+      return true;
+    }
+    LayerScope seccomp_scope(profiler_, Layer::kSeccomp);
+    uint32_t evals = 0;
+    const bool allowed = task.seccomp->AllowsArgs(nr, sargs, &evals);
+    if (evals != 0) {
+      MyRecord(nr).rule_evals.fetch_add(evals, std::memory_order_relaxed);
+    }
+    if (allowed && task.seccomp->HasPathRules(nr)) {
+      frame.filter = task.seccomp;
+    }
+    return allowed;
+  }
+
+  // Accounts the completed call and, when it is traced, emits its span root
+  // (consuming `args`). `start_ns` is the entry's MonotonicNanos() for a
+  // timed call (never 0: the clock counts from boot) and 0 for an untimed
+  // one. A plain integer, not an optional: the optional's flag byte, stored
+  // just before the call, stalls the 16-byte argument copy on every call.
+  void ExitSyscall(const CallFrame& frame, const std::string& comm, std::string args,
+                   Errno err, uint64_t start_ns);
+  // Accounts and audits a seccomp-killed call.
+  void RecordDenial(const CallFrame& frame, const std::string& comm, std::string args);
+  // Emits the span-root event for a traced call.
+  void RecordTrace(const CallFrame& frame, const std::string& comm, std::string args,
+                   Errno err, uint64_t dur_ns, bool seccomp_denied);
   // Offers one completed call to the calling thread's tail reservoir.
   static void RecordExemplar(SyscallRecord& rec, uint64_t dur_ns, uint64_t span, int pid);
   SyscallRecord& MyRecord(Sysno nr);
   template <typename Fn>
   void ForEachRecord(Sysno nr, Fn&& fn) const;
-
-  void BumpLocalGen() { local_gen_.fetch_add(1, std::memory_order_relaxed); }
-  void RebuildDispatch(uint64_t tracer_gen);
 
   Tracer* tracer_ = nullptr;
   FaultRegistry* faults_ = nullptr;
@@ -781,18 +674,8 @@ class SyscallGate {
   SyscallRecorder recorder_;
   std::atomic<bool> has_recorder_{false};
 
-  // --- Dispatch table ---------------------------------------------------------
-  // dispatch_[nr] is the resolved word; the two built_* generations record
-  // the configuration it was built from. local_gen_ covers the gate's
-  // traced and timed sets; the tracer's config_gen covers the master switch,
-  // the point mask, and sample rates.
-  std::atomic<uint8_t> dispatch_[kSysnoSlots] = {};
-  std::atomic<uint64_t> local_gen_{1};
-  std::atomic<uint64_t> built_local_gen_{0};
-  std::atomic<uint64_t> built_tracer_gen_{~uint64_t{0}};
-  mutable std::mutex dispatch_mu_;  // guards the bitsets and rebuilds
-  std::bitset<kSysnoSlots> traced_syscalls_ = ~std::bitset<kSysnoSlots>();  // all
-  std::bitset<kSysnoSlots> timed_syscalls_;                                 // none
+  SyscallSet traced_{true};
+  SyscallSet timed_{false};
 };
 
 }  // namespace protego

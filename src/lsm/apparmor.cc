@@ -1,6 +1,5 @@
 #include "src/lsm/apparmor.h"
 
-#include "src/base/log.h"
 #include "src/base/strings.h"
 
 namespace protego {
@@ -29,13 +28,9 @@ bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
   if (profile->capability_bound.Has(cap)) {
     return true;
   }
-  denials_.push_back(StrFormat("apparmor: %s denied %s for %s", profile->binary.c_str(),
-                               CapabilityName(cap), task.comm.c_str()));
-  if (!profile->enforce) {
-    return true;  // complain mode: log but allow
-  }
-  LogAudit(denials_.back());
-  return false;
+  Audit(StrFormat("apparmor: %s denied %s for %s", profile->binary.c_str(),
+                  CapabilityName(cap), task.comm.c_str()));
+  return !profile->enforce;  // complain mode: audit but allow
 }
 
 HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
@@ -54,13 +49,9 @@ HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
   if ((granted & may) == may) {
     return HookVerdict::kDefault;  // profile permits; DAC still applies
   }
-  denials_.push_back(StrFormat("apparmor: %s denied %s may=%d for %s", profile->binary.c_str(),
-                               path.c_str(), may, task.comm.c_str()));
-  if (!profile->enforce) {
-    return HookVerdict::kDefault;
-  }
-  LogAudit(denials_.back());
-  return HookVerdict::kDeny;
+  Audit(StrFormat("apparmor: %s denied %s may=%d for %s", profile->binary.c_str(),
+                  path.c_str(), may, task.comm.c_str()));
+  return profile->enforce ? HookVerdict::kDeny : HookVerdict::kDefault;
 }
 
 }  // namespace protego

@@ -4,7 +4,8 @@
 //
 // As on stock Ubuntu, binaries without a profile run unconfined; the module
 // still pays the hook-traversal cost on every mediated operation, which is
-// what the Table 5 baseline measures.
+// what the Table 5 baseline measures. Every denial, complain mode included,
+// goes to the kernel's audit ring through the stack's audit sink.
 
 #ifndef SRC_LSM_APPARMOR_H_
 #define SRC_LSM_APPARMOR_H_
@@ -26,7 +27,7 @@ struct AaFileRule {
 // Confinement profile for one binary.
 struct AaProfile {
   std::string binary;  // absolute path of the confined program
-  bool enforce = true; // false = complain mode (log only)
+  bool enforce = true; // false = complain mode (audit only)
   std::vector<AaFileRule> file_rules;
   CapSet capability_bound;  // caps the confined program may use
   bool bound_caps = false;  // whether capability_bound applies
@@ -41,17 +42,12 @@ class AppArmorModule : public SecurityModule {
   const AaProfile* FindProfile(const std::string& binary) const;
   size_t profile_count() const { return profiles_.size(); }
 
-  // Denials recorded in complain mode (and enforce mode), for audit tests.
-  const std::vector<std::string>& denials() const { return denials_; }
-  void ClearDenials() { denials_.clear(); }
-
   bool CapablePermitted(const Task& task, Capability cap) override;
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
                               int may, bool* /*unused*/) override;
 
  private:
   std::map<std::string, AaProfile> profiles_;
-  std::vector<std::string> denials_;
 };
 
 }  // namespace protego

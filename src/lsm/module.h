@@ -182,6 +182,10 @@ class SecurityModule {
   // successful policy swap (defined in stack.cc).
   void BumpPolicyGeneration();
 
+  // Sends a record to the attached stack's audit sink, the kernel's audit
+  // ring (defined in stack.cc).
+  void Audit(std::string record);
+
  private:
   LsmStack* stack_ = nullptr;
 };

@@ -34,6 +34,12 @@ void SecurityModule::BumpPolicyGeneration() {
   }
 }
 
+void SecurityModule::Audit(std::string record) {
+  if (stack_ != nullptr) {
+    stack_->Audit(std::move(record));
+  }
+}
+
 void LsmStack::Register(std::unique_ptr<SecurityModule> module) {
   module->AttachStack(this);
   modules_.push_back(std::move(module));
@@ -156,10 +162,9 @@ HookVerdict LsmStack::Dispatch(LsmHook hook, int pid, Call&& call) const {
   if (FaultDeny(hook, pid)) {
     return HookVerdict::kDeny;
   }
-  // An untraced syscall mutes its thread (Tracer::ShouldEmit): its module
-  // verdicts would be orphans costing a span-map lock and a ring slot each.
-  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook) &&
-                           !Tracer::ThreadMuted();
+  // Enabled() is false inside an untraced syscall: its module verdicts
+  // would be orphans costing a ring slot each.
+  const bool trace_hooks = tracer_ != nullptr && tracer_->Enabled(TracepointId::kLsmHook);
   HookVerdict acc = HookVerdict::kDefault;
   for (size_t i = 0; i < modules_.size(); ++i) {
     HookVerdict v = call(*modules_[i]);

@@ -21,7 +21,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/attribution.h"
@@ -87,6 +89,17 @@ class LsmStack {
   // this at boot.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
+  // Module audit records (an AppArmor denial) are forwarded here; the kernel
+  // wires this to its audit ring at boot. Detached, records are dropped.
+  void set_audit_sink(std::function<void(std::string)> sink) {
+    audit_sink_ = std::move(sink);
+  }
+  void Audit(std::string record) const {
+    if (audit_sink_) {
+      audit_sink_(std::move(record));
+    }
+  }
+
   // Attaches the per-layer latency profiler: each dispatch runs under an
   // `lsm` frame.
   void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
@@ -145,8 +158,11 @@ class LsmStack {
 
   std::vector<std::unique_ptr<SecurityModule>> modules_;
   // mutable: accounting from the const hook methods. All counters are
-  // relaxed atomics — parallel-mode tasks dispatch hooks concurrently.
-  mutable std::atomic<uint64_t> hook_counts_[static_cast<size_t>(LsmHook::kCount)] = {};
+  // relaxed atomics — parallel-mode tasks dispatch hooks concurrently. Every
+  // dispatch writes one, so they fill a cache line of their own, apart from
+  // the module list and pointers every dispatch reads.
+  alignas(64) mutable std::atomic<uint64_t>
+      hook_counts_[static_cast<size_t>(LsmHook::kCount)] = {};
   // Per-module verdict tallies, indexed [module][verdict]. A deque because
   // arrays of atomics are pinned in place (no relocation on growth).
   mutable std::deque<std::array<std::atomic<uint64_t>, 3>> module_verdicts_;
@@ -154,6 +170,7 @@ class LsmStack {
   Tracer* tracer_ = nullptr;
   LayerProfiler* profiler_ = nullptr;
   FaultRegistry* faults_ = nullptr;
+  std::function<void(std::string)> audit_sink_;
   mutable std::atomic<uint64_t> fail_closed_{0};  // fault-injected dispatches denied
 
   std::atomic<uint64_t> policy_generation_{1};

@@ -345,18 +345,18 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   // the filter; a bare "since" inside a query resets just the cursor.
   // Control commands: "sample=<point|all>:<rate>" sets 1-in-N head sampling,
   // "seed=N" reseeds the sampling streams (replayable, like fault_inject),
-  // and "syscalls=..." / "timed=..." (all|none|name,name) set the
-  // per-syscall trace/timing dispatch sets.
+  // and "syscalls=..." / "timed=..." (all|none|name,name) set the gate's
+  // per-syscall traced and timed sets.
   SyntheticOps trace_ops;
-  trace_ops.read = [kernel]() { return kernel->syscalls().FormatTrace(); };
+  trace_ops.read = [kernel]() { return kernel->tracer().Format(); };
   trace_ops.write = [kernel](std::string_view data) -> Result<Unit> {
     std::string_view cmd = Trim(data);
     if (cmd == "clear") {
-      kernel->syscalls().ClearTrace();
+      kernel->tracer().Clear();
     } else if (cmd == "on") {
-      kernel->syscalls().set_trace_enabled(true);
+      kernel->tracer().set_enabled(true);
     } else if (cmd == "off") {
-      kernel->syscalls().set_trace_enabled(false);
+      kernel->tracer().set_enabled(false);
     } else if (!cmd.empty() && cmd[0] == '?') {
       ASSIGN_OR_RETURN(TraceFilter filter, ParseTraceQuery(cmd));
       kernel->tracer().set_read_filter(std::move(filter));
@@ -390,8 +390,8 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
       }
       kernel->tracer().set_sample_seed(*seed);
     } else if (StartsWith(cmd, "syscalls=")) {
-      // Per-syscall trace dispatch set: which syscalls may open spans and
-      // emit kSyscall roots. Validated in full before anything is applied.
+      // The traced set: which syscalls may open spans and emit kSyscall
+      // roots. Validated in full before anything is applied.
       ASSIGN_OR_RETURN(SyscallSetSpec spec, ParseSyscallSet("syscalls", cmd.substr(9)));
       SyscallGate& gate = kernel->syscalls();
       gate.SetAllSyscallsTraced(spec.all);

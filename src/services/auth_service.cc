@@ -1,7 +1,6 @@
 #include "src/services/auth_service.h"
 
 #include "src/base/hash.h"
-#include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/config/passwd_db.h"
 #include "src/protego/protego_lsm.h"
@@ -15,21 +14,19 @@ Result<Unit> AuthService::Install() {
     RETURN_IF_ERROR(kernel_->InstallBinary(kBinaryPath, 0755, kRootUid, kRootGid,
                                            [](ProcessContext&) { return 0; }));
   }
-  task_ = &kernel_->CreateTask("protego-auth", Cred::Root(), nullptr);
-  task_->exe_path = kBinaryPath;
   kernel_->SetAuthAgent([this](Task& requester, const std::vector<Uid>& accounts) {
     return Authenticate(requester, accounts);
   });
   return OkUnit();
 }
 
-std::optional<std::string> AuthService::UserNameForUid(Uid uid) {
-  auto names = kernel_->ReadDir(*task_, "/etc/passwds");
+std::optional<std::string> AuthService::UserNameForUid(Task& service, Uid uid) {
+  auto names = kernel_->ReadDir(service, "/etc/passwds");
   if (!names.ok()) {
     return std::nullopt;
   }
   for (const std::string& name : names.value()) {
-    auto content = kernel_->ReadWholeFile(*task_, "/etc/passwds/" + name);
+    auto content = kernel_->ReadWholeFile(service, "/etc/passwds/" + name);
     if (!content.ok()) {
       continue;
     }
@@ -41,15 +38,16 @@ std::optional<std::string> AuthService::UserNameForUid(Uid uid) {
   return std::nullopt;
 }
 
-std::optional<std::string> AuthService::LookupHash(Uid account, std::string* display_name) {
+std::optional<std::string> AuthService::LookupHash(Task& service, Uid account,
+                                                   std::string* display_name) {
   if (account >= kGroupAuthBase) {
     Gid gid = account - kGroupAuthBase;
-    auto names = kernel_->ReadDir(*task_, "/etc/groups");
+    auto names = kernel_->ReadDir(service, "/etc/groups");
     if (!names.ok()) {
       return std::nullopt;
     }
     for (const std::string& name : names.value()) {
-      auto content = kernel_->ReadWholeFile(*task_, "/etc/groups/" + name);
+      auto content = kernel_->ReadWholeFile(service, "/etc/groups/" + name);
       if (!content.ok()) {
         continue;
       }
@@ -61,11 +59,11 @@ std::optional<std::string> AuthService::LookupHash(Uid account, std::string* dis
     }
     return std::nullopt;
   }
-  std::optional<std::string> user = UserNameForUid(account);
+  std::optional<std::string> user = UserNameForUid(service, account);
   if (!user.has_value()) {
     return std::nullopt;
   }
-  auto content = kernel_->ReadWholeFile(*task_, "/etc/shadows/" + *user);
+  auto content = kernel_->ReadWholeFile(service, "/etc/shadows/" + *user);
   if (!content.ok()) {
     return std::nullopt;
   }
@@ -79,10 +77,19 @@ std::optional<std::string> AuthService::LookupHash(Uid account, std::string* dis
 
 std::optional<Uid> AuthService::Authenticate(Task& requester,
                                              const std::vector<Uid>& accounts) {
-  if (requester.terminal == nullptr) {
-    ++failures_;
-    return std::nullopt;  // no way to ask a human
+  std::optional<Uid> who;
+  if (requester.terminal != nullptr) {  // else there is no way to ask a human
+    Task& service = kernel_->CreateTask("protego-auth", Cred::Root(), nullptr);
+    service.exe_path = kBinaryPath;
+    who = Converse(service, requester, accounts);
+    kernel_->ReapTask(service.pid);
   }
+  (who.has_value() ? successes_ : failures_).fetch_add(1, std::memory_order_relaxed);
+  return who;
+}
+
+std::optional<Uid> AuthService::Converse(Task& service, Task& requester,
+                                         const std::vector<Uid>& accounts) {
   struct Candidate {
     Uid account;
     std::string name;
@@ -92,7 +99,7 @@ std::optional<Uid> AuthService::Authenticate(Task& requester,
   std::string prompt_names;
   for (Uid account : accounts) {
     std::string display_name;
-    std::optional<std::string> hash = LookupHash(account, &display_name);
+    std::optional<std::string> hash = LookupHash(service, account, &display_name);
     if (!hash.has_value() || hash->empty() || (*hash)[0] == '!') {
       continue;  // unknown or locked account
     }
@@ -103,12 +110,11 @@ std::optional<Uid> AuthService::Authenticate(Task& requester,
     candidates.push_back(Candidate{account, display_name, *hash});
   }
   if (candidates.empty()) {
-    ++failures_;
     return std::nullopt;
   }
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     requester.terminal->Write("[protego] password for " + prompt_names + ": ");
-    ++prompts_issued_;
+    prompts_issued_.fetch_add(1, std::memory_order_relaxed);
     std::optional<std::string> password = requester.terminal->ReadLine();
     if (!password.has_value()) {
       break;  // the human gave up
@@ -122,17 +128,15 @@ std::optional<Uid> AuthService::Authenticate(Task& requester,
         if (c.account == requester.cred.ruid) {
           requester.terminal->StampAuth(c.account, kernel_->clock().Now());
         }
-        ++successes_;
-        LogAudit(StrFormat("protego-auth: uid=%u authenticated as %s", requester.cred.ruid,
-                           c.name.c_str()));
+        kernel_->Audit(StrFormat("protego-auth: uid=%u authenticated as %s",
+                                 requester.cred.ruid, c.name.c_str()));
         return c.account;
       }
     }
     requester.terminal->Write("Sorry, try again.\n");
   }
-  ++failures_;
-  LogAudit(StrFormat("protego-auth: authentication FAILED for uid=%u as %s",
-                     requester.cred.ruid, prompt_names.c_str()));
+  kernel_->Audit(StrFormat("protego-auth: authentication FAILED for uid=%u as %s",
+                           requester.cred.ruid, prompt_names.c_str()));
   return std::nullopt;
 }
 

@@ -3,6 +3,11 @@
 // asks for an account's password, verifies it against the fragmented
 // credential database, and stamps the task's authentication-recency record.
 //
+// The kernel launches it per request: each Authenticate call runs on a
+// fresh root task (exe /sbin/protego-auth) with its own fd table and audit
+// identity, reaped before the call returns, so requests from tasks running
+// in parallel never share one. Outcomes go to the kernel's audit ring.
+//
 // Refactored from the roles login and newgrp played on stock Linux (the
 // paper's 1,200-line component). It also understands password-protected
 // groups: accounts at or above kGroupAuthBase are gids.
@@ -10,6 +15,8 @@
 #ifndef SRC_SERVICES_AUTH_SERVICE_H_
 #define SRC_SERVICES_AUTH_SERVICE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,14 +33,13 @@ class AuthService {
 
   explicit AuthService(Kernel* kernel) : kernel_(kernel) {}
 
-  // Installs the trusted binary, creates the service task, and registers
-  // this service as the kernel's authentication agent.
+  // Installs the trusted binary and registers this service as the kernel's
+  // authentication agent.
   Result<Unit> Install();
 
-  Task* task() { return task_; }
-  uint64_t prompts_issued() const { return prompts_issued_; }
-  uint64_t successes() const { return successes_; }
-  uint64_t failures() const { return failures_; }
+  uint64_t prompts_issued() const { return prompts_issued_.load(std::memory_order_relaxed); }
+  uint64_t successes() const { return successes_.load(std::memory_order_relaxed); }
+  uint64_t failures() const { return failures_.load(std::memory_order_relaxed); }
 
   // The agent entry point (also invocable directly by tests): prompts once
   // per attempt on `requester`'s terminal and verifies the typed password
@@ -41,17 +47,20 @@ class AuthService {
   std::optional<Uid> Authenticate(Task& requester, const std::vector<Uid>& accounts);
 
  private:
+  // The conversation on `requester`'s terminal, run on the request's
+  // service task.
+  std::optional<Uid> Converse(Task& service, Task& requester, const std::vector<Uid>& accounts);
+
   // Locates the stored hash for a uid (shadow fragment) or a group-auth
   // account (group fragment), reading through the service task's syscalls
   // so that policy (File_Delegate) is exercised, not bypassed.
-  std::optional<std::string> LookupHash(Uid account, std::string* display_name);
-  std::optional<std::string> UserNameForUid(Uid uid);
+  std::optional<std::string> LookupHash(Task& service, Uid account, std::string* display_name);
+  std::optional<std::string> UserNameForUid(Task& service, Uid uid);
 
   Kernel* kernel_;
-  Task* task_ = nullptr;
-  uint64_t prompts_issued_ = 0;
-  uint64_t successes_ = 0;
-  uint64_t failures_ = 0;
+  std::atomic<uint64_t> prompts_issued_{0};
+  std::atomic<uint64_t> successes_{0};
+  std::atomic<uint64_t> failures_{0};
 };
 
 }  // namespace protego

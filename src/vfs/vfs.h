@@ -379,7 +379,10 @@ class Vfs {
   LayerProfiler* profiler_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   uint64_t block_quota_ = 0;  // 0 = unlimited; set at boot, read-only after
-  std::atomic<uint64_t> bytes_used_{0};     // charged regular-file data bytes
+  // Every task thread writes the next three (data writes, walks, the tree
+  // lock's reader count), so they start a cache line of their own: the
+  // read-only fields above, read on every walk, must not share it.
+  alignas(64) std::atomic<uint64_t> bytes_used_{0};  // charged regular-file data bytes
   mutable std::atomic<uint64_t> resolves_{0};  // accounting from const Resolve()
   mutable std::shared_mutex tree_mu_;          // directory structure + metadata
   mutable std::shared_mutex data_mu_[kDataStripes];  // file contents by ino

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/call_frame.h"
 #include "src/protego/proc_iface.h"
 #include "src/sim/system.h"
 #include "src/study/fault_sweep.h"
@@ -96,12 +97,20 @@ TEST(FaultRegistry, PidAndSysnoFiltersGate) {
   cfg.pid = 7;
   cfg.sysno = 2;
   ASSERT_TRUE(faults.Configure(FaultSite::kSyscallEntry, cfg).ok());
-  faults.SwapContext(FaultContext{6, 2});
+  // The filters match the call frame running on this thread.
   EXPECT_EQ(faults.Evaluate(FaultSite::kSyscallEntry), Errno::kOk);
-  faults.SwapContext(FaultContext{7, 3});
-  EXPECT_EQ(faults.Evaluate(FaultSite::kSyscallEntry), Errno::kOk);
-  faults.SwapContext(FaultContext{7, 2});
-  EXPECT_EQ(faults.Evaluate(FaultSite::kSyscallEntry), Errno::kEIO);
+  {
+    CallFrame frame(6, 2);
+    EXPECT_EQ(faults.Evaluate(FaultSite::kSyscallEntry), Errno::kOk);
+  }
+  {
+    CallFrame frame(7, 3);
+    EXPECT_EQ(faults.Evaluate(FaultSite::kSyscallEntry), Errno::kOk);
+  }
+  {
+    CallFrame frame(7, 2);
+    EXPECT_EQ(faults.Evaluate(FaultSite::kSyscallEntry), Errno::kEIO);
+  }
 }
 
 // --- Directive grammar --------------------------------------------------------

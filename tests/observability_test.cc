@@ -68,62 +68,100 @@ class ObservabilityTest : public ::testing::Test {
   SpinModule* spin_ = nullptr;
 };
 
-// --- Per-syscall dispatch ----------------------------------------------------
+// --- The entry decision ------------------------------------------------------
 
+// The gate decides "traced" and "timed" once per call, at entry. Each of the
+// five configuration transitions below shows in what the next call does: a
+// span root emitted or not, a latency sample taken or not, a sampling draw
+// counted or not.
 TEST_F(ObservabilityTest, DispatchWordTracksConfiguration) {
+  Task& alice = User(1000);
   SyscallGate& gate = kernel_.syscalls();
-  uint8_t d = gate.Dispatch(Sysno::kStat);
-  EXPECT_NE(d & SyscallGate::kDispatchTrace, 0);
-  EXPECT_EQ(d & SyscallGate::kDispatchTimed, 0);
-  EXPECT_EQ(d & SyscallGate::kDispatchSampled, 0);
+  Tracer& tracer = kernel_.tracer();
+  auto roots = [&](Sysno nr) {
+    size_t n = 0;
+    for (const TraceEvent& ev : tracer.Snapshot()) {
+      n += ev.tp == TracepointId::kSyscall && static_cast<Sysno>(ev.a) == nr;
+    }
+    return n;
+  };
+  auto samples = [&](Sysno nr) { return gate.stats(nr).lat_ns.count(); };
+  auto drops = [&] { return tracer.sampled_out(TracepointId::kSyscall); };
+  auto stat = [&] { ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok()); };
 
-  // Narrowing the traced set clears ONLY the narrowed syscall's trace bit.
+  // Boot: traced, untimed, unsampled.
+  stat();
+  EXPECT_EQ(roots(Sysno::kStat), 1u);
+  EXPECT_EQ(samples(Sysno::kStat), 0u);
+  EXPECT_EQ(drops(), 0u);
+
+  // 1. Narrowing the traced set silences ONLY the narrowed syscall.
+  tracer.Clear();
   gate.SetSyscallTraced(Sysno::kStat, false);
-  EXPECT_EQ(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchTrace, 0);
-  EXPECT_NE(gate.Dispatch(Sysno::kOpen) & SyscallGate::kDispatchTrace, 0);
+  stat();
+  kernel_.GetPid(alice);
+  EXPECT_EQ(roots(Sysno::kStat), 0u);
+  EXPECT_EQ(roots(Sysno::kGetPid), 1u);
   gate.SetSyscallTraced(Sysno::kStat, true);
 
-  // The timed set alone decides the timed bit.
+  // 2. The timed set alone decides timing...
   gate.SetAllSyscallsTimed(true);
-  EXPECT_NE(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchTimed, 0);
+  stat();
+  EXPECT_EQ(samples(Sysno::kStat), 1u);
+  // 3. ...one syscall at a time.
   gate.SetSyscallTimed(Sysno::kStat, false);
-  EXPECT_EQ(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchTimed, 0);
-  EXPECT_NE(gate.Dispatch(Sysno::kOpen) & SyscallGate::kDispatchTimed, 0);
+  stat();
+  kernel_.GetPid(alice);
+  EXPECT_EQ(samples(Sysno::kStat), 1u);
+  EXPECT_EQ(samples(Sysno::kGetPid), 1u);
   gate.SetAllSyscallsTimed(false);
 
-  // A sampling rate on the syscall point sets the sampled bit.
-  kernel_.tracer().set_sample_rate(TracepointId::kSyscall, 8);
-  EXPECT_NE(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchSampled, 0);
-  kernel_.tracer().set_sample_rate(TracepointId::kSyscall, 0);
-  EXPECT_EQ(gate.Dispatch(Sysno::kStat) & SyscallGate::kDispatchSampled, 0);
+  // 4. A sampling rate on the syscall point costs a traced call one draw;
+  // at 1-in-a-million this seed's first draw drops the call.
+  tracer.set_sample_seed(7);
+  tracer.set_sample_rate(TracepointId::kSyscall, 1000000);
+  tracer.Clear();
+  stat();
+  EXPECT_EQ(drops(), 1u);
+  EXPECT_EQ(roots(Sysno::kStat), 0u);
+  tracer.set_sample_rate(TracepointId::kSyscall, 0);
+  stat();
+  EXPECT_EQ(drops(), 1u);
+  EXPECT_EQ(roots(Sysno::kStat), 1u);
 
-  // A fully-off tracer clears the trace bit but leaves timing alone.
-  kernel_.tracer().set_enabled(false);
+  // 5. A fully-off tracer traces nothing and draws nothing, but timing
+  // stays.
+  tracer.set_enabled(false);
+  tracer.set_sample_rate(TracepointId::kSyscall, 1000000);
   gate.SetSyscallTimed(Sysno::kStat, true);
-  d = gate.Dispatch(Sysno::kStat);
-  EXPECT_EQ(d & SyscallGate::kDispatchTrace, 0);
-  EXPECT_NE(d & SyscallGate::kDispatchTimed, 0);
-  kernel_.tracer().set_enabled(true);
+  tracer.Clear();
+  stat();
+  EXPECT_EQ(roots(Sysno::kStat), 0u);
+  EXPECT_EQ(drops(), 1u);
+  EXPECT_EQ(samples(Sysno::kStat), 2u);
+  tracer.set_enabled(true);
 }
 
 TEST_F(ObservabilityTest, UntracedSyscallsSkipTraceButKeepStats) {
   Task& alice = User(1000);
   SyscallGate& gate = kernel_.syscalls();
 
-  ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
-  EXPECT_NE(gate.FormatTrace().find("stat("), std::string::npos);
+  Tracer& tracer = kernel_.tracer();
 
-  gate.ClearTrace();
+  ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
+  EXPECT_NE(tracer.Format().find("stat("), std::string::npos);
+
+  tracer.Clear();
   gate.SetAllSyscallsTraced(false);
   const uint64_t calls = gate.stats(Sysno::kStat).calls;
   ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
-  EXPECT_EQ(gate.FormatTrace().find("stat("), std::string::npos);
+  EXPECT_EQ(tracer.Format().find("stat("), std::string::npos);
   EXPECT_EQ(gate.stats(Sysno::kStat).calls, calls + 1);
 
   // Re-widening restores emission.
   gate.SetSyscallTraced(Sysno::kStat, true);
   ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
-  EXPECT_NE(gate.FormatTrace().find("stat("), std::string::npos);
+  EXPECT_NE(tracer.Format().find("stat("), std::string::npos);
 }
 
 // --- Seeded sampling ---------------------------------------------------------
@@ -241,10 +279,10 @@ TEST_F(ObservabilityTest, ExemplarsEscapeHeadSampling) {
   kernel_.tracer().set_sample_seed(7);
   kernel_.syscalls().SetSyscallTimed(Sysno::kAccess, true);
   Task& alice = User(1000);
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   spin_->set_spin_ms(3);
   ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
-  EXPECT_EQ(kernel_.syscalls().FormatTrace().find("access("), std::string::npos);
+  EXPECT_EQ(kernel_.tracer().Format().find("access("), std::string::npos);
   ASSERT_EQ(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).size(), 1u);
   EXPECT_GE(kernel_.syscalls().ExemplarsFor(Sysno::kAccess)[0].dur_ns, 3 * kMs);
 }

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "src/fault/fault.h"
 #include "src/kernel/exec_mode.h"
 #include "src/kernel/kernel.h"
+#include "src/lsm/apparmor.h"
 #include "src/lsm/capability_module.h"
 #include "src/sim/system.h"
 #include "src/study/races.h"
@@ -539,7 +541,61 @@ TEST(ParallelStress, TraceReaderDuringSyscalls) {
   std::atomic<int> errors{0};
   EXPECT_GT(RunReaderDuringSyscalls(k, writers, reader, "/proc/protego/trace", 100, &errors), 0);
   EXPECT_EQ(errors.load(), 0);
-  EXPECT_NE(k.syscalls().FormatTrace().find("getpid() = 0"), std::string::npos);
+  EXPECT_NE(k.tracer().Format().find("getpid() = 0"), std::string::npos);
+}
+
+// Four tasks trace stat/open/read/close on their own files at once. Each
+// event takes the span of the call running on its thread, so in the merged
+// ring every event under a retained root carries that root's pid, and no
+// root nests under another task's root.
+TEST(ParallelStress, TracedCallsKeepTheirTrees) {
+  constexpr int kTasks = 4;
+  constexpr int kIters = 200;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  std::vector<Task*> tasks;
+  for (int i = 0; i < kTasks; ++i) {
+    tasks.push_back(&k.CreateTask("tracee", Cred::ForUser(1000, 1000), nullptr));
+  }
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> errors{0};
+  for (int i = 0; i < kTasks; ++i) {
+    Task* task = tasks[i];
+    const std::string path = "/tmp/tree" + std::to_string(i);
+    sched.StartTask(task->pid, [&, task, path] {
+      for (int n = 0; n < kIters; ++n) {
+        (void)k.Stat(*task, path);
+        auto fd = k.Open(*task, path, kORdWr | kOCreat);
+        if (!fd.ok() || !k.Read(*task, fd.value()).ok() || !k.Close(*task, fd.value()).ok()) {
+          ++errors;
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+  EXPECT_EQ(errors.load(), 0);
+
+  std::vector<TraceEvent> events = k.tracer().Snapshot();
+  std::map<uint64_t, int> root_pid;  // retained span roots
+  for (const TraceEvent& ev : events) {
+    if (ev.tp == TracepointId::kSyscall) {
+      root_pid[ev.span] = ev.pid;
+    }
+  }
+  ASSERT_FALSE(root_pid.empty());
+  size_t checked = 0;
+  for (const TraceEvent& ev : events) {
+    const uint64_t under = ev.tp == TracepointId::kSyscall ? ev.parent : ev.span;
+    auto root = root_pid.find(under);
+    if (under == 0 || root == root_pid.end()) {
+      continue;
+    }
+    EXPECT_EQ(ev.pid, root->second) << k.tracer().Format();
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // --- RCU policy reads: swap mid-traffic --------------------------------------
@@ -578,6 +634,95 @@ TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
   // Traffic after the last swap behaves identically to a fresh boot.
   Task& probe = sys.Login("alice");
   EXPECT_TRUE(k.Access(probe, "/etc/passwd", kMayRead).ok());
+}
+
+// --- Trusted services and the audit ring under parallel tasks ---------------
+
+// Every setuid of an `exim` session goes to the auth utility (the shipped
+// rule `ALL ALL=(ALL) TARGETPW: ALL`), and no password is typed, so each
+// call prompts once and fails. Regression: every lookup ran on the one task
+// the service created at install, whose fd table is not thread-safe, from
+// whichever thread asked (ASan: a heap-use-after-free in FdTable::Install),
+// and the counters were plain integers.
+TEST(ParallelStress, ConcurrentAuthentication) {
+  constexpr int kTasks = 4;
+  constexpr int kCalls = 1000;
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  std::vector<Task*> tasks;
+  for (int i = 0; i < kTasks; ++i) {
+    tasks.push_back(&sys.Login("exim"));
+  }
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> granted{0};
+  for (int i = 0; i < kTasks; ++i) {
+    Task* task = tasks[i];
+    sched.StartTask(task->pid, [&, task, i] {
+      for (int c = 0; c < kCalls; ++c) {
+        if (k.Setuid(*task, static_cast<Uid>(1000 + i % 3)).ok()) {
+          ++granted;
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  const uint64_t calls = kTasks * kCalls;
+  EXPECT_EQ(granted.load(), 0);
+  EXPECT_EQ(sys.auth()->failures(), calls);
+  EXPECT_EQ(sys.auth()->prompts_issued(), calls);
+}
+
+// Four tasks confined by one AppArmor profile are denied at once; each
+// denial is one record in the kernel's audit ring. Regression: the module
+// appended denials to an unlocked vector of its own (TSan: a data race in
+// AppArmorModule::InodePermission) and the ring never saw them.
+TEST(ParallelStress, AppArmorDenialsReachTheAuditRing) {
+  constexpr int kTasks = 4;
+  constexpr int kCalls = 200;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  auto apparmor = std::make_unique<AppArmorModule>();
+  AaProfile profile;
+  profile.binary = "/bin/confined";
+  apparmor->LoadProfile(profile);
+  k.lsm().Register(std::move(apparmor));
+  ASSERT_TRUE(k.vfs().CreateFile("/tmp/data", 0644, kRootUid, kRootGid, "x").ok());
+  std::vector<Task*> tasks;
+  for (int i = 0; i < kTasks; ++i) {
+    Task& task = k.CreateTask("confined", Cred::ForUser(1000, 1000), nullptr);
+    task.exe_path = "/bin/confined";
+    tasks.push_back(&task);
+  }
+  auto records = [&k] { return k.audit_log().size() + k.audit_dropped(); };
+  // One call, alone, says how many denials a call audits.
+  const uint64_t before = records();
+  ASSERT_EQ(k.Open(*tasks[0], "/tmp/data", kORdOnly).code(), Errno::kEACCES);
+  const uint64_t per_call = records() - before;
+  EXPECT_GT(per_call, 0u);
+
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> allowed{0};
+  for (Task* task : tasks) {
+    sched.StartTask(task->pid, [&, task] {
+      for (int c = 0; c < kCalls; ++c) {
+        if (k.Open(*task, "/tmp/data", kORdOnly).code() != Errno::kEACCES) {
+          ++allowed;
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  EXPECT_EQ(allowed.load(), 0);
+  EXPECT_EQ(records() - before, (1 + kTasks * kCalls) * per_call);
+  for (const std::string& record : k.audit_log()) {
+    EXPECT_EQ(record.rfind("apparmor: /bin/confined denied ", 0), 0u) << record;
+  }
 }
 
 // --- Kernel churn across threads ---------------------------------------------

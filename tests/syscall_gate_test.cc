@@ -106,7 +106,7 @@ TEST_F(SyscallGateTest, GetPidRoutesThroughGate) {
 
 TEST_F(SyscallGateTest, TraceRecordsCarryErrno) {
   Task& alice = User(1000);
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   EXPECT_EQ(kernel_.Open(alice, "/etc/secret", kORdOnly).code(), Errno::kEACCES);
   auto trace = SyscallRoots(kernel_);
   ASSERT_FALSE(trace.empty());
@@ -120,7 +120,7 @@ TEST_F(SyscallGateTest, TraceRecordsCarryErrno) {
 
 TEST_F(SyscallGateTest, TraceRingIsBounded) {
   Task& alice = User(1000);
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   for (int i = 0; i < 300; ++i) {
     (void)kernel_.GetPid(alice);
   }
@@ -138,7 +138,7 @@ TEST_F(SyscallGateTest, SeccompDenialHappensBeforeLsmHooks) {
                   .ok());
   int spy_before = spy_->socket_create_calls;
   uint64_t stack_before = kernel_.lsm().HookInvocations(LsmHook::kSocketCreate);
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
 
   auto sock = kernel_.SocketCall(alice, kAfInet, kSockStream, 0);
   EXPECT_EQ(sock.code(), Errno::kEPERM);
@@ -506,7 +506,7 @@ TEST_F(SyscallGateTest, EveryPathSyscallIsRefusedAtItsWalk) {
     const SyscallGate::PerSyscall before = kernel_.syscalls().stats(c.nr);
     const uint64_t hooks_before = kernel_.lsm().TotalHookInvocations();
     const int capable_before = spy_->capable_calls;
-    kernel_.syscalls().ClearTrace();
+    kernel_.tracer().Clear();
 
     EXPECT_EQ(c.call(), Errno::kEPERM) << SysnoName(c.nr);
 

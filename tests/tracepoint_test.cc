@@ -1,5 +1,5 @@
 // Tracepoint subsystem tests: ring wraparound boundaries, decision-span
-// integrity across a wrap, per-point enable bits, read-side filters, the
+// integrity across a wrap, what gates emission, read-side filters, the
 // seccomp-killed trace/stats semantic, and the PR's acceptance criterion —
 // a denied mount(2) must be explainable end-to-end from /proc/protego/trace.
 
@@ -51,21 +51,24 @@ TEST(TracerTest, SpanTreeSurvivesRingWrap) {
   Clock clock;
   Tracer tracer(&clock, 4);
 
-  uint64_t span = tracer.BeginSpan(7);
-  // Six children through a 4-slot ring: only the last three survive
-  // alongside the root.
-  for (int i = 0; i < 6; ++i) {
-    TraceSlot ev = tracer.Emit(TracepointId::kLsmHook, 7);
-    ev->sname = "sb_mount";
-    ev->sdetail = "protego";
-    ev->svalue = "deny";
-  }
+  uint64_t span = 0;
   {
-    TraceSlot root = tracer.EmitSpanRoot(TracepointId::kSyscall, 7, span);
+    CallFrame frame(7, 165);
+    tracer.OpenSpan(frame);
+    span = frame.span;
+    // Six children through a 4-slot ring: only the last three survive
+    // alongside the root.
+    for (int i = 0; i < 6; ++i) {
+      TraceSlot ev = tracer.Emit(TracepointId::kLsmHook, 7);
+      ev->sname = "sb_mount";
+      ev->sdetail = "protego";
+      ev->svalue = "deny";
+    }
+    // The root is emitted while its frame is still the innermost.
+    TraceSlot root = tracer.Emit(TracepointId::kSyscall, 7);
     root->sname = "mount";
     root->code = static_cast<int>(Errno::kEPERM);
   }
-  tracer.EndSpan(7, span);
 
   auto snap = tracer.Snapshot();
   ASSERT_EQ(snap.size(), 4u);
@@ -89,27 +92,38 @@ TEST(TracerTest, SpanTreeSurvivesRingWrap) {
 TEST(TracerTest, EventsOfStillOpenSpanRenderAsOrphans) {
   Clock clock;
   Tracer tracer(&clock, 8);
-  uint64_t span = tracer.BeginSpan(3);
+  CallFrame frame(3, 165);
+  tracer.OpenSpan(frame);
   tracer.Emit(TracepointId::kCapable, 3)->sname = "CAP_SYS_ADMIN";
   // Span never rooted (as when /proc/protego/trace is read from inside the
   // reading syscall's own span): the child renders standalone, marked.
   std::string text = tracer.Format();
   EXPECT_NE(text.find("capable CAP_SYS_ADMIN -> denied"), std::string::npos);
   EXPECT_NE(text.find("[orphan span="), std::string::npos);
-  tracer.EndSpan(3, span);
 }
 
+// What gates emission: the master switch, then the call frame — an untraced
+// call mutes the span-scoped points inside it, never the ambient ones.
 TEST(TracerTest, EnableBitsGateEmission) {
   Clock clock;
   Tracer tracer(&clock, 8);
   EXPECT_TRUE(tracer.Enabled(TracepointId::kNetfilter));
-  tracer.set_point_enabled(TracepointId::kNetfilter, false);
-  EXPECT_FALSE(tracer.Enabled(TracepointId::kNetfilter));
-  EXPECT_TRUE(tracer.Enabled(TracepointId::kSyscall));
+  {
+    CallFrame untraced(3, 4);
+    EXPECT_FALSE(tracer.Enabled(TracepointId::kNetfilter));
+    EXPECT_TRUE(tracer.Enabled(TracepointId::kContextSwitch));
+    EXPECT_TRUE(tracer.Enabled(TracepointId::kFaultInject));
+    {
+      CallFrame traced(3, 2);
+      tracer.OpenSpan(traced);
+      EXPECT_TRUE(tracer.Enabled(TracepointId::kNetfilter));
+    }
+    EXPECT_FALSE(tracer.Enabled(TracepointId::kNetfilter));
+  }
   tracer.set_enabled(false);
   EXPECT_FALSE(tracer.Enabled(TracepointId::kSyscall));
+  EXPECT_FALSE(tracer.Enabled(TracepointId::kContextSwitch));
   tracer.set_enabled(true);
-  tracer.set_point_enabled(TracepointId::kNetfilter, true);
   EXPECT_TRUE(tracer.Enabled(TracepointId::kNetfilter));
 }
 
@@ -168,7 +182,7 @@ class TracepointGateTest : public ::testing::Test {
 };
 
 TEST_F(TracepointGateTest, GateRingWraparoundBoundaries) {
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   constexpr size_t kCap = SyscallGate::kTraceCapacity;
   for (size_t i = 0; i < kCap; ++i) {
     kernel_.GetPid(*alice_);
@@ -182,7 +196,7 @@ TEST_F(TracepointGateTest, GateRingWraparoundBoundaries) {
   ASSERT_EQ(snap.size(), kCap);
   EXPECT_EQ(snap.front().seq, 1u);
 
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   EXPECT_EQ(kernel_.tracer().dropped(), 0u);
   EXPECT_TRUE(SyscallRoots(kernel_).empty());
   // Spans keep working after a clear.
@@ -194,7 +208,7 @@ TEST_F(TracepointGateTest, GateRingWraparoundBoundaries) {
 
 TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   ASSERT_TRUE(kernel_.SeccompSetFilter(*alice_, {Sysno::kGetPid, Sysno::kSeccomp}).ok());
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   kernel_.syscalls().SetAllSyscallsTimed(true);
 
   kernel_.GetPid(*alice_);
@@ -227,13 +241,13 @@ TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   const SyscallGate::PerSyscall& g = kernel_.syscalls().stats(Sysno::kGetPid);
   EXPECT_EQ(g.lat_ns.count(), g.calls - g.seccomp_denied);
   EXPECT_GT(g.lat_ns.count(), 0u);
-  EXPECT_NE(kernel_.syscalls().FormatTrace().find("(seccomp)"), std::string::npos);
+  EXPECT_NE(kernel_.tracer().Format().find("(seccomp)"), std::string::npos);
 }
 
 TEST_F(TracepointGateTest, CredChangeAndCapableEventsAppearUnderTheSpan) {
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   ASSERT_TRUE(kernel_.Setuid(*root_, 1000).ok());
-  std::string text = kernel_.syscalls().FormatTrace();
+  std::string text = kernel_.tracer().Format();
   EXPECT_NE(text.find("setuid(1000) = 0"), std::string::npos);
   EXPECT_NE(text.find("capable CAP_SETUID -> granted"), std::string::npos);
   EXPECT_NE(text.find("cred:setuid pid="), std::string::npos);
@@ -243,7 +257,7 @@ TEST_F(TracepointGateTest, CredChangeAndCapableEventsAppearUnderTheSpan) {
 }
 
 TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   kernel_.GetPid(*alice_);
   kernel_.GetPid(*root_);
   ASSERT_TRUE(kernel_.Open(*root_, "/tmp/f", kOWrOnly | kOCreat).ok());
@@ -254,7 +268,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   auto f = ParseTraceQuery(StrFormat("?pid=%d", alice_->pid));
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  std::string text = kernel_.syscalls().FormatTrace();
+  std::string text = kernel_.tracer().Format();
   EXPECT_NE(text.find(StrFormat("pid=%d", alice_->pid)), std::string::npos);
   EXPECT_EQ(text.find(StrFormat("pid=%d", root_->pid)), std::string::npos);
   EXPECT_NE(text.find("# filter:"), std::string::npos);
@@ -263,7 +277,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   f = ParseTraceQuery("?syscall=open");
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  text = kernel_.syscalls().FormatTrace();
+  text = kernel_.tracer().Format();
   EXPECT_NE(text.find(" open("), std::string::npos);
   EXPECT_EQ(text.find(" getpid("), std::string::npos);
 
@@ -279,7 +293,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   f = ParseTraceQuery(StrFormat("?span=%llu", (unsigned long long)open_span));
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  text = kernel_.syscalls().FormatTrace();
+  text = kernel_.tracer().Format();
   EXPECT_NE(text.find(" open("), std::string::npos);
   EXPECT_EQ(text.find(" getpid("), std::string::npos);
 
@@ -287,7 +301,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   f = ParseTraceQuery("?");
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  text = kernel_.syscalls().FormatTrace();
+  text = kernel_.tracer().Format();
   EXPECT_NE(text.find(" getpid("), std::string::npos);
   EXPECT_EQ(text.find("# filter:"), std::string::npos);
 
@@ -305,11 +319,11 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   Kernel& kernel = sys.kernel();
   Task& alice = sys.Login("alice");
 
-  kernel.syscalls().ClearTrace();
+  kernel.tracer().Clear();
   auto denied = kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {});
   ASSERT_EQ(denied.code(), Errno::kEPERM);
 
-  std::string text = kernel.syscalls().FormatTrace();
+  std::string text = kernel.tracer().Format();
 
   // The span root: the strace-shaped mount record producing the errno.
   size_t root_pos = text.find("mount(\"/dev/sda1\", \"/mnt\", \"ext4\") = -1 EPERM");
@@ -326,6 +340,55 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   EXPECT_LT(module_pos, decision_pos);
 }
 
+// The line a rendered trace line sits under: the nearest earlier line with
+// less indentation ("" for a top-level line).
+std::string ParentLine(const std::string& text, const std::string& needle) {
+  std::vector<std::string> lines = Split(text, '\n');
+  auto depth = [](const std::string& line) { return line.find_first_not_of(' '); };
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find(needle) == std::string::npos) {
+      continue;
+    }
+    for (size_t j = i; j-- > 0;) {
+      if (depth(lines[j]) < depth(lines[i])) {
+        return lines[j];
+      }
+    }
+    return "";
+  }
+  ADD_FAILURE() << "no line contains " << needle << " in\n" << text;
+  return "";
+}
+
+// Netfilter verdicts carry no pid (pid 0): they nest under the sendto whose
+// packet they judged because each event takes the span of the call running
+// on the emitting thread.
+TEST(TracepointSimTest, PingNetfilterVerdictsRenderBeneathSendto) {
+  SimSystem sys(SimMode::kProtego);
+  Task& alice = sys.Login("alice");
+  sys.kernel().tracer().Clear();
+  ASSERT_EQ(sys.Run(alice, "/bin/ping", {"ping", "10.0.0.2", "1"}).value_or(-1), 0);
+  std::string text = sys.kernel().tracer().Format();
+  EXPECT_NE(ParentLine(text, "netfilter chain=OUTPUT -> ACCEPT").find(" sendto("),
+            std::string::npos)
+      << text;
+  EXPECT_NE(ParentLine(text, "netfilter chain=INPUT -> ").find(" sendto("), std::string::npos)
+      << text;
+}
+
+// Likewise the mount table's vfs:mount event renders beneath the mount(2)
+// root that changed the table.
+TEST(TracepointSimTest, UserMountEventRendersBeneathMount) {
+  SimSystem sys(SimMode::kProtego);
+  Task& alice = sys.Login("alice");
+  sys.kernel().tracer().Clear();
+  ASSERT_EQ(sys.Run(alice, "/bin/mount", {"mount", "/dev/cdrom"}).value_or(-1), 0);
+  std::string text = sys.kernel().tracer().Format();
+  EXPECT_NE(ParentLine(text, "vfs:mount /dev/cdrom on /media/cdrom").find(" mount(\""),
+            std::string::npos)
+      << text;
+}
+
 // Regression: with only mount traced (the control-plane set), each untraced
 // open still emitted one orphan lsm_hook event per module — the per-module
 // guard ignored the thread mute that every other span-scoped point honours.
@@ -336,18 +399,18 @@ TEST(TracepointSimTest, UntracedSyscallEmitsNoLsmHookEvents) {
   kernel.syscalls().SetAllSyscallsTraced(false);
   kernel.syscalls().SetSyscallTraced(Sysno::kMount, true);
 
-  kernel.syscalls().ClearTrace();
+  kernel.tracer().Clear();
   for (int i = 0; i < 4; ++i) {
     auto fd = kernel.Open(alice, "/etc/passwd", kORdOnly);
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(kernel.Close(alice, fd.value()).ok());
   }
   for (const TraceEvent& ev : kernel.tracer().Snapshot()) {
-    EXPECT_NE(ev.tp, TracepointId::kLsmHook) << kernel.syscalls().FormatTrace();
+    EXPECT_NE(ev.tp, TracepointId::kLsmHook) << kernel.tracer().Format();
   }
 
   ASSERT_EQ(kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {}).code(), Errno::kEPERM);
-  std::string text = kernel.syscalls().FormatTrace();
+  std::string text = kernel.tracer().Format();
   EXPECT_NE(text.find("lsm:sb_mount module=protego -> "), std::string::npos) << text;
   EXPECT_EQ(text.find("[orphan"), std::string::npos) << text;
 }
@@ -368,9 +431,9 @@ TEST(TracepointSimTest, ProcTraceWritesControlFilterAndToggle) {
   EXPECT_FALSE(kernel.vfs().WriteFile("/proc/protego/trace", "garbage").ok());
 
   ASSERT_TRUE(kernel.vfs().WriteFile("/proc/protego/trace", "off").ok());
-  EXPECT_FALSE(kernel.syscalls().trace_enabled());
+  EXPECT_FALSE(kernel.tracer().enabled());
   ASSERT_TRUE(kernel.vfs().WriteFile("/proc/protego/trace", "on").ok());
-  EXPECT_TRUE(kernel.syscalls().trace_enabled());
+  EXPECT_TRUE(kernel.tracer().enabled());
 }
 
 }  // namespace
