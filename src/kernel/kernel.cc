@@ -109,6 +109,18 @@ void Kernel::CollectKernelMetrics(MetricsBuilder& b) const {
   b.Counter("protego_lsm_fail_closed_total",
             "LSM hook dispatches denied because a fault was injected.", {},
             lsm_.fail_closed_denials());
+  auto contended = [&b](const char* lock, uint64_t n) {
+    b.Counter("protego_lock_contended_total",
+              "Lock acquisitions that found the lock held against them.", {{"lock", lock}}, n);
+  };
+  contended("vfs_tree", vfs_.tree_lock_contended());
+  contended("vfs_data", vfs_.data_lock_contended());
+  contended("vfs_watch", vfs_.watch_lock_contended());
+  contended("netfilter_rules", net_.netfilter().rules_lock_contended());
+  contended("routing", net_.routes().lock_contended());
+  contended("net_raw", net_.raw_lock_contended());
+  contended("net_topo", net_.topo_lock_contended());
+  contended("binary_registry", registry_mu_.contended());
   b.Gauge("protego_open_files", "Open file descriptions across all tasks.", {},
           static_cast<double>(OpenFileCount()));
   b.Gauge("protego_tasks", "Live tasks.", {},
@@ -174,14 +186,14 @@ Result<Unit> Kernel::InstallBinary(const std::string& path, uint32_t mode, Uid u
   ASSIGN_OR_RETURN(Vnode * node, vfs_.CreateFile(path, mode, uid, gid, "\177ELF " + path));
   vfs_.SetInodeMode(node, mode);
   std::string canonical = vfs_.PathOf(node);
-  std::unique_lock<std::shared_mutex> lk(registry_mu_);
+  std::unique_lock<RwLock> lk(registry_mu_);
   binaries_[std::move(canonical)] = BinaryEntry{std::move(main), CapSet{}};
   return OkUnit();
 }
 
 void Kernel::SetFileCaps(const std::string& path, CapSet caps) {
   std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
-  std::unique_lock<std::shared_mutex> lk(registry_mu_);
+  std::unique_lock<RwLock> lk(registry_mu_);
   auto it = binaries_.find(canonical);
   if (it != binaries_.end()) {
     it->second.file_caps = caps;
@@ -190,7 +202,7 @@ void Kernel::SetFileCaps(const std::string& path, CapSet caps) {
 
 bool Kernel::HasBinary(const std::string& path) const {
   std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
-  std::shared_lock<std::shared_mutex> lk(registry_mu_);
+  std::shared_lock<RwLock> lk(registry_mu_);
   return binaries_.count(canonical) != 0;
 }
 
@@ -781,7 +793,7 @@ Result<Unit> Kernel::WriteWholeFile(Task& task, const std::string& path, std::st
 // --- Mounts --------------------------------------------------------------------
 
 void Kernel::RegisterFsType(const std::string& fstype, FsTypeFactory factory) {
-  std::unique_lock<std::shared_mutex> lk(registry_mu_);
+  std::unique_lock<RwLock> lk(registry_mu_);
   fs_types_[fstype] = std::move(factory);
 }
 
@@ -815,7 +827,7 @@ Result<Unit> Kernel::MountImpl(Task& task, const std::string& source, const std:
   }
   FsTypeFactory factory;
   {
-    std::shared_lock<std::shared_mutex> lk(registry_mu_);
+    std::shared_lock<RwLock> lk(registry_mu_);
     auto it = fs_types_.find(fstype);
     if (it == fs_types_.end()) {
       return Error(Errno::kENODEV, "unknown filesystem type " + fstype);
@@ -1181,13 +1193,13 @@ void Kernel::RegisterBinaryFilter(const std::string& path, SeccompFilter filter)
   // Keyed by the canonical path, which a missing binary also has: the
   // directory's canonical path and the binary's name.
   std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
-  std::unique_lock<std::shared_mutex> lk(registry_mu_);
+  std::unique_lock<RwLock> lk(registry_mu_);
   binary_filters_[std::move(canonical)] =
       std::make_shared<const SeccompFilter>(std::move(filter));
 }
 
 void Kernel::ClearBinaryFilters() {
-  std::unique_lock<std::shared_mutex> lk(registry_mu_);
+  std::unique_lock<RwLock> lk(registry_mu_);
   binary_filters_.clear();
 }
 
@@ -1363,7 +1375,7 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
   RETURN_IF_ERROR(CheckPermission(task, full, inode, kMayExec));
   BinaryEntry bin;
   {
-    std::shared_lock<std::shared_mutex> lk(registry_mu_);
+    std::shared_lock<RwLock> lk(registry_mu_);
     auto bin_it = binaries_.find(full);
     if (bin_it == binaries_.end()) {
       return Error(Errno::kENOEXEC, full);
@@ -1414,7 +1426,7 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
   // strangle the target it execs). Self-installs via SeccompSetFilter keep
   // the one-way intersection latch.
   {
-    std::shared_lock<std::shared_mutex> lk(registry_mu_);
+    std::shared_lock<RwLock> lk(registry_mu_);
     if (!binary_filters_.empty()) {
       auto fit = binary_filters_.find(full);
       if (fit != binary_filters_.end()) {
@@ -1602,7 +1614,7 @@ Result<std::optional<Packet>> Kernel::RecvCallImpl(Task& task, int fd) {
 // --- ioctl --------------------------------------------------------------------------
 
 void Kernel::RegisterIoctlHandler(uint32_t major, uint32_t minor, IoctlHandler handler) {
-  std::unique_lock<std::shared_mutex> lk(registry_mu_);
+  std::unique_lock<RwLock> lk(registry_mu_);
   ioctl_handlers_[(static_cast<uint64_t>(major) << 32) | minor] = std::move(handler);
 }
 
@@ -1697,7 +1709,7 @@ Result<std::string> Kernel::IoctlImpl(Task& task, int fd, uint32_t request,
   }
   IoctlHandler handler;
   {
-    std::shared_lock<std::shared_mutex> lk(registry_mu_);
+    std::shared_lock<RwLock> lk(registry_mu_);
     auto it = ioctl_handlers_.find((static_cast<uint64_t>(inode.rdev_major) << 32) |
                                    inode.rdev_minor);
     if (it == ioctl_handlers_.end()) {

@@ -26,6 +26,7 @@
 #include "src/base/clock.h"
 #include "src/base/metrics.h"
 #include "src/base/result.h"
+#include "src/base/rw_lock.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/kernel/audit_ring.h"
@@ -494,7 +495,7 @@ class Kernel {
   // Read-mostly registries: populated at boot (unique lock), consulted on
   // every execve/mount/ioctl (shared lock, entry copied out so the callable
   // runs lock-free — program mains nest further syscalls).
-  mutable std::shared_mutex registry_mu_;
+  mutable RwLock registry_mu_;
   std::map<std::string, BinaryEntry> binaries_;
   std::map<std::string, FsTypeFactory> fs_types_;
   std::map<uint64_t, IoctlHandler> ioctl_handlers_;  // (major<<32)|minor

@@ -26,17 +26,17 @@ std::string Packet::ToString() const {
 }
 
 void Netfilter::Append(NfRule rule) {
-  std::unique_lock<std::shared_mutex> lk(rules_mu_);
+  std::unique_lock<RwLock> lk(rules_mu_);
   rules_.push_back(std::move(rule));
 }
 
 void Netfilter::Insert(NfRule rule) {
-  std::unique_lock<std::shared_mutex> lk(rules_mu_);
+  std::unique_lock<RwLock> lk(rules_mu_);
   rules_.insert(rules_.begin(), std::move(rule));
 }
 
 int Netfilter::DeleteByComment(const std::string& comment) {
-  std::unique_lock<std::shared_mutex> lk(rules_mu_);
+  std::unique_lock<RwLock> lk(rules_mu_);
   size_t before = rules_.size();
   rules_.erase(std::remove_if(rules_.begin(), rules_.end(),
                               [&](const NfRule& r) { return r.comment == comment; }),
@@ -45,12 +45,12 @@ int Netfilter::DeleteByComment(const std::string& comment) {
 }
 
 void Netfilter::Flush() {
-  std::unique_lock<std::shared_mutex> lk(rules_mu_);
+  std::unique_lock<RwLock> lk(rules_mu_);
   rules_.clear();
 }
 
 size_t Netfilter::RuleCount(NfChain chain) const {
-  std::shared_lock<std::shared_mutex> lk(rules_mu_);
+  std::shared_lock<RwLock> lk(rules_mu_);
   size_t n = 0;
   for (const NfRule& r : rules_) {
     if (r.chain == chain) {
@@ -118,7 +118,7 @@ NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
     }
     return NfVerdict::kDrop;
   }
-  std::shared_lock<std::shared_mutex> lk(rules_mu_);
+  std::shared_lock<RwLock> lk(rules_mu_);
   for (const NfRule& rule : rules_) {
     if (rule.chain != chain) {
       continue;
@@ -149,7 +149,7 @@ NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
 }
 
 std::string Netfilter::ListRules() const {
-  std::shared_lock<std::shared_mutex> lk(rules_mu_);
+  std::shared_lock<RwLock> lk(rules_mu_);
   std::string out;
   for (const NfRule& rule : rules_) {
     out += SerializeNfRule(rule);

@@ -19,6 +19,7 @@
 
 #include "src/base/result.h"
 #include "src/base/attribution.h"
+#include "src/base/rw_lock.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/net/packet.h"
@@ -93,7 +94,7 @@ class Netfilter {
 
   // Returns a copy so callers never iterate concurrently with a rule edit.
   std::vector<NfRule> rules() const {
-    std::shared_lock<std::shared_mutex> lk(rules_mu_);
+    std::shared_lock<RwLock> lk(rules_mu_);
     return rules_;
   }
 
@@ -112,6 +113,8 @@ class Netfilter {
   uint64_t fail_closed_drops() const {
     return fail_closed_drops_.load(std::memory_order_relaxed);
   }
+  // Contended acquisitions of the rule lock (exported as a metric).
+  uint64_t rules_lock_contended() const { return rules_mu_.contended(); }
 
  private:
   bool Matches(const NfMatch& match, const Packet& packet) const;
@@ -124,7 +127,7 @@ class Netfilter {
   // the shared lock held and takes a Network port-table shard; Network
   // never evaluates a chain while holding one of its own locks, so the
   // order rules_mu_ -> port shard is acyclic.
-  mutable std::shared_mutex rules_mu_;
+  mutable RwLock rules_mu_;
   std::vector<NfRule> rules_;
   PortOwnerFn port_owner_;
   Tracer* tracer_ = nullptr;

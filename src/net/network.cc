@@ -45,7 +45,7 @@ Socket& Network::CreateSocket(int family, int type, int protocol, Uid owner,
     shard.sockets.emplace(created->id, std::move(sock));
   }
   if (IsRawSocket(*created)) {
-    std::unique_lock<std::shared_mutex> lk(raw_mu_);
+    std::unique_lock<RwLock> lk(raw_mu_);
     raw_sockets_.push_back(created);
   }
   return *created;
@@ -82,7 +82,7 @@ void Network::DestroySocket(int id) {
   // No fd references remain, so nothing rebinds it; unhash it from every
   // table delivery can reach it through before freeing.
   if (IsRawSocket(*dead)) {
-    std::unique_lock<std::shared_mutex> lk(raw_mu_);
+    std::unique_lock<RwLock> lk(raw_mu_);
     raw_sockets_.erase(std::find(raw_sockets_.begin(), raw_sockets_.end(), dead.get()));
     return;
   }
@@ -203,22 +203,22 @@ Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
 }
 
 bool Network::IsLocalAddress(Ipv4 ip) const {
-  std::shared_lock<std::shared_mutex> lk(topo_mu_);
+  std::shared_lock<RwLock> lk(topo_mu_);
   return std::find(local_addrs_.begin(), local_addrs_.end(), ip) != local_addrs_.end();
 }
 
 void Network::AddLocalAddress(Ipv4 ip) {
-  std::unique_lock<std::shared_mutex> lk(topo_mu_);
+  std::unique_lock<RwLock> lk(topo_mu_);
   local_addrs_.push_back(ip);
 }
 
 void Network::AddRemoteHost(RemoteHost host) {
-  std::unique_lock<std::shared_mutex> lk(topo_mu_);
+  std::unique_lock<RwLock> lk(topo_mu_);
   hosts_.push_back(std::move(host));
 }
 
 const RemoteHost* Network::FindHost(Ipv4 ip) const {
-  std::shared_lock<std::shared_mutex> lk(topo_mu_);
+  std::shared_lock<RwLock> lk(topo_mu_);
   for (const RemoteHost& host : hosts_) {
     if (host.ip == ip) {
       return &host;
@@ -228,7 +228,7 @@ const RemoteHost* Network::FindHost(Ipv4 ip) const {
 }
 
 PppChannel& Network::NewPppUnit() {
-  std::unique_lock<std::shared_mutex> lk(topo_mu_);
+  std::unique_lock<RwLock> lk(topo_mu_);
   PppChannel chan;
   chan.unit = static_cast<int>(ppp_units_.size());
   ppp_units_.push_back(chan);
@@ -236,7 +236,7 @@ PppChannel& Network::NewPppUnit() {
 }
 
 PppChannel* Network::FindPppUnit(int unit) {
-  std::shared_lock<std::shared_mutex> lk(topo_mu_);
+  std::shared_lock<RwLock> lk(topo_mu_);
   if (unit < 0 || static_cast<size_t>(unit) >= ppp_units_.size()) {
     return nullptr;
   }
@@ -319,7 +319,7 @@ void Network::DeliverLocal(const Packet& packet, int netns) {
     }
   }
   // Raw sockets see matching-protocol traffic (ICMP sniffing for ping).
-  std::shared_lock<std::shared_mutex> lk(raw_mu_);
+  std::shared_lock<RwLock> lk(raw_mu_);
   for (Socket* sock : raw_sockets_) {
     if (sock->netns == netns && (sock->protocol == 0 || sock->protocol == packet.l4_proto)) {
       std::lock_guard<std::mutex> sock_lk(sock->mu);

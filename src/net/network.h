@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/base/rw_lock.h"
 #include "src/net/netfilter.h"
 #include "src/net/packet.h"
 #include "src/net/routing.h"
@@ -156,6 +157,7 @@ class Network {
   Netfilter& netfilter() { return netfilter_; }
   const Netfilter& netfilter() const { return netfilter_; }
   RoutingTable& routes() { return routes_; }
+  const RoutingTable& routes() const { return routes_; }
 
   // Statistics (benchmarks and tests).
   uint64_t packets_sent() const { return packets_sent_.load(std::memory_order_relaxed); }
@@ -163,6 +165,9 @@ class Network {
     return packets_delivered_.load(std::memory_order_relaxed);
   }
   uint64_t packets_dropped() const { return netfilter_.dropped(); }
+  // Contended acquisitions of the raw-socket and topology locks.
+  uint64_t raw_lock_contended() const { return raw_mu_.contended(); }
+  uint64_t topo_lock_contended() const { return topo_mu_.contended(); }
 
  private:
   static constexpr size_t kShards = 16;
@@ -190,12 +195,12 @@ class Network {
   std::array<SocketShard, kShards> socket_shards_;
   std::array<PortShard, kShards> port_shards_;
 
-  std::shared_mutex raw_mu_;
+  RwLock raw_mu_;
   std::vector<Socket*> raw_sockets_;
 
   // deques: FindHost/NewPppUnit hand out pointers that must survive later
   // insertions (a vector's push_back would reallocate them away).
-  mutable std::shared_mutex topo_mu_;
+  mutable RwLock topo_mu_;
   std::deque<RemoteHost> hosts_;
   std::vector<Ipv4> local_addrs_;
   std::deque<PppChannel> ppp_units_;

@@ -18,7 +18,7 @@ bool RoutingTable::PrefixContains(Ipv4 net, int prefix_len, Ipv4 addr) {
 }
 
 bool RoutingTable::Conflicts(const RouteEntry& candidate) const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
+  std::shared_lock<RwLock> lk(mu_);
   for (const RouteEntry& e : entries_) {
     int shorter = std::min(e.prefix_len, candidate.prefix_len);
     if (PrefixContains(e.dst, shorter, candidate.dst) ||
@@ -30,7 +30,7 @@ bool RoutingTable::Conflicts(const RouteEntry& candidate) const {
 }
 
 Result<Unit> RoutingTable::Add(RouteEntry entry) {
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::unique_lock<RwLock> lk(mu_);
   for (const RouteEntry& e : entries_) {
     if (e.dst == entry.dst && e.prefix_len == entry.prefix_len) {
       return Error(Errno::kEEXIST, entry.ToString());
@@ -41,7 +41,7 @@ Result<Unit> RoutingTable::Add(RouteEntry entry) {
 }
 
 Result<Unit> RoutingTable::Remove(Ipv4 dst, int prefix_len) {
-  std::unique_lock<std::shared_mutex> lk(mu_);
+  std::unique_lock<RwLock> lk(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->dst == dst && it->prefix_len == prefix_len) {
       entries_.erase(it);
@@ -52,7 +52,7 @@ Result<Unit> RoutingTable::Remove(Ipv4 dst, int prefix_len) {
 }
 
 std::optional<RouteEntry> RoutingTable::Lookup(Ipv4 dst) const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
+  std::shared_lock<RwLock> lk(mu_);
   const RouteEntry* best = nullptr;
   for (const RouteEntry& e : entries_) {
     if (PrefixContains(e.dst, e.prefix_len, dst)) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/base/rw_lock.h"
 #include "src/net/packet.h"
 
 namespace protego {
@@ -46,13 +47,15 @@ class RoutingTable {
   // Returns a copy: callers iterate without holding the table lock, so a
   // concurrent route add/remove cannot invalidate their iterators.
   std::vector<RouteEntry> entries() const {
-    std::shared_lock<std::shared_mutex> lk(mu_);
+    std::shared_lock<RwLock> lk(mu_);
     return entries_;
   }
   void Clear() {
-    std::unique_lock<std::shared_mutex> lk(mu_);
+    std::unique_lock<RwLock> lk(mu_);
     entries_.clear();
   }
+  // Contended acquisitions of the table lock (exported as a metric).
+  uint64_t lock_contended() const { return mu_.contended(); }
 
   static bool PrefixContains(Ipv4 net, int prefix_len, Ipv4 addr);
 
@@ -61,7 +64,7 @@ class RoutingTable {
   // Note Protego's check-then-add across two acquisitions (Conflicts in the
   // ioctl hook, Add in the handler) is itself a TOCTTOU window — that is the
   // semantic race the corpus exercises; the lock only keeps memory safe.
-  mutable std::shared_mutex mu_;
+  mutable RwLock mu_;
   std::vector<RouteEntry> entries_;
 };
 

@@ -43,9 +43,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "src/base/rw_lock.h"
 #include "src/config/bindconf.h"
 #include "src/config/fstab.h"
 #include "src/config/passwd_db.h"
@@ -117,7 +119,8 @@ class ProtegoLsm : public SecurityModule {
   // bumped. On failure (including an injected kPolicyCompile fault) nothing
   // is published — the live snapshot and the generation stay exactly as
   // they were. Writers serialize on a mutex so two concurrent swaps cannot
-  // lose each other's tables; readers never block.
+  // lose each other's tables; readers wait only while a swap stores its
+  // pointer.
 
   [[nodiscard]] Result<Unit> SetMountPolicy(std::vector<FstabEntry> whitelist);
   [[nodiscard]] Result<Unit> SetBindTable(std::vector<BindConfEntry> table);
@@ -125,12 +128,14 @@ class ProtegoLsm : public SecurityModule {
   [[nodiscard]] Result<Unit> SetUserDb(UserDb db);
   [[nodiscard]] Result<Unit> SetPppOptions(PppOptions options);
 
-  // The current snapshot. The mutex makes the publication in
+  // The current snapshot. The lock makes the publication in
   // CompileAndPublish visible (it is released there before the generation
   // bump), so a reader that observed generation G also observes at least
-  // generation G's engine. The critical section is one shared_ptr copy.
+  // generation G's engine. Readers take it shared, so concurrent hook
+  // dispatches do not serialize on it; the critical section is one
+  // shared_ptr copy.
   PolicyRef policy() const {
-    std::lock_guard<std::mutex> lk(policy_mu_);
+    std::shared_lock<RwLock> lk(policy_mu_);
     return policy_;
   }
 
@@ -142,6 +147,8 @@ class ProtegoLsm : public SecurityModule {
   UserDb user_db() const { return policy()->user_db; }
   PppOptions ppp_options() const { return policy()->ppp_options; }
   const ProtegoStats& stats() const { return stats_; }
+  // Contended acquisitions of the snapshot lock (exported as a metric).
+  uint64_t policy_lock_contended() const { return policy_mu_.contended(); }
 
   // --- LSM hooks -------------------------------------------------------------
 
@@ -190,7 +197,7 @@ class ProtegoLsm : public SecurityModule {
 
   Kernel* kernel_;
   // Guards only the pointer itself; snapshots are immutable once published.
-  mutable std::mutex policy_mu_;
+  mutable RwLock policy_mu_;
   PolicyRef policy_;
   std::mutex swap_mu_;  // serializes writers (clone → compile → publish)
   mutable ProtegoStats stats_;

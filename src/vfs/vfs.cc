@@ -169,7 +169,7 @@ Result<Vnode*> Vfs::Resolve(std::string_view path) const {
 }
 
 std::string Vfs::PathOf(const Vnode* node) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   return PathOfLocked(node);
 }
 
@@ -254,7 +254,7 @@ Result<Vnode*> Vfs::CreateSynthetic(std::string_view path, uint32_t perms, Synth
 }
 
 Result<Vnode*> Vfs::EnsureDirs(std::string_view path) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  std::unique_lock<RwLock> lk(tree_mu_);
   while (true) {
     WalkResult w = WalkLocked("/", path, /*follow=*/true);
     if (w.err == Errno::kOk) {
@@ -368,7 +368,7 @@ Result<std::string> Vfs::ReadNode(const Vnode* node) const {
     }
     return inode.synthetic->read();
   }
-  std::shared_lock<std::shared_mutex> lk(DataStripe(inode.ino));
+  std::shared_lock<RwLock> lk(DataStripe(inode.ino));
   return inode.data;
 }
 
@@ -388,10 +388,10 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
     // The write handler may re-enter the VFS (policy reloads resolve and
     // read config files), so it runs with no lock held.
     RETURN_IF_ERROR(inode.synthetic->write(data));
-    std::unique_lock<std::shared_mutex> lk(DataStripe(inode.ino));
+    std::unique_lock<RwLock> lk(DataStripe(inode.ino));
     inode.mtime = NowMtime();
   } else {
-    std::unique_lock<std::shared_mutex> lk(DataStripe(inode.ino));
+    std::unique_lock<RwLock> lk(DataStripe(inode.ino));
     // Block accounting: charge growth (fault site + quota check BEFORE the
     // data mutates — a refused write leaves the file byte-identical),
     // release shrinkage. Files populated outside LinkLocked are charged in
@@ -431,7 +431,7 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
 }
 
 Result<std::vector<std::string>> Vfs::ListDir(const Vnode* node) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   if (!node->inode().IsDir()) {
     return Error(Errno::kENOTDIR, PathOfLocked(node));
   }
@@ -439,18 +439,18 @@ Result<std::vector<std::string>> Vfs::ListDir(const Vnode* node) const {
 }
 
 Inode Vfs::SnapshotInode(const Vnode* node) const {
-  std::shared_lock<std::shared_mutex> tree_lk(tree_mu_);
-  std::shared_lock<std::shared_mutex> data_lk(DataStripe(node->inode().ino));
+  std::shared_lock<RwLock> tree_lk(tree_mu_);
+  std::shared_lock<RwLock> data_lk(DataStripe(node->inode().ino));
   return node->inode();
 }
 
 void Vfs::SetInodeMode(Vnode* node, uint32_t perms) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  std::unique_lock<RwLock> lk(tree_mu_);
   node->inode().mode = (node->inode().mode & kIfMask) | (perms & kPermMask);
 }
 
 void Vfs::SetInodeOwner(Vnode* node, Uid uid, Gid gid, bool clear_sbits) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  std::unique_lock<RwLock> lk(tree_mu_);
   Inode& inode = node->inode();
   inode.uid = uid;
   inode.gid = gid;
@@ -472,7 +472,7 @@ Result<Unit> Vfs::WriteFile(std::string_view path, std::string_view data) {
 Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::string fstype,
                              std::vector<std::string> options, Uid mounter,
                              const MountPopulator& populate) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  std::unique_lock<RwLock> lk(tree_mu_);
   if (at.err != Errno::kOk) {
     return Error(at.err, at.path);
   }
@@ -509,7 +509,7 @@ Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::stri
 }
 
 Result<Unit> Vfs::RemoveMountAt(Vnode* mount_root) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  std::unique_lock<RwLock> lk(tree_mu_);
   MountEntry* entry = mount_root->mount_root_of_;
   if (entry == nullptr) {
     return Error(Errno::kEINVAL, "not mounted: " + PathOfLocked(mount_root));
@@ -548,7 +548,7 @@ void Vfs::TraceMount(const char* what, std::string detail) const {
 }
 
 std::string Vfs::FormatMounts() const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   std::string out;
   for (const auto& m : mounts_) {
     out += StrFormat("%s %s %s %s %u\n", m->source.c_str(), PathOfLocked(m->covered).c_str(),
@@ -559,20 +559,28 @@ std::string Vfs::FormatMounts() const {
   return out;
 }
 
+uint64_t Vfs::data_lock_contended() const {
+  uint64_t total = 0;
+  for (const DataStripeLock& stripe : data_mu_) {
+    total += stripe.mu.contended();
+  }
+  return total;
+}
+
 size_t Vfs::orphan_count() const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   return orphans_.size();
 }
 
 int Vfs::AddWatch(std::string path, WatchCallback cb) {
   int id = next_watch_id_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(watch_mu_);
+  std::unique_lock<RwLock> lk(watch_mu_);
   watches_.push_back(Watch{id, std::move(path), std::move(cb)});
   return id;
 }
 
 void Vfs::RemoveWatch(int watch_id) {
-  std::lock_guard<std::mutex> lk(watch_mu_);
+  std::unique_lock<RwLock> lk(watch_mu_);
   watches_.erase(std::remove_if(watches_.begin(), watches_.end(),
                                 [&](const Watch& w) { return w.id == watch_id; }),
                  watches_.end());
@@ -612,7 +620,7 @@ uint64_t ChargedBytesUnder(const Vnode* node) {
 Result<Unit> Vfs::AuditBlockAccounting() const {
   // Takes the tree lock only: the walk reads file data sizes, so callers
   // (the fault-sweep harness, tests) run it with data writers quiescent.
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   uint64_t recomputed = ChargedBytesUnder(root_.get());
   for (const auto& mount : mounts_) {
     recomputed += ChargedBytesUnder(mount->root.get());
@@ -633,24 +641,23 @@ Result<Unit> Vfs::AuditBlockAccounting() const {
 }
 
 void Vfs::DispatchEvents(PendingEvents& events) const {
-  if (events.empty()) {
-    return;
-  }
   for (auto& [event, path] : events) {
-    // Copy the matching watches under the watch lock, then invoke with no
-    // lock held: a callback may add/remove watches or re-enter the VFS.
-    std::vector<Watch> active;
+    // Match under the shared watch lock and copy only the callbacks that
+    // match (usually none), then invoke them with no lock held: a callback
+    // may add/remove watches or re-enter the VFS.
+    std::vector<WatchCallback> matched;
     {
-      std::lock_guard<std::mutex> lk(watch_mu_);
-      active = watches_;
-    }
-    for (const Watch& watch : active) {
-      bool match = path == watch.path ||
-                   (StartsWith(path, watch.path) && path.size() > watch.path.size() &&
-                    (watch.path == "/" || path[watch.path.size()] == '/'));
-      if (match) {
-        watch.callback(event, path);
+      std::shared_lock<RwLock> lk(watch_mu_);
+      for (const Watch& watch : watches_) {
+        if (path == watch.path ||
+            (StartsWith(path, watch.path) && path.size() > watch.path.size() &&
+             (watch.path == "/" || path[watch.path.size()] == '/'))) {
+          matched.push_back(watch.callback);
+        }
       }
+    }
+    for (const WatchCallback& callback : matched) {
+      callback(event, path);
     }
   }
 }

@@ -10,25 +10,31 @@
 // The kernel, every policy layer and the mount table decide on that path
 // and act on the vnodes the walk returned.
 //
-// Locking (parallel mode):
-//   * tree_mu_ (reader-writer): the directory structure — children maps,
-//     parent links, mount covers, the mount table, and the orphan list.
-//     Walks and PathOf take it shared; create/unlink/rename/mount and
-//     chmod/chown-style metadata updates take it unique. Striped per-path
-//     dentry locks would admit more write parallelism; spool-style
-//     workloads (mail's create/rename/unlink per message) do serialize on
-//     this writer lock, but one tree lock with striped DATA locks (below)
-//     keeps the deadlock surface small.
+// Locking (parallel mode). Every lock is an RwLock (src/base/rw_lock.h):
+// barging, so a release never waits for a sleeping thread to be scheduled,
+// and writer-preferring, so a waiting writer turns new readers away.
+//   * tree_mu_: the directory structure — children maps, parent links,
+//     mount covers, the mount table, and the orphan list. Walks and PathOf
+//     take it shared; create/unlink/rename/mount and chmod/chown-style
+//     metadata updates take it unique. Spool workloads (mail's
+//     create/rename/unlink per message) still take it unique for every
+//     mutation, but each section is short and the lock passes straight to
+//     the next runnable thread, so they no longer convoy behind a wake-up.
+//     Per-directory locks would let writers in different directories run
+//     in parallel; one tree lock keeps the deadlock surface small.
 //   * data_mu_[ino % kDataStripes]: file contents, mtime, and the block
-//     charge flag. Reads take the stripe shared, writes unique — so N
-//     threads stream N different files without touching the tree lock's
-//     writer path. Safe without the tree lock because unlinked vnodes are
-//     kept alive on the orphan list (a Vnode* never dangles).
+//     charge flag, one cache line per stripe. Reads take the stripe shared,
+//     writes unique — so N threads stream N different files without
+//     touching the tree lock's writer path. Safe without the tree lock
+//     because unlinked vnodes are kept alive on the orphan list (a Vnode*
+//     never dangles).
+//   * watch_mu_: the watch list; dispatch matches events under it shared.
 //   * Watch callbacks NEVER run under a lock: mutations queue events and
 //     the public entry points dispatch them after unlocking, because
 //     watchers (the monitoring daemon) re-enter the VFS from their
 //     callbacks. Lock order is tree_mu_ before data stripe; neither is
-//     held across user callbacks (watches, synthetic file generators).
+//     held across user callbacks (watches, synthetic file generators) or a
+//     scheduler yield, and no path takes one of them shared twice.
 //   * Returned Vnode* remain valid forever (orphan pinning, unmounted
 //     trees included); inode METADATA (mode/uid/gid) is guarded by tree_mu_
 //     via the SetInode* helpers, and scalar counters are relaxed atomics.
@@ -51,6 +57,7 @@
 #include "src/base/clock.h"
 #include "src/base/result.h"
 #include "src/base/attribution.h"
+#include "src/base/rw_lock.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/vfs/inode.h"
@@ -169,6 +176,12 @@ class Vfs {
   // Path resolutions performed since boot (exported as a metric).
   uint64_t resolves() const { return resolves_.load(std::memory_order_relaxed); }
 
+  // Contended acquisitions of the tree lock, the data stripes (summed) and
+  // the watch lock since boot (exported as metrics).
+  uint64_t tree_lock_contended() const { return tree_mu_.contended(); }
+  uint64_t data_lock_contended() const;
+  uint64_t watch_lock_contended() const { return watch_mu_.contended(); }
+
   // --- Block accounting ------------------------------------------------------
   //
   // Regular-file data bytes are charged against a filesystem-wide quota
@@ -205,7 +218,7 @@ class Vfs {
   // symlink targets spliced in place, a final one followed when `follow` is
   // set or the path ends in '/'. Counts as one resolve.
   WalkResult Walk(std::string_view cwd, std::string_view path, bool follow) const {
-    std::shared_lock<std::shared_mutex> lk(tree_mu_);
+    std::shared_lock<RwLock> lk(tree_mu_);
     return WalkLocked(cwd, path, follow);
   }
 
@@ -306,7 +319,7 @@ class Vfs {
   // The uid that mounted the filesystem whose root `node` is (FindMount:
   // whose root `mountpoint` walks to), or nullopt when it is no mount root.
   std::optional<Uid> MounterOf(const Vnode* node) const {
-    std::shared_lock<std::shared_mutex> lk(tree_mu_);
+    std::shared_lock<RwLock> lk(tree_mu_);
     if (node == nullptr || node->mount_root_of_ == nullptr) {
       return std::nullopt;
     }
@@ -332,9 +345,7 @@ class Vfs {
   using PendingEvents = std::vector<std::pair<FsEvent, std::string>>;
 
   static constexpr size_t kDataStripes = 16;
-  std::shared_mutex& DataStripe(uint64_t ino) const {
-    return data_mu_[ino % kDataStripes];
-  }
+  RwLock& DataStripe(uint64_t ino) const { return data_mu_[ino % kDataStripes].mu; }
 
   // Lock-free internals; callers hold tree_mu_ (shared for walks, unique
   // for mutation).
@@ -349,7 +360,7 @@ class Vfs {
   auto Mutate(Fn&& fn) {
     PendingEvents events;
     auto result = [&] {
-      std::unique_lock<std::shared_mutex> lk(tree_mu_);
+      std::unique_lock<RwLock> lk(tree_mu_);
       return fn(&events);
     }();
     DispatchEvents(events);
@@ -384,9 +395,13 @@ class Vfs {
   // read-only fields above, read on every walk, must not share it.
   alignas(64) std::atomic<uint64_t> bytes_used_{0};  // charged regular-file data bytes
   mutable std::atomic<uint64_t> resolves_{0};  // accounting from const Resolve()
-  mutable std::shared_mutex tree_mu_;          // directory structure + metadata
-  mutable std::shared_mutex data_mu_[kDataStripes];  // file contents by ino
-  mutable std::mutex watch_mu_;                // watch list
+  mutable RwLock tree_mu_;                     // directory structure + metadata
+  // One line per stripe: threads writing different files share no line.
+  struct alignas(64) DataStripeLock {
+    RwLock mu;
+  };
+  mutable DataStripeLock data_mu_[kDataStripes];  // file contents by ino
+  mutable RwLock watch_mu_;                       // watch list
   std::unique_ptr<Vnode> root_;
   // Vnodes unlinked or displaced by rename stay alive here until the Vfs is
   // destroyed: open file descriptions hold raw Vnode*, and on a real system

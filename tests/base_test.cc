@@ -1,15 +1,23 @@
 // Unit tests for src/base: strings, lexer, hashing, the Result error model,
-// the virtual clock, and the per-thread shard primitive.
+// the virtual clock, the per-thread shard primitive and the reader-writer
+// lock.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <new>
+#include <shared_mutex>
+#include <thread>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/hash.h"
 #include "src/base/lexer.h"
 #include "src/base/result.h"
+#include "src/base/rw_lock.h"
 #include "src/base/strings.h"
 #include "src/base/thread_shards.h"
 
@@ -168,6 +176,129 @@ TEST(ThreadShardsTest, RecycledAddressGetsAFreshShard) {
   second->ForEach([&](const Counter&) { ++visited; });
   EXPECT_EQ(visited, 1);
   second->~Shards();
+}
+
+// --- RwLock --------------------------------------------------------------------
+
+// Polls `done` until it holds or `limit` passes; false on timeout.
+template <typename Pred>
+bool WaitFor(Pred done, std::chrono::milliseconds limit = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Four threads increment a plain counter under the lock and read it under
+// the shared lock: the total is exact, and TSan sees no race.
+TEST(RwLockTest, ExclusionKeepsAPlainCounterExact) {
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 20000;
+  RwLock mu;
+  uint64_t counter = 0;
+  std::atomic<int> backwards{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      uint64_t last = 0;
+      for (int i = 0; i < kIncrements; ++i) {
+        {
+          std::unique_lock<RwLock> lk(mu);
+          ++counter;
+        }
+        std::shared_lock<RwLock> lk(mu);
+        if (counter < last) {
+          backwards.fetch_add(1);
+        }
+        last = counter;
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(counter, uint64_t{kThreads} * kIncrements);
+  EXPECT_EQ(backwards.load(), 0);
+}
+
+TEST(RwLockTest, ReadersShare) {
+  RwLock mu;
+  std::shared_lock<RwLock> held(mu);
+  EXPECT_FALSE(mu.try_lock());
+  std::atomic<bool> entered{false};
+  std::thread reader([&] {
+    std::shared_lock<RwLock> lk(mu);
+    entered = true;
+  });
+  EXPECT_TRUE(WaitFor([&] { return entered.load(); }));
+  held.unlock();
+  reader.join();
+  EXPECT_EQ(mu.contended(), 0u);
+  EXPECT_TRUE(mu.try_lock());
+  mu.unlock();
+}
+
+// Writer preference: once a writer waits, a new reader is turned away, and
+// one that blocks enters only after the writer has had its turn.
+TEST(RwLockTest, WaitingWriterHoldsOffNewReaders) {
+  RwLock mu;
+  std::shared_lock<RwLock> held(mu);
+  std::atomic<bool> wrote{false};
+  std::thread writer([&] {
+    std::unique_lock<RwLock> lk(mu);
+    wrote = true;
+  });
+  EXPECT_TRUE(WaitFor([&] {
+    if (!mu.try_lock_shared()) {
+      return true;
+    }
+    mu.unlock_shared();
+    return false;
+  }));
+  std::atomic<bool> saw_write{false};
+  std::thread reader([&] {
+    std::shared_lock<RwLock> lk(mu);
+    saw_write = wrote.load();
+  });
+  EXPECT_TRUE(WaitFor([&] { return mu.contended() == 2; }));
+  EXPECT_FALSE(wrote.load());
+  held.unlock();
+  writer.join();
+  reader.join();
+  EXPECT_TRUE(wrote.load());
+  EXPECT_TRUE(saw_write.load());
+}
+
+// A waiter that has parked (slept on the word, long past its spin) wakes
+// within a bounded time of the release, whether it waits to read or to
+// write.
+TEST(RwLockTest, ParkedReaderAndWriterWakeAfterUnlock) {
+  using Clock = std::chrono::steady_clock;
+  for (const bool exclusive : {false, true}) {
+    RwLock mu;
+    mu.lock();
+    std::atomic<Clock::rep> acquired{0};
+    std::thread waiter([&] {
+      if (exclusive) {
+        std::unique_lock<RwLock> lk(mu);
+        acquired = Clock::now().time_since_epoch().count();
+      } else {
+        std::shared_lock<RwLock> lk(mu);
+        acquired = Clock::now().time_since_epoch().count();
+      }
+    });
+    EXPECT_TRUE(WaitFor([&] { return mu.contended() == 1; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const Clock::time_point released = Clock::now();
+    mu.unlock();
+    waiter.join();
+    const auto woke = Clock::time_point(Clock::duration(acquired.load())) - released;
+    EXPECT_LT(woke, std::chrono::seconds(1)) << (exclusive ? "writer" : "reader");
+  }
 }
 
 }  // namespace

@@ -725,6 +725,85 @@ TEST(ParallelStress, AppArmorDenialsReachTheAuditRing) {
   }
 }
 
+// --- Spool deliveries ---------------------------------------------------------
+//
+// The mail workload's cycle from four tasks at once, each in its own 1777
+// spool directory (create the tmp file, write it, rename it into place,
+// stat it, unlink it), while a fifth task lists and stats every spool. Each
+// cycle takes the VFS tree lock unique three times against the lister's
+// shared holds. Every cycle succeeds, the lister only ever sees the two
+// names a spool can hold, and each unlink leaves exactly one orphan.
+TEST(ParallelStress, ConcurrentSpoolDeliveries) {
+  constexpr int kWriters = 4;
+  constexpr int kCycles = 2000;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  Task& root = k.CreateTask("root", Cred::Root(), nullptr);
+  std::vector<std::string> spools;
+  for (int t = 0; t < kWriters; ++t) {
+    spools.push_back("/var/spool/q" + std::to_string(t));
+    ASSERT_TRUE(k.vfs().EnsureDirs(spools.back()).ok());
+    ASSERT_TRUE(k.Chmod(root, spools.back(), 01777).ok());
+  }
+  const size_t orphans_before = k.vfs().orphan_count();
+  std::vector<Task*> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.push_back(&k.CreateTask("exim", Cred::ForUser(1000 + t, 1000 + t), nullptr));
+  }
+  Task& lister = k.CreateTask("mailq", Cred::Root(), nullptr);
+
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> failed{0};
+  std::atomic<int> strays{0};
+  std::atomic<int> writers_left{kWriters};
+  for (int t = 0; t < kWriters; ++t) {
+    Task* task = writers[static_cast<size_t>(t)];
+    const std::string tmp = spools[static_cast<size_t>(t)] + "/in.tmp";
+    const std::string msg = spools[static_cast<size_t>(t)] + "/msg";
+    sched.StartTask(task->pid, [&, task, tmp, msg] {
+      for (int c = 0; c < kCycles; ++c) {
+        auto fd = k.Open(*task, tmp, kOWrOnly | kOCreat, 0600);
+        const bool ok = fd.ok() && k.Write(*task, fd.value(), "Received: by protego-sim\n").ok() &&
+                        k.Close(*task, fd.value()).ok() && k.Rename(*task, tmp, msg).ok() &&
+                        k.Stat(*task, msg).ok() && k.Unlink(*task, msg).ok();
+        if (!ok) {
+          ++failed;
+        }
+      }
+      --writers_left;
+    });
+  }
+  sched.StartTask(lister.pid, [&] {
+    do {
+      for (const std::string& spool : spools) {
+        auto names = k.ReadDir(lister, spool);
+        if (!names.ok()) {
+          ++failed;
+          continue;
+        }
+        for (const std::string& name : names.value()) {
+          if (name != "in.tmp" && name != "msg") {
+            ++strays;
+          }
+          // Renamed or unlinked since the listing: ENOENT.
+          auto st = k.Stat(lister, spool + "/" + name);
+          if (!st.ok() && st.code() != Errno::kENOENT) {
+            ++failed;
+          }
+        }
+      }
+    } while (writers_left.load() > 0);
+  });
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(strays.load(), 0);
+  EXPECT_EQ(k.vfs().orphan_count() - orphans_before, size_t{kWriters} * kCycles);
+  EXPECT_EQ(k.OpenFileCount(), 0u);
+}
+
 // --- Kernel churn across threads ---------------------------------------------
 //
 // Several threads each boot and destroy kernels back to back. A kernel
