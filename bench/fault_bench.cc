@@ -6,17 +6,16 @@
 // Configurations measured (getpid = null syscall; open+close = fd + VFS
 // + LSM path, crossing three fault sites per iteration):
 //   disabled        no site armed: the any_enabled() fast path
-//   armed-filtered  a site armed with a never-matching pid filter — the
-//                   thread-local ctx mask admits it to a two-compare filter
-//                   check that declines without touching shared site state
+//   armed-filtered  a site armed with a never-matching pid filter — every
+//                   crossing reads the evaluated site's own armed flag, and
+//                   the armed site declines on its pid compare, without
+//                   touching shared site state
 //   armed-1/1024    probabilistic injection on fd_alloc; the workload
 //                   swallows the occasional EMFILE (real injection cost
 //                   amortized into the mean)
 //
-// The disabled row is the regression gate: CI compares it against the
-// armed rows and (more importantly) against the syscall_gate bench history.
-// The JSON also carries the pre-armed-mask rows (recorded before the
-// per-site mask landed) so the before/after delta survives regeneration.
+// The disabled row is the one every syscall pays; the armed rows are
+// relative to it.
 
 #include <algorithm>
 #include <cstdio>
@@ -140,39 +139,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"note\": \"rows_pre_armed_mask: the BENCH_faults.json rows "
-               "committed by the PR that introduced this bench, i.e. the "
-               "armed-path cost before the per-site precomputed armed mask "
-               "(per-site config walk + evaluations-counter RMW on every "
-               "armed-site crossing). Recorded on that PR's host; absolute "
-               "ns/op varies across hosts, so compare "
-               "overhead_vs_disabled_pct within each row set\",\n");
-  std::fprintf(f, "  \"rows_pre_armed_mask\": [\n");
-  struct BeforeRow {
-    const char* workload;
-    const char* config;
-    double ns_per_op;
-    double overhead_pct;
-  };
-  // The rows committed immediately before the armed-mask change (see git
-  // history for BENCH_faults.json).
-  const BeforeRow kBefore[] = {
-      {"getpid", "disabled", 6.81, 0.00},
-      {"open+close", "disabled", 744.36, 0.00},
-      {"getpid", "armed-filtered", 6.86, 0.72},
-      {"open+close", "armed-filtered", 764.88, 2.76},
-      {"getpid", "armed-1/1024", 10.70, 57.12},
-      {"open+close", "armed-1/1024", 946.09, 27.10},
-  };
-  constexpr size_t kBeforeCount = sizeof(kBefore) / sizeof(kBefore[0]);
-  for (size_t i = 0; i < kBeforeCount; ++i) {
-    std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"config\": \"%s\", \"ns_per_op\": %.2f, "
-                 "\"overhead_vs_disabled_pct\": %.2f}%s\n",
-                 kBefore[i].workload, kBefore[i].config, kBefore[i].ns_per_op,
-                 kBefore[i].overhead_pct, i + 1 < kBeforeCount ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+               "  \"note\": \"an armed registry reads the evaluated site's own armed "
+               "flag; a site that is not armed, or whose pid/sysno filter misses "
+               "the running call, declines before any counter write. Absolute ns/op "
+               "varies across hosts, so compare overhead_vs_disabled_pct\"\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
   return 0;

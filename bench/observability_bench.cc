@@ -23,10 +23,10 @@
 // paper's stat-class row), and a policy-denied mount(2) (hook-heaviest
 // path, and always in the traced set under `default`).
 //
-// A macro section runs the web-serve mix with the layer profiler armed (a
-// profiled run also times every syscall) and enforces the attribution
-// identity: summed per-layer self time within 10% of the end-to-end root
-// time. The metrics blob embedded in the JSON is the size-bounded sorted
+// A macro section runs the web-serve mix with every syscall timed, which
+// is what arms layer attribution (it follows the timed set), and enforces
+// the attribution identity: summed per-layer self time within 10% of the
+// end-to-end root time. The metrics blob embedded in the JSON is the size-bounded sorted
 // excerpt (MetricsRegistry::JsonExcerpt), not the full export, so bench
 // diffs stay reviewable.
 

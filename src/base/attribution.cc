@@ -31,43 +31,35 @@ const char* LayerName(Layer layer) {
   return "?";
 }
 
-void LayerProfiler::Enter(Layer layer) {
-  Shard& shard = shards_.Mine();
-  if (shard.depth >= kMaxDepth) {
-    // Too deep to attribute: count the drop but keep the stack balanced by
-    // tracking the phantom depth (Exit decrements it back).
-    shard.dropped.fetch_add(1, std::memory_order_relaxed);
-    ++shard.depth;
-    return;
-  }
-  Frame& f = shard.stack[shard.depth];
-  f.layer = layer;
-  f.start_ns = MonotonicNanos();
-  f.child_ns = 0;
-  uint64_t parent_path = shard.depth == 0 ? 0 : shard.stack[shard.depth - 1].path;
-  f.path = (parent_path << kPathBits) | (static_cast<uint64_t>(layer) + 1);
-  ++shard.depth;
+void LayerScope::Open(CallFrame& frame, Layer layer) {
+  frame_ = &frame;
+  parent_ = frame.scope;
+  layer_ = layer;
+  depth_ = parent_ == nullptr ? 1 : parent_->depth_ + 1;
+  const uint64_t level = static_cast<uint64_t>(layer) + 1;
+  path_ = parent_ == nullptr ? level : (parent_->path_ << kPathBits) | level;
+  child_ns_ = 0;
+  frame.scope = this;
+  start_ns_ = MonotonicNanos();
 }
 
-void LayerProfiler::Exit() {
-  Shard& shard = shards_.Mine();
-  if (shard.depth == 0) {
-    return;  // unbalanced Exit (enable raced a scope); tolerate
+void LayerScope::Close() {
+  // Children ran inside [start_ns_, now), so their sum never exceeds dur.
+  const uint64_t dur = MonotonicNanos() - start_ns_;
+  const uint64_t self = dur - child_ns_;
+  frame_->scope = parent_;
+  LayerProfiler::Shard& shard = frame_->profiler->shards_.Mine();
+  shard.self_ns[static_cast<size_t>(layer_)].Observe(self);
+  if (depth_ <= LayerProfiler::kMaxDepth) {
+    LayerProfiler::Fold(shard, path_, self);
+  } else {
+    shard.dropped.fetch_add(1, std::memory_order_relaxed);  // too deep to fold
   }
-  --shard.depth;
-  if (shard.depth >= kMaxDepth) {
-    return;  // closing a phantom overflow frame
-  }
-  Frame& f = shard.stack[shard.depth];
-  uint64_t dur = MonotonicNanos() - f.start_ns;
-  uint64_t self = dur > f.child_ns ? dur - f.child_ns : 0;
-  shard.self_ns[static_cast<size_t>(f.layer)].Observe(self);
-  Fold(shard, f.path, self);
-  if (shard.depth == 0) {
+  if (parent_ == nullptr) {
     shard.root_ns.fetch_add(dur, std::memory_order_relaxed);
     shard.root_count.fetch_add(1, std::memory_order_relaxed);
   } else {
-    shard.stack[shard.depth - 1].child_ns += dur;
+    parent_->child_ns_ += dur;
   }
 }
 
@@ -169,7 +161,6 @@ std::vector<LayerProfiler::FoldedEntry> LayerProfiler::Folded() const {
 
 std::string LayerProfiler::FormatProfile() const {
   std::string out;
-  out += StrFormat("# layer-profile enabled=%d\n", enabled() ? 1 : 0);
   uint64_t self_total = 0;
   for (size_t i = 0; i < kLayerCount; ++i) {
     LayerTotals t = Totals(static_cast<Layer>(i));

@@ -1,27 +1,35 @@
-// Per-layer latency attribution: where does a syscall's time actually go?
+// Per-layer latency attribution: where does a timed syscall's time go?
 //
-// A LayerProfiler maintains, per thread, a small stack of open layer frames
-// (gate, seccomp filter, DAC, LSM module walk, VFS resolution, netfilter,
-// fault registry, plus the observability pipeline's own bookkeeping). Each
-// frame accumulates SELF time — its wall-clock duration minus the durations
-// of the frames nested inside it — so the per-layer totals telescope: summed
-// over every layer they equal the total inclusive time of the top-level
-// (gate) frames. That identity is the self-check the observability bench
-// enforces ("summed per-layer self-time within 10% of end-to-end span
+// Attribution follows the timed set, the one latency switch: the gate puts
+// the kernel's LayerProfiler on a timed call's CallFrame
+// (src/base/call_frame.h), and a LayerScope opened while the innermost frame
+// carries one becomes a layer frame — gate, seccomp filter, DAC, LSM module
+// walk, VFS resolution, netfilter, fault registry, plus the observability
+// pipeline's own bookkeeping. "timed=all" profiles every call, "timed=mount"
+// only mounts. Scopes link to their parent through the call frame, which
+// holds the innermost open one; a call nested inside another (Spawn's
+// execve) starts from its caller's, so a timed nested call folds beneath the
+// scope that made it and an untimed one stays part of that scope's self time.
+//
+// Each scope accumulates SELF time — its wall-clock duration minus the
+// durations of the scopes nested inside it — so the per-layer totals
+// telescope: summed over every layer they equal the total inclusive time of
+// the root (gate) scopes. That identity is the self-check the observability
+// bench enforces ("summed per-layer self-time within 10% of end-to-end span
 // time").
 //
-// Each exit also folds the frame's layer PATH (gate;lsm;vfs)
-// into a fixed-size per-shard table, which /proc/protego/profile renders as
-// a folded-stack profile — the flamegraph input format, one line per
-// distinct path with its hit count and self nanoseconds.
+// Each close also folds the scope's layer PATH (gate;lsm;vfs) into a
+// fixed-size per-shard table, which /proc/protego/profile renders as a
+// folded-stack profile — the flamegraph input format, one line per distinct
+// path with its hit count and self nanoseconds.
 //
 // Accumulators live on ThreadShards: one single-writer shard per emitting
 // thread. All of them are relaxed atomics, so a metrics scrape racing live
-// frames reads torn-free values; exact totals (like the trace ring) expect
+// scopes reads torn-free values; exact totals (like the trace ring) expect
 // emitters to be quiescent. The folded table is open-addressed with a fixed
 // slot count — no rehash, no allocation, no reader/writer UB — and paths
-// beyond its capacity or deeper than the frame stack are counted as drops,
-// never silently lost.
+// beyond its capacity or deeper than kMaxDepth are counted as drops (a
+// scope too deep to fold still keeps its self time).
 //
 // Self-time uses the monotonic wall clock, not the virtual clock: the
 // virtual clock only moves when a test advances it, so layer attribution in
@@ -29,9 +37,8 @@
 // totals vary run to run; the deterministic quantities (frame counts and
 // the set of folded paths) are what the determinism tests compare.
 //
-// Disabled (the default), Enter/Exit are never called: LayerScope checks
-// one relaxed atomic and stays inert, so the hot path pays a pointer test
-// and a load per instrumented region.
+// Outside a timed call a scope stays inert: it costs one thread-local load
+// and a test of the frame's profiler pointer.
 
 #ifndef SRC_BASE_ATTRIBUTION_H_
 #define SRC_BASE_ATTRIBUTION_H_
@@ -41,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/call_frame.h"
 #include "src/base/metrics.h"
 #include "src/base/thread_shards.h"
 
@@ -66,8 +74,9 @@ const char* LayerName(Layer layer);
 
 class LayerProfiler {
  public:
-  // Frame stack depth per thread; nested Spawn/Execve chains re-enter the
-  // gate, so the budget allows several full gate->leaf nestings.
+  // The deepest folded path: a path packs 4 bits per level into 64. Nested
+  // Spawn/Execve chains re-enter the gate, so this allows several full
+  // gate->leaf nestings.
   static constexpr size_t kMaxDepth = 16;
   // Folded-path table slots per shard. Distinct layer paths number in the
   // dozens (the layer alphabet is 8 wide and stacks are shallow), so 128
@@ -78,15 +87,6 @@ class LayerProfiler {
   LayerProfiler(const LayerProfiler&) = delete;
   LayerProfiler& operator=(const LayerProfiler&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
-  // Opens/closes a frame on the calling thread. Call only while enabled —
-  // LayerScope (below) captures engagement at entry so a mid-span toggle
-  // cannot unbalance the stack.
-  void Enter(Layer layer);
-  void Exit();
-
   // --- Read side (merged across shards; exact when emitters are quiescent) --
 
   struct LayerTotals {
@@ -96,12 +96,11 @@ class LayerProfiler {
   };
   LayerTotals Totals(Layer layer) const;
 
-  // Inclusive wall time and count of top-level frames (depth-0 exits). By
-  // the telescoping identity, sum over layers of self_ns == root_ns when
-  // every frame closed inside a root.
+  // Inclusive wall time and count of root scopes. By the telescoping
+  // identity, sum over layers of self_ns == root_ns when every scope closed.
   uint64_t root_ns() const;
   uint64_t root_count() const;
-  // Frames lost to stack-depth or folded-table overflow.
+  // Frames too deep to fold, or lost to folded-table overflow.
   uint64_t dropped() const;
 
   struct FoldedEntry {
@@ -124,12 +123,7 @@ class LayerProfiler {
   void CollectMetrics(MetricsBuilder& b) const;
 
  private:
-  struct Frame {
-    Layer layer = Layer::kGate;
-    uint64_t start_ns = 0;
-    uint64_t child_ns = 0;  // inclusive time of already-closed children
-    uint64_t path = 0;      // packed layer path, 4 bits per level
-  };
+  friend class LayerScope;
 
   // One open-addressed folded-path cell. The owner thread is the only
   // writer; `path` is atomic so a concurrent reader never sees a torn key.
@@ -140,8 +134,6 @@ class LayerProfiler {
   };
 
   struct Shard {
-    Frame stack[kMaxDepth];
-    size_t depth = 0;  // owner-thread only; may exceed kMaxDepth (overflow)
     Histogram self_ns[kLayerCount];  // per-layer self time; count() = frames
     FoldedCell folded[kFoldedSlots];
     std::atomic<uint64_t> root_ns{0};
@@ -152,31 +144,41 @@ class LayerProfiler {
   static void Fold(Shard& shard, uint64_t path, uint64_t self_ns);
   static std::string PathString(uint64_t path);
 
-  std::atomic<bool> enabled_{false};
   ThreadShards<Shard> shards_;
 };
 
-// RAII layer frame. Engagement is decided ONCE at construction (profiler
-// attached and enabled), so a concurrent enable/disable cannot unbalance
-// Enter/Exit pairs.
+// RAII layer frame. Engagement is decided once, at construction: the scope
+// opens only when the thread's innermost call is timed, and then closes
+// into that call's profiler whatever the timed set becomes meanwhile.
 class LayerScope {
  public:
-  LayerScope(LayerProfiler* profiler, Layer layer) {
-    if (profiler != nullptr && profiler->enabled()) {
-      profiler_ = profiler;
-      profiler_->Enter(layer);
+  explicit LayerScope(Layer layer) {
+    CallFrame* frame = CallFrame::Current();
+    if (frame != nullptr && frame->profiler != nullptr) {
+      Open(*frame, layer);
     }
   }
   ~LayerScope() {
-    if (profiler_ != nullptr) {
-      profiler_->Exit();
+    if (frame_ != nullptr) {
+      Close();
     }
   }
   LayerScope(const LayerScope&) = delete;
   LayerScope& operator=(const LayerScope&) = delete;
 
  private:
-  LayerProfiler* profiler_ = nullptr;
+  void Open(CallFrame& frame, Layer layer);
+  void Close();
+
+  CallFrame* frame_ = nullptr;  // the timed call this scope runs in; null = inert
+  // Written by Open and read only by Close, so an inert scope, on every
+  // untimed call, stores nothing but frame_.
+  LayerScope* parent_;  // the enclosing open scope (nullptr = a root)
+  uint64_t start_ns_;
+  uint64_t child_ns_;  // inclusive time of closed child scopes
+  uint64_t path_;      // packed layer path, 4 bits per level
+  uint32_t depth_;     // 1 for a root
+  Layer layer_;
 };
 
 }  // namespace protego

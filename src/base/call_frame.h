@@ -9,7 +9,10 @@
 //     call mutes the span-scoped points emitted inside it;
 //   - the fault registry matches its pid/syscall filters against it;
 //   - the gate's path check reads the call's arguments and deferred filter
-//     from it and records its verdict there.
+//     from it and records its verdict there;
+//   - layer attribution (src/base/attribution.h) opens its scopes only
+//     under a timed call, which carries the profiler, and links them
+//     through the frame's innermost open scope.
 // A frame lives on the stack of the thread running the call, so reading or
 // writing it takes no lock and touches no shared line.
 //
@@ -28,12 +31,18 @@ namespace protego {
 
 struct SyscallArgs;
 class SeccompFilter;
+class LayerProfiler;
+class LayerScope;
 
 class CallFrame {
  public:
   // Pushes the frame as the calling thread's innermost; the destructor pops
-  // it, so frames nest with the C++ scopes that hold them.
-  CallFrame(int task_pid, int nr) : pid(task_pid), sysno(nr), up(tls_top_) { tls_top_ = this; }
+  // it, so frames nest with the C++ scopes that hold them. A nested call
+  // starts from its caller's innermost layer scope.
+  CallFrame(int task_pid, int nr)
+      : pid(task_pid), sysno(nr), up(tls_top_), scope(up != nullptr ? up->scope : nullptr) {
+    tls_top_ = this;
+  }
   ~CallFrame() { tls_top_ = up; }
   CallFrame(const CallFrame&) = delete;
   CallFrame& operator=(const CallFrame&) = delete;
@@ -69,6 +78,11 @@ class CallFrame {
   std::shared_ptr<const SeccompFilter> filter;
   std::string* path = nullptr;  // the recorder's slot for the canonical path
   bool denied = false;          // the walk's check refused the call
+
+  // Layer attribution: the gate sets `profiler` only on a timed call;
+  // `scope` is the innermost open LayerScope on this thread.
+  LayerProfiler* profiler = nullptr;
+  LayerScope* scope;
 
  private:
   // Defined here, so every use site sees its constant initializer.

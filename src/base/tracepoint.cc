@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/base/hash.h"
 #include "src/base/result.h"
 #include "src/base/strings.h"
 
@@ -34,20 +35,6 @@ Tracer::Tracer(const Clock* clock, size_t capacity)
   }
 }
 
-namespace {
-
-// splitmix64 (same generator as the fault registry and the deterministic
-// scheduler): tiny, platform-identical, and each call advances the state by
-// a fixed gamma — the per-thread stream position IS the draw count.
-uint64_t SampleMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 void Tracer::set_all_sample_rates(uint32_t rate) {
   for (std::atomic<uint32_t>& r : sample_rate_) {
     r.store(rate == 0 ? 1 : rate, std::memory_order_relaxed);
@@ -68,7 +55,7 @@ bool Tracer::SampleKeep(TracepointId tp) {
     shard.sample_state = sample_seed_.load(std::memory_order_relaxed);
     shard.sample_key = gen;
   }
-  if (SampleMix64(&shard.sample_state) % rate == 0) {
+  if (SplitMix64(shard.sample_state) % rate == 0) {
     return true;
   }
   sampled_out_[static_cast<size_t>(tp)].fetch_add(1, std::memory_order_relaxed);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/base/hash.h"
+
 namespace protego::conc {
 
 namespace {
@@ -45,17 +47,6 @@ DetScheduler::~DetScheduler() {
 void DetScheduler::set_seed(uint64_t seed) {
   seed_ = seed;
   rng_state_ = seed;
-}
-
-uint64_t DetScheduler::NextRand() {
-  // splitmix64: tiny, high-quality, and identical on every platform — the
-  // same seed replays the same schedule everywhere (std::mt19937 would too,
-  // but distributions are not portable; raw modulo of this stream is).
-  rng_state_ += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = rng_state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d649bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 std::vector<uint32_t> DetScheduler::executed_choices() const {
@@ -134,7 +125,10 @@ DetScheduler::Unit* DetScheduler::ChooseNext(Unit* self, bool self_runnable) {
       break;  // all below start: wrap to runnable[0]
     }
     case SchedMode::kRandom:
-      chosen = static_cast<uint32_t>(NextRand() % runnable.size());
+      // splitmix64: the same seed replays the same schedule on every
+      // platform (raw modulo of this stream is portable; std distributions
+      // are not).
+      chosen = static_cast<uint32_t>(SplitMix64(rng_state_) % runnable.size());
       break;
     case SchedMode::kFixed: {
       if (next_choice_ < choices_.size()) {

@@ -146,7 +146,6 @@ class DetScheduler : public TaskScheduler {
   // Called by a finishing unit (holding mu_): pass the token on, or wake
   // stuck waiters, or declare the run complete.
   void FinishHandoff(Unit* self);
-  uint64_t NextRand();
 
   SchedMode mode_ = SchedMode::kRoundRobin;
   uint64_t seed_ = 1;

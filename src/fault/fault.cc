@@ -1,66 +1,10 @@
 #include "src/fault/fault.h"
 
 #include "src/base/call_frame.h"
+#include "src/base/hash.h"
 #include "src/base/strings.h"
 
 namespace protego {
-
-namespace {
-
-// Same generator as the deterministic scheduler's kRandom mode: replaying a
-// recorded seed reproduces the identical draw sequence. The state advance is
-// a single atomic fetch_add (splitmix64's whole point: the stream position
-// is just state + n*gamma), so concurrent draws each get a distinct,
-// deterministic position.
-uint64_t SplitMix64(std::atomic<uint64_t>* state) {
-  uint64_t z = state->fetch_add(0x9e3779b97f4a7c15ULL, std::memory_order_relaxed) +
-               0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-// Process-unique registry ids: a TlsArm cached for a destroyed registry can
-// never validate against a new registry allocated at the same address.
-std::atomic<uint32_t> g_next_registry_id{1};
-
-}  // namespace
-
-thread_local FaultRegistry::TlsArm FaultRegistry::tls_arm_;
-
-FaultRegistry::FaultRegistry()
-    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-void FaultRegistry::InvalidateArmMasks() {
-  // Release pairs with the acquire in ArmKey(): a thread that sees the new
-  // generation recomputes from the new configuration.
-  arm_gen_.fetch_add(1, std::memory_order_release);
-  tls_arm_.key = 0;  // this thread re-derives immediately
-}
-
-void FaultRegistry::RecomputeArmMask() {
-  // Snapshot the key BEFORE reading configs: if a concurrent Configure()
-  // bumps the generation mid-recompute, we store the pre-bump key with a
-  // possibly mixed mask, the next Evaluate() sees a mismatch, and the work
-  // is redone against the settled configuration.
-  const uint64_t key = ArmKey();
-  uint32_t mask = 0;
-  uint32_t ctx_mask = 0;
-  for (size_t i = 0; i < kFaultSiteCount; ++i) {
-    const FaultConfig& c = sites_[i].config;
-    if (!c.enabled) {
-      continue;
-    }
-    if (c.pid >= 0 || c.sysno >= 0) {
-      ctx_mask |= 1u << i;  // armed, but gated on the running call
-    } else {
-      mask |= 1u << i;
-    }
-  }
-  tls_arm_.mask = mask;
-  tls_arm_.ctx_mask = ctx_mask;
-  tls_arm_.key = key;
-}
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {
@@ -108,7 +52,7 @@ Result<Unit> FaultRegistry::Configure(FaultSite site, const FaultConfig& config)
   st.matched.store(0, std::memory_order_relaxed);
   st.injected.store(0, std::memory_order_relaxed);
   st.rng.store(config.seed, std::memory_order_relaxed);
-  InvalidateArmMasks();
+  st.armed.store(config.enabled, std::memory_order_release);
   return OkUnit();
 }
 
@@ -116,8 +60,8 @@ void FaultRegistry::Disable(FaultSite site) {
   SiteState& st = sites_[static_cast<size_t>(site)];
   if (st.config.enabled) {
     st.config.enabled = false;
+    st.armed.store(false, std::memory_order_release);
     enabled_count_.fetch_sub(1, std::memory_order_relaxed);
-    InvalidateArmMasks();
   }
 }
 
@@ -128,9 +72,9 @@ void FaultRegistry::Reset() {
     st.matched.store(0, std::memory_order_relaxed);
     st.injected.store(0, std::memory_order_relaxed);
     st.rng.store(0, std::memory_order_relaxed);
+    st.armed.store(false, std::memory_order_release);
   }
   enabled_count_.store(0, std::memory_order_relaxed);
-  InvalidateArmMasks();
 }
 
 Errno FaultRegistry::Evaluate(FaultSite site, int hook) {
@@ -139,37 +83,26 @@ Errno FaultRegistry::Evaluate(FaultSite site, int hook) {
   }
   // Attribution starts after the disabled fast path so a registry with no
   // enabled sites keeps paying exactly one load+branch.
-  LayerScope fault_scope(profiler_, Layer::kFaultRegistry);
-  // Armed registry: one thread-local mask test decides whether this site can
-  // inject. Sites that are not enabled return here without touching the
-  // (shared, contended) site state; armed sites carrying a pid/sysno filter
-  // re-check the running call and likewise decline untallied on a miss.
-  if (tls_arm_.key != ArmKey()) {
-    RecomputeArmMask();
-  }
-  const uint32_t bit = 1u << static_cast<size_t>(site);
+  LayerScope fault_scope(Layer::kFaultRegistry);
+  // A site that is not armed, or whose pid/sysno filter misses the running
+  // call, declines here without touching its (shared, contended) counters.
   SiteState& st = sites_[static_cast<size_t>(site)];
+  if (!st.armed.load(std::memory_order_acquire)) {
+    return Errno::kOk;
+  }
   const FaultConfig& c = st.config;
   const CallFrame* frame = CallFrame::Current();
   const int pid = frame != nullptr ? frame->pid : 0;
   const int sysno = frame != nullptr ? frame->sysno : -1;
-  if ((tls_arm_.mask & bit) == 0) {
-    if ((tls_arm_.ctx_mask & bit) == 0) {
-      return Errno::kOk;
-    }
-    if (c.pid >= 0 && pid != c.pid) {
-      return Errno::kOk;
-    }
-    if (c.sysno >= 0 && sysno != c.sysno) {
-      return Errno::kOk;
-    }
+  if ((c.pid >= 0 && pid != c.pid) || (c.sysno >= 0 && sysno != c.sysno)) {
+    return Errno::kOk;
   }
   const uint64_t eval_seq =
       st.evaluations.fetch_add(1, std::memory_order_relaxed) + 1;
   uint64_t match_seq = eval_seq;
   if (c.hook >= 0) {
-    // The hook id is per-call (not per-context), so it cannot be folded
-    // into the mask; sites without a hook filter skip the `matched` counter
+    // The hook id is per-call, so a hook miss still counts as an
+    // evaluation; sites without a hook filter skip the `matched` counter
     // entirely (it would always equal `evaluations`).
     if (hook != c.hook) {
       return Errno::kOk;
@@ -183,7 +116,11 @@ Errno FaultRegistry::Evaluate(FaultSite site, int hook) {
     return Errno::kOk;
   }
   if (c.prob_num < c.prob_den) {
-    if (SplitMix64(&st.rng) % c.prob_den >= c.prob_num) {
+    // The stream position is just state + n*gamma, so one fetch_add gives
+    // each concurrent draw a distinct, deterministic position.
+    const uint64_t state =
+        st.rng.fetch_add(kSplitMix64Gamma, std::memory_order_relaxed) + kSplitMix64Gamma;
+    if (SplitMix64Mix(state) % c.prob_den >= c.prob_num) {
       return Errno::kOk;
     }
   }

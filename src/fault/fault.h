@@ -11,26 +11,21 @@
 // errno and the caller fails exactly as if the real resource had run out.
 //
 // Determinism is the whole point: probability decisions come from a per-site
-// seeded splitmix64 stream (the same generator the deterministic scheduler
-// uses), interval/times counters are exact, and no wall-clock or global
-// randomness is consulted. A recorded {seed, site-config} tuple replays to
-// the identical injection sequence — under the deterministic scheduler, to
-// the identical system state. Every injection is stamped into the decision
-// trace via the kFaultInject tracepoint, so /proc/protego/trace shows *why*
-// a syscall failed.
+// seeded splitmix64 stream (src/base/hash.h, the generator every seeded
+// component draws from), interval/times counters are exact, and no
+// wall-clock or global randomness is consulted. A recorded {seed,
+// site-config} tuple replays to the identical injection sequence — under the
+// deterministic scheduler, to the identical system state. Every injection is
+// stamped into the decision trace via the kFaultInject tracepoint, so
+// /proc/protego/trace shows *why* a syscall failed.
 //
 // Hot-path discipline: when no site is enabled, Evaluate() is one counter
 // load and one branch (`enabled_count_ == 0`), so the disabled-site overhead
-// on the syscall path is ≈ 0. When sites ARE armed, evaluations of sites
-// that are not enabled cost one thread-local mask test: each thread caches
-// two per-site bitmasks keyed on (registry id, arm generation) — armed
-// unfiltered sites, and armed sites carrying pid/sysno filters. The masks
-// depend only on the configuration (never on the running call), so they
-// stay valid across calls and are recomputed only after
-// Configure/Disable/Reset. An unfiltered hit proceeds straight to the
-// injection gates; a filtered hit re-checks pid/sysno against the call
-// frame (src/base/call_frame.h) and declines without touching shared site
-// state on a miss (see bench/fault_bench).
+// on the syscall path is ≈ 0. When sites ARE armed, an evaluation reads the
+// site's own `armed` flag first: a site that is not armed, or whose pid/sysno
+// filter misses the running call (its CallFrame, src/base/call_frame.h),
+// declines there without touching the site's shared counters (see
+// bench/fault_bench).
 
 #ifndef SRC_FAULT_FAULT_H_
 #define SRC_FAULT_FAULT_H_
@@ -86,18 +81,17 @@ struct FaultConfig {
   uint64_t seed = 1;      // splitmix64 stream seed (recorded for replay)
 };
 
+// Evaluations of an armed registry inside a timed call run under a
+// `fault_registry` attribution scope (the disabled fast path stays
+// scope-free).
 class FaultRegistry {
  public:
-  FaultRegistry();
+  FaultRegistry() = default;
   FaultRegistry(const FaultRegistry&) = delete;
   FaultRegistry& operator=(const FaultRegistry&) = delete;
 
   // Injections are stamped into the kernel-wide decision trace.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
-  // Per-layer latency attribution: armed evaluations run under a
-  // `fault_registry` frame (the disabled fast path stays scope-free).
-  void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
 
   // --- Configuration (the /proc/protego/fault_inject write side) ----------
 
@@ -136,7 +130,7 @@ class FaultRegistry {
 
   // Evaluations that reached the site while it was enabled AND its
   // pid/sysno filters matched the running call (filter-excluded calls return
-  // at the armed-mask test without touching the site's counters).
+  // at the armed test without touching the site's counters).
   uint64_t evaluations(FaultSite site) const {
     return sites_[static_cast<size_t>(site)].evaluations;
   }
@@ -161,43 +155,16 @@ class FaultRegistry {
   // over-delivers.
   struct SiteState {
     FaultConfig config;
-    std::atomic<uint64_t> evaluations{0};  // passed the armed mask (see above)
+    // config.enabled, stored with release after `config` is written;
+    // Evaluate() loads it with acquire before it reads `config`.
+    std::atomic<bool> armed{false};
+    std::atomic<uint64_t> evaluations{0};  // passed the armed test (see above)
     std::atomic<uint64_t> matched{0};      // ...and passed the hook filter too
     std::atomic<uint64_t> injected{0};     // faults actually delivered
     std::atomic<uint64_t> rng{0};          // splitmix64 state, seeded at Configure()
   };
 
-  static_assert(kFaultSiteCount <= 32, "armed mask is a uint32_t bitset");
-
-  // Per-thread cache of "which sites are armed for this (registry,
-  // configuration)". `key` packs the owning registry's unique id with its
-  // arm generation; a configuration change bumps the generation, and a key
-  // mismatch is the only recompute trigger. `mask` holds armed unfiltered
-  // sites (one bit test admits them); `ctx_mask` holds armed sites with a
-  // pid/sysno filter, which Evaluate() re-checks against the running call.
-  struct TlsArm {
-    uint64_t key = 0;  // (registry id << 32) | arm generation; 0 = invalid
-    uint32_t mask = 0;
-    uint32_t ctx_mask = 0;
-  };
-
-  uint64_t ArmKey() const {
-    return (static_cast<uint64_t>(id_) << 32) |
-           arm_gen_.load(std::memory_order_acquire);
-  }
-  // Re-derives tls_arm_ for this registry from the current configuration;
-  // called only on a key mismatch.
-  void RecomputeArmMask();
-  // Bumps the arm generation after any configuration change
-  // (Configure/Disable/Reset).
-  void InvalidateArmMasks();
-
   Tracer* tracer_ = nullptr;
-  LayerProfiler* profiler_ = nullptr;
-  static thread_local TlsArm tls_arm_;
-  const uint32_t id_;  // process-unique, so a stale TlsArm from a destroyed
-                       // registry at the same address can never validate
-  std::atomic<uint32_t> arm_gen_{1};
   std::atomic<size_t> enabled_count_{0};
   SiteState sites_[kFaultSiteCount];
 };

@@ -40,8 +40,6 @@ struct Cred {
     return egid == gid || std::find(groups.begin(), groups.end(), gid) != groups.end();
   }
 
-  bool IsRootEuid() const { return euid == kRootUid; }
-
   // "uid=1000 euid=0 gid=1000 caps=CAP_SETUID" for audit messages.
   std::string ToString() const;
 };

@@ -61,14 +61,10 @@ Kernel::Kernel() : vfs_(&clock_) {
   vfs_.set_faults(&faults_);
   lsm_.set_faults(&faults_);
   net_.netfilter().set_faults(&faults_);
-  // One kernel-wide layer profiler: the gate opens the root frame, every
-  // subsystem nests its own layer inside it, and /proc/protego/profile
-  // renders the folded result.
+  // One kernel-wide layer profiler: the gate puts it on every timed call's
+  // frame, each subsystem's LayerScope nests its layer inside the gate's,
+  // and /proc/protego/profile renders the folded result.
   gate_.set_profiler(&profiler_);
-  lsm_.set_profiler(&profiler_);
-  vfs_.set_profiler(&profiler_);
-  net_.netfilter().set_profiler(&profiler_);
-  faults_.set_profiler(&profiler_);
   metrics_.AddCollector([this](MetricsBuilder& b) {
     gate_.CollectMetrics(b);
     lsm_.CollectMetrics(b);
@@ -229,7 +225,7 @@ Result<WalkResult> Kernel::Lookup(Task& task, const std::string& path, PathArg a
 }
 
 bool Kernel::Capable(const Task& task, Capability cap) const {
-  LayerScope lsm_scope(&profiler_, Layer::kLsm);
+  LayerScope lsm_scope(Layer::kLsm);
   bool ok = lsm_.Capable(task, cap);
   if (tracer_.ShouldEmit(TracepointId::kCapable)) {
     TraceSlot ev = tracer_.Emit(TracepointId::kCapable, task.pid);
@@ -308,7 +304,7 @@ Result<Unit> Kernel::CheckPermissionImpl(Task& task, const std::string& path, co
   if (verdict == HookVerdict::kAllow) {
     return OkUnit();  // delegation rule bypasses DAC (e.g. ssh-keysign host key)
   }
-  LayerScope dac_scope(&profiler_, Layer::kDac);
+  LayerScope dac_scope(Layer::kDac);
   const Cred& cred = task.cred;
   auto in_group = [&cred](Gid gid) { return cred.InGroup(gid); };
   if (DacPermits(inode, cred.fsuid, in_group, may)) {

@@ -131,9 +131,9 @@ class Kernel {
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
-  // The per-layer latency profiler (/proc/protego/profile). Disabled by
-  // default; enabling it attributes self time to gate/seccomp/dac/lsm/...
-  // frames on every syscall.
+  // The per-layer latency profiler (/proc/protego/profile). It attributes
+  // the self time of every timed syscall to gate/seccomp/dac/lsm/...
+  // frames; the timed set is empty at boot.
   LayerProfiler& profiler() { return profiler_; }
   const LayerProfiler& profiler() const { return profiler_; }
 
@@ -480,8 +480,7 @@ class Kernel {
   // mutable so const syscalls (GetPid) and const checks (Capable) can emit
   // trace events.
   mutable Tracer tracer_{&clock_, SyscallGate::kTraceCapacity};
-  // mutable for the same reason: const checks (Capable) open layer frames.
-  mutable LayerProfiler profiler_;
+  LayerProfiler profiler_;
   MetricsRegistry metrics_;
   FaultRegistry faults_;
   Vfs vfs_;

@@ -650,7 +650,7 @@ void SyscallGate::ExitSyscall(const CallFrame& frame, const std::string& comm,
   if (start_ns != 0 || frame.traced) {
     // Self-accounting: the reservoir update and the trace emission are the
     // observability pipeline's own cost, metered under the observer layer.
-    LayerScope observer_scope(profiler_, Layer::kObserver);
+    LayerScope observer_scope(Layer::kObserver);
     if (start_ns != 0) {
       RecordExemplar(rec, dur_ns, frame.span, frame.pid);
     }
@@ -671,7 +671,7 @@ bool SyscallGate::CheckPath(std::string_view path) {
   if (frame->filter == nullptr) {
     return true;
   }
-  LayerScope seccomp_scope(profiler_, Layer::kSeccomp);
+  LayerScope seccomp_scope(Layer::kSeccomp);
   const Sysno nr = static_cast<Sysno>(frame->sysno);
   uint32_t evals = 0;
   frame->denied = !frame->filter->AllowsPath(nr, *frame->args, path, &evals);
@@ -690,7 +690,7 @@ void SyscallGate::RecordDenial(const CallFrame& frame, const std::string& comm,
   rec.errors.fetch_add(1, std::memory_order_relaxed);
   rec.seccomp_denied.fetch_add(1, std::memory_order_relaxed);
   {
-    LayerScope observer_scope(profiler_, Layer::kObserver);
+    LayerScope observer_scope(Layer::kObserver);
     if (frame.traced) {
       RecordTrace(frame, comm, std::move(args), Errno::kEPERM, /*dur_ns=*/0,
                   /*seccomp_denied=*/true);

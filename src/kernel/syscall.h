@@ -375,16 +375,14 @@ class SyscallGate {
   // one, the gate still filters and accounts but emits no trace events.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // Attaches the per-layer latency profiler. Detached (nullptr) or disabled,
-  // every LayerScope on the entry path stays inert.
+  // Attaches the per-layer latency profiler, which the entry decision puts
+  // on the frame of every timed call: attribution follows the timed set.
   void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
-  LayerProfiler* profiler() { return profiler_; }
 
   // Attaches the fault-injection registry: the gate evaluates the
   // syscall_entry site before running the body (pid/syscall filters match
   // the call's frame). Detached (nullptr) costs nothing.
   void set_faults(FaultRegistry* faults) { faults_ = faults; }
-  FaultRegistry* faults() { return faults_; }
 
   // Attaches a deterministic scheduler: every syscall entry becomes a yield
   // point (the scheduler may hand the token to another task before the body
@@ -403,8 +401,9 @@ class SyscallGate {
   //
   // The timed set starts empty and is the one latency switch: a timed
   // syscall pays two monotonic clock reads, lands in
-  // protego_syscall_latency_ns, and feeds the tail-exemplar reservoir.
-  // "timed=mount" arms mount(2).
+  // protego_syscall_latency_ns, feeds the tail-exemplar reservoir, and is
+  // attributed layer by layer (/proc/protego/profile). "timed=mount" arms
+  // mount(2).
 
   bool syscall_traced(Sysno nr) const { return traced_.Has(nr); }
   void SetSyscallTraced(Sysno nr, bool traced) { traced_.Set(nr, traced); }
@@ -473,14 +472,14 @@ class SyscallGate {
       // chose.
       scheduler_->OnSyscallEntry(task.pid, nr);
     }
-    // The gate frame is the attribution ROOT: everything the syscall does
-    // (seccomp, DAC, LSM, VFS, netfilter, the body, and the observability
-    // pipeline itself) nests inside it, so summed per-layer self time
-    // telescopes back to this frame's inclusive time.
-    LayerScope gate_scope(profiler_, Layer::kGate);
     CallFrame frame(task.pid, static_cast<int>(nr));
     frame.args = &sargs;
     const bool timed = Decide(frame, nr);
+    // The gate scope is the attribution ROOT of a timed call: everything
+    // the syscall does (seccomp, DAC, LSM, VFS, netfilter, the body, and
+    // the observability pipeline itself) nests inside it, so summed
+    // per-layer self time telescopes back to this scope's inclusive time.
+    LayerScope gate_scope(Layer::kGate);
     std::string args;
     if (frame.traced) {
       args = args_fn();
@@ -529,9 +528,9 @@ class SyscallGate {
     if (scheduler_ != nullptr) {
       scheduler_->OnSyscallEntry(task.pid, Sysno::kGetPid);
     }
-    LayerScope gate_scope(profiler_, Layer::kGate);
     CallFrame frame(task.pid, static_cast<int>(Sysno::kGetPid));
     const bool timed = Decide(frame, Sysno::kGetPid);
+    LayerScope gate_scope(Layer::kGate);
     SyscallArgs sargs;
     const bool allowed = Admit(frame, task, Sysno::kGetPid, sargs);
     if (allowed) {
@@ -619,13 +618,18 @@ class SyscallGate {
 
   // The entry decision (see the file comment): marks `frame` traced, and
   // opens its span, when the switch, the traced set and the sampling draw
-  // agree; returns whether the call is timed.
+  // agree; returns whether the call is timed, and puts the profiler on a
+  // timed call's frame.
   bool Decide(CallFrame& frame, Sysno nr) {
     if (tracer_ != nullptr && tracer_->enabled() && traced_.Has(nr) &&
         tracer_->SampleKeep(TracepointId::kSyscall)) {
       tracer_->OpenSpan(frame);
     }
-    return timed_.Has(nr);
+    if (!timed_.Has(nr)) {
+      return false;
+    }
+    frame.profiler = profiler_;
+    return true;
   }
 
   // Consults the task's seccomp filter at entry. A rule list that waits for
@@ -635,7 +639,7 @@ class SyscallGate {
     if (task.seccomp == nullptr) {
       return true;
     }
-    LayerScope seccomp_scope(profiler_, Layer::kSeccomp);
+    LayerScope seccomp_scope(Layer::kSeccomp);
     uint32_t evals = 0;
     const bool allowed = task.seccomp->AllowsArgs(nr, sargs, &evals);
     if (evals != 0) {

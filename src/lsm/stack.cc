@@ -157,7 +157,7 @@ void LsmStack::CollectMetrics(MetricsBuilder& b) const {
 
 template <typename Call>
 HookVerdict LsmStack::Dispatch(LsmHook hook, int pid, Call&& call) const {
-  LayerScope lsm_scope(profiler_, Layer::kLsm);
+  LayerScope lsm_scope(Layer::kLsm);
   hook_counts_[static_cast<size_t>(hook)]++;
   if (FaultDeny(hook, pid)) {
     return HookVerdict::kDeny;

@@ -100,10 +100,6 @@ class LsmStack {
     }
   }
 
-  // Attaches the per-layer latency profiler: each dispatch runs under an
-  // `lsm` frame.
-  void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
-
   // Attaches the fault-injection registry. A fault injected at the kLsmHook
   // site makes the dispatch fail CLOSED — the combined verdict is kDeny, no
   // module is consulted, and the denial is counted in
@@ -168,7 +164,6 @@ class LsmStack {
   mutable std::deque<std::array<std::atomic<uint64_t>, 3>> module_verdicts_;
 
   Tracer* tracer_ = nullptr;
-  LayerProfiler* profiler_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   std::function<void(std::string)> audit_sink_;
   mutable std::atomic<uint64_t> fail_closed_{0};  // fault-injected dispatches denied

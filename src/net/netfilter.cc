@@ -101,7 +101,7 @@ const char* Netfilter::ChainName(NfChain chain) const {
 }
 
 NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
-  LayerScope netfilter_scope(profiler_, Layer::kNetfilter);
+  LayerScope netfilter_scope(Layer::kNetfilter);
   evaluated_.fetch_add(1, std::memory_order_relaxed);
   // Fail closed: if chain evaluation faults, the packet is dropped — a
   // filtering layer that cannot decide must not pass traffic.

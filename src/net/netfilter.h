@@ -71,10 +71,6 @@ class Netfilter {
   // event (chain, verdict, matched rule) under the calling syscall's span.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // Per-layer latency attribution: chain evaluation runs under a
-  // `netfilter` frame.
-  void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
-
   // Attaches the fault-injection registry. A fault at the netfilter_eval
   // site makes the chain fail CLOSED: the packet is dropped without
   // consulting any rule (counted in fail_closed_drops()).
@@ -131,7 +127,6 @@ class Netfilter {
   std::vector<NfRule> rules_;
   PortOwnerFn port_owner_;
   Tracer* tracer_ = nullptr;
-  LayerProfiler* profiler_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   mutable std::atomic<uint64_t> evaluated_{0};
   mutable std::atomic<uint64_t> dropped_{0};

@@ -415,23 +415,17 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   };
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/trace", 0600, std::move(trace_ops)));
 
-  // Per-layer latency attribution: a folded-stack profile of where decision
-  // time is spent (gate / seccomp / lsm / dac / vfs / netfilter /
-  // fault_registry / observer). Off by default; "on" arms the
-  // profiler, "clear" zeroes accumulated frames.
+  // Per-layer latency attribution: a folded-stack profile of where the
+  // timed calls' time is spent (gate / seccomp / lsm / dac / vfs /
+  // netfilter / fault_registry / observer). The timed set is the switch
+  // ("timed=" on /proc/protego/trace); "clear" zeroes accumulated frames.
   SyntheticOps profile_ops;
   profile_ops.read = [kernel]() { return kernel->profiler().FormatProfile(); };
   profile_ops.write = [kernel](std::string_view data) -> Result<Unit> {
-    std::string_view cmd = Trim(data);
-    if (cmd == "on") {
-      kernel->profiler().set_enabled(true);
-    } else if (cmd == "off") {
-      kernel->profiler().set_enabled(false);
-    } else if (cmd == "clear") {
-      kernel->profiler().Reset();
-    } else {
-      return Error(Errno::kEINVAL, "profile: expected on|off|clear");
+    if (Trim(data) != "clear") {
+      return Error(Errno::kEINVAL, "profile: expected clear (timed= arms it)");
     }
+    kernel->profiler().Reset();
     return OkUnit();
   };
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/profile", 0600, std::move(profile_ops)));

@@ -19,9 +19,6 @@ Result<Unit> MonitorDaemon::Start() {
     RETURN_IF_ERROR(kernel_->InstallBinary(kBinaryPath, 0755, kRootUid, kRootGid,
                                            [](ProcessContext&) { return 0; }));
   }
-  task_ = &kernel_->CreateTask("protego-monitord", Cred::Root(), nullptr);
-  task_->exe_path = kBinaryPath;
-
   const char* watched[] = {
       "/etc/fstab",   "/etc/sudoers", "/etc/sudoers.d", "/etc/bind",
       "/etc/ppp",     "/etc/passwds", "/etc/shadows",   "/etc/groups",
@@ -42,44 +39,56 @@ void MonitorDaemon::Stop() {
 
 void MonitorDaemon::RecordError(const Error& error, const std::string& what) {
   std::string message = "monitord: " + what + ": " + error.ToString();
-  errors_.push_back(message);
   LogWarn(message);
+  std::lock_guard<std::mutex> lk(errors_mu_);
+  errors_.push_back(std::move(message));
+}
+
+std::vector<std::string> MonitorDaemon::errors() const {
+  std::lock_guard<std::mutex> lk(errors_mu_);
+  return errors_;
+}
+
+Result<Unit> MonitorDaemon::OnServiceTask(SyncStep step) {
+  Task& task = kernel_->CreateTask("protego-monitord", Cred::Root(), nullptr);
+  task.exe_path = kBinaryPath;
+  Result<Unit> r = (this->*step)(task);
+  kernel_->ReapTask(task.pid);
+  return r;
 }
 
 void MonitorDaemon::OnEvent(FsEvent event, const std::string& path) {
   (void)event;
-  if (syncing_) {
-    return;  // triggered by our own legacy-file regeneration
-  }
-  syncing_ = true;
-  Result<Unit> r = OkUnit();
+  // The daemon's own writes (/proc/protego/*, /etc/passwd|shadow|group)
+  // match no watch, so every event is another task's edit.
+  SyncStep step = nullptr;
   if (path == "/etc/fstab") {
-    r = SyncMounts();
+    step = &MonitorDaemon::SyncMounts;
   } else if (StartsWith(path, "/etc/sudoers")) {
-    r = SyncSudoers();
+    step = &MonitorDaemon::SyncSudoers;
   } else if (path == "/etc/bind") {
-    r = SyncPorts();
+    step = &MonitorDaemon::SyncPorts;
   } else if (StartsWith(path, "/etc/ppp")) {
-    r = SyncPpp();
+    step = &MonitorDaemon::SyncPpp;
   } else if (StartsWith(path, "/etc/passwds") || StartsWith(path, "/etc/shadows") ||
              StartsWith(path, "/etc/groups")) {
-    r = SyncUserDb();
-    if (r.ok()) {
-      r = SyncLegacy();
-    }
+    step = &MonitorDaemon::SyncAccounts;
+  } else {
+    return;
   }
+  Result<Unit> r = OnServiceTask(step);
   if (!r.ok()) {
     RecordError(r.error(), "event sync for " + path);
   }
-  syncing_ = false;
 }
 
-Result<Unit> MonitorDaemon::SyncAll() {
-  syncing_ = true;
+Result<Unit> MonitorDaemon::SyncAll() { return OnServiceTask(&MonitorDaemon::SyncEverything); }
+
+Result<Unit> MonitorDaemon::SyncEverything(Task& task) {
   Result<Unit> result = OkUnit();
   struct Step {
     const char* what;
-    Result<Unit> (MonitorDaemon::*fn)();
+    SyncStep fn;
   };
   const Step steps[] = {
       {"mounts", &MonitorDaemon::SyncMounts},   {"sudoers", &MonitorDaemon::SyncSudoers},
@@ -87,83 +96,87 @@ Result<Unit> MonitorDaemon::SyncAll() {
       {"userdb", &MonitorDaemon::SyncUserDb},   {"legacy", &MonitorDaemon::SyncLegacy},
   };
   for (const Step& step : steps) {
-    Result<Unit> r = (this->*step.fn)();
+    Result<Unit> r = (this->*step.fn)(task);
     if (!r.ok()) {
       RecordError(r.error(), step.what);
       result = r;
     }
   }
-  syncing_ = false;
   return result;
 }
 
-Result<Unit> MonitorDaemon::SyncMounts() {
-  ASSIGN_OR_RETURN(std::string content, kernel_->ReadWholeFile(*task_, "/etc/fstab"));
+Result<Unit> MonitorDaemon::SyncAccounts(Task& task) {
+  RETURN_IF_ERROR(SyncUserDb(task));
+  return SyncLegacy(task);
+}
+
+Result<Unit> MonitorDaemon::SyncMounts(Task& task) {
+  ASSIGN_OR_RETURN(std::string content, kernel_->ReadWholeFile(task, "/etc/fstab"));
   if (Trim(content).empty()) {
     return OkUnit();  // transient truncate-before-write state; wait for the write
   }
   // Validate before pushing so a bad fstab leaves kernel policy untouched.
   RETURN_IF_ERROR(ParseFstab(content));
-  RETURN_IF_ERROR(kernel_->WriteWholeFile(*task_, "/proc/protego/mounts", content));
-  ++sync_count_;
+  RETURN_IF_ERROR(kernel_->WriteWholeFile(task, "/proc/protego/mounts", content));
+  sync_count_.fetch_add(1, std::memory_order_relaxed);
   return OkUnit();
 }
 
-Result<Unit> MonitorDaemon::SyncSudoers() {
-  ASSIGN_OR_RETURN(std::string main_content, kernel_->ReadWholeFile(*task_, "/etc/sudoers"));
+Result<Unit> MonitorDaemon::SyncSudoers(Task& task) {
+  ASSIGN_OR_RETURN(std::string main_content, kernel_->ReadWholeFile(task, "/etc/sudoers"));
   if (Trim(main_content).empty()) {
     return OkUnit();  // transient truncate-before-write state
   }
   std::vector<std::string> fragments;
-  auto names = kernel_->ReadDir(*task_, "/etc/sudoers.d");
+  auto names = kernel_->ReadDir(task, "/etc/sudoers.d");
   if (names.ok()) {
     std::vector<std::string> sorted = names.value();
     std::sort(sorted.begin(), sorted.end());
     for (const std::string& name : sorted) {
       ASSIGN_OR_RETURN(std::string frag,
-                       kernel_->ReadWholeFile(*task_, "/etc/sudoers.d/" + name));
+                       kernel_->ReadWholeFile(task, "/etc/sudoers.d/" + name));
       fragments.push_back(std::move(frag));
     }
   }
   ASSIGN_OR_RETURN(SudoersPolicy policy, ParseSudoersWithFragments(main_content, fragments));
   RETURN_IF_ERROR(
-      kernel_->WriteWholeFile(*task_, "/proc/protego/sudoers", SerializeSudoers(policy)));
-  ++sync_count_;
+      kernel_->WriteWholeFile(task, "/proc/protego/sudoers", SerializeSudoers(policy)));
+  sync_count_.fetch_add(1, std::memory_order_relaxed);
   return OkUnit();
 }
 
-Result<Unit> MonitorDaemon::SyncPorts() {
-  ASSIGN_OR_RETURN(std::string content, kernel_->ReadWholeFile(*task_, "/etc/bind"));
+Result<Unit> MonitorDaemon::SyncPorts(Task& task) {
+  ASSIGN_OR_RETURN(std::string content, kernel_->ReadWholeFile(task, "/etc/bind"));
   if (Trim(content).empty()) {
     return OkUnit();  // transient truncate-before-write state
   }
   RETURN_IF_ERROR(ParseBindConf(content));
-  RETURN_IF_ERROR(kernel_->WriteWholeFile(*task_, "/proc/protego/ports", content));
-  ++sync_count_;
+  RETURN_IF_ERROR(kernel_->WriteWholeFile(task, "/proc/protego/ports", content));
+  sync_count_.fetch_add(1, std::memory_order_relaxed);
   return OkUnit();
 }
 
-Result<Unit> MonitorDaemon::SyncPpp() {
-  ASSIGN_OR_RETURN(std::string content, kernel_->ReadWholeFile(*task_, "/etc/ppp/options"));
+Result<Unit> MonitorDaemon::SyncPpp(Task& task) {
+  ASSIGN_OR_RETURN(std::string content, kernel_->ReadWholeFile(task, "/etc/ppp/options"));
   if (Trim(content).empty()) {
     return OkUnit();  // transient truncate-before-write state
   }
   RETURN_IF_ERROR(ParsePppOptions(content));
-  RETURN_IF_ERROR(kernel_->WriteWholeFile(*task_, "/proc/protego/ppp", content));
-  ++sync_count_;
+  RETURN_IF_ERROR(kernel_->WriteWholeFile(task, "/proc/protego/ppp", content));
+  sync_count_.fetch_add(1, std::memory_order_relaxed);
   return OkUnit();
 }
 
-Result<UserDb> MonitorDaemon::ReadFragments() {
+Result<UserDb> MonitorDaemon::ReadFragments(Task& task) {
   std::vector<PasswdEntry> users;
   std::vector<ShadowEntry> shadows;
   std::vector<GroupEntry> groups;
   // A fragment being rewritten is briefly empty (truncate, then write, two
   // inotify events); skip the transient state — the write event follows.
-  auto user_names = kernel_->ReadDir(*task_, "/etc/passwds");
+  auto user_names = kernel_->ReadDir(task, "/etc/passwds");
   if (user_names.ok()) {
     for (const std::string& name : user_names.value()) {
-      ASSIGN_OR_RETURN(std::string line, kernel_->ReadWholeFile(*task_, "/etc/passwds/" + name));
+      ASSIGN_OR_RETURN(std::string line, kernel_->ReadWholeFile(task, "/etc/passwds/" + name));
       if (Trim(line).empty()) {
         continue;
       }
@@ -171,10 +184,10 @@ Result<UserDb> MonitorDaemon::ReadFragments() {
       users.push_back(std::move(entry));
     }
   }
-  auto shadow_names = kernel_->ReadDir(*task_, "/etc/shadows");
+  auto shadow_names = kernel_->ReadDir(task, "/etc/shadows");
   if (shadow_names.ok()) {
     for (const std::string& name : shadow_names.value()) {
-      ASSIGN_OR_RETURN(std::string line, kernel_->ReadWholeFile(*task_, "/etc/shadows/" + name));
+      ASSIGN_OR_RETURN(std::string line, kernel_->ReadWholeFile(task, "/etc/shadows/" + name));
       if (Trim(line).empty()) {
         continue;
       }
@@ -182,10 +195,10 @@ Result<UserDb> MonitorDaemon::ReadFragments() {
       shadows.push_back(std::move(entry));
     }
   }
-  auto group_names = kernel_->ReadDir(*task_, "/etc/groups");
+  auto group_names = kernel_->ReadDir(task, "/etc/groups");
   if (group_names.ok()) {
     for (const std::string& name : group_names.value()) {
-      ASSIGN_OR_RETURN(std::string line, kernel_->ReadWholeFile(*task_, "/etc/groups/" + name));
+      ASSIGN_OR_RETURN(std::string line, kernel_->ReadWholeFile(task, "/etc/groups/" + name));
       if (Trim(line).empty()) {
         continue;
       }
@@ -196,23 +209,23 @@ Result<UserDb> MonitorDaemon::ReadFragments() {
   return UserDb(std::move(users), std::move(shadows), std::move(groups));
 }
 
-Result<Unit> MonitorDaemon::SyncUserDb() {
-  ASSIGN_OR_RETURN(UserDb db, ReadFragments());
+Result<Unit> MonitorDaemon::SyncUserDb(Task& task) {
+  ASSIGN_OR_RETURN(UserDb db, ReadFragments(task));
   RETURN_IF_ERROR(
-      kernel_->WriteWholeFile(*task_, "/proc/protego/userdb", SerializeUserDbSections(db)));
-  ++sync_count_;
+      kernel_->WriteWholeFile(task, "/proc/protego/userdb", SerializeUserDbSections(db)));
+  sync_count_.fetch_add(1, std::memory_order_relaxed);
   return OkUnit();
 }
 
-Result<Unit> MonitorDaemon::SyncLegacy() {
-  ASSIGN_OR_RETURN(UserDb db, ReadFragments());
-  RETURN_IF_ERROR(kernel_->WriteWholeFile(*task_, "/etc/passwd", SerializePasswd(db.users()),
+Result<Unit> MonitorDaemon::SyncLegacy(Task& task) {
+  ASSIGN_OR_RETURN(UserDb db, ReadFragments(task));
+  RETURN_IF_ERROR(kernel_->WriteWholeFile(task, "/etc/passwd", SerializePasswd(db.users()),
                                           /*append=*/false, /*create_mode=*/0644));
-  RETURN_IF_ERROR(kernel_->WriteWholeFile(*task_, "/etc/shadow", SerializeShadow(db.shadows()),
+  RETURN_IF_ERROR(kernel_->WriteWholeFile(task, "/etc/shadow", SerializeShadow(db.shadows()),
                                           /*append=*/false, /*create_mode=*/0600));
-  RETURN_IF_ERROR(kernel_->WriteWholeFile(*task_, "/etc/group", SerializeGroup(db.groups()),
+  RETURN_IF_ERROR(kernel_->WriteWholeFile(task, "/etc/group", SerializeGroup(db.groups()),
                                           /*append=*/false, /*create_mode=*/0644));
-  ++sync_count_;
+  sync_count_.fetch_add(1, std::memory_order_relaxed);
   return OkUnit();
 }
 

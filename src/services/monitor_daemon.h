@@ -7,10 +7,20 @@
 //
 // The daemon is only required for backward compatibility: an administrator
 // may instead write the /proc/protego files directly.
+//
+// Each sync (every watch event, and SyncAll) runs on a fresh root task
+// (exe /sbin/protego-monitord, the binary the File_Delegate rule names),
+// reaped before it returns, as AuthService does per request: an event runs
+// on whichever task thread wrote the watched file, so edits from tasks
+// running in parallel each sync on their own task and none is dropped.
+// Concurrent edits of the same file may still apply out of order.
 
 #ifndef SRC_SERVICES_MONITOR_DAEMON_H_
 #define SRC_SERVICES_MONITOR_DAEMON_H_
 
+#include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,8 +37,8 @@ class MonitorDaemon {
   explicit MonitorDaemon(Kernel* kernel) : kernel_(kernel) {}
   ~MonitorDaemon();
 
-  // Installs the trusted binary, creates the daemon task, registers
-  // filesystem watches, and performs an initial full synchronization.
+  // Installs the trusted binary, registers filesystem watches, and performs
+  // an initial full synchronization.
   Result<Unit> Start();
 
   // Unregisters watches (the daemon "exits").
@@ -37,30 +47,36 @@ class MonitorDaemon {
   // Re-reads every watched file and pushes all policy tables.
   Result<Unit> SyncAll();
 
-  uint64_t sync_count() const { return sync_count_; }
-  const std::vector<std::string>& errors() const { return errors_; }
-
-  // Individual sync steps (also used by tests).
-  Result<Unit> SyncMounts();
-  Result<Unit> SyncSudoers();
-  Result<Unit> SyncPorts();
-  Result<Unit> SyncPpp();
-  Result<Unit> SyncUserDb();   // fragments -> /proc/protego/userdb
-  Result<Unit> SyncLegacy();   // fragments -> /etc/passwd, /etc/shadow, /etc/group
+  uint64_t sync_count() const { return sync_count_.load(std::memory_order_relaxed); }
+  // A copy: a sync on another thread may record an error meanwhile.
+  std::vector<std::string> errors() const;
 
  private:
+  using SyncStep = Result<Unit> (MonitorDaemon::*)(Task&);
+
+  // One sync: runs `step` on a fresh service task, reaped before returning.
+  Result<Unit> OnServiceTask(SyncStep step);
   void OnEvent(FsEvent event, const std::string& path);
   void RecordError(const Error& error, const std::string& what);
 
+  // The sync steps, issued on the sync's task.
+  Result<Unit> SyncEverything(Task& task);
+  Result<Unit> SyncAccounts(Task& task);  // SyncUserDb, then SyncLegacy
+  Result<Unit> SyncMounts(Task& task);
+  Result<Unit> SyncSudoers(Task& task);
+  Result<Unit> SyncPorts(Task& task);
+  Result<Unit> SyncPpp(Task& task);
+  Result<Unit> SyncUserDb(Task& task);  // fragments -> /proc/protego/userdb
+  Result<Unit> SyncLegacy(Task& task);  // fragments -> /etc/passwd, /etc/shadow, /etc/group
+
   // Reads the fragmented credential directories into a UserDb.
-  Result<UserDb> ReadFragments();
+  Result<UserDb> ReadFragments(Task& task);
 
   Kernel* kernel_ = nullptr;
-  Task* task_ = nullptr;
   std::vector<int> watch_ids_;
-  uint64_t sync_count_ = 0;
-  bool syncing_ = false;  // suppress events caused by our own writes
-  std::vector<std::string> errors_;
+  std::atomic<uint64_t> sync_count_{0};
+  mutable std::mutex errors_mu_;
+  std::vector<std::string> errors_;  // guarded by errors_mu_
 };
 
 }  // namespace protego

@@ -77,7 +77,6 @@ class SimSystem {
 
   // Starts a login session: a shell task for `user` with its own terminal.
   Task& Login(const std::string& user);
-  Terminal& TerminalOf(Task& task) { return *task.terminal; }
 
   // Runs a program as a child of `session` and returns its exit status;
   // stdout/stderr accumulate on the session task.

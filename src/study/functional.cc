@@ -6,17 +6,16 @@
 
 namespace protego {
 
-namespace {
-
-// Runs one command in `session`, queueing terminal input first, and appends
-// a canonical record to `transcript`.
 void Step(SimSystem& sys, Task& session, std::string* transcript, const std::string& label,
           const std::string& path, std::vector<std::string> argv,
-          std::vector<std::string> terminal_input = {}) {
+          std::vector<std::string> terminal_input) {
   for (std::string& line : terminal_input) {
     session.terminal->QueueInput(std::move(line));
   }
   auto out = sys.RunCapture(session, path, std::move(argv));
+  // What the command left unread must not answer the next one's prompt.
+  while (session.terminal->ReadLine().has_value()) {
+  }
   *transcript += StrFormat("[%s] exit=%d stderr=%s\n", label.c_str(), out.exit_code,
                            out.err.empty() ? "empty" : "present");
   *transcript += out.out;
@@ -25,10 +24,11 @@ void Step(SimSystem& sys, Task& session, std::string* transcript, const std::str
   }
 }
 
-// Appends an out-of-band state probe (mode-agnostic by construction).
 void Probe(std::string* transcript, const std::string& label, const std::string& value) {
   *transcript += "[probe:" + label + "] " + value + "\n";
 }
+
+namespace {
 
 // Reads the current shadow hash for `user`, from whichever database this
 // mode maintains (the monitoring daemon keeps them in sync under Protego,

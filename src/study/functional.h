@@ -32,6 +32,16 @@ struct FunctionalScenario {
 
 const std::vector<FunctionalScenario>& FunctionalSuite();
 
+// Runs one command in `session`, queueing terminal input first, and appends
+// a canonical record to `transcript`. Input the command leaves unread is
+// drained afterwards, so it never answers a later command's prompt.
+void Step(SimSystem& sys, Task& session, std::string* transcript, const std::string& label,
+          const std::string& path, std::vector<std::string> argv,
+          std::vector<std::string> terminal_input = {});
+
+// Appends an out-of-band state probe (mode-agnostic by construction).
+void Probe(std::string* transcript, const std::string& label, const std::string& value);
+
 // Strips authentication dialogue and error-message wording (which §4.3
 // documents as legitimately different) while keeping semantics: exit codes,
 // stdout payloads, state probes, and whether stderr was empty.

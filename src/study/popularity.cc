@@ -1,5 +1,7 @@
 #include "src/study/popularity.h"
 
+#include "src/base/hash.h"
+
 namespace protego {
 
 const std::vector<PopularityRow>& PopularityTable() {
@@ -53,17 +55,9 @@ double StudyCoveragePercent() {
 
 namespace {
 
-// splitmix64: deterministic, seedable, and good enough for sampling.
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 bool Bernoulli(uint64_t* state, double pct) {
   // Compare against a 53-bit uniform draw.
-  double u = static_cast<double>(NextRandom(state) >> 11) * (1.0 / 9007199254740992.0);
+  double u = static_cast<double>(SplitMix64(*state) >> 11) * (1.0 / 9007199254740992.0);
   return u * 100.0 < pct;
 }
 

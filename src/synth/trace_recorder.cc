@@ -2,33 +2,11 @@
 
 #include <thread>
 
-#include "src/base/strings.h"
 #include "src/sim/system.h"
 
 namespace protego::synth {
 
 namespace {
-
-// Same canonical record shape as the functional suite's Step(), so the
-// extra scenarios fold into the equivalence machinery unchanged.
-void Step(SimSystem& sys, Task& session, std::string* transcript, const std::string& label,
-          const std::string& path, std::vector<std::string> argv,
-          std::vector<std::string> terminal_input = {}) {
-  for (std::string& line : terminal_input) {
-    session.terminal->QueueInput(std::move(line));
-  }
-  auto out = sys.RunCapture(session, path, std::move(argv));
-  *transcript += StrFormat("[%s] exit=%d stderr=%s\n", label.c_str(), out.exit_code,
-                           out.err.empty() ? "empty" : "present");
-  *transcript += out.out;
-  if (!EndsWith(*transcript, "\n")) {
-    *transcript += "\n";
-  }
-}
-
-void Probe(std::string* transcript, const std::string& label, const std::string& value) {
-  *transcript += "[probe:" + label + "] " + value + "\n";
-}
 
 // Daemons launch as root on stock Linux (init starts them, and they need
 // root to bind < 1024) and as their service account under Protego, where

@@ -77,7 +77,7 @@ Vnode* Vfs::Top(Vnode* node) {
 }
 
 WalkResult Vfs::WalkLocked(std::string_view cwd, std::string_view path, bool follow) const {
-  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  LayerScope vfs_scope(Layer::kVfs);
   resolves_.fetch_add(1, std::memory_order_relaxed);
   WalkResult w;
   w.err = path.empty() ? Errno::kENOENT : Errno::kOk;

@@ -165,10 +165,6 @@ class Vfs {
   // events (stamped with the calling syscall's span).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // Per-layer latency attribution: path resolution runs under a `vfs`
-  // frame. Detached or disabled, resolution pays a pointer test.
-  void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
-
   // Attaches the fault-injection registry: vnode allocation (ENOMEM) and
   // block allocation (ENOSPC) become injectable fault sites.
   void set_faults(FaultRegistry* faults) { faults_ = faults; }
@@ -387,7 +383,6 @@ class Vfs {
 
   Clock* clock_;
   Tracer* tracer_ = nullptr;
-  LayerProfiler* profiler_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   uint64_t block_quota_ = 0;  // 0 = unlimited; set at boot, read-only after
   // Every task thread writes the next three (data writes, walks, the tree

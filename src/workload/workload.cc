@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/hash.h"
 #include "src/conc/scheduler.h"
 #include "src/conc/thread_sched.h"
 #include "src/net/packet.h"
@@ -12,19 +13,10 @@
 namespace protego::workload {
 namespace {
 
-// Same generator as the deterministic scheduler and the fault registry:
-// each task owns a private stream seeded from (spec.seed, task index), so
-// parameter draws are independent of scheduling order.
-uint64_t NextRand(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
+// Each task owns a private splitmix64 stream seeded from (spec.seed, task
+// index), so parameter draws are independent of scheduling order.
 uint64_t TaskSeed(uint64_t seed, int task_index) {
-  return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(task_index + 1));
+  return seed ^ (kSplitMix64Gamma * static_cast<uint64_t>(task_index + 1));
 }
 
 // All state one driving task owns: its session, its parameter stream, its
@@ -99,11 +91,11 @@ const char* SessionUser(Mix mix, SimMode sim_mode) {
 void CompileUnit(SimSystem& sys, Kernel& k, TaskCtx& t) {
   Task& s = *t.session;
   for (int i = 0; i < 8; ++i) {
-    const auto n = NextRand(t.rng) % 6;
+    const auto n = SplitMix64(t.rng) % 6;
     t.Count(k.Stat(s, "/usr/include/hdr" + std::to_string(n) + ".h"));
   }
   for (int i = 0; i < 2; ++i) {
-    const auto n = NextRand(t.rng) % 6;
+    const auto n = SplitMix64(t.rng) % 6;
     int fd = t.CountFd(k.Open(s, "/usr/include/hdr" + std::to_string(n) + ".h", kORdOnly));
     t.Count(k.Read(s, fd));
     t.Count(k.Close(s, fd));
@@ -125,7 +117,7 @@ void WebServeUnit(SimSystem& sys, Kernel& k, TaskCtx& t) {
   t.Count(k.BindCall(s, churn, t.churn_port));
   t.Count(k.Close(s, churn));
 
-  const auto n = NextRand(t.rng) % 4;
+  const auto n = SplitMix64(t.rng) % 4;
   int fd = t.CountFd(k.Open(s, "/var/www/page" + std::to_string(n) + ".html", kORdOnly));
   t.Count(k.Read(s, fd));
   t.Count(k.Close(s, fd));
@@ -155,7 +147,7 @@ void WebServeUnit(SimSystem& sys, Kernel& k, TaskCtx& t) {
 // 8 ops.
 void MailUnit(SimSystem& sys, Kernel& k, TaskCtx& t) {
   Task& s = *t.session;
-  const Uid recipient = static_cast<Uid>(1000 + NextRand(t.rng) % 3);
+  const Uid recipient = static_cast<Uid>(1000 + SplitMix64(t.rng) % 3);
   t.Count(k.Seteuid(s, recipient));
   int fd = t.CountFd(k.Open(s, t.spool_tmp, kOWrOnly | kOCreat, 0600));
   t.Count(k.Write(s, fd, "Received: by protego-sim; benchmark message body\n"));
@@ -174,7 +166,7 @@ void MailUnit(SimSystem& sys, Kernel& k, TaskCtx& t) {
 // the cheapest syscalls, pricing the cred-change path itself. 6 ops.
 void SetuidBurstUnit(SimSystem& sys, Kernel& k, TaskCtx& t) {
   Task& s = *t.session;
-  const Uid target = static_cast<Uid>(1000 + NextRand(t.rng) % 3);
+  const Uid target = static_cast<Uid>(1000 + SplitMix64(t.rng) % 3);
   t.Count(k.Seteuid(s, target));
   t.CountOk(k.GetPid(s) >= 0);
   t.Count(k.Stat(s, "/etc/passwd"));
@@ -306,8 +298,7 @@ MixReport RunWorkload(const WorkloadSpec& spec, SimMode sim_mode) {
     k.tracer().set_enabled(false);
   }
   if (spec.profile) {
-    k.profiler().set_enabled(true);
-    k.syscalls().SetAllSyscallsTimed(true);
+    k.syscalls().SetAllSyscallsTimed(true);  // attribution follows the timed set
   }
 
   const int tasks = spec.tasks > 0 ? spec.tasks : 1;
@@ -378,7 +369,6 @@ MixReport RunWorkload(const WorkloadSpec& spec, SimMode sim_mode) {
   report.wall_seconds = static_cast<double>(t1 - t0) / 1e9;
   if (report.wall_seconds > 0) {
     report.ops_per_sec = static_cast<double>(report.ops_issued) / report.wall_seconds;
-    report.units_per_sec = static_cast<double>(report.units) / report.wall_seconds;
   }
   for (Sysno nr : AllSysnos()) {
     report.profile.calls[static_cast<size_t>(nr)] =

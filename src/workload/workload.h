@@ -85,8 +85,9 @@ struct WorkloadSpec {
   // so sampling decisions replay run to run.
   bool trace = false;
   uint32_t sample_rate = 0;
-  // Arms the per-layer latency profiler and times every syscall over the
-  // measured region; the report's attrib_* fields are filled from it.
+  // Times every syscall, which also attributes each one layer by layer
+  // (attribution follows the timed set); the report's attrib_* fields are
+  // filled from the kernel's profiler.
   bool profile = false;
 };
 
@@ -111,7 +112,6 @@ struct MixReport {
   uint64_t ops_failed = 0;  // attempts that returned an error
   double wall_seconds = 0;
   double ops_per_sec = 0;    // ops_issued / wall_seconds
-  double units_per_sec = 0;  // units / wall_seconds
   SyscallProfile profile;
 
   // Observability capture (meaningful when the spec's knobs were on).

@@ -128,6 +128,17 @@ TEST(Hash, Fnv1aIsStable) {
   EXPECT_NE(Fnv1a("abc"), Fnv1a("abd"));
 }
 
+// splitmix64's published stream from seed 0; every seeded component draws
+// from this one definition.
+TEST(Hash, SplitMix64KnownAnswers) {
+  uint64_t state = 0;
+  EXPECT_EQ(SplitMix64(state), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SplitMix64(state), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(SplitMix64(state), 0x06c45d188009454fULL);
+  EXPECT_EQ(state, 3 * kSplitMix64Gamma);
+  EXPECT_EQ(SplitMix64Mix(kSplitMix64Gamma), 0xe220a8397b1dcdafULL);
+}
+
 TEST(ResultModel, ValueAndError) {
   Result<int> ok = 42;
   ASSERT_TRUE(ok.ok());

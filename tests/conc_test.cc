@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/conc/explore.h"
 #include "src/conc/scheduler.h"
 #include "src/sim/system.h"
@@ -93,6 +94,35 @@ TEST(ConcScheduler, SameSeedReplaysIdenticalChoices) {
   ASSERT_FALSE(executed[0].empty());
   EXPECT_EQ(executed[0], executed[1]);
   EXPECT_EQ(executed[0], executed[2]);
+}
+
+// kRandom draws from the shared splitmix64 stream: each decision takes the
+// next draw modulo the number of runnable units. Three units, because a
+// draw modulo a power of two reads only its lowest bits.
+TEST(ConcScheduler, RandomModeDrawsTheSharedSplitMix64Stream) {
+  constexpr uint64_t kSeed = 0xfeedULL;
+  Kernel kernel;
+  DetScheduler sched;
+  sched.set_mode(SchedMode::kRandom);
+  sched.set_seed(kSeed);
+  kernel.set_scheduler(&sched);
+  for (Uid uid = 1000; uid < 1003; ++uid) {
+    Task& task = kernel.CreateTask("task", Cred::ForUser(uid, uid), nullptr);
+    sched.StartTask(task.pid, [&kernel, &task] {
+      for (int i = 0; i < kSyscallsPerTask; ++i) {
+        (void)kernel.GetPid(task);
+      }
+    });
+  }
+  sched.Run();
+  kernel.set_scheduler(nullptr);
+  uint64_t state = kSeed;
+  size_t three_way = 0;
+  for (const SchedDecision& d : sched.decisions()) {
+    three_way += d.runnable.size() == 3 ? 1 : 0;
+    EXPECT_EQ(d.chosen_index, SplitMix64(state) % d.runnable.size());
+  }
+  EXPECT_GT(three_way, 0u);
 }
 
 TEST(ConcScheduler, DifferentSeedsExploreDifferentSchedules) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,22 @@ TEST(FaultRegistry, PidAndSysnoFiltersGate) {
 }
 
 // --- Directive grammar --------------------------------------------------------
+
+// Arming is the site's own state: a registry built on the same thread, in
+// the same storage, after an armed one is destroyed starts unarmed.
+TEST(FaultRegistry, RegistryBuiltAfterAnArmedOneStartsUnarmed) {
+  std::optional<FaultRegistry> faults;
+  faults.emplace();
+  ASSERT_TRUE(faults->Configure(FaultSite::kFdAlloc, AlwaysFault(Errno::kEMFILE)).ok());
+  EXPECT_EQ(faults->Evaluate(FaultSite::kFdAlloc), Errno::kEMFILE);
+  faults.reset();
+  faults.emplace();
+  // Another site armed, so evaluations pass the registry-wide fast path.
+  ASSERT_TRUE(faults->Configure(FaultSite::kVfsBlockAlloc, AlwaysFault(Errno::kENOSPC)).ok());
+  EXPECT_EQ(faults->Evaluate(FaultSite::kFdAlloc), Errno::kOk);
+  EXPECT_EQ(faults->evaluations(FaultSite::kFdAlloc), 0u);
+  EXPECT_EQ(faults->total_injected(), 0u);
+}
 
 TEST(FaultDirectives, ParsesFullDirective) {
   auto parsed = ParseFaultDirectives(

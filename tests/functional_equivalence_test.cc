@@ -25,5 +25,23 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, EquivalenceTest,
                            return FunctionalSuite()[info.param].name;
                          });
 
+// Input one command leaves unread must not answer the next command's
+// prompt: `id` never reads the queued password, so the `su` after it has
+// nothing to answer with and fails, on both stacks. Regression: the
+// leftover line authenticated the `su`, which ran `id` as bob.
+TEST(FunctionalStep, UnreadInputDoesNotAnswerTheNextPrompt) {
+  for (SimMode mode : {SimMode::kLinux, SimMode::kProtego}) {
+    SimSystem sys(mode);
+    Task& alice = sys.Login("alice");
+    std::string transcript;
+    Step(sys, alice, &transcript, "id", "/usr/bin/id", {"id"}, {"bobpw"});
+    Step(sys, alice, &transcript, "su-bob-id", "/bin/su", {"su", "bob", "/usr/bin/id"});
+    EXPECT_NE(transcript.find("[su-bob-id] exit="), std::string::npos) << transcript;
+    EXPECT_EQ(transcript.find("[su-bob-id] exit=0"), std::string::npos) << transcript;
+    EXPECT_EQ(transcript.find("uid=1001"), std::string::npos) << transcript;
+    EXPECT_FALSE(alice.terminal->ReadLine().has_value());
+  }
+}
+
 }  // namespace
 }  // namespace protego

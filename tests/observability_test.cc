@@ -290,13 +290,13 @@ TEST_F(ObservabilityTest, ExemplarsEscapeHeadSampling) {
 // --- Per-layer latency attribution -------------------------------------------
 
 TEST_F(ObservabilityTest, AttributionTelescopesAndFoldsPaths) {
-  kernel_.profiler().set_enabled(true);
+  kernel_.syscalls().SetAllSyscallsTimed(true);
   Task& alice = User(1000);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
     (void)kernel_.GetPid(alice);
   }
-  kernel_.profiler().set_enabled(false);
+  kernel_.syscalls().SetAllSyscallsTimed(false);
 
   const LayerProfiler& prof = kernel_.profiler();
   EXPECT_GT(prof.root_count(), 0u);
@@ -314,7 +314,6 @@ TEST_F(ObservabilityTest, AttributionTelescopesAndFoldsPaths) {
   EXPECT_GT(prof.Totals(Layer::kVfs).count, 0u);
 
   std::string profile = prof.FormatProfile();
-  EXPECT_NE(profile.find("# layer-profile enabled=0"), std::string::npos);
   EXPECT_NE(profile.find("# layer gate"), std::string::npos);
   EXPECT_NE(profile.find("gate;"), std::string::npos);
 
@@ -336,7 +335,7 @@ TEST_F(ObservabilityTest, AttributionFrameCountsAreDeterministic) {
     (void)k.vfs().CreateFile("/etc/passwd", 0644, kRootUid, kRootGid, "x");
     Terminal term;
     Task& t = k.CreateTask("u", Cred::ForUser(1000, 1000), &term);
-    k.profiler().set_enabled(true);
+    k.syscalls().SetAllSyscallsTimed(true);
     for (int i = 0; i < 10; ++i) {
       (void)k.Access(t, "/etc/passwd", kMayRead);
     }
@@ -355,6 +354,67 @@ TEST_F(ObservabilityTest, AttributionFrameCountsAreDeterministic) {
   EXPECT_FALSE(folded1.empty());
   EXPECT_EQ(folded1, folded2);
   EXPECT_EQ(counts1, counts2);
+}
+
+// Attribution follows the timed set: with only access(2) timed, the profile
+// holds one root per access call, every path starts at the gate, and once
+// the set is emptied further calls add nothing.
+TEST_F(ObservabilityTest, AttributionCoversExactlyTheTimedCalls) {
+  constexpr uint64_t kCalls = 12;
+  Task& alice = User(1000);
+  kernel_.syscalls().SetSyscallTimed(Sysno::kAccess, true);
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
+    ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
+    (void)kernel_.GetPid(alice);
+  }
+  const LayerProfiler& prof = kernel_.profiler();
+  EXPECT_EQ(prof.root_count(), kCalls);
+  EXPECT_EQ(prof.Totals(Layer::kGate).count, kCalls);
+  ASSERT_FALSE(prof.Folded().empty());
+  for (const auto& entry : prof.Folded()) {
+    EXPECT_EQ(entry.stack.rfind("gate", 0), 0u) << entry.stack;
+  }
+  uint64_t self_sum = 0;
+  for (size_t i = 0; i < kLayerCount; ++i) {
+    self_sum += prof.Totals(static_cast<Layer>(i)).self_ns;
+  }
+  EXPECT_EQ(self_sum, prof.root_ns());
+
+  kernel_.syscalls().SetAllSyscallsTimed(false);
+  const uint64_t root_ns = prof.root_ns();
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
+  }
+  EXPECT_EQ(prof.root_count(), kCalls);
+  EXPECT_EQ(prof.root_ns(), root_ns);
+}
+
+// A timed clone whose nested execve is untimed: the execve opens no scope
+// of its own, so its time is the clone's and the identity still holds.
+TEST_F(ObservabilityTest, UntimedNestedCallStaysInsideItsTimedCaller) {
+  ASSERT_TRUE(kernel_.vfs().EnsureDirs("/bin").ok());
+  ASSERT_TRUE(kernel_
+                  .InstallBinary("/bin/true", 0755, kRootUid, kRootGid,
+                                 [](ProcessContext&) { return 0; })
+                  .ok());
+  Task& alice = User(1000);
+  kernel_.syscalls().SetSyscallTimed(Sysno::kClone, true);
+  constexpr uint64_t kSpawns = 4;
+  for (uint64_t i = 0; i < kSpawns; ++i) {
+    ASSERT_TRUE(kernel_.Spawn(alice, "/bin/true", {"true"}, {}).ok());
+  }
+  EXPECT_EQ(kernel_.syscalls().stats(Sysno::kExecve).calls.load(), kSpawns);
+  const LayerProfiler& prof = kernel_.profiler();
+  EXPECT_EQ(prof.root_count(), kSpawns);
+  uint64_t self_sum = 0;
+  for (size_t i = 0; i < kLayerCount; ++i) {
+    self_sum += prof.Totals(static_cast<Layer>(i)).self_ns;
+  }
+  EXPECT_EQ(self_sum, prof.root_ns());
+  for (const auto& entry : prof.Folded()) {
+    EXPECT_EQ(entry.stack.find("gate", 1), std::string::npos) << entry.stack;
+  }
 }
 
 // --- /proc/protego interface -------------------------------------------------
@@ -472,9 +532,9 @@ TEST_F(ObservabilityProcTest, TimedCommandArmsNsHistogramAndExemplars) {
 
 TEST_F(ObservabilityProcTest, ProfileFileTogglesAndRenders) {
   Kernel& k = sys_.kernel();
-  EXPECT_FALSE(k.profiler().enabled());
-  ASSERT_TRUE(k.WriteWholeFile(root_, "/proc/protego/profile", "on").ok());
-  EXPECT_TRUE(k.profiler().enabled());
+  EXPECT_FALSE(k.syscalls().syscall_timed(Sysno::kMount));
+  ASSERT_TRUE(WriteTrace("timed=all").ok());
+  EXPECT_TRUE(k.syscalls().syscall_timed(Sysno::kMount));
 
   // A denied mount exercises gate -> lsm under the profiler.
   Task& alice = sys_.Login("alice");
@@ -482,15 +542,27 @@ TEST_F(ObservabilityProcTest, ProfileFileTogglesAndRenders) {
 
   auto profile = k.ReadWholeFile(root_, "/proc/protego/profile");
   ASSERT_TRUE(profile.ok());
-  EXPECT_NE(profile.value().find("# layer-profile enabled=1"), std::string::npos);
   EXPECT_NE(profile.value().find("gate"), std::string::npos);
 
-  ASSERT_TRUE(k.WriteWholeFile(root_, "/proc/protego/profile", "off").ok());
-  EXPECT_FALSE(k.profiler().enabled());
+  ASSERT_TRUE(WriteTrace("timed=none").ok());
+  EXPECT_FALSE(k.syscalls().syscall_timed(Sysno::kMount));
   ASSERT_TRUE(k.WriteWholeFile(root_, "/proc/protego/profile", "clear").ok());
   EXPECT_EQ(k.profiler().root_count(), 0u);
   EXPECT_EQ(k.WriteWholeFile(root_, "/proc/protego/profile", "bogus").code(),
             Errno::kEINVAL);
+}
+
+// The timed set is the one switch: the profile file only clears.
+TEST_F(ObservabilityProcTest, ProfileFileTakesClearOnly) {
+  Kernel& k = sys_.kernel();
+  EXPECT_EQ(k.WriteWholeFile(root_, "/proc/protego/profile", "on").code(), Errno::kEINVAL);
+  EXPECT_EQ(k.WriteWholeFile(root_, "/proc/protego/profile", "off").code(), Errno::kEINVAL);
+  ASSERT_TRUE(WriteTrace("timed=mount").ok());
+  Task& alice = sys_.Login("alice");
+  (void)k.Mount(alice, "/dev/sdb1", "/mnt", "ext4", {});
+  EXPECT_EQ(k.profiler().root_count(), 1u);
+  ASSERT_TRUE(k.WriteWholeFile(root_, "/proc/protego/profile", "clear").ok());
+  EXPECT_EQ(k.profiler().root_count(), 0u);
 }
 
 // --- Workload integration ----------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -14,7 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/conc/explore.h"
+#include "src/config/bindconf.h"
+#include "src/config/fstab.h"
+#include "src/config/ppp_options.h"
+#include "src/config/sudoers.h"
 #include "src/conc/thread_sched.h"
 #include "src/fault/fault.h"
 #include "src/kernel/exec_mode.h"
@@ -489,8 +495,8 @@ int RunReaderDuringSyscalls(Kernel& k, const std::vector<Task*>& writers, Task& 
 // Regression: a metrics scrape copied each thread's tail-exemplar reservoir
 // while its owner was creating and filling it (TSan: a race on the
 // per-syscall reservoirs). Every syscall is timed, so each call writes its
-// ns histogram and offers itself to the reservoir, and the scrape copies
-// both. Only mount is traced, the always-on control-plane set: with every
+// ns histogram, offers itself to the reservoir and is attributed layer by
+// layer, and the scrape copies all three. Only mount is traced, the always-on control-plane set: with every
 // syscall traced, the tracer's span lock happened to order the accesses. A
 // reservoir is written mostly on a thread's first calls, so each round boots
 // a fresh kernel to put more first calls under a scrape.
@@ -637,6 +643,63 @@ TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
 }
 
 // --- Trusted services and the audit ring under parallel tasks ---------------
+
+// Four root tasks append to four different watched files at once. Each
+// append's watch event runs on the writer's thread and syncs on its own
+// service task, so every kernel table ends matching its file. Regression:
+// every event ran on the daemon's one task from whichever thread wrote the
+// file, and an event that arrived during another sync returned unsynced.
+TEST(ParallelStress, ConcurrentConfigEditsReachTheKernel) {
+  constexpr int kEdits = 25;
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  using Line = std::string (*)(int);
+  const std::vector<std::pair<std::string, Line>> edits = {
+      {"/etc/fstab",
+       [](int i) { return StrFormat("/dev/sdc%d /media/stick%d vfat rw,user\n", i, i); }},
+      {"/etc/bind", [](int i) { return StrFormat("%d /usr/sbin/httpsd%d 33\n", 600 + i, i); }},
+      {"/etc/ppp/options", [](int i) { return StrFormat("safeopt opt%d\n", i); }},
+      {"/etc/sudoers",
+       [](int i) { return StrFormat("charlie ALL=(root) NOPASSWD: /usr/bin/tool%d\n", i); }},
+  };
+  std::vector<Task*> tasks;
+  for (size_t f = 0; f < edits.size(); ++f) {
+    tasks.push_back(&sys.Login("root"));
+  }
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> failed{0};
+  for (size_t f = 0; f < edits.size(); ++f) {
+    Task* task = tasks[f];
+    sched.StartTask(task->pid, [&, task, f] {
+      for (int i = 0; i < kEdits; ++i) {
+        if (!k.WriteWholeFile(*task, edits[f].first, edits[f].second(i), /*append=*/true).ok()) {
+          ++failed;
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_TRUE(sys.daemon()->errors().empty());
+
+  Task& root = sys.Login("root");
+  auto read = [&](const std::string& path) { return k.ReadWholeFile(root, path).value(); };
+  EXPECT_EQ(read("/proc/protego/mounts"), SerializeFstab(ParseFstab(read("/etc/fstab")).value()));
+  EXPECT_EQ(read("/proc/protego/ports"),
+            SerializeBindConf(ParseBindConf(read("/etc/bind")).value()));
+  EXPECT_EQ(read("/proc/protego/ppp"),
+            SerializePppOptions(ParsePppOptions(read("/etc/ppp/options")).value()));
+  std::vector<std::string> names = k.ReadDir(root, "/etc/sudoers.d").value();
+  std::sort(names.begin(), names.end());  // the daemon's order
+  std::vector<std::string> fragments;
+  for (const std::string& name : names) {
+    fragments.push_back(read("/etc/sudoers.d/" + name));
+  }
+  EXPECT_EQ(read("/proc/protego/sudoers"),
+            SerializeSudoers(ParseSudoersWithFragments(read("/etc/sudoers"), fragments).value()));
+}
 
 // Every setuid of an `exim` session goes to the auth utility (the shipped
 // rule `ALL ALL=(ALL) TARGETPW: ALL`), and no password is typed, so each

@@ -5,6 +5,7 @@
 
 #include "src/base/hash.h"
 #include "src/base/strings.h"
+#include "src/conc/explore.h"
 #include "src/userland/daemon_utils.h"
 #include "src/protego/protego_lsm.h"
 #include "src/sim/system.h"
@@ -159,6 +160,58 @@ TEST_F(ServicesTest, PasswdChangeFlowsThroughDaemonToLegacyShadow) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Two root tasks edit two different watched files under 64 seeded random
+// schedules; both edits must reach the kernel tables in every one.
+// Regression: an event that arrived while another task's sync was still
+// running returned without syncing, so in 63 of the 64 schedules one of
+// the two edits never reached /proc/protego.
+class ConcurrentConfigEdits : public conc::ScenarioRun {
+ public:
+  ConcurrentConfigEdits() : sys_(SimMode::kProtego) {}
+
+  Kernel& kernel() override { return sys_.kernel(); }
+
+  void RegisterTasks(TaskScheduler& sched) override {
+    Task& a = sys_.Login("root");
+    Task& b = sys_.Login("root");
+    sched.StartTask(a.pid, [this, &a] {
+      (void)kernel().WriteWholeFile(a, "/etc/fstab", "/dev/sdc1 /media/stick vfat rw,user\n",
+                                    /*append=*/true);
+    });
+    sched.StartTask(b.pid, [this, &b] {
+      (void)kernel().WriteWholeFile(b, "/etc/bind", "443 /usr/sbin/httpsd 33\n",
+                                    /*append=*/true);
+    });
+  }
+
+  std::optional<std::string> CheckInvariant() override {
+    Task& root = sys_.Login("root");
+    auto mounts = kernel().ReadWholeFile(root, "/proc/protego/mounts");
+    auto ports = kernel().ReadWholeFile(root, "/proc/protego/ports");
+    if (!mounts.ok() || mounts.value().find("/media/stick") == std::string::npos) {
+      return "the fstab edit never reached /proc/protego/mounts";
+    }
+    if (!ports.ok() || ports.value().find("/usr/sbin/httpsd") == std::string::npos) {
+      return "the bind edit never reached /proc/protego/ports";
+    }
+    return std::nullopt;
+  }
+
+ private:
+  SimSystem sys_;
+};
+
+TEST(MonitorDaemonRace, ConcurrentEditsOfTwoFilesBothSync) {
+  conc::ExploreOptions options;
+  options.mode = conc::ExploreMode::kRandom;
+  options.num_seeds = 64;
+  conc::ExploreResult result =
+      conc::Explore([] { return std::make_unique<ConcurrentConfigEdits>(); }, options);
+  EXPECT_FALSE(result.violation_found)
+      << result.detail << " under " << conc::FormatTrace(result.violating);
+  EXPECT_EQ(result.schedules_run, 64u);
 }
 
 }  // namespace
