@@ -13,7 +13,8 @@
 //                 set stays empty, so no syscall pays for wall-clock timing
 //                 or tail exemplars. Data-plane syscalls (stat, getpid)
 //                 are outside the traced set and decide "not traced".
-//                 BUDGET: stat-class overhead <5%.
+//                 BUDGET: stat-class overhead <5%, as the median over
+//                 21 back-to-back tracing-off/default pairs.
 //   sampled-all   every syscall traced at a 1-in-16 head-sampling rate —
 //                 full-coverage statistical tracing.
 //   all-on        every syscall traced, every event kept (the "before" row
@@ -78,11 +79,17 @@ void Apply(Kernel& k, const TraceConfig& cfg) {
   }
 }
 
-template <typename Fn>
-double TimeOnePass(Fn&& fn, int iters) {
+// ns/op of one pass of `op` under `cfg`, after a warmup that re-touches
+// the caches the previous pass left.
+double TimedPass(Kernel& k, const TraceConfig& cfg, const std::function<void()>& op, int iters) {
+  Apply(k, cfg);
+  k.tracer().Clear();  // ring churn priced, retention equalized
+  for (int i = 0; i < iters / 8; ++i) {
+    op();
+  }
   uint64_t t0 = MonotonicNanos();
   for (int i = 0; i < iters; ++i) {
-    fn();
+    op();
   }
   uint64_t t1 = MonotonicNanos();
   return static_cast<double>(t1 - t0) / iters;
@@ -109,6 +116,7 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_observability.json";
   constexpr int kIters = 200000;
   constexpr int kReps = 9;
+  constexpr int kPairs = 21;
 
   SimSystem sys(SimMode::kProtego);
   Task& task = sys.Login("alice");
@@ -128,7 +136,6 @@ int main(int argc, char** argv) {
        [&] { (void)k.Mount(task, "/dev/sda1", "/mnt", "ext4", {}); }});
 
   std::vector<Row> rows;
-  double default_stat_overhead = 0;
   constexpr size_t kNumConfigs = sizeof(kConfigs) / sizeof(kConfigs[0]);
   for (const Workload& w : workloads) {
     // Interleave the configs WITHIN each rep (off, default, sampled, all-on,
@@ -141,14 +148,7 @@ int main(int argc, char** argv) {
     std::fill(best, best + kNumConfigs, 1e18);
     for (int r = 0; r < kReps; ++r) {
       for (size_t c = 0; c < kNumConfigs; ++c) {
-        Apply(k, kConfigs[c]);
-        k.tracer().Clear();  // ring churn priced, retention equalized
-        // Per-pass warmup: re-touches caches after the previous config's
-        // pass.
-        for (int i = 0; i < w.iters / 8; ++i) {
-          w.op();
-        }
-        best[c] = std::min(best[c], TimeOnePass(w.op, w.iters));
+        best[c] = std::min(best[c], TimedPass(k, kConfigs[c], w.op, w.iters));
       }
     }
     const double baseline = best[0];  // kConfigs[0] is tracing-off
@@ -160,13 +160,29 @@ int main(int argc, char** argv) {
       row.overhead_pct =
           baseline > 0 ? (best[c] - baseline) / baseline * 100.0 : 0;
       rows.push_back(row);
-      if (row.workload == "stat" && row.config == "default") {
-        default_stat_overhead = row.overhead_pct;
-      }
       std::printf("%-12s %-12s %8.2f ns/op  %+7.1f%%\n", w.name,
                   kConfigs[c].name, best[c], row.overhead_pct);
     }
   }
+  // The budget gates on pairs, not on best-of-N: this host's stat cost
+  // swings between runs (tracing-off read 238-438 ns/op), and best-of-9 per
+  // config failed the gate on unchanged code. Each pair times tracing-off
+  // and default back to back, alternating which goes first, and the gate
+  // reads the median of the per-pair overheads.
+  std::vector<double> pair_overheads;
+  for (int p = 0; p < kPairs; ++p) {
+    double ns[2];
+    for (int i = 0; i < 2; ++i) {
+      const int c = p % 2 == 0 ? i : 1 - i;  // kConfigs[0] tracing-off, [1] default
+      ns[c] = TimedPass(k, kConfigs[c], workloads[1].op, workloads[1].iters);
+    }
+    pair_overheads.push_back((ns[1] - ns[0]) / ns[0] * 100.0);
+  }
+  std::nth_element(pair_overheads.begin(), pair_overheads.begin() + kPairs / 2,
+                   pair_overheads.end());
+  const double default_stat_overhead = pair_overheads[kPairs / 2];
+  std::printf("stat default vs tracing-off: median of %d pairs %+7.2f%%\n", kPairs,
+              default_stat_overhead);
   (void)sink;
   Apply(k, kConfigs[3]);  // restore boot defaults (everything on, no sampling)
 
@@ -197,8 +213,8 @@ int main(int argc, char** argv) {
     Check c;
     c.name = "default_stat_overhead_lt_5pct";
     c.pass = default_stat_overhead < 5.0;
-    c.detail = "default-config stat overhead " +
-               std::to_string(default_stat_overhead) + "% (budget 5%)";
+    c.detail = "default-config stat overhead " + std::to_string(default_stat_overhead) +
+               "% (median of " + std::to_string(kPairs) + " alternating pairs; budget 5%)";
     checks.push_back(c);
   }
   {
@@ -223,8 +239,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"observability\",\n  \"unit\": \"ns/op\",\n");
-  std::fprintf(f, "  \"reps\": %d,\n  \"sample_rate\": 16,\n  \"sample_seed\": 42,\n",
-               kReps);
+  std::fprintf(f,
+               "  \"reps\": %d,\n  \"stat_gate_pairs\": %d,\n  \"sample_rate\": 16,\n"
+               "  \"sample_seed\": 42,\n",
+               kReps, kPairs);
   std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,

@@ -192,6 +192,15 @@ std::string MetricsRegistry::PrometheusText() const {
   return out;
 }
 
+void CollectLock(MetricsBuilder& b, const char* lock, const LockCounts& counts) {
+  b.Counter("protego_lock_contended_total",
+            "Lock acquisitions that found the lock held against them.", {{"lock", lock}},
+            counts.contended);
+  b.Counter("protego_lock_wait_ns_total",
+            "Nanoseconds contended acquisitions waited, from first refusal to acquisition.",
+            {{"lock", lock}}, counts.wait_ns);
+}
+
 std::string MetricsRegistry::JsonExcerpt(size_t max_samples_per_family) const {
   SnapshotBuilder snapshot;
   for (const Collector& collect : SnapshotCollectors()) {

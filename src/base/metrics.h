@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/rw_lock.h"
+
 namespace protego {
 
 // Log2-bucket histogram. Upper bounds: 0, 1, 2, 4, ..., 2^30, +Inf.
@@ -141,6 +143,10 @@ class MetricsBuilder {
                        MetricLabels labels, const Histogram& h,
                        std::vector<MetricExemplar> exemplars) = 0;
 };
+
+// One lock's two series: protego_lock_contended_total and
+// protego_lock_wait_ns_total, labelled {lock}.
+void CollectLock(MetricsBuilder& b, const char* lock, const LockCounts& counts);
 
 class MetricsRegistry {
  public:

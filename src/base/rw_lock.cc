@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/base/clock.h"
+
 namespace protego {
 
 namespace {
@@ -12,10 +14,35 @@ void Pause() {
 #endif
 }
 
+// Slow-path bookkeeping: the first refusal counts the acquisition as
+// contended and starts its clock; Acquired() adds the wait. An acquisition
+// that never met a holder (a spurious CAS failure) records nothing.
+class SlowPathTimer {
+ public:
+  explicit SlowPathTimer(LockStats* stats) : stats_(stats) {}
+  void Refused() {
+    if (!refused_) {
+      refused_ = true;
+      start_ = MonotonicNanos();
+      stats_->contended.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  void Acquired() {
+    if (refused_) {
+      stats_->wait_ns.fetch_add(MonotonicNanos() - start_, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  LockStats* const stats_;
+  bool refused_ = false;
+  uint64_t start_ = 0;
+};
+
 }  // namespace
 
 void RwLock::LockSlow() {
-  bool counted = false;
+  SlowPathTimer timer(stats_);
   for (int spins = 0;; spins = std::min(spins + 1, kSpins)) {
     uint32_t s = state_.load(std::memory_order_relaxed);
     // Free of holders: take it. kWriterWaiting goes (this writer has its
@@ -24,13 +51,11 @@ void RwLock::LockSlow() {
     while ((s & (kWriter | kReaders)) == 0) {
       if (state_.compare_exchange_weak(s, (s & kParked) | kWriter, std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
+        timer.Acquired();
         return;
       }
     }
-    if (!counted) {
-      contended_.fetch_add(1, std::memory_order_relaxed);
-      counted = true;
-    }
+    timer.Refused();
     // Held: turn new readers away at once, and park once the spin budget
     // is spent. The wait returns as soon as the word differs from `want`.
     const bool park = spins >= kSpins;
@@ -48,19 +73,17 @@ void RwLock::LockSlow() {
 }
 
 void RwLock::LockSharedSlow() {
-  bool counted = false;
+  SlowPathTimer timer(stats_);
   for (int spins = 0;; spins = std::min(spins + 1, kSpins)) {
     uint32_t s = state_.load(std::memory_order_relaxed);
     while ((s & kBarsReaders) == 0) {
       if (state_.compare_exchange_weak(s, s + kReader, std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
+        timer.Acquired();
         return;
       }
     }
-    if (!counted) {
-      contended_.fetch_add(1, std::memory_order_relaxed);
-      counted = true;
-    }
+    timer.Refused();
     const bool park = spins >= kSpins;
     if (!park) {
       Pause();

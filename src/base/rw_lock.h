@@ -4,7 +4,7 @@
 // Why barging, and why no hand-off. The standard library's shared mutex is
 // glibc's pthread_rwlock, which on a contended release wakes a sleeper and
 // lets it own the lock before it has been scheduled. Mail's spool writers
-// (create, rename, unlink under the VFS tree lock from four tasks) hold the
+// (create, rename, unlink under the VFS tree lock from four tasks) held the
 // lock briefly, so that wake-up cost more than the work it guarded: the
 // tasks convoyed behind it, and four ran at 0.41x the rate of one. Here
 // unlock hands the lock to no one. It clears the held bit and, only when a
@@ -14,10 +14,10 @@
 //
 // Why writer-preferring. A writer that finds the lock held sets
 // kWriterWaiting, which turns new readers away until a writer has had its
-// turn, so the stream of walks that are most of the traffic cannot starve
-// a create or a rename. The price: a thread must not take one lock shared
-// twice, since a writer arriving in between would wait on the first hold
-// while the second waits on the writer. No caller does.
+// turn, so a stream of readers cannot starve a writer. The price: a thread
+// must not take one lock shared twice, since a writer arriving in between
+// would wait on the first hold while the second waits on the writer. No
+// caller does.
 //
 // Waiting. A contended acquirer retries for kSpins pauses, about as long
 // as a short critical section, then sets kParked and sleeps on the word
@@ -27,8 +27,11 @@
 // thread competes again like any other.
 //
 // Cost. Uncontended, lock and lock_shared are one CAS and each unlock one
-// atomic read-modify-write. contended() counts the acquisitions that found
-// the lock held against them: one relaxed add on the slow path, no clock.
+// atomic read-modify-write, with no clock read. Only the slow path keeps
+// statistics (counts()): the acquisitions that found the lock held against
+// them, and how long they took from the first refusal to the acquisition,
+// spinning and parked. Locks may share one LockStats: the VFS sums every
+// directory lock into one.
 //
 // RwLock meets Lockable and SharedLockable, for std::unique_lock and
 // std::shared_lock. Under ThreadSanitizer it is annotated as a mutex, so
@@ -50,9 +53,33 @@
 
 namespace protego {
 
+// Slow-path totals of one lock, or of several summed.
+struct LockCounts {
+  uint64_t contended = 0;  // acquisitions that found the lock held against them
+  uint64_t wait_ns = 0;    // their summed wait, first refusal to acquisition
+  LockCounts& operator+=(const LockCounts& other) {
+    contended += other.contended;
+    wait_ns += other.wait_ns;
+    return *this;
+  }
+};
+
+// Where a lock's slow path records (since construction).
+struct LockStats {
+  std::atomic<uint64_t> contended{0};
+  std::atomic<uint64_t> wait_ns{0};
+  LockCounts Read() const {
+    return {contended.load(std::memory_order_relaxed), wait_ns.load(std::memory_order_relaxed)};
+  }
+};
+
 class RwLock {
  public:
-  RwLock() { PROTEGO_TSAN_MUTEX(__tsan_mutex_create(this, 0)); }
+  RwLock() : RwLock(nullptr) {}
+  // Records into `stats` (shared with other locks) instead of its own.
+  explicit RwLock(LockStats* stats) : stats_(stats != nullptr ? stats : &own_) {
+    PROTEGO_TSAN_MUTEX(__tsan_mutex_create(this, 0));
+  }
   ~RwLock() { PROTEGO_TSAN_MUTEX(__tsan_mutex_destroy(this, 0)); }
   RwLock(const RwLock&) = delete;
   RwLock& operator=(const RwLock&) = delete;
@@ -123,8 +150,10 @@ class RwLock {
   }
 
   // Acquisitions, shared or exclusive, that found the lock held against
-  // them (since construction).
-  uint64_t contended() const { return contended_.load(std::memory_order_relaxed); }
+  // them, and the nanoseconds they waited, from this lock's LockStats.
+  uint64_t contended() const { return stats_->contended.load(std::memory_order_relaxed); }
+  LockCounts counts() const { return stats_->Read(); }
+  LockStats* stats() const { return stats_; }
 
  private:
   static constexpr uint32_t kWriter = 1;         // held exclusively
@@ -140,7 +169,8 @@ class RwLock {
   void WakeParked();
 
   std::atomic<uint32_t> state_{0};
-  std::atomic<uint64_t> contended_{0};
+  LockStats* const stats_;
+  LockStats own_;
 };
 
 }  // namespace protego

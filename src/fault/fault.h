@@ -46,7 +46,7 @@ namespace protego {
 // The static inventory of fault sites. Adding a site means adding an id
 // here, a name in fault.cc, and an Evaluate() call at the choke point.
 enum class FaultSite : uint8_t {
-  kVfsVnodeAlloc = 0,  // Vfs::LinkLocked — vnode/inode allocation (ENOMEM)
+  kVfsVnodeAlloc = 0,  // Vfs::LinkAt — vnode/inode allocation (ENOMEM)
   kVfsBlockAlloc,      // Vfs::WriteNode — data block allocation (ENOSPC)
   kFdAlloc,            // FdTable slot allocation (EMFILE/ENFILE)
   kSyscallEntry,       // SyscallGate::Run, before the syscall body

@@ -105,18 +105,18 @@ void Kernel::CollectKernelMetrics(MetricsBuilder& b) const {
   b.Counter("protego_lsm_fail_closed_total",
             "LSM hook dispatches denied because a fault was injected.", {},
             lsm_.fail_closed_denials());
-  auto contended = [&b](const char* lock, uint64_t n) {
-    b.Counter("protego_lock_contended_total",
-              "Lock acquisitions that found the lock held against them.", {{"lock", lock}}, n);
-  };
-  contended("vfs_tree", vfs_.tree_lock_contended());
-  contended("vfs_data", vfs_.data_lock_contended());
-  contended("vfs_watch", vfs_.watch_lock_contended());
-  contended("netfilter_rules", net_.netfilter().rules_lock_contended());
-  contended("routing", net_.routes().lock_contended());
-  contended("net_raw", net_.raw_lock_contended());
-  contended("net_topo", net_.topo_lock_contended());
-  contended("binary_registry", registry_mu_.contended());
+  CollectLock(b, "vfs_tree", vfs_.tree_lock_counts());
+  CollectLock(b, "vfs_data", vfs_.data_lock_counts());
+  CollectLock(b, "vfs_watch", vfs_.watch_lock_counts());
+  CollectLock(b, "netfilter_rules", net_.netfilter().rules_lock_counts());
+  CollectLock(b, "routing", net_.routes().lock_counts());
+  CollectLock(b, "net_raw", net_.raw_lock_counts());
+  CollectLock(b, "net_topo", net_.topo_lock_counts());
+  CollectLock(b, "binary_registry", registry_mu_.counts());
+  b.Gauge("protego_vfs_grace_pending",
+          "VFS objects retired (directory listings, names, mount rows, watch lists) and not yet "
+          "freed.",
+          {}, static_cast<double>(vfs_.grace_pending()));
   b.Gauge("protego_open_files", "Open file descriptions across all tasks.", {},
           static_cast<double>(OpenFileCount()));
   b.Gauge("protego_tasks", "Live tasks.", {},

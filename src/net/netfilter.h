@@ -109,8 +109,8 @@ class Netfilter {
   uint64_t fail_closed_drops() const {
     return fail_closed_drops_.load(std::memory_order_relaxed);
   }
-  // Contended acquisitions of the rule lock (exported as a metric).
-  uint64_t rules_lock_contended() const { return rules_mu_.contended(); }
+  // Slow-path counts of the rule lock (exported as metrics).
+  LockCounts rules_lock_counts() const { return rules_mu_.counts(); }
 
  private:
   bool Matches(const NfMatch& match, const Packet& packet) const;

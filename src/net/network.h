@@ -165,9 +165,9 @@ class Network {
     return packets_delivered_.load(std::memory_order_relaxed);
   }
   uint64_t packets_dropped() const { return netfilter_.dropped(); }
-  // Contended acquisitions of the raw-socket and topology locks.
-  uint64_t raw_lock_contended() const { return raw_mu_.contended(); }
-  uint64_t topo_lock_contended() const { return topo_mu_.contended(); }
+  // Slow-path counts of the raw-socket and topology locks.
+  LockCounts raw_lock_counts() const { return raw_mu_.counts(); }
+  LockCounts topo_lock_counts() const { return topo_mu_.counts(); }
 
  private:
   static constexpr size_t kShards = 16;

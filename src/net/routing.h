@@ -54,8 +54,8 @@ class RoutingTable {
     std::unique_lock<RwLock> lk(mu_);
     entries_.clear();
   }
-  // Contended acquisitions of the table lock (exported as a metric).
-  uint64_t lock_contended() const { return mu_.contended(); }
+  // Slow-path counts of the table lock (exported as metrics).
+  LockCounts lock_counts() const { return mu_.counts(); }
 
   static bool PrefixContains(Ipv4 net, int prefix_len, Ipv4 addr);
 

@@ -532,9 +532,7 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
     row("file", "delegated", s.file_delegations);
     b.Counter("protego_reauth_reads_total",
               "Reads of re-authentication state by the auth agent.", {}, s.reauth_reads);
-    b.Counter("protego_lock_contended_total",
-              "Lock acquisitions that found the lock held against them.",
-              {{"lock", "protego_policy"}}, lsm->policy_lock_contended());
+    CollectLock(b, "protego_policy", lsm->policy_lock_counts());
   });
 
   return OkUnit();

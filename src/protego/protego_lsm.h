@@ -147,8 +147,8 @@ class ProtegoLsm : public SecurityModule {
   UserDb user_db() const { return policy()->user_db; }
   PppOptions ppp_options() const { return policy()->ppp_options; }
   const ProtegoStats& stats() const { return stats_; }
-  // Contended acquisitions of the snapshot lock (exported as a metric).
-  uint64_t policy_lock_contended() const { return policy_mu_.contended(); }
+  // Slow-path counts of the snapshot lock (exported as metrics).
+  LockCounts policy_lock_counts() const { return policy_mu_.counts(); }
 
   // --- LSM hooks -------------------------------------------------------------
 

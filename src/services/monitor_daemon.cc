@@ -61,24 +61,36 @@ void MonitorDaemon::OnEvent(FsEvent event, const std::string& path) {
   (void)event;
   // The daemon's own writes (/proc/protego/*, /etc/passwd|shadow|group)
   // match no watch, so every event is another task's edit.
-  SyncStep step = nullptr;
+  EventSync* sync = nullptr;
   if (path == "/etc/fstab") {
-    step = &MonitorDaemon::SyncMounts;
+    sync = &mounts_;
   } else if (StartsWith(path, "/etc/sudoers")) {
-    step = &MonitorDaemon::SyncSudoers;
+    sync = &sudoers_;
   } else if (path == "/etc/bind") {
-    step = &MonitorDaemon::SyncPorts;
+    sync = &ports_;
   } else if (StartsWith(path, "/etc/ppp")) {
-    step = &MonitorDaemon::SyncPpp;
+    sync = &ppp_;
   } else if (StartsWith(path, "/etc/passwds") || StartsWith(path, "/etc/shadows") ||
              StartsWith(path, "/etc/groups")) {
-    step = &MonitorDaemon::SyncAccounts;
+    sync = &accounts_;
   } else {
     return;
   }
-  Result<Unit> r = OnServiceTask(step);
-  if (!r.ok()) {
-    RecordError(r.error(), "event sync for " + path);
+  // A sync may have read the file before a concurrent edit and publish
+  // after that edit's own sync. So each event bumps the generation before
+  // its sync reads, and a sync that finds the generation moved runs again:
+  // whichever sync publishes last read the file after the last edit.
+  uint64_t seen = sync->generation.fetch_add(1, std::memory_order_acq_rel) + 1;
+  while (true) {
+    Result<Unit> r = OnServiceTask(sync->step);
+    if (!r.ok()) {
+      RecordError(r.error(), "event sync for " + path);
+    }
+    const uint64_t now = sync->generation.load(std::memory_order_acquire);
+    if (now == seen) {
+      return;
+    }
+    seen = now;
   }
 }
 

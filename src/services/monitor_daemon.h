@@ -13,7 +13,10 @@
 // reaped before it returns, as AuthService does per request: an event runs
 // on whichever task thread wrote the watched file, so edits from tasks
 // running in parallel each sync on their own task and none is dropped.
-// Concurrent edits of the same file may still apply out of order.
+// Concurrent edits of the same file apply in order: each sync an event can
+// trigger has a generation that every such event bumps, and a sync re-runs
+// while its generation moved during it, so the last to publish read the
+// last edit.
 
 #ifndef SRC_SERVICES_MONITOR_DAEMON_H_
 #define SRC_SERVICES_MONITOR_DAEMON_H_
@@ -54,6 +57,13 @@ class MonitorDaemon {
  private:
   using SyncStep = Result<Unit> (MonitorDaemon::*)(Task&);
 
+  // A sync an event can trigger, and how many events have asked for it.
+  struct EventSync {
+    explicit EventSync(SyncStep s) : step(s) {}
+    const SyncStep step;
+    std::atomic<uint64_t> generation{0};
+  };
+
   // One sync: runs `step` on a fresh service task, reaped before returning.
   Result<Unit> OnServiceTask(SyncStep step);
   void OnEvent(FsEvent event, const std::string& path);
@@ -73,6 +83,11 @@ class MonitorDaemon {
   Result<UserDb> ReadFragments(Task& task);
 
   Kernel* kernel_ = nullptr;
+  EventSync mounts_{&MonitorDaemon::SyncMounts};
+  EventSync sudoers_{&MonitorDaemon::SyncSudoers};
+  EventSync ports_{&MonitorDaemon::SyncPorts};
+  EventSync ppp_{&MonitorDaemon::SyncPpp};
+  EventSync accounts_{&MonitorDaemon::SyncAccounts};
   std::vector<int> watch_ids_;
   std::atomic<uint64_t> sync_count_{0};
   mutable std::mutex errors_mu_;

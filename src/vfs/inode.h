@@ -26,7 +26,7 @@ struct SyntheticOps {
 // A file's metadata and (for regular files) contents. Owned by a Vnode.
 //
 // mode/uid/gid are lock-free atomics: chmod/chown store new values under
-// the VFS tree lock while permission checks on other task threads read
+// the inode's VFS data stripe while permission checks on other task threads read
 // them without any lock — exactly the access-check-vs-chmod TOCTTOU window
 // the race corpus exercises. The atomics keep that window a *semantic*
 // race (old-or-new value, as on Linux) rather than a data race. All other
@@ -50,9 +50,9 @@ struct Inode {
   std::shared_ptr<SyntheticOps> synthetic;
 
   // True when this inode's `data` bytes are charged against the VFS block
-  // quota (regular non-synthetic files created through Vfs::LinkLocked or
+  // quota (regular non-synthetic files created through Vfs::LinkAt or
   // written through Vfs::WriteNode). Bootstrap populators that bypass
-  // LinkLocked leave it false; the first quota-aware write charges in full.
+  // LinkAt leave it false; the first quota-aware write charges in full.
   bool charged = false;
 
   // Atomic members delete the implicit copy operations; Stat/snapshot

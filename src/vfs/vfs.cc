@@ -1,6 +1,7 @@
 #include "src/vfs/vfs.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/base/strings.h"
 
@@ -15,32 +16,76 @@ const char* FsEventName(FsEvent event) {
   return "?";
 }
 
-Vnode* Vnode::Lookup(std::string_view child) const {
-  auto it = children_.find(child);
-  return it == children_.end() ? nullptr : it->second.get();
-}
+namespace {
 
-Result<Vnode*> Vnode::AddChild(std::string name, Inode inode) {
-  if (!inode_.IsDir()) {
-    return Error(Errno::kENOTDIR, name_);
+bool NameBefore(const Dirent& entry, std::string_view name) { return entry.name < name; }
+
+}  // namespace
+
+Vnode* Vnode::Lookup(std::string_view child) const {
+  const DirEntries* entries =
+      dir_ != nullptr ? dir_->entries.load(std::memory_order_acquire) : nullptr;
+  if (entries == nullptr) {
+    return nullptr;
   }
-  if (children_.count(name) != 0) {
-    return Error(Errno::kEEXIST, name);
-  }
-  auto node = std::make_unique<Vnode>(name, std::move(inode));
-  node->parent_ = this;
-  Vnode* raw = node.get();
-  children_.emplace(std::move(name), std::move(node));
-  return raw;
+  auto it = std::lower_bound(entries->begin(), entries->end(), child, NameBefore);
+  return it != entries->end() && it->name == child ? it->node : nullptr;
 }
 
 std::vector<std::string> Vnode::ListNames() const {
   std::vector<std::string> names;
-  names.reserve(children_.size());
-  for (const auto& [name, node] : children_) {
-    names.push_back(name);
+  const DirEntries* entries =
+      dir_ != nullptr ? dir_->entries.load(std::memory_order_acquire) : nullptr;
+  if (entries != nullptr) {
+    names.reserve(entries->size());
+    for (const Dirent& entry : *entries) {
+      names.push_back(entry.name);
+    }
   }
   return names;
+}
+
+const DirEntries* Vnode::Republish(std::string_view drop, std::string_view name, Vnode* add) {
+  const DirEntries* old = dir_->entries.load(std::memory_order_relaxed);
+  auto kept = [&](const Dirent& entry) {
+    return entry.name != drop && (add == nullptr || entry.name != name);
+  };
+  const size_t size = (old == nullptr ? 0 : std::count_if(old->begin(), old->end(), kept)) +
+                      (add != nullptr ? 1 : 0);
+  DirEntries* fresh = nullptr;
+  if (size > 0) {
+    fresh = new DirEntries();
+    fresh->reserve(size);
+    if (old != nullptr) {
+      std::copy_if(old->begin(), old->end(), std::back_inserter(*fresh), kept);
+    }
+    if (add != nullptr) {
+      fresh->insert(std::lower_bound(fresh->begin(), fresh->end(), name, NameBefore),
+                    Dirent{std::string(name), add});
+    }
+  }
+  dir_->entries.store(fresh, std::memory_order_release);
+  return old;
+}
+
+std::pair<Vnode*, const DirEntries*> Vnode::Link(std::string_view name, Inode inode) {
+  dir_->owned.push_back(
+      std::make_unique<Vnode>(std::string(name), std::move(inode), dir_->mu.stats()));
+  Vnode* node = dir_->owned.back().get();
+  node->parent_.store(this, std::memory_order_relaxed);
+  return {node, Republish("", name, node)};
+}
+
+Result<Vnode*> Vnode::AddChild(std::string name, Inode inode) {
+  if (dir_ == nullptr) {
+    return Error(Errno::kENOTDIR, *name_.load(std::memory_order_relaxed));
+  }
+  if (Lookup(name) != nullptr) {
+    return Error(Errno::kEEXIST, name);
+  }
+  auto [node, replaced] = Link(name, std::move(inode));
+  delete replaced;
+  return node;
 }
 
 std::string_view DirPathOf(std::string_view canonical) {
@@ -66,19 +111,45 @@ Vfs::Vfs(Clock* clock) : clock_(clock) {
   Inode root_inode;
   root_inode.ino = 1;
   root_inode.mode = kIfDir | 0755;
-  root_.reset(new Vnode("", std::move(root_inode)));
+  root_.reset(new Vnode("", std::move(root_inode), &dir_lock_stats_));
 }
 
+Vfs::~Vfs() { delete watches_.load(std::memory_order_relaxed); }
+
 Vnode* Vfs::Top(Vnode* node) {
-  while (node->covered_by_ != nullptr) {
-    node = node->covered_by_->root.get();
+  for (MountEntry* m; (m = node->covered_by_.load(std::memory_order_acquire)) != nullptr;) {
+    node = m->root;
   }
   return node;
 }
 
-WalkResult Vfs::WalkLocked(std::string_view cwd, std::string_view path, bool follow) const {
+template <typename Read>
+auto Vfs::ReadStable(Read&& read) const {
+  for (int i = 0; i < kShapeRetries; ++i) {
+    GraceDomain::Section section(grace_);
+    const uint64_t seq = shape_seq_.load(std::memory_order_acquire);
+    if ((seq & 1) == 0) {
+      // Everything `read` loads is an acquire load, so this second read of
+      // the count cannot move above them.
+      auto result = read();
+      if (shape_seq_.load(std::memory_order_acquire) == seq) {
+        return result;
+      }
+    }
+  }
+  std::shared_lock<RwLock> lk(rename_mu_);
+  GraceDomain::Section section(grace_);
+  return read();
+}
+
+WalkResult Vfs::Walk(std::string_view cwd, std::string_view path, bool follow) const {
   LayerScope vfs_scope(Layer::kVfs);
-  resolves_.fetch_add(1, std::memory_order_relaxed);
+  std::atomic<uint64_t>& resolves = shards_.Mine().resolves;
+  resolves.store(resolves.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  return ReadStable([&] { return WalkBody(cwd, path, follow); });
+}
+
+WalkResult Vfs::WalkBody(std::string_view cwd, std::string_view path, bool follow) const {
   WalkResult w;
   w.err = path.empty() ? Errno::kENOENT : Errno::kOk;
   // The text still to walk, innermost last: a symlink's target sits above
@@ -118,11 +189,12 @@ WalkResult Vfs::WalkLocked(std::string_view cwd, std::string_view path, bool fol
       // ".." climbs out of mount roots to the parent of the covered
       // directory, and stays put at the top.
       Vnode* up = node;
-      while (up->mount_root_of_ != nullptr) {
-        up = up->mount_root_of_->covered;
+      for (MountEntry* m; (m = up->mount_root_of_.load(std::memory_order_acquire)) != nullptr;) {
+        up = m->covered;
       }
-      if (comp == ".." && up->parent_ != nullptr) {
-        node = Top(up->parent_);
+      Vnode* parent = up->parent_.load(std::memory_order_acquire);
+      if (comp == ".." && parent != nullptr) {
+        node = Top(parent);
         canon.resize(canon.rfind('/'));
       }
     } else if (child == nullptr) {
@@ -169,26 +241,26 @@ Result<Vnode*> Vfs::Resolve(std::string_view path) const {
 }
 
 std::string Vfs::PathOf(const Vnode* node) const {
-  std::shared_lock<RwLock> lk(tree_mu_);
-  return PathOfLocked(node);
+  return ReadStable([&] { return PathBody(node); });
 }
 
-std::string Vfs::PathOfLocked(const Vnode* node) const {
+std::string Vfs::PathBody(const Vnode* node) const {
   // A mount root sits where the directory it covers does.
-  while (node->mount_root_of_ != nullptr) {
-    node = node->mount_root_of_->covered;
+  for (MountEntry* m; (m = node->mount_root_of_.load(std::memory_order_acquire)) != nullptr;) {
+    node = m->covered;
   }
-  if (node->parent_ == nullptr) {
+  const Vnode* parent = node->parent_.load(std::memory_order_acquire);
+  if (parent == nullptr) {
     return "/";
   }
-  std::string path = PathOfLocked(node->parent_);
+  std::string path = PathBody(parent);
   if (path.size() > 1) {
     path += '/';
   }
-  return path += node->name_;
+  return path += *node->name_.load(std::memory_order_acquire);
 }
 
-Result<Vnode*> Vfs::LinkLocked(const WalkResult& at, Inode inode, PendingEvents* events) {
+Result<Vnode*> Vfs::LinkAt(const WalkResult& at, Inode inode, PendingEvents* events) {
   // The single vnode-allocation choke point: every create routes through
   // here, so one fault site models inode/dentry cache exhaustion.
   if (faults_ != nullptr && faults_->any_enabled()) {
@@ -206,12 +278,16 @@ Result<Vnode*> Vfs::LinkLocked(const WalkResult& at, Inode inode, PendingEvents*
   if (inode.IsSymlink() && inode.data.empty()) {
     return Error(Errno::kEINVAL, "empty symlink target");
   }
-  if (at.dir->unlinked_) {
+  std::unique_lock<RwLock> lk(at.dir->dir_->mu);
+  if (at.dir->unlinked_.load(std::memory_order_relaxed)) {
     return Error(Errno::kENOENT, at.path);
+  }
+  if (at.dir->Lookup(at.name) != nullptr) {
+    return Error(Errno::kEEXIST, at.name);
   }
   // A regular file's initial contents are charged against the block quota;
   // the checks run before the vnode is linked in so a refused create leaves
-  // no partial state, and the charge lands only after AddChild succeeds.
+  // no partial state.
   bool charge = inode.IsReg() && inode.synthetic == nullptr;
   uint64_t size = charge ? inode.data.size() : 0;
   if (charge && size > 0) {
@@ -225,17 +301,17 @@ Result<Vnode*> Vfs::LinkLocked(const WalkResult& at, Inode inode, PendingEvents*
   }
   inode.ino = NextIno();
   inode.mtime = NowMtime();
-  ASSIGN_OR_RETURN(Vnode * node, at.dir->AddChild(at.name, std::move(inode)));
   if (charge) {
     bytes_used_.fetch_add(size, std::memory_order_relaxed);
-    node->inode().charged = true;
+    inode.charged = true;
   }
-  events->emplace_back(FsEvent::kCreated, PathOfLocked(node));
+  Vnode* node = Link(at.dir, at.name, std::move(inode));
+  events->emplace_back(FsEvent::kCreated, at.path);
   return node;
 }
 
 Result<Vnode*> Vfs::CreateAt(const WalkResult& at, Inode inode) {
-  return Mutate([&](PendingEvents* events) { return LinkLocked(at, std::move(inode), events); });
+  return Mutate([&](PendingEvents* events) { return LinkAt(at, std::move(inode), events); });
 }
 
 Result<Vnode*> Vfs::CreateDevice(std::string_view path, uint32_t perms, Uid uid, Gid gid,
@@ -254,27 +330,33 @@ Result<Vnode*> Vfs::CreateSynthetic(std::string_view path, uint32_t perms, Synth
 }
 
 Result<Vnode*> Vfs::EnsureDirs(std::string_view path) {
-  std::unique_lock<RwLock> lk(tree_mu_);
   while (true) {
-    WalkResult w = WalkLocked("/", path, /*follow=*/true);
+    WalkResult w = Walk("/", path, /*follow=*/true);
     if (w.err == Errno::kOk) {
       return w.node->inode().IsDir() ? Result<Vnode*>(w.node) : Error(Errno::kENOTDIR, w.path);
     }
     if (w.err != Errno::kENOENT) {
       return Error(w.err, w.path);
     }
-    Inode inode(kIfDir | 0755, kRootUid, kRootGid);
-    inode.ino = NextIno();
-    inode.mtime = NowMtime();
-    RETURN_IF_ERROR(w.dir->AddChild(w.name, std::move(inode)));
+    // Create the first missing directory; if another thread created the
+    // name since the walk, walk again.
+    std::unique_lock<RwLock> lk(w.dir->dir_->mu);
+    if (w.dir->unlinked_.load(std::memory_order_relaxed)) {
+      return Error(Errno::kENOENT, w.path);
+    }
+    if (w.dir->Lookup(w.name) == nullptr) {
+      Inode inode(kIfDir | 0755, kRootUid, kRootGid);
+      inode.ino = NextIno();
+      inode.mtime = NowMtime();
+      Link(w.dir, w.name, std::move(inode));
+    }
   }
 }
 
-void Vfs::OrphanLocked(Vnode* parent, const std::string& name) {
-  auto it = parent->children_.find(name);
-  it->second->unlinked_ = true;
-  orphans_.push_back(std::move(it->second));
-  parent->children_.erase(it);
+void Vfs::MarkOrphan(Vnode* node) {
+  node->unlinked_.store(true, std::memory_order_relaxed);
+  std::atomic<uint64_t>& orphans = shards_.Mine().orphans;
+  orphans.store(orphans.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
 Result<Unit> Vfs::UnlinkAt(const WalkResult& at) {
@@ -282,21 +364,46 @@ Result<Unit> Vfs::UnlinkAt(const WalkResult& at) {
     if (at.err != Errno::kOk) {
       return Error(at.err, at.path);
     }
-    Vnode* child = at.dir == nullptr || at.dir->unlinked_ ? nullptr : at.dir->Lookup(at.name);
-    if (child == nullptr) {
-      return Error(at.dir == nullptr ? Errno::kEBUSY : Errno::kENOENT, at.path);
-    }
-    if (child->covered_by_ != nullptr) {
+    if (at.dir == nullptr) {
       return Error(Errno::kEBUSY, at.path);
     }
-    if (child->inode().IsDir() && child->HasChildren()) {
-      return Error(Errno::kENOTEMPTY, at.path);
+    std::unique_lock<RwLock> lk(at.dir->dir_->mu);
+    Vnode* child =
+        at.dir->unlinked_.load(std::memory_order_relaxed) ? nullptr : at.dir->Lookup(at.name);
+    if (child == nullptr) {
+      return Error(Errno::kENOENT, at.path);
     }
-    events->emplace_back(FsEvent::kDeleted, PathOfLocked(child));
-    OrphanLocked(at.dir, at.name);
+    // A directory's own lock, parent first: no create lands in it, and no
+    // mount covers it, while it goes.
+    std::unique_lock<RwLock> child_lk;
+    if (child->inode().IsDir()) {
+      child_lk = std::unique_lock<RwLock>(child->dir_->mu);
+      if (child->covered_by_.load(std::memory_order_relaxed) != nullptr) {
+        return Error(Errno::kEBUSY, at.path);
+      }
+      if (child->HasChildren()) {
+        return Error(Errno::kENOTEMPTY, at.path);
+      }
+    }
+    events->emplace_back(FsEvent::kDeleted, at.path);
+    MarkOrphan(child);
+    Republish(at.dir, at.name, "", nullptr);
     return OkUnit();
   });
 }
+
+namespace {
+
+bool IsAncestor(const Vnode* ancestor, const Vnode* node) {
+  for (; node != nullptr; node = node->parent()) {
+    if (node == ancestor) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 Result<Unit> Vfs::RenameAt(const WalkResult& from, const WalkResult& to) {
   return Mutate([&](PendingEvents* events) -> Result<Unit> {
@@ -309,49 +416,97 @@ Result<Unit> Vfs::RenameAt(const WalkResult& from, const WalkResult& to) {
     if (from.dir == nullptr || to.dir == nullptr) {
       return Error(Errno::kEBUSY, from.dir == nullptr ? from.path : to.path);
     }
-    Vnode* source = from.dir->unlinked_ ? nullptr : from.dir->Lookup(from.name);
-    if (source == nullptr || to.dir->unlinked_) {
-      return Error(Errno::kENOENT, source == nullptr ? from.path : to.path);
+    if (from.dir == to.dir) {
+      // A non-directory renamed within its directory changes only that
+      // directory: its lock suffices, and walks need not retry.
+      std::unique_lock<RwLock> lk(from.dir->dir_->mu);
+      Vnode* source = from.dir->unlinked_.load(std::memory_order_relaxed)
+                          ? nullptr
+                          : from.dir->Lookup(from.name);
+      if (source == nullptr || !source->inode().IsDir()) {
+        return RenameLocked(from, to, source, events);
+      }
     }
-    if (source->covered_by_ != nullptr) {
-      return Error(Errno::kEBUSY, from.path);
+    // The tree's shape changes: the rename lock, then both directories,
+    // an ancestor first (the shape cannot change under the rename lock).
+    std::unique_lock<RwLock> shape_lk(rename_mu_);
+    Vnode* first = from.dir;
+    Vnode* second = to.dir;
+    if (IsAncestor(second, first) ||
+        (!IsAncestor(first, second) && std::less<Vnode*>()(second, first))) {
+      std::swap(first, second);
     }
+    std::unique_lock<RwLock> first_lk(first->dir_->mu);
+    std::unique_lock<RwLock> second_lk;
+    if (second != first) {
+      second_lk = std::unique_lock<RwLock>(second->dir_->mu);
+    }
+    Vnode* source =
+        from.dir->unlinked_.load(std::memory_order_relaxed) ? nullptr : from.dir->Lookup(from.name);
+    // A directory renamed over is locked too, after its parent, so no
+    // create lands in it as it goes; one that holds from.dir (not empty, so
+    // the rename fails) is never locked after its own descendant.
     Vnode* existing = to.dir->Lookup(to.name);
-    if (existing == source) {
-      return OkUnit();  // same entry: Linux's rename is a successful no-op
+    std::unique_lock<RwLock> existing_lk;
+    if (existing != nullptr && existing->inode().IsDir() && !IsAncestor(existing, from.dir)) {
+      existing_lk = std::unique_lock<RwLock>(existing->dir_->mu);
     }
-    const bool is_dir = source->inode().IsDir();
-    // A directory may not become its own ancestor: look for it above the
-    // target directory, across mount roots.
-    for (const Vnode* v = to.dir; is_dir && v != nullptr;
-         v = v->mount_root_of_ != nullptr ? v->mount_root_of_->covered : v->parent_) {
-      if (v == source) {
-        return Error(Errno::kEINVAL, to.path);
-      }
-    }
-    if ((to.dir_only && !is_dir) || (existing != nullptr && is_dir != existing->inode().IsDir())) {
-      return Error(is_dir || to.dir_only ? Errno::kENOTDIR : Errno::kEISDIR, to.path);
-    }
-    if (existing != nullptr) {
-      if (existing->covered_by_ != nullptr) {
-        return Error(Errno::kEBUSY, to.path);
-      }
-      if (existing->HasChildren()) {
-        return Error(Errno::kENOTEMPTY, to.path);
-      }
-      OrphanLocked(to.dir, to.name);
-    }
-    events->emplace_back(FsEvent::kDeleted, PathOfLocked(source));
-    auto it = from.dir->children_.find(from.name);
-    std::unique_ptr<Vnode> moved = std::move(it->second);
-    from.dir->children_.erase(it);
-    moved->name_ = to.name;
-    moved->parent_ = to.dir;
-    Vnode* raw = moved.get();
-    to.dir->children_.emplace(to.name, std::move(moved));
-    events->emplace_back(FsEvent::kCreated, PathOfLocked(raw));
-    return OkUnit();
+    BeginShapeChange();
+    Result<Unit> result = RenameLocked(from, to, source, events);
+    EndShapeChange();
+    return result;
   });
+}
+
+Result<Unit> Vfs::RenameLocked(const WalkResult& from, const WalkResult& to, Vnode* source,
+                               PendingEvents* events) {
+  if (source == nullptr || to.dir->unlinked_.load(std::memory_order_relaxed)) {
+    return Error(Errno::kENOENT, source == nullptr ? from.path : to.path);
+  }
+  if (source->covered_by_.load(std::memory_order_relaxed) != nullptr) {
+    return Error(Errno::kEBUSY, from.path);
+  }
+  Vnode* existing = to.dir->Lookup(to.name);
+  if (existing == source) {
+    return OkUnit();  // same entry: Linux's rename is a successful no-op
+  }
+  const bool is_dir = source->inode().IsDir();
+  // A directory may not become its own ancestor: look for it above the
+  // target directory, across mount roots.
+  for (const Vnode* v = to.dir; is_dir && v != nullptr;) {
+    if (v == source) {
+      return Error(Errno::kEINVAL, to.path);
+    }
+    const MountEntry* m = v->mount_root_of_.load(std::memory_order_relaxed);
+    v = m != nullptr ? m->covered : v->parent();
+  }
+  if ((to.dir_only && !is_dir) || (existing != nullptr && is_dir != existing->inode().IsDir())) {
+    return Error(is_dir || to.dir_only ? Errno::kENOTDIR : Errno::kEISDIR, to.path);
+  }
+  if (existing != nullptr) {
+    if (existing->covered_by_.load(std::memory_order_relaxed) != nullptr) {
+      return Error(Errno::kEBUSY, to.path);
+    }
+    if (existing->HasChildren()) {
+      return Error(Errno::kENOTEMPTY, to.path);
+    }
+  }
+  events->emplace_back(FsEvent::kDeleted, from.path);
+  if (existing != nullptr) {
+    MarkOrphan(existing);
+  }
+  // The target name is never missing: to.dir links the source under it
+  // (replacing any existing entry) before from.dir drops the old name.
+  if (from.dir == to.dir) {
+    Republish(to.dir, from.name, to.name, source);
+  } else {
+    Republish(to.dir, "", to.name, source);
+    Republish(from.dir, from.name, "", nullptr);
+    source->parent_.store(to.dir, std::memory_order_release);
+  }
+  grace_.Retire(source->name_.exchange(new std::string(to.name), std::memory_order_acq_rel));
+  events->emplace_back(FsEvent::kCreated, to.path);
+  return OkUnit();
 }
 
 Result<std::string> Vfs::ReadNode(const Vnode* node) const {
@@ -377,9 +532,7 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
   if (inode.IsDir()) {
     return Error(Errno::kEISDIR, PathOf(node));
   }
-  // Taken before the data stripe (lock order: tree_mu_ then stripe; here
-  // they are simply never held together). The path is used for error
-  // diagnostics and the kModified event.
+  // The path is used for error diagnostics and the kModified event.
   std::string path = PathOf(node);
   if (inode.synthetic != nullptr) {
     if (!inode.synthetic->write) {
@@ -394,7 +547,7 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
     std::unique_lock<RwLock> lk(DataStripe(inode.ino));
     // Block accounting: charge growth (fault site + quota check BEFORE the
     // data mutates — a refused write leaves the file byte-identical),
-    // release shrinkage. Files populated outside LinkLocked are charged in
+    // release shrinkage. Files populated outside LinkAt are charged in
     // full on their first write here. The quota check is check-then-add
     // across stripes, so concurrent growers may overshoot the quota by one
     // write each — the same slop a real filesystem's per-CPU free-block
@@ -431,26 +584,25 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
 }
 
 Result<std::vector<std::string>> Vfs::ListDir(const Vnode* node) const {
-  std::shared_lock<RwLock> lk(tree_mu_);
   if (!node->inode().IsDir()) {
-    return Error(Errno::kENOTDIR, PathOfLocked(node));
+    return Error(Errno::kENOTDIR, PathOf(node));
   }
+  GraceDomain::Section section(grace_);
   return node->ListNames();
 }
 
 Inode Vfs::SnapshotInode(const Vnode* node) const {
-  std::shared_lock<RwLock> tree_lk(tree_mu_);
-  std::shared_lock<RwLock> data_lk(DataStripe(node->inode().ino));
+  std::shared_lock<RwLock> lk(DataStripe(node->inode().ino));
   return node->inode();
 }
 
 void Vfs::SetInodeMode(Vnode* node, uint32_t perms) {
-  std::unique_lock<RwLock> lk(tree_mu_);
+  std::unique_lock<RwLock> lk(DataStripe(node->inode().ino));
   node->inode().mode = (node->inode().mode & kIfMask) | (perms & kPermMask);
 }
 
 void Vfs::SetInodeOwner(Vnode* node, Uid uid, Gid gid, bool clear_sbits) {
-  std::unique_lock<RwLock> lk(tree_mu_);
+  std::unique_lock<RwLock> lk(DataStripe(node->inode().ino));
   Inode& inode = node->inode();
   inode.uid = uid;
   inode.gid = gid;
@@ -469,10 +621,19 @@ Result<Unit> Vfs::WriteFile(std::string_view path, std::string_view data) {
   return WriteNode(node, data, /*append=*/false);
 }
 
+std::optional<Uid> Vfs::MounterOf(const Vnode* node) const {
+  if (node == nullptr) {
+    return std::nullopt;
+  }
+  GraceDomain::Section section(grace_);
+  const MountEntry* m = node->mount_root_of_.load(std::memory_order_acquire);
+  return m != nullptr ? std::optional<Uid>(m->mounter) : std::nullopt;
+}
+
 Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::string fstype,
                              std::vector<std::string> options, Uid mounter,
                              const MountPopulator& populate) {
-  std::unique_lock<RwLock> lk(tree_mu_);
+  std::unique_lock<RwLock> shape_lk(rename_mu_);
   if (at.err != Errno::kOk) {
     return Error(at.err, at.path);
   }
@@ -480,10 +641,12 @@ Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::stri
   if (!target->inode().IsDir()) {
     return Error(Errno::kENOTDIR, at.path);
   }
+  std::unique_lock<RwLock> target_lk(target->dir_->mu);
   // No stacking on a mount root (or on a directory mounted over since the
   // walk): it keeps umount unambiguous.
-  if (target->mount_root_of_ != nullptr || target->covered_by_ != nullptr ||
-      target->unlinked_) {
+  if (target->mount_root_of_.load(std::memory_order_relaxed) != nullptr ||
+      target->covered_by_.load(std::memory_order_relaxed) != nullptr ||
+      target->unlinked_.load(std::memory_order_relaxed)) {
     return Error(Errno::kEBUSY, at.path);
   }
   auto entry = std::make_unique<MountEntry>();
@@ -494,14 +657,18 @@ Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::stri
   entry->covered = target;
   Inode root_inode(kIfDir | 0755, kRootUid, kRootGid);
   root_inode.ino = NextIno();
-  entry->root.reset(new Vnode("", std::move(root_inode)));
-  entry->root->mount_root_of_ = entry.get();
+  target->dir_->owned.push_back(
+      std::make_unique<Vnode>("", std::move(root_inode), &dir_lock_stats_));
+  entry->root = target->dir_->owned.back().get();
+  entry->root->mount_root_of_.store(entry.get(), std::memory_order_relaxed);
   if (populate) {
     // Populators fill the detached new tree via Vnode::AddChild directly;
     // they do not re-enter the Vfs API.
-    populate(entry->root.get());
+    populate(entry->root);
   }
-  target->covered_by_ = entry.get();
+  BeginShapeChange();
+  target->covered_by_.store(entry.get(), std::memory_order_release);
+  EndShapeChange();
   TraceMount("mount", StrFormat("%s on %s type %s", entry->source.c_str(), at.path.c_str(),
                                 entry->fstype.c_str()));
   mounts_.push_back(std::move(entry));
@@ -509,31 +676,39 @@ Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::stri
 }
 
 Result<Unit> Vfs::RemoveMountAt(Vnode* mount_root) {
-  std::unique_lock<RwLock> lk(tree_mu_);
-  MountEntry* entry = mount_root->mount_root_of_;
+  // Directory names and mount rows change only under the rename lock, so
+  // PathBody needs no read section here.
+  std::unique_lock<RwLock> shape_lk(rename_mu_);
+  MountEntry* entry = mount_root->mount_root_of_.load(std::memory_order_relaxed);
   if (entry == nullptr) {
-    return Error(Errno::kEINVAL, "not mounted: " + PathOfLocked(mount_root));
+    return Error(Errno::kEINVAL, "not mounted: " + PathBody(mount_root));
   }
-  std::string mountpoint = PathOfLocked(entry->covered);
+  std::string mountpoint = PathBody(entry->covered);
   // A mount beneath this one would lose the directory it covers.
   for (const auto& other : mounts_) {
     const Vnode* v = other->covered;
-    while (v->parent_ != nullptr) {
-      v = v->parent_;
+    while (v->parent() != nullptr) {
+      v = v->parent();
     }
     if (v == mount_root) {
       return Error(Errno::kEBUSY, mountpoint);
     }
   }
-  entry->covered->covered_by_ = nullptr;
-  // The tree leaves with its entry; release its charges, and keep its vnodes
-  // alive for open files and walks already holding them.
+  {
+    std::unique_lock<RwLock> covered_lk(entry->covered->dir_->mu);
+    std::unique_lock<RwLock> root_lk(mount_root->dir_->mu);
+    BeginShapeChange();
+    entry->covered->covered_by_.store(nullptr, std::memory_order_release);
+    mount_root->mount_root_of_.store(nullptr, std::memory_order_release);
+    EndShapeChange();
+    mount_root->unlinked_.store(true, std::memory_order_relaxed);
+  }
+  // The tree leaves with its entry; release its charges. Its vnodes stay
+  // allocated for open files, and the entry until no walk can hold it.
   UnchargeTree(mount_root);
-  mount_root->mount_root_of_ = nullptr;
-  mount_root->unlinked_ = true;
   auto it = std::find_if(mounts_.begin(), mounts_.end(),
                          [entry](const auto& m) { return m.get() == entry; });
-  unmounted_.push_back(std::move((*it)->root));
+  grace_.Retire(it->release());
   mounts_.erase(it);
   TraceMount("umount", std::move(mountpoint));
   return OkUnit();
@@ -548,10 +723,10 @@ void Vfs::TraceMount(const char* what, std::string detail) const {
 }
 
 std::string Vfs::FormatMounts() const {
-  std::shared_lock<RwLock> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(rename_mu_);
   std::string out;
   for (const auto& m : mounts_) {
-    out += StrFormat("%s %s %s %s %u\n", m->source.c_str(), PathOfLocked(m->covered).c_str(),
+    out += StrFormat("%s %s %s %s %u\n", m->source.c_str(), PathBody(m->covered).c_str(),
                      m->fstype.c_str(),
                      m->options.empty() ? "defaults" : Join(m->options, ",").c_str(),
                      m->mounter);
@@ -559,77 +734,97 @@ std::string Vfs::FormatMounts() const {
   return out;
 }
 
-uint64_t Vfs::data_lock_contended() const {
+uint64_t Vfs::resolves() const {
   uint64_t total = 0;
-  for (const DataStripeLock& stripe : data_mu_) {
-    total += stripe.mu.contended();
-  }
+  shards_.ForEach([&](const Shard& s) { total += s.resolves.load(std::memory_order_relaxed); });
   return total;
 }
 
 size_t Vfs::orphan_count() const {
-  std::shared_lock<RwLock> lk(tree_mu_);
-  return orphans_.size();
+  uint64_t total = 0;
+  shards_.ForEach([&](const Shard& s) { total += s.orphans.load(std::memory_order_relaxed); });
+  return total;
+}
+
+LockCounts Vfs::tree_lock_counts() const {
+  LockCounts total = rename_mu_.counts();
+  return total += dir_lock_stats_.Read();
+}
+
+LockCounts Vfs::data_lock_counts() const {
+  LockCounts total;
+  for (const DataStripeLock& stripe : data_mu_) {
+    total += stripe.mu.counts();
+  }
+  return total;
 }
 
 int Vfs::AddWatch(std::string path, WatchCallback cb) {
   int id = next_watch_id_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<RwLock> lk(watch_mu_);
-  watches_.push_back(Watch{id, std::move(path), std::move(cb)});
+  const WatchList* old = watches_.load(std::memory_order_relaxed);
+  auto fresh = old != nullptr ? std::make_unique<WatchList>(*old) : std::make_unique<WatchList>();
+  fresh->push_back(Watch{id, std::move(path), std::move(cb)});
+  watches_.store(fresh.release(), std::memory_order_release);
+  grace_.Retire(old);
   return id;
 }
 
 void Vfs::RemoveWatch(int watch_id) {
   std::unique_lock<RwLock> lk(watch_mu_);
-  watches_.erase(std::remove_if(watches_.begin(), watches_.end(),
-                                [&](const Watch& w) { return w.id == watch_id; }),
-                 watches_.end());
+  const WatchList* old = watches_.load(std::memory_order_relaxed);
+  if (old == nullptr) {
+    return;
+  }
+  auto fresh = std::make_unique<WatchList>();
+  for (const Watch& w : *old) {
+    if (w.id != watch_id) {
+      fresh->push_back(w);
+    }
+  }
+  watches_.store(fresh.release(), std::memory_order_release);
+  grace_.Retire(old);
 }
 
 void Vfs::UnchargeTree(Vnode* node) {
-  if (node == nullptr) {
+  {
+    Inode& inode = node->inode();
+    std::unique_lock<RwLock> lk(DataStripe(inode.ino));
+    if (inode.charged) {
+      bytes_used_.fetch_sub(inode.data.size(), std::memory_order_relaxed);
+      inode.charged = false;
+    }
+  }
+  if (node->dir_ == nullptr) {
     return;
   }
-  Inode& inode = node->inode();
-  if (inode.charged) {
-    bytes_used_.fetch_sub(inode.data.size(), std::memory_order_relaxed);
-    inode.charged = false;
-  }
-  for (auto& [name, child] : node->children_) {
-    UnchargeTree(child.get());
+  GraceDomain::Section section(grace_);
+  if (const DirEntries* entries = node->dir_->entries.load(std::memory_order_acquire)) {
+    for (const Dirent& entry : *entries) {
+      UnchargeTree(entry.node);
+    }
   }
 }
-
-namespace {
-
-// Sums charged data bytes under `node`, descending into covering mounts'
-// trees is NOT needed here — mount trees are walked from their MountEntry.
-uint64_t ChargedBytesUnder(const Vnode* node) {
-  uint64_t total = 0;
-  if (node->inode().charged) {
-    total += node->inode().data.size();
-  }
-  for (const std::string& name : node->ListNames()) {
-    total += ChargedBytesUnder(node->Lookup(name));
-  }
-  return total;
-}
-
-}  // namespace
 
 Result<Unit> Vfs::AuditBlockAccounting() const {
-  // Takes the tree lock only: the walk reads file data sizes, so callers
-  // (the fault-sweep harness, tests) run it with data writers quiescent.
-  std::shared_lock<RwLock> lk(tree_mu_);
-  uint64_t recomputed = ChargedBytesUnder(root_.get());
-  for (const auto& mount : mounts_) {
-    recomputed += ChargedBytesUnder(mount->root.get());
-  }
-  for (const auto& orphan : orphans_) {
-    recomputed += ChargedBytesUnder(orphan.get());
-  }
-  for (const auto& tree : unmounted_) {
-    recomputed += ChargedBytesUnder(tree.get());
+  // Every vnode ever created is owned by the root or by a vnode beneath it:
+  // linked, moved away, unlinked or unmounted. Reads file data sizes, so
+  // callers (the fault-sweep harness, tests) run it with data writers
+  // quiescent.
+  uint64_t recomputed = 0;
+  std::vector<const Vnode*> todo = {root_.get()};
+  while (!todo.empty()) {
+    const Vnode* node = todo.back();
+    todo.pop_back();
+    if (node->inode().charged) {
+      recomputed += node->inode().data.size();
+    }
+    if (node->dir_ != nullptr) {
+      std::shared_lock<RwLock> lk(node->dir_->mu);
+      for (const auto& owned : node->dir_->owned) {
+        todo.push_back(owned.get());
+      }
+    }
   }
   uint64_t counter = bytes_used_.load(std::memory_order_relaxed);
   if (recomputed != counter) {
@@ -641,14 +836,18 @@ Result<Unit> Vfs::AuditBlockAccounting() const {
 }
 
 void Vfs::DispatchEvents(PendingEvents& events) const {
+  if (events.empty() || watches_.load(std::memory_order_relaxed) == nullptr) {
+    return;
+  }
   for (auto& [event, path] : events) {
-    // Match under the shared watch lock and copy only the callbacks that
-    // match (usually none), then invoke them with no lock held: a callback
-    // may add/remove watches or re-enter the VFS.
+    // Match inside a read section and copy only the callbacks that match
+    // (usually none), then invoke them outside it: a callback may add or
+    // remove watches or re-enter the VFS.
     std::vector<WatchCallback> matched;
     {
-      std::shared_lock<RwLock> lk(watch_mu_);
-      for (const Watch& watch : watches_) {
+      GraceDomain::Section section(grace_);
+      const WatchList* watches = watches_.load(std::memory_order_acquire);
+      for (const Watch& watch : *watches) {
         if (path == watch.path ||
             (StartsWith(path, watch.path) && path.size() > watch.path.size() &&
              (watch.path == "/" || path[watch.path.size()] == '/'))) {

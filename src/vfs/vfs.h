@@ -10,41 +10,47 @@
 // The kernel, every policy layer and the mount table decide on that path
 // and act on the vnodes the walk returned.
 //
-// Locking (parallel mode). Every lock is an RwLock (src/base/rw_lock.h):
-// barging, so a release never waits for a sleeping thread to be scheduled,
-// and writer-preferring, so a waiting writer turns new readers away.
-//   * tree_mu_: the directory structure — children maps, parent links,
-//     mount covers, the mount table, and the orphan list. Walks and PathOf
-//     take it shared; create/unlink/rename/mount and chmod/chown-style
-//     metadata updates take it unique. Spool workloads (mail's
-//     create/rename/unlink per message) still take it unique for every
-//     mutation, but each section is short and the lock passes straight to
-//     the next runnable thread, so they no longer convoy behind a wake-up.
-//     Per-directory locks would let writers in different directories run
-//     in parallel; one tree lock keeps the deadlock surface small.
-//   * data_mu_[ino % kDataStripes]: file contents, mtime, and the block
-//     charge flag, one cache line per stripe. Reads take the stripe shared,
-//     writes unique — so N threads stream N different files without
-//     touching the tree lock's writer path. Safe without the tree lock
-//     because unlinked vnodes are kept alive on the orphan list (a Vnode*
-//     never dangles).
-//   * watch_mu_: the watch list; dispatch matches events under it shared.
-//   * Watch callbacks NEVER run under a lock: mutations queue events and
-//     the public entry points dispatch them after unlocking, because
-//     watchers (the monitoring daemon) re-enter the VFS from their
-//     callbacks. Lock order is tree_mu_ before data stripe; neither is
-//     held across user callbacks (watches, synthetic file generators) or a
-//     scheduler yield, and no path takes one of them shared twice.
-//   * Returned Vnode* remain valid forever (orphan pinning, unmounted
-//     trees included); inode METADATA (mode/uid/gid) is guarded by tree_mu_
-//     via the SetInode* helpers, and scalar counters are relaxed atomics.
+// Concurrency (parallel mode), as in Linux since RCU-walk:
+//   * Walks take no lock. Walk, PathOf and ListDir run inside a read
+//     section of the Vfs's grace period (src/base/grace.h), and everything
+//     they read is atomic or immutable once published: each directory's
+//     entries are an immutable name-sorted snapshot, replaced whole and
+//     retired through the grace period; parent links, names, mount covers
+//     and the unlinked flag are atomics. A walk and PathOf check a
+//     tree-shape sequence count that only directory renames,
+//     cross-directory renames, mount and umount bump; a walk that overlaps
+//     one retries, and after kShapeRetries tries runs once more under the
+//     rename lock, shared. The only lines a walk writes are its thread's
+//     read slot and counters (ThreadShards).
+//   * Writers lock only the directory they change: create, unlink and a
+//     same-directory rename of a non-directory take that directory's lock
+//     (an unlinked directory's own lock too). Everything that changes the
+//     tree's shape takes rename_mu_, the rename/mount lock, first. Lock
+//     order: rename_mu_, then directories (an ancestor before its
+//     descendants; two unrelated ones, only ever together under rename_mu_,
+//     in address order), then a data stripe. Every lock is an RwLock
+//     (src/base/rw_lock.h); the directory locks count into one LockStats.
+//   * data_mu_[ino % kDataStripes]: file contents, mtime, the block charge
+//     flag, and a consistent (mode, uid, gid) for stat, chmod and chown;
+//     one cache line per stripe.
+//   * The watch list is an immutable snapshot too: AddWatch and RemoveWatch
+//     copy and retire it under watch_mu_, and dispatch matches it inside a
+//     read section, copying only the matching callbacks.
+//   * Watch callbacks never run under a lock or inside a read section:
+//     mutations queue events and the public entry points dispatch them
+//     afterwards, because watchers (the monitoring daemon) re-enter the
+//     VFS. No lock is held and no section is open across a user callback
+//     (watches, synthetic file generators) or a scheduler yield.
+//   * Returned Vnode* stay valid until the Vfs is destroyed: every vnode is
+//     owned by the directory it was created in (a mount root by the
+//     directory it covers), whether it is linked there, renamed elsewhere,
+//     unlinked or unmounted. Scalar counters are relaxed atomics.
 
 #ifndef SRC_VFS_VFS_H_
 #define SRC_VFS_VFS_H_
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,7 +63,9 @@
 #include "src/base/clock.h"
 #include "src/base/result.h"
 #include "src/base/attribution.h"
+#include "src/base/grace.h"
 #include "src/base/rw_lock.h"
+#include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/vfs/inode.h"
@@ -65,61 +73,97 @@
 namespace protego {
 
 class Vfs;
+class Vnode;
 struct MountEntry;
 
+// One directory entry.
+struct Dirent {
+  std::string name;
+  Vnode* node;
+};
+// A directory's entries sorted by name; immutable once published.
+using DirEntries = std::vector<Dirent>;
+
 // A node in the directory tree (directory entry + inode). Mount roots are
-// detached Vnode trees owned by their MountEntry.
+// detached Vnode trees, owned by the directory they cover.
 class Vnode {
  public:
-  Vnode(std::string name, Inode inode) : name_(std::move(name)), inode_(std::move(inode)) {}
+  // A directory's lock counts into `dir_lock_stats` (its own when null).
+  Vnode(std::string name, Inode inode, LockStats* dir_lock_stats = nullptr)
+      : name_(new std::string(std::move(name))), inode_(std::move(inode)),
+        dir_(inode_.IsDir() ? std::make_unique<Dir>(dir_lock_stats) : nullptr) {}
+  ~Vnode() { delete name_.load(std::memory_order_relaxed); }
 
   Vnode(const Vnode&) = delete;
   Vnode& operator=(const Vnode&) = delete;
 
-  const std::string& name() const { return name_; }
   Inode& inode() { return inode_; }
   const Inode& inode() const { return inode_; }
-  Vnode* parent() const { return parent_; }
+  Vnode* parent() const { return parent_.load(std::memory_order_acquire); }
 
   // Child by name within this directory; nullptr if absent. Does not cross
-  // mounts — Vfs::Walk handles mount traversal. Caller must hold the
-  // tree lock (or be single-threaded bootstrap code).
+  // mounts (Vfs::Walk does). The result and ListNames() read the published
+  // entries: call them in a Vfs read section, or on a tree nothing else
+  // changes (a populator's, single-threaded setup).
   Vnode* Lookup(std::string_view child) const;
-
-  // Adds a child entry to this directory. Fails with EEXIST/ENOTDIR.
-  // Same locking contract as Lookup.
-  Result<Vnode*> AddChild(std::string name, Inode inode);
-
-  // Names of all children, sorted (directories only).
   std::vector<std::string> ListNames() const;
+  bool HasChildren() const {
+    return dir_ != nullptr && dir_->entries.load(std::memory_order_acquire) != nullptr;
+  }
 
-  bool HasChildren() const { return !children_.empty(); }
+  // Adds a child entry to this directory. Fails with EEXIST/ENOTDIR. Only
+  // for a tree no walk reaches yet (a populator's new mount root): the
+  // listing it replaces is freed at once.
+  Result<Vnode*> AddChild(std::string name, Inode inode);
 
  private:
   friend class Vfs;
 
-  std::string name_;
-  Inode inode_;
-  Vnode* parent_ = nullptr;
-  std::map<std::string, std::unique_ptr<Vnode>, std::less<>> children_;
-  // Left the tree (unlinked, renamed over, an unmounted root): no creates.
-  bool unlinked_ = false;
+  // What only a directory has.
+  struct Dir {
+    explicit Dir(LockStats* stats) : mu(stats) {}
+    ~Dir() { delete entries.load(std::memory_order_relaxed); }
+    // The published entries (null when empty).
+    std::atomic<const DirEntries*> entries{nullptr};
+    // Serializes writers of the entries, and guards owned: every vnode
+    // created here (and the roots of mounts over this directory). None is
+    // freed before the Vfs.
+    RwLock mu;
+    std::vector<std::unique_ptr<Vnode>> owned;
+  };
 
+  // Publishes this directory's entries without `drop` and, when `add` is
+  // set, with `name` linking it (replacing an entry of that name). Returns
+  // the replaced listing for the caller to free or retire. Directory lock
+  // held (or the tree unpublished).
+  const DirEntries* Republish(std::string_view drop, std::string_view name, Vnode* add);
+  // Creates a child owned by this directory and links it as `name`.
+  std::pair<Vnode*, const DirEntries*> Link(std::string_view name, Inode inode);
+
+  // Replaced, and the old one retired, by a rename.
+  std::atomic<const std::string*> name_;
+  Inode inode_;
+  std::atomic<Vnode*> parent_{nullptr};
+  // Left the tree (unlinked, renamed over, an unmounted root): no creates.
+  std::atomic<bool> unlinked_{false};
   // Non-null when a filesystem is mounted over this directory.
-  MountEntry* covered_by_ = nullptr;
+  std::atomic<MountEntry*> covered_by_{nullptr};
   // Non-null when this node is the root of a mounted filesystem.
-  MountEntry* mount_root_of_ = nullptr;
+  std::atomic<MountEntry*> mount_root_of_{nullptr};
+  // Null unless this is a directory.
+  const std::unique_ptr<Dir> dir_;
 };
 
 // One row of the mount table; its mountpoint is wherever `covered` is now.
+// Immutable once published; umount retires it through the grace period.
 struct MountEntry {
   std::string source;      // backing device or pseudo-source ("proc", "tmpfs")
   std::string fstype;
   std::vector<std::string> options;
   Uid mounter = kRootUid;  // uid that performed the mount (for user umount)
 
-  std::unique_ptr<Vnode> root;  // the mounted filesystem's tree
-  Vnode* covered = nullptr;     // the directory this mount covers
+  Vnode* root = nullptr;     // the mounted filesystem's tree
+  Vnode* covered = nullptr;  // the directory this mount covers
 };
 
 // Populates a freshly mounted filesystem's root (e.g. an iso9660 image's
@@ -157,6 +201,7 @@ class Vfs {
  public:
   // Creates a filesystem containing only "/".
   explicit Vfs(Clock* clock = nullptr);
+  ~Vfs();
 
   Vfs(const Vfs&) = delete;
   Vfs& operator=(const Vfs&) = delete;
@@ -170,36 +215,43 @@ class Vfs {
   void set_faults(FaultRegistry* faults) { faults_ = faults; }
 
   // Path resolutions performed since boot (exported as a metric).
-  uint64_t resolves() const { return resolves_.load(std::memory_order_relaxed); }
+  uint64_t resolves() const;
 
-  // Contended acquisitions of the tree lock, the data stripes (summed) and
-  // the watch lock since boot (exported as metrics).
-  uint64_t tree_lock_contended() const { return tree_mu_.contended(); }
-  uint64_t data_lock_contended() const;
-  uint64_t watch_lock_contended() const { return watch_mu_.contended(); }
+  // Slow-path counts of the tree's locks (the rename lock and every
+  // directory lock, summed), the data stripes (summed) and the watch lock
+  // since boot (exported as metrics).
+  LockCounts tree_lock_counts() const;
+  LockCounts data_lock_counts() const;
+  LockCounts watch_lock_counts() const { return watch_mu_.counts(); }
+
+  // Retirements (replaced directory listings, names, mount rows, watch
+  // lists) not yet freed (exported as a gauge).
+  uint64_t grace_pending() const { return grace_.pending(); }
 
   // --- Block accounting ------------------------------------------------------
   //
   // Regular-file data bytes are charged against a filesystem-wide quota
-  // (a crude but sufficient stand-in for per-fs block counts): LinkLocked
+  // (a crude but sufficient stand-in for per-fs block counts): LinkAt
   // charges a new file's initial contents, WriteNode charges growth and
   // releases shrinkage, and growing past the quota fails with ENOSPC.
   // Orphaned vnodes (unlinked/renamed-over while possibly still open) KEEP
   // their charge — as on a real filesystem, an unlinked inode's blocks are
   // freed only when the last reference dies, which in this simulation is
   // Vfs destruction. Files created by bootstrap populators that bypass
-  // LinkLocked are charged lazily on their first quota-aware write.
+  // LinkAt are charged lazily on their first quota-aware write.
 
   // 0 = unlimited (the default; quota enforcement is opt-in).
   void set_block_quota(uint64_t bytes) { block_quota_ = bytes; }
   uint64_t block_quota() const { return block_quota_; }
   uint64_t bytes_used() const { return bytes_used_.load(std::memory_order_relaxed); }
+  // Vnodes unlinked or renamed over since boot (each stays allocated).
   size_t orphan_count() const;
 
-  // Recomputes charged bytes by walking the tree, every mount, the orphan
-  // list and unmounted trees, and cross-checks against the incremental bytes_used()
-  // counter. EIO with a diagnostic on divergence — the fault-sweep harness
-  // runs this after every scenario. Expects data writers to be quiescent.
+  // Recomputes charged bytes over every vnode ever created (the tree, every
+  // mount, orphans and unmounted trees) and cross-checks against the
+  // incremental bytes_used() counter. EIO with a diagnostic on divergence —
+  // the fault-sweep harness runs this after every scenario. Expects data
+  // writers to be quiescent.
   Result<Unit> AuditBlockAccounting() const;
 
   // --- The path walk ---------------------------------------------------------
@@ -212,17 +264,14 @@ class Vfs {
   // absolute, else from `cwd` (an absolute path, walked first); ".." to the
   // parent, and from a mount root to the parent of the directory it covers;
   // symlink targets spliced in place, a final one followed when `follow` is
-  // set or the path ends in '/'. Counts as one resolve.
-  WalkResult Walk(std::string_view cwd, std::string_view path, bool follow) const {
-    std::shared_lock<RwLock> lk(tree_mu_);
-    return WalkLocked(cwd, path, follow);
-  }
+  // set or the path ends in '/'. Counts as one resolve. Takes no lock.
+  WalkResult Walk(std::string_view cwd, std::string_view path, bool follow) const;
 
   // The object at an absolute path (EINVAL for a relative one), final
   // symlink followed.
   Result<Vnode*> Resolve(std::string_view path) const;
 
-  // Canonical path of a node: the path a walk to it returns.
+  // Canonical path of a node: the path a walk to it returns. Takes no lock.
   std::string PathOf(const Vnode* node) const;
 
   // --- Node creation / removal / mutation ----------------------------------
@@ -275,11 +324,12 @@ class Vfs {
   // Replaces or appends file content; fires kModified.
   Result<Unit> WriteNode(Vnode* node, std::string_view data, bool append);
 
-  // Directory listing under the tree lock (kernel getdents path).
+  // Directory listing, sorted by name (kernel getdents path). Takes no lock.
   Result<std::vector<std::string>> ListDir(const Vnode* node) const;
 
-  // Inode metadata snapshot/update helpers (chmod/chown/stat paths): the
-  // kernel must not poke node->inode() fields directly in parallel mode.
+  // Inode metadata snapshot/update helpers (chmod/chown/stat paths), under
+  // the node's data stripe so a stat sees one (mode, uid, gid): the kernel
+  // must not poke node->inode() fields directly in parallel mode.
   Inode SnapshotInode(const Vnode* node) const;
   // Replaces the permission bits, preserving the file-type bits.
   void SetInodeMode(Vnode* node, uint32_t perms);
@@ -314,19 +364,13 @@ class Vfs {
 
   // The uid that mounted the filesystem whose root `node` is (FindMount:
   // whose root `mountpoint` walks to), or nullopt when it is no mount root.
-  std::optional<Uid> MounterOf(const Vnode* node) const {
-    std::shared_lock<RwLock> lk(tree_mu_);
-    if (node == nullptr || node->mount_root_of_ == nullptr) {
-      return std::nullopt;
-    }
-    return node->mount_root_of_->mounter;
-  }
+  std::optional<Uid> MounterOf(const Vnode* node) const;
   std::optional<Uid> FindMount(std::string_view mountpoint) const {
     return MounterOf(Walk("/", mountpoint, true).node);
   }
 
   // The /proc/mounts body, one "source mountpoint fstype options mounter"
-  // line per mount, formatted under the tree lock.
+  // line per mount, formatted under the rename lock.
   std::string FormatMounts() const;
 
   // --- Watches (inotify analog) ----------------------------------------------
@@ -337,37 +381,75 @@ class Vfs {
   void RemoveWatch(int watch_id);
 
  private:
-  // Queued filesystem events, dispatched after the tree lock is released.
+  // Queued filesystem events, dispatched once the mutation's locks are
+  // released.
   using PendingEvents = std::vector<std::pair<FsEvent, std::string>>;
 
+  struct Watch {
+    int id;
+    std::string path;
+    WatchCallback callback;
+  };
+  using WatchList = std::vector<Watch>;
+
+  // What each thread counts, merged on read.
+  struct Shard {
+    std::atomic<uint64_t> resolves{0};
+    std::atomic<uint64_t> orphans{0};
+  };
+
   static constexpr size_t kDataStripes = 16;
+  // Lock-free tries a walk or PathOf makes before taking the rename lock.
+  static constexpr int kShapeRetries = 4;
+
   RwLock& DataStripe(uint64_t ino) const { return data_mu_[ino % kDataStripes].mu; }
 
-  // Lock-free internals; callers hold tree_mu_ (shared for walks, unique
-  // for mutation).
-  WalkResult WalkLocked(std::string_view cwd, std::string_view path, bool follow) const;
+  // Runs `read` in a read section until no shape change overlapped it,
+  // then, after kShapeRetries tries, once more under the rename lock.
+  template <typename Read>
+  auto ReadStable(Read&& read) const;
+  // The bodies of Walk and PathOf: in a read section, checked against the
+  // shape count or under the rename lock.
+  WalkResult WalkBody(std::string_view cwd, std::string_view path, bool follow) const;
+  std::string PathBody(const Vnode* node) const;
   // The topmost filesystem mounted over `node`, or `node` itself.
   static Vnode* Top(Vnode* node);
-  std::string PathOfLocked(const Vnode* node) const;
+  // Brackets a shape change (rename_mu_ held): walks that overlap it retry.
+  void BeginShapeChange() { shape_seq_.store(shape_seq_.load(std::memory_order_relaxed) + 1,
+                                             std::memory_order_relaxed); }
+  void EndShapeChange() { shape_seq_.store(shape_seq_.load(std::memory_order_relaxed) + 1,
+                                           std::memory_order_release); }
+  // Republishes `dir`'s entries and links a new vnode in `dir`, with its
+  // lock held, retiring the replaced listing.
+  void Republish(Vnode* dir, std::string_view drop, std::string_view name, Vnode* add) {
+    grace_.Retire(dir->Republish(drop, name, add));
+  }
+  Vnode* Link(Vnode* dir, std::string_view name, Inode inode) {
+    auto [node, replaced] = dir->Link(name, std::move(inode));
+    grace_.Retire(replaced);
+    return node;
+  }
   // The single vnode-allocation choke point every create routes through.
-  Result<Vnode*> LinkLocked(const WalkResult& at, Inode inode, PendingEvents* events);
-  // Runs fn(&events) under the unique tree lock, then dispatches them.
+  Result<Vnode*> LinkAt(const WalkResult& at, Inode inode, PendingEvents* events);
+  // Marks a vnode leaving the tree (unlinked or renamed over), with its
+  // parent's lock and, for a directory, its own held. It stays allocated.
+  void MarkOrphan(Vnode* node);
+  // Moves `source` to to.dir/to.name; the locks RenameAt chose are held.
+  Result<Unit> RenameLocked(const WalkResult& from, const WalkResult& to, Vnode* source,
+                            PendingEvents* events);
+  // Runs fn(&events), which takes and drops its own locks, then dispatches
+  // the events.
   template <typename Fn>
   auto Mutate(Fn&& fn) {
     PendingEvents events;
-    auto result = [&] {
-      std::unique_lock<RwLock> lk(tree_mu_);
-      return fn(&events);
-    }();
+    auto result = fn(&events);
     DispatchEvents(events);
     return result;
   }
-  // Moves a node out of the tree onto the orphan list.
-  void OrphanLocked(Vnode* parent, const std::string& name);
   // Emits a kVfsMount trace event.
   void TraceMount(const char* what, std::string detail) const;
   // Releases the block charge of every charged inode under `node` (used
-  // when a whole mount tree is destroyed).
+  // when a whole mount tree leaves).
   void UnchargeTree(Vnode* node);
   // Runs matching watch callbacks for each queued event. MUST be called
   // with no VFS lock held (callbacks re-enter the VFS).
@@ -375,39 +457,33 @@ class Vfs {
   uint64_t NextIno() { return next_ino_.fetch_add(1, std::memory_order_relaxed); }
   uint64_t NowMtime() const { return clock_ ? clock_->Now() : 0; }
 
-  struct Watch {
-    int id;
-    std::string path;
-    WatchCallback callback;
-  };
-
   Clock* clock_;
   Tracer* tracer_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   uint64_t block_quota_ = 0;  // 0 = unlimited; set at boot, read-only after
-  // Every task thread writes the next three (data writes, walks, the tree
-  // lock's reader count), so they start a cache line of their own: the
-  // read-only fields above, read on every walk, must not share it.
+  std::unique_ptr<Vnode> root_;
+  // Bumped to odd and back to even around each shape change; every walk
+  // reads it twice, so it shares its line only with fields read-only
+  // after boot.
+  std::atomic<uint64_t> shape_seq_{0};
+  // Data writers on every thread update this: a line of its own.
   alignas(64) std::atomic<uint64_t> bytes_used_{0};  // charged regular-file data bytes
-  mutable std::atomic<uint64_t> resolves_{0};  // accounting from const Resolve()
-  mutable RwLock tree_mu_;                     // directory structure + metadata
+  std::atomic<uint64_t> next_ino_{2};  // 1 is the root inode, per ext tradition
+  std::atomic<int> next_watch_id_{1};
+  mutable GraceDomain grace_;
+  mutable ThreadShards<Shard> shards_;
+  // Directory structure changes: renames of directories and across
+  // directories, mount and umount. Guards mounts_.
+  mutable RwLock rename_mu_;
+  LockStats dir_lock_stats_;  // every directory's lock counts here
   // One line per stripe: threads writing different files share no line.
   struct alignas(64) DataStripeLock {
     RwLock mu;
   };
   mutable DataStripeLock data_mu_[kDataStripes];  // file contents by ino
-  mutable RwLock watch_mu_;                       // watch list
-  std::unique_ptr<Vnode> root_;
-  // Vnodes unlinked or displaced by rename stay alive here until the Vfs is
-  // destroyed: open file descriptions hold raw Vnode*, and on a real system
-  // an open inode outlives its last directory entry.
-  std::vector<std::unique_ptr<Vnode>> orphans_;
-  // Roots of unmounted filesystems, kept alive for the same reason.
-  std::vector<std::unique_ptr<Vnode>> unmounted_;
+  RwLock watch_mu_;                               // serializes watch-list writers
+  std::atomic<const WatchList*> watches_{nullptr};
   std::vector<std::unique_ptr<MountEntry>> mounts_;
-  std::vector<Watch> watches_;
-  std::atomic<uint64_t> next_ino_{2};  // 1 is the root inode, per ext tradition
-  std::atomic<int> next_watch_id_{1};
 };
 
 }  // namespace protego

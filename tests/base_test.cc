@@ -1,6 +1,6 @@
 // Unit tests for src/base: strings, lexer, hashing, the Result error model,
-// the virtual clock, the per-thread shard primitive and the reader-writer
-// lock.
+// the virtual clock, the per-thread shard primitive, the reader-writer lock
+// and the grace period.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/grace.h"
 #include "src/base/hash.h"
 #include "src/base/lexer.h"
 #include "src/base/result.h"
@@ -310,6 +311,188 @@ TEST(RwLockTest, ParkedReaderAndWriterWakeAfterUnlock) {
     const auto woke = Clock::time_point(Clock::duration(acquired.load())) - released;
     EXPECT_LT(woke, std::chrono::seconds(1)) << (exclusive ? "writer" : "reader");
   }
+}
+
+// The slow path alone keeps statistics: uncontended acquisitions record
+// nothing, and a waiter records one contended acquisition and at least
+// the time the holder kept the lock. Locks built on one LockStats sum.
+TEST(RwLockTest, WaitTimeCountsOnlyTheSlowPath) {
+  LockStats shared;
+  RwLock mu(&shared);
+  RwLock sibling(&shared);
+  for (int i = 0; i < 100; ++i) {
+    std::unique_lock<RwLock> lk(mu);
+    std::shared_lock<RwLock> slk(sibling);
+  }
+  EXPECT_EQ(mu.counts().contended, 0u);
+  EXPECT_EQ(mu.counts().wait_ns, 0u);
+  mu.lock();
+  std::thread waiter([&] { std::unique_lock<RwLock> lk(mu); });
+  EXPECT_TRUE(WaitFor([&] { return mu.contended() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  mu.unlock();
+  waiter.join();
+  EXPECT_EQ(sibling.counts().contended, 1u);
+  EXPECT_GE(sibling.counts().wait_ns, 20'000'000u);
+  RwLock own;
+  EXPECT_EQ(own.counts().contended, 0u);
+}
+
+// --- GraceDomain ---------------------------------------------------------------
+
+// Counts its destructions and poisons itself, so a read after the free
+// shows even without a sanitizer.
+struct Tracked {
+  static constexpr uint64_t kAlive = 0x600dcafe;
+  explicit Tracked(std::atomic<int>* freed_count) : freed(freed_count) {}
+  ~Tracked() {
+    magic.store(0, std::memory_order_relaxed);
+    freed->fetch_add(1);
+  }
+  std::atomic<int>* freed;
+  std::atomic<uint64_t> magic{kAlive};
+};
+
+// Holds a read section open on its own thread until released.
+class SectionHolder {
+ public:
+  explicit SectionHolder(GraceDomain& domain, int depth = 1)
+      : thread_([this, &domain, depth] { Hold(domain, depth); }) {
+    EXPECT_TRUE(WaitFor([&] { return open_.load(); }));
+  }
+  ~SectionHolder() { Release(); }
+  void Release() {
+    release_.store(true);
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+
+ private:
+  void Hold(GraceDomain& domain, int depth) {
+    if (depth == 0) {
+      open_.store(true);
+      WaitFor([&] { return release_.load(); }, std::chrono::seconds(60));
+      return;
+    }
+    GraceDomain::Section section(domain);
+    Hold(domain, depth - 1);
+  }
+
+  std::atomic<bool> open_{false};
+  std::atomic<bool> release_{false};
+  std::thread thread_;
+};
+
+// An object retired while a section is open survives every reclaim pass
+// until that section closes, and is freed by the first pass after. The
+// pending gauge follows, and reaches 0 once nothing is held back.
+TEST(GraceDomainTest, RetiredObjectOutlivesTheSectionsOpenAtRetirement) {
+  GraceDomain domain;
+  std::atomic<int> freed{0};
+  SectionHolder reader(domain);
+  domain.Retire(new Tracked(&freed));
+  EXPECT_EQ(domain.pending(), 1u);
+  for (int i = 0; i < 5; ++i) {
+    domain.Reclaim();
+  }
+  EXPECT_EQ(freed.load(), 0);
+  EXPECT_EQ(domain.pending(), 1u);
+  reader.Release();
+  domain.Reclaim();
+  EXPECT_EQ(freed.load(), 1);
+  EXPECT_EQ(domain.pending(), 0u);
+}
+
+// Sections nest: an inner section's close does not end the outer one.
+TEST(GraceDomainTest, SectionsNest) {
+  GraceDomain domain;
+  std::atomic<int> freed{0};
+  {
+    GraceDomain::Section outer(domain);
+    {
+      GraceDomain::Section inner(domain);
+    }
+    // Retired from another thread while this one's outer section is open.
+    std::thread([&] { domain.Retire(new Tracked(&freed)); }).join();
+    domain.Reclaim();
+    EXPECT_EQ(freed.load(), 0);
+  }
+  domain.Reclaim();
+  EXPECT_EQ(freed.load(), 1);
+  SectionHolder nested(domain, /*depth=*/3);
+  domain.Retire(new Tracked(&freed));
+  domain.Reclaim();
+  EXPECT_EQ(freed.load(), 1);
+  nested.Release();
+  domain.Reclaim();
+  EXPECT_EQ(freed.load(), 2);
+}
+
+// A section that never closes holds back what was retired after it opened,
+// but no Retire or Reclaim waits for it; the batch passes run regardless.
+TEST(GraceDomainTest, ReclaimNeverWaits) {
+  GraceDomain domain;
+  std::atomic<int> freed{0};
+  constexpr int kObjects = 3 * static_cast<int>(GraceDomain::kBatch);
+  {
+    SectionHolder stuck(domain);
+    for (int i = 0; i < kObjects; ++i) {
+      domain.Retire(new Tracked(&freed));
+      domain.Reclaim();
+    }
+    EXPECT_EQ(freed.load(), 0);
+    EXPECT_EQ(domain.pending(), static_cast<uint64_t>(kObjects));
+  }
+  domain.Reclaim();
+  EXPECT_EQ(freed.load(), kObjects);
+  EXPECT_EQ(domain.pending(), 0u);
+}
+
+// Readers load a published object in a section and check it is alive
+// while writers on other threads swap it and retire the old one; at
+// quiescence every retirement has been freed and the gauge reads 0.
+TEST(GraceDomainTest, ReadersNeverSeeAFreedObject) {
+  constexpr int kReaders = 2;
+  constexpr int kWriters = 2;
+  constexpr int kSwaps = 5000;
+  GraceDomain domain;
+  std::atomic<int> freed{0};
+  std::atomic<Tracked*> published{new Tracked(&freed)};
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> dead_reads{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0) {
+        GraceDomain::Section section(domain);
+        // Held long enough for the writers to retire many successors.
+        const Tracked* seen = published.load(std::memory_order_acquire);
+        for (int i = 0; i < 4096; ++i) {
+          if (seen->magic.load(std::memory_order_relaxed) != Tracked::kAlive) {
+            ++dead_reads;
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kSwaps; ++i) {
+        domain.Retire(published.exchange(new Tracked(&freed), std::memory_order_acq_rel));
+      }
+      --writers_left;
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(dead_reads.load(), 0);
+  domain.Reclaim();
+  EXPECT_EQ(freed.load(), kWriters * kSwaps);
+  EXPECT_EQ(domain.pending(), 0u);
+  delete published.load();
 }
 
 }  // namespace

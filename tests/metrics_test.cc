@@ -171,13 +171,19 @@ TEST(MetricsRegistryTest, LegacyCountersReadIdenticalValuesFromRegistry) {
   EXPECT_EQ(SampleValue(text, "protego_lsm_hook_invocations_total{hook=\"sb_mount\"}"),
             static_cast<double>(kernel.lsm().HookInvocations(LsmHook::kSbMount)));
 
-  // One contention count per reader-writer lock; one thread never contends.
+  // One contention count and one wait time per reader-writer lock; one
+  // thread never contends, so neither reads the clock.
   for (const char* lock : {"vfs_tree", "vfs_data", "vfs_watch", "netfilter_rules", "routing",
                            "net_raw", "net_topo", "binary_registry", "protego_policy"}) {
     EXPECT_EQ(SampleValue(text, std::string("protego_lock_contended_total{lock=\"") + lock + "\"}"),
               0)
         << lock;
+    EXPECT_EQ(SampleValue(text, std::string("protego_lock_wait_ns_total{lock=\"") + lock + "\"}"),
+              0)
+        << lock;
   }
+  EXPECT_EQ(SampleValue(text, "protego_vfs_grace_pending"),
+            static_cast<double>(kernel.vfs().grace_pending()));
 
   // And the /proc view is byte-identical to the registry export.
   auto proc_text = kernel.vfs().ReadFile("/proc/protego/metrics");

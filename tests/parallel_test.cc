@@ -701,6 +701,42 @@ TEST(ParallelStress, ConcurrentConfigEditsReachTheKernel) {
             SerializeSudoers(ParseSudoersWithFragments(read("/etc/sudoers"), fragments).value()));
 }
 
+// Four root tasks append to /etc/fstab at once; after they finish,
+// /proc/protego/mounts matches the file. Regression: a sync that read the
+// file before another task's edit could publish after that edit's sync.
+TEST(ParallelStress, ConcurrentEditsOfOneFileApplyInOrder) {
+  constexpr int kTasks = 4;
+  constexpr int kEdits = 25;
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  std::vector<Task*> tasks;
+  for (int t = 0; t < kTasks; ++t) {
+    tasks.push_back(&sys.Login("root"));
+  }
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::atomic<int> failed{0};
+  for (int t = 0; t < kTasks; ++t) {
+    Task* task = tasks[t];
+    sched.StartTask(task->pid, [&, task, t] {
+      for (int i = 0; i < kEdits; ++i) {
+        const std::string line =
+            StrFormat("/dev/sd%c%d /media/s%d_%d vfat rw,user\n", 'c' + t, i, t, i);
+        if (!k.WriteWholeFile(*task, "/etc/fstab", line, /*append=*/true).ok()) {
+          ++failed;
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_TRUE(sys.daemon()->errors().empty());
+  Task& root = sys.Login("root");
+  auto read = [&](const std::string& path) { return k.ReadWholeFile(root, path).value(); };
+  EXPECT_EQ(read("/proc/protego/mounts"), SerializeFstab(ParseFstab(read("/etc/fstab")).value()));
+}
+
 // Every setuid of an `exim` session goes to the auth utility (the shipped
 // rule `ALL ALL=(ALL) TARGETPW: ALL`), and no password is typed, so each
 // call prompts once and fails. Regression: every lookup ran on the one task
@@ -793,9 +829,10 @@ TEST(ParallelStress, AppArmorDenialsReachTheAuditRing) {
 // The mail workload's cycle from four tasks at once, each in its own 1777
 // spool directory (create the tmp file, write it, rename it into place,
 // stat it, unlink it), while a fifth task lists and stats every spool. Each
-// cycle takes the VFS tree lock unique three times against the lister's
-// shared holds. Every cycle succeeds, the lister only ever sees the two
-// names a spool can hold, and each unlink leaves exactly one orphan.
+// cycle takes its own spool's lock three times; the lister takes none.
+// Every cycle succeeds, the lister only ever sees the two names a spool can
+// hold, each unlink leaves exactly one orphan, and no writer ever meets
+// another on a tree lock.
 TEST(ParallelStress, ConcurrentSpoolDeliveries) {
   constexpr int kWriters = 4;
   constexpr int kCycles = 2000;
@@ -865,6 +902,172 @@ TEST(ParallelStress, ConcurrentSpoolDeliveries) {
   EXPECT_EQ(strays.load(), 0);
   EXPECT_EQ(k.vfs().orphan_count() - orphans_before, size_t{kWriters} * kCycles);
   EXPECT_EQ(k.OpenFileCount(), 0u);
+  EXPECT_EQ(k.vfs().tree_lock_counts().contended, 0u);
+}
+
+// Four writers deliver into sibling spools while walkers walk their shared
+// ancestors, one thread moves a directory between two parents and back,
+// and one mounts and unmounts a filesystem. A walk of a stable path always
+// returns the same node and canonical path; a walk through the moving
+// directory or across the mountpoint returns a node-path pair that existed
+// (".." from the moving directory lands on the parent its path names; the
+// mountpoint is the covered directory or a mount's root).
+TEST(ParallelStress, SiblingSpoolWritersWithWalkers) {
+  constexpr int kWriters = 4;
+  constexpr int kCycles = 1500;
+  Vfs vfs;
+  for (const char* dir : {"/var/spool/p1/x/inner", "/var/spool/p2", "/var/spool/mnt"}) {
+    ASSERT_TRUE(vfs.EnsureDirs(dir).ok());
+  }
+  std::vector<std::string> spools;
+  for (int t = 0; t < kWriters; ++t) {
+    spools.push_back("/var/spool/q" + std::to_string(t));
+    ASSERT_TRUE(vfs.EnsureDirs(spools.back()).ok());
+  }
+  const Vnode* var = vfs.Resolve("/var").value();
+  const Vnode* spool = vfs.Resolve("/var/spool").value();
+  const Vnode* p1 = vfs.Resolve("/var/spool/p1").value();
+  const Vnode* p2 = vfs.Resolve("/var/spool/p2").value();
+  const Vnode* moving = vfs.Resolve("/var/spool/p1/x").value();
+  const Vnode* covered = vfs.Resolve("/var/spool/mnt").value();
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failed{0};
+  std::atomic<int> wrong{0};
+  std::atomic<int> moves{0};
+  std::atomic<int> mounts{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string tmp = spools[t] + "/in.tmp";
+      const std::string msg = spools[t] + "/msg";
+      for (int c = 0; c < kCycles; ++c) {
+        auto node = vfs.CreateFile(tmp, 0600, 0, 0);
+        const bool ok = node.ok() && vfs.WriteNode(node.value(), "body\n", false).ok() &&
+                        vfs.Rename(tmp, msg).ok() && vfs.PathOf(node.value()) == msg &&
+                        vfs.Unlink(msg).ok();
+        if (!ok) {
+          ++failed;
+        }
+      }
+      --writers_left;
+    });
+  }
+  // Stable paths: the same node and canonical path every time.
+  threads.emplace_back([&] {
+    const std::vector<std::pair<std::string, const Vnode*>> stable = {
+        {"/var", var}, {"/var/spool", spool}, {"/var/spool/q1/..", spool},
+        {"/var/./spool/p2/../p1", p1}, {"/var/spool/p2", p2}};
+    while (writers_left.load() > 0) {
+      for (const auto& [path, node] : stable) {
+        WalkResult w = vfs.Walk("/", path, true);
+        if (w.err != Errno::kOk || w.node != node || w.path != vfs.PathOf(node)) {
+          ++wrong;
+        }
+      }
+      for (const std::string& q : spools) {
+        auto names = vfs.ListDir(vfs.Resolve(q).value());
+        if (!names.ok() || names.value().size() > 1) {
+          ++wrong;
+        }
+      }
+    }
+  });
+  // Through the moving directory and across the mountpoint.
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) {
+      for (const auto& [path, parent] :
+           {std::pair<const char*, const Vnode*>{"/var/spool/p1/x/inner/../..", p1},
+            {"/var/spool/p2/x/inner/../..", p2}}) {
+        WalkResult w = vfs.Walk("/", path, true);
+        if (w.err == Errno::kOk && (w.node != parent || w.path != vfs.PathOf(parent))) {
+          ++wrong;
+        } else if (w.err != Errno::kOk && w.err != Errno::kENOENT) {
+          ++wrong;
+        }
+      }
+      const std::string where = vfs.PathOf(moving);
+      if (where != "/var/spool/p1/x" && where != "/var/spool/p2/x") {
+        ++wrong;
+      }
+      WalkResult up = vfs.Walk("/", "/var/spool/mnt/..", true);
+      WalkResult at = vfs.Walk("/", "/var/spool/mnt", true);
+      if (up.err != Errno::kOk || up.node != spool || up.path != "/var/spool" ||
+          at.err != Errno::kOk || at.path != "/var/spool/mnt" ||
+          (at.node != covered && at.node->parent() != nullptr)) {
+        ++wrong;
+      }
+    }
+  });
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) {
+      const bool there = moves.load() % 2 == 0;
+      if (vfs.Rename(there ? "/var/spool/p1/x" : "/var/spool/p2/x",
+                     there ? "/var/spool/p2/x" : "/var/spool/p1/x")
+              .ok()) {
+        ++moves;
+      } else {
+        ++failed;
+      }
+    }
+  });
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) {
+      if (vfs.AddMount("/var/spool/mnt", "tmpfs", "tmpfs", {}, 0, nullptr).ok() &&
+          vfs.RemoveMount("/var/spool/mnt").ok()) {
+        ++mounts;
+      } else {
+        ++failed;
+      }
+    }
+  });
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(moves.load(), 0);
+  EXPECT_GT(mounts.load(), 0);
+  EXPECT_EQ(vfs.orphan_count(), size_t{kWriters} * kCycles);
+  EXPECT_TRUE(vfs.AuditBlockAccounting().ok());
+}
+
+// Walks across a mountpoint and mount lookups race umounts, which retire
+// the mount row such walks read. Under ASan, a row freed while a walk can
+// still read it is a heap-use-after-free.
+TEST(ParallelStress, UmountRacingWalksAcrossTheMountpoint) {
+  constexpr int kMounts = 2000;
+  Vfs vfs;
+  ASSERT_TRUE(vfs.EnsureDirs("/mnt/m").ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> walkers;
+  for (int i = 0; i < 2; ++i) {
+    walkers.emplace_back([&] {
+      while (!done.load()) {
+        WalkResult w = vfs.Walk("/", "/mnt/m/d/../..", true);
+        if (w.err == Errno::kOk && w.path != "/mnt") {
+          ++wrong;
+        }
+        (void)vfs.FindMount("/mnt/m");
+        (void)vfs.Walk("/mnt/m", "d", true);
+      }
+    });
+  }
+  for (int i = 0; i < kMounts; ++i) {
+    ASSERT_TRUE(vfs.AddMount("/mnt/m", "tmpfs", "tmpfs", {"rw"}, 0, [](Vnode* root) {
+                     Inode dir;
+                     dir.mode = kIfDir | 0755;
+                     (void)root->AddChild("d", std::move(dir));
+                   }).ok());
+    ASSERT_TRUE(vfs.RemoveMount("/mnt/m").ok());
+  }
+  done.store(true);
+  for (std::thread& t : walkers) {
+    t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(vfs.FormatMounts(), "");
 }
 
 // --- Kernel churn across threads ---------------------------------------------

@@ -6,6 +6,7 @@
 #include "src/base/hash.h"
 #include "src/base/strings.h"
 #include "src/conc/explore.h"
+#include "src/config/fstab.h"
 #include "src/userland/daemon_utils.h"
 #include "src/protego/protego_lsm.h"
 #include "src/sim/system.h"
@@ -209,6 +210,57 @@ TEST(MonitorDaemonRace, ConcurrentEditsOfTwoFilesBothSync) {
   options.num_seeds = 64;
   conc::ExploreResult result =
       conc::Explore([] { return std::make_unique<ConcurrentConfigEdits>(); }, options);
+  EXPECT_FALSE(result.violation_found)
+      << result.detail << " under " << conc::FormatTrace(result.violating);
+  EXPECT_EQ(result.schedules_run, 64u);
+}
+
+// Two root tasks append to the same watched file at once under 64 seeded
+// random schedules; /proc/protego/mounts must end up matching the file in
+// every one. Regression: each edit's sync read the file and published it
+// on its own, so a sync that read only the first edit could publish after
+// the sync that read both.
+class ConcurrentEditsOfOneFile : public conc::ScenarioRun {
+ public:
+  ConcurrentEditsOfOneFile() : sys_(SimMode::kProtego) {}
+
+  Kernel& kernel() override { return sys_.kernel(); }
+
+  void RegisterTasks(TaskScheduler& sched) override {
+    for (int i = 0; i < 2; ++i) {
+      Task& task = sys_.Login("root");
+      sched.StartTask(task.pid, [this, &task, i] {
+        (void)kernel().WriteWholeFile(
+            task, "/etc/fstab", StrFormat("/dev/sdc%d /media/stick%d vfat rw,user\n", i, i),
+            /*append=*/true);
+      });
+    }
+  }
+
+  std::optional<std::string> CheckInvariant() override {
+    Task& root = sys_.Login("root");
+    auto fstab = kernel().ReadWholeFile(root, "/etc/fstab");
+    auto mounts = kernel().ReadWholeFile(root, "/proc/protego/mounts");
+    if (!fstab.ok() || !mounts.ok()) {
+      return "cannot read /etc/fstab or /proc/protego/mounts";
+    }
+    auto parsed = ParseFstab(fstab.value());
+    if (!parsed.ok() || mounts.value() != SerializeFstab(parsed.value())) {
+      return "/proc/protego/mounts does not match /etc/fstab:\n" + mounts.value();
+    }
+    return std::nullopt;
+  }
+
+ private:
+  SimSystem sys_;
+};
+
+TEST(MonitorDaemonRace, ConcurrentEditsOfOneFileApplyInOrder) {
+  conc::ExploreOptions options;
+  options.mode = conc::ExploreMode::kRandom;
+  options.num_seeds = 64;
+  conc::ExploreResult result =
+      conc::Explore([] { return std::make_unique<ConcurrentEditsOfOneFile>(); }, options);
   EXPECT_FALSE(result.violation_found)
       << result.detail << " under " << conc::FormatTrace(result.violating);
   EXPECT_EQ(result.schedules_run, 64u);

@@ -176,6 +176,22 @@ TEST(MacroWorkload, ParallelModeRunsTheSameDeterministicBudget) {
   EXPECT_TRUE(par.profile == det.profile);
 }
 
+// Each mail task writes only its own spool, so four of them on real
+// threads never meet on a tree lock: walks take none, and a spool's
+// create, rename and unlink take only that spool's lock.
+TEST(MacroWorkload, ParallelMailTasksNeverMeetOnATreeLock) {
+  WorkloadSpec spec = SmallSpec(Mix::kMail);
+  spec.tasks = 4;
+  spec.total_ops = 16000;
+  spec.exec_mode = ExecMode::kParallel;
+  spec.trace = true;  // captures the metrics export
+  MixReport r = RunWorkload(spec, SimMode::kProtego);
+  EXPECT_EQ(r.ops_issued, r.units * OpsPerUnit(Mix::kMail));
+  EXPECT_NE(r.metrics_text.find("protego_lock_contended_total{lock=\"vfs_tree\"} 0\n"),
+            std::string::npos)
+      << r.metrics_text;
+}
+
 // Honors PROTEGO_EXEC_MODE the way every harness does — under the CI
 // parallel job this runs the engine on real OS threads.
 TEST(MacroWorkload, RunsUnderAmbientExecMode) {
