@@ -111,29 +111,11 @@ LayerProfiler::LayerTotals LayerProfiler::Totals(Layer layer) const {
   return out;
 }
 
-uint64_t LayerProfiler::root_ns() const {
-  uint64_t total = 0;
-  shards_.ForEach([&](const Shard& shard) {
-    total += shard.root_ns.load(std::memory_order_relaxed);
-  });
-  return total;
-}
+uint64_t LayerProfiler::root_ns() const { return shards_.Sum(&Shard::root_ns); }
 
-uint64_t LayerProfiler::root_count() const {
-  uint64_t total = 0;
-  shards_.ForEach([&](const Shard& shard) {
-    total += shard.root_count.load(std::memory_order_relaxed);
-  });
-  return total;
-}
+uint64_t LayerProfiler::root_count() const { return shards_.Sum(&Shard::root_count); }
 
-uint64_t LayerProfiler::dropped() const {
-  uint64_t total = 0;
-  shards_.ForEach([&](const Shard& shard) {
-    total += shard.dropped.load(std::memory_order_relaxed);
-  });
-  return total;
-}
+uint64_t LayerProfiler::dropped() const { return shards_.Sum(&Shard::dropped); }
 
 std::vector<LayerProfiler::FoldedEntry> LayerProfiler::Folded() const {
   std::map<uint64_t, FoldedEntry> merged;

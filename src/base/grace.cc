@@ -67,11 +67,6 @@ void GraceDomain::Collect(Shard* only) {
   }
 }
 
-uint64_t GraceDomain::pending() const {
-  uint64_t total = 0;
-  shards_.ForEach(
-      [&](const Shard& shard) { total += shard.pending.load(std::memory_order_relaxed); });
-  return total;
-}
+uint64_t GraceDomain::pending() const { return shards_.Sum(&Shard::pending); }
 
 }  // namespace protego

@@ -34,6 +34,15 @@
 // those not yet freed. The destructor frees everything still pending; no
 // section may be open then. A section should not span a blocking wait or a
 // scheduler yield: it would hold reclamation back, though never stop it.
+// One does on purpose: a Protego hook that authenticates keeps its section
+// open across the authentication service's nested syscalls, so the one
+// policy snapshot it decides on stays valid. Reclamation then waits for the
+// round trip, but nothing blocks.
+//
+// A kernel has one domain, the Vfs's (Kernel::grace()): path walks and
+// Protego's policy reads share it. ThreadShards' one-entry cache is per
+// shard type, so a second domain used alternately with the first on one
+// thread would miss it and take the registry lock on every section.
 
 #ifndef SRC_BASE_GRACE_H_
 #define SRC_BASE_GRACE_H_

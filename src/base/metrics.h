@@ -3,15 +3,15 @@
 // a bounded JSON excerpt for bench artifacts.
 //
 // Design: instrumented components keep their own hot-path storage (the
-// syscall gate's per-thread records, the LSM stack's per-hook tallies) and
-// register a *collector* callback here. Export walks the collectors and
-// assembles one consistent snapshot — so /proc/protego/metrics and the C++
-// accessors read the same underlying counters, with zero extra cost on the
-// syscall path.
+// syscall gate's per-thread records, the LSM stack's per-thread hook
+// tallies) and register a *collector* callback here. Export walks the
+// collectors and assembles one consistent snapshot — so /proc/protego/metrics
+// and the C++ accessors read the same underlying counters, with zero extra
+// cost on the syscall path.
 //
 // Histogram is the embeddable hot-path type: fixed power-of-two buckets
-// (0, 1, 2, 4, ..., 2^30, +Inf), one clz and three relaxed atomic
-// increments per Observe. Every histogram in the kernel has a single writer
+// (0, 1, 2, 4, ..., 2^30, +Inf), one clz and three relaxed load/store
+// pairs per Observe. Every histogram in the kernel has a single writer
 // thread (the gate's per-thread syscall records, the layer profiler's
 // per-thread shards); the atomics only let a scrape read it mid-traffic.
 
@@ -28,13 +28,17 @@
 #include <vector>
 
 #include "src/base/rw_lock.h"
+#include "src/base/thread_shards.h"
 
 namespace protego {
 
 // Log2-bucket histogram. Upper bounds: 0, 1, 2, 4, ..., 2^30, +Inf.
-// Observe is lock-free (relaxed atomics); readers see a statistically
+// One writer at a time: Observe, Merge and assignment add with a relaxed
+// load and store (AddOwned), not a locked add. Readers see a statistically
 // consistent view (sum/count/buckets may momentarily disagree by one
-// in-flight observation, which Prometheus scrape semantics tolerate).
+// in-flight observation, which Prometheus scrape semantics tolerate); a
+// Reset from another thread during traffic may be partly undone by an
+// Observe in flight, as the gate's per-thread call counters may.
 class Histogram {
  public:
   // Bucket 0 holds exact zeros; buckets 1..31 hold (2^(i-2), 2^(i-1)];
@@ -60,9 +64,9 @@ class Histogram {
   }
 
   void Observe(uint64_t v) {
-    buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    AddOwned(buckets_[BucketIndex(v)]);
+    AddOwned(sum_, v);
+    AddOwned(count_);
   }
 
   static size_t BucketIndex(uint64_t v) {
@@ -91,18 +95,14 @@ class Histogram {
   }
 
   // Adds `other`'s buckets/sum/count into this histogram (relaxed loads on
-  // both sides: used by sharded collectors merging per-thread histograms on
-  // the read path).
+  // both sides: used by sharded collectors merging per-thread histograms
+  // into a local sum on the read path).
   void Merge(const Histogram& other) {
     for (size_t i = 0; i < kBuckets; ++i) {
-      uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-      if (n != 0) {
-        buckets_[i].fetch_add(n, std::memory_order_relaxed);
-      }
+      AddOwned(buckets_[i], other.buckets_[i].load(std::memory_order_relaxed));
     }
-    sum_.fetch_add(other.sum_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+    AddOwned(sum_, other.sum_.load(std::memory_order_relaxed));
+    AddOwned(count_, other.count_.load(std::memory_order_relaxed));
   }
 
  private:

@@ -13,19 +13,28 @@
 //
 // ForEach() visits every shard under the same registry lock. The owner
 // writes its shard without that lock, so whatever a reader loads from a
-// shard must be atomic or guarded by a lock inside T.
+// shard must be atomic or guarded by a lock inside T. A counter only its
+// owner writes takes AddOwned, a relaxed load and store with no locked
+// instruction, and readers total it with Sum().
 
 #ifndef SRC_BASE_THREAD_SHARDS_H_
 #define SRC_BASE_THREAD_SHARDS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace protego {
+
+// Adds `n` to a counter that only the calling thread writes, such as a field
+// of its own shard. Readers on other threads load it relaxed.
+inline void AddOwned(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
 
 template <typename T>
 class ThreadShards {
@@ -49,6 +58,17 @@ class ThreadShards {
     for (const std::unique_ptr<Slot>& slot : slots_) {
       fn(slot->value);
     }
+  }
+
+  // One atomic counter of every shard, loaded relaxed and summed. `field`
+  // is a pointer to the counter member or a callable returning it.
+  template <typename Field>
+  uint64_t Sum(Field field) const {
+    uint64_t total = 0;
+    ForEach([&](const T& shard) {
+      total += std::invoke(field, shard).load(std::memory_order_relaxed);
+    });
+    return total;
   }
 
  private:

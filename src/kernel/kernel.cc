@@ -114,8 +114,8 @@ void Kernel::CollectKernelMetrics(MetricsBuilder& b) const {
   CollectLock(b, "net_topo", net_.topo_lock_counts());
   CollectLock(b, "binary_registry", registry_mu_.counts());
   b.Gauge("protego_vfs_grace_pending",
-          "VFS objects retired (directory listings, names, mount rows, watch lists) and not yet "
-          "freed.",
+          "Objects retired through the kernel's grace period (directory listings, names, mount "
+          "rows, watch lists, policy snapshots) and not yet freed.",
           {}, static_cast<double>(vfs_.grace_pending()));
   b.Gauge("protego_open_files", "Open file descriptions across all tasks.", {},
           static_cast<double>(OpenFileCount()));

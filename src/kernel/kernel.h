@@ -24,6 +24,7 @@
 
 #include "src/base/attribution.h"
 #include "src/base/clock.h"
+#include "src/base/grace.h"
 #include "src/base/metrics.h"
 #include "src/base/result.h"
 #include "src/base/rw_lock.h"
@@ -114,6 +115,10 @@ class Kernel {
   Vfs& vfs() { return vfs_; }
   LsmStack& lsm() { return lsm_; }
   Network& net() { return net_; }
+
+  // The kernel's one grace period, the Vfs's (src/base/grace.h): path walks
+  // and Protego's policy reads open their read sections on it.
+  GraceDomain& grace() { return vfs_.grace(); }
 
   // The unified syscall entry path every public syscall below routes
   // through (seccomp filtering, counters, latency, trace ring).

@@ -640,7 +640,7 @@ void SyscallGate::ExitSyscall(const CallFrame& frame, const std::string& comm,
   SyscallRecord& rec = MyRecord(nr);
   rec.CountCall();
   if (err != Errno::kOk) {
-    rec.errors.fetch_add(1, std::memory_order_relaxed);
+    AddOwned(rec.errors);
   }
   uint64_t dur_ns = 0;
   if (start_ns != 0) {

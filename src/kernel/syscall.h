@@ -567,10 +567,8 @@ class SyscallGate {
     std::mutex exemplar_mu;
     SysnoExemplars exemplars;
 
-    // The single writer needs no locked add: a relaxed load and store.
-    void CountCall() {
-      calls.store(calls.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    }
+    // The single writer needs no locked add.
+    void CountCall() { AddOwned(calls); }
   };
   // One thread's records by syscall number, each allocated on its first call
   // and published with a release store (a thread that never calls mount

@@ -1,6 +1,9 @@
 #include "src/lsm/stack.h"
 
+#include <cstdlib>
 #include <cstring>
+
+#include "src/base/log.h"
 
 namespace protego {
 
@@ -41,9 +44,12 @@ void SecurityModule::Audit(std::string record) {
 }
 
 void LsmStack::Register(std::unique_ptr<SecurityModule> module) {
+  if (modules_.size() == kMaxModules) {
+    LogError(std::string("LsmStack: cannot register ") + module->name() + ": stack is full");
+    std::abort();
+  }
   module->AttachStack(this);
   modules_.push_back(std::move(module));
-  module_verdicts_.emplace_back();
 }
 
 SecurityModule* LsmStack::Find(const char* name) {
@@ -57,8 +63,8 @@ SecurityModule* LsmStack::Find(const char* name) {
 
 uint64_t LsmStack::TotalHookInvocations() const {
   uint64_t total = 0;
-  for (const std::atomic<uint64_t>& c : hook_counts_) {
-    total += c.load(std::memory_order_relaxed);
+  for (size_t h = 0; h < static_cast<size_t>(LsmHook::kCount); ++h) {
+    total += HookInvocations(static_cast<LsmHook>(h));
   }
   return total;
 }
@@ -123,29 +129,31 @@ bool LsmStack::FaultDeny(LsmHook hook, int pid) const {
     return false;
   }
   // Fail closed: an undecidable hook refuses.
-  fail_closed_.fetch_add(1, std::memory_order_relaxed);
+  AddOwned(tallies_.Mine().fail_closed);
   TraceDecision(hook, HookVerdict::kDeny, pid);
   return true;
 }
 
 void LsmStack::CollectMetrics(MetricsBuilder& b) const {
   for (size_t h = 0; h < static_cast<size_t>(LsmHook::kCount); ++h) {
-    if (hook_counts_[h] == 0) {
+    const LsmHook hook = static_cast<LsmHook>(h);
+    const uint64_t n = HookInvocations(hook);
+    if (n == 0) {
       continue;
     }
     b.Counter("protego_lsm_hook_invocations_total", "LSM stack consultations per hook",
-              {{"hook", LsmHookName(static_cast<LsmHook>(h))}}, hook_counts_[h]);
+              {{"hook", LsmHookName(hook)}}, n);
   }
   for (size_t i = 0; i < modules_.size(); ++i) {
     for (size_t v = 0; v < 3; ++v) {
-      if (module_verdicts_[i][v] == 0) {
+      const HookVerdict verdict = static_cast<HookVerdict>(v);
+      const uint64_t n = ModuleVerdicts(i, verdict);
+      if (n == 0) {
         continue;
       }
       b.Counter("protego_lsm_module_verdicts_total",
                 "Verdicts returned by each security module",
-                {{"module", modules_[i]->name()},
-                 {"verdict", HookVerdictName(static_cast<HookVerdict>(v))}},
-                module_verdicts_[i][v]);
+                {{"module", modules_[i]->name()}, {"verdict", HookVerdictName(verdict)}}, n);
     }
   }
   b.Gauge("protego_policy_generation",
@@ -158,7 +166,8 @@ void LsmStack::CollectMetrics(MetricsBuilder& b) const {
 template <typename Call>
 HookVerdict LsmStack::Dispatch(LsmHook hook, int pid, Call&& call) const {
   LayerScope lsm_scope(Layer::kLsm);
-  hook_counts_[static_cast<size_t>(hook)]++;
+  Tally& tally = tallies_.Mine();
+  AddOwned(tally.hooks[static_cast<size_t>(hook)]);
   if (FaultDeny(hook, pid)) {
     return HookVerdict::kDeny;
   }
@@ -168,7 +177,7 @@ HookVerdict LsmStack::Dispatch(LsmHook hook, int pid, Call&& call) const {
   HookVerdict acc = HookVerdict::kDefault;
   for (size_t i = 0; i < modules_.size(); ++i) {
     HookVerdict v = call(*modules_[i]);
-    module_verdicts_[i][static_cast<size_t>(v)]++;
+    AddOwned(tally.verdicts[i][static_cast<size_t>(v)]);
     if (trace_hooks) {
       TraceModule(hook, *modules_[i], v, pid);
     }

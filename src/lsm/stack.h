@@ -13,14 +13,18 @@
 // one kLsmDecision event for the combined verdict, all stamped with the
 // calling syscall's decision span. Per-hook invocation counts and
 // per-module verdict tallies are reported via CollectMetrics().
+//
+// Counting writes no shared line: each thread tallies its dispatches on its
+// own ThreadShards shard (AddOwned), and the accessors and CollectMetrics
+// sum every thread's, so on either stack a dispatch writes only lines its
+// thread owns. A sum read during traffic may miss the dispatches in flight;
+// at quiescence it is exact.
 
 #ifndef SRC_LSM_STACK_H_
 #define SRC_LSM_STACK_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +32,7 @@
 
 #include "src/base/attribution.h"
 #include "src/base/metrics.h"
+#include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/lsm/module.h"
@@ -52,7 +57,12 @@ const char* LsmHookName(LsmHook hook);
 
 class LsmStack {
  public:
-  // Appends a module; earlier modules are consulted first.
+  // Modules one stack holds at most; the largest here is capability,
+  // AppArmor and Protego.
+  static constexpr size_t kMaxModules = 4;
+
+  // Appends a module; earlier modules are consulted first. Aborts past
+  // kMaxModules.
   void Register(std::unique_ptr<SecurityModule> module);
 
   // Module by name, or nullptr. Used by /proc plumbing and tests.
@@ -79,7 +89,8 @@ class LsmStack {
   // Times the stack was consulted for `hook` since boot. Lets the syscall
   // gate tests prove seccomp denials short-circuit BEFORE any LSM work.
   uint64_t HookInvocations(LsmHook hook) const {
-    return hook_counts_[static_cast<size_t>(hook)].load(std::memory_order_relaxed);
+    return tallies_.Sum(
+        [hook](const Tally& t) -> auto& { return t.hooks[static_cast<size_t>(hook)]; });
   }
   uint64_t TotalHookInvocations() const;
 
@@ -108,14 +119,13 @@ class LsmStack {
   void set_faults(FaultRegistry* faults) { faults_ = faults; }
 
   // Dispatches denied because a fault was injected at the hook site.
-  uint64_t fail_closed_denials() const {
-    return fail_closed_.load(std::memory_order_relaxed);
-  }
+  uint64_t fail_closed_denials() const { return tallies_.Sum(&Tally::fail_closed); }
 
-  // Combined verdicts module `i` returned, indexed by HookVerdict value.
+  // Verdicts module `i` returned, indexed by HookVerdict value.
   uint64_t ModuleVerdicts(size_t module_index, HookVerdict v) const {
-    return module_verdicts_[module_index][static_cast<size_t>(v)].load(
-        std::memory_order_relaxed);
+    return tallies_.Sum([&](const Tally& t) -> auto& {
+      return t.verdicts[module_index][static_cast<size_t>(v)];
+    });
   }
 
   // Reports hook invocation counters, per-module verdict tallies
@@ -133,6 +143,13 @@ class LsmStack {
   }
 
  private:
+  // One thread's dispatch counts; only that thread writes them.
+  struct Tally {
+    std::atomic<uint64_t> hooks[static_cast<size_t>(LsmHook::kCount)] = {};
+    std::atomic<uint64_t> verdicts[kMaxModules][3] = {};  // [module][HookVerdict]
+    std::atomic<uint64_t> fail_closed{0};  // fault-injected dispatches denied
+  };
+
   static HookVerdict Combine(HookVerdict acc, HookVerdict v);
 
   // The one dispatch path: counts the consultation, fails closed on an
@@ -153,20 +170,12 @@ class LsmStack {
   void TraceDecision(LsmHook hook, HookVerdict combined, int pid) const;
 
   std::vector<std::unique_ptr<SecurityModule>> modules_;
-  // mutable: accounting from the const hook methods. All counters are
-  // relaxed atomics — parallel-mode tasks dispatch hooks concurrently. Every
-  // dispatch writes one, so they fill a cache line of their own, apart from
-  // the module list and pointers every dispatch reads.
-  alignas(64) mutable std::atomic<uint64_t>
-      hook_counts_[static_cast<size_t>(LsmHook::kCount)] = {};
-  // Per-module verdict tallies, indexed [module][verdict]. A deque because
-  // arrays of atomics are pinned in place (no relocation on growth).
-  mutable std::deque<std::array<std::atomic<uint64_t>, 3>> module_verdicts_;
+  // mutable: accounting from the const hook methods.
+  mutable ThreadShards<Tally> tallies_;
 
   Tracer* tracer_ = nullptr;
   FaultRegistry* faults_ = nullptr;
   std::function<void(std::string)> audit_sink_;
-  mutable std::atomic<uint64_t> fail_closed_{0};  // fault-injected dispatches denied
 
   std::atomic<uint64_t> policy_generation_{1};
 };

@@ -102,13 +102,14 @@ const char* Netfilter::ChainName(NfChain chain) const {
 
 NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
   LayerScope netfilter_scope(Layer::kNetfilter);
-  evaluated_.fetch_add(1, std::memory_order_relaxed);
+  Tally& tally = tallies_.Mine();
+  AddOwned(tally.evaluated);
   // Fail closed: if chain evaluation faults, the packet is dropped — a
   // filtering layer that cannot decide must not pass traffic.
   if (faults_ != nullptr && faults_->any_enabled() &&
       faults_->Evaluate(FaultSite::kNetfilterEval) != Errno::kOk) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    fail_closed_drops_.fetch_add(1, std::memory_order_relaxed);
+    AddOwned(tally.dropped);
+    AddOwned(tally.fail_closed_drops);
     if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kNetfilter)) {
       TraceSlot ev = tracer_->Emit(TracepointId::kNetfilter, 0);
       ev->sname = ChainName(chain);
@@ -125,7 +126,7 @@ NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
     }
     if (Matches(rule.match, packet)) {
       if (rule.verdict == NfVerdict::kDrop) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        AddOwned(tally.dropped);
       }
       if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kNetfilter)) {
         TraceSlot ev = tracer_->Emit(TracepointId::kNetfilter, 0);

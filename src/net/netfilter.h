@@ -20,6 +20,7 @@
 #include "src/base/result.h"
 #include "src/base/attribution.h"
 #include "src/base/rw_lock.h"
+#include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/net/packet.h"
@@ -101,14 +102,13 @@ class Netfilter {
   // One rule per line, in evaluation order (iptables -L).
   std::string ListRules() const;
 
-  // Counters for tests/benchmarks.
-  uint64_t evaluated() const { return evaluated_.load(std::memory_order_relaxed); }
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  // Counters for tests/benchmarks, summed over every thread's tally: exact
+  // at quiescence.
+  uint64_t evaluated() const { return tallies_.Sum(&Tally::evaluated); }
+  uint64_t dropped() const { return tallies_.Sum(&Tally::dropped); }
   // Packets dropped because a fault was injected mid-evaluation (subset of
   // dropped()).
-  uint64_t fail_closed_drops() const {
-    return fail_closed_drops_.load(std::memory_order_relaxed);
-  }
+  uint64_t fail_closed_drops() const { return tallies_.Sum(&Tally::fail_closed_drops); }
   // Slow-path counts of the rule lock (exported as metrics).
   LockCounts rules_lock_counts() const { return rules_mu_.counts(); }
 
@@ -116,6 +116,14 @@ class Netfilter {
   bool Matches(const NfMatch& match, const Packet& packet) const;
 
   const char* ChainName(NfChain chain) const;
+
+  // One thread's packet counts; only that thread writes them (AddOwned),
+  // so evaluating a packet writes no line another thread writes.
+  struct Tally {
+    std::atomic<uint64_t> evaluated{0};
+    std::atomic<uint64_t> dropped{0};
+    std::atomic<uint64_t> fail_closed_drops{0};
+  };
 
   // Rule edits (the iptables control path) take rules_mu_ unique; Evaluate
   // walks the chain under a shared lock, so packet evaluation from many
@@ -128,9 +136,7 @@ class Netfilter {
   PortOwnerFn port_owner_;
   Tracer* tracer_ = nullptr;
   FaultRegistry* faults_ = nullptr;
-  mutable std::atomic<uint64_t> evaluated_{0};
-  mutable std::atomic<uint64_t> dropped_{0};
-  mutable std::atomic<uint64_t> fail_closed_drops_{0};
+  mutable ThreadShards<Tally> tallies_;
 };
 
 // Wire grammar for rules crossing the kernel boundary (the iptables

@@ -315,7 +315,7 @@ void Network::DeliverLocal(const Packet& packet, int netns) {
     if (it != shard.owners.end()) {
       std::lock_guard<std::mutex> sock_lk(it->second->mu);
       it->second->rx_queue.push_back(packet);
-      packets_delivered_.fetch_add(1, std::memory_order_relaxed);
+      AddOwned(tallies_.Mine().delivered);
     }
   }
   // Raw sockets see matching-protocol traffic (ICMP sniffing for ping).
@@ -324,7 +324,7 @@ void Network::DeliverLocal(const Packet& packet, int netns) {
     if (sock->netns == netns && (sock->protocol == 0 || sock->protocol == packet.l4_proto)) {
       std::lock_guard<std::mutex> sock_lk(sock->mu);
       sock->rx_queue.push_back(packet);
-      packets_delivered_.fetch_add(1, std::memory_order_relaxed);
+      AddOwned(tallies_.Mine().delivered);
     }
   }
 }
@@ -338,7 +338,6 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
       packet.src_port = sock.bound_port;
     }
   }
-  packets_sent_.fetch_add(1, std::memory_order_relaxed);
 
   // A sandbox network namespace contains only its own loopback: local
   // delivery within the namespace works, the outside world does not exist
@@ -375,7 +374,7 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
     if (netfilter_.Evaluate(NfChain::kInput, *reply) == NfVerdict::kAccept) {
       std::lock_guard<std::mutex> lk(sock.mu);
       sock.rx_queue.push_back(std::move(*reply));
-      packets_delivered_.fetch_add(1, std::memory_order_relaxed);
+      AddOwned(tallies_.Mine().delivered);
     }
   }
   return OkUnit();

@@ -21,6 +21,7 @@
 
 #include "src/base/result.h"
 #include "src/base/rw_lock.h"
+#include "src/base/thread_shards.h"
 #include "src/net/netfilter.h"
 #include "src/net/packet.h"
 #include "src/net/routing.h"
@@ -159,11 +160,9 @@ class Network {
   RoutingTable& routes() { return routes_; }
   const RoutingTable& routes() const { return routes_; }
 
-  // Statistics (benchmarks and tests).
-  uint64_t packets_sent() const { return packets_sent_.load(std::memory_order_relaxed); }
-  uint64_t packets_delivered() const {
-    return packets_delivered_.load(std::memory_order_relaxed);
-  }
+  // Statistics (tests), summed over every thread's count: exact at
+  // quiescence.
+  uint64_t packets_delivered() const { return tallies_.Sum(&Tally::delivered); }
   uint64_t packets_dropped() const { return netfilter_.dropped(); }
   // Slow-path counts of the raw-socket and topology locks.
   LockCounts raw_lock_counts() const { return raw_mu_.counts(); }
@@ -207,8 +206,11 @@ class Network {
 
   std::atomic<int> next_socket_id_{1};
   std::atomic<int> next_netns_{1};
-  std::atomic<uint64_t> packets_sent_{0};
-  std::atomic<uint64_t> packets_delivered_{0};
+  // One thread's delivered-packet count; only that thread writes it.
+  struct Tally {
+    std::atomic<uint64_t> delivered{0};
+  };
+  ThreadShards<Tally> tallies_;
 };
 
 }  // namespace protego

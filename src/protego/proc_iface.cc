@@ -507,10 +507,10 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   metrics_ops.read = [kernel]() { return kernel->metrics().PrometheusText(); };
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/metrics", 0444, std::move(metrics_ops)));
 
-  // Protego's own policy-outcome counters, read from the same ProtegoStats
-  // fields the C++ accessors return.
+  // Protego's own policy-outcome counters: the same per-thread sum the C++
+  // accessor returns.
   kernel->metrics().AddCollector([lsm](MetricsBuilder& b) {
-    const ProtegoStats& s = lsm->stats();
+    const ProtegoStats s = lsm->stats();
     const char* help = "Protego policy decisions by operation and outcome.";
     auto row = [&](const char* op, const char* outcome, uint64_t n) {
       b.Counter("protego_policy_decisions_total", help, {{"op", op}, {"outcome", outcome}}, n);
@@ -532,7 +532,6 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
     row("file", "delegated", s.file_delegations);
     b.Counter("protego_reauth_reads_total",
               "Reads of re-authentication state by the auth agent.", {}, s.reauth_reads);
-    CollectLock(b, "protego_policy", lsm->policy_lock_counts());
   });
 
   return OkUnit();

@@ -1,6 +1,7 @@
 #include "src/protego/protego_lsm.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/base/strings.h"
@@ -26,14 +27,46 @@ bool IsSafeExtraOption(const std::string& opt) {
 
 }  // namespace
 
+ProtegoLsm::ProtegoLsm(Kernel* kernel)
+    : kernel_(kernel), grace_(kernel->grace()), policy_(new Policy()) {}
+
+ProtegoLsm::~ProtegoLsm() { delete policy_.load(std::memory_order_relaxed); }
+
+void ProtegoLsm::Count(uint64_t ProtegoStats::*field) const {
+  std::atomic_ref<uint64_t> n(stats_.Mine().*field);
+  n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+ProtegoStats ProtegoLsm::stats() const {
+  static constexpr uint64_t ProtegoStats::*kFields[] = {
+      &ProtegoStats::mount_allowed,    &ProtegoStats::mount_denied,
+      &ProtegoStats::umount_allowed,   &ProtegoStats::umount_denied,
+      &ProtegoStats::bind_allowed,     &ProtegoStats::bind_denied,
+      &ProtegoStats::setuid_deferred,  &ProtegoStats::setuid_allowed,
+      &ProtegoStats::setuid_denied,    &ProtegoStats::exec_transitions,
+      &ProtegoStats::exec_denied,      &ProtegoStats::raw_sockets_allowed,
+      &ProtegoStats::route_allowed,    &ProtegoStats::route_denied,
+      &ProtegoStats::file_delegations, &ProtegoStats::reauth_reads,
+  };
+  static_assert(sizeof(ProtegoStats) == std::size(kFields) * sizeof(uint64_t),
+                "every ProtegoStats field is summed");
+  ProtegoStats sum;
+  stats_.ForEach([&](ProtegoStats& shard) {
+    for (uint64_t ProtegoStats::*field : kFields) {
+      sum.*field += std::atomic_ref<uint64_t>(shard.*field).load(std::memory_order_relaxed);
+    }
+  });
+  return sum;
+}
+
 ProtegoLsm::Policy ProtegoLsm::CloneTablesLocked() const {
-  PolicyRef cur = policy();
+  const Policy& cur = Current();
   Policy next;
-  next.mount_whitelist = cur->mount_whitelist;
-  next.bind_table = cur->bind_table;
-  next.delegation = cur->delegation;
-  next.user_db = cur->user_db;
-  next.ppp_options = cur->ppp_options;
+  next.mount_whitelist = cur.mount_whitelist;
+  next.bind_table = cur.bind_table;
+  next.delegation = cur.delegation;
+  next.user_db = cur.user_db;
+  next.ppp_options = cur.ppp_options;
   return next;
 }
 
@@ -44,26 +77,22 @@ Result<Unit> ProtegoLsm::CompileAndPublish(Policy next) {
   // fault evaluation points — before any index is built and after half of
   // them — so the sweep can prove that a fault at either boundary rolls
   // back identically.
-  FaultRegistry* faults = kernel_ != nullptr ? &kernel_->faults() : nullptr;
-  if (faults != nullptr && faults->any_enabled()) {
-    RETURN_IF_ERROR(faults->Check(FaultSite::kPolicyCompile, "policy compile (start)"));
+  FaultRegistry& faults = kernel_->faults();
+  if (faults.any_enabled()) {
+    RETURN_IF_ERROR(faults.Check(FaultSite::kPolicyCompile, "policy compile (start)"));
   }
   next.engine.bind.Build(next.bind_table);
   next.engine.mount.Build(next.mount_whitelist);
-  if (faults != nullptr && faults->any_enabled()) {
-    RETURN_IF_ERROR(faults->Check(FaultSite::kPolicyCompile, "policy compile (mid-swap)"));
+  if (faults.any_enabled()) {
+    RETURN_IF_ERROR(faults.Check(FaultSite::kPolicyCompile, "policy compile (mid-swap)"));
   }
   next.engine.files.Build(next.delegation);
   next.engine.sudoers.Build(next.delegation, next.user_db);
-  // Publish-then-bump: the lock release publishes the new snapshot before
-  // the (release) generation bump, so a reader that sees generation G
-  // (acquire) is guaranteed to load at least generation G's snapshot. The
-  // displaced snapshot is retired once the last in-flight reader drops its
-  // PolicyRef.
-  {
-    std::unique_lock<RwLock> lk(policy_mu_);
-    policy_ = std::make_shared<const Policy>(std::move(next));
-  }
+  // Publish-then-bump: the exchange publishes the new snapshot before the
+  // (release) generation bump, so a reader that sees generation G (acquire)
+  // is guaranteed to load at least generation G's snapshot. The displaced
+  // snapshot is freed once no read section that may have loaded it is open.
+  grace_.Retire(policy_.exchange(new Policy(std::move(next)), std::memory_order_acq_rel));
   // Only reached on success: a failed swap leaves the generation unchanged.
   BumpPolicyGeneration();
   return OkUnit();
@@ -125,8 +154,8 @@ HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool*
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
     return HookVerdict::kDefault;  // administrator path is unchanged
   }
-  PolicyRef pol_ref = policy();  // ONE snapshot for the whole dispatch
-  const Policy& pol = *pol_ref;
+  GraceDomain::Section section(grace_);
+  const Policy& pol = Current();  // ONE snapshot for the whole dispatch
   bool granted = false;
   pol.engine.mount.ForEachMatch(req.source, req.mountpoint, req.fstype,
                                 [&](const CompiledFstabRule& rule) {
@@ -134,12 +163,12 @@ HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool*
                                   return granted;
                                 });
   if (granted) {
-    ++stats_.mount_allowed;
+    Count(&ProtegoStats::mount_allowed);
     kernel_->Audit(StrFormat("protego: user mount %s on %s allowed (uid=%u)", req.source.c_str(),
                        req.mountpoint.c_str(), task.cred.ruid));
     return HookVerdict::kAllow;
   }
-  ++stats_.mount_denied;
+  Count(&ProtegoStats::mount_denied);
   return HookVerdict::kDefault;  // falls through to the CAP_SYS_ADMIN refusal
 }
 
@@ -148,8 +177,8 @@ HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
     return HookVerdict::kDefault;
   }
-  PolicyRef pol_ref = policy();
-  const Policy& pol = *pol_ref;
+  GraceDomain::Section section(grace_);
+  const Policy& pol = Current();
   // May THIS user unmount? "users" entries let anyone; "user" entries only
   // the task that mounted.
   bool granted = false;
@@ -158,10 +187,10 @@ HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint
     return granted;
   });
   if (granted) {
-    ++stats_.umount_allowed;
+    Count(&ProtegoStats::umount_allowed);
     return HookVerdict::kAllow;
   }
-  ++stats_.umount_denied;
+  Count(&ProtegoStats::umount_denied);
   return HookVerdict::kDefault;
 }
 
@@ -172,7 +201,7 @@ HookVerdict ProtegoLsm::SocketCreate(const Task& task, const SocketRequest& req)
   if (req.type == kSockRaw || req.family == kAfPacket) {
     // Any user may create a raw or packet socket; what they can SEND is
     // constrained by the default netfilter rules (see default_rules.cc).
-    ++stats_.raw_sockets_allowed;
+    Count(&ProtegoStats::raw_sockets_allowed);
     return HookVerdict::kAllow;
   }
   return HookVerdict::kDefault;
@@ -189,8 +218,8 @@ HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, boo
   if (req.port >= 1024) {
     return HookVerdict::kDefault;
   }
-  PolicyRef pol_ref = policy();
-  const Policy& pol = *pol_ref;
+  GraceDomain::Section section(grace_);
+  const Policy& pol = Current();
   // The port may carry several (binary, uid) allocations; EVERY entry for
   // the port must be considered before denying — denying at the first
   // non-matching entry would make later allocations of the port dead policy.
@@ -198,7 +227,7 @@ HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, boo
   if (allocations != nullptr) {
     for (const BindConfEntry& entry : *allocations) {
       if (entry.binary == req.binary_path && entry.uid == task.cred.euid) {
-        ++stats_.bind_allowed;
+        Count(&ProtegoStats::bind_allowed);
         return HookVerdict::kAllow;
       }
     }
@@ -206,7 +235,7 @@ HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, boo
     // the configured (binary, uid) pairs may bind it — root privilege does
     // not override an allocation, which is what stops a compromised web
     // server from becoming a mail server.
-    ++stats_.bind_denied;
+    Count(&ProtegoStats::bind_denied);
     kernel_->Audit(StrFormat("protego: bind(%u) denied: port allocated, requested by %s uid=%u",
                        req.port, req.binary_path.c_str(), task.cred.euid));
     return HookVerdict::kDeny;
@@ -245,8 +274,8 @@ bool ProtegoLsm::EnsureAuthenticated(const Policy& pol, Task& task, Uid account)
 
 HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
                                       SetuidDisposition* disposition) {
-  PolicyRef pol_ref = policy();
-  const Policy& pol = *pol_ref;
+  GraceDomain::Section section(grace_);
+  const Policy& pol = Current();
   if (req.is_gid) {
     if (kernel_->Capable(task, Capability::kSetgid)) {
       return HookVerdict::kDefault;
@@ -262,7 +291,7 @@ HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
     // Listed members may join without a password (newgrp semantics).
     if (std::find(group->members.begin(), group->members.end(), user->name) !=
         group->members.end()) {
-      ++stats_.setuid_allowed;
+      Count(&ProtegoStats::setuid_allowed);
       return HookVerdict::kAllow;
     }
     // Password-protected groups: authenticate against the group password.
@@ -271,10 +300,10 @@ HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
                   group->name) != pol.delegation.password_groups.end();
     if (password_protected && !group->password_hash.empty()) {
       if (EnsureAuthenticated(pol, task, kGroupAuthBase + req.target_gid)) {
-        ++stats_.setuid_allowed;
+        Count(&ProtegoStats::setuid_allowed);
         return HookVerdict::kAllow;
       }
-      ++stats_.setuid_denied;
+      Count(&ProtegoStats::setuid_denied);
       return HookVerdict::kDeny;
     }
     return HookVerdict::kDefault;
@@ -320,7 +349,7 @@ HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
     // enforce (including any ALL rules) at execve, where the command is
     // known. This is the paper's setuid-on-exec mechanism.
     disposition->defer_to_exec = true;
-    ++stats_.setuid_deferred;
+    Count(&ProtegoStats::setuid_deferred);
     return HookVerdict::kAllow;
   }
 
@@ -357,12 +386,12 @@ HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
     // (what stock su/login did with setgid while still root).
     disposition->has_gid = true;
     disposition->gid = target->gid;
-    ++stats_.setuid_allowed;
+    Count(&ProtegoStats::setuid_allowed);
     kernel_->Audit(StrFormat("protego: setuid %u -> %u allowed by delegation", task.cred.ruid,
                        req.target_uid));
     return HookVerdict::kAllow;
   }
-  ++stats_.setuid_denied;
+  Count(&ProtegoStats::setuid_denied);
   kernel_->Audit(StrFormat("protego: setuid(%u) denied: authentication failed for uid=%u",
                      req.target_uid, task.cred.ruid));
   return HookVerdict::kDeny;
@@ -374,8 +403,8 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
   if (!task.pending_setuid.active) {
     return HookVerdict::kDefault;
   }
-  PolicyRef pol_ref = policy();
-  const Policy& pol = *pol_ref;
+  GraceDomain::Section section(grace_);
+  const Policy& pol = Current();
   const PendingSetuid& pending = task.pending_setuid;
 
   if (pending.has_gid) {
@@ -383,13 +412,13 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
     // path exists for symmetric gid delegation rules).
     control->cred->rgid = control->cred->egid = control->cred->sgid = control->cred->fsgid =
         pending.target_gid;
-    ++stats_.exec_transitions;
+    Count(&ProtegoStats::exec_transitions);
     return HookVerdict::kAllow;
   }
 
   const PasswdEntry* target = pol.user_db.FindUid(pending.target_uid);
   if (target == nullptr) {
-    ++stats_.exec_denied;
+    Count(&ProtegoStats::exec_denied);
     return HookVerdict::kDeny;
   }
   std::string command_line = path;
@@ -403,7 +432,7 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
     }
   }
   if (granting.empty()) {
-    ++stats_.exec_denied;
+    Count(&ProtegoStats::exec_denied);
     kernel_->Audit(StrFormat("protego: exec '%s' as %s denied for uid=%u (no matching rule)",
                        command_line.c_str(), target->name.c_str(), task.cred.ruid));
     return HookVerdict::kDeny;
@@ -434,7 +463,7 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
     authenticated = kernel_->AuthenticateAny(task, candidates).has_value();
   }
   if (!authenticated) {
-    ++stats_.exec_denied;
+    Count(&ProtegoStats::exec_denied);
     return HookVerdict::kDeny;
   }
 
@@ -462,7 +491,7 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
   }
   control->close_non_std_fds = true;
 
-  ++stats_.exec_transitions;
+  Count(&ProtegoStats::exec_transitions);
   kernel_->Audit(StrFormat("protego: exec '%s' as %s (uid %u -> %u)", command_line.c_str(),
                      target->name.c_str(), task.cred.ruid, pending.target_uid));
   return HookVerdict::kAllow;
@@ -473,8 +502,8 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
 HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, const Inode& inode,
                                         int may, bool* /*unused*/) {
   (void)inode;
-  PolicyRef pol_ref = policy();
-  const Policy& pol = *pol_ref;
+  GraceDomain::Section section(grace_);
+  const Policy& pol = Current();
   // Per-binary file delegations first (also how the trusted authentication
   // utility and monitoring daemon read shadow files without recursion).
   const std::vector<CompiledDelegation>* delegations =
@@ -482,13 +511,13 @@ HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, con
   if (delegations != nullptr) {
     for (const CompiledDelegation& d : *delegations) {
       if (d.path.Matches(path) && (may & ~d.allow_may) == 0) {
-        ++stats_.file_delegations;
+        Count(&ProtegoStats::file_delegations);
         return HookVerdict::kAllow;
       }
     }
   }
   if ((may & kMayRead) != 0 && pol.engine.files.ReauthGated(path)) {
-    ++stats_.reauth_reads;
+    Count(&ProtegoStats::reauth_reads);
     // Paper §4.6: the reauthentication challenge is for the LOGGED-IN user
     // — the invoker proves they are still at the keyboard. Prompting for
     // the file owner's password would demand root's password of everyone.
@@ -505,8 +534,8 @@ HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, con
 // --- pppd ioctls: routes and modem options (§4.1.2) -----------------------------------
 
 HookVerdict ProtegoLsm::FileIoctl(const Task& task, const IoctlRequest& req) {
-  PolicyRef pol_ref = policy();
-  const Policy& pol = *pol_ref;
+  GraceDomain::Section section(grace_);
+  const Policy& pol = Current();
   if (req.target == "socket") {
     switch (req.request) {
       case kSiocAddRt: {
@@ -521,12 +550,12 @@ HookVerdict ProtegoLsm::FileIoctl(const Task& task, const IoctlRequest& req) {
           return HookVerdict::kDefault;
         }
         if (kernel_->net().routes().Conflicts(route.value())) {
-          ++stats_.route_denied;
+          Count(&ProtegoStats::route_denied);
           kernel_->Audit(StrFormat("protego: route %s denied: conflicts with existing route (uid=%u)",
                              route.value().ToString().c_str(), task.cred.ruid));
           return HookVerdict::kDeny;
         }
-        ++stats_.route_allowed;
+        Count(&ProtegoStats::route_allowed);
         return HookVerdict::kAllow;
       }
       case kSiocDelRt: {

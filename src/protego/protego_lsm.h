@@ -17,37 +17,35 @@
 // /proc/protego interface (src/protego/proc_iface.h) by the administrator
 // or the monitoring daemon.
 //
-// Concurrency (parallel mode): all policy state — the raw tables AND the
-// compiled engine built from them — lives in one immutable Policy snapshot
-// published RCU-style behind a pointer-copy mutex. Hooks take the snapshot
-// reference once at dispatch entry (the critical section is one shared_ptr
-// copy — no table work ever happens under the lock) and thread that single
-// snapshot through every helper, so a reader never blocks a swap for longer
-// than the pointer copy and never observes a half-swapped policy. (A
-// std::atomic<shared_ptr> would express the same protocol, but libstdc++'s
-// _Sp_atomic unlocks its reader spinlock with a relaxed fetch_sub, which
-// ThreadSanitizer — and a strict reading of the memory model — rejects; a
-// plain mutex costs the same and is provably clean.) Writers build a
-// complete successor snapshot off to the side and publish it with one
-// pointer swap; the old snapshot is retired when the last in-flight reader
-// drops its reference (shared_ptr refcount = the grace period). This also
-// sidesteps re-entrancy:
-// hooks nest syscalls (EnsureAuthenticated spawns the authentication
-// utility, whose syscalls re-enter the hooks), which a reader-writer lock
-// could self-deadlock on but a snapshot pointer cannot.
+// Concurrency (parallel mode), as Linux reads its LSM policy under RCU: all
+// policy state — the raw tables AND the compiled engine built from them —
+// lives in one immutable Policy snapshot behind an atomic pointer. A hook
+// opens a read section of the kernel's grace period (Kernel::grace(),
+// src/base/grace.h), loads the pointer once and threads that one snapshot
+// through every helper, so it never observes a half-swapped policy and
+// writes no line another thread writes: the section's announcement goes
+// to the thread's own shard, and so do the decision counters (ProtegoStats,
+// summed by stats()). Writers serialize on swap_mu_, build a complete
+// successor snapshot off to the side, publish it with one exchange and
+// retire the old one through the grace period, which frees it once no
+// section that may have loaded it is open. Nothing waits: a swap never
+// waits for readers, and readers never wait for a swap. Hooks nest
+// syscalls (EnsureAuthenticated runs the authentication service, whose
+// syscalls re-enter the hooks); a nested hook opens a nested section, which
+// costs a depth increment, and the outer one stays open across the round
+// trip, which holds reclamation back but blocks no one.
 
 #ifndef SRC_PROTEGO_PROTEGO_LSM_H_
 #define SRC_PROTEGO_PROTEGO_LSM_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
-#include "src/base/rw_lock.h"
+#include "src/base/grace.h"
+#include "src/base/thread_shards.h"
 #include "src/config/bindconf.h"
 #include "src/config/fstab.h"
 #include "src/config/passwd_db.h"
@@ -65,26 +63,26 @@ class Kernel;
 // authentications, offset so gids cannot collide with uids.
 inline constexpr Uid kGroupAuthBase = 0x40000000;
 
-// Per-hook decision counters, exported via /proc/protego/metrics. Relaxed
-// atomics: parallel-mode hooks bump these concurrently; readers tolerate
-// the usual scrape-time skew.
+// Per-hook decision counters, exported via /proc/protego/metrics. Each
+// thread counts on its own shard; ProtegoLsm::stats() returns their sum,
+// which may miss the decisions in flight during traffic.
 struct ProtegoStats {
-  std::atomic<uint64_t> mount_allowed{0};
-  std::atomic<uint64_t> mount_denied{0};
-  std::atomic<uint64_t> umount_allowed{0};
-  std::atomic<uint64_t> umount_denied{0};
-  std::atomic<uint64_t> bind_allowed{0};
-  std::atomic<uint64_t> bind_denied{0};
-  std::atomic<uint64_t> setuid_deferred{0};
-  std::atomic<uint64_t> setuid_allowed{0};
-  std::atomic<uint64_t> setuid_denied{0};
-  std::atomic<uint64_t> exec_transitions{0};
-  std::atomic<uint64_t> exec_denied{0};
-  std::atomic<uint64_t> raw_sockets_allowed{0};
-  std::atomic<uint64_t> route_allowed{0};
-  std::atomic<uint64_t> route_denied{0};
-  std::atomic<uint64_t> file_delegations{0};
-  std::atomic<uint64_t> reauth_reads{0};
+  uint64_t mount_allowed = 0;
+  uint64_t mount_denied = 0;
+  uint64_t umount_allowed = 0;
+  uint64_t umount_denied = 0;
+  uint64_t bind_allowed = 0;
+  uint64_t bind_denied = 0;
+  uint64_t setuid_deferred = 0;
+  uint64_t setuid_allowed = 0;
+  uint64_t setuid_denied = 0;
+  uint64_t exec_transitions = 0;
+  uint64_t exec_denied = 0;
+  uint64_t raw_sockets_allowed = 0;
+  uint64_t route_allowed = 0;
+  uint64_t route_denied = 0;
+  uint64_t file_delegations = 0;
+  uint64_t reauth_reads = 0;
 };
 
 class ProtegoLsm : public SecurityModule {
@@ -93,7 +91,8 @@ class ProtegoLsm : public SecurityModule {
   // serialized back out through /proc) plus the compiled engine built from
   // exactly these tables. The engine's indices may hold pointers into the
   // snapshot's own vectors, which is safe because a snapshot is never
-  // mutated after publication and outlives every reader holding its ref.
+  // mutated after publication and outlives every read section that may
+  // have loaded it.
   struct Policy {
     std::vector<FstabEntry> mount_whitelist;
     std::vector<BindConfEntry> bind_table;
@@ -102,12 +101,12 @@ class ProtegoLsm : public SecurityModule {
     PppOptions ppp_options;
     PolicyEngine engine;
   };
-  using PolicyRef = std::shared_ptr<const Policy>;
 
-  // `kernel` is used for mount-table lookups, routing state, and invoking
-  // the trusted authentication utility. Must outlive the module.
-  explicit ProtegoLsm(Kernel* kernel)
-      : kernel_(kernel), policy_(std::make_shared<const Policy>()) {}
+  // `kernel` is used for mount-table lookups, routing state, invoking the
+  // trusted authentication utility, and its grace period. Must outlive the
+  // module.
+  explicit ProtegoLsm(Kernel* kernel);
+  ~ProtegoLsm() override;
 
   const char* name() const override { return "protego"; }
 
@@ -119,8 +118,7 @@ class ProtegoLsm : public SecurityModule {
   // bumped. On failure (including an injected kPolicyCompile fault) nothing
   // is published — the live snapshot and the generation stay exactly as
   // they were. Writers serialize on a mutex so two concurrent swaps cannot
-  // lose each other's tables; readers wait only while a swap stores its
-  // pointer.
+  // lose each other's tables; readers never wait.
 
   [[nodiscard]] Result<Unit> SetMountPolicy(std::vector<FstabEntry> whitelist);
   [[nodiscard]] Result<Unit> SetBindTable(std::vector<BindConfEntry> table);
@@ -128,27 +126,15 @@ class ProtegoLsm : public SecurityModule {
   [[nodiscard]] Result<Unit> SetUserDb(UserDb db);
   [[nodiscard]] Result<Unit> SetPppOptions(PppOptions options);
 
-  // The current snapshot. The lock makes the publication in
-  // CompileAndPublish visible (it is released there before the generation
-  // bump), so a reader that observed generation G also observes at least
-  // generation G's engine. Readers take it shared, so concurrent hook
-  // dispatches do not serialize on it; the critical section is one
-  // shared_ptr copy.
-  PolicyRef policy() const {
-    std::shared_lock<RwLock> lk(policy_mu_);
-    return policy_;
-  }
-
   // Table accessors return copies of the current snapshot's tables: a const
   // reference into a snapshot could outlive it once a swap retires it.
-  std::vector<FstabEntry> mount_policy() const { return policy()->mount_whitelist; }
-  std::vector<BindConfEntry> bind_table() const { return policy()->bind_table; }
-  SudoersPolicy delegation() const { return policy()->delegation; }
-  UserDb user_db() const { return policy()->user_db; }
-  PppOptions ppp_options() const { return policy()->ppp_options; }
-  const ProtegoStats& stats() const { return stats_; }
-  // Slow-path counts of the snapshot lock (exported as metrics).
-  LockCounts policy_lock_counts() const { return policy_mu_.counts(); }
+  std::vector<FstabEntry> mount_policy() const { return Copy(&Policy::mount_whitelist); }
+  std::vector<BindConfEntry> bind_table() const { return Copy(&Policy::bind_table); }
+  SudoersPolicy delegation() const { return Copy(&Policy::delegation); }
+  UserDb user_db() const { return Copy(&Policy::user_db); }
+  PppOptions ppp_options() const { return Copy(&Policy::ppp_options); }
+  // Every thread's decision counters, summed.
+  ProtegoStats stats() const;
 
   // --- LSM hooks -------------------------------------------------------------
 
@@ -165,17 +151,35 @@ class ProtegoLsm : public SecurityModule {
   HookVerdict FileIoctl(const Task& task, const IoctlRequest& req) override;
 
  private:
+  // The current snapshot. Only valid inside a read section of grace_
+  // (or under swap_mu_, which keeps it from being replaced). The acquire
+  // load pairs with CompileAndPublish's exchange, which precedes the
+  // generation bump, so a reader that observed generation G also observes
+  // at least generation G's engine.
+  const Policy& Current() const { return *policy_.load(std::memory_order_acquire); }
+
+  // A copy of one table of the current snapshot.
+  template <typename Table>
+  Table Copy(Table Policy::*table) const {
+    GraceDomain::Section section(grace_);
+    return Current().*table;
+  }
+
   // Copies the current snapshot's raw tables into a fresh staging Policy
   // (engine left empty — CompileAndPublish rebuilds it). Caller must hold
   // swap_mu_.
   Policy CloneTablesLocked() const;
 
   // Rebuilds every compiled index inside `next` from its raw tables, then
-  // publishes the snapshot (release) and bumps the policy generation —
-  // IN THAT ORDER, so a reader observing the new generation also observes
-  // the new engine. Fails only on an injected kPolicyCompile fault, in
-  // which case nothing is published. Caller must hold swap_mu_.
+  // publishes the snapshot (release), retires the old one and bumps the
+  // policy generation — IN THAT ORDER, so a reader observing the new
+  // generation also observes the new engine. Fails only on an injected
+  // kPolicyCompile fault, in which case nothing is published. Caller must
+  // hold swap_mu_.
   [[nodiscard]] Result<Unit> CompileAndPublish(Policy next);
+
+  // Counts one decision on the calling thread's shard.
+  void Count(uint64_t ProtegoStats::*field) const;
 
   // Indices into pol.delegation.rules of the delegation rules applying to
   // (invoking user, target user), ascending. `pol` is the snapshot the
@@ -196,11 +200,13 @@ class ProtegoLsm : public SecurityModule {
   bool EnsureAuthenticated(const Policy& pol, Task& task, Uid account) const;
 
   Kernel* kernel_;
-  // Guards only the pointer itself; snapshots are immutable once published.
-  mutable RwLock policy_mu_;
-  PolicyRef policy_;
+  GraceDomain& grace_;  // the kernel's: retires replaced snapshots
+  // Immutable once published; replaced only under swap_mu_.
+  std::atomic<const Policy*> policy_;
   std::mutex swap_mu_;  // serializes writers (clone → compile → publish)
-  mutable ProtegoStats stats_;
+  // One thread's counters, written through std::atomic_ref by that thread
+  // only.
+  mutable ThreadShards<ProtegoStats> stats_;
 };
 
 }  // namespace protego

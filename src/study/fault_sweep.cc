@@ -404,7 +404,7 @@ std::vector<SiteScenario> BuildScenarios() {
            out.detail += "password-hash material leaked; ";
          }
          uint64_t granted =
-             sys.lsm() != nullptr ? sys.lsm()->stats().setuid_allowed.load() : 0;
+             sys.lsm() != nullptr ? sys.lsm()->stats().setuid_allowed : 0;
          if (granted != 0) {
            out.contract_ok = false;
            out.detail += "setuid granted under auth fault; ";

@@ -734,17 +734,9 @@ std::string Vfs::FormatMounts() const {
   return out;
 }
 
-uint64_t Vfs::resolves() const {
-  uint64_t total = 0;
-  shards_.ForEach([&](const Shard& s) { total += s.resolves.load(std::memory_order_relaxed); });
-  return total;
-}
+uint64_t Vfs::resolves() const { return shards_.Sum(&Shard::resolves); }
 
-size_t Vfs::orphan_count() const {
-  uint64_t total = 0;
-  shards_.ForEach([&](const Shard& s) { total += s.orphans.load(std::memory_order_relaxed); });
-  return total;
-}
+size_t Vfs::orphan_count() const { return shards_.Sum(&Shard::orphans); }
 
 LockCounts Vfs::tree_lock_counts() const {
   LockCounts total = rename_mu_.counts();

@@ -224,8 +224,12 @@ class Vfs {
   LockCounts data_lock_counts() const;
   LockCounts watch_lock_counts() const { return watch_mu_.counts(); }
 
+  // The grace period every walk reads under; the kernel's one domain
+  // (Kernel::grace()), which the Protego module's policy reads share.
+  GraceDomain& grace() const { return grace_; }
   // Retirements (replaced directory listings, names, mount rows, watch
-  // lists) not yet freed (exported as a gauge).
+  // lists, and anything else retired through grace()) not yet freed
+  // (exported as a gauge).
   uint64_t grace_pending() const { return grace_.pending(); }
 
   // --- Block accounting ------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "src/base/strings.h"
 #include "src/conc/explore.h"
+#include "src/conc/scheduler.h"
 #include "src/config/bindconf.h"
 #include "src/config/fstab.h"
 #include "src/config/ppp_options.h"
@@ -27,6 +29,7 @@
 #include "src/kernel/kernel.h"
 #include "src/lsm/apparmor.h"
 #include "src/lsm/capability_module.h"
+#include "src/net/netfilter.h"
 #include "src/sim/system.h"
 #include "src/study/races.h"
 
@@ -42,6 +45,29 @@ std::unique_ptr<Kernel> BootBareKernel() {
   (void)kernel->vfs().EnsureDirs("/tmp");
   kernel->vfs().Resolve("/tmp").value()->inode().mode = kIfDir | 01777;
   return kernel;
+}
+
+// Runs each task's body under the scheduler PROTEGO_EXEC_MODE selects: one
+// OS thread per task, or a seeded random DetScheduler.
+void RunTasks(Kernel& k, const std::vector<std::pair<Task*, std::function<void()>>>& bodies) {
+  if (ExecModeFromEnv() == ExecMode::kParallel) {
+    ThreadScheduler sched;
+    k.set_scheduler(&sched);
+    for (const auto& [task, body] : bodies) {
+      sched.StartTask(task->pid, body);
+    }
+    sched.Join();
+  } else {
+    conc::DetScheduler sched;
+    sched.set_mode(conc::SchedMode::kRandom);
+    sched.set_seed(7);
+    k.set_scheduler(&sched);
+    for (const auto& [task, body] : bodies) {
+      sched.StartTask(task->pid, body);
+    }
+    sched.Run();
+  }
+  k.set_scheduler(nullptr);
 }
 
 // --- Execution mode selection ------------------------------------------------
@@ -445,13 +471,18 @@ TEST(ParallelStress, UsersMountChurnWithProcMountsReader) {
 
 // --- Readers during traffic --------------------------------------------------
 
-// The value of protego_syscall_calls_total{syscall="<name>"} in `text`.
+// The value of the sample `series` ("name{labels}") in a metrics export, 0
+// if absent.
+uint64_t Sample(const std::string& text, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  size_t pos = text.find(key);
+  return pos == std::string::npos ? 0 : std::stoull(text.substr(pos + key.size()));
+}
+
 // The value of `metric{syscall="<name>"}` in a metrics export, 0 if absent.
 uint64_t SyscallSample(const std::string& text, const std::string& metric,
                        const std::string& name) {
-  const std::string key = metric + "{syscall=\"" + name + "\"} ";
-  size_t pos = text.find(key);
-  return pos == std::string::npos ? 0 : std::stoull(text.substr(pos + key.size()));
+  return Sample(text, metric + "{syscall=\"" + name + "\"}");
 }
 
 // The writer tasks loop over stat/getpid/open/read/close while `reader`
@@ -535,6 +566,102 @@ TEST(ParallelStress, MetricsScrapeDuringSyscalls) {
     EXPECT_EQ(delta("protego_syscall_latency_ns_count", "getpid"), issued);
     EXPECT_NE(after.find(" # {"), std::string::npos);
   }
+}
+
+// Four tasks each dispatch kRounds inode_permission and socket_create hooks
+// and run two packets through netfilter per round, one that a default raw
+// rule drops and one no rule matches. Every thread tallies on its own shard
+// with no locked add; once the tasks are done, the merged accessors and the
+// metrics export must equal the issued counts exactly.
+TEST(ParallelStress, HookTalliesMergeExactly) {
+  constexpr int kTasks = 4;
+  constexpr uint64_t kRounds = 2000;
+  constexpr uint64_t kIssued = kTasks * kRounds;
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  LsmStack& lsm = k.lsm();
+  const Netfilter& nf = k.net().netfilter();
+  const char* const kModules[] = {"capability", "apparmor", "protego"};
+  ASSERT_EQ(lsm.size(), std::size(kModules));
+  const Inode& passwd = k.vfs().Resolve("/etc/passwd").value()->inode();
+  const SocketRequest raw{kAfInet, kSockRaw, kProtoUdp};
+  Packet dropped;  // raw UDP outside traceroute's range: default rule 5
+  dropped.l4_proto = kProtoUdp;
+  dropped.dst_ip = kLocalhostIp;
+  dropped.dst_port = 9;
+  dropped.from_raw_socket = true;
+  Packet accepted = dropped;
+  accepted.from_raw_socket = false;
+  auto round = [&](Task& task) {
+    (void)lsm.InodePermission(task, "/etc/passwd", passwd, kMayRead);
+    EXPECT_EQ(lsm.SocketCreate(task, raw), HookVerdict::kAllow);
+    EXPECT_EQ(nf.Evaluate(NfChain::kOutput, dropped), NfVerdict::kDrop);
+    EXPECT_EQ(nf.Evaluate(NfChain::kOutput, accepted), NfVerdict::kAccept);
+  };
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  for (int t = 0; t < kTasks; ++t) {
+    Task* task = &sys.Login("alice");
+    bodies.emplace_back(task, [&, task] {
+      for (uint64_t r = 0; r < kRounds; ++r) {
+        round(*task);
+      }
+    });
+  }
+  // Each module's verdicts on one round, from a probe before the traffic.
+  uint64_t probe[std::size(kModules)][3];
+  auto verdicts = [&](uint64_t out[][3]) {
+    for (size_t i = 0; i < std::size(kModules); ++i) {
+      for (size_t v = 0; v < 3; ++v) {
+        out[i][v] = lsm.ModuleVerdicts(i, static_cast<HookVerdict>(v));
+      }
+    }
+  };
+  verdicts(probe);
+  round(*bodies.front().first);
+  uint64_t before[std::size(kModules)][3];
+  verdicts(before);
+  for (size_t i = 0; i < std::size(kModules); ++i) {
+    for (size_t v = 0; v < 3; ++v) {
+      probe[i][v] = before[i][v] - probe[i][v];
+    }
+  }
+  const uint64_t inode_before = lsm.HookInvocations(LsmHook::kInodePermission);
+  const uint64_t create_before = lsm.HookInvocations(LsmHook::kSocketCreate);
+  const uint64_t total_before = lsm.TotalHookInvocations();
+  const uint64_t evaluated_before = nf.evaluated();
+  const uint64_t dropped_before = nf.dropped();
+  const uint64_t raw_before = sys.lsm()->stats().raw_sockets_allowed;
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(lsm.HookInvocations(LsmHook::kInodePermission), inode_before + kIssued);
+  EXPECT_EQ(lsm.HookInvocations(LsmHook::kSocketCreate), create_before + kIssued);
+  EXPECT_EQ(lsm.TotalHookInvocations(), total_before + 2 * kIssued);
+  EXPECT_EQ(nf.evaluated(), evaluated_before + 2 * kIssued);
+  EXPECT_EQ(nf.dropped(), dropped_before + kIssued);
+  EXPECT_EQ(nf.fail_closed_drops(), 0u);
+  EXPECT_EQ(sys.lsm()->stats().raw_sockets_allowed, raw_before + kIssued);
+
+  const std::string text = k.metrics().PrometheusText();
+  for (size_t i = 0; i < std::size(kModules); ++i) {
+    for (size_t v = 0; v < 3; ++v) {
+      const HookVerdict verdict = static_cast<HookVerdict>(v);
+      const uint64_t want = before[i][v] + kIssued * probe[i][v];
+      EXPECT_EQ(lsm.ModuleVerdicts(i, verdict), want) << kModules[i] << " " << v;
+      EXPECT_EQ(Sample(text, StrFormat("protego_lsm_module_verdicts_total{module=\"%s\","
+                                       "verdict=\"%s\"}",
+                                       kModules[i], HookVerdictName(verdict))),
+                want)
+          << kModules[i] << " " << v;
+    }
+  }
+  EXPECT_EQ(Sample(text, "protego_lsm_hook_invocations_total{hook=\"inode_permission\"}"),
+            inode_before + kIssued);
+  EXPECT_EQ(Sample(text, "protego_lsm_hook_invocations_total{hook=\"socket_create\"}"),
+            create_before + kIssued);
+  EXPECT_EQ(Sample(text, "protego_netfilter_evaluated_total"), evaluated_before + 2 * kIssued);
+  EXPECT_EQ(Sample(text, "protego_netfilter_dropped_total"), dropped_before + kIssued);
+  EXPECT_EQ(Sample(text, "protego_policy_decisions_total{op=\"raw_socket\",outcome=\"allowed\"}"),
+            raw_before + kIssued);
 }
 
 // Regression: reading /proc/protego/trace copied ring slots while their
@@ -640,6 +767,61 @@ TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
   // Traffic after the last swap behaves identically to a fresh boot.
   Task& probe = sys.Login("alice");
   EXPECT_TRUE(k.Access(probe, "/etc/passwd", kMayRead).ok());
+}
+
+// Two bind tables disagree on port 80 for one (binary, uid): the first
+// grants it, the second allocates the port to another binary and so
+// denies it. Four tasks bind while a writer alternates the tables 200
+// times. A hook reads one snapshot inside a read section of the kernel's
+// grace period, so every verdict is one of the two policies' answers, and
+// a read outside a section shows under ASan as a use-after-free of a
+// retired snapshot. Once the traffic stops, no section is open and one
+// reclaim pass frees every retired snapshot.
+TEST(ParallelPolicySwap, VerdictsMatchOldOrNewPolicy) {
+  constexpr int kReaders = 4;
+  constexpr int kSwaps = 200;
+  constexpr int kMinBinds = 200;
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  const std::vector<BindConfEntry> grants = {{80, "/usr/sbin/httpd", 33}};
+  const std::vector<BindConfEntry> denies = {{80, "/usr/sbin/nginx", 33}};
+  ASSERT_TRUE(sys.lsm()->SetBindTable(grants).ok());
+  BindRequest req;
+  req.port = 80;
+  req.binary_path = "/usr/sbin/httpd";
+
+  std::atomic<bool> swapping{true};
+  std::atomic<int> allowed{0};
+  std::atomic<int> denied{0};
+  std::atomic<int> neither{0};
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  for (int t = 0; t < kReaders; ++t) {
+    Task* task = &k.CreateTask("httpd", Cred::ForUser(33, 33), nullptr);
+    bodies.emplace_back(task, [&, task] {
+      for (int i = 0; i < kMinBinds || swapping.load(); ++i) {
+        const HookVerdict v = k.lsm().SocketBind(*task, req);
+        ++(v == HookVerdict::kAllow ? allowed : v == HookVerdict::kDeny ? denied : neither);
+        (void)k.GetPid(*task);  // a DetScheduler yield point
+      }
+    });
+  }
+  Task* admin = &k.CreateTask("admin", Cred::Root(), nullptr);
+  const uint64_t gen_before = k.lsm().policy_generation();
+  bodies.emplace_back(admin, [&] {
+    for (int i = 0; i < kSwaps; ++i) {
+      EXPECT_TRUE(sys.lsm()->SetBindTable(i % 2 == 0 ? denies : grants).ok());
+      (void)k.GetPid(*admin);
+    }
+    swapping.store(false);
+  });
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(neither.load(), 0);
+  EXPECT_GE(allowed.load() + denied.load(), kReaders * kMinBinds);
+  EXPECT_EQ(k.lsm().policy_generation(), gen_before + kSwaps);
+  EXPECT_EQ(sys.lsm()->bind_table().front().binary, "/usr/sbin/httpd");
+  k.grace().Reclaim();
+  EXPECT_EQ(k.vfs().grace_pending(), 0u);
 }
 
 // --- Trusted services and the audit ring under parallel tasks ---------------

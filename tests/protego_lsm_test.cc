@@ -120,16 +120,17 @@ TEST_F(ProtegoLsmTest, UmountDecisionsCountedSeparatelyFromMounts) {
   Kernel& k = sys_.kernel();
   Task& alice = sys_.Login("alice");
   Task& bob = sys_.Login("bob");
-  const ProtegoStats& s = sys_.lsm()->stats();
-  uint64_t mount_allowed = s.mount_allowed;
-  uint64_t mount_denied = s.mount_denied;
-  uint64_t umount_allowed = s.umount_allowed;
-  uint64_t umount_denied = s.umount_denied;
+  const ProtegoStats before = sys_.lsm()->stats();  // a snapshot, summed over threads
+  uint64_t mount_allowed = before.mount_allowed;
+  uint64_t mount_denied = before.mount_denied;
+  uint64_t umount_allowed = before.umount_allowed;
+  uint64_t umount_denied = before.umount_denied;
 
   ASSERT_TRUE(k.Mount(alice, "/dev/cdrom", "/media/cdrom", "iso9660", {"ro"}).ok());
   EXPECT_EQ(k.Umount(bob, "/media/cdrom").code(), Errno::kEPERM);
   EXPECT_TRUE(k.Umount(alice, "/media/cdrom").ok());
 
+  const ProtegoStats s = sys_.lsm()->stats();
   EXPECT_EQ(s.umount_allowed, umount_allowed + 1);
   EXPECT_EQ(s.umount_denied, umount_denied + 1);
   // Mount counters saw exactly the one mount, none of the umount traffic.
