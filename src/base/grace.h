@@ -39,8 +39,9 @@
 // policy snapshot it decides on stays valid. Reclamation then waits for the
 // round trip, but nothing blocks.
 //
-// A kernel has one domain, the Vfs's (Kernel::grace()): path walks and
-// Protego's policy reads share it. ThreadShards' one-entry cache is per
+// A kernel has one domain, the Vfs's (Kernel::grace()): path walks, the
+// packet path and every Published snapshot (src/base/published.h) share
+// it. ThreadShards' one-entry cache is per
 // shard type, so a second domain used alternately with the first on one
 // thread would miss it and take the registry lock on every section.
 

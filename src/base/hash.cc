@@ -6,14 +6,22 @@
 
 namespace protego {
 
-uint64_t Fnv1a(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+namespace {
+
+// FNV-1a continued over `data` from state `h`.
+uint64_t Fnv1aFrom(uint64_t h, std::string_view data) {
   for (unsigned char c : data) {
     h ^= c;
     h *= 0x100000001b3ULL;
   }
   return h;
 }
+
+constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+}  // namespace
+
+uint64_t Fnv1a(std::string_view data) { return Fnv1aFrom(kFnvOffsetBasis, data); }
 
 std::string MakeSalt(uint64_t seed) {
   static const char kAlphabet[] =
@@ -32,10 +40,17 @@ std::string MakeSalt(uint64_t seed) {
 std::string CryptPassword(std::string_view password, std::string_view salt) {
   // Iterated FNV over salt||password; iteration makes the structure of a
   // KDF visible in traces without pretending to be one.
+  // Each round hashes the previous state's 16 lowercase hex digits, then
+  // the material, and allocates nothing.
   std::string material = std::string(salt) + "$" + std::string(password);
   uint64_t h = Fnv1a(material);
+  char hex[16];
   for (int round = 0; round < 1000; ++round) {
-    h = Fnv1a(StrFormat("%016llx", static_cast<unsigned long long>(h)) + material);
+    uint64_t digits = h;
+    for (int i = 15; i >= 0; --i, digits >>= 4) {
+      hex[i] = "0123456789abcdef"[digits & 0xf];
+    }
+    h = Fnv1aFrom(Fnv1aFrom(kFnvOffsetBasis, {hex, sizeof(hex)}), material);
   }
   return StrFormat("$sim$%s$%016llx", std::string(salt).c_str(),
                    static_cast<unsigned long long>(h));

@@ -1,5 +1,7 @@
 #include "src/kernel/kernel.h"
 
+#include <algorithm>
+
 #include "src/base/strings.h"
 
 namespace protego {
@@ -45,7 +47,7 @@ bool ProcessContext::HasFlag(std::string_view name) const {
   return false;
 }
 
-Kernel::Kernel() : vfs_(&clock_) {
+Kernel::Kernel() : vfs_(&clock_), net_(vfs_.grace()) {
   gate_.set_audit_sink([this](std::string message) { Audit(std::move(message)); });
   lsm_.set_audit_sink([this](std::string message) { Audit(std::move(message)); });
   // Every subsystem emits into the one kernel-wide tracer so a syscall's
@@ -115,7 +117,8 @@ void Kernel::CollectKernelMetrics(MetricsBuilder& b) const {
   CollectLock(b, "binary_registry", registry_mu_.counts());
   b.Gauge("protego_vfs_grace_pending",
           "Objects retired through the kernel's grace period (directory listings, names, mount "
-          "rows, watch lists, policy snapshots) and not yet freed.",
+          "rows, watch lists, policy, netfilter, route, address, host and raw-list snapshots, "
+          "closed raw sockets) and not yet freed.",
           {}, static_cast<double>(vfs_.grace_pending()));
   b.Gauge("protego_open_files", "Open file descriptions across all tasks.", {},
           static_cast<double>(OpenFileCount()));
@@ -130,7 +133,7 @@ Task& Kernel::CreateTask(std::string comm, Cred cred, Terminal* terminal, int pp
   task->comm = std::move(comm);
   task->cred = std::move(cred);
   task->terminal = terminal;
-  // Wire the fd table into the system-wide open-file counter before the
+  // Wire the fd table into the system-wide open-file count before the
   // task becomes visible (and thus before it can open anything).
   task->fds.set_accounting(&open_files_);
   Task* raw = task.get();
@@ -160,20 +163,16 @@ void Kernel::ReapTask(int pid) {
       return;
     }
     victim = std::move(it->second);
+    // The task has exited. Fold its fd table's remainder while the table
+    // is still in the shard, so an exact sum always sees it one way.
+    victim->fds.Fold();
     shard.tasks.erase(it);
   }
   task_count_.fetch_sub(1, std::memory_order_relaxed);
-  // Destruction happens outside the shard lock: closing sockets and waking
-  // flock waiters re-enter other subsystems.
-  // Process exit closes its descriptors; socket endpoints (and their port
-  // bindings) must not outlive the task.
-  for (const auto& [fd, entry] : victim->fds.entries()) {
-    if (entry.kind == FdEntry::Kind::kSocket) {
-      net_.DestroySocket(entry.socket_id);
-    }
-  }
   // Exit drops any advisory file locks the task still held.
   ReleaseFileLocks(pid);
+  // The task is destroyed outside the shard lock: its fd table closes its
+  // descriptors, and the last reference to a socket releases its port.
 }
 
 Result<Unit> Kernel::InstallBinary(const std::string& path, uint32_t mode, Uid uid, Gid gid,
@@ -402,13 +401,6 @@ Result<Unit> Kernel::Close(Task& task, int fd) {
 }
 
 Result<Unit> Kernel::CloseImpl(Task& task, int fd) {
-  FdEntry* entry = task.fds.Get(fd);
-  if (entry == nullptr) {
-    return Error(Errno::kEBADF);
-  }
-  if (entry->kind == FdEntry::Kind::kSocket) {
-    net_.DestroySocket(entry->socket_id);
-  }
   return task.fds.Close(fd);
 }
 
@@ -472,17 +464,7 @@ Result<KernelStat> Kernel::StatImpl(Task& task, const std::string& path) {
   ASSIGN_OR_RETURN(WalkResult w, Lookup(task, path, PathArg::kObject));
   // Coherent copy under the VFS locks: a concurrent write may be growing
   // `data` while we stat.
-  Inode inode = vfs_.SnapshotInode(w.node);
-  KernelStat st;
-  st.ino = inode.ino;
-  st.mode = inode.mode;
-  st.uid = inode.uid;
-  st.gid = inode.gid;
-  st.size = inode.data.size();
-  st.mtime = inode.mtime;
-  st.rdev_major = inode.rdev_major;
-  st.rdev_minor = inode.rdev_minor;
-  return st;
+  return vfs_.StatNode(w.node);
 }
 
 Result<Unit> Kernel::Chmod(Task& task, const std::string& path, uint32_t mode) {
@@ -1113,17 +1095,35 @@ Result<Unit> Kernel::CheckFdAvailable(Task& task) {
                  StrFormat("RLIMIT_NOFILE: %zu open, limit %llu", task.fds.size(),
                            (unsigned long long)task.rlimit_nofile.cur));
   }
-  if (OpenFileCount() >= file_max()) {
-    return Error(Errno::kENFILE,
-                 StrFormat("file-max: %llu open system-wide, limit %llu",
-                           (unsigned long long)OpenFileCount(),
-                           (unsigned long long)file_max()));
+  // Each live table holds back less than kBatch, so the folded count alone
+  // decides unless the remainders could reach file-max; only then sum them
+  // (Linux's percpu_counter_compare on nr_files).
+  const uint64_t limit = file_max();
+  const int64_t folded = open_files_.load(std::memory_order_relaxed);
+  const uint64_t slack = FdTable::kBatch * task_count_.load(std::memory_order_relaxed);
+  if (static_cast<uint64_t>(std::max<int64_t>(folded, 0)) + slack >= limit) {
+    const uint64_t open = OpenFileCount();
+    if (open >= limit) {
+      return Error(Errno::kENFILE,
+                   StrFormat("file-max: %llu open system-wide, limit %llu",
+                             (unsigned long long)open, (unsigned long long)limit));
+    }
   }
   return OkUnit();
 }
 
 uint64_t Kernel::OpenFileCount() const {
-  return open_files_.load(std::memory_order_relaxed);
+  // Remainders first, then the folded count: a fold racing the sum lands
+  // in the count before its remainder clears, so it is never missed.
+  int64_t open = 0;
+  for (const TaskShard& shard : task_shards_) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    for (const auto& [pid, task] : shard.tasks) {
+      open += task->fds.unreported();
+    }
+  }
+  open += open_files_.load(std::memory_order_relaxed);
+  return static_cast<uint64_t>(std::max<int64_t>(open, 0));
 }
 
 Result<Unit> Kernel::Setgroups(Task& task, std::vector<Gid> groups) {
@@ -1222,10 +1222,7 @@ Task& Kernel::ForkTask(Task& parent) {
   child.pending_setuid = parent.pending_setuid;
   child.seccomp = parent.seccomp;
   for (const auto& [fd, entry] : parent.fds.entries()) {
-    if (entry.kind == FdEntry::Kind::kSocket) {
-      net_.RefSocket(entry.socket_id);
-    }
-    child.fds.Install(entry);
+    child.fds.Install(entry);  // a socket gains a reference
   }
   // The parent's pending transition is consumed by the child's exec, as when
   // sudo execs the target in-process; clear it on the parent.
@@ -1437,13 +1434,6 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
   }
   // comm names the file as exec was given it (a symlink's own name).
   task.comm = path.substr(path.find_last_of('/') + 1);
-  // Dropped descriptors must release their network endpoints (ports) too.
-  for (const auto& [fd, fd_entry] : task.fds.entries()) {
-    if (fd_entry.kind == FdEntry::Kind::kSocket &&
-        (fd_entry.cloexec || control.close_non_std_fds)) {
-      net_.DestroySocket(fd_entry.socket_id);
-    }
-  }
   task.fds.CloseOnExec();
   if (control.close_non_std_fds) {
     task.fds.CloseAll();
@@ -1454,6 +1444,18 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
 }
 
 // --- Network -----------------------------------------------------------------------
+
+namespace {
+
+// The socket `fd` names in the caller's own fd table (Linux's
+// sockfd_lookup_light): the entry's reference keeps it alive for the call.
+Socket* SocketAt(Task& task, int fd) {
+  FdEntry* entry = task.fds.Get(fd);
+  return entry != nullptr && entry->kind == FdEntry::Kind::kSocket ? entry->socket.get()
+                                                                   : nullptr;
+}
+
+}  // namespace
 
 Result<int> Kernel::SocketCall(Task& task, int family, int type, int protocol) {
   SyscallArgs sargs;
@@ -1482,11 +1484,10 @@ Result<int> Kernel::SocketCallImpl(Task& task, int family, int type, int protoco
       return Error(Errno::kEPERM, "raw socket requires CAP_NET_RAW");
     }
   }
-  Socket& sock =
-      net_.CreateSocket(family, type, protocol, task.cred.euid, task.exe_path, task.ns.net_ns);
   FdEntry entry;
   entry.kind = FdEntry::Kind::kSocket;
-  entry.socket_id = sock.id;
+  entry.socket =
+      net_.CreateSocket(family, type, protocol, task.cred.euid, task.exe_path, task.ns.net_ns);
   return task.fds.Install(std::move(entry));
 }
 
@@ -1500,11 +1501,7 @@ Result<Unit> Kernel::BindCall(Task& task, int fd, uint16_t port) {
 }
 
 Result<Unit> Kernel::BindCallImpl(Task& task, int fd, uint16_t port) {
-  FdEntry* entry = task.fds.Get(fd);
-  if (entry == nullptr || entry->kind != FdEntry::Kind::kSocket) {
-    return Error(Errno::kEBADF);
-  }
-  Socket* sock = net_.FindSocket(entry->socket_id);
+  Socket* sock = SocketAt(task, fd);
   if (sock == nullptr) {
     return Error(Errno::kEBADF);
   }
@@ -1534,11 +1531,7 @@ Result<Unit> Kernel::ListenCall(Task& task, int fd) {
 }
 
 Result<Unit> Kernel::ListenCallImpl(Task& task, int fd) {
-  FdEntry* entry = task.fds.Get(fd);
-  if (entry == nullptr || entry->kind != FdEntry::Kind::kSocket) {
-    return Error(Errno::kEBADF);
-  }
-  Socket* sock = net_.FindSocket(entry->socket_id);
+  Socket* sock = SocketAt(task, fd);
   if (sock == nullptr) {
     return Error(Errno::kEBADF);
   }
@@ -1556,11 +1549,7 @@ Result<Unit> Kernel::ConnectCall(Task& task, int fd, Ipv4 ip, uint16_t port) {
 }
 
 Result<Unit> Kernel::ConnectCallImpl(Task& task, int fd, Ipv4 ip, uint16_t port) {
-  FdEntry* entry = task.fds.Get(fd);
-  if (entry == nullptr || entry->kind != FdEntry::Kind::kSocket) {
-    return Error(Errno::kEBADF);
-  }
-  Socket* sock = net_.FindSocket(entry->socket_id);
+  Socket* sock = SocketAt(task, fd);
   if (sock == nullptr) {
     return Error(Errno::kEBADF);
   }
@@ -1576,11 +1565,7 @@ Result<Unit> Kernel::SendCall(Task& task, int fd, Packet packet) {
 }
 
 Result<Unit> Kernel::SendCallImpl(Task& task, int fd, Packet packet) {
-  FdEntry* entry = task.fds.Get(fd);
-  if (entry == nullptr || entry->kind != FdEntry::Kind::kSocket) {
-    return Error(Errno::kEBADF);
-  }
-  Socket* sock = net_.FindSocket(entry->socket_id);
+  Socket* sock = SocketAt(task, fd);
   if (sock == nullptr) {
     return Error(Errno::kEBADF);
   }
@@ -1596,11 +1581,7 @@ Result<std::optional<Packet>> Kernel::RecvCall(Task& task, int fd) {
 }
 
 Result<std::optional<Packet>> Kernel::RecvCallImpl(Task& task, int fd) {
-  FdEntry* entry = task.fds.Get(fd);
-  if (entry == nullptr || entry->kind != FdEntry::Kind::kSocket) {
-    return Error(Errno::kEBADF);
-  }
-  Socket* sock = net_.FindSocket(entry->socket_id);
+  Socket* sock = SocketAt(task, fd);
   if (sock == nullptr) {
     return Error(Errno::kEBADF);
   }

@@ -69,16 +69,7 @@ struct ProcessContext {
 using ProgramMain = std::function<int(ProcessContext&)>;
 
 // stat(2) result.
-struct KernelStat {
-  uint64_t ino = 0;
-  uint32_t mode = 0;
-  Uid uid = 0;
-  Gid gid = 0;
-  size_t size = 0;
-  uint64_t mtime = 0;
-  uint32_t rdev_major = 0;
-  uint32_t rdev_minor = 0;
-};
+using KernelStat = InodeStat;
 
 // Per-device ioctl handler (e.g. /dev/ppp, /dev/mapper/control). Receives
 // the combined LSM verdict so drivers can honor policy-granted access.
@@ -116,8 +107,10 @@ class Kernel {
   LsmStack& lsm() { return lsm_; }
   Network& net() { return net_; }
 
-  // The kernel's one grace period, the Vfs's (src/base/grace.h): path walks
-  // and Protego's policy reads open their read sections on it.
+  // The kernel's one grace period, the Vfs's (src/base/grace.h): path walks,
+  // the packet path and Protego's policy reads open their read sections on
+  // it, and every Published snapshot and closed raw socket retires through
+  // it.
   GraceDomain& grace() { return vfs_.grace(); }
 
   // The unified syscall entry path every public syscall below routes
@@ -284,9 +277,10 @@ class Kernel {
     file_max_.store(file_max, std::memory_order_relaxed);
   }
   uint64_t file_max() const { return file_max_.load(std::memory_order_relaxed); }
-  // Open file descriptions across every task (the ENFILE numerator). A
-  // counter maintained by every FdTable, not a walk over the task table —
-  // O(1) and safe while other task threads mutate their own tables.
+  // Open file descriptions across every task (the ENFILE numerator), exact:
+  // the folded count plus every live fd table's unreported remainder
+  // (FdTable). Fd allocation reads the folded count alone unless the
+  // remainders could reach file_max.
   uint64_t OpenFileCount() const;
 
   // --- Seccomp ---------------------------------------------------------------
@@ -492,10 +486,12 @@ class Kernel {
   // mutable so const syscalls (GetPid) can account themselves.
   mutable SyscallGate gate_;
   LsmStack lsm_;
+  // Tasks die first: a dying fd table folds into open_files_ and releases
+  // its sockets into net_, so both are declared before the task table.
   Network net_;
+  std::atomic<int64_t> open_files_{0};  // folded fd-table counts (FdTable)
   mutable TaskShard task_shards_[kTaskShards];
   std::atomic<uint64_t> task_count_{0};   // live tasks across all shards
-  std::atomic<uint64_t> open_files_{0};   // fd-table entries across all tasks
   // Read-mostly registries: populated at boot (unique lock), consulted on
   // every execve/mount/ioctl (shared lock, entry copied out so the callable
   // runs lock-free — program mains nest further syscalls).

@@ -22,6 +22,8 @@
 
 namespace protego {
 
+struct Socket;  // src/net/network.h
+
 // The controlling terminal of a session. The simulated "human" queues input
 // lines (passwords, editor content); programs and the trusted authentication
 // utility read them.
@@ -94,27 +96,59 @@ struct OpenFile {
   std::atomic<size_t> offset{0};
 };
 
-// A file descriptor table entry: either a VFS file or a socket handle.
+// A file descriptor table entry: either a VFS file or a socket. The entry
+// holds a reference to the socket; the socket dies with the last entry
+// that names it.
 struct FdEntry {
   enum class Kind { kFile, kSocket };
   Kind kind = Kind::kFile;
   std::shared_ptr<OpenFile> file;
-  int socket_id = -1;
+  std::shared_ptr<Socket> socket;  // a SocketRef
   bool cloexec = false;
 };
 
+// A task's descriptors. Only the thread running the task changes them:
+// fork fills a child's table before the child runs, and reap folds it
+// after the task has exited.
+//
+// Open-file accounting, the ENFILE numerator, as Linux counts nr_files
+// with a percpu_counter: a table adds to the kernel-wide count only when
+// its unreported delta reaches +-kBatch, and folds the rest when it dies
+// or its task is reaped, so an install or close writes no shared line.
+// The kernel-wide count is therefore within kBatch of the truth per live
+// table; Kernel::OpenFileCount() adds the remainders for the exact sum.
 class FdTable {
  public:
-  ~FdTable() { Account(-static_cast<int64_t>(table_.size())); }
+  static constexpr int64_t kBatch = 16;
 
-  // Wires this table into the kernel's system-wide open-file counter (the
-  // ENFILE numerator): every install/close adjusts it, replacing the old
-  // walk over all task tables — which was both O(tasks) per fd allocation
-  // and impossible to take safely while other task threads mutate their
-  // own tables. Set once at task creation, before the task runs.
-  void set_accounting(std::atomic<uint64_t>* counter) {
-    counter_ = counter;
+  FdTable() = default;
+  // A copy counts nowhere until set_accounting().
+  FdTable(const FdTable& other) : table_(other.table_), next_fd_(other.next_fd_) {}
+  ~FdTable() {
+    Account(-static_cast<int64_t>(table_.size()));
+    Fold();
+  }
+
+  // Wires this table into the kernel's folded open-file count. Set once at
+  // task creation, before the task runs.
+  void set_accounting(std::atomic<int64_t>* folded) {
+    folded_ = folded;
     Account(static_cast<int64_t>(table_.size()));
+  }
+
+  // Installs and closes not yet added to the kernel-wide count. Read by
+  // other threads for the exact sum.
+  int64_t unreported() const { return unreported_.load(std::memory_order_acquire); }
+
+  // Adds the unreported delta to the kernel-wide count. The folded count
+  // is updated before the remainder is cleared, so a sum that reads the
+  // remainder first and the count second never misses the delta.
+  void Fold() {
+    const int64_t n = unreported_.load(std::memory_order_relaxed);
+    if (folded_ != nullptr && n != 0) {
+      folded_->fetch_add(n, std::memory_order_relaxed);
+      unreported_.store(0, std::memory_order_release);
+    }
   }
 
   int Install(FdEntry entry) {
@@ -139,14 +173,9 @@ class FdTable {
 
   // Drops close-on-exec entries (called during execve).
   void CloseOnExec() {
-    for (auto it = table_.begin(); it != table_.end();) {
-      if (it->second.cloexec) {
-        it = table_.erase(it);
-        Account(-1);
-      } else {
-        ++it;
-      }
-    }
+    const size_t dropped =
+        std::erase_if(table_, [](const auto& entry) { return entry.second.cloexec; });
+    Account(-static_cast<int64_t>(dropped));
   }
 
   void CloseAll() {
@@ -158,14 +187,20 @@ class FdTable {
 
  private:
   void Account(int64_t delta) {
-    if (counter_ != nullptr && delta != 0) {
-      counter_->fetch_add(static_cast<uint64_t>(delta), std::memory_order_relaxed);
+    if (folded_ == nullptr || delta == 0) {
+      return;
+    }
+    const int64_t n = unreported_.load(std::memory_order_relaxed) + delta;
+    unreported_.store(n, std::memory_order_release);
+    if (n >= kBatch || n <= -kBatch) {
+      Fold();
     }
   }
 
   std::map<int, FdEntry> table_;
   int next_fd_ = 3;  // 0/1/2 are the terminal
-  std::atomic<uint64_t>* counter_ = nullptr;  // kernel-wide open-file count
+  std::atomic<int64_t>* folded_ = nullptr;  // the kernel-wide folded count
+  std::atomic<int64_t> unreported_{0};
 };
 
 // Namespace membership (§4.6/§6: Linux >= 3.8 lets unprivileged processes

@@ -26,33 +26,36 @@ std::string Packet::ToString() const {
 }
 
 void Netfilter::Append(NfRule rule) {
-  std::unique_lock<RwLock> lk(rules_mu_);
-  rules_.push_back(std::move(rule));
+  std::lock_guard<RwLock> lk(rules_mu_);
+  rules_.Update([&](std::vector<NfRule>& rules) { rules.push_back(std::move(rule)); });
 }
 
 void Netfilter::Insert(NfRule rule) {
-  std::unique_lock<RwLock> lk(rules_mu_);
-  rules_.insert(rules_.begin(), std::move(rule));
+  std::lock_guard<RwLock> lk(rules_mu_);
+  rules_.Update(
+      [&](std::vector<NfRule>& rules) { rules.insert(rules.begin(), std::move(rule)); });
 }
 
 int Netfilter::DeleteByComment(const std::string& comment) {
-  std::unique_lock<RwLock> lk(rules_mu_);
-  size_t before = rules_.size();
-  rules_.erase(std::remove_if(rules_.begin(), rules_.end(),
-                              [&](const NfRule& r) { return r.comment == comment; }),
-               rules_.end());
-  return static_cast<int>(before - rules_.size());
+  std::lock_guard<RwLock> lk(rules_mu_);
+  std::vector<NfRule> rules = rules_.Read();
+  const size_t removed =
+      std::erase_if(rules, [&](const NfRule& r) { return r.comment == comment; });
+  if (removed != 0) {
+    rules_.Publish(std::move(rules));
+  }
+  return static_cast<int>(removed);
 }
 
 void Netfilter::Flush() {
-  std::unique_lock<RwLock> lk(rules_mu_);
-  rules_.clear();
+  std::lock_guard<RwLock> lk(rules_mu_);
+  rules_.Publish({});
 }
 
 size_t Netfilter::RuleCount(NfChain chain) const {
-  std::shared_lock<RwLock> lk(rules_mu_);
+  GraceDomain::Section section(rules_.grace());
   size_t n = 0;
-  for (const NfRule& r : rules_) {
+  for (const NfRule& r : rules_.Read()) {
     if (r.chain == chain) {
       ++n;
     }
@@ -119,8 +122,8 @@ NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
     }
     return NfVerdict::kDrop;
   }
-  std::shared_lock<RwLock> lk(rules_mu_);
-  for (const NfRule& rule : rules_) {
+  GraceDomain::Section section(rules_.grace());
+  for (const NfRule& rule : rules_.Read()) {
     if (rule.chain != chain) {
       continue;
     }
@@ -150,9 +153,9 @@ NfVerdict Netfilter::Evaluate(NfChain chain, const Packet& packet) const {
 }
 
 std::string Netfilter::ListRules() const {
-  std::shared_lock<RwLock> lk(rules_mu_);
+  GraceDomain::Section section(rules_.grace());
   std::string out;
-  for (const NfRule& rule : rules_) {
+  for (const NfRule& rule : rules_.Read()) {
     out += SerializeNfRule(rule);
     out += "\n";
   }

@@ -11,14 +11,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
-#include "src/base/result.h"
 #include "src/base/attribution.h"
+#include "src/base/grace.h"
+#include "src/base/published.h"
+#include "src/base/result.h"
 #include "src/base/rw_lock.h"
 #include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
@@ -62,6 +62,10 @@ struct NfRule {
 
 class Netfilter {
  public:
+  // Rule snapshots retire through `grace`, the kernel's one grace period
+  // (Kernel::grace()); standalone users pass their own.
+  explicit Netfilter(GraceDomain& grace) : rules_(grace) {}
+
   // Resolves (proto, port) to the uid owning a bound socket, if any.
   // Installed by the Network so the spoofing match can consult port state.
   using PortOwnerFn = std::function<std::optional<Uid>(int proto, uint16_t port)>;
@@ -89,14 +93,15 @@ class Netfilter {
   void Flush();
   size_t RuleCount(NfChain chain) const;
 
-  // Returns a copy so callers never iterate concurrently with a rule edit.
+  // A copy of the current rules.
   std::vector<NfRule> rules() const {
-    std::shared_lock<RwLock> lk(rules_mu_);
-    return rules_;
+    GraceDomain::Section section(rules_.grace());
+    return rules_.Read();
   }
 
   // Runs `packet` through `chain`; first matching rule decides, default
-  // policy ACCEPT.
+  // policy ACCEPT. Opens its own read section, nested inside the caller's
+  // when there is one (Network::Send opens one per packet path).
   NfVerdict Evaluate(NfChain chain, const Packet& packet) const;
 
   // One rule per line, in evaluation order (iptables -L).
@@ -109,7 +114,7 @@ class Netfilter {
   // Packets dropped because a fault was injected mid-evaluation (subset of
   // dropped()).
   uint64_t fail_closed_drops() const { return tallies_.Sum(&Tally::fail_closed_drops); }
-  // Slow-path counts of the rule lock (exported as metrics).
+  // Slow-path counts of the rule writers' lock (exported as metrics).
   LockCounts rules_lock_counts() const { return rules_mu_.counts(); }
 
  private:
@@ -125,14 +130,16 @@ class Netfilter {
     std::atomic<uint64_t> fail_closed_drops{0};
   };
 
-  // Rule edits (the iptables control path) take rules_mu_ unique; Evaluate
-  // walks the chain under a shared lock, so packet evaluation from many
-  // task threads proceeds concurrently. The port-owner callback runs with
-  // the shared lock held and takes a Network port-table shard; Network
-  // never evaluates a chain while holding one of its own locks, so the
-  // order rules_mu_ -> port shard is acyclic.
-  mutable RwLock rules_mu_;
-  std::vector<NfRule> rules_;
+  // The rules are one immutable snapshot (Published), as Linux reads its
+  // x_tables without a lock: Evaluate loads it once inside a read section
+  // and takes no lock, so packets from many task threads write no shared
+  // line. Rule edits (the iptables control path) serialize on rules_mu_,
+  // copy the vector, edit the copy and publish it; the old snapshot is
+  // freed after the grace period. The port-owner callback runs inside the
+  // section and takes a Network port-table shard, which no writer here
+  // ever holds.
+  RwLock rules_mu_;
+  Published<std::vector<NfRule>> rules_;
   PortOwnerFn port_owner_;
   Tracer* tracer_ = nullptr;
   FaultRegistry* faults_ = nullptr;

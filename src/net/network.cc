@@ -20,80 +20,56 @@ uint64_t PortKey(int netns, int proto, uint16_t port) {
 
 }  // namespace
 
-Network::Network() {
+Network::Network(GraceDomain& grace)
+    : grace_(grace),
+      netfilter_(grace),
+      routes_(grace),
+      raw_sockets_(grace),
+      hosts_(grace),
+      local_addrs_(grace, {kLocalhostIp}) {
   netfilter_.set_port_owner_fn(
       [this](int proto, uint16_t port) { return PortOwner(proto, port); });
   // Loopback is always routable.
   (void)routes_.Add(RouteEntry{MakeIp(127, 0, 0, 0), 8, 0, "lo", kRootUid});
-  local_addrs_.push_back(kLocalhostIp);
 }
 
-Socket& Network::CreateSocket(int family, int type, int protocol, Uid owner,
-                              const std::string& owner_binary, int netns) {
-  auto sock = std::make_unique<Socket>();
-  sock->id = next_socket_id_.fetch_add(1, std::memory_order_relaxed);
+SocketRef Network::CreateSocket(int family, int type, int protocol, Uid owner,
+                                const std::string& owner_binary, int netns) {
+  SocketRef sock(new Socket(), [this](Socket* dead) { Release(dead); });
   sock->family = family;
   sock->type = type;
   sock->protocol = protocol;
   sock->owner = owner;
   sock->owner_binary = owner_binary;
   sock->netns = netns;
-  Socket* created = sock.get();
-  {
-    SocketShard& shard = SocketShardFor(created->id);
-    std::lock_guard<std::mutex> lk(shard.mu);
-    shard.sockets.emplace(created->id, std::move(sock));
+  if (IsRawSocket(*sock)) {
+    std::lock_guard<RwLock> lk(raw_mu_);
+    raw_sockets_.Update([&](std::vector<Socket*>& raw) { raw.push_back(sock.get()); });
   }
-  if (IsRawSocket(*created)) {
-    std::unique_lock<RwLock> lk(raw_mu_);
-    raw_sockets_.push_back(created);
-  }
-  return *created;
+  return sock;
 }
 
-Socket* Network::FindSocket(int id) {
-  SocketShard& shard = SocketShardFor(id);
-  std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.sockets.find(id);
-  return it == shard.sockets.end() ? nullptr : it->second.get();
-}
-
-void Network::RefSocket(int id) {
-  SocketShard& shard = SocketShardFor(id);
-  std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.sockets.find(id);
-  if (it != shard.sockets.end()) {
-    ++it->second->refcount;
-  }
-}
-
-void Network::DestroySocket(int id) {
-  std::unique_ptr<Socket> dead;
-  {
-    SocketShard& shard = SocketShardFor(id);
-    std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.sockets.find(id);
-    if (it == shard.sockets.end() || --it->second->refcount > 0) {
-      return;
+void Network::Release(Socket* sock) {
+  // No reference remains, so nothing rebinds it; unhash it from every
+  // index delivery can reach it through before freeing.
+  if (IsRawSocket(*sock)) {
+    {
+      std::lock_guard<RwLock> lk(raw_mu_);
+      raw_sockets_.Update([&](std::vector<Socket*>& raw) { std::erase(raw, sock); });
     }
-    dead = std::move(it->second);
-    shard.sockets.erase(it);
-  }
-  // No fd references remain, so nothing rebinds it; unhash it from every
-  // table delivery can reach it through before freeing.
-  if (IsRawSocket(*dead)) {
-    std::unique_lock<RwLock> lk(raw_mu_);
-    raw_sockets_.erase(std::find(raw_sockets_.begin(), raw_sockets_.end(), dead.get()));
+    // A delivery that loaded the old list may still be queueing on it.
+    grace_.Retire(sock);
     return;
   }
   uint16_t port = 0;
   {
-    std::lock_guard<std::mutex> lk(dead->mu);
-    port = dead->bound_port;
+    std::lock_guard<std::mutex> lk(sock->mu);
+    port = sock->bound_port;
   }
   if (port != 0) {
-    Unhash(*dead, port);
+    Unhash(*sock, port);
   }
+  delete sock;
 }
 
 void Network::Unhash(const Socket& sock, uint16_t port) {
@@ -186,6 +162,7 @@ Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
     if (!routes_.Lookup(dst).has_value()) {
       return Error(Errno::kENETUNREACH, IpToString(dst));
     }
+    GraceDomain::Section section(grace_);
     const RemoteHost* host = FindHost(dst);
     if (host == nullptr) {
       return Error(Errno::kEHOSTUNREACH, IpToString(dst));
@@ -203,23 +180,28 @@ Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
 }
 
 bool Network::IsLocalAddress(Ipv4 ip) const {
-  std::shared_lock<RwLock> lk(topo_mu_);
-  return std::find(local_addrs_.begin(), local_addrs_.end(), ip) != local_addrs_.end();
+  GraceDomain::Section section(grace_);
+  const std::vector<Ipv4>& addrs = local_addrs_.Read();
+  return std::find(addrs.begin(), addrs.end(), ip) != addrs.end();
 }
 
 void Network::AddLocalAddress(Ipv4 ip) {
-  std::unique_lock<RwLock> lk(topo_mu_);
-  local_addrs_.push_back(ip);
+  std::lock_guard<RwLock> lk(topo_mu_);
+  local_addrs_.Update([&](std::vector<Ipv4>& addrs) { addrs.push_back(ip); });
+}
+
+void Network::RemoveLocalAddress(Ipv4 ip) {
+  std::lock_guard<RwLock> lk(topo_mu_);
+  local_addrs_.Update([&](std::vector<Ipv4>& addrs) { std::erase(addrs, ip); });
 }
 
 void Network::AddRemoteHost(RemoteHost host) {
-  std::unique_lock<RwLock> lk(topo_mu_);
-  hosts_.push_back(std::move(host));
+  std::lock_guard<RwLock> lk(topo_mu_);
+  hosts_.Update([&](std::vector<RemoteHost>& hosts) { hosts.push_back(std::move(host)); });
 }
 
 const RemoteHost* Network::FindHost(Ipv4 ip) const {
-  std::shared_lock<RwLock> lk(topo_mu_);
-  for (const RemoteHost& host : hosts_) {
+  for (const RemoteHost& host : hosts_.Read()) {
     if (host.ip == ip) {
       return &host;
     }
@@ -228,15 +210,14 @@ const RemoteHost* Network::FindHost(Ipv4 ip) const {
 }
 
 PppChannel& Network::NewPppUnit() {
-  std::unique_lock<RwLock> lk(topo_mu_);
-  PppChannel chan;
-  chan.unit = static_cast<int>(ppp_units_.size());
-  ppp_units_.push_back(chan);
-  return ppp_units_.back();
+  std::lock_guard<std::mutex> lk(ppp_mu_);
+  PppChannel& chan = ppp_units_.emplace_back();
+  chan.unit = static_cast<int>(ppp_units_.size()) - 1;
+  return chan;
 }
 
 PppChannel* Network::FindPppUnit(int unit) {
-  std::shared_lock<RwLock> lk(topo_mu_);
+  std::lock_guard<std::mutex> lk(ppp_mu_);
   if (unit < 0 || static_cast<size_t>(unit) >= ppp_units_.size()) {
     return nullptr;
   }
@@ -319,8 +300,7 @@ void Network::DeliverLocal(const Packet& packet, int netns) {
     }
   }
   // Raw sockets see matching-protocol traffic (ICMP sniffing for ping).
-  std::shared_lock<RwLock> lk(raw_mu_);
-  for (Socket* sock : raw_sockets_) {
+  for (Socket* sock : raw_sockets_.Read()) {
     if (sock->netns == netns && (sock->protocol == 0 || sock->protocol == packet.l4_proto)) {
       std::lock_guard<std::mutex> sock_lk(sock->mu);
       sock->rx_queue.push_back(packet);
@@ -338,6 +318,10 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
       packet.src_port = sock.bound_port;
     }
   }
+
+  // One read section for the whole packet path: every snapshot below is
+  // read inside it, and a raw socket delivery reaches stays allocated.
+  GraceDomain::Section section(grace_);
 
   // A sandbox network namespace contains only its own loopback: local
   // delivery within the namespace works, the outside world does not exist

@@ -14,11 +14,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/grace.h"
+#include "src/base/published.h"
 #include "src/base/result.h"
 #include "src/base/rw_lock.h"
 #include "src/base/thread_shards.h"
@@ -31,17 +32,12 @@ namespace protego {
 // A socket endpoint. Identity fields are fixed at creation and read
 // without a lock; the rest is guarded as annotated.
 struct Socket {
-  int id = 0;
   int family = 0;
   int type = 0;
   int protocol = 0;
   Uid owner = 0;
   std::string owner_binary;  // exe_path of the creating task
   int netns = 0;             // network namespace (0 = init; others are sandboxes)
-
-  // fd-table references (fork shares endpoints); guarded by the socket
-  // table shard that holds this id.
-  int refcount = 1;
 
   // Guards everything below.
   std::mutex mu;
@@ -52,6 +48,12 @@ struct Socket {
   bool connected = false;
   std::vector<Packet> rx_queue;
 };
+
+// A counted reference to a socket, held by the fd entries that name it
+// (fork copies it). The last one to go unhashes the socket from the port
+// table and the raw list, then frees it, whichever way it goes: close,
+// close-on-exec or task reap.
+using SocketRef = std::shared_ptr<Socket>;
 
 // Behaviour of a simulated remote host on the LAN/WAN.
 struct RemoteHost {
@@ -76,39 +78,44 @@ struct PppChannel {
   Ipv4 remote_ip = 0;
 };
 
-// Concurrency: Linux-style per-object locks instead of one network-wide
-// lock, so tasks working on different sockets and ports do not serialize.
-//   - Socket table: kShards id-hashed shards; a shard's mutex guards its
-//     map and the refcounts of its sockets.
+// Concurrency: no network-wide lock on the packet path. A syscall reaches
+// its socket through the caller's own fd table, as Linux does
+// (sockfd_lookup_light), so there is no socket table; the port table and
+// the raw list are the only network-wide indexes.
 //   - Port table: (netns, proto, port) -> bound socket, kShards shards
 //     hashed by port. A shard's mutex stays held while a datagram is
-//     queued on the owner, and close unhashes under it before freeing, so
-//     delivery never touches a freed socket.
-//   - Raw list: raw/packet sockets, read-locked by delivery and
-//     write-locked by create/close.
+//     queued on the owner, and the last release unhashes under it before
+//     freeing, so delivery never touches a freed socket.
+//   - Snapshots (Published, src/base/published.h): netfilter's rules, the
+//     routing table, the local addresses, the remote hosts and the raw
+//     list. Send opens one read section of the kernel's grace period for
+//     the whole packet path and reads each at most once per packet, so a
+//     packet takes no reader lock: it locks only its destination port's
+//     shard and the receiving socket. Writers
+//     serialize on raw_mu_ (the raw list), topo_mu_ (addresses and hosts)
+//     and the tables' own locks, and publish edited copies.
+//   - A raw socket is freed through the grace period: delivery reaches it
+//     from the raw list without a lock.
 //   - Socket::mu: per-socket state (rx_queue, bound_port, listening, peer).
-//   - topo_mu_: remote hosts, local addresses and PPP units.
-// Lock order: port shard -> socket, raw list -> socket; socket-table
-// shards and topo_mu_ are leaves. Netfilter is never evaluated under any
-// of these locks, so its port-owner callback may take a port shard.
-// Socket objects are owned by the table; a caller's fd reference keeps
-// the Socket& it passes in alive.
+//   - ppp_mu_: the PPP units, mutable per-unit state on pppd's ioctl path.
+// Lock order: port shard -> socket, raw_mu_ -> (nothing). Netfilter is
+// never evaluated under a port shard, so its port-owner callback may take
+// one.
 class Network {
  public:
-  Network();
+  // Snapshots and raw sockets retire through `grace`, the kernel's one
+  // grace period (Kernel::grace()); standalone users pass their own. It
+  // must outlive the Network and every SocketRef.
+  explicit Network(GraceDomain& grace);
 
   // --- Sockets --------------------------------------------------------------
 
-  // Allocates a socket object (no privilege checks here). `netns` scopes
-  // the socket: ports, delivery, routes, and remote hosts are all per-
-  // namespace, and only namespace 0 reaches the simulated outside world.
-  Socket& CreateSocket(int family, int type, int protocol, Uid owner,
-                       const std::string& owner_binary, int netns = 0);
-  Socket* FindSocket(int id);
-  // Adds an fd-table reference (fork/dup).
-  void RefSocket(int id);
-  // Drops one reference; the endpoint (and its port) dies at zero.
-  void DestroySocket(int id);
+  // Allocates a socket (no privilege checks here) and returns the first
+  // reference to it. `netns` scopes the socket: ports, delivery, routes,
+  // and remote hosts are all per-namespace, and only namespace 0 reaches
+  // the simulated outside world.
+  SocketRef CreateSocket(int family, int type, int protocol, Uid owner,
+                         const std::string& owner_binary, int netns = 0);
 
   // Binds to a port in the (proto, port) namespace. EADDRINUSE on conflict.
   Result<Unit> Bind(Socket& sock, uint16_t port);
@@ -127,12 +134,13 @@ class Network {
 
   // --- Packet I/O -----------------------------------------------------------
 
-  // Sends `packet` from `sock`: stamps sender metadata, runs the OUTPUT
-  // netfilter chain, routes, and delivers. Replies generated by remote
-  // hosts (ICMP echo replies, TTL-exceeded, UDP echoes) are queued on the
-  // sending socket. Returns EPERM if netfilter dropped the packet is NOT
-  // Linux behaviour — drops are silent; the packet just vanishes, matching
-  // real semantics. Returns ENETUNREACH when no route exists.
+  // Sends `packet` from `sock` inside one read section: stamps sender
+  // metadata, runs the OUTPUT netfilter chain, routes, and delivers.
+  // Replies generated by remote hosts (ICMP echo replies, TTL-exceeded, UDP
+  // echoes) are queued on the sending socket. Returns EPERM if netfilter
+  // dropped the packet is NOT Linux behaviour — drops are silent; the
+  // packet just vanishes, matching real semantics. Returns ENETUNREACH
+  // when no route exists.
   Result<Unit> Send(Socket& sock, Packet packet);
 
   // Pops the next received packet, if any.
@@ -141,15 +149,16 @@ class Network {
   // --- Topology --------------------------------------------------------------
 
   void AddRemoteHost(RemoteHost host);
-  const RemoteHost* FindHost(Ipv4 ip) const;
 
   // Local interface addresses (packets to these are delivered locally).
   void AddLocalAddress(Ipv4 ip);
+  void RemoveLocalAddress(Ipv4 ip);
   bool IsLocalAddress(Ipv4 ip) const;
 
   // --- PPP -------------------------------------------------------------------
 
-  // Allocates a new PPP unit (PPPIOCNEWUNIT).
+  // Allocates a new PPP unit (PPPIOCNEWUNIT). Units are never freed, so the
+  // reference stays valid.
   PppChannel& NewPppUnit();
   PppChannel* FindPppUnit(int unit);
 
@@ -164,47 +173,47 @@ class Network {
   // quiescence.
   uint64_t packets_delivered() const { return tallies_.Sum(&Tally::delivered); }
   uint64_t packets_dropped() const { return netfilter_.dropped(); }
-  // Slow-path counts of the raw-socket and topology locks.
+  // Slow-path counts of the raw-list and topology writers' locks.
   LockCounts raw_lock_counts() const { return raw_mu_.counts(); }
   LockCounts topo_lock_counts() const { return topo_mu_.counts(); }
 
  private:
   static constexpr size_t kShards = 16;
 
-  struct alignas(64) SocketShard {
-    std::mutex mu;
-    std::unordered_map<int, std::unique_ptr<Socket>> sockets;
-  };
   struct alignas(64) PortShard {
     mutable std::mutex mu;
     std::unordered_map<uint64_t, Socket*> owners;  // keyed by PortKey()
   };
 
-  SocketShard& SocketShardFor(int id) { return socket_shards_[static_cast<size_t>(id) % kShards]; }
   PortShard& PortShardFor(uint16_t port) { return port_shards_[port % kShards]; }
   const PortShard& PortShardFor(uint16_t port) const { return port_shards_[port % kShards]; }
 
+  // The last reference to `sock` is gone: unhash it, then free it.
+  void Release(Socket* sock);
   // Removes the (netns, proto, port) entry if it still names `sock`.
   void Unhash(const Socket& sock, uint16_t port);
+  // These two read snapshots: call them inside a read section.
+  const RemoteHost* FindHost(Ipv4 ip) const;
   void DeliverLocal(const Packet& packet, int netns);
   std::optional<Packet> RemoteRespond(const RemoteHost& host, const Packet& packet);
 
+  GraceDomain& grace_;
   Netfilter netfilter_;
   RoutingTable routes_;
-  std::array<SocketShard, kShards> socket_shards_;
   std::array<PortShard, kShards> port_shards_;
 
   RwLock raw_mu_;
-  std::vector<Socket*> raw_sockets_;
+  Published<std::vector<Socket*>> raw_sockets_;
 
-  // deques: FindHost/NewPppUnit hand out pointers that must survive later
+  RwLock topo_mu_;
+  Published<std::vector<RemoteHost>> hosts_;
+  Published<std::vector<Ipv4>> local_addrs_;
+
+  // A deque: FindPppUnit hands out pointers that must survive later
   // insertions (a vector's push_back would reallocate them away).
-  mutable RwLock topo_mu_;
-  std::deque<RemoteHost> hosts_;
-  std::vector<Ipv4> local_addrs_;
+  std::mutex ppp_mu_;
   std::deque<PppChannel> ppp_units_;
 
-  std::atomic<int> next_socket_id_{1};
   std::atomic<int> next_netns_{1};
   // One thread's delivered-packet count; only that thread writes it.
   struct Tally {

@@ -18,8 +18,8 @@ bool RoutingTable::PrefixContains(Ipv4 net, int prefix_len, Ipv4 addr) {
 }
 
 bool RoutingTable::Conflicts(const RouteEntry& candidate) const {
-  std::shared_lock<RwLock> lk(mu_);
-  for (const RouteEntry& e : entries_) {
+  GraceDomain::Section section(entries_.grace());
+  for (const RouteEntry& e : entries_.Read()) {
     int shorter = std::min(e.prefix_len, candidate.prefix_len);
     if (PrefixContains(e.dst, shorter, candidate.dst) ||
         PrefixContains(candidate.dst, shorter, e.dst)) {
@@ -30,21 +30,23 @@ bool RoutingTable::Conflicts(const RouteEntry& candidate) const {
 }
 
 Result<Unit> RoutingTable::Add(RouteEntry entry) {
-  std::unique_lock<RwLock> lk(mu_);
-  for (const RouteEntry& e : entries_) {
+  std::lock_guard<RwLock> lk(mu_);
+  for (const RouteEntry& e : entries_.Read()) {
     if (e.dst == entry.dst && e.prefix_len == entry.prefix_len) {
       return Error(Errno::kEEXIST, entry.ToString());
     }
   }
-  entries_.push_back(std::move(entry));
+  entries_.Update([&](std::vector<RouteEntry>& entries) { entries.push_back(std::move(entry)); });
   return OkUnit();
 }
 
 Result<Unit> RoutingTable::Remove(Ipv4 dst, int prefix_len) {
-  std::unique_lock<RwLock> lk(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->dst == dst && it->prefix_len == prefix_len) {
-      entries_.erase(it);
+  std::lock_guard<RwLock> lk(mu_);
+  const std::vector<RouteEntry>& current = entries_.Read();
+  for (size_t i = 0; i < current.size(); ++i) {
+    if (current[i].dst == dst && current[i].prefix_len == prefix_len) {
+      entries_.Update(
+          [&](std::vector<RouteEntry>& entries) { entries.erase(entries.begin() + i); });
       return OkUnit();
     }
   }
@@ -52,9 +54,9 @@ Result<Unit> RoutingTable::Remove(Ipv4 dst, int prefix_len) {
 }
 
 std::optional<RouteEntry> RoutingTable::Lookup(Ipv4 dst) const {
-  std::shared_lock<RwLock> lk(mu_);
+  GraceDomain::Section section(entries_.grace());
   const RouteEntry* best = nullptr;
-  for (const RouteEntry& e : entries_) {
+  for (const RouteEntry& e : entries_.Read()) {
     if (PrefixContains(e.dst, e.prefix_len, dst)) {
       if (best == nullptr || e.prefix_len > best->prefix_len) {
         best = &e;

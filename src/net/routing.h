@@ -5,12 +5,12 @@
 #ifndef SRC_NET_ROUTING_H_
 #define SRC_NET_ROUTING_H_
 
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "src/base/grace.h"
+#include "src/base/published.h"
 #include "src/base/result.h"
 #include "src/base/rw_lock.h"
 #include "src/net/packet.h"
@@ -29,6 +29,10 @@ struct RouteEntry {
 
 class RoutingTable {
  public:
+  // Table snapshots retire through `grace`, the kernel's one grace period
+  // (Kernel::grace()); standalone users pass their own.
+  explicit RoutingTable(GraceDomain& grace) : entries_(grace) {}
+
   // True if `candidate` overlaps any existing route: one network contains
   // the other. This is the paper's definition of a conflicting route — a new
   // PPP route may only cover address space that was previously unreachable.
@@ -44,28 +48,29 @@ class RoutingTable {
   // Longest-prefix-match; nullopt when unroutable.
   std::optional<RouteEntry> Lookup(Ipv4 dst) const;
 
-  // Returns a copy: callers iterate without holding the table lock, so a
-  // concurrent route add/remove cannot invalidate their iterators.
+  // A copy of the current table.
   std::vector<RouteEntry> entries() const {
-    std::shared_lock<RwLock> lk(mu_);
-    return entries_;
+    GraceDomain::Section section(entries_.grace());
+    return entries_.Read();
   }
   void Clear() {
-    std::unique_lock<RwLock> lk(mu_);
-    entries_.clear();
+    std::lock_guard<RwLock> lk(mu_);
+    entries_.Publish({});
   }
-  // Slow-path counts of the table lock (exported as metrics).
+  // Slow-path counts of the writers' lock (exported as metrics).
   LockCounts lock_counts() const { return mu_.counts(); }
 
   static bool PrefixContains(Ipv4 net, int prefix_len, Ipv4 addr);
 
  private:
-  // Readers (Conflicts/Lookup/entries) take shared; mutators take unique.
-  // Note Protego's check-then-add across two acquisitions (Conflicts in the
-  // ioctl hook, Add in the handler) is itself a TOCTTOU window — that is the
-  // semantic race the corpus exercises; the lock only keeps memory safe.
-  mutable RwLock mu_;
-  std::vector<RouteEntry> entries_;
+  // The table is one immutable snapshot (Published), as Linux reads its FIB
+  // under RCU: Conflicts, Lookup and entries() read it inside a read
+  // section and take no lock. Add, Remove and Clear serialize on mu_ and
+  // publish an edited copy. Protego's check-then-add (Conflicts in the
+  // ioctl hook, Add in the handler) reads two snapshots and is itself a
+  // TOCTTOU window: that is the semantic race the corpus exercises.
+  RwLock mu_;
+  Published<std::vector<RouteEntry>> entries_;
 };
 
 // Parses dotted-quad "a.b.c.d"; nullopt on malformed input.

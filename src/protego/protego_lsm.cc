@@ -27,10 +27,7 @@ bool IsSafeExtraOption(const std::string& opt) {
 
 }  // namespace
 
-ProtegoLsm::ProtegoLsm(Kernel* kernel)
-    : kernel_(kernel), grace_(kernel->grace()), policy_(new Policy()) {}
-
-ProtegoLsm::~ProtegoLsm() { delete policy_.load(std::memory_order_relaxed); }
+ProtegoLsm::ProtegoLsm(Kernel* kernel) : kernel_(kernel), policy_(kernel->grace()) {}
 
 void ProtegoLsm::Count(uint64_t ProtegoStats::*field) const {
   std::atomic_ref<uint64_t> n(stats_.Mine().*field);
@@ -88,11 +85,11 @@ Result<Unit> ProtegoLsm::CompileAndPublish(Policy next) {
   }
   next.engine.files.Build(next.delegation);
   next.engine.sudoers.Build(next.delegation, next.user_db);
-  // Publish-then-bump: the exchange publishes the new snapshot before the
-  // (release) generation bump, so a reader that sees generation G (acquire)
-  // is guaranteed to load at least generation G's snapshot. The displaced
+  // Publish-then-bump: the new snapshot is published before the (release)
+  // generation bump, so a reader that sees generation G (acquire) is
+  // guaranteed to load at least generation G's snapshot. The displaced
   // snapshot is freed once no read section that may have loaded it is open.
-  grace_.Retire(policy_.exchange(new Policy(std::move(next)), std::memory_order_acq_rel));
+  policy_.Publish(std::move(next));
   // Only reached on success: a failed swap leaves the generation unchanged.
   BumpPolicyGeneration();
   return OkUnit();
@@ -154,7 +151,7 @@ HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool*
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
     return HookVerdict::kDefault;  // administrator path is unchanged
   }
-  GraceDomain::Section section(grace_);
+  GraceDomain::Section section(policy_.grace());
   const Policy& pol = Current();  // ONE snapshot for the whole dispatch
   bool granted = false;
   pol.engine.mount.ForEachMatch(req.source, req.mountpoint, req.fstype,
@@ -177,7 +174,7 @@ HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
     return HookVerdict::kDefault;
   }
-  GraceDomain::Section section(grace_);
+  GraceDomain::Section section(policy_.grace());
   const Policy& pol = Current();
   // May THIS user unmount? "users" entries let anyone; "user" entries only
   // the task that mounted.
@@ -218,7 +215,7 @@ HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, boo
   if (req.port >= 1024) {
     return HookVerdict::kDefault;
   }
-  GraceDomain::Section section(grace_);
+  GraceDomain::Section section(policy_.grace());
   const Policy& pol = Current();
   // The port may carry several (binary, uid) allocations; EVERY entry for
   // the port must be considered before denying — denying at the first
@@ -274,7 +271,7 @@ bool ProtegoLsm::EnsureAuthenticated(const Policy& pol, Task& task, Uid account)
 
 HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
                                       SetuidDisposition* disposition) {
-  GraceDomain::Section section(grace_);
+  GraceDomain::Section section(policy_.grace());
   const Policy& pol = Current();
   if (req.is_gid) {
     if (kernel_->Capable(task, Capability::kSetgid)) {
@@ -403,7 +400,7 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
   if (!task.pending_setuid.active) {
     return HookVerdict::kDefault;
   }
-  GraceDomain::Section section(grace_);
+  GraceDomain::Section section(policy_.grace());
   const Policy& pol = Current();
   const PendingSetuid& pending = task.pending_setuid;
 
@@ -502,7 +499,7 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
 HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, const Inode& inode,
                                         int may, bool* /*unused*/) {
   (void)inode;
-  GraceDomain::Section section(grace_);
+  GraceDomain::Section section(policy_.grace());
   const Policy& pol = Current();
   // Per-binary file delegations first (also how the trusted authentication
   // utility and monitoring daemon read shadow files without recursion).
@@ -534,7 +531,7 @@ HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, con
 // --- pppd ioctls: routes and modem options (§4.1.2) -----------------------------------
 
 HookVerdict ProtegoLsm::FileIoctl(const Task& task, const IoctlRequest& req) {
-  GraceDomain::Section section(grace_);
+  GraceDomain::Section section(policy_.grace());
   const Policy& pol = Current();
   if (req.target == "socket") {
     switch (req.request) {

@@ -19,15 +19,14 @@
 //
 // Concurrency (parallel mode), as Linux reads its LSM policy under RCU: all
 // policy state — the raw tables AND the compiled engine built from them —
-// lives in one immutable Policy snapshot behind an atomic pointer. A hook
-// opens a read section of the kernel's grace period (Kernel::grace(),
-// src/base/grace.h), loads the pointer once and threads that one snapshot
-// through every helper, so it never observes a half-swapped policy and
-// writes no line another thread writes: the section's announcement goes
-// to the thread's own shard, and so do the decision counters (ProtegoStats,
-// summed by stats()). Writers serialize on swap_mu_, build a complete
-// successor snapshot off to the side, publish it with one exchange and
-// retire the old one through the grace period, which frees it once no
+// lives in one immutable Policy snapshot, Published (src/base/published.h)
+// on the kernel's grace period (Kernel::grace()). A hook opens a read
+// section, reads the snapshot once and threads it through every helper,
+// so it never observes a half-swapped policy and writes no line another
+// thread writes: the section's announcement goes to the thread's own
+// shard, and so do the decision counters (ProtegoStats, summed by
+// stats()). Writers serialize on swap_mu_, build a complete successor
+// snapshot off to the side and publish it; the old one is freed once no
 // section that may have loaded it is open. Nothing waits: a swap never
 // waits for readers, and readers never wait for a swap. Hooks nest
 // syscalls (EnsureAuthenticated runs the authentication service, whose
@@ -45,6 +44,7 @@
 #include <vector>
 
 #include "src/base/grace.h"
+#include "src/base/published.h"
 #include "src/base/thread_shards.h"
 #include "src/config/bindconf.h"
 #include "src/config/fstab.h"
@@ -106,7 +106,6 @@ class ProtegoLsm : public SecurityModule {
   // trusted authentication utility, and its grace period. Must outlive the
   // module.
   explicit ProtegoLsm(Kernel* kernel);
-  ~ProtegoLsm() override;
 
   const char* name() const override { return "protego"; }
 
@@ -151,17 +150,17 @@ class ProtegoLsm : public SecurityModule {
   HookVerdict FileIoctl(const Task& task, const IoctlRequest& req) override;
 
  private:
-  // The current snapshot. Only valid inside a read section of grace_
-  // (or under swap_mu_, which keeps it from being replaced). The acquire
-  // load pairs with CompileAndPublish's exchange, which precedes the
-  // generation bump, so a reader that observed generation G also observes
-  // at least generation G's engine.
-  const Policy& Current() const { return *policy_.load(std::memory_order_acquire); }
+  // The current snapshot. Only valid inside a read section of the
+  // kernel's grace period (or under swap_mu_, which keeps it from being
+  // replaced). CompileAndPublish publishes before it bumps the generation,
+  // so a reader that observed generation G also observes at least
+  // generation G's engine.
+  const Policy& Current() const { return policy_.Read(); }
 
   // A copy of one table of the current snapshot.
   template <typename Table>
   Table Copy(Table Policy::*table) const {
-    GraceDomain::Section section(grace_);
+    GraceDomain::Section section(policy_.grace());
     return Current().*table;
   }
 
@@ -200,9 +199,8 @@ class ProtegoLsm : public SecurityModule {
   bool EnsureAuthenticated(const Policy& pol, Task& task, Uid account) const;
 
   Kernel* kernel_;
-  GraceDomain& grace_;  // the kernel's: retires replaced snapshots
   // Immutable once published; replaced only under swap_mu_.
-  std::atomic<const Policy*> policy_;
+  Published<Policy> policy_;
   std::mutex swap_mu_;  // serializes writers (clone → compile → publish)
   // One thread's counters, written through std::atomic_ref by that thread
   // only.

@@ -33,6 +33,18 @@ struct SyntheticOps {
 // fields are guarded by the VFS locks. std::atomic's operator=()/&=()/
 // implicit load keep existing call sites (`inode.mode & kIfMask`,
 // `mode &= ~kSetUidBit`) source-compatible.
+// The fields stat(2) reports of one inode.
+struct InodeStat {
+  uint64_t ino = 0;
+  uint32_t mode = 0;
+  Uid uid = 0;
+  Gid gid = 0;
+  size_t size = 0;
+  uint64_t mtime = 0;
+  uint32_t rdev_major = 0;
+  uint32_t rdev_minor = 0;
+};
+
 struct Inode {
   uint64_t ino = 0;
   std::atomic<uint32_t> mode{0};  // type bits | permission bits (incl. setuid 04000)

@@ -596,6 +596,19 @@ Inode Vfs::SnapshotInode(const Vnode* node) const {
   return node->inode();
 }
 
+InodeStat Vfs::StatNode(const Vnode* node) const {
+  std::shared_lock<RwLock> lk(DataStripe(node->inode().ino));
+  const Inode& inode = node->inode();
+  return {.ino = inode.ino,
+          .mode = inode.mode,
+          .uid = inode.uid,
+          .gid = inode.gid,
+          .size = inode.data.size(),
+          .mtime = inode.mtime,
+          .rdev_major = inode.rdev_major,
+          .rdev_minor = inode.rdev_minor};
+}
+
 void Vfs::SetInodeMode(Vnode* node, uint32_t perms) {
   std::unique_lock<RwLock> lk(DataStripe(node->inode().ino));
   node->inode().mode = (node->inode().mode & kIfMask) | (perms & kPermMask);

@@ -335,6 +335,9 @@ class Vfs {
   // the node's data stripe so a stat sees one (mode, uid, gid): the kernel
   // must not poke node->inode() fields directly in parallel mode.
   Inode SnapshotInode(const Vnode* node) const;
+  // stat(2)'s fields alone: copies neither the contents nor the synthetic
+  // ops.
+  InodeStat StatNode(const Vnode* node) const;
   // Replaces the permission bits, preserving the file-type bits.
   void SetInodeMode(Vnode* node, uint32_t perms);
   // Changes ownership; clears setuid/setgid bits as on Linux when `clear_sbits`.

@@ -119,6 +119,17 @@ TEST(Hash, CryptRoundTrip) {
   EXPECT_FALSE(VerifyPassword("hunter2", ""));
 }
 
+// Hashes stored in shadow files must verify across releases: these were
+// computed by the printf-per-round implementation this one replaced.
+TEST(Hash, CryptOutputIsPinned) {
+  EXPECT_EQ(CryptPassword("hunter2", MakeSalt(7)), "$sim$xsm4HyAM$957ddf7214415bca");
+  EXPECT_EQ(CryptPassword("", MakeSalt(1)), "$sim$C63cjhFJ$df308ef92cc53269");
+  EXPECT_EQ(CryptPassword("correct horse battery staple", MakeSalt(1007)),
+            "$sim$JuVJxNir$cc0444fac6a699e1");
+  EXPECT_EQ(CryptPassword("pw", MakeSalt(42)), "$sim$AHlYfmof$af4a8b6cc2494916");
+  EXPECT_EQ(CryptPassword("alice-pw", "abcdEFGH"), "$sim$abcdEFGH$61e6c1a517376532");
+}
+
 TEST(Hash, SaltChangesHash) {
   EXPECT_NE(CryptPassword("pw", MakeSalt(1)), CryptPassword("pw", MakeSalt(2)));
   EXPECT_EQ(CryptPassword("pw", MakeSalt(1)), CryptPassword("pw", MakeSalt(1)));

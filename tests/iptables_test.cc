@@ -42,7 +42,8 @@ TEST(NfRuleGrammar, RejectsMalformedSpecs) {
 TEST(NfRuleGrammar, DefaultRulesSurviveTheWire) {
   // Every default Protego rule serializes and re-parses to an equivalent
   // rule (so `iptables -L` output is valid `-A` input).
-  Netfilter nf;
+  GraceDomain grace;
+  Netfilter nf(grace);
   InstallDefaultRawSocketRules(&nf);
   for (const NfRule& rule : nf.rules()) {
     auto round = ParseNfRule(SerializeNfRule(rule));

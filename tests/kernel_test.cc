@@ -183,6 +183,28 @@ TEST_F(KernelTest, CloexecFdsDropAtExec) {
   EXPECT_EQ(alice.fds.size(), 2u);   // the parent keeps both
 }
 
+// A kernel dies with tasks that still hold files and bound and raw
+// sockets. Each dying fd table folds its open-file count and releases its
+// sockets into the Network, so both outlive the task table (run under
+// ASan).
+TEST(KernelTeardownTest, TasksStillHoldingSocketsAndFiles) {
+  auto kernel = std::make_unique<Kernel>();
+  Kernel& k = *kernel;
+  k.lsm().Register(std::make_unique<CapabilityModule>());
+  ASSERT_TRUE(k.vfs().CreateFile("/motd", 0644, kRootUid, kRootGid, "hi").ok());
+  for (int t = 0; t < 3; ++t) {
+    Task& task = k.CreateTask("holder", Cred::Root(), nullptr);
+    auto bound = k.SocketCall(task, kAfInet, kSockDgram, 0);
+    ASSERT_TRUE(bound.ok());
+    ASSERT_TRUE(k.BindCall(task, bound.value(), static_cast<uint16_t>(26000 + t)).ok());
+    ASSERT_TRUE(k.SocketCall(task, kAfInet, kSockRaw, kProtoIcmp).ok());
+    ASSERT_TRUE(k.Open(task, "/motd", kORdOnly).ok());
+  }
+  EXPECT_EQ(k.OpenFileCount(), 9u);
+  EXPECT_EQ(k.net().PortOwner(kProtoUdp, 26000), kRootUid);
+  kernel.reset();
+}
+
 TEST_F(KernelTest, MkdirUnlinkRenamePermissions) {
   Task& alice = User(1000);
   EXPECT_EQ(kernel_.Mkdir(alice, "/etc/x", 0755).code(), Errno::kEACCES);

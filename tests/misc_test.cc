@@ -26,23 +26,30 @@ TEST(TerminalTest, InputQueueAndOutputCapture) {
 }
 
 TEST(FdTableTest, InstallGetCloseSemantics) {
+  GraceDomain grace;
+  Network net(grace);
   FdTable table;
   FdEntry a;
   a.kind = FdEntry::Kind::kSocket;
-  a.socket_id = 42;
-  int fd_a = table.Install(a);
+  a.socket = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/srv");
+  ASSERT_TRUE(net.Bind(*a.socket, 4000).ok());
+  const Socket* sock = a.socket.get();
+  int fd_a = table.Install(std::move(a));
   FdEntry b;
   b.cloexec = true;
   int fd_b = table.Install(b);
   EXPECT_GE(fd_a, 3);  // 0/1/2 are stdio
   EXPECT_EQ(fd_b, fd_a + 1);
   ASSERT_NE(table.Get(fd_a), nullptr);
-  EXPECT_EQ(table.Get(fd_a)->socket_id, 42);
+  EXPECT_EQ(table.Get(fd_a)->socket.get(), sock);
   EXPECT_EQ(table.Get(999), nullptr);
   table.CloseOnExec();
   EXPECT_EQ(table.Get(fd_b), nullptr);  // cloexec dropped
   EXPECT_NE(table.Get(fd_a), nullptr);  // survivor
+  EXPECT_EQ(net.PortOwner(kProtoUdp, 4000), 1000u);
   EXPECT_TRUE(table.Close(fd_a).ok());
+  // The table held the last reference: closing it released the port.
+  EXPECT_FALSE(net.PortOwner(kProtoUdp, 4000).has_value());
   EXPECT_EQ(table.Close(fd_a).code(), Errno::kEBADF);
 }
 

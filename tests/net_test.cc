@@ -19,7 +19,8 @@ Packet UdpPacket(Ipv4 dst, uint16_t dst_port, uint16_t src_port = 0) {
 }
 
 TEST(NetfilterTest, FirstMatchWinsDefaultAccept) {
-  Netfilter nf;
+  GraceDomain grace;
+  Netfilter nf(grace);
   Packet p = UdpPacket(kLocalhostIp, 53);
   EXPECT_EQ(nf.Evaluate(NfChain::kOutput, p), NfVerdict::kAccept);  // empty = accept
 
@@ -43,7 +44,8 @@ TEST(NetfilterTest, FirstMatchWinsDefaultAccept) {
 }
 
 TEST(NetfilterTest, DeleteByCommentAndCounters) {
-  Netfilter nf;
+  GraceDomain grace;
+  Netfilter nf(grace);
   NfRule r;
   r.verdict = NfVerdict::kDrop;
   r.comment = "tagged";
@@ -58,9 +60,10 @@ TEST(NetfilterTest, DeleteByCommentAndCounters) {
 }
 
 TEST(NetfilterTest, SpoofedSourcePortMatch) {
-  Network net;
-  Socket& victim = net.CreateSocket(kAfInet, kSockDgram, 0, /*owner=*/1000, "/bin/victim");
-  ASSERT_TRUE(net.Bind(victim, 4000).ok());
+  GraceDomain grace;
+  Network net(grace);
+  SocketRef victim = net.CreateSocket(kAfInet, kSockDgram, 0, /*owner=*/1000, "/bin/victim");
+  ASSERT_TRUE(net.Bind(*victim, 4000).ok());
 
   NfRule rule;
   rule.chain = NfChain::kOutput;
@@ -82,8 +85,9 @@ TEST(NetfilterTest, SpoofedSourcePortMatch) {
 }
 
 TEST(DefaultRawRules, EncodeTheSafePacketSet) {
-  Netfilter nf;
-  Network net;  // port-owner callback not needed for these cases
+  GraceDomain grace;
+  Netfilter nf(grace);
+  Network net(grace);
   nf.set_port_owner_fn([&net](int proto, uint16_t port) { return net.PortOwner(proto, port); });
   InstallDefaultRawSocketRules(&nf);
 
@@ -114,7 +118,8 @@ TEST(DefaultRawRules, EncodeTheSafePacketSet) {
 }
 
 TEST(RoutingTest, LongestPrefixMatch) {
-  RoutingTable rt;
+  GraceDomain grace;
+  RoutingTable rt(grace);
   ASSERT_TRUE(rt.Add({MakeIp(10, 0, 0, 0), 8, 0, "eth0", 0}).ok());
   ASSERT_TRUE(rt.Add({MakeIp(10, 1, 0, 0), 16, MakeIp(10, 0, 0, 1), "eth1", 0}).ok());
   EXPECT_EQ(rt.Lookup(MakeIp(10, 1, 2, 3))->dev, "eth1");
@@ -126,7 +131,8 @@ TEST(RoutingTest, LongestPrefixMatch) {
 }
 
 TEST(RoutingTest, ConflictIsOverlap) {
-  RoutingTable rt;
+  GraceDomain grace;
+  RoutingTable rt(grace);
   ASSERT_TRUE(rt.Add({MakeIp(10, 0, 0, 0), 24, 0, "eth0", 0}).ok());
   // Contained, containing, and equal prefixes all conflict.
   EXPECT_TRUE(rt.Conflicts({MakeIp(10, 0, 0, 128), 25, 0, "ppp0", 0}));
@@ -138,7 +144,8 @@ TEST(RoutingTest, ConflictIsOverlap) {
 }
 
 TEST(RoutingTest, AddRemoveErrnos) {
-  RoutingTable rt;
+  GraceDomain grace;
+  RoutingTable rt(grace);
   ASSERT_TRUE(rt.Add({MakeIp(10, 0, 0, 0), 24, 0, "eth0", 0}).ok());
   EXPECT_EQ(rt.Add({MakeIp(10, 0, 0, 0), 24, 0, "eth1", 0}).code(), Errno::kEEXIST);
   EXPECT_EQ(rt.Remove(MakeIp(10, 0, 0, 0), 16).code(), Errno::kESRCH);
@@ -161,62 +168,70 @@ TEST(RoutingTest, ParseHelpers) {
 }
 
 TEST(NetworkTest, BindConflictsAndPortOwner) {
-  Network net;
-  Socket& a = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/a");
-  Socket& b = net.CreateSocket(kAfInet, kSockStream, 0, 1001, "/b");
-  Socket& u = net.CreateSocket(kAfInet, kSockDgram, 0, 1002, "/u");
-  ASSERT_TRUE(net.Bind(a, 80).ok());
-  EXPECT_EQ(net.Bind(b, 80).code(), Errno::kEADDRINUSE);
+  GraceDomain grace;
+  Network net(grace);
+  SocketRef a = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/a");
+  SocketRef b = net.CreateSocket(kAfInet, kSockStream, 0, 1001, "/b");
+  SocketRef u = net.CreateSocket(kAfInet, kSockDgram, 0, 1002, "/u");
+  ASSERT_TRUE(net.Bind(*a, 80).ok());
+  EXPECT_EQ(net.Bind(*b, 80).code(), Errno::kEADDRINUSE);
   // Different protocol, same number: fine.
-  EXPECT_TRUE(net.Bind(u, 80).ok());
+  EXPECT_TRUE(net.Bind(*u, 80).ok());
   EXPECT_EQ(net.PortOwner(kProtoTcp, 80), 1000u);
   EXPECT_EQ(net.PortOwner(kProtoUdp, 80), 1002u);
   EXPECT_FALSE(net.PortOwner(kProtoTcp, 81).has_value());
-  // Closing releases the port.
-  net.DestroySocket(a.id);
+  // Dropping the last reference releases the port.
+  a.reset();
   EXPECT_FALSE(net.PortOwner(kProtoTcp, 80).has_value());
+  EXPECT_TRUE(net.Bind(*b, 80).ok());
 }
 
+// A socket lives as long as any reference to it: one kept by a forked
+// child's fd entry holds the port after the parent's goes.
 TEST(NetworkTest, RefcountKeepsSharedSocketsAlive) {
-  Network net;
-  Socket& s = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/x");
-  int id = s.id;
-  net.RefSocket(id);
-  net.DestroySocket(id);
-  EXPECT_NE(net.FindSocket(id), nullptr);  // one ref remains
-  net.DestroySocket(id);
-  EXPECT_EQ(net.FindSocket(id), nullptr);
+  GraceDomain grace;
+  Network net(grace);
+  SocketRef parent = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/x");
+  ASSERT_TRUE(net.Bind(*parent, 5000).ok());
+  SocketRef child = parent;
+  parent.reset();
+  EXPECT_EQ(net.PortOwner(kProtoUdp, 5000), 1000u);  // one reference remains
+  child.reset();
+  EXPECT_FALSE(net.PortOwner(kProtoUdp, 5000).has_value());
 }
 
 TEST(NetworkTest, LocalDeliveryToBoundSocket) {
-  Network net;
-  Socket& server = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/srv");
-  ASSERT_TRUE(net.Bind(server, 9999).ok());
-  Socket& client = net.CreateSocket(kAfInet, kSockDgram, 0, 1001, "/cli");
+  GraceDomain grace;
+  Network net(grace);
+  SocketRef server = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/srv");
+  ASSERT_TRUE(net.Bind(*server, 9999).ok());
+  SocketRef client = net.CreateSocket(kAfInet, kSockDgram, 0, 1001, "/cli");
   Packet p = UdpPacket(kLocalhostIp, 9999);
   p.payload = "hi";
-  ASSERT_TRUE(net.Send(client, p).ok());
-  auto got = net.Receive(server);
+  ASSERT_TRUE(net.Send(*client, p).ok());
+  auto got = net.Receive(*server);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->payload, "hi");
   EXPECT_EQ(got->sender_uid, 1001u);
-  EXPECT_FALSE(net.Receive(server).has_value());
+  EXPECT_FALSE(net.Receive(*server).has_value());
 }
 
 // Regression: local delivery matched bound_port == dst_port, so a datagram
 // to port 0 landed on every never-bound datagram socket in the namespace.
 TEST(NetworkTest, DatagramToPortZeroReachesNoUnboundSocket) {
-  Network net;
-  Socket& alice = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/alice");
-  Socket& bob = net.CreateSocket(kAfInet, kSockDgram, 0, 1001, "/bob");
-  ASSERT_TRUE(net.Send(bob, UdpPacket(kLocalhostIp, 0)).ok());
-  EXPECT_FALSE(net.Receive(alice).has_value());
-  EXPECT_FALSE(net.Receive(bob).has_value());
+  GraceDomain grace;
+  Network net(grace);
+  SocketRef alice = net.CreateSocket(kAfInet, kSockDgram, 0, 1000, "/alice");
+  SocketRef bob = net.CreateSocket(kAfInet, kSockDgram, 0, 1001, "/bob");
+  ASSERT_TRUE(net.Send(*bob, UdpPacket(kLocalhostIp, 0)).ok());
+  EXPECT_FALSE(net.Receive(*alice).has_value());
+  EXPECT_FALSE(net.Receive(*bob).has_value());
   EXPECT_EQ(net.packets_delivered(), 0u);
 }
 
 TEST(NetworkTest, RemoteHostBehaviour) {
-  Network net;
+  GraceDomain grace;
+  Network net(grace);
   RemoteHost host;
   host.ip = MakeIp(10, 0, 0, 2);
   host.hops_away = 3;
@@ -224,56 +239,58 @@ TEST(NetworkTest, RemoteHostBehaviour) {
   net.AddRemoteHost(host);
   ASSERT_TRUE(net.routes().Add({MakeIp(10, 0, 0, 0), 24, 0, "eth0", 0}).ok());
 
-  Socket& raw = net.CreateSocket(kAfInet, kSockRaw, kProtoIcmp, 1000, "/ping");
+  SocketRef raw = net.CreateSocket(kAfInet, kSockRaw, kProtoIcmp, 1000, "/ping");
   // Echo round trip.
   Packet echo;
   echo.l4_proto = kProtoIcmp;
   echo.icmp_type = kIcmpEchoRequest;
   echo.dst_ip = host.ip;
-  ASSERT_TRUE(net.Send(raw, echo).ok());
-  auto reply = net.Receive(raw);
+  ASSERT_TRUE(net.Send(*raw, echo).ok());
+  auto reply = net.Receive(*raw);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->icmp_type, kIcmpEchoReply);
   // TTL expiry en route (hops_away=3, ttl=1).
-  Socket& udp_raw = net.CreateSocket(kAfInet, kSockRaw, kProtoUdp, 1000, "/tr");
+  SocketRef udp_raw = net.CreateSocket(kAfInet, kSockRaw, kProtoUdp, 1000, "/tr");
   Packet probe = UdpPacket(host.ip, 33435);
   probe.ttl = 1;
   probe.from_raw_socket = true;
-  ASSERT_TRUE(net.Send(udp_raw, probe).ok());
+  ASSERT_TRUE(net.Send(*udp_raw, probe).ok());
   // Remote replies are queued on the sending socket (how traceroute's raw
   // socket sees the ICMP error for its own probe).
-  auto exceeded = net.Receive(udp_raw);
+  auto exceeded = net.Receive(*udp_raw);
   ASSERT_TRUE(exceeded.has_value());
   EXPECT_EQ(exceeded->icmp_type, kIcmpTimeExceeded);
   // Unroutable destination.
   Packet nowhere = UdpPacket(MakeIp(203, 0, 113, 5), 9);
-  EXPECT_EQ(net.Send(raw, nowhere).code(), Errno::kENETUNREACH);
+  EXPECT_EQ(net.Send(*raw, nowhere).code(), Errno::kENETUNREACH);
 }
 
 TEST(NetworkTest, ConnectSemantics) {
-  Network net;
+  GraceDomain grace;
+  Network net(grace);
   RemoteHost web;
   web.ip = MakeIp(93, 184, 216, 34);
   web.tcp_listening = {80};
   net.AddRemoteHost(web);
   ASSERT_TRUE(net.routes().Add({MakeIp(93, 184, 216, 0), 24, 0, "eth0", 0}).ok());
 
-  Socket& sock = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/c");
-  EXPECT_TRUE(net.Connect(sock, web.ip, 80).ok());
-  EXPECT_TRUE(sock.connected);
-  Socket& sock2 = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/c");
-  EXPECT_EQ(net.Connect(sock2, web.ip, 81).code(), Errno::kECONNREFUSED);
-  EXPECT_EQ(net.Connect(sock2, MakeIp(93, 184, 217, 1), 80).code(), Errno::kENETUNREACH);
+  SocketRef sock = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/c");
+  EXPECT_TRUE(net.Connect(*sock, web.ip, 80).ok());
+  EXPECT_TRUE(sock->connected);
+  SocketRef sock2 = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/c");
+  EXPECT_EQ(net.Connect(*sock2, web.ip, 81).code(), Errno::kECONNREFUSED);
+  EXPECT_EQ(net.Connect(*sock2, MakeIp(93, 184, 217, 1), 80).code(), Errno::kENETUNREACH);
   // Local connect requires a listener.
-  EXPECT_EQ(net.Connect(sock2, kLocalhostIp, 8080).code(), Errno::kECONNREFUSED);
-  Socket& listener = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/l");
-  ASSERT_TRUE(net.Bind(listener, 8080).ok());
-  ASSERT_TRUE(net.Listen(listener).ok());
-  EXPECT_TRUE(net.Connect(sock2, kLocalhostIp, 8080).ok());
+  EXPECT_EQ(net.Connect(*sock2, kLocalhostIp, 8080).code(), Errno::kECONNREFUSED);
+  SocketRef listener = net.CreateSocket(kAfInet, kSockStream, 0, 1000, "/l");
+  ASSERT_TRUE(net.Bind(*listener, 8080).ok());
+  ASSERT_TRUE(net.Listen(*listener).ok());
+  EXPECT_TRUE(net.Connect(*sock2, kLocalhostIp, 8080).ok());
 }
 
 TEST(PppChannelTest, UnitsAllocateSequentially) {
-  Network net;
+  GraceDomain grace;
+  Network net(grace);
   EXPECT_EQ(net.NewPppUnit().unit, 0);
   EXPECT_EQ(net.NewPppUnit().unit, 1);
   EXPECT_NE(net.FindPppUnit(0), nullptr);

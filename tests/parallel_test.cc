@@ -246,6 +246,29 @@ TEST(ParallelStress, FaultInjectionLeakFreeUnderThreads) {
 // pair. A datagram may only land on the socket bound to its destination
 // port, each private exchange arrives exactly once, and no port stays owned
 // once every socket is closed.
+// A UDP datagram from `fd` to 127.0.0.1:`port` (or `dst`:`port`).
+Result<Unit> SendUdp(Kernel& k, Task& task, int fd, uint16_t port, std::string payload,
+                     Ipv4 dst = kLocalhostIp) {
+  Packet p;
+  p.l4_proto = kProtoUdp;
+  p.dst_ip = dst;
+  p.dst_port = port;
+  p.payload = std::move(payload);
+  return k.SendCall(task, fd, std::move(p));
+}
+
+// Every packet in `fd`'s queue.
+std::vector<Packet> Drain(Kernel& k, Task& task, int fd) {
+  std::vector<Packet> got;
+  for (;;) {
+    auto r = k.RecvCall(task, fd);
+    if (!r.ok() || !r.value().has_value()) {
+      return got;
+    }
+    got.push_back(std::move(*r.value()));
+  }
+}
+
 TEST(ParallelStress, NetworkBindSendCloseChurn) {
   constexpr int kThreads = 4;
   constexpr int kRounds = 400;
@@ -267,25 +290,11 @@ TEST(ParallelStress, NetworkBindSendCloseChurn) {
     Task* task = &k.CreateTask("net" + std::to_string(t), Cred::Root(), nullptr);
     sched.StartTask(task->pid, [&, task, t] {
       auto send = [&](int fd, int dst_port, const std::string& payload) {
-        Packet p;
-        p.l4_proto = kProtoUdp;
-        p.dst_ip = kLocalhostIp;
-        p.dst_port = static_cast<uint16_t>(dst_port);
-        p.payload = payload;
-        if (!k.SendCall(*task, fd, std::move(p)).ok()) {
+        if (!SendUdp(k, *task, fd, static_cast<uint16_t>(dst_port), payload).ok()) {
           ++errors;
         }
       };
-      auto drain = [&](int fd) {
-        std::vector<Packet> got;
-        for (;;) {
-          auto r = k.RecvCall(*task, fd);
-          if (!r.ok() || !r.value().has_value()) {
-            return got;
-          }
-          got.push_back(std::move(*r.value()));
-        }
-      };
+      auto drain = [&](int fd) { return Drain(k, *task, fd); };
       auto srv = k.SocketCall(*task, kAfInet, kSockDgram, 0);
       auto cli = k.SocketCall(*task, kAfInet, kSockDgram, 0);
       if (!srv.ok() || !cli.ok() ||
@@ -361,6 +370,203 @@ TEST(ParallelStress, NetworkBindSendCloseChurn) {
     EXPECT_FALSE(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(kSrvBase + t)).has_value());
     EXPECT_FALSE(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(kCliBase + t)).has_value());
   }
+}
+
+// Four tasks each churn socket/bind/close on a private port while they
+// exchange datagrams on two persistent sockets. A socket dies with the fd
+// entry that holds it, so afterwards only the persistent ports are owned,
+// and every datagram sent reached its one receiver.
+TEST(ParallelStress, SocketChurnWithTraffic) {
+  constexpr int kTasks = 4;
+  constexpr int kCycles = 2000;
+  constexpr int kChurnBase = 33000;
+  constexpr int kSrvBase = 34000;
+  constexpr int kCliBase = 35000;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  std::atomic<int> errors{0};
+  std::atomic<uint64_t> sent{0};
+  std::atomic<uint64_t> received{0};
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  for (int t = 0; t < kTasks; ++t) {
+    Task* task = &k.CreateTask("churn" + std::to_string(t), Cred::ForUser(1000 + t, 1000),
+                               nullptr);
+    bodies.emplace_back(task, [&, task, t] {
+      const auto srv_port = static_cast<uint16_t>(kSrvBase + t);
+      auto srv = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+      auto cli = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+      if (!srv.ok() || !cli.ok() || !k.BindCall(*task, srv.value(), srv_port).ok() ||
+          !k.BindCall(*task, cli.value(), static_cast<uint16_t>(kCliBase + t)).ok()) {
+        ++errors;
+        return;
+      }
+      for (int c = 0; c < kCycles; ++c) {
+        auto fd = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+        if (!fd.ok() ||
+            !k.BindCall(*task, fd.value(), static_cast<uint16_t>(kChurnBase + t)).ok() ||
+            !k.Close(*task, fd.value()).ok()) {
+          ++errors;
+        }
+        if (SendUdp(k, *task, cli.value(), srv_port, "dgram").ok()) {
+          ++sent;
+        } else {
+          ++errors;
+        }
+        received += Drain(k, *task, srv.value()).size();
+      }
+    });
+  }
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(sent.load(), uint64_t{kTasks} * kCycles);
+  EXPECT_EQ(received.load(), sent.load());
+  EXPECT_EQ(k.net().packets_delivered(), sent.load());
+  for (int t = 0; t < kTasks; ++t) {
+    EXPECT_FALSE(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(kChurnBase + t)).has_value());
+    EXPECT_EQ(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(kSrvBase + t)), Uid(1000 + t));
+    EXPECT_EQ(k.net().PortOwner(kProtoUdp, static_cast<uint16_t>(kCliBase + t)), Uid(1000 + t));
+  }
+}
+
+// A forked child's fd entry holds a reference to the socket it inherits:
+// the parent's close leaves the port owned and the child's copy working,
+// and reaping the child releases it. An exec that drops the last
+// reference, held by a close-on-exec entry, releases it too.
+TEST(ParallelStress, ForkSharedSocketOutlivesTheParentsClose) {
+  constexpr uint16_t kShared = 36000;
+  constexpr uint16_t kCloexec = 36001;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  std::atomic<bool> parent_closed{false};
+  std::atomic<int> child_got{-1};
+  ASSERT_TRUE(k.InstallBinary("/bin/echoself", 0755, kRootUid, kRootGid,
+                              [&](ProcessContext& ctx) {
+                                const int fd = std::stoi(ctx.argv.at(1));
+                                while (!parent_closed.load()) {
+                                  (void)ctx.kernel.GetPid(ctx.task);  // a yield point
+                                }
+                                // The datagram loops back to the inherited socket,
+                                // which still owns the port.
+                                if (!SendUdp(ctx.kernel, ctx.task, fd, kShared, "self").ok()) {
+                                  return 1;
+                                }
+                                child_got = static_cast<int>(
+                                    Drain(ctx.kernel, ctx.task, fd).size());
+                                return 0;
+                              })
+                  .ok());
+  std::atomic<bool> released_at_exec{false};
+  ASSERT_TRUE(k.InstallBinary("/bin/portprobe", 0755, kRootUid, kRootGid,
+                              [&](ProcessContext& ctx) {
+                                released_at_exec =
+                                    !ctx.kernel.net().PortOwner(kProtoUdp, kCloexec).has_value();
+                                return 0;
+                              })
+                  .ok());
+  Task* parent = &k.CreateTask("parent", Cred::ForUser(1000, 1000), nullptr);
+  std::atomic<int> errors{0};
+  RunTasks(k, {{parent, [&] {
+                  auto fd = k.SocketCall(*parent, kAfInet, kSockDgram, 0);
+                  if (!fd.ok() || !k.BindCall(*parent, fd.value(), kShared).ok()) {
+                    ++errors;
+                    return;
+                  }
+                  auto child = k.SpawnAsync(*parent, "/bin/echoself",
+                                            {"echoself", std::to_string(fd.value())}, {});
+                  if (!child.ok() || !k.Close(*parent, fd.value()).ok()) {
+                    ++errors;
+                    return;
+                  }
+                  if (k.net().PortOwner(kProtoUdp, kShared) != Uid(1000)) {
+                    ++errors;
+                  }
+                  parent_closed = true;
+                  auto status = k.WaitPid(*parent, child.value());
+                  if (!status.ok() || status.value() != 0) {
+                    ++errors;
+                  }
+                  // The reaped child held the last reference.
+                  if (k.net().PortOwner(kProtoUdp, kShared).has_value()) {
+                    ++errors;
+                  }
+
+                  auto doomed = k.SocketCall(*parent, kAfInet, kSockDgram, 0);
+                  if (!doomed.ok() || !k.BindCall(*parent, doomed.value(), kCloexec).ok()) {
+                    ++errors;
+                    return;
+                  }
+                  parent->fds.Get(doomed.value())->cloexec = true;  // SOCK_CLOEXEC
+                  if (!k.Execve(*parent, "/bin/portprobe", {"portprobe"}, {}).ok()) {
+                    ++errors;
+                  }
+                }}});
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(child_got.load(), 1);
+  EXPECT_TRUE(released_at_exec.load());
+  EXPECT_FALSE(k.net().PortOwner(kProtoUdp, kCloexec).has_value());
+}
+
+// One task opens and closes raw ICMP sockets while three others send ICMP
+// to 127.0.0.1. Local delivery walks the raw list without a lock, so a
+// delivery may still be queueing on a socket whose last reference just
+// went: the socket is freed through the grace period (ASan and TSan see a
+// use-after-free here otherwise). Once the traffic stops, one reclaim pass
+// frees every retired socket and list.
+TEST(ParallelStress, RawSocketCloseDuringDelivery) {
+  constexpr int kSenders = 3;
+  constexpr int kChurns = 2000;
+  constexpr int kMinSends = 200;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  std::atomic<bool> churning{true};
+  std::atomic<int> errors{0};
+  std::atomic<uint64_t> sniffed{0};
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  Task* churner = &k.CreateTask("sniffer", Cred::Root(), nullptr);
+  bodies.emplace_back(churner, [&] {
+    for (int i = 0; i < kChurns; ++i) {
+      auto fd = k.SocketCall(*churner, kAfInet, kSockRaw, kProtoIcmp);
+      if (!fd.ok()) {
+        ++errors;
+        continue;
+      }
+      sniffed += Drain(k, *churner, fd.value()).size();
+      if (!k.Close(*churner, fd.value()).ok()) {
+        ++errors;
+      }
+    }
+    churning = false;
+  });
+  for (int t = 0; t < kSenders; ++t) {
+    Task* sender = &k.CreateTask("ping" + std::to_string(t), Cred::Root(), nullptr);
+    bodies.emplace_back(sender, [&, sender] {
+      auto fd = k.SocketCall(*sender, kAfInet, kSockRaw, kProtoIcmp);
+      if (!fd.ok()) {
+        ++errors;
+        return;
+      }
+      for (int i = 0; i < kMinSends || churning.load(); ++i) {
+        Packet echo;
+        echo.l4_proto = kProtoIcmp;
+        echo.icmp_type = kIcmpEchoRequest;
+        echo.dst_ip = kLocalhostIp;
+        if (!k.SendCall(*sender, fd.value(), std::move(echo)).ok()) {
+          ++errors;
+        }
+        (void)Drain(k, *sender, fd.value());
+      }
+      if (!k.Close(*sender, fd.value()).ok()) {
+        ++errors;
+      }
+    });
+  }
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(errors.load(), 0);
+  k.grace().Reclaim();
+  EXPECT_EQ(k.vfs().grace_pending(), 0u);
 }
 
 // --- Race corpus re-run with real threads ------------------------------------
@@ -824,6 +1030,107 @@ TEST(ParallelPolicySwap, VerdictsMatchOldOrNewPolicy) {
   EXPECT_EQ(k.vfs().grace_pending(), 0u);
 }
 
+// Four tasks send while a writer alternates a netfilter rule, a route and a
+// local address 200 times. Each table is one snapshot that a packet reads
+// inside its send's read section, so every outcome is the old table's or
+// the new one's: the rule drops the datagram or it arrives once, the
+// route yields the remote echo or ENETUNREACH, and the address delivers
+// locally or is unroutable. No reader takes a writer's lock, and once the
+// traffic stops one reclaim pass frees every retired snapshot.
+TEST(ParallelPolicySwap, NetTablesMatchOldOrNew) {
+  constexpr int kSenders = 4;
+  constexpr int kToggles = 200;
+  constexpr int kMinRounds = 100;
+  constexpr int kNfBase = 37000;
+  constexpr int kAddrBase = 37100;
+  const Ipv4 kRemote = MakeIp(10, 9, 0, 5);
+  const Ipv4 kAlias = MakeIp(10, 0, 0, 77);
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  RemoteHost echo_host;
+  echo_host.ip = kRemote;
+  echo_host.udp_echo = {7};
+  k.net().AddRemoteHost(echo_host);
+  const NfRule drop =
+      ParseNfRule("chain=OUTPUT proto=udp dport=37000:37003 verdict=DROP comment=toggle").value();
+
+  std::atomic<bool> toggling{true};
+  std::atomic<int> errors{0};
+  std::atomic<int> neither{0};
+  std::atomic<int> outcomes[3][2] = {};  // [rule, route, address][old, new]
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  for (int t = 0; t < kSenders; ++t) {
+    Task* task = &k.CreateTask("sender" + std::to_string(t), Cred::Root(), nullptr);
+    bodies.emplace_back(task, [&, task, t] {
+      const auto nf_port = static_cast<uint16_t>(kNfBase + t);
+      const auto addr_port = static_cast<uint16_t>(kAddrBase + t);
+      auto cli = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+      auto nf_srv = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+      auto addr_srv = k.SocketCall(*task, kAfInet, kSockDgram, 0);
+      if (!cli.ok() || !nf_srv.ok() || !addr_srv.ok() ||
+          !k.BindCall(*task, nf_srv.value(), nf_port).ok() ||
+          !k.BindCall(*task, addr_srv.value(), addr_port).ok()) {
+        ++errors;
+        return;
+      }
+      auto tally = [&](int table, bool ok_old, bool ok_new) {
+        ++(ok_old ? outcomes[table][0] : ok_new ? outcomes[table][1] : neither);
+      };
+      for (int i = 0; i < kMinRounds || toggling.load(); ++i) {
+        // Netfilter: accepted (no rule) and delivered once, or dropped.
+        auto sent = SendUdp(k, *task, cli.value(), nf_port, "nf");
+        const size_t got = Drain(k, *task, nf_srv.value()).size();
+        tally(0, sent.ok() && got == 1, sent.ok() && got == 0);
+        // Routing: the remote host echoes, or the route is gone.
+        sent = SendUdp(k, *task, cli.value(), 7, "route", kRemote);
+        const size_t echoed = Drain(k, *task, cli.value()).size();
+        tally(1, sent.ok() && echoed == 1, sent.code() == Errno::kENETUNREACH && echoed == 0);
+        // Local address: delivered locally, or not an address and unroutable.
+        sent = SendUdp(k, *task, cli.value(), addr_port, "addr", kAlias);
+        const size_t local = Drain(k, *task, addr_srv.value()).size();
+        tally(2, sent.ok() && local == 1, sent.code() == Errno::kENETUNREACH && local == 0);
+      }
+    });
+  }
+  Task* admin = &k.CreateTask("admin", Cred::Root(), nullptr);
+  bodies.emplace_back(admin, [&] {
+    for (int i = 0; i < kToggles; ++i) {
+      // Even toggles install the new tables, odd ones restore the old.
+      if (i % 2 == 0) {
+        k.net().netfilter().Append(drop);
+        if (!k.net().routes().Remove(MakeIp(10, 9, 0, 0), 16).ok()) {
+          ++errors;
+        }
+        k.net().RemoveLocalAddress(kAlias);
+      } else {
+        if (k.net().netfilter().DeleteByComment("toggle") != 1 ||
+            !k.net().routes().Add({MakeIp(10, 9, 0, 0), 16, 0, "eth0", kRootUid}).ok()) {
+          ++errors;
+        }
+        k.net().AddLocalAddress(kAlias);
+      }
+      (void)k.GetPid(*admin);  // a DetScheduler yield point
+    }
+    toggling = false;
+  });
+  ASSERT_TRUE(k.net().routes().Add({MakeIp(10, 9, 0, 0), 16, 0, "eth0", kRootUid}).ok());
+  k.net().AddLocalAddress(kAlias);
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(neither.load(), 0);
+  for (int table = 0; table < 3; ++table) {
+    EXPECT_GE(outcomes[table][0].load() + outcomes[table][1].load(), kSenders * kMinRounds)
+        << table;
+  }
+  EXPECT_EQ(k.net().netfilter().rules_lock_counts().contended, 0u);
+  EXPECT_EQ(k.net().routes().lock_counts().contended, 0u);
+  EXPECT_EQ(k.net().topo_lock_counts().contended, 0u);
+  EXPECT_EQ(k.net().raw_lock_counts().contended, 0u);
+  k.grace().Reclaim();
+  EXPECT_EQ(k.vfs().grace_pending(), 0u);
+}
+
 // --- Trusted services and the audit ring under parallel tasks ---------------
 
 // Four root tasks append to four different watched files at once. Each
@@ -1118,11 +1425,19 @@ TEST(ParallelStress, SiblingSpoolWritersWithWalkers) {
   std::atomic<int> wrong{0};
   std::atomic<int> moves{0};
   std::atomic<int> mounts{0};
+  // The writers start once the mover and the mounter have each run, so the
+  // spool traffic always overlaps both; a writer that finished first left
+  // them nothing to race.
+  std::atomic<bool> mover_ran{false};
+  std::atomic<bool> mounter_ran{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t] {
       const std::string tmp = spools[t] + "/in.tmp";
       const std::string msg = spools[t] + "/msg";
+      while (!mover_ran.load() || !mounter_ran.load()) {
+        std::this_thread::yield();
+      }
       for (int c = 0; c < kCycles; ++c) {
         auto node = vfs.CreateFile(tmp, 0600, 0, 0);
         const bool ok = node.ok() && vfs.WriteNode(node.value(), "body\n", false).ok() &&
@@ -1191,6 +1506,7 @@ TEST(ParallelStress, SiblingSpoolWritersWithWalkers) {
       } else {
         ++failed;
       }
+      mover_ran = true;
     }
   });
   threads.emplace_back([&] {
@@ -1201,6 +1517,7 @@ TEST(ParallelStress, SiblingSpoolWritersWithWalkers) {
       } else {
         ++failed;
       }
+      mounter_ran = true;
     }
   });
   for (std::thread& t : threads) {

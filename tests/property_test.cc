@@ -29,9 +29,10 @@ TEST_P(RouteConflictProperty, SymmetricAndReflexive) {
                "a", 0};
   RouteEntry b{static_cast<Ipv4>(Next(&seed)), static_cast<int>(Next(&seed) % 25 + 8), 0,
                "b", 0};
-  RoutingTable with_a;
+  GraceDomain grace;
+  RoutingTable with_a(grace);
   ASSERT_TRUE(with_a.Add(a).ok());
-  RoutingTable with_b;
+  RoutingTable with_b(grace);
   ASSERT_TRUE(with_b.Add(b).ok());
   // Symmetry: a conflicts with b iff b conflicts with a.
   EXPECT_EQ(with_a.Conflicts(b), with_b.Conflicts(a)) << a.ToString() << " vs "
@@ -53,7 +54,8 @@ class RawRulesetProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RawRulesetProperty, NonRawTrafficUnaffectedRawTcpAlwaysDropped) {
   uint64_t seed = GetParam() * 7919;
-  Netfilter nf;
+  GraceDomain grace;
+  Netfilter nf(grace);
   InstallDefaultRawSocketRules(&nf);
   for (int i = 0; i < 64; ++i) {
     Packet p;

@@ -130,7 +130,8 @@ TEST(TracerTest, EnableBitsGateEmission) {
 TEST(TracerTest, NetfilterEmitsVerdictEvents) {
   Clock clock;
   Tracer tracer(&clock, 16);
-  Netfilter nf;
+  GraceDomain grace;
+  Netfilter nf(grace);
   nf.set_tracer(&tracer);
 
   NfRule rule;
