@@ -6,23 +6,6 @@
 
 namespace protego {
 
-namespace {
-
-// FNV-1a continued over `data` from state `h`.
-uint64_t Fnv1aFrom(uint64_t h, std::string_view data) {
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-
-}  // namespace
-
-uint64_t Fnv1a(std::string_view data) { return Fnv1aFrom(kFnvOffsetBasis, data); }
-
 std::string MakeSalt(uint64_t seed) {
   static const char kAlphabet[] =
       "./0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
@@ -50,7 +33,7 @@ std::string CryptPassword(std::string_view password, std::string_view salt) {
     for (int i = 15; i >= 0; --i, digits >>= 4) {
       hex[i] = "0123456789abcdef"[digits & 0xf];
     }
-    h = Fnv1aFrom(Fnv1aFrom(kFnvOffsetBasis, {hex, sizeof(hex)}), material);
+    h = Fnv1aFrom(Fnv1aFrom(kFnv1aOffsetBasis, {hex, sizeof(hex)}), material);
   }
   return StrFormat("$sim$%s$%016llx", std::string(salt).c_str(),
                    static_cast<unsigned long long>(h));

@@ -15,8 +15,19 @@
 
 namespace protego {
 
-// 64-bit FNV-1a.
-uint64_t Fnv1a(std::string_view data);
+// 64-bit FNV-1a, continued over `data` from state `h`; Fnv1a starts from
+// the offset basis. Inline: every path-walk component hashes its name.
+inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
+
+constexpr uint64_t Fnv1aFrom(uint64_t h, std::string_view data) {
+  for (unsigned char c : data) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t Fnv1a(std::string_view data) { return Fnv1aFrom(kFnv1aOffsetBasis, data); }
 
 // Produces a shadow-style hash string "$sim$<salt>$<hex>".
 std::string CryptPassword(std::string_view password, std::string_view salt);

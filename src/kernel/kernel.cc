@@ -116,9 +116,9 @@ void Kernel::CollectKernelMetrics(MetricsBuilder& b) const {
   CollectLock(b, "net_topo", net_.topo_lock_counts());
   CollectLock(b, "binary_registry", registry_mu_.counts());
   b.Gauge("protego_vfs_grace_pending",
-          "Objects retired through the kernel's grace period (directory listings, names, mount "
-          "rows, watch lists, policy, netfilter, route, address, host and raw-list snapshots, "
-          "closed raw sockets) and not yet freed.",
+          "Objects retired through the kernel's grace period (directory nodes, names, mount "
+          "rows, watch lists, policy, AppArmor profile, binary filter, netfilter, route, address, "
+          "host and raw-list snapshots, closed raw sockets) and not yet freed.",
           {}, static_cast<double>(vfs_.grace_pending()));
   b.Gauge("protego_open_files", "Open file descriptions across all tasks.", {},
           static_cast<double>(OpenFileCount()));
@@ -170,7 +170,9 @@ void Kernel::ReapTask(int pid) {
   }
   task_count_.fetch_sub(1, std::memory_order_relaxed);
   // Exit drops any advisory file locks the task still held.
-  ReleaseFileLocks(pid);
+  if (victim->took_flock) {
+    ReleaseFileLocks(pid);
+  }
   // The task is destroyed outside the shard lock: its fd table closes its
   // descriptors, and the last reference to a socket releases its port.
 }
@@ -178,27 +180,25 @@ void Kernel::ReapTask(int pid) {
 Result<Unit> Kernel::InstallBinary(const std::string& path, uint32_t mode, Uid uid, Gid gid,
                                    ProgramMain main) {
   RETURN_IF_ERROR(vfs_.EnsureDirs(DirPathOf(path)));
-  ASSIGN_OR_RETURN(Vnode * node, vfs_.CreateFile(path, mode, uid, gid, "\177ELF " + path));
-  vfs_.SetInodeMode(node, mode);
-  std::string canonical = vfs_.PathOf(node);
+  auto program = std::make_unique<Program>(std::move(main));
+  Inode inode(kIfReg | (mode & kPermMask), uid, gid, "\177ELF " + path);
+  inode.program = program.get();
+  RETURN_IF_ERROR(vfs_.CreateAt(vfs_.Walk("/", path, /*follow=*/false), std::move(inode)));
   std::unique_lock<RwLock> lk(registry_mu_);
-  binaries_[std::move(canonical)] = BinaryEntry{std::move(main), CapSet{}};
+  programs_.push_back(std::move(program));
   return OkUnit();
 }
 
 void Kernel::SetFileCaps(const std::string& path, CapSet caps) {
-  std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
-  std::unique_lock<RwLock> lk(registry_mu_);
-  auto it = binaries_.find(canonical);
-  if (it != binaries_.end()) {
-    it->second.file_caps = caps;
+  WalkResult w = vfs_.Walk("/", path, /*follow=*/true);
+  if (w.err == Errno::kOk && w.node->inode().program != nullptr) {
+    w.node->inode().program->file_caps.store(caps, std::memory_order_relaxed);
   }
 }
 
 bool Kernel::HasBinary(const std::string& path) const {
-  std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
-  std::shared_lock<RwLock> lk(registry_mu_);
-  return binaries_.count(canonical) != 0;
+  WalkResult w = vfs_.Walk("/", path, /*follow=*/true);
+  return w.err == Errno::kOk && w.node->inode().program != nullptr;
 }
 
 Result<Unit> Kernel::CheckDirWrite(Task& task, const WalkResult& w) {
@@ -651,6 +651,7 @@ Result<Unit> Kernel::FlockImpl(Task& task, int fd, int op) {
       }
     }
     if (acquired) {
+      task.took_flock = true;
       if (downgraded) {
         if (TaskScheduler* sched = gate_.scheduler()) {
           sched->Signal(kWaitKeyFileLock | ino);  // downgrade admits other readers
@@ -1189,14 +1190,14 @@ void Kernel::RegisterBinaryFilter(const std::string& path, SeccompFilter filter)
   // Keyed by the canonical path, which a missing binary also has: the
   // directory's canonical path and the binary's name.
   std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
+  auto shared = std::make_shared<const SeccompFilter>(std::move(filter));
   std::unique_lock<RwLock> lk(registry_mu_);
-  binary_filters_[std::move(canonical)] =
-      std::make_shared<const SeccompFilter>(std::move(filter));
+  binary_filters_.Update([&](BinaryFilters& filters) { filters[canonical] = std::move(shared); });
 }
 
 void Kernel::ClearBinaryFilters() {
   std::unique_lock<RwLock> lk(registry_mu_);
-  binary_filters_.clear();
+  binary_filters_.Publish(BinaryFilters());
 }
 
 // --- exec ------------------------------------------------------------------------
@@ -1293,7 +1294,13 @@ Result<int> Kernel::SpawnAsyncImpl(Task& parent, const std::string& path,
       std::lock_guard<std::mutex> lk(exit_mu_);
       exit_records_[child_pid] = std::move(rec);
     }
-    ReleaseFileLocks(child_pid);  // exit drops advisory locks even pre-reap
+    // Exit closes the descriptors and drops advisory locks before the
+    // parent reaps (Linux's exit_files), so ports and the file-max share
+    // come back while the task is a zombie.
+    child_task->fds.CloseAll();
+    if (child_task->took_flock) {
+      ReleaseFileLocks(child_pid);
+    }
     TaskScheduler* s = gate_.scheduler();
     if (s != nullptr) {
       s->Signal(kWaitKeyChildExit | static_cast<uint32_t>(child_pid));
@@ -1366,14 +1373,11 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
     return Error(Errno::kEACCES, full);
   }
   RETURN_IF_ERROR(CheckPermission(task, full, inode, kMayExec));
-  BinaryEntry bin;
-  {
-    std::shared_lock<RwLock> lk(registry_mu_);
-    auto bin_it = binaries_.find(full);
-    if (bin_it == binaries_.end()) {
-      return Error(Errno::kENOEXEC, full);
-    }
-    bin = bin_it->second;  // copy: the program main runs for a long time
+  // The program hangs off the inode the walk reached, and lives as long as
+  // the kernel: its main runs without a copy or a lock.
+  const Program* program = inode.program;
+  if (program == nullptr) {
+    return Error(Errno::kENOEXEC, full);
   }
 
   // Provisional post-exec credentials: the setuid/setgid bits (the exact
@@ -1393,8 +1397,8 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
     new_cred.permitted = CapSet::All();
     new_cred.effective = CapSet::All();
   } else {
-    new_cred.permitted = bin.file_caps;
-    new_cred.effective = bin.file_caps;
+    new_cred.permitted = program->file_caps.load(std::memory_order_relaxed);
+    new_cred.effective = new_cred.permitted;
   }
 
   ExecControl control;
@@ -1419,12 +1423,11 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
   // strangle the target it execs). Self-installs via SeccompSetFilter keep
   // the one-way intersection latch.
   {
-    std::shared_lock<RwLock> lk(registry_mu_);
-    if (!binary_filters_.empty()) {
-      auto fit = binary_filters_.find(full);
-      if (fit != binary_filters_.end()) {
-        task.seccomp = fit->second;
-      }
+    GraceDomain::Section section(binary_filters_.grace());
+    const BinaryFilters& filters = binary_filters_.Read();
+    auto fit = filters.find(full);
+    if (fit != filters.end()) {
+      task.seccomp = fit->second;
     }
   }
   if (TraceCredOn()) {
@@ -1440,7 +1443,7 @@ Result<int> Kernel::ExecveImpl(Task& task, const std::string& path, std::vector<
   }
 
   ProcessContext ctx{*this, task, std::move(argv), std::move(env)};
-  return bin.main(ctx);
+  return program->main(ctx);
 }
 
 // --- Network -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
-// The simulated kernel: syscall surface, process table, binary registry,
-// execve with real setuid-bit semantics, and the integration of DAC,
-// capability checks, and the LSM stack at each decision point.
+// The simulated kernel: syscall surface, process table, installed programs
+// (hung off their files' inodes), execve with real setuid-bit semantics, and
+// the integration of DAC, capability checks, and the LSM stack at each
+// decision point.
 //
 // Policy layering mirrors Linux: each syscall consults the LSM stack first;
 // a kDeny refuses, a kAllow grants past the legacy capability check (the
@@ -26,6 +27,7 @@
 #include "src/base/clock.h"
 #include "src/base/grace.h"
 #include "src/base/metrics.h"
+#include "src/base/published.h"
 #include "src/base/result.h"
 #include "src/base/rw_lock.h"
 #include "src/base/tracepoint.h"
@@ -67,6 +69,16 @@ struct ProcessContext {
 
 // Entry point of a simulated userspace binary.
 using ProgramMain = std::function<int(ProcessContext&)>;
+
+// An installed program, hung off its file's inode (Inode::program) before
+// the file is linked, as Linux's exec runs bprm->file with the capabilities
+// of that inode's security.capability. Exec reaches it through its walk and
+// takes no lock; it lives until the kernel dies.
+struct Program {
+  explicit Program(ProgramMain program_main) : main(std::move(program_main)) {}
+  const ProgramMain main;
+  std::atomic<CapSet> file_caps{CapSet{}};  // setcap: granted at exec when not setuid-root
+};
 
 // stat(2) result.
 using KernelStat = InodeStat;
@@ -160,11 +172,13 @@ class Kernel {
   // --- Binaries --------------------------------------------------------------
 
   // Installs a program: creates its VFS inode (mode decides the setuid bit)
-  // and registers the entry point.
+  // with the entry point hung off it.
   Result<Unit> InstallBinary(const std::string& path, uint32_t mode, Uid uid, Gid gid,
                              ProgramMain main);
-  // setcap analog: file capabilities granted at exec when not setuid-root.
+  // setcap analog: file capabilities granted at exec when not setuid-root,
+  // set on the program `path` walks to (a no-op on any other file).
   void SetFileCaps(const std::string& path, CapSet caps);
+  // Whether `path` walks to an installed program.
   bool HasBinary(const std::string& path) const;
 
   // fork + execve + waitpid in one step: runs `path` as a child of `parent`
@@ -299,7 +313,8 @@ class Kernel {
 
   // Registers a synthesized per-binary filter, attached at execve of `path`
   // as a profile TRANSITION (replaces the inherited filter, AppArmor-style —
-  // the latch applies to self-installs, not registry attachment).
+  // the latch applies to self-installs, not registry attachment). Exec reads
+  // the filters from a Published snapshot.
   void RegisterBinaryFilter(const std::string& path, SeccompFilter filter);
   void ClearBinaryFilters();
 
@@ -349,11 +364,6 @@ class Kernel {
   Result<Unit> CheckPermission(Task& task, const std::string& path, const Inode& inode, int may);
 
  private:
-  struct BinaryEntry {
-    ProgramMain main;
-    CapSet file_caps;
-  };
-
   // Applies Linux's capability recomputation when uids change via setuid().
   static void RecomputeCapsAfterSetuid(Cred& cred, Uid old_euid);
 
@@ -403,7 +413,7 @@ class Kernel {
   Result<Unit> SymlinkImpl(Task& task, const std::string& target, const std::string& linkpath);
   Result<Unit> FlockImpl(Task& task, int fd, int op);
   // Drops every advisory lock held by `pid` and wakes its waiters (process
-  // exit semantics, called from ReapTask).
+  // exit semantics, called from ReapTask for a task that took a flock).
   void ReleaseFileLocks(int pid);
   void EmitFileLockEvent(const Task& task, const char* op, const std::string& path,
                          uint64_t ino, const char* outcome);
@@ -465,9 +475,10 @@ class Kernel {
   // task creation/lookup/reap on different pids contention-free when task
   // threads enter the kernel concurrently (ExecMode::kParallel); a task's
   // OWN fields (creds, fd table, cwd) are still single-writer — only the
-  // owning task thread mutates them, which is the Linux model.
+  // owning task thread mutates them, which is the Linux model. One cache
+  // line per shard, so neighbouring shards' locks share none.
   static constexpr size_t kTaskShards = 16;
-  struct TaskShard {
+  struct alignas(64) TaskShard {
     mutable std::mutex mu;
     std::map<int, std::unique_ptr<Task>> tasks;
   };
@@ -493,14 +504,18 @@ class Kernel {
   mutable TaskShard task_shards_[kTaskShards];
   std::atomic<uint64_t> task_count_{0};   // live tasks across all shards
   // Read-mostly registries: populated at boot (unique lock), consulted on
-  // every execve/mount/ioctl (shared lock, entry copied out so the callable
-  // runs lock-free — program mains nest further syscalls).
+  // every mount/ioctl (shared lock, entry copied out so the callable runs
+  // lock-free — handlers nest further syscalls). The lock also serializes
+  // the writers of the programs and the binary filters.
   mutable RwLock registry_mu_;
-  std::map<std::string, BinaryEntry> binaries_;
   std::map<std::string, FsTypeFactory> fs_types_;
   std::map<uint64_t, IoctlHandler> ioctl_handlers_;  // (major<<32)|minor
-  // Synthesized per-binary filters attached at execve (profile transition).
-  std::map<std::string, std::shared_ptr<const SeccompFilter>> binary_filters_;
+  // Every program ever installed; inodes point at them.
+  std::vector<std::unique_ptr<Program>> programs_;
+  // Synthesized per-binary filters attached at execve (profile transition),
+  // by canonical path, read in a section of the kernel's grace period.
+  using BinaryFilters = std::map<std::string, std::shared_ptr<const SeccompFilter>>;
+  Published<BinaryFilters> binary_filters_{vfs_.grace()};
   AuthAgent auth_agent_;
   AuthObserver auth_observer_;
   std::mutex exit_mu_;  // guards exit_records_; also orders stdout_buf handoff

@@ -261,6 +261,10 @@ struct Task {
   // narrowed by Kernel::SeccompSetFilter.
   std::shared_ptr<const SeccompFilter> seccomp;
 
+  // Set when the task first takes a flock: only such a task's exit scans
+  // the lock table, as Linux's exit skips inodes that hold no locks.
+  bool took_flock = false;
+
   // Captured standard streams (also mirrored to the terminal if any).
   std::string stdout_buf;
   std::string stderr_buf;

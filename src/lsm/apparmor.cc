@@ -5,22 +5,38 @@
 namespace protego {
 
 void AppArmorModule::LoadProfile(AaProfile profile) {
-  std::string key = profile.binary;
-  profiles_[key] = std::move(profile);
+  std::lock_guard<std::mutex> lk(mu_);
+  profiles_.Update([&](Profiles& profiles) {
+    std::string key = profile.binary;
+    profiles[key] = std::move(profile);
+  });
+  any_profile_.store(true, std::memory_order_release);
   BumpPolicyGeneration();
 }
 
 void AppArmorModule::RemoveProfile(const std::string& binary) {
-  profiles_.erase(binary);
+  std::lock_guard<std::mutex> lk(mu_);
+  profiles_.Update([&](Profiles& profiles) { profiles.erase(binary); });
+  any_profile_.store(!profiles_.Read().empty(), std::memory_order_release);
   BumpPolicyGeneration();
 }
 
 const AaProfile* AppArmorModule::FindProfile(const std::string& binary) const {
-  auto it = profiles_.find(binary);
-  return it == profiles_.end() ? nullptr : &it->second;
+  const Profiles& profiles = profiles_.Read();
+  auto it = profiles.find(binary);
+  return it == profiles.end() ? nullptr : &it->second;
+}
+
+size_t AppArmorModule::profile_count() const {
+  GraceDomain::Section section(profiles_.grace());
+  return profiles_.Read().size();
 }
 
 bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
+  if (!any_profile_.load(std::memory_order_acquire)) {
+    return true;  // unconfined
+  }
+  GraceDomain::Section section(profiles_.grace());
   const AaProfile* profile = FindProfile(task.exe_path);
   if (profile == nullptr || !profile->bound_caps) {
     return true;  // unconfined
@@ -36,6 +52,10 @@ bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
 HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
                                             const Inode& inode, int may, bool* /*unused*/) {
   (void)inode;
+  if (!any_profile_.load(std::memory_order_acquire)) {
+    return HookVerdict::kDefault;
+  }
+  GraceDomain::Section section(profiles_.grace());
   const AaProfile* profile = FindProfile(task.exe_path);
   if (profile == nullptr) {
     return HookVerdict::kDefault;

@@ -1,4 +1,6 @@
-// In-memory inode for the simulated filesystem.
+// In-memory inode for the simulated filesystem. stat reads its fields
+// without a lock, under a per-inode sequence count (Inode::seq), and an
+// installed program hangs off its file's inode (Inode::program).
 
 #ifndef SRC_VFS_INODE_H_
 #define SRC_VFS_INODE_H_
@@ -23,16 +25,6 @@ struct SyntheticOps {
   std::function<Result<Unit>(std::string_view)> write;
 };
 
-// A file's metadata and (for regular files) contents. Owned by a Vnode.
-//
-// mode/uid/gid are lock-free atomics: chmod/chown store new values under
-// the inode's VFS data stripe while permission checks on other task threads read
-// them without any lock — exactly the access-check-vs-chmod TOCTTOU window
-// the race corpus exercises. The atomics keep that window a *semantic*
-// race (old-or-new value, as on Linux) rather than a data race. All other
-// fields are guarded by the VFS locks. std::atomic's operator=()/&=()/
-// implicit load keep existing call sites (`inode.mode & kIfMask`,
-// `mode &= ~kSetUidBit`) source-compatible.
 // The fields stat(2) reports of one inode.
 struct InodeStat {
   uint64_t ino = 0;
@@ -45,13 +37,31 @@ struct InodeStat {
   uint32_t rdev_minor = 0;
 };
 
+// What exec runs from an installed program's inode (src/kernel/kernel.h).
+struct Program;
+
+// A file's metadata and (for regular files) contents. Owned by a Vnode.
+//
+// mode/uid/gid, the size and the mtime are lock-free atomics: writers
+// (chmod, chown, write) store new values under the inode's VFS data stripe,
+// while permission checks and stat on other task threads read them without
+// any lock. A permission check reads each field once, so a racing chmod
+// gives it old-or-new bits (as on Linux), the access-check-vs-chmod TOCTTOU
+// window the race corpus exercises. stat reads them all under `seq`, a
+// sequence count each such writer makes odd while it changes them, and
+// retries when the count moved: it never sees half of a chown. The contents
+// and the block charge flag are guarded by the data stripe; ino, the device
+// numbers, `synthetic` and `program` never change once the inode is linked.
+// std::atomic's operator=()/&=()/implicit load keep existing call sites
+// (`inode.mode & kIfMask`, `mode &= ~kSetUidBit`) source-compatible.
 struct Inode {
   uint64_t ino = 0;
   std::atomic<uint32_t> mode{0};  // type bits | permission bits (incl. setuid 04000)
   std::atomic<Uid> uid{kRootUid};
   std::atomic<Gid> gid{kRootGid};
-  uint32_t nlink = 1;
-  uint64_t mtime = 0;
+  std::atomic<uint32_t> seq{0};  // odd while a writer changes stat's fields
+  std::atomic<uint64_t> mtime{0};
+  std::atomic<size_t> size{0};  // data.size(), readable without the stripe
   std::string data;  // regular-file contents; symlink target for kIfLnk
 
   // Device node identity (kIfChr/kIfBlk only).
@@ -60,6 +70,11 @@ struct Inode {
 
   // Non-null for synthetic files; reads/writes bypass `data`.
   std::shared_ptr<SyntheticOps> synthetic;
+
+  // Non-null on an installed program's inode: what exec runs, with the
+  // file capabilities it grants. The kernel sets it before the file is
+  // linked and owns it; the VFS never reads it.
+  Program* program = nullptr;
 
   // True when this inode's `data` bytes are charged against the VFS block
   // quota (regular non-synthetic files created through Vfs::LinkAt or
@@ -71,7 +86,8 @@ struct Inode {
   // paths still copy inodes by value, so restore them field-wise.
   Inode() = default;
   Inode(uint32_t mode_bits, Uid owner, Gid group, std::string contents = "")
-      : mode(mode_bits), uid(owner), gid(group), data(std::move(contents)) {}
+      : mode(mode_bits), uid(owner), gid(group), size(contents.size()),
+        data(std::move(contents)) {}
   Inode(const Inode& other) { *this = other; }
   Inode& operator=(const Inode& other) {
     if (this == &other) {
@@ -81,12 +97,13 @@ struct Inode {
     mode.store(other.mode.load(std::memory_order_relaxed), std::memory_order_relaxed);
     uid.store(other.uid.load(std::memory_order_relaxed), std::memory_order_relaxed);
     gid.store(other.gid.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    nlink = other.nlink;
-    mtime = other.mtime;
+    mtime.store(other.mtime.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    size.store(other.size.load(std::memory_order_relaxed), std::memory_order_relaxed);
     data = other.data;
     rdev_major = other.rdev_major;
     rdev_minor = other.rdev_minor;
     synthetic = other.synthetic;
+    program = other.program;
     charged = other.charged;
     return *this;
   }

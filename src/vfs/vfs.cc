@@ -1,8 +1,8 @@
 #include "src/vfs/vfs.h"
 
 #include <algorithm>
-#include <iterator>
 
+#include "src/base/hash.h"
 #include "src/base/strings.h"
 
 namespace protego {
@@ -16,64 +16,33 @@ const char* FsEventName(FsEvent event) {
   return "?";
 }
 
-namespace {
-
-bool NameBefore(const Dirent& entry, std::string_view name) { return entry.name < name; }
-
-}  // namespace
-
 Vnode* Vnode::Lookup(std::string_view child) const {
-  const DirEntries* entries =
-      dir_ != nullptr ? dir_->entries.load(std::memory_order_acquire) : nullptr;
-  if (entries == nullptr) {
+  if (dir_ == nullptr) {
     return nullptr;
   }
-  auto it = std::lower_bound(entries->begin(), entries->end(), child, NameBefore);
-  return it != entries->end() && it->name == child ? it->node : nullptr;
+  const DirEntry* entry =
+      DirFind(dir_->root.load(std::memory_order_acquire), Fnv1a(child), child);
+  return entry != nullptr ? entry->node : nullptr;
 }
 
 std::vector<std::string> Vnode::ListNames() const {
-  std::vector<std::string> names;
-  const DirEntries* entries =
-      dir_ != nullptr ? dir_->entries.load(std::memory_order_acquire) : nullptr;
-  if (entries != nullptr) {
-    names.reserve(entries->size());
-    for (const Dirent& entry : *entries) {
-      names.push_back(entry.name);
-    }
+  std::vector<std::string_view> sorted;
+  if (dir_ != nullptr) {
+    DirForEach(dir_->root.load(std::memory_order_acquire),
+               [&](const DirEntry& entry) { sorted.push_back(*entry.name); });
   }
-  return names;
+  std::sort(sorted.begin(), sorted.end());
+  return std::vector<std::string>(sorted.begin(), sorted.end());
 }
 
-const DirEntries* Vnode::Republish(std::string_view drop, std::string_view name, Vnode* add) {
-  const DirEntries* old = dir_->entries.load(std::memory_order_relaxed);
-  auto kept = [&](const Dirent& entry) {
-    return entry.name != drop && (add == nullptr || entry.name != name);
-  };
-  const size_t size = (old == nullptr ? 0 : std::count_if(old->begin(), old->end(), kept)) +
-                      (add != nullptr ? 1 : 0);
-  DirEntries* fresh = nullptr;
-  if (size > 0) {
-    fresh = new DirEntries();
-    fresh->reserve(size);
-    if (old != nullptr) {
-      std::copy_if(old->begin(), old->end(), std::back_inserter(*fresh), kept);
-    }
-    if (add != nullptr) {
-      fresh->insert(std::lower_bound(fresh->begin(), fresh->end(), name, NameBefore),
-                    Dirent{std::string(name), add});
-    }
-  }
-  dir_->entries.store(fresh, std::memory_order_release);
-  return old;
-}
-
-std::pair<Vnode*, const DirEntries*> Vnode::Link(std::string_view name, Inode inode) {
+Vnode* Vnode::Link(DirEdit& edit, std::string_view name, Inode inode) {
   dir_->owned.push_back(
       std::make_unique<Vnode>(std::string(name), std::move(inode), dir_->mu.stats()));
   Vnode* node = dir_->owned.back().get();
   node->parent_.store(this, std::memory_order_relaxed);
-  return {node, Republish("", name, node)};
+  const std::string* stored = node->name_.load(std::memory_order_relaxed);
+  edit.Insert({Fnv1a(*stored), stored, node});
+  return node;
 }
 
 Result<Vnode*> Vnode::AddChild(std::string name, Inode inode) {
@@ -83,8 +52,10 @@ Result<Vnode*> Vnode::AddChild(std::string name, Inode inode) {
   if (Lookup(name) != nullptr) {
     return Error(Errno::kEEXIST, name);
   }
-  auto [node, replaced] = Link(name, std::move(inode));
-  delete replaced;
+  DirEdit edit(dir_->root.load(std::memory_order_relaxed));
+  Vnode* node = Link(edit, name, std::move(inode));
+  dir_->root.store(edit.root(), std::memory_order_release);
+  edit.Release([](const DirNode* replaced) { delete replaced; });
   return node;
 }
 
@@ -94,6 +65,25 @@ std::string_view DirPathOf(std::string_view canonical) {
 }
 
 namespace {
+
+// Makes an inode's sequence count odd for its scope, its data stripe held:
+// a stat that overlaps the change retries. The writer stores the changed
+// fields with release (or stronger) ordering, which keeps them after the
+// odd count.
+class StatChange {
+ public:
+  explicit StatChange(Inode& inode) : seq_(inode.seq) {
+    seq_.store(seq_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  ~StatChange() {
+    seq_.store(seq_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  }
+  StatChange(const StatChange&) = delete;
+  StatChange& operator=(const StatChange&) = delete;
+
+ private:
+  std::atomic<uint32_t>& seq_;
+};
 
 // Takes the next component off the front of `rest` (empty when none is
 // left).
@@ -117,7 +107,7 @@ Vfs::Vfs(Clock* clock) : clock_(clock) {
 Vfs::~Vfs() { delete watches_.load(std::memory_order_relaxed); }
 
 Vnode* Vfs::Top(Vnode* node) {
-  for (MountEntry* m; (m = node->covered_by_.load(std::memory_order_acquire)) != nullptr;) {
+  for (MountEntry* m; (m = node->covered_by()) != nullptr;) {
     node = m->root;
   }
   return node;
@@ -158,6 +148,7 @@ WalkResult Vfs::WalkBody(std::string_view cwd, std::string_view path, bool follo
   size_t nviews = !path.empty() && path[0] != '/' ? 2 : 1;
   Vnode* node = Top(root_.get());
   std::string canon;      // "" stands for "/"
+  canon.reserve((nviews == 2 ? cwd.size() + 1 : 0) + path.size());
   std::string_view name;  // the last regular component looked up
   int links_left = kMaxSymlinkDepth;
   while (w.err == Errno::kOk) {
@@ -189,7 +180,7 @@ WalkResult Vfs::WalkBody(std::string_view cwd, std::string_view path, bool follo
       // ".." climbs out of mount roots to the parent of the covered
       // directory, and stays put at the top.
       Vnode* up = node;
-      for (MountEntry* m; (m = up->mount_root_of_.load(std::memory_order_acquire)) != nullptr;) {
+      for (MountEntry* m; (m = up->mount_root_of()) != nullptr;) {
         up = m->covered;
       }
       Vnode* parent = up->parent_.load(std::memory_order_acquire);
@@ -246,7 +237,7 @@ std::string Vfs::PathOf(const Vnode* node) const {
 
 std::string Vfs::PathBody(const Vnode* node) const {
   // A mount root sits where the directory it covers does.
-  for (MountEntry* m; (m = node->mount_root_of_.load(std::memory_order_acquire)) != nullptr;) {
+  for (MountEntry* m; (m = node->mount_root_of()) != nullptr;) {
     node = m->covered;
   }
   const Vnode* parent = node->parent_.load(std::memory_order_acquire);
@@ -305,7 +296,8 @@ Result<Vnode*> Vfs::LinkAt(const WalkResult& at, Inode inode, PendingEvents* eve
     bytes_used_.fetch_add(size, std::memory_order_relaxed);
     inode.charged = true;
   }
-  Vnode* node = Link(at.dir, at.name, std::move(inode));
+  Vnode* node = nullptr;
+  EditDir(at.dir, [&](DirEdit& edit) { node = at.dir->Link(edit, at.name, std::move(inode)); });
   events->emplace_back(FsEvent::kCreated, at.path);
   return node;
 }
@@ -348,7 +340,7 @@ Result<Vnode*> Vfs::EnsureDirs(std::string_view path) {
       Inode inode(kIfDir | 0755, kRootUid, kRootGid);
       inode.ino = NextIno();
       inode.mtime = NowMtime();
-      Link(w.dir, w.name, std::move(inode));
+      EditDir(w.dir, [&](DirEdit& edit) { w.dir->Link(edit, w.name, std::move(inode)); });
     }
   }
 }
@@ -378,7 +370,7 @@ Result<Unit> Vfs::UnlinkAt(const WalkResult& at) {
     std::unique_lock<RwLock> child_lk;
     if (child->inode().IsDir()) {
       child_lk = std::unique_lock<RwLock>(child->dir_->mu);
-      if (child->covered_by_.load(std::memory_order_relaxed) != nullptr) {
+      if (child->covered_by() != nullptr) {
         return Error(Errno::kEBUSY, at.path);
       }
       if (child->HasChildren()) {
@@ -387,7 +379,7 @@ Result<Unit> Vfs::UnlinkAt(const WalkResult& at) {
     }
     events->emplace_back(FsEvent::kDeleted, at.path);
     MarkOrphan(child);
-    Republish(at.dir, at.name, "", nullptr);
+    EditDir(at.dir, [&](DirEdit& edit) { edit.Erase(Fnv1a(at.name), at.name); });
     return OkUnit();
   });
 }
@@ -463,7 +455,7 @@ Result<Unit> Vfs::RenameLocked(const WalkResult& from, const WalkResult& to, Vno
   if (source == nullptr || to.dir->unlinked_.load(std::memory_order_relaxed)) {
     return Error(Errno::kENOENT, source == nullptr ? from.path : to.path);
   }
-  if (source->covered_by_.load(std::memory_order_relaxed) != nullptr) {
+  if (source->covered_by() != nullptr) {
     return Error(Errno::kEBUSY, from.path);
   }
   Vnode* existing = to.dir->Lookup(to.name);
@@ -477,14 +469,14 @@ Result<Unit> Vfs::RenameLocked(const WalkResult& from, const WalkResult& to, Vno
     if (v == source) {
       return Error(Errno::kEINVAL, to.path);
     }
-    const MountEntry* m = v->mount_root_of_.load(std::memory_order_relaxed);
+    const MountEntry* m = v->mount_root_of();
     v = m != nullptr ? m->covered : v->parent();
   }
   if ((to.dir_only && !is_dir) || (existing != nullptr && is_dir != existing->inode().IsDir())) {
     return Error(is_dir || to.dir_only ? Errno::kENOTDIR : Errno::kEISDIR, to.path);
   }
   if (existing != nullptr) {
-    if (existing->covered_by_.load(std::memory_order_relaxed) != nullptr) {
+    if (existing->covered_by() != nullptr) {
       return Error(Errno::kEBUSY, to.path);
     }
     if (existing->HasChildren()) {
@@ -496,15 +488,21 @@ Result<Unit> Vfs::RenameLocked(const WalkResult& from, const WalkResult& to, Vno
     MarkOrphan(existing);
   }
   // The target name is never missing: to.dir links the source under it
-  // (replacing any existing entry) before from.dir drops the old name.
+  // (replacing any existing entry) before from.dir drops the old name, and
+  // a rename within one directory publishes both changes as one root.
+  const std::string* name = new std::string(to.name);
+  const DirEntry entry{Fnv1a(*name), name, source};
   if (from.dir == to.dir) {
-    Republish(to.dir, from.name, to.name, source);
+    EditDir(to.dir, [&](DirEdit& edit) {
+      edit.Erase(Fnv1a(from.name), from.name);
+      edit.Insert(entry);
+    });
   } else {
-    Republish(to.dir, "", to.name, source);
-    Republish(from.dir, from.name, "", nullptr);
+    EditDir(to.dir, [&](DirEdit& edit) { edit.Insert(entry); });
+    EditDir(from.dir, [&](DirEdit& edit) { edit.Erase(Fnv1a(from.name), from.name); });
     source->parent_.store(to.dir, std::memory_order_release);
   }
-  grace_.Retire(source->name_.exchange(new std::string(to.name), std::memory_order_acq_rel));
+  grace_.Retire(source->name_.exchange(name, std::memory_order_acq_rel));
   events->emplace_back(FsEvent::kCreated, to.path);
   return OkUnit();
 }
@@ -542,7 +540,8 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
     // read config files), so it runs with no lock held.
     RETURN_IF_ERROR(inode.synthetic->write(data));
     std::unique_lock<RwLock> lk(DataStripe(inode.ino));
-    inode.mtime = NowMtime();
+    StatChange change(inode);
+    inode.mtime.store(NowMtime(), std::memory_order_release);
   } else {
     std::unique_lock<RwLock> lk(DataStripe(inode.ino));
     // Block accounting: charge growth (fault site + quota check BEFORE the
@@ -570,12 +569,14 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
       bytes_used_.fetch_add(new_size - old_charged, std::memory_order_relaxed);
       inode.charged = true;
     }
+    StatChange change(inode);
     if (append) {
       inode.data.append(data);
     } else {
       inode.data.assign(data);
     }
-    inode.mtime = NowMtime();
+    inode.size.store(inode.data.size(), std::memory_order_release);
+    inode.mtime.store(NowMtime(), std::memory_order_release);
   }
   PendingEvents events;
   events.emplace_back(FsEvent::kModified, std::move(path));
@@ -597,30 +598,39 @@ Inode Vfs::SnapshotInode(const Vnode* node) const {
 }
 
 InodeStat Vfs::StatNode(const Vnode* node) const {
-  std::shared_lock<RwLock> lk(DataStripe(node->inode().ino));
+  // Each field is an acquire load, so the second read of the count cannot
+  // move above them; a writer that overlapped the reads moved the count.
   const Inode& inode = node->inode();
-  return {.ino = inode.ino,
-          .mode = inode.mode,
-          .uid = inode.uid,
-          .gid = inode.gid,
-          .size = inode.data.size(),
-          .mtime = inode.mtime,
-          .rdev_major = inode.rdev_major,
-          .rdev_minor = inode.rdev_minor};
+  InodeStat st{.ino = inode.ino, .rdev_major = inode.rdev_major, .rdev_minor = inode.rdev_minor};
+  while (true) {
+    const uint32_t seq = inode.seq.load(std::memory_order_acquire);
+    st.mode = inode.mode.load(std::memory_order_acquire);
+    st.uid = inode.uid.load(std::memory_order_acquire);
+    st.gid = inode.gid.load(std::memory_order_acquire);
+    st.size = inode.size.load(std::memory_order_acquire);
+    st.mtime = inode.mtime.load(std::memory_order_acquire);
+    if ((seq & 1) == 0 && inode.seq.load(std::memory_order_relaxed) == seq) {
+      return st;
+    }
+  }
 }
 
 void Vfs::SetInodeMode(Vnode* node, uint32_t perms) {
-  std::unique_lock<RwLock> lk(DataStripe(node->inode().ino));
-  node->inode().mode = (node->inode().mode & kIfMask) | (perms & kPermMask);
+  Inode& inode = node->inode();
+  std::unique_lock<RwLock> lk(DataStripe(inode.ino));
+  StatChange change(inode);
+  inode.mode.store((inode.ModeRelaxed() & kIfMask) | (perms & kPermMask),
+                   std::memory_order_release);
 }
 
 void Vfs::SetInodeOwner(Vnode* node, Uid uid, Gid gid, bool clear_sbits) {
-  std::unique_lock<RwLock> lk(DataStripe(node->inode().ino));
   Inode& inode = node->inode();
-  inode.uid = uid;
-  inode.gid = gid;
+  std::unique_lock<RwLock> lk(DataStripe(inode.ino));
+  StatChange change(inode);
+  inode.uid.store(uid, std::memory_order_release);
+  inode.gid.store(gid, std::memory_order_release);
   if (clear_sbits) {
-    inode.mode &= ~(kSetUidBit | kSetGidBit);
+    inode.mode.store(inode.ModeRelaxed() & ~(kSetUidBit | kSetGidBit), std::memory_order_release);
   }
 }
 
@@ -639,7 +649,7 @@ std::optional<Uid> Vfs::MounterOf(const Vnode* node) const {
     return std::nullopt;
   }
   GraceDomain::Section section(grace_);
-  const MountEntry* m = node->mount_root_of_.load(std::memory_order_acquire);
+  const MountEntry* m = node->mount_root_of();
   return m != nullptr ? std::optional<Uid>(m->mounter) : std::nullopt;
 }
 
@@ -657,8 +667,7 @@ Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::stri
   std::unique_lock<RwLock> target_lk(target->dir_->mu);
   // No stacking on a mount root (or on a directory mounted over since the
   // walk): it keeps umount unambiguous.
-  if (target->mount_root_of_.load(std::memory_order_relaxed) != nullptr ||
-      target->covered_by_.load(std::memory_order_relaxed) != nullptr ||
+  if (target->mount_root_of() != nullptr || target->covered_by() != nullptr ||
       target->unlinked_.load(std::memory_order_relaxed)) {
     return Error(Errno::kEBUSY, at.path);
   }
@@ -673,14 +682,14 @@ Result<Unit> Vfs::AddMountAt(const WalkResult& at, std::string source, std::stri
   target->dir_->owned.push_back(
       std::make_unique<Vnode>("", std::move(root_inode), &dir_lock_stats_));
   entry->root = target->dir_->owned.back().get();
-  entry->root->mount_root_of_.store(entry.get(), std::memory_order_relaxed);
+  entry->root->dir_->mount_root_of.store(entry.get(), std::memory_order_relaxed);
   if (populate) {
     // Populators fill the detached new tree via Vnode::AddChild directly;
     // they do not re-enter the Vfs API.
     populate(entry->root);
   }
   BeginShapeChange();
-  target->covered_by_.store(entry.get(), std::memory_order_release);
+  target->dir_->covered_by.store(entry.get(), std::memory_order_release);
   EndShapeChange();
   TraceMount("mount", StrFormat("%s on %s type %s", entry->source.c_str(), at.path.c_str(),
                                 entry->fstype.c_str()));
@@ -692,7 +701,7 @@ Result<Unit> Vfs::RemoveMountAt(Vnode* mount_root) {
   // Directory names and mount rows change only under the rename lock, so
   // PathBody needs no read section here.
   std::unique_lock<RwLock> shape_lk(rename_mu_);
-  MountEntry* entry = mount_root->mount_root_of_.load(std::memory_order_relaxed);
+  MountEntry* entry = mount_root->mount_root_of();
   if (entry == nullptr) {
     return Error(Errno::kEINVAL, "not mounted: " + PathBody(mount_root));
   }
@@ -711,8 +720,8 @@ Result<Unit> Vfs::RemoveMountAt(Vnode* mount_root) {
     std::unique_lock<RwLock> covered_lk(entry->covered->dir_->mu);
     std::unique_lock<RwLock> root_lk(mount_root->dir_->mu);
     BeginShapeChange();
-    entry->covered->covered_by_.store(nullptr, std::memory_order_release);
-    mount_root->mount_root_of_.store(nullptr, std::memory_order_release);
+    entry->covered->dir_->covered_by.store(nullptr, std::memory_order_release);
+    mount_root->dir_->mount_root_of.store(nullptr, std::memory_order_release);
     EndShapeChange();
     mount_root->unlinked_.store(true, std::memory_order_relaxed);
   }
@@ -804,11 +813,8 @@ void Vfs::UnchargeTree(Vnode* node) {
     return;
   }
   GraceDomain::Section section(grace_);
-  if (const DirEntries* entries = node->dir_->entries.load(std::memory_order_acquire)) {
-    for (const Dirent& entry : *entries) {
-      UnchargeTree(entry.node);
-    }
-  }
+  DirForEach(node->dir_->root.load(std::memory_order_acquire),
+             [this](const DirEntry& entry) { UnchargeTree(entry.node); });
 }
 
 Result<Unit> Vfs::AuditBlockAccounting() const {

@@ -14,9 +14,13 @@
 //   * Walks take no lock. Walk, PathOf and ListDir run inside a read
 //     section of the Vfs's grace period (src/base/grace.h), and everything
 //     they read is atomic or immutable once published: each directory's
-//     entries are an immutable name-sorted snapshot, replaced whole and
-//     retired through the grace period; parent links, names, mount covers
-//     and the unlinked flag are atomics. A walk and PathOf check a
+//     entries are a copy-on-write B-tree of immutable nodes keyed by name
+//     hash (src/vfs/dir_tree.h), so a lookup hashes its component once and
+//     compares integers, and a create, unlink or rename copies one
+//     root-to-leaf path, publishes one new root (a rename within one
+//     directory included) and retires the nodes it replaced through the
+//     grace period; parent links, names, mount covers and the unlinked flag
+//     are atomics. A walk and PathOf check a
 //     tree-shape sequence count that only directory renames,
 //     cross-directory renames, mount and umount bump; a walk that overlaps
 //     one retries, and after kShapeRetries tries runs once more under the
@@ -30,9 +34,12 @@
 //     descendants; two unrelated ones, only ever together under rename_mu_,
 //     in address order), then a data stripe. Every lock is an RwLock
 //     (src/base/rw_lock.h); the directory locks count into one LockStats.
-//   * data_mu_[ino % kDataStripes]: file contents, mtime, the block charge
-//     flag, and a consistent (mode, uid, gid) for stat, chmod and chown;
-//     one cache line per stripe.
+//   * data_mu_[ino % kDataStripes]: serializes an inode's writers (the
+//     contents, the block charge flag, and stat's fields for write, chmod
+//     and chown), and read and SnapshotInode take it shared for the
+//     contents; one cache line per stripe. stat takes no lock: it reads the
+//     inode's atomics under its sequence count (Inode::seq), which a writer
+//     holding the stripe makes odd while it changes them.
 //   * The watch list is an immutable snapshot too: AddWatch and RemoveWatch
 //     copy and retire it under watch_mu_, and dispatch matches it inside a
 //     read section, copying only the matching callbacks.
@@ -68,6 +75,7 @@
 #include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
+#include "src/vfs/dir_tree.h"
 #include "src/vfs/inode.h"
 
 namespace protego {
@@ -76,14 +84,6 @@ class Vfs;
 class Vnode;
 struct MountEntry;
 
-// One directory entry.
-struct Dirent {
-  std::string name;
-  Vnode* node;
-};
-// A directory's entries sorted by name; immutable once published.
-using DirEntries = std::vector<Dirent>;
-
 // A node in the directory tree (directory entry + inode). Mount roots are
 // detached Vnode trees, owned by the directory they cover.
 class Vnode {
@@ -91,7 +91,9 @@ class Vnode {
   // A directory's lock counts into `dir_lock_stats` (its own when null).
   Vnode(std::string name, Inode inode, LockStats* dir_lock_stats = nullptr)
       : name_(new std::string(std::move(name))), inode_(std::move(inode)),
-        dir_(inode_.IsDir() ? std::make_unique<Dir>(dir_lock_stats) : nullptr) {}
+        dir_(inode_.IsDir() ? std::make_unique<Dir>(dir_lock_stats) : nullptr) {
+    inode_.size.store(inode_.data.size(), std::memory_order_relaxed);
+  }
   ~Vnode() { delete name_.load(std::memory_order_relaxed); }
 
   Vnode(const Vnode&) = delete;
@@ -106,14 +108,15 @@ class Vnode {
   // entries: call them in a Vfs read section, or on a tree nothing else
   // changes (a populator's, single-threaded setup).
   Vnode* Lookup(std::string_view child) const;
+  // The names, sorted (getdents order).
   std::vector<std::string> ListNames() const;
   bool HasChildren() const {
-    return dir_ != nullptr && dir_->entries.load(std::memory_order_acquire) != nullptr;
+    return dir_ != nullptr && dir_->root.load(std::memory_order_acquire) != nullptr;
   }
 
   // Adds a child entry to this directory. Fails with EEXIST/ENOTDIR. Only
   // for a tree no walk reaches yet (a populator's new mount root): the
-  // listing it replaces is freed at once.
+  // nodes it replaces are freed at once.
   Result<Vnode*> AddChild(std::string name, Inode inode);
 
  private:
@@ -122,9 +125,13 @@ class Vnode {
   // What only a directory has.
   struct Dir {
     explicit Dir(LockStats* stats) : mu(stats) {}
-    ~Dir() { delete entries.load(std::memory_order_relaxed); }
-    // The published entries (null when empty).
-    std::atomic<const DirEntries*> entries{nullptr};
+    ~Dir() { DirFree(root.load(std::memory_order_relaxed)); }
+    // The published entries, a copy-on-write B-tree (null when empty).
+    std::atomic<const DirNode*> root{nullptr};
+    // Non-null when a filesystem is mounted over this directory.
+    std::atomic<MountEntry*> covered_by{nullptr};
+    // Non-null when this directory is the root of a mounted filesystem.
+    std::atomic<MountEntry*> mount_root_of{nullptr};
     // Serializes writers of the entries, and guards owned: every vnode
     // created here (and the roots of mounts over this directory). None is
     // freed before the Vfs.
@@ -132,13 +139,15 @@ class Vnode {
     std::vector<std::unique_ptr<Vnode>> owned;
   };
 
-  // Publishes this directory's entries without `drop` and, when `add` is
-  // set, with `name` linking it (replacing an entry of that name). Returns
-  // the replaced listing for the caller to free or retire. Directory lock
-  // held (or the tree unpublished).
-  const DirEntries* Republish(std::string_view drop, std::string_view name, Vnode* add);
-  // Creates a child owned by this directory and links it as `name`.
-  std::pair<Vnode*, const DirEntries*> Link(std::string_view name, Inode inode);
+  MountEntry* covered_by() const {
+    return dir_ != nullptr ? dir_->covered_by.load(std::memory_order_acquire) : nullptr;
+  }
+  MountEntry* mount_root_of() const {
+    return dir_ != nullptr ? dir_->mount_root_of.load(std::memory_order_acquire) : nullptr;
+  }
+  // Creates a child owned by this directory (its lock held, or the tree
+  // unpublished) and adds its entry to `edit`.
+  Vnode* Link(DirEdit& edit, std::string_view name, Inode inode);
 
   // Replaced, and the old one retired, by a rename.
   std::atomic<const std::string*> name_;
@@ -146,10 +155,6 @@ class Vnode {
   std::atomic<Vnode*> parent_{nullptr};
   // Left the tree (unlinked, renamed over, an unmounted root): no creates.
   std::atomic<bool> unlinked_{false};
-  // Non-null when a filesystem is mounted over this directory.
-  std::atomic<MountEntry*> covered_by_{nullptr};
-  // Non-null when this node is the root of a mounted filesystem.
-  std::atomic<MountEntry*> mount_root_of_{nullptr};
   // Null unless this is a directory.
   const std::unique_ptr<Dir> dir_;
 };
@@ -227,9 +232,9 @@ class Vfs {
   // The grace period every walk reads under; the kernel's one domain
   // (Kernel::grace()), which the Protego module's policy reads share.
   GraceDomain& grace() const { return grace_; }
-  // Retirements (replaced directory listings, names, mount rows, watch
-  // lists, and anything else retired through grace()) not yet freed
-  // (exported as a gauge).
+  // Retirements (replaced directory nodes, names, mount rows, watch lists,
+  // and anything else retired through grace()) not yet freed (exported as a
+  // gauge).
   uint64_t grace_pending() const { return grace_.pending(); }
 
   // --- Block accounting ------------------------------------------------------
@@ -331,12 +336,12 @@ class Vfs {
   // Directory listing, sorted by name (kernel getdents path). Takes no lock.
   Result<std::vector<std::string>> ListDir(const Vnode* node) const;
 
-  // Inode metadata snapshot/update helpers (chmod/chown/stat paths), under
-  // the node's data stripe so a stat sees one (mode, uid, gid): the kernel
-  // must not poke node->inode() fields directly in parallel mode.
+  // Inode metadata snapshot/update helpers (chmod/chown/stat paths): the
+  // kernel must not poke node->inode() fields directly in parallel mode.
+  // A whole copy, contents included, under the node's data stripe.
   Inode SnapshotInode(const Vnode* node) const;
-  // stat(2)'s fields alone: copies neither the contents nor the synthetic
-  // ops.
+  // stat(2)'s fields alone, taking no lock: one (mode, uid, gid, size,
+  // mtime) that a writer stored, read under the inode's sequence count.
   InodeStat StatNode(const Vnode* node) const;
   // Replaces the permission bits, preserving the file-type bits.
   void SetInodeMode(Vnode* node, uint32_t perms);
@@ -426,15 +431,14 @@ class Vfs {
                                              std::memory_order_relaxed); }
   void EndShapeChange() { shape_seq_.store(shape_seq_.load(std::memory_order_relaxed) + 1,
                                            std::memory_order_release); }
-  // Republishes `dir`'s entries and links a new vnode in `dir`, with its
-  // lock held, retiring the replaced listing.
-  void Republish(Vnode* dir, std::string_view drop, std::string_view name, Vnode* add) {
-    grace_.Retire(dir->Republish(drop, name, add));
-  }
-  Vnode* Link(Vnode* dir, std::string_view name, Inode inode) {
-    auto [node, replaced] = dir->Link(name, std::move(inode));
-    grace_.Retire(replaced);
-    return node;
+  // Applies change(edit) to `dir`'s entries, with its lock held, publishes
+  // the result as one new root and retires the nodes it replaced.
+  template <typename Change>
+  void EditDir(Vnode* dir, Change&& change) {
+    DirEdit edit(dir->dir_->root.load(std::memory_order_relaxed));
+    change(edit);
+    dir->dir_->root.store(edit.root(), std::memory_order_release);
+    edit.Release([this](const DirNode* node) { grace_.Retire(node); });
   }
   // The single vnode-allocation choke point every create routes through.
   Result<Vnode*> LinkAt(const WalkResult& at, Inode inode, PendingEvents* events);

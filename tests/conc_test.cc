@@ -231,6 +231,45 @@ TEST(ConcSpawn, SpawnAsyncChildrenInterleaveAndAreReaped) {
   EXPECT_EQ(sys.kernel().WaitPid(session, a.value()).code(), Errno::kECHILD);
 }
 
+// An async child that has exited closes its descriptors before its parent
+// reaps it, as Linux's do_exit closes files (exit_files) before the zombie
+// state: its port and its share of the open-file count (the
+// protego_open_files gauge) come back at exit, and WaitPid still returns
+// its status and output.
+TEST(ConcSpawn, ExitedChildReleasesDescriptorsBeforeReap) {
+  constexpr uint16_t kPort = 40000;
+  SimSystem sys(SimMode::kLinux);
+  Kernel& k = sys.kernel();
+  ASSERT_TRUE(k.InstallBinary("/usr/bin/binder", 0755, kRootUid, kRootGid,
+                              [](ProcessContext& ctx) {
+                                auto fd = ctx.kernel.SocketCall(ctx.task, kAfInet, kSockDgram, 0);
+                                if (!fd.ok() ||
+                                    !ctx.kernel.BindCall(ctx.task, fd.value(), kPort).ok()) {
+                                  return 1;
+                                }
+                                ctx.Out("bound\n");
+                                return 0;
+                              })
+                  .ok());
+  Task& session = sys.Login("alice");
+  DetScheduler sched;
+  k.set_scheduler(&sched);
+  const uint64_t open_before = k.OpenFileCount();
+  auto child = k.SpawnAsync(session, "/usr/bin/binder", {"binder"}, {});
+  ASSERT_TRUE(child.ok());
+  sched.Run();
+  // Exited, not yet reaped.
+  EXPECT_NE(k.FindTask(child.value()), nullptr);
+  EXPECT_FALSE(k.net().PortOwner(kProtoUdp, kPort).has_value());
+  EXPECT_EQ(k.OpenFileCount(), open_before);
+  auto status = k.WaitPid(session, child.value());
+  k.set_scheduler(nullptr);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value(), 0);
+  EXPECT_NE(session.stdout_buf.find("bound"), std::string::npos);
+  EXPECT_EQ(k.FindTask(child.value()), nullptr);
+}
+
 TEST(ConcSpawn, WaitPidDrivesPendingChildrenWhenCalledBeforeRun) {
   SimSystem sys(SimMode::kLinux);
   InstallSay(sys.kernel());

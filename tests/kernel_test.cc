@@ -253,7 +253,7 @@ TEST_F(KernelTest, SpawnPropagatesExitCodeAndOutput) {
 // --- Policy decides on the object the kernel acts on ---------------------------
 
 TEST_F(KernelTest, AppArmorDecidesOnTheSymlinkTarget) {
-  auto apparmor = std::make_unique<AppArmorModule>();
+  auto apparmor = std::make_unique<AppArmorModule>(kernel_.grace());
   AaProfile profile;
   profile.binary = "/usr/bin/reader";
   profile.file_rules = {{"/tmp/*", kMayRead}};

@@ -57,6 +57,7 @@ TEST(LsmStackTest, DenyBeatsAllowBeatsDefault) {
 }
 
 TEST(LsmStackTest, CapableIsConjunction) {
+  GraceDomain grace;
   LsmStack stack;
   stack.Register(std::make_unique<CapabilityModule>());
   Task root = MakeTask(0);
@@ -65,7 +66,7 @@ TEST(LsmStackTest, CapableIsConjunction) {
   EXPECT_TRUE(stack.Capable(root, Capability::kSysAdmin));
   EXPECT_FALSE(stack.Capable(user, Capability::kSysAdmin));
   // A confined profile further restricts even a capable task.
-  auto apparmor = std::make_unique<AppArmorModule>();
+  auto apparmor = std::make_unique<AppArmorModule>(grace);
   AaProfile profile;
   profile.binary = "/bin/x";
   profile.bound_caps = true;
@@ -77,9 +78,10 @@ TEST(LsmStackTest, CapableIsConjunction) {
 }
 
 TEST(LsmStackTest, FindLocatesModuleByName) {
+  GraceDomain grace;
   LsmStack stack;
   stack.Register(std::make_unique<CapabilityModule>());
-  stack.Register(std::make_unique<AppArmorModule>());
+  stack.Register(std::make_unique<AppArmorModule>(grace));
   EXPECT_NE(stack.Find("apparmor"), nullptr);
   EXPECT_NE(stack.Find("capability"), nullptr);
   EXPECT_EQ(stack.Find("selinux"), nullptr);
@@ -89,7 +91,7 @@ TEST(LsmStackTest, FindLocatesModuleByName) {
 // A fresh AppArmor module on `kernel`'s stack, whose denials the kernel's
 // audit ring receives.
 AppArmorModule& RegisterAppArmor(Kernel& kernel) {
-  auto module = std::make_unique<AppArmorModule>();
+  auto module = std::make_unique<AppArmorModule>(kernel.grace());
   AppArmorModule& aa = *module;
   kernel.lsm().Register(std::move(module));
   return aa;
@@ -148,7 +150,8 @@ TEST(AppArmorTest, ComplainModeLogsButAllows) {
 }
 
 TEST(AppArmorTest, ProfilesCanBeRemoved) {
-  AppArmorModule aa;
+  GraceDomain grace;
+  AppArmorModule aa(grace);
   AaProfile profile;
   profile.binary = "/bin/tmp";
   aa.LoadProfile(profile);

@@ -1131,6 +1131,201 @@ TEST(ParallelPolicySwap, NetTablesMatchOldOrNew) {
   EXPECT_EQ(k.vfs().grace_pending(), 0u);
 }
 
+// Four confined tasks open a file while a writer alternates an allowing and
+// a denying AppArmor profile 200 times. Each hook reads the profiles once
+// inside a read section of the kernel's grace period, so every open is the
+// allowing profile's success or the denying one's EACCES. Regression: the
+// profiles were an unsynchronized std::map that LoadProfile rewrote under
+// the readers (TSan: a data race in AppArmorModule::FindProfile).
+TEST(ParallelPolicySwap, AppArmorProfilesMatchOldOrNew) {
+  constexpr int kReaders = 4;
+  constexpr int kSwaps = 200;
+  constexpr int kMinOpens = 100;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  auto module = std::make_unique<AppArmorModule>(k.grace());
+  AppArmorModule& aa = *module;
+  k.lsm().Register(std::move(module));
+  ASSERT_TRUE(k.vfs().CreateFile("/tmp/data", 0644, kRootUid, kRootGid, "x").ok());
+  AaProfile allowing;
+  allowing.binary = "/bin/confined";
+  allowing.file_rules = {{"/tmp/*", kMayRead}};
+  AaProfile denying;
+  denying.binary = "/bin/confined";
+  aa.LoadProfile(allowing);
+
+  std::atomic<bool> swapping{true};
+  std::atomic<int> opened{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> neither{0};
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  for (int t = 0; t < kReaders; ++t) {
+    Task* task = &k.CreateTask("confined", Cred::ForUser(1000, 1000), nullptr);
+    task->exe_path = "/bin/confined";
+    bodies.emplace_back(task, [&, task] {
+      for (int i = 0; i < kMinOpens || swapping.load(); ++i) {
+        auto fd = k.Open(*task, "/tmp/data", kORdOnly);
+        if (fd.ok()) {
+          ++opened;
+          (void)k.Close(*task, fd.value());
+        } else {
+          ++(fd.code() == Errno::kEACCES ? refused : neither);
+        }
+      }
+    });
+  }
+  Task* admin = &k.CreateTask("admin", Cred::Root(), nullptr);
+  bodies.emplace_back(admin, [&] {
+    for (int i = 0; i < kSwaps; ++i) {
+      aa.LoadProfile(i % 2 == 0 ? denying : allowing);
+      (void)k.GetPid(*admin);  // a DetScheduler yield point
+    }
+    swapping = false;
+  });
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(neither.load(), 0);
+  EXPECT_GE(opened.load() + refused.load(), kReaders * kMinOpens);
+  EXPECT_EQ(aa.profile_count(), 1u);
+  k.grace().Reclaim();
+  EXPECT_EQ(k.vfs().grace_pending(), 0u);
+}
+
+// --- Lock-free readers of the VFS ---------------------------------------------
+
+// A writer chowns a file in turn to (0, 0), (1000, 1000) and (1001, 1001),
+// makes it setuid 04755 after each chown to root (each chown clears the bit
+// in the critical section that changes the owner) and rewrites it at two
+// sizes, while three tasks stat it. stat takes no lock but reads under the
+// inode's sequence count, so no stat shows uid != gid, a setuid bit with a
+// non-root owner, or a size never written.
+TEST(ParallelStress, StatSeesOneWrittenState) {
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 150;
+  constexpr int kMinStats = 200;
+  const std::string kShort(100, 's');
+  const std::string kLong(4000, 'l');
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  ASSERT_TRUE(k.vfs().CreateFile("/tmp/target", 0755, kRootUid, kRootGid, kShort).ok());
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> stats{0};
+  std::atomic<int> torn{0};
+  std::atomic<int> errors{0};
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  for (int t = 0; t < kReaders; ++t) {
+    Task* task = &k.CreateTask("stat" + std::to_string(t), Cred::ForUser(1000, 1000), nullptr);
+    bodies.emplace_back(task, [&, task] {
+      for (int i = 0; i < kMinStats || writing.load(); ++i) {
+        auto st = k.Stat(*task, "/tmp/target");
+        if (!st.ok()) {
+          ++errors;
+          continue;
+        }
+        ++stats;
+        const KernelStat& s = st.value();
+        if (s.uid != s.gid || ((s.mode & kSetUidBit) != 0 && s.uid != kRootUid) ||
+            (s.size != kShort.size() && s.size != kLong.size())) {
+          ++torn;
+        }
+      }
+    });
+  }
+  Task* admin = &k.CreateTask("admin", Cred::Root(), nullptr);
+  bodies.emplace_back(admin, [&] {
+    const std::pair<Uid, Gid> owners[] = {{0, 0}, {1000, 1000}, {1001, 1001}};
+    for (int i = 0; i < kRounds; ++i) {
+      const auto [uid, gid] = owners[i % 3];
+      if (!k.Chown(*admin, "/tmp/target", uid, gid).ok() ||
+          (uid == kRootUid && !k.Chmod(*admin, "/tmp/target", 04755).ok())) {
+        ++errors;
+      }
+      // Opened without O_TRUNC, the first write replaces the contents whole.
+      auto fd = k.Open(*admin, "/tmp/target", kOWrOnly);
+      if (!fd.ok() || !k.Write(*admin, fd.value(), i % 2 == 0 ? kLong : kShort).ok() ||
+          !k.Close(*admin, fd.value()).ok()) {
+        ++errors;
+      }
+    }
+    writing = false;
+  });
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GE(stats.load(), kReaders * kMinStats);
+}
+
+// One task renames a file a <-> b in a directory of 200 other entries
+// (several B-tree nodes), while three tasks list the directory and walk both
+// names. A same-directory rename publishes one new root, so every listing
+// holds exactly one of a and b and all 200 others; a walk finds the file
+// under a name or misses it, never another object.
+TEST(ParallelStress, RenameNeverShowsBothNamesOrNeither) {
+  constexpr int kReaders = 3;
+  constexpr int kOthers = 200;
+  constexpr int kRenames = 300;
+  constexpr int kMinListings = 60;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  ASSERT_TRUE(k.vfs().EnsureDirs("/tmp/dir").ok());
+  for (int i = 0; i < kOthers; ++i) {
+    ASSERT_TRUE(
+        k.vfs().CreateFile("/tmp/dir/other" + std::to_string(i), 0644, kRootUid, kRootGid).ok());
+  }
+  auto moved = k.vfs().CreateFile("/tmp/dir/a", 0644, kRootUid, kRootGid);
+  ASSERT_TRUE(moved.ok());
+  const uint64_t ino = moved.value()->inode().ino;
+
+  std::atomic<bool> renaming{true};
+  std::atomic<int> listings{0};
+  std::atomic<int> bad{0};
+  std::vector<std::pair<Task*, std::function<void()>>> bodies;
+  for (int t = 0; t < kReaders; ++t) {
+    Task* task = &k.CreateTask("lister" + std::to_string(t), Cred::Root(), nullptr);
+    bodies.emplace_back(task, [&, task] {
+      for (int i = 0; i < kMinListings || renaming.load(); ++i) {
+        auto names = k.ReadDir(*task, "/tmp/dir");
+        if (!names.ok()) {
+          ++bad;
+          continue;
+        }
+        ++listings;
+        const auto& v = names.value();
+        const bool has_a = std::binary_search(v.begin(), v.end(), "a");
+        const bool has_b = std::binary_search(v.begin(), v.end(), "b");
+        if (has_a == has_b || v.size() != kOthers + 1 || !std::is_sorted(v.begin(), v.end())) {
+          ++bad;
+        }
+        for (const char* name : {"/tmp/dir/a", "/tmp/dir/b"}) {
+          auto st = k.Stat(*task, name);
+          if (st.ok() ? st.value().ino != ino : st.code() != Errno::kENOENT) {
+            ++bad;
+          }
+        }
+      }
+    });
+  }
+  Task* admin = &k.CreateTask("renamer", Cred::Root(), nullptr);
+  bodies.emplace_back(admin, [&] {
+    for (int i = 0; i < kRenames; ++i) {
+      const bool to_b = i % 2 == 0;
+      if (!k.Rename(*admin, to_b ? "/tmp/dir/a" : "/tmp/dir/b", to_b ? "/tmp/dir/b" : "/tmp/dir/a")
+               .ok()) {
+        ++bad;
+      }
+    }
+    renaming = false;
+  });
+  RunTasks(k, bodies);
+
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(listings.load(), kReaders * kMinListings);
+  k.grace().Reclaim();
+  EXPECT_EQ(k.vfs().grace_pending(), 0u);
+}
+
 // --- Trusted services and the audit ring under parallel tasks ---------------
 
 // Four root tasks append to four different watched files at once. Each
@@ -1272,7 +1467,7 @@ TEST(ParallelStress, AppArmorDenialsReachTheAuditRing) {
   constexpr int kCalls = 200;
   std::unique_ptr<Kernel> kernel = BootBareKernel();
   Kernel& k = *kernel;
-  auto apparmor = std::make_unique<AppArmorModule>();
+  auto apparmor = std::make_unique<AppArmorModule>(k.grace());
   AaProfile profile;
   profile.binary = "/bin/confined";
   apparmor->LoadProfile(profile);
