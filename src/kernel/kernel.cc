@@ -1288,18 +1288,20 @@ Result<int> Kernel::SpawnAsyncImpl(Task& parent, const std::string& path,
       rec.err = status.code();
       rec.context = status.error().context();
     }
+    // Exit closes the descriptors and drops advisory locks before the
+    // parent can reap (Linux's exit_files), so ports and the file-max share
+    // come back while the task is a zombie. Once the record below is posted
+    // the parent may free the task at any moment: nothing after it touches
+    // child_task.
+    child_task->fds.CloseAll();
+    if (child_task->took_flock) {
+      ReleaseFileLocks(child_pid);
+    }
     {
       // exit_mu_ also publishes the child's stdout/stderr buffers to the
       // parent thread that finds this record in WaitPid.
       std::lock_guard<std::mutex> lk(exit_mu_);
       exit_records_[child_pid] = std::move(rec);
-    }
-    // Exit closes the descriptors and drops advisory locks before the
-    // parent reaps (Linux's exit_files), so ports and the file-max share
-    // come back while the task is a zombie.
-    child_task->fds.CloseAll();
-    if (child_task->took_flock) {
-      ReleaseFileLocks(child_pid);
     }
     TaskScheduler* s = gate_.scheduler();
     if (s != nullptr) {

@@ -10,14 +10,12 @@ void AppArmorModule::LoadProfile(AaProfile profile) {
     std::string key = profile.binary;
     profiles[key] = std::move(profile);
   });
-  any_profile_.store(true, std::memory_order_release);
   BumpPolicyGeneration();
 }
 
 void AppArmorModule::RemoveProfile(const std::string& binary) {
   std::lock_guard<std::mutex> lk(mu_);
   profiles_.Update([&](Profiles& profiles) { profiles.erase(binary); });
-  any_profile_.store(!profiles_.Read().empty(), std::memory_order_release);
   BumpPolicyGeneration();
 }
 
@@ -33,9 +31,6 @@ size_t AppArmorModule::profile_count() const {
 }
 
 bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
-  if (!any_profile_.load(std::memory_order_acquire)) {
-    return true;  // unconfined
-  }
   GraceDomain::Section section(profiles_.grace());
   const AaProfile* profile = FindProfile(task.exe_path);
   if (profile == nullptr || !profile->bound_caps) {
@@ -52,9 +47,6 @@ bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
 HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
                                             const Inode& inode, int may, bool* /*unused*/) {
   (void)inode;
-  if (!any_profile_.load(std::memory_order_acquire)) {
-    return HookVerdict::kDefault;
-  }
   GraceDomain::Section section(profiles_.grace());
   const AaProfile* profile = FindProfile(task.exe_path);
   if (profile == nullptr) {

@@ -11,14 +11,11 @@
 // on the kernel's grace period: each hook reads it once inside a read
 // section and decides on that one snapshot, so a profile loaded or removed
 // during traffic gives every verdict the old or the new profile set. Loads
-// and removals serialize on a writer lock. While no profile is loaded a
-// hook returns before it opens a section, as Linux's AppArmor returns at
-// once for an unconfined task.
+// and removals serialize on a writer lock.
 
 #ifndef SRC_LSM_APPARMOR_H_
 #define SRC_LSM_APPARMOR_H_
 
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
@@ -70,8 +67,6 @@ class AppArmorModule : public SecurityModule {
 
   std::mutex mu_;  // serializes LoadProfile and RemoveProfile
   Published<Profiles> profiles_;
-  // Whether the snapshot holds a profile, stored after its publication.
-  std::atomic<bool> any_profile_{false};
 };
 
 }  // namespace protego

@@ -1,65 +1,65 @@
 #include "src/vfs/dir_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <type_traits>
 
 namespace protego {
 
 namespace {
 
-// The first slot of `leaf` not ordered before (hash, name).
-uint32_t LeafPos(const DirNode* leaf, uint64_t hash, std::string_view name) {
-  const DirEntry* entries = leaf->entries();
-  const DirEntry* it = std::lower_bound(
-      entries, entries + leaf->size(), hash, [name](const DirEntry& e, uint64_t h) {
-        return e.hash < h || (e.hash == h && std::string_view(*e.name) < name);
-      });
-  return static_cast<uint32_t>(it - entries);
+constexpr uint32_t kHashBits = 64;
+
+// The slot bit of `hash` at the level that takes its bits from `shift`.
+uint32_t SlotBit(uint64_t hash, uint32_t shift) {
+  return 1u << ((hash >> shift) & (DirNode::kSlots - 1));
 }
 
-// The child of `inner` whose range holds `hash`: the last one whose least
-// hash is at most `hash`, or the first.
-uint32_t ChildPos(const DirNode* inner, uint64_t hash) {
-  const DirNode::Child* children = inner->children();
-  const DirNode::Child* it =
-      std::upper_bound(children + 1, children + inner->size(), hash,
-                       [](uint64_t h, const DirNode::Child& c) { return h < c.low; });
-  return static_cast<uint32_t>(it - children) - 1;
+// The index, among the slots `map` marks, of the slot `bit`.
+uint32_t Rank(uint32_t map, uint32_t bit) { return std::popcount(map & (bit - 1)); }
+
+// The index of the entry named `name` in a bucket, or its size.
+uint32_t BucketPos(const DirNode* bucket, std::string_view name) {
+  const DirEntry* entries = bucket->entries();
+  uint32_t i = 0;
+  while (i < bucket->entry_count() && *entries[i].name != name) {
+    ++i;
+  }
+  return i;
+}
+
+// Copies `from[0..n)` to `to` with `splice` applied.
+template <typename T, typename Splice>
+void Put(const T* from, uint32_t n, const Splice& splice, T* to) {
+  to = std::copy(from, from + splice.at, to);
+  if (splice.add != nullptr) {
+    *to++ = *splice.add;
+  }
+  std::copy(from + splice.at + splice.drop, from + n, to);
 }
 
 [[noreturn]] void TooDeep() {
-  std::fprintf(stderr, "DirEdit: more nodes than a 2^32-entry directory can change\n");
+  std::fprintf(stderr, "DirEdit: more nodes than one edit can change\n");
   std::abort();
 }
 
 }  // namespace
 
-DirNode* DirNode::Make(uint32_t height, uint32_t size) {
-  const size_t slot = height == 0 ? sizeof(DirEntry) : sizeof(Child);
-  return new (::operator new(sizeof(DirNode) + size * slot)) DirNode(height, size);
-}
-
 const DirEntry* DirFind(const DirNode* node, uint64_t hash, std::string_view name) {
-  if (node == nullptr) {
-    return nullptr;
-  }
-  while (!node->leaf()) {
-    node = node->children()[ChildPos(node, hash)].node;
-  }
-  // A leaf holds a few dozen slots: a forward scan of the sorted hashes
-  // beats a binary search's unpredictable branches.
-  const DirEntry* it = node->entries();
-  const DirEntry* end = it + node->size();
-  while (it != end && it->hash < hash) {
-    ++it;
-  }
-  for (; it != end && it->hash == hash; ++it) {
-    if (*it->name == name) {
-      return it;
+  for (uint32_t shift = 0; node != nullptr; shift += DirNode::kBits) {
+    if (shift >= kHashBits) {
+      const uint32_t i = BucketPos(node, name);
+      return i < node->entry_count() ? &node->entries()[i] : nullptr;
     }
+    const uint32_t bit = SlotBit(hash, shift);
+    if ((node->entry_map() & bit) != 0) {
+      const DirEntry& entry = node->entries()[Rank(node->entry_map(), bit)];
+      return entry.hash == hash && *entry.name == name ? &entry : nullptr;
+    }
+    node = (node->child_map() & bit) != 0 ? node->children()[Rank(node->child_map(), bit)]
+                                          : nullptr;
   }
   return nullptr;
 }
@@ -68,10 +68,22 @@ void DirFree(const DirNode* node) {
   if (node == nullptr) {
     return;
   }
-  for (uint32_t i = 0; !node->leaf() && i < node->size(); ++i) {
-    DirFree(node->children()[i].node);
+  for (uint32_t i = 0; i < node->child_count(); ++i) {
+    DirFree(node->children()[i]);
   }
   delete node;
+}
+
+DirNode* DirEdit::Make(uint32_t entry_map, uint32_t child_map, uint32_t n_entries,
+                       uint32_t n_children) {
+  if (n_made_ == kMaxNodes) {
+    TooDeep();
+  }
+  void* raw = ::operator new(sizeof(DirNode) + n_entries * sizeof(DirEntry) +
+                             n_children * sizeof(const DirNode*));
+  DirNode* node = new (raw) DirNode(entry_map, child_map, n_entries, n_children);
+  made_[n_made_++] = node;
+  return node;
 }
 
 void DirEdit::Drop(const DirNode* old) {
@@ -88,91 +100,71 @@ void DirEdit::Drop(const DirNode* old) {
   replaced_[n_replaced_++] = old;
 }
 
-template <typename Slot, typename At>
-const DirNode* DirEdit::BuildOne(uint32_t height, uint32_t from, uint32_t to, At at) {
-  if (n_made_ == kMaxNodes) {
-    TooDeep();
+const DirNode* DirEdit::Rebuild(const DirNode* node, uint32_t entry_map, uint32_t child_map,
+                                Splice<DirEntry> entries, Splice<const DirNode*> children) {
+  const uint32_t n_entries = node->entry_count() - entries.drop + (entries.add != nullptr);
+  const uint32_t n_children = node->child_count() - children.drop + (children.add != nullptr);
+  DirNode* made = nullptr;
+  if (n_entries + n_children > 0) {
+    made = Make(entry_map, child_map, n_entries, n_children);
+    Put(node->entries(), node->entry_count(), entries, made->entry_slots());
+    Put(node->children(), node->child_count(), children, made->child_slots());
   }
-  DirNode* node = DirNode::Make(height, to - from);
-  Slot* slots = node->slots<Slot>();
-  for (uint32_t i = from; i < to; ++i) {
-    slots[i - from] = at(i);
+  Drop(node);
+  return made;
+}
+
+const DirNode* DirEdit::Pair(const DirEntry& a, const DirEntry& b, uint32_t shift) {
+  if (shift >= kHashBits) {  // one hash: a bucket
+    DirNode* bucket = Make(0, 0, 2, 0);
+    bucket->entry_slots()[0] = a;
+    bucket->entry_slots()[1] = b;
+    return bucket;
   }
-  made_[n_made_++] = node;
+  const uint32_t bit_a = SlotBit(a.hash, shift);
+  const uint32_t bit_b = SlotBit(b.hash, shift);
+  if (bit_a == bit_b) {
+    const DirNode* child = Pair(a, b, shift + DirNode::kBits);
+    DirNode* node = Make(0, bit_a, 0, 1);
+    node->child_slots()[0] = child;
+    return node;
+  }
+  DirNode* node = Make(bit_a | bit_b, 0, 2, 0);
+  node->entry_slots()[bit_a < bit_b ? 0 : 1] = a;
+  node->entry_slots()[bit_a < bit_b ? 1 : 0] = b;
   return node;
 }
 
-template <typename Slot, typename At>
-DirEdit::Pair DirEdit::Build(uint32_t height, uint32_t n, At at) {
-  if (n <= DirNode::kMax) {
-    return {BuildOne<Slot>(height, 0, n, at), nullptr};
-  }
-  uint32_t split = n / 2;
-  if constexpr (std::is_same_v<Slot, DirEntry>) {
-    // Keep every entry of one hash in one leaf: move the split to the
-    // nearest hash boundary, or keep one oversized leaf if there is none.
-    uint32_t up = split;
-    uint32_t down = split;
-    while (up < n && at(up - 1).hash == at(up).hash) {
-      ++up;
-    }
-    while (down > 1 && at(down - 1).hash == at(down).hash) {
-      --down;
-    }
-    split = up < n ? up : down;
-    if (at(split - 1).hash == at(split).hash) {
-      return {BuildOne<Slot>(height, 0, n, at), nullptr};
-    }
-  }
-  return {BuildOne<Slot>(height, 0, split, at), BuildOne<Slot>(height, split, n, at)};
-}
-
-void DirEdit::Insert(const DirEntry& entry) {
-  if (root_ == nullptr) {
-    root_ = BuildOne<DirEntry>(0, 0, 1, [&](uint32_t) { return entry; });
-    return;
-  }
-  const Pair top = InsertIn(root_, entry);
-  root_ = top.left;
-  if (top.right != nullptr) {
-    const DirNode::Child children[2] = {{top.left->low(), top.left},
-                                        {top.right->low(), top.right}};
-    root_ = BuildOne<DirNode::Child>(top.left->height() + 1, 0, 2,
-                                     [&](uint32_t i) { return children[i]; });
-  }
-}
-
-DirEdit::Pair DirEdit::InsertIn(const DirNode* node, const DirEntry& entry) {
-  const uint32_t n = node->size();
-  if (node->leaf()) {
-    // The leaf with `entry` at `pos`, over an entry of the same name if any.
-    const DirEntry* entries = node->entries();
-    const uint32_t pos = LeafPos(node, entry.hash, *entry.name);
-    const uint32_t same =
-        pos < n && entries[pos].hash == entry.hash && *entries[pos].name == *entry.name;
-    const Pair made = Build<DirEntry>(0, n + 1 - same, [&](uint32_t i) -> const DirEntry& {
-      return i < pos ? entries[i] : i == pos ? entry : entries[i - 1 + same];
-    });
-    Drop(node);
+const DirNode* DirEdit::InsertIn(const DirNode* node, uint32_t shift, const DirEntry& entry) {
+  if (node == nullptr) {
+    DirNode* made = Make(SlotBit(entry.hash, shift), 0, 1, 0);
+    made->entry_slots()[0] = entry;
     return made;
   }
-  // The child that takes `entry`, replaced by what it became.
-  const DirNode::Child* children = node->children();
-  const uint32_t pos = ChildPos(node, entry.hash);
-  const Pair below = InsertIn(children[pos].node, entry);
-  const uint32_t grew = below.right != nullptr;
-  const Pair made =
-      Build<DirNode::Child>(node->height(), n + grew, [&](uint32_t i) -> DirNode::Child {
-        if (i == pos) {
-          return {below.left->low(), below.left};
-        }
-        if (grew && i == pos + 1) {
-          return {below.right->low(), below.right};
-        }
-        return children[i < pos ? i : i - grew];
-      });
-  Drop(node);
-  return made;
+  const uint32_t entry_map = node->entry_map();
+  const uint32_t child_map = node->child_map();
+  if (shift >= kHashBits) {  // over the entry of that name, or after the others
+    const uint32_t i = BucketPos(node, *entry.name);
+    return Rebuild(node, 0, 0, {i, i < node->entry_count(), &entry}, {});
+  }
+  const uint32_t bit = SlotBit(entry.hash, shift);
+  if ((entry_map & bit) != 0) {
+    const uint32_t i = Rank(entry_map, bit);
+    const DirEntry& there = node->entries()[i];
+    if (there.hash == entry.hash && *there.name == *entry.name) {
+      return Rebuild(node, entry_map, child_map, {i, 1, &entry}, {});
+    }
+    // Two entries share the slot: they move down into a child.
+    const DirNode* child = Pair(there, entry, shift + DirNode::kBits);
+    return Rebuild(node, entry_map & ~bit, child_map | bit, {i, 1, nullptr},
+                   {Rank(child_map, bit), 0, &child});
+  }
+  if ((child_map & bit) != 0) {
+    const uint32_t i = Rank(child_map, bit);
+    const DirNode* child = InsertIn(node->children()[i], shift + DirNode::kBits, entry);
+    return Rebuild(node, entry_map, child_map, {}, {i, 1, &child});
+  }
+  return Rebuild(node, entry_map | bit, child_map, {Rank(entry_map, bit), 0, &entry}, {});
 }
 
 bool DirEdit::Erase(uint64_t hash, std::string_view name) {
@@ -180,87 +172,45 @@ bool DirEdit::Erase(uint64_t hash, std::string_view name) {
   if (old == nullptr) {
     return false;
   }
-  root_ = EraseIn(old, hash, name);
-  if (root_ == old) {
-    return false;
-  }
-  // An inner root left with one child gives way to it.
-  while (root_ != nullptr && !root_->leaf() && root_->size() == 1) {
-    const DirNode* only = root_->children()[0].node;
-    Drop(root_);
-    root_ = only;
-  }
-  return true;
+  root_ = EraseIn(old, 0, hash, name);
+  return root_ != old;
 }
 
-const DirNode* DirEdit::EraseIn(const DirNode* node, uint64_t hash, std::string_view name) {
-  const uint32_t n = node->size();
-  if (node->leaf()) {
-    const DirEntry* entries = node->entries();
-    const uint32_t pos = LeafPos(node, hash, name);
-    if (pos == n || entries[pos].hash != hash || *entries[pos].name != name) {
+const DirNode* DirEdit::EraseIn(const DirNode* node, uint32_t shift, uint64_t hash,
+                                std::string_view name) {
+  const uint32_t entry_map = node->entry_map();
+  const uint32_t child_map = node->child_map();
+  if (shift >= kHashBits) {
+    const uint32_t i = BucketPos(node, name);
+    return i == node->entry_count() ? node : Rebuild(node, 0, 0, {i, 1, nullptr}, {});
+  }
+  const uint32_t bit = SlotBit(hash, shift);
+  if ((entry_map & bit) != 0) {
+    const uint32_t i = Rank(entry_map, bit);
+    const DirEntry& there = node->entries()[i];
+    if (there.hash != hash || *there.name != name) {
       return node;
     }
-    const DirNode* made =
-        n == 1 ? nullptr : BuildOne<DirEntry>(0, 0, n - 1, [&](uint32_t i) {
-          return entries[i < pos ? i : i + 1];
-        });
-    Drop(node);
-    return made;
+    return Rebuild(node, entry_map & ~bit, child_map, {i, 1, nullptr}, {});
   }
-  const DirNode::Child* children = node->children();
-  const uint32_t pos = ChildPos(node, hash);
-  const DirNode* below = EraseIn(children[pos].node, hash, name);
-  if (below == children[pos].node) {
+  if ((child_map & bit) == 0) {
     return node;
   }
-  const DirNode* made = nullptr;
-  if (below == nullptr) {
-    // The child emptied: drop its slot.
-    if (n > 1) {
-      made = BuildOne<DirNode::Child>(node->height(), 0, n - 1, [&](uint32_t i) {
-        return children[i < pos ? i : i + 1];
-      });
-    }
-  } else if (below->size() >= DirNode::kMin || n == 1) {
-    made = BuildOne<DirNode::Child>(node->height(), 0, n, [&](uint32_t i) {
-      return i == pos ? DirNode::Child{below->low(), below} : children[i];
-    });
-  } else {
-    // The child fell below kMin: merge it with a neighbour, or share their
-    // slots evenly when together they overflow one node.
-    const uint32_t first = pos > 0 ? pos - 1 : pos;
-    const DirNode* sibling = children[first == pos ? pos + 1 : first].node;
-    const DirNode* left = first == pos ? below : sibling;
-    const DirNode* right = first == pos ? sibling : below;
-    const uint32_t nl = left->size();
-    const Pair joined =
-        below->leaf()
-            ? Build<DirEntry>(0, nl + right->size(),
-                              [&](uint32_t i) -> const DirEntry& {
-                                return i < nl ? left->entries()[i] : right->entries()[i - nl];
-                              })
-            : Build<DirNode::Child>(below->height(), nl + right->size(),
-                                    [&](uint32_t i) -> const DirNode::Child& {
-                                      return i < nl ? left->children()[i]
-                                                    : right->children()[i - nl];
-                                    });
-    const uint32_t two = joined.right != nullptr;
-    made = BuildOne<DirNode::Child>(
-        node->height(), 0, n - 1 + two, [&](uint32_t i) -> DirNode::Child {
-          if (i == first) {
-            return {joined.left->low(), joined.left};
-          }
-          if (two && i == first + 1) {
-            return {joined.right->low(), joined.right};
-          }
-          return children[i < first ? i : i + 1 - two];
-        });
-    Drop(sibling);
-    Drop(below);
+  const uint32_t i = Rank(child_map, bit);
+  const DirNode* child = node->children()[i];
+  const DirNode* below = EraseIn(child, shift + DirNode::kBits, hash, name);
+  if (below == child) {
+    return node;
   }
-  Drop(node);
-  return made;
+  // A child holds two entries or more, so one is left at least; when only
+  // one is, it moves up into the child's slot.
+  if (below->entry_count() == 1 && below->child_count() == 0) {
+    const DirEntry moved = below->entries()[0];
+    Drop(below);
+    return Rebuild(node, entry_map | bit, child_map & ~bit, {Rank(entry_map, bit), 0, &moved},
+                   {i, 1, nullptr});
+  }
+  return Rebuild(node, entry_map, child_map, {}, {i, 1, &below});
 }
 
 }  // namespace protego

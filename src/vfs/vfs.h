@@ -14,10 +14,10 @@
 //   * Walks take no lock. Walk, PathOf and ListDir run inside a read
 //     section of the Vfs's grace period (src/base/grace.h), and everything
 //     they read is atomic or immutable once published: each directory's
-//     entries are a copy-on-write B-tree of immutable nodes keyed by name
-//     hash (src/vfs/dir_tree.h), so a lookup hashes its component once and
-//     compares integers, and a create, unlink or rename copies one
-//     root-to-leaf path, publishes one new root (a rename within one
+//     entries are a copy-on-write hash trie of immutable nodes keyed by
+//     name hash (src/vfs/dir_tree.h), so a lookup hashes its component once
+//     and compares integers, and a create, unlink or rename copies one
+//     root-to-slot path, publishes one new root (a rename within one
 //     directory included) and retires the nodes it replaced through the
 //     grace period; parent links, names, mount covers and the unlinked flag
 //     are atomics. A walk and PathOf check a
@@ -126,7 +126,7 @@ class Vnode {
   struct Dir {
     explicit Dir(LockStats* stats) : mu(stats) {}
     ~Dir() { DirFree(root.load(std::memory_order_relaxed)); }
-    // The published entries, a copy-on-write B-tree (null when empty).
+    // The published entries, a copy-on-write hash trie (null when empty).
     std::atomic<const DirNode*> root{nullptr};
     // Non-null when a filesystem is mounted over this directory.
     std::atomic<MountEntry*> covered_by{nullptr};

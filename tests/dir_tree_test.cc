@@ -1,4 +1,4 @@
-// Directories as copy-on-write B-trees (src/vfs/dir_tree.h): the tree
+// Directories as copy-on-write hash tries (src/vfs/dir_tree.h): the trie
 // against a std::map reference, its structural invariants, the same through
 // the Vfs (create, unlink, renames, lookup and listing), and the cost of a
 // create that must not grow with the directory.
@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +34,8 @@ std::string RandomName(uint64_t& rng) {
   return name;
 }
 
-// A tree edited through DirEdit, checked against a std::map. `hash` is the
-// routing hash: Fnv1a, or a weak one whose repeats force shared leaves.
+// A trie edited through DirEdit, checked against a std::map. `hash` is the
+// routing hash: Fnv1a, or a weak one whose repeats force buckets.
 class TreeModel {
  public:
   explicit TreeModel(uint64_t (*hash)(std::string_view)) : hash_(hash) {}
@@ -73,8 +74,8 @@ class TreeModel {
       EXPECT_EQ(entry->node, it->second) << name;
     }
   }
-  // The listing matches the reference, and the tree's shape holds.
-  void ExpectMatches(bool balanced) const {
+  // The listing matches the reference, and the trie's shape holds.
+  void ExpectMatches() const {
     std::map<std::string, Vnode*> listed;
     DirForEach(root_, [&](const DirEntry& e) {
       EXPECT_EQ(e.hash, hash_(*e.name));
@@ -82,7 +83,7 @@ class TreeModel {
     });
     EXPECT_EQ(listed, ref_);
     if (root_ != nullptr) {
-      CheckShape(root_, /*is_root=*/true, balanced);
+      CheckShape(root_, 0, 0, /*is_root=*/true);
     }
   }
   const std::map<std::string, Vnode*>& ref() const { return ref_; }
@@ -98,45 +99,39 @@ class TreeModel {
     edit.Release([](const DirNode* node) { delete node; });
   }
 
-  // Slots in order, routing ranges disjoint, lows exact, equal leaf depth,
-  // sizes within [kMin, kMax] off the root (unless hashes repeat).
-  struct Span {
-    uint64_t low;
-    uint64_t high;
-  };
-  Span CheckShape(const DirNode* node, bool is_root, bool balanced) const {
-    const uint32_t n = node->size();
-    EXPECT_GT(n, 0u);
-    if (balanced) {
-      EXPECT_LE(n, DirNode::kMax);
-      if (!is_root) {
-        EXPECT_GE(n, DirNode::kMin);
+  // Every entry sits under the slots its hash spells (`prefix` is the
+  // hash bits below `shift`), the maps match the slots, no node but the
+  // root holds a lone entry, and a bucket holds two entries or more.
+  void CheckShape(const DirNode* node, uint32_t shift, uint64_t prefix, bool is_root) const {
+    const uint32_t n_entries = node->entry_count();
+    const uint32_t n_children = node->child_count();
+    EXPECT_GT(n_entries + n_children, 0u);
+    if (!is_root) {
+      EXPECT_FALSE(n_entries == 1 && n_children == 0);
+    }
+    const uint64_t spelled = shift >= 64 ? ~uint64_t{0} : (uint64_t{1} << shift) - 1;
+    for (uint32_t i = 0; i < n_entries; ++i) {
+      EXPECT_EQ(node->entries()[i].hash & spelled, prefix);
+    }
+    if (shift >= 64) {
+      EXPECT_EQ(node->entry_map() | node->child_map(), 0u);
+      EXPECT_EQ(n_children, 0u);
+      EXPECT_GE(n_entries, 2u);
+      return;
+    }
+    EXPECT_EQ(node->entry_map() & node->child_map(), 0u);
+    EXPECT_EQ(static_cast<uint32_t>(std::popcount(node->entry_map())), n_entries);
+    EXPECT_EQ(static_cast<uint32_t>(std::popcount(node->child_map())), n_children);
+    uint32_t entry = 0;
+    uint32_t child = 0;
+    for (uint32_t slot = 0; slot < DirNode::kSlots; ++slot) {
+      if ((node->entry_map() >> slot & 1) != 0) {
+        EXPECT_EQ(node->entries()[entry++].hash >> shift & (DirNode::kSlots - 1), slot);
+      } else if ((node->child_map() >> slot & 1) != 0) {
+        CheckShape(node->children()[child++], shift + DirNode::kBits,
+                   prefix | uint64_t{slot} << shift, false);
       }
     }
-    if (node->leaf()) {
-      const DirEntry* e = node->entries();
-      for (uint32_t i = 1; i < n; ++i) {
-        EXPECT_TRUE(e[i - 1].hash < e[i].hash ||
-                    (e[i - 1].hash == e[i].hash && *e[i - 1].name < *e[i].name));
-      }
-      if (n > DirNode::kMax) {
-        EXPECT_EQ(e[0].hash, e[n - 1].hash);  // only a leaf of one hash outgrows kMax
-      }
-      return {e[0].hash, e[n - 1].hash};
-    }
-    EXPECT_TRUE(is_root || n >= 2 || !balanced);
-    const DirNode::Child* c = node->children();
-    Span whole{c[0].low, 0};
-    for (uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(c[i].node->height() + 1, node->height());
-      const Span span = CheckShape(c[i].node, false, balanced);
-      EXPECT_EQ(span.low, c[i].low);
-      if (i > 0) {
-        EXPECT_LT(whole.high, span.low);
-      }
-      whole.high = span.high;
-    }
-    return whole;
   }
 
   uint64_t (*hash_)(std::string_view);
@@ -151,11 +146,10 @@ uint64_t WeakHash(std::string_view name) { return Fnv1a(name) % 7; }
 
 // Seeded random inserts, erases, renames and lookups at sizes from 0 to
 // 20,000, checked against the reference after each batch.
-void RunTreeDifferential(uint64_t (*hash)(std::string_view), bool balanced, uint64_t seed,
-                         int max_size) {
+void RunTreeDifferential(uint64_t (*hash)(std::string_view), uint64_t seed, int max_size) {
   uint64_t rng = seed;
   TreeModel tree(hash);
-  tree.ExpectMatches(balanced);
+  tree.ExpectMatches();
   for (int target : {0, 1, 31, 32, 33, 200, 1000, max_size, 40, 0}) {
     // Grow or shrink to the target, then churn around it.
     while (static_cast<int>(tree.ref().size()) < target) {
@@ -166,7 +160,7 @@ void RunTreeDifferential(uint64_t (*hash)(std::string_view), bool balanced, uint
       std::advance(it, SplitMix64(rng) % std::min<size_t>(tree.ref().size(), 64));
       tree.Erase(it->first);
     }
-    tree.ExpectMatches(balanced);
+    tree.ExpectMatches();
     for (int op = 0; op < 600; ++op) {
       const std::string fresh = RandomName(rng);
       const uint64_t pick = SplitMix64(rng) % 5;
@@ -188,13 +182,13 @@ void RunTreeDifferential(uint64_t (*hash)(std::string_view), bool balanced, uint
           break;
       }
     }
-    tree.ExpectMatches(balanced);
+    tree.ExpectMatches();
   }
 }
 
-TEST(DirTree, MatchesAMapReference) { RunTreeDifferential(FullHash, true, 11, 20000); }
+TEST(DirTree, MatchesAMapReference) { RunTreeDifferential(FullHash, 11, 20000); }
 
-TEST(DirTree, RepeatedHashesShareALeaf) { RunTreeDifferential(WeakHash, false, 12, 2000); }
+TEST(DirTree, RepeatedHashesShareABucket) { RunTreeDifferential(WeakHash, 12, 2000); }
 
 // The same through the Vfs: two directories, creates, unlinks, renames
 // within and across them (over existing names too), lookups and listings,
@@ -295,18 +289,18 @@ PairCost CreateUnlinkCost(int entries) {
   return {static_cast<double>(tally.allocs) / kPairs, static_cast<double>(tally.bytes) / kPairs};
 }
 
-// A create copies one root-to-leaf path, never the listing: its
+// A create copies one root-to-slot path, never the listing: its
 // allocations and bytes do not grow with the directory. From 10 to 10,000
-// entries the tree gains two levels, so a create and an unlink each copy at
-// most two more nodes (of at most kMax slots). Copying the whole listing
-// allocates every name longer than the short-string buffer again, and
-// copies every entry.
+// entries a path through the trie gains at most three levels, so a create
+// and an unlink each copy at most three more nodes (of at most kSlots
+// slots). Copying the whole listing allocates every name longer than the
+// short-string buffer again, and copies every entry.
 TEST(VfsDirectory, CreateCostDoesNotGrowWithDirectorySize) {
   const PairCost small = CreateUnlinkCost(10);
   const PairCost large = CreateUnlinkCost(10000);
-  EXPECT_LE(large.allocs, small.allocs + 4) << small.allocs;
+  EXPECT_LE(large.allocs, small.allocs + 6) << small.allocs;
   EXPECT_LE(large.bytes,
-            small.bytes + 4 * (sizeof(DirNode) + DirNode::kMax * sizeof(DirEntry)))
+            small.bytes + 6 * (sizeof(DirNode) + DirNode::kSlots * sizeof(DirEntry)))
       << small.bytes;
 }
 

@@ -569,6 +569,62 @@ TEST(ParallelStress, RawSocketCloseDuringDelivery) {
   EXPECT_EQ(k.vfs().grace_pending(), 0u);
 }
 
+// Async children each open a few sockets, bind one, exit and are reaped
+// while their parent keeps calling WaitPid, so the parent often finds an
+// exit record the moment it is posted. A child closes its descriptors
+// before it posts that record: the reap that follows frees the task while
+// nothing else touches it (TSan and ASan see the child's close racing the
+// reap otherwise). Every port is free again for the next round.
+TEST(ParallelStress, ExitedChildrenAreReapedWhileTheirParentWaits) {
+  constexpr int kRounds = 50;
+  constexpr int kChildren = 4;
+  constexpr int kSockets = 6;
+  constexpr uint16_t kBase = 41000;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  ASSERT_TRUE(k.InstallBinary("/bin/binder", 0755, kRootUid, kRootGid,
+                              [](ProcessContext& ctx) {
+                                const auto port = static_cast<uint16_t>(std::stoi(ctx.argv.at(1)));
+                                for (int i = 0; i < kSockets; ++i) {
+                                  auto fd = ctx.kernel.SocketCall(ctx.task, kAfInet, kSockDgram, 0);
+                                  if (!fd.ok() ||
+                                      (i == 0 && !ctx.kernel.BindCall(ctx.task, fd.value(), port)
+                                                       .ok())) {
+                                    return 1;
+                                  }
+                                }
+                                return 0;
+                              })
+                  .ok());
+  Task* parent = &k.CreateTask("parent", Cred::ForUser(1000, 1000), nullptr);
+  const uint64_t open_before = k.OpenFileCount();
+  std::atomic<int> errors{0};
+  RunTasks(k, {{parent, [&] {
+                  for (int round = 0; round < kRounds; ++round) {
+                    int pids[kChildren];
+                    for (int c = 0; c < kChildren; ++c) {
+                      auto child = k.SpawnAsync(*parent, "/bin/binder",
+                                                {"binder", std::to_string(kBase + c)}, {});
+                      if (!child.ok()) {
+                        ++errors;
+                        return;
+                      }
+                      pids[c] = child.value();
+                    }
+                    for (int c = 0; c < kChildren; ++c) {
+                      auto status = k.WaitPid(*parent, pids[c]);
+                      if (!status.ok() || status.value() != 0 || k.FindTask(pids[c]) != nullptr ||
+                          k.net().PortOwner(kProtoUdp, kBase + c).has_value()) {
+                        ++errors;
+                      }
+                    }
+                  }
+                }}});
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(k.OpenFileCount(), open_before);
+}
+
 // --- Race corpus re-run with real threads ------------------------------------
 
 TEST(ParallelRaceCorpus, ProtegoTocttouCleanUnderRealThreads) {
@@ -1258,7 +1314,7 @@ TEST(ParallelStress, StatSeesOneWrittenState) {
 }
 
 // One task renames a file a <-> b in a directory of 200 other entries
-// (several B-tree nodes), while three tasks list the directory and walk both
+// (several trie nodes), while three tasks list the directory and walk both
 // names. A same-directory rename publishes one new root, so every listing
 // holds exactly one of a and b and all 200 others; a walk finds the file
 // under a name or misses it, never another object.
