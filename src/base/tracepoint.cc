@@ -235,7 +235,7 @@ std::string Tracer::Format() const {
     }
   }
 
-  const TraceFilter& f = read_filter_;
+  const TraceFilter f = read_filter();
   std::string out;
   auto indent = [&out](int depth) { out.append(static_cast<size_t>(depth) * 2, ' '); };
 

@@ -226,8 +226,17 @@ class Tracer {
     return s > capacity_ ? s - capacity_ : 0;
   }
 
-  void set_read_filter(TraceFilter filter) { read_filter_ = std::move(filter); }
-  const TraceFilter& read_filter() const { return read_filter_; }
+  // The filter is written by /proc/protego/trace writes and copied by
+  // every read of the file, possibly on other threads: both go through
+  // filter_mu_.
+  void set_read_filter(TraceFilter filter) {
+    std::lock_guard<std::mutex> lk(filter_mu_);
+    read_filter_ = std::move(filter);
+  }
+  TraceFilter read_filter() const {
+    std::lock_guard<std::mutex> lk(filter_mu_);
+    return read_filter_;
+  }
 
   // The /proc/protego/trace body: decision trees (span roots with their
   // child events indented beneath), oldest first, honoring read_filter().
@@ -256,6 +265,7 @@ class Tracer {
   std::atomic<uint64_t> seq_{0};  // next global sequence number
   ThreadShards<Shard> shards_;
   std::atomic<uint64_t> next_span_{1};  // survives Clear() (spans may be open)
+  mutable std::mutex filter_mu_;
   TraceFilter read_filter_;
 };
 

@@ -109,16 +109,11 @@ void Kernel::CollectKernelMetrics(MetricsBuilder& b) const {
             lsm_.fail_closed_denials());
   CollectLock(b, "vfs_tree", vfs_.tree_lock_counts());
   CollectLock(b, "vfs_data", vfs_.data_lock_counts());
-  CollectLock(b, "vfs_watch", vfs_.watch_lock_counts());
-  CollectLock(b, "netfilter_rules", net_.netfilter().rules_lock_counts());
-  CollectLock(b, "routing", net_.routes().lock_counts());
-  CollectLock(b, "net_raw", net_.raw_lock_counts());
-  CollectLock(b, "net_topo", net_.topo_lock_counts());
-  CollectLock(b, "binary_registry", registry_mu_.counts());
   b.Gauge("protego_vfs_grace_pending",
           "Objects retired through the kernel's grace period (directory nodes, names, mount "
-          "rows, watch lists, policy, AppArmor profile, binary filter, netfilter, route, address, "
-          "host and raw-list snapshots, closed raw sockets) and not yet freed.",
+          "rows, watch lists, policy, AppArmor profile, binary filter, fs type, ioctl handler, "
+          "netfilter, route, address, host and raw-list snapshots, closed raw sockets) and not "
+          "yet freed.",
           {}, static_cast<double>(vfs_.grace_pending()));
   b.Gauge("protego_open_files", "Open file descriptions across all tasks.", {},
           static_cast<double>(OpenFileCount()));
@@ -184,7 +179,7 @@ Result<Unit> Kernel::InstallBinary(const std::string& path, uint32_t mode, Uid u
   Inode inode(kIfReg | (mode & kPermMask), uid, gid, "\177ELF " + path);
   inode.program = program.get();
   RETURN_IF_ERROR(vfs_.CreateAt(vfs_.Walk("/", path, /*follow=*/false), std::move(inode)));
-  std::unique_lock<RwLock> lk(registry_mu_);
+  std::lock_guard<std::mutex> lk(programs_mu_);
   programs_.push_back(std::move(program));
   return OkUnit();
 }
@@ -772,8 +767,9 @@ Result<Unit> Kernel::WriteWholeFile(Task& task, const std::string& path, std::st
 // --- Mounts --------------------------------------------------------------------
 
 void Kernel::RegisterFsType(const std::string& fstype, FsTypeFactory factory) {
-  std::unique_lock<RwLock> lk(registry_mu_);
-  fs_types_[fstype] = std::move(factory);
+  fs_types_.Update([&](std::map<std::string, FsTypeFactory>& types) {
+    types[fstype] = std::move(factory);
+  });
 }
 
 Result<Unit> Kernel::Mount(Task& task, const std::string& source, const std::string& target,
@@ -806,9 +802,10 @@ Result<Unit> Kernel::MountImpl(Task& task, const std::string& source, const std:
   }
   FsTypeFactory factory;
   {
-    std::shared_lock<RwLock> lk(registry_mu_);
-    auto it = fs_types_.find(fstype);
-    if (it == fs_types_.end()) {
+    GraceDomain::Section section(fs_types_.grace());
+    const auto& types = fs_types_.Read();
+    auto it = types.find(fstype);
+    if (it == types.end()) {
       return Error(Errno::kENODEV, "unknown filesystem type " + fstype);
     }
     factory = it->second;  // copy: the factory may nest syscalls
@@ -1191,14 +1188,10 @@ void Kernel::RegisterBinaryFilter(const std::string& path, SeccompFilter filter)
   // directory's canonical path and the binary's name.
   std::string canonical = vfs_.Walk("/", path, /*follow=*/true).path;
   auto shared = std::make_shared<const SeccompFilter>(std::move(filter));
-  std::unique_lock<RwLock> lk(registry_mu_);
   binary_filters_.Update([&](BinaryFilters& filters) { filters[canonical] = std::move(shared); });
 }
 
-void Kernel::ClearBinaryFilters() {
-  std::unique_lock<RwLock> lk(registry_mu_);
-  binary_filters_.Publish(BinaryFilters());
-}
+void Kernel::ClearBinaryFilters() { binary_filters_.Publish(BinaryFilters()); }
 
 // --- exec ------------------------------------------------------------------------
 
@@ -1596,8 +1589,9 @@ Result<std::optional<Packet>> Kernel::RecvCallImpl(Task& task, int fd) {
 // --- ioctl --------------------------------------------------------------------------
 
 void Kernel::RegisterIoctlHandler(uint32_t major, uint32_t minor, IoctlHandler handler) {
-  std::unique_lock<RwLock> lk(registry_mu_);
-  ioctl_handlers_[(static_cast<uint64_t>(major) << 32) | minor] = std::move(handler);
+  ioctl_handlers_.Update([&](std::map<uint64_t, IoctlHandler>& handlers) {
+    handlers[(static_cast<uint64_t>(major) << 32) | minor] = std::move(handler);
+  });
 }
 
 Result<std::string> Kernel::Ioctl(Task& task, int fd, uint32_t request, const std::string& arg) {
@@ -1691,10 +1685,10 @@ Result<std::string> Kernel::IoctlImpl(Task& task, int fd, uint32_t request,
   }
   IoctlHandler handler;
   {
-    std::shared_lock<RwLock> lk(registry_mu_);
-    auto it = ioctl_handlers_.find((static_cast<uint64_t>(inode.rdev_major) << 32) |
-                                   inode.rdev_minor);
-    if (it == ioctl_handlers_.end()) {
+    GraceDomain::Section section(ioctl_handlers_.grace());
+    const auto& handlers = ioctl_handlers_.Read();
+    auto it = handlers.find((static_cast<uint64_t>(inode.rdev_major) << 32) | inode.rdev_minor);
+    if (it == handlers.end()) {
       return Error(Errno::kENOTTY, ireq.target);
     }
     handler = it->second;  // copy: handlers nest syscalls (pppd's ioctls do)

@@ -7,6 +7,12 @@
 // a kDeny refuses, a kAllow grants past the legacy capability check (the
 // Protego kernel change), and kDefault falls back to the hard-coded
 // capability test that stock Linux 3.6 applies.
+//
+// The kernel's read-mostly tables (the fs types mount reads, the device
+// ioctl handlers and exec's per-binary seccomp filters) are Published
+// snapshots (src/base/published.h) on the kernel's one grace period: a
+// syscall reads them in a read section and takes no lock, and each
+// serializes its own writers.
 
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
@@ -19,7 +25,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -29,7 +34,6 @@
 #include "src/base/metrics.h"
 #include "src/base/published.h"
 #include "src/base/result.h"
-#include "src/base/rw_lock.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/kernel/audit_ring.h"
@@ -503,14 +507,14 @@ class Kernel {
   std::atomic<int64_t> open_files_{0};  // folded fd-table counts (FdTable)
   mutable TaskShard task_shards_[kTaskShards];
   std::atomic<uint64_t> task_count_{0};   // live tasks across all shards
-  // Read-mostly registries: populated at boot (unique lock), consulted on
-  // every mount/ioctl (shared lock, entry copied out so the callable runs
-  // lock-free — handlers nest further syscalls). The lock also serializes
-  // the writers of the programs and the binary filters.
-  mutable RwLock registry_mu_;
-  std::map<std::string, FsTypeFactory> fs_types_;
-  std::map<uint64_t, IoctlHandler> ioctl_handlers_;  // (major<<32)|minor
-  // Every program ever installed; inodes point at them.
+  // Read-mostly registries, populated at boot and read in a section of the
+  // kernel's grace period on every mount and ioctl; the entry is copied out
+  // and run outside the section, because handlers nest further syscalls.
+  Published<std::map<std::string, FsTypeFactory>> fs_types_{vfs_.grace()};
+  Published<std::map<uint64_t, IoctlHandler>> ioctl_handlers_{vfs_.grace()};  // (major<<32)|minor
+  // Every program ever installed; inodes point at them. No reader walks the
+  // list, so a plain mutex serializes its writers.
+  std::mutex programs_mu_;
   std::vector<std::unique_ptr<Program>> programs_;
   // Synthesized per-binary filters attached at execve (profile transition),
   // by canonical path, read in a section of the kernel's grace period.

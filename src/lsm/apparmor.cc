@@ -5,7 +5,6 @@
 namespace protego {
 
 void AppArmorModule::LoadProfile(AaProfile profile) {
-  std::lock_guard<std::mutex> lk(mu_);
   profiles_.Update([&](Profiles& profiles) {
     std::string key = profile.binary;
     profiles[key] = std::move(profile);
@@ -14,7 +13,6 @@ void AppArmorModule::LoadProfile(AaProfile profile) {
 }
 
 void AppArmorModule::RemoveProfile(const std::string& binary) {
-  std::lock_guard<std::mutex> lk(mu_);
   profiles_.Update([&](Profiles& profiles) { profiles.erase(binary); });
   BumpPolicyGeneration();
 }

@@ -11,13 +11,12 @@
 // on the kernel's grace period: each hook reads it once inside a read
 // section and decides on that one snapshot, so a profile loaded or removed
 // during traffic gives every verdict the old or the new profile set. Loads
-// and removals serialize on a writer lock.
+// and removals serialize on the snapshot's own writer mutex.
 
 #ifndef SRC_LSM_APPARMOR_H_
 #define SRC_LSM_APPARMOR_H_
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,7 +64,6 @@ class AppArmorModule : public SecurityModule {
  private:
   using Profiles = std::map<std::string, AaProfile>;
 
-  std::mutex mu_;  // serializes LoadProfile and RemoveProfile
   Published<Profiles> profiles_;
 };
 

@@ -26,31 +26,24 @@ std::string Packet::ToString() const {
 }
 
 void Netfilter::Append(NfRule rule) {
-  std::lock_guard<RwLock> lk(rules_mu_);
   rules_.Update([&](std::vector<NfRule>& rules) { rules.push_back(std::move(rule)); });
 }
 
 void Netfilter::Insert(NfRule rule) {
-  std::lock_guard<RwLock> lk(rules_mu_);
   rules_.Update(
       [&](std::vector<NfRule>& rules) { rules.insert(rules.begin(), std::move(rule)); });
 }
 
 int Netfilter::DeleteByComment(const std::string& comment) {
-  std::lock_guard<RwLock> lk(rules_mu_);
-  std::vector<NfRule> rules = rules_.Read();
-  const size_t removed =
-      std::erase_if(rules, [&](const NfRule& r) { return r.comment == comment; });
-  if (removed != 0) {
-    rules_.Publish(std::move(rules));
-  }
+  size_t removed = 0;
+  rules_.Update([&](std::vector<NfRule>& rules) {
+    removed = std::erase_if(rules, [&](const NfRule& r) { return r.comment == comment; });
+    return removed != 0;
+  });
   return static_cast<int>(removed);
 }
 
-void Netfilter::Flush() {
-  std::lock_guard<RwLock> lk(rules_mu_);
-  rules_.Publish({});
-}
+void Netfilter::Flush() { rules_.Publish({}); }
 
 size_t Netfilter::RuleCount(NfChain chain) const {
   GraceDomain::Section section(rules_.grace());

@@ -19,7 +19,6 @@
 #include "src/base/grace.h"
 #include "src/base/published.h"
 #include "src/base/result.h"
-#include "src/base/rw_lock.h"
 #include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
@@ -114,8 +113,6 @@ class Netfilter {
   // Packets dropped because a fault was injected mid-evaluation (subset of
   // dropped()).
   uint64_t fail_closed_drops() const { return tallies_.Sum(&Tally::fail_closed_drops); }
-  // Slow-path counts of the rule writers' lock (exported as metrics).
-  LockCounts rules_lock_counts() const { return rules_mu_.counts(); }
 
  private:
   bool Matches(const NfMatch& match, const Packet& packet) const;
@@ -133,12 +130,11 @@ class Netfilter {
   // The rules are one immutable snapshot (Published), as Linux reads its
   // x_tables without a lock: Evaluate loads it once inside a read section
   // and takes no lock, so packets from many task threads write no shared
-  // line. Rule edits (the iptables control path) serialize on rules_mu_,
-  // copy the vector, edit the copy and publish it; the old snapshot is
-  // freed after the grace period. The port-owner callback runs inside the
-  // section and takes a Network port-table shard, which no writer here
-  // ever holds.
-  RwLock rules_mu_;
+  // line. Rule edits (the iptables control path) serialize on the
+  // snapshot's own writer mutex, copy the vector, edit the copy and publish
+  // it; the old snapshot is freed after the grace period. The port-owner
+  // callback runs inside the section and takes a Network port-table shard,
+  // which no writer here ever holds.
   Published<std::vector<NfRule>> rules_;
   PortOwnerFn port_owner_;
   Tracer* tracer_ = nullptr;

@@ -43,7 +43,6 @@ SocketRef Network::CreateSocket(int family, int type, int protocol, Uid owner,
   sock->owner_binary = owner_binary;
   sock->netns = netns;
   if (IsRawSocket(*sock)) {
-    std::lock_guard<RwLock> lk(raw_mu_);
     raw_sockets_.Update([&](std::vector<Socket*>& raw) { raw.push_back(sock.get()); });
   }
   return sock;
@@ -53,10 +52,7 @@ void Network::Release(Socket* sock) {
   // No reference remains, so nothing rebinds it; unhash it from every
   // index delivery can reach it through before freeing.
   if (IsRawSocket(*sock)) {
-    {
-      std::lock_guard<RwLock> lk(raw_mu_);
-      raw_sockets_.Update([&](std::vector<Socket*>& raw) { std::erase(raw, sock); });
-    }
+    raw_sockets_.Update([&](std::vector<Socket*>& raw) { std::erase(raw, sock); });
     // A delivery that loaded the old list may still be queueing on it.
     grace_.Retire(sock);
     return;
@@ -186,17 +182,14 @@ bool Network::IsLocalAddress(Ipv4 ip) const {
 }
 
 void Network::AddLocalAddress(Ipv4 ip) {
-  std::lock_guard<RwLock> lk(topo_mu_);
   local_addrs_.Update([&](std::vector<Ipv4>& addrs) { addrs.push_back(ip); });
 }
 
 void Network::RemoveLocalAddress(Ipv4 ip) {
-  std::lock_guard<RwLock> lk(topo_mu_);
   local_addrs_.Update([&](std::vector<Ipv4>& addrs) { std::erase(addrs, ip); });
 }
 
 void Network::AddRemoteHost(RemoteHost host) {
-  std::lock_guard<RwLock> lk(topo_mu_);
   hosts_.Update([&](std::vector<RemoteHost>& hosts) { hosts.push_back(std::move(host)); });
 }
 

@@ -21,7 +21,6 @@
 #include "src/base/grace.h"
 #include "src/base/published.h"
 #include "src/base/result.h"
-#include "src/base/rw_lock.h"
 #include "src/base/thread_shards.h"
 #include "src/net/netfilter.h"
 #include "src/net/packet.h"
@@ -91,16 +90,14 @@ struct PppChannel {
 //     list. Send opens one read section of the kernel's grace period for
 //     the whole packet path and reads each at most once per packet, so a
 //     packet takes no reader lock: it locks only its destination port's
-//     shard and the receiving socket. Writers
-//     serialize on raw_mu_ (the raw list), topo_mu_ (addresses and hosts)
-//     and the tables' own locks, and publish edited copies.
+//     shard and the receiving socket. Each snapshot serializes its own
+//     writers, which publish edited copies; no lock stands beside it.
 //   - A raw socket is freed through the grace period: delivery reaches it
 //     from the raw list without a lock.
 //   - Socket::mu: per-socket state (rx_queue, bound_port, listening, peer).
 //   - ppp_mu_: the PPP units, mutable per-unit state on pppd's ioctl path.
-// Lock order: port shard -> socket, raw_mu_ -> (nothing). Netfilter is
-// never evaluated under a port shard, so its port-owner callback may take
-// one.
+// Lock order: port shard -> socket. Netfilter is never evaluated under a
+// port shard, so its port-owner callback may take one.
 class Network {
  public:
   // Snapshots and raw sockets retire through `grace`, the kernel's one
@@ -173,9 +170,6 @@ class Network {
   // quiescence.
   uint64_t packets_delivered() const { return tallies_.Sum(&Tally::delivered); }
   uint64_t packets_dropped() const { return netfilter_.dropped(); }
-  // Slow-path counts of the raw-list and topology writers' locks.
-  LockCounts raw_lock_counts() const { return raw_mu_.counts(); }
-  LockCounts topo_lock_counts() const { return topo_mu_.counts(); }
 
  private:
   static constexpr size_t kShards = 16;
@@ -202,10 +196,7 @@ class Network {
   RoutingTable routes_;
   std::array<PortShard, kShards> port_shards_;
 
-  RwLock raw_mu_;
   Published<std::vector<Socket*>> raw_sockets_;
-
-  RwLock topo_mu_;
   Published<std::vector<RemoteHost>> hosts_;
   Published<std::vector<Ipv4>> local_addrs_;
 

@@ -30,27 +30,31 @@ bool RoutingTable::Conflicts(const RouteEntry& candidate) const {
 }
 
 Result<Unit> RoutingTable::Add(RouteEntry entry) {
-  std::lock_guard<RwLock> lk(mu_);
-  for (const RouteEntry& e : entries_.Read()) {
-    if (e.dst == entry.dst && e.prefix_len == entry.prefix_len) {
-      return Error(Errno::kEEXIST, entry.ToString());
+  const bool added = entries_.Update([&](std::vector<RouteEntry>& entries) {
+    for (const RouteEntry& e : entries) {
+      if (e.dst == entry.dst && e.prefix_len == entry.prefix_len) {
+        return false;
+      }
     }
+    entries.push_back(std::move(entry));
+    return true;
+  });
+  if (!added) {
+    return Error(Errno::kEEXIST, entry.ToString());
   }
-  entries_.Update([&](std::vector<RouteEntry>& entries) { entries.push_back(std::move(entry)); });
   return OkUnit();
 }
 
 Result<Unit> RoutingTable::Remove(Ipv4 dst, int prefix_len) {
-  std::lock_guard<RwLock> lk(mu_);
-  const std::vector<RouteEntry>& current = entries_.Read();
-  for (size_t i = 0; i < current.size(); ++i) {
-    if (current[i].dst == dst && current[i].prefix_len == prefix_len) {
-      entries_.Update(
-          [&](std::vector<RouteEntry>& entries) { entries.erase(entries.begin() + i); });
-      return OkUnit();
-    }
+  const bool removed = entries_.Update([&](std::vector<RouteEntry>& entries) {
+    return std::erase_if(entries, [&](const RouteEntry& e) {
+             return e.dst == dst && e.prefix_len == prefix_len;
+           }) != 0;
+  });
+  if (!removed) {
+    return Error(Errno::kESRCH, "no such route");
   }
-  return Error(Errno::kESRCH, "no such route");
+  return OkUnit();
 }
 
 std::optional<RouteEntry> RoutingTable::Lookup(Ipv4 dst) const {

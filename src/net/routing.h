@@ -12,7 +12,6 @@
 #include "src/base/grace.h"
 #include "src/base/published.h"
 #include "src/base/result.h"
-#include "src/base/rw_lock.h"
 #include "src/net/packet.h"
 
 namespace protego {
@@ -53,23 +52,19 @@ class RoutingTable {
     GraceDomain::Section section(entries_.grace());
     return entries_.Read();
   }
-  void Clear() {
-    std::lock_guard<RwLock> lk(mu_);
-    entries_.Publish({});
-  }
-  // Slow-path counts of the writers' lock (exported as metrics).
-  LockCounts lock_counts() const { return mu_.counts(); }
+  void Clear() { entries_.Publish({}); }
 
   static bool PrefixContains(Ipv4 net, int prefix_len, Ipv4 addr);
 
  private:
   // The table is one immutable snapshot (Published), as Linux reads its FIB
   // under RCU: Conflicts, Lookup and entries() read it inside a read
-  // section and take no lock. Add, Remove and Clear serialize on mu_ and
-  // publish an edited copy. Protego's check-then-add (Conflicts in the
-  // ioctl hook, Add in the handler) reads two snapshots and is itself a
-  // TOCTTOU window: that is the semantic race the corpus exercises.
-  RwLock mu_;
+  // section and take no lock. Add, Remove and Clear serialize on the
+  // snapshot's own writer mutex and publish an edited copy; Add's duplicate
+  // and Remove's missing route decline the edit and publish nothing.
+  // Protego's check-then-add (Conflicts in the ioctl hook, Add in the
+  // handler) reads two snapshots and is itself a TOCTTOU window: that is the
+  // semantic race the corpus exercises.
   Published<std::vector<RouteEntry>> entries_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "src/base/strings.h"
@@ -56,18 +57,7 @@ ProtegoStats ProtegoLsm::stats() const {
   return sum;
 }
 
-ProtegoLsm::Policy ProtegoLsm::CloneTablesLocked() const {
-  const Policy& cur = Current();
-  Policy next;
-  next.mount_whitelist = cur.mount_whitelist;
-  next.bind_table = cur.bind_table;
-  next.delegation = cur.delegation;
-  next.user_db = cur.user_db;
-  next.ppp_options = cur.ppp_options;
-  return next;
-}
-
-Result<Unit> ProtegoLsm::CompileAndPublish(Policy next) {
+Result<Unit> ProtegoLsm::Compile(Policy& next) const {
   // Compile into the staged snapshot so a failure part-way through (an
   // injected kPolicyCompile fault standing in for OOM during index
   // construction) publishes nothing — the live snapshot is untouched. Two
@@ -85,49 +75,53 @@ Result<Unit> ProtegoLsm::CompileAndPublish(Policy next) {
   }
   next.engine.files.Build(next.delegation);
   next.engine.sudoers.Build(next.delegation, next.user_db);
-  // Publish-then-bump: the new snapshot is published before the (release)
-  // generation bump, so a reader that sees generation G (acquire) is
-  // guaranteed to load at least generation G's snapshot. The displaced
-  // snapshot is freed once no read section that may have loaded it is open.
-  policy_.Publish(std::move(next));
-  // Only reached on success: a failed swap leaves the generation unchanged.
-  BumpPolicyGeneration();
   return OkUnit();
 }
 
+template <typename Table>
+Result<Unit> ProtegoLsm::Swap(Table Policy::*table, Table value) {
+  Result<Unit> compiled = OkUnit();
+  const bool published = policy_.Replace([&](const Policy& cur) -> std::optional<Policy> {
+    // Only the raw tables are copied; the engine is rebuilt from them.
+    Policy next;
+    next.mount_whitelist = cur.mount_whitelist;
+    next.bind_table = cur.bind_table;
+    next.delegation = cur.delegation;
+    next.user_db = cur.user_db;
+    next.ppp_options = cur.ppp_options;
+    next.*table = std::move(value);
+    compiled = Compile(next);
+    if (!compiled.ok()) {
+      return std::nullopt;
+    }
+    return next;
+  });
+  // Publish-then-bump: the new snapshot is published before the (release)
+  // generation bump, so a reader that sees generation G (acquire) is
+  // guaranteed to load at least generation G's snapshot. A failed swap
+  // leaves the generation unchanged.
+  if (published) {
+    BumpPolicyGeneration();
+  }
+  return compiled;
+}
+
 Result<Unit> ProtegoLsm::SetMountPolicy(std::vector<FstabEntry> whitelist) {
-  std::lock_guard<std::mutex> lk(swap_mu_);
-  Policy next = CloneTablesLocked();
-  next.mount_whitelist = std::move(whitelist);
-  return CompileAndPublish(std::move(next));
+  return Swap(&Policy::mount_whitelist, std::move(whitelist));
 }
 
 Result<Unit> ProtegoLsm::SetBindTable(std::vector<BindConfEntry> table) {
-  std::lock_guard<std::mutex> lk(swap_mu_);
-  Policy next = CloneTablesLocked();
-  next.bind_table = std::move(table);
-  return CompileAndPublish(std::move(next));
+  return Swap(&Policy::bind_table, std::move(table));
 }
 
 Result<Unit> ProtegoLsm::SetDelegation(SudoersPolicy policy) {
-  std::lock_guard<std::mutex> lk(swap_mu_);
-  Policy next = CloneTablesLocked();
-  next.delegation = std::move(policy);
-  return CompileAndPublish(std::move(next));
+  return Swap(&Policy::delegation, std::move(policy));
 }
 
-Result<Unit> ProtegoLsm::SetUserDb(UserDb db) {
-  std::lock_guard<std::mutex> lk(swap_mu_);
-  Policy next = CloneTablesLocked();
-  next.user_db = std::move(db);
-  return CompileAndPublish(std::move(next));
-}
+Result<Unit> ProtegoLsm::SetUserDb(UserDb db) { return Swap(&Policy::user_db, std::move(db)); }
 
 Result<Unit> ProtegoLsm::SetPppOptions(PppOptions options) {
-  std::lock_guard<std::mutex> lk(swap_mu_);
-  Policy next = CloneTablesLocked();
-  next.ppp_options = std::move(options);
-  return CompileAndPublish(std::move(next));
+  return Swap(&Policy::ppp_options, std::move(options));
 }
 
 // --- Mount (§4.2) ---------------------------------------------------------------
@@ -269,6 +263,31 @@ bool ProtegoLsm::EnsureAuthenticated(const Policy& pol, Task& task, Uid account)
   return kernel_->Authenticate(task, account);
 }
 
+bool ProtegoLsm::AuthenticateForRules(const Policy& pol, Task& task, Uid target_uid,
+                                      const std::vector<const SudoRule*>& granting) const {
+  // NOPASSWD needs nothing; TARGETPW rules accept the target's password
+  // (su); plain rules accept the invoker's (sudo). When several rules grant,
+  // any candidate password satisfies — ONE prompt, verified against the
+  // candidate set.
+  std::vector<Uid> candidates;
+  for (const SudoRule* rule : granting) {
+    if (rule->nopasswd) {
+      return true;
+    }
+    Uid account = rule->targetpw ? target_uid : task.cred.ruid;
+    if (std::find(candidates.begin(), candidates.end(), account) == candidates.end()) {
+      candidates.push_back(account);
+    }
+  }
+  uint64_t now = kernel_->clock().Now();
+  for (Uid account : candidates) {
+    if (task.RecentlyAuthenticated(account, now, pol.delegation.timestamp_timeout_sec)) {
+      return true;
+    }
+  }
+  return kernel_->AuthenticateAny(task, candidates).has_value();
+}
+
 HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
                                       SetuidDisposition* disposition) {
   GraceDomain::Section section(policy_.grace());
@@ -350,35 +369,7 @@ HookVerdict ProtegoLsm::TaskFixSetuid(Task& task, const SetuidRequest& req,
     return HookVerdict::kAllow;
   }
 
-  // Authentication requirement across the granting rules: NOPASSWD needs
-  // nothing; TARGETPW rules accept the target's password (su); plain rules
-  // accept the invoker's (sudo). When several rules grant, any candidate
-  // password satisfies — ONE prompt, verified against the candidate set.
-  bool authenticated = false;
-  std::vector<Uid> candidates;
-  for (const SudoRule* rule : all_command_rules) {
-    if (rule->nopasswd) {
-      authenticated = true;
-      break;
-    }
-    Uid account = rule->targetpw ? req.target_uid : task.cred.ruid;
-    if (std::find(candidates.begin(), candidates.end(), account) == candidates.end()) {
-      candidates.push_back(account);
-    }
-  }
-  if (!authenticated) {
-    uint64_t now = kernel_->clock().Now();
-    for (Uid account : candidates) {
-      if (task.RecentlyAuthenticated(account, now, pol.delegation.timestamp_timeout_sec)) {
-        authenticated = true;
-        break;
-      }
-    }
-  }
-  if (!authenticated) {
-    authenticated = kernel_->AuthenticateAny(task, candidates).has_value();
-  }
-  if (authenticated) {
+  if (AuthenticateForRules(pol, task, req.target_uid, all_command_rules)) {
     // Immediate full transition, including the target's primary group
     // (what stock su/login did with setgid while still root).
     disposition->has_gid = true;
@@ -434,32 +425,7 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
                        command_line.c_str(), target->name.c_str(), task.cred.ruid));
     return HookVerdict::kDeny;
   }
-  // Same one-prompt/any-candidate authentication as the immediate path.
-  bool authenticated = false;
-  std::vector<Uid> candidates;
-  for (const SudoRule* rule : granting) {
-    if (rule->nopasswd) {
-      authenticated = true;
-      break;
-    }
-    Uid account = rule->targetpw ? pending.target_uid : task.cred.ruid;
-    if (std::find(candidates.begin(), candidates.end(), account) == candidates.end()) {
-      candidates.push_back(account);
-    }
-  }
-  if (!authenticated) {
-    uint64_t now = kernel_->clock().Now();
-    for (Uid account : candidates) {
-      if (task.RecentlyAuthenticated(account, now, pol.delegation.timestamp_timeout_sec)) {
-        authenticated = true;
-        break;
-      }
-    }
-  }
-  if (!authenticated) {
-    authenticated = kernel_->AuthenticateAny(task, candidates).has_value();
-  }
-  if (!authenticated) {
+  if (!AuthenticateForRules(pol, task, pending.target_uid, granting)) {
     Count(&ProtegoStats::exec_denied);
     return HookVerdict::kDeny;
   }

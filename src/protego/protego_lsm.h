@@ -25,10 +25,11 @@
 // so it never observes a half-swapped policy and writes no line another
 // thread writes: the section's announcement goes to the thread's own
 // shard, and so do the decision counters (ProtegoStats, summed by
-// stats()). Writers serialize on swap_mu_, build a complete successor
-// snapshot off to the side and publish it; the old one is freed once no
-// section that may have loaded it is open. Nothing waits: a swap never
-// waits for readers, and readers never wait for a swap. Hooks nest
+// stats()). Writers serialize on the snapshot's own writer mutex
+// (Published::Replace), build a complete successor off to the side and
+// publish it, or decline when it fails to compile; the old one is freed
+// once no section that may have loaded it is open. Nothing waits: a swap
+// never waits for readers, and readers never wait for a swap. Hooks nest
 // syscalls (EnsureAuthenticated runs the authentication service, whose
 // syscalls re-enter the hooks); a nested hook opens a nested section, which
 // costs a depth increment, and the outer one stays open across the round
@@ -39,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -116,8 +116,8 @@ class ProtegoLsm : public SecurityModule {
   // compilation succeeds is the snapshot published and the policy generation
   // bumped. On failure (including an injected kPolicyCompile fault) nothing
   // is published — the live snapshot and the generation stay exactly as
-  // they were. Writers serialize on a mutex so two concurrent swaps cannot
-  // lose each other's tables; readers never wait.
+  // they were. Writers serialize on the snapshot's writer mutex, so two
+  // concurrent swaps cannot lose each other's tables; readers never wait.
 
   [[nodiscard]] Result<Unit> SetMountPolicy(std::vector<FstabEntry> whitelist);
   [[nodiscard]] Result<Unit> SetBindTable(std::vector<BindConfEntry> table);
@@ -151,8 +151,7 @@ class ProtegoLsm : public SecurityModule {
 
  private:
   // The current snapshot. Only valid inside a read section of the
-  // kernel's grace period (or under swap_mu_, which keeps it from being
-  // replaced). CompileAndPublish publishes before it bumps the generation,
+  // kernel's grace period. Swap publishes before it bumps the generation,
   // so a reader that observed generation G also observes at least
   // generation G's engine.
   const Policy& Current() const { return policy_.Read(); }
@@ -164,18 +163,16 @@ class ProtegoLsm : public SecurityModule {
     return Current().*table;
   }
 
-  // Copies the current snapshot's raw tables into a fresh staging Policy
-  // (engine left empty — CompileAndPublish rebuilds it). Caller must hold
-  // swap_mu_.
-  Policy CloneTablesLocked() const;
+  // The one policy swap: copies the current snapshot's raw tables (not its
+  // engine) into a successor, splices `value` in as `table`, compiles the
+  // successor and publishes it, then bumps the policy generation — IN THAT
+  // ORDER. Fails only on an injected kPolicyCompile fault, in which case
+  // nothing is published and the generation stays as it was.
+  template <typename Table>
+  [[nodiscard]] Result<Unit> Swap(Table Policy::*table, Table value);
 
-  // Rebuilds every compiled index inside `next` from its raw tables, then
-  // publishes the snapshot (release), retires the old one and bumps the
-  // policy generation — IN THAT ORDER, so a reader observing the new
-  // generation also observes the new engine. Fails only on an injected
-  // kPolicyCompile fault, in which case nothing is published. Caller must
-  // hold swap_mu_.
-  [[nodiscard]] Result<Unit> CompileAndPublish(Policy next);
+  // Rebuilds every compiled index inside `next` from its raw tables.
+  [[nodiscard]] Result<Unit> Compile(Policy& next) const;
 
   // Counts one decision on the calling thread's shard.
   void Count(uint64_t ProtegoStats::*field) const;
@@ -198,10 +195,16 @@ class ProtegoLsm : public SecurityModule {
   // utility. Non-const task: a successful exchange stamps auth_times.
   bool EnsureAuthenticated(const Policy& pol, Task& task, Uid account) const;
 
+  // The one prompt for a delegation the rules in `granting` allow: true if
+  // any is NOPASSWD, if a candidate account (the target's for TARGETPW
+  // rules, the invoker's otherwise) authenticated recently, or if the
+  // password exchange accepts any candidate's password.
+  bool AuthenticateForRules(const Policy& pol, Task& task, Uid target_uid,
+                            const std::vector<const SudoRule*>& granting) const;
+
   Kernel* kernel_;
-  // Immutable once published; replaced only under swap_mu_.
+  // Immutable once published; replaced only by Swap.
   Published<Policy> policy_;
-  std::mutex swap_mu_;  // serializes writers (clone → compile → publish)
   // One thread's counters, written through std::atomic_ref by that thread
   // only.
   mutable ThreadShards<ProtegoStats> stats_;

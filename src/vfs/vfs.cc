@@ -104,7 +104,7 @@ Vfs::Vfs(Clock* clock) : clock_(clock) {
   root_.reset(new Vnode("", std::move(root_inode), &dir_lock_stats_));
 }
 
-Vfs::~Vfs() { delete watches_.load(std::memory_order_relaxed); }
+Vfs::~Vfs() = default;
 
 Vnode* Vfs::Top(Vnode* node) {
   for (MountEntry* m; (m = node->covered_by()) != nullptr;) {
@@ -775,29 +775,16 @@ LockCounts Vfs::data_lock_counts() const {
 
 int Vfs::AddWatch(std::string path, WatchCallback cb) {
   int id = next_watch_id_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<RwLock> lk(watch_mu_);
-  const WatchList* old = watches_.load(std::memory_order_relaxed);
-  auto fresh = old != nullptr ? std::make_unique<WatchList>(*old) : std::make_unique<WatchList>();
-  fresh->push_back(Watch{id, std::move(path), std::move(cb)});
-  watches_.store(fresh.release(), std::memory_order_release);
-  grace_.Retire(old);
+  watches_.Update([&](WatchList& watches) {
+    watches.push_back(Watch{id, std::move(path), std::move(cb)});
+  });
   return id;
 }
 
 void Vfs::RemoveWatch(int watch_id) {
-  std::unique_lock<RwLock> lk(watch_mu_);
-  const WatchList* old = watches_.load(std::memory_order_relaxed);
-  if (old == nullptr) {
-    return;
-  }
-  auto fresh = std::make_unique<WatchList>();
-  for (const Watch& w : *old) {
-    if (w.id != watch_id) {
-      fresh->push_back(w);
-    }
-  }
-  watches_.store(fresh.release(), std::memory_order_release);
-  grace_.Retire(old);
+  watches_.Update([&](WatchList& watches) {
+    return std::erase_if(watches, [&](const Watch& w) { return w.id == watch_id; }) != 0;
+  });
 }
 
 void Vfs::UnchargeTree(Vnode* node) {
@@ -847,28 +834,29 @@ Result<Unit> Vfs::AuditBlockAccounting() const {
 }
 
 void Vfs::DispatchEvents(PendingEvents& events) const {
-  if (events.empty() || watches_.load(std::memory_order_relaxed) == nullptr) {
+  if (events.empty()) {
     return;
   }
-  for (auto& [event, path] : events) {
-    // Match inside a read section and copy only the callbacks that match
-    // (usually none), then invoke them outside it: a callback may add or
-    // remove watches or re-enter the VFS.
-    std::vector<WatchCallback> matched;
-    {
-      GraceDomain::Section section(grace_);
-      const WatchList* watches = watches_.load(std::memory_order_acquire);
-      for (const Watch& watch : *watches) {
+  // Match every event inside one read section and copy only the callbacks
+  // that match (usually none), then invoke them outside it: a callback may
+  // add or remove watches or re-enter the VFS.
+  std::vector<std::pair<const PendingEvents::value_type*, WatchCallback>> matched;
+  {
+    GraceDomain::Section section(grace_);
+    const WatchList& watches = watches_.Read();
+    for (const auto& event : events) {
+      const std::string& path = event.second;
+      for (const Watch& watch : watches) {
         if (path == watch.path ||
             (StartsWith(path, watch.path) && path.size() > watch.path.size() &&
              (watch.path == "/" || path[watch.path.size()] == '/'))) {
-          matched.push_back(watch.callback);
+          matched.emplace_back(&event, watch.callback);
         }
       }
     }
-    for (const WatchCallback& callback : matched) {
-      callback(event, path);
-    }
+  }
+  for (const auto& [event, callback] : matched) {
+    callback(event->first, event->second);
   }
 }
 

@@ -40,9 +40,10 @@
 //     contents; one cache line per stripe. stat takes no lock: it reads the
 //     inode's atomics under its sequence count (Inode::seq), which a writer
 //     holding the stripe makes odd while it changes them.
-//   * The watch list is an immutable snapshot too: AddWatch and RemoveWatch
-//     copy and retire it under watch_mu_, and dispatch matches it inside a
-//     read section, copying only the matching callbacks.
+//   * The watch list is a Published snapshot too (src/base/published.h):
+//     AddWatch and RemoveWatch publish an edited copy, serialized on the
+//     snapshot's own writer mutex, and a dispatch matches all of its events
+//     inside one read section, copying only the matching callbacks.
 //   * Watch callbacks never run under a lock or inside a read section:
 //     mutations queue events and the public entry points dispatch them
 //     afterwards, because watchers (the monitoring daemon) re-enter the
@@ -71,6 +72,7 @@
 #include "src/base/result.h"
 #include "src/base/attribution.h"
 #include "src/base/grace.h"
+#include "src/base/published.h"
 #include "src/base/rw_lock.h"
 #include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
@@ -223,11 +225,10 @@ class Vfs {
   uint64_t resolves() const;
 
   // Slow-path counts of the tree's locks (the rename lock and every
-  // directory lock, summed), the data stripes (summed) and the watch lock
-  // since boot (exported as metrics).
+  // directory lock, summed) and the data stripes (summed) since boot
+  // (exported as metrics).
   LockCounts tree_lock_counts() const;
   LockCounts data_lock_counts() const;
-  LockCounts watch_lock_counts() const { return watch_mu_.counts(); }
 
   // The grace period every walk reads under; the kernel's one domain
   // (Kernel::grace()), which the Protego module's policy reads share.
@@ -492,8 +493,7 @@ class Vfs {
     RwLock mu;
   };
   mutable DataStripeLock data_mu_[kDataStripes];  // file contents by ino
-  RwLock watch_mu_;                               // serializes watch-list writers
-  std::atomic<const WatchList*> watches_{nullptr};
+  Published<WatchList> watches_{grace_};
   std::vector<std::unique_ptr<MountEntry>> mounts_;
 };
 

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "src/base/grace.h"
 #include "src/base/hash.h"
 #include "src/base/lexer.h"
+#include "src/base/published.h"
 #include "src/base/result.h"
 #include "src/base/rw_lock.h"
 #include "src/base/strings.h"
@@ -504,6 +507,53 @@ TEST(GraceDomainTest, ReadersNeverSeeAFreedObject) {
   EXPECT_EQ(freed.load(), kWriters * kSwaps);
   EXPECT_EQ(domain.pending(), 0u);
   delete published.load();
+}
+
+// Four threads each append to one Published vector with no lock of their
+// own, declining every edit that would add a value already present: the
+// snapshot's writer mutex serializes them, so no append is lost, every
+// decline publishes nothing and retires nothing, and each publish retires
+// exactly one snapshot.
+TEST(PublishedTest, WritersSerializeAndDeclinesPublishNothing) {
+  constexpr int kThreads = 4;
+  constexpr int kAppends = 500;
+  GraceDomain domain;
+  Published<std::vector<int>> table(domain);
+  std::atomic<int> published{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAppends; ++i) {
+        const int value = t * kAppends + i;
+        published += table.Update([&](std::vector<int>& values) { values.push_back(value); });
+        // A duplicate: the check and the decline run under the writer mutex.
+        published += table.Replace([&](const std::vector<int>& values)
+                                       -> std::optional<std::vector<int>> {
+          if (std::find(values.begin(), values.end(), value) != values.end()) {
+            return std::nullopt;
+          }
+          return values;
+        });
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(published.load(), kThreads * kAppends);
+  GraceDomain::Section section(domain);
+  std::vector<int> values = table.Read();
+  std::sort(values.begin(), values.end());
+  ASSERT_EQ(values.size(), static_cast<size_t>(kThreads * kAppends));
+  for (int i = 0; i < kThreads * kAppends; ++i) {
+    ASSERT_EQ(values[i], i);
+  }
+  // A decline leaves the very same snapshot and retires nothing.
+  const std::vector<int>* before = &table.Read();
+  const uint64_t pending = domain.pending();
+  EXPECT_FALSE(table.Update([](std::vector<int>&) { return false; }));
+  EXPECT_EQ(&table.Read(), before);
+  EXPECT_EQ(domain.pending(), pending);
 }
 
 }  // namespace
